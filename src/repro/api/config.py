@@ -48,7 +48,9 @@ def resolve_jobs(jobs: int) -> int:
 #: v2 -- replacement-policy RNGs seeded with crc32 instead of the
 #:       per-process-salted ``hash()`` (results before the fix were not
 #:       reproducible across processes and cannot be trusted).
-RESULTS_VERSION = 2
+#: v3 -- one npz per key with rows keyed by suite rank (no JSON twin,
+#:       no workload-key strings); the IPC values are unchanged.
+RESULTS_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,10 @@ class CampaignConfig:
             0 = auto (one worker per CPU via :func:`resolve_jobs`,
             resolved at construction so the stored field is always a
             concrete count).
-        cache_dir: if set, results persist as JSON under this directory
-            keyed by :attr:`cache_key`.
+        cache_dir: if set, results persist as one npz under this
+            directory, named by :attr:`cache_key`.
         model_store_dir: if set, trained models (BADCO node models,
-            analytic calibrations and probes) persist under this
+            analytic vectors, calibrations and probes) persist under this
             directory (see :mod:`repro.sim.modelstore`) and campaigns
             load instead of retraining on a hit.  Like ``cache_dir``,
             a storage location -- never part of the cache key, never a
@@ -129,19 +131,8 @@ class CampaignConfig:
 
     @property
     def cache_path(self) -> Optional[Path]:
-        """Where this campaign persists, or None without a cache_dir."""
-        if self.cache_dir is None:
-            return None
-        return Path(self.cache_dir) / f"{self.cache_key}.json"
-
-    @property
-    def cache_npz_path(self) -> Optional[Path]:
-        """The ``.npz`` twin written next to :attr:`cache_path`.
-
-        Same key, columnar payload: loads restore whole IPC panels as
-        matrices (no per-workload mapping rebuild), which is what makes
-        re-opening 10^6-workload campaigns cheap.
-        """
+        """Where this campaign persists (``<cache_key>.npz``), or None
+        without a cache_dir."""
         if self.cache_dir is None:
             return None
         return Path(self.cache_dir) / f"{self.cache_key}.npz"

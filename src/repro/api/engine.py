@@ -6,49 +6,50 @@ memoising per-(policy, workload) results in memory and optionally on
 disk, and accumulating the wall-clock / MIPS accounting behind the
 paper's Table III and the Section VII-A overhead example.
 
-With ``jobs=1`` (the default) grids run in-process, exactly as the
-historical ``SimulationCampaign`` did.  With ``jobs>1`` the pending
-cells are fanned out over a :class:`concurrent.futures.
-ProcessPoolExecutor`; each worker process constructs its own simulator
-(and lazily shares one model builder per process), and the parent
-merges worker results in the same order the serial path would have
-produced them -- so the resulting :class:`~repro.sim.results.
-PopulationResults` is bit-identical to a ``jobs=1`` run, down to its
-JSON serialisation.  Every simulation is independent (fresh uncore,
-fixed seeds), which is what makes this safe.
+Grids are matrix-native: :meth:`Campaign.run_grid` takes a population,
+a :class:`~repro.core.codematrix.CodeMatrix` or a workload sequence
+(encoded once), identifies rows by suite rank (see
+:mod:`repro.sim.results`) and finds each policy's pending rows with
+array set operations.  Workload objects are built only for simulators
+that need them: per-workload backends and the pending rows of
+event-driven batch backends.
 
-Backends declaring ``supports_batch`` (see
-:func:`repro.api.backends.backend_supports_batch`) take the *batch*
-path instead: per policy, all pending workloads are scored by one
-``run_batch`` array call (``jobs=1``) or by ``jobs`` contiguous chunks
-on the pool, and the panel streams into the results columnar store via
-:meth:`~repro.sim.results.PopulationResults.record_batch`.  Batch rows
-are independent, so chunking never changes values and ``jobs=4 ==
-jobs=1`` holds here too.
+With ``jobs>1`` the pending cells fan out over a
+:class:`concurrent.futures.ProcessPoolExecutor` (one simulator per
+task, one lazily-built model builder per worker process) and the
+parent records the outputs in the order the serial path would have, so
+the results are bit-identical to a ``jobs=1`` run.  Every simulation is
+independent (fresh uncore, fixed seeds), which is what makes this safe.
 
-Backends additionally declaring ``supports_policy_axis`` collapse even
-the per-policy loop: whenever every requested policy has the same
-pending workloads, the whole grid is one ``run_batch_grid`` N x P x K
-dispatch (or ``jobs`` row chunks, each scoring all policies), with
-each policy's slice bit-identical to its single-policy batch panel.
+Backends declaring ``supports_batch`` score all of a policy's pending
+rows with one ``run_batch`` call (or ``jobs`` contiguous row chunks)
+and stream the panel into the results via
+:meth:`~repro.sim.results.PopulationResults.record_batch`.  Backends
+also declaring ``supports_policy_axis`` (the analytic one) take code
+rows directly and score the rows several policies share with one
+``run_batch_grid`` N x P x K dispatch; each policy's slice is
+bit-identical to its single-policy panel.
 
-Campaigns with a ``model_store_dir`` attach a persistent
-:class:`~repro.sim.modelstore.ModelStore` to their builder: trained
-BADCO node models and analytic calibrations are loaded from disk
-instead of retrained, bit-identically, across processes and sessions.
-
-Campaigns with a cache directory persist both the JSON interchange
-format and an ``.npz`` twin next to it; loads prefer the npz, which
-restores panels as matrices without the per-workload mapping rebuild.
+A ``model_store_dir`` attaches a persistent
+:class:`~repro.sim.modelstore.ModelStore` to the builder, so trained
+models, analytic vectors and calibrations load instead of being
+re-derived.  A cache directory persists the results as one
+``<cache_key>.npz``; a file that cannot be read back -- torn,
+truncated, or ranked over another suite or core count -- is logged as
+a warning and recomputed.
 """
 
 from __future__ import annotations
 
+import logging
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.api.backends import (
     SimulatorBackend,
@@ -57,8 +58,14 @@ from repro.api.backends import (
     get_backend,
 )
 from repro.api.config import CampaignConfig
+from repro.core.codematrix import CodeMatrix
 from repro.core.workload import Workload
-from repro.sim.results import PopulationResults
+from repro.sim.results import SUITE, PopulationResults
+
+logger = logging.getLogger(__name__)
+
+#: What reading a torn, truncated or foreign npz raises.
+_UNREADABLE = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 
 
 @dataclass
@@ -105,26 +112,32 @@ def _worker_simulator(policy: str):
         config.warmup_fraction, config.seed, builder=builder)
 
 
-def _worker_simulate(task: Tuple[str, str]) -> Tuple[str, str, List[float],
-                                                     int, float]:
+def _batch_input(backend: SimulatorBackend, rows: CodeMatrix):
+    """What a backend's ``run_batch`` takes: policy-axis backends score
+    code rows directly, event-driven ones need workload objects."""
+    if backend_supports_policy_axis(backend):
+        return rows
+    return rows.workloads()
+
+
+def _worker_simulate(task: Tuple[str, str]) -> Tuple[List[float], int,
+                                                     float]:
     policy, workload_key = task
     run = _worker_simulator(policy).run(Workload.from_key(workload_key))
-    return policy, workload_key, run.ipcs, run.instructions, run.wall_seconds
+    return run.ipcs, run.instructions, run.wall_seconds
 
 
-def _worker_simulate_batch(task: Tuple[str, Tuple[str, ...]]):
-    policy, keys = task
-    simulator = _worker_simulator(policy)
-    run = simulator.run_batch([Workload.from_key(k) for k in keys])
-    return policy, keys, run.ipcs, run.instructions, run.wall_seconds
+def _worker_simulate_batch(task: Tuple[str, CodeMatrix]):
+    policy, rows = task
+    run = _worker_simulator(policy).run_batch(
+        _batch_input(_WORKER_STATE["backend"], rows))
+    return run.ipcs, run.instructions, run.wall_seconds
 
 
-def _worker_simulate_grid(task: Tuple[Tuple[str, ...], Tuple[str, ...]]):
-    policies, keys = task
-    simulator = _worker_simulator(policies[0])
-    run = simulator.run_batch_grid(
-        [Workload.from_key(k) for k in keys], policies)
-    return keys, run.ipcs, run.instructions, run.wall_seconds
+def _worker_simulate_grid(task: Tuple[Tuple[str, ...], CodeMatrix]):
+    policies, rows = task
+    run = _worker_simulator(policies[0]).run_batch_grid(rows, policies)
+    return run.ipcs, run.instructions, run.wall_seconds
 
 
 def _pool_context():
@@ -133,6 +146,22 @@ def _pool_context():
         return get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX hosts
         return get_context("spawn")
+
+
+def _code_rows(workloads) -> Optional[CodeMatrix]:
+    """A grid's rows as a code matrix (None when there are none)."""
+    matrix = getattr(workloads, "code_matrix", workloads)
+    if isinstance(matrix, CodeMatrix):
+        return matrix if len(matrix) else None
+    workloads = list(workloads)
+    return CodeMatrix.from_workloads(workloads, SUITE) if workloads else None
+
+
+def _chunks(rows: CodeMatrix, workers: int) -> List[CodeMatrix]:
+    """``workers`` contiguous row chunks (the last may be shorter)."""
+    step = (len(rows) + workers - 1) // workers
+    return [rows.take(slice(start, start + step))
+            for start in range(0, len(rows), step)]
 
 
 # ----------------------------------------------------------------------
@@ -203,34 +232,29 @@ class Campaign:
 
     def _try_load(self) -> None:
         path = self.config.cache_path
-        npz = self.config.cache_npz_path
-        if npz is not None and npz.exists() and not (
-                path.exists()
-                and path.stat().st_mtime > npz.stat().st_mtime):
-            # The fast twin: panels come back as matrices, no mapping
-            # rebuild (see PopulationResults.load_npz).  A JSON file
-            # newer than the npz (hand-regenerated) wins; a corrupt
-            # npz (e.g. a save interrupted mid-write) falls through.
-            try:
-                if self.panel_cache is not None:
-                    self.results = self.panel_cache.load(npz)
-                else:
-                    self.results = PopulationResults.load_npz(npz)
-                self._loaded_from_cache = True
-                return
-            except Exception:
-                pass
-        if path.exists():
-            self.results = PopulationResults.load(path)
-            self._loaded_from_cache = True
+        if not path.exists():
+            return
+        try:
+            results = (self.panel_cache.load(path)
+                       if self.panel_cache is not None
+                       else PopulationResults.load_npz(path))
+            if results.cores != self.config.cores:
+                raise ValueError(f"it holds {results.cores}-core panels")
+        except _UNREADABLE as error:
+            logger.warning("campaign cache %s is unreadable (%s: %s); "
+                           "recomputing it", path, type(error).__name__,
+                           error)
+            return
+        self.results = results
+        self._loaded_from_cache = True
 
     def save(self) -> None:
-        """Persist results (no-op without a cache directory).
+        """Persist results as ``<cache_key>.npz`` (no-op without a
+        cache directory).
 
-        Writes the JSON interchange file and its ``.npz`` twin side by
-        side; loads prefer the npz.  A clean campaign (nothing recorded
-        since the last save or cache load) is a no-op, so warm served
-        queries never re-serialise an unchanged panel.
+        A clean campaign (nothing recorded since the last save or cache
+        load) is a no-op, so warm served queries never re-serialise an
+        unchanged panel.
 
         Writers serialise on a per-cache-key :class:`repro.ioutil.
         FileLock` so two processes filling the same cache entry can't
@@ -247,25 +271,17 @@ class Campaign:
         existing order.
         """
         path = self.config.cache_path
-        if path is None:
-            return
-        npz = self.config.cache_npz_path
-        if not self._dirty and path.exists() and npz.exists():
+        if path is None or (not self._dirty and path.exists()):
             return
         from repro.ioutil import FileLock
 
         with FileLock(path.parent / f"{self.config.cache_key}.lock"):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # JSON first, npz second: the npz ends up the newer twin,
-            # so _try_load prefers it (a half-written npz from a crash
-            # here is caught by the load fallback).
-            self.results.save(path)
-            self.results.save_npz(npz)
+            self.results.save_npz(path)
         self._dirty = False
         if self.panel_cache is not None:
             # Publish the live object under the fresh file identity so
             # the next open of this npz is a cache hit, not a re-mmap.
-            self.panel_cache.store(npz, self.results)
+            self.panel_cache.store(path, self.results)
 
     # ------------------------------------------------------------------
     # Simulation
@@ -276,142 +292,135 @@ class Campaign:
             self.config.warmup_fraction, self.config.seed,
             builder=self.builder)
 
-    def run_workload(self, workload: Workload, policy: str) -> List[float]:
-        """Per-core IPCs of one (workload, policy), memoised."""
-        if not self.results.has(policy, workload):
-            run = self._make_simulator(policy).run(workload)
-            self.timing.simulations += 1
-            self.timing.instructions += run.instructions
-            self.timing.wall_seconds += run.wall_seconds
-            self.results.record(policy, workload, run.ipcs)
-            self._dirty = True
-        return self.results.ipcs(policy, workload)
-
-    def run_grid(self, workloads: Iterable[Workload],
-                 policies: Sequence[str]) -> PopulationResults:
-        """Simulate every (workload, policy) pair; returns the results.
-
-        ``jobs=1`` runs in-process; ``jobs>1`` distributes the pending
-        cells over a process pool and merges deterministically (see
-        module docstring).
-        """
-        workloads = list(workloads)
-        if backend_supports_batch(self.backend):
-            return self._run_grid_batch(workloads, policies)
-        if self.config.jobs == 1:
-            for workload in workloads:
-                for policy in policies:
-                    self.run_workload(workload, policy)
-            return self.results
-        return self._run_grid_parallel(workloads, policies)
-
-    # -- batch path ----------------------------------------------------
-
-    def _record_batch(self, policy: str, workloads: Sequence[Workload],
-                      ipcs, instructions: int, wall: float) -> None:
-        self.results.record_batch(policy, workloads, ipcs)
-        self._dirty = True
-        self.timing.simulations += len(workloads)
+    def _account(self, simulations: int, instructions: int,
+                 wall: float) -> None:
+        self.timing.simulations += simulations
         self.timing.instructions += instructions
         self.timing.wall_seconds += wall
 
-    def _run_grid_batch(self, workloads: Sequence[Workload],
-                        policies: Sequence[str]) -> PopulationResults:
-        """One ``run_batch`` call (or ``jobs`` chunks) per policy.
+    def _record(self, policy: str, rows, ipcs) -> None:
+        """Stream one panel in; ``rows`` are code rows or suite ranks."""
+        self.results.record_batch(policy, rows, ipcs)
+        self._dirty = True
 
-        Batch rows are independent, so per-policy panels concatenated
-        from pool chunks are bit-identical to a serial run.
-        """
-        pending: List[Tuple[str, List[Workload]]] = []
-        for policy in policies:
-            seen = set()
-            todo = []
-            for workload in workloads:
-                if workload in seen or self.results.has(policy, workload):
-                    continue
-                seen.add(workload)
-                todo.append(workload)
-            if todo:
-                pending.append((policy, todo))
-        if not pending:
-            return self.results
-        cells = sum(len(todo) for _, todo in pending)
-        workers = min(self.config.jobs, cells)
-        # Policy-axis backends collapse the per-policy loop into one
-        # N x P x K dispatch whenever every policy has the same pending
-        # rows (the common case: a fresh or uniformly-cached grid).
-        # Ragged caches grid-dispatch the rows every policy still
-        # shares, then finish the per-policy remainders below.
-        if backend_supports_policy_axis(self.backend) and len(pending) > 1:
-            if all(todo == pending[0][1] for _, todo in pending[1:]):
-                return self._run_grid_policy_axis(pending[0][1],
-                                                  [p for p, _ in pending],
-                                                  workers)
-            shared_keys = set(pending[0][1])
-            for _, todo in pending[1:]:
-                shared_keys &= set(todo)
-            if shared_keys:
-                shared = [w for w in pending[0][1] if w in shared_keys]
-                self._run_grid_policy_axis(shared,
-                                           [p for p, _ in pending],
-                                           workers)
-                pending = [(policy,
-                            [w for w in todo if w not in shared_keys])
-                           for policy, todo in pending]
-                pending = [(policy, todo) for policy, todo in pending
-                           if todo]
-                if not pending:
-                    return self.results
-                cells = sum(len(todo) for _, todo in pending)
-                workers = min(self.config.jobs, cells)
-                # Remainders are often uniform among themselves (one
-                # policy was cached, the rest share its missing rows).
-                if (len(pending) > 1
-                        and all(todo == pending[0][1]
-                                for _, todo in pending[1:])):
-                    return self._run_grid_policy_axis(
-                        pending[0][1], [p for p, _ in pending], workers)
-        if workers <= 1:
-            for policy, todo in pending:
-                run = self._make_simulator(policy).run_batch(todo)
-                self._record_batch(policy, todo, run.ipcs,
-                                   run.instructions, run.wall_seconds)
-            return self.results
-        self._prepare_builder(
-            sorted({name for _, todo in pending
-                    for workload in todo for name in workload}),
-            [policy for policy, _ in pending])
-        tasks = []
-        for policy, todo in pending:
-            step = (len(todo) + workers - 1) // workers
-            for start in range(0, len(todo), step):
-                chunk = todo[start:start + step]
-                tasks.append((policy, tuple(w.key() for w in chunk)))
-        merged: Dict[Tuple[str, Tuple[str, ...]], Tuple] = {}
+    def _pool_map(self, function, tasks: List[Any], workers: int) -> list:
+        """``function`` over ``tasks`` on a fresh pool, in task order."""
         with ProcessPoolExecutor(
                 max_workers=workers, mp_context=_pool_context(),
                 initializer=_worker_init,
                 initargs=(self.backend, self.config, self.builder)) as pool:
-            for policy, keys, ipcs, instructions, wall in pool.map(
-                    _worker_simulate_batch, tasks):
-                merged[(policy, keys)] = (ipcs, instructions, wall)
-        # Record chunks in task order, i.e. exactly the serial order.
-        for task in tasks:
-            policy, keys = task
-            ipcs, instructions, wall = merged[task]
-            chunk = [Workload.from_key(key) for key in keys]
-            self._record_batch(policy, chunk, ipcs, instructions, wall)
+            return list(pool.map(function, tasks))
+
+    def run_workload(self, workload: Workload, policy: str) -> List[float]:
+        """Per-core IPCs of one (workload, policy), memoised."""
+        if not self.results.has(policy, workload):
+            run = self._make_simulator(policy).run(workload)
+            self._account(1, run.instructions, run.wall_seconds)
+            self.results.record(policy, workload, run.ipcs)
+            self._dirty = True
+        return self.results.ipcs(policy, workload)
+
+    def run_grid(self, workloads, policies: Sequence[str]
+                 ) -> PopulationResults:
+        """Simulate every (workload, policy) pair; returns the results.
+
+        Args:
+            workloads: the grid rows -- a population, a code matrix or
+                a workload sequence; a row listed twice is scored once.
+            policies: the LLC policies to cover.
+
+        ``jobs=1`` runs in-process; ``jobs>1`` distributes the pending
+        cells over a process pool and records deterministically (see
+        module docstring).
+        """
+        rows = _code_rows(workloads)
+        if rows is None:
+            return self.results
+        if rows.cores != self.cores:
+            raise ValueError(f"workloads occupy {rows.cores} cores, the "
+                             f"campaign simulates {self.cores}")
+        ranks = rows.ranks(SUITE)
+        first = np.unique(ranks, return_index=True)[1]
+        if len(first) != len(ranks):
+            keep = np.sort(first)
+            rows, ranks = rows.take(keep), ranks[keep]
+        pending: List[Tuple[str, np.ndarray]] = []
+        for policy in dict.fromkeys(policies):
+            todo = np.flatnonzero(~self.results.contains(policy, ranks))
+            if todo.size:
+                pending.append((policy, todo))
+        if not pending:
+            return self.results
+        if backend_supports_batch(self.backend):
+            self._run_grid_batch(rows, pending)
+        else:
+            self._run_grid_workloads(rows, pending)
         return self.results
 
-    def _prepare_builder(self, benchmarks: Sequence[str],
+    # -- batch path ----------------------------------------------------
+
+    def _run_grid_batch(self, rows: CodeMatrix,
+                        pending: List[Tuple[str, np.ndarray]]) -> None:
+        """One ``run_batch`` call (or ``jobs`` chunks) per policy.
+
+        Policy-axis backends first grid-dispatch the rows all pending
+        policies share -- a fresh or uniformly-cached grid is then a
+        single call -- and repeat on what remains while two or more
+        policies still share rows; the rest takes the per-policy path.
+        Batch rows are independent, so per-policy panels concatenated
+        from pool chunks are bit-identical to a serial run.
+        """
+        while backend_supports_policy_axis(self.backend) and len(pending) > 1:
+            shared = pending[0][1]
+            for _, todo in pending[1:]:
+                shared = np.intersect1d(shared, todo, assume_unique=True)
+            if not shared.size:
+                break
+            self._run_grid_policy_axis(rows.take(shared),
+                                       [p for p, _ in pending],
+                                       self.config.jobs)
+            pending = [(policy, np.setdiff1d(todo, shared,
+                                             assume_unique=True))
+                       for policy, todo in pending]
+            pending = [(policy, todo) for policy, todo in pending
+                       if todo.size]
+        if not pending:
+            return
+        workers = min(self.config.jobs, sum(len(t) for _, t in pending))
+        if workers <= 1:
+            for policy, todo in pending:
+                chunk = rows.take(todo)
+                run = self._make_simulator(policy).run_batch(
+                    _batch_input(self.backend, chunk))
+                self._record(policy, chunk, run.ipcs)
+                self._account(len(chunk), run.instructions,
+                              run.wall_seconds)
+            return
+        self._prepare_builder(
+            rows.take(np.unique(np.concatenate([t for _, t in pending]))),
+            [policy for policy, _ in pending])
+        tasks = [(policy, chunk) for policy, todo in pending
+                 for chunk in _chunks(rows.take(todo), workers)]
+        outputs = self._pool_map(_worker_simulate_batch, tasks, workers)
+        # Record chunks in task order, i.e. exactly the serial order.
+        for (policy, chunk), (ipcs, instructions, wall) in zip(tasks,
+                                                               outputs):
+            self._record(policy, chunk, ipcs)
+            self._account(len(chunk), instructions, wall)
+
+    def _prepare_builder(self, rows: CodeMatrix,
                          policies: Sequence[str]) -> None:
         """Train (and, where supported, calibrate) in the parent process.
 
-        Called before forking pool workers so they inherit the
-        expensive state instead of re-deriving it per process.
+        Called before the pool starts, so forked workers inherit the
+        trained builder (and spawned ones receive it in the initializer
+        pickle) instead of re-deriving it per process.  Only the
+        benchmarks the rows use are prepared.
         """
         if self.builder is None:
             return
+        used = np.flatnonzero(rows.benchmark_occurrences())
+        benchmarks = [rows.benchmarks[code] for code in used.tolist()]
         if hasattr(self.builder, "prepare"):
             self.builder.prepare(benchmarks, policies, self.config.cores,
                                  self.config.warmup_fraction)
@@ -419,9 +428,8 @@ class Campaign:
             for benchmark in benchmarks:
                 self.builder.build(benchmark)
 
-    def _run_grid_policy_axis(self, todo: Sequence[Workload],
-                              policies: Sequence[str],
-                              workers: int) -> PopulationResults:
+    def _run_grid_policy_axis(self, todo: CodeMatrix,
+                              policies: Sequence[str], workers: int) -> None:
         """One ``run_batch_grid`` dispatch for the whole pending grid.
 
         Every policy shares the same pending rows, so the engine's
@@ -431,97 +439,65 @@ class Campaign:
         single-policy batch panel, so results stay bit-identical to the
         per-policy path for any ``jobs``.
         """
-        todo = list(todo)
         policies = list(policies)
         workers = min(workers, len(todo))
         if workers <= 1:
             grid = self._make_simulator(policies[0]).run_batch_grid(
                 todo, policies)
-            self.timing.simulations += len(todo) * len(policies)
-            self.timing.instructions += grid.instructions
-            self.timing.wall_seconds += grid.wall_seconds
+            self._account(len(todo) * len(policies), grid.instructions,
+                          grid.wall_seconds)
+            ranks = todo.ranks(SUITE)
             for number, policy in enumerate(policies):
-                self.results.record_batch(policy, todo,
-                                          grid.ipcs[:, number, :])
-            self._dirty = True
-            return self.results
-        self._prepare_builder(
-            sorted({name for workload in todo for name in workload}),
-            policies)
-        step = (len(todo) + workers - 1) // workers
-        chunk_keys = [tuple(w.key() for w in todo[start:start + step])
-                      for start in range(0, len(todo), step)]
-        tasks = [(tuple(policies), keys) for keys in chunk_keys]
-        merged: Dict[Tuple[str, ...], Tuple] = {}
-        with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context(),
-                initializer=_worker_init,
-                initargs=(self.backend, self.config, self.builder)) as pool:
-            for keys, ipcs, instructions, wall in pool.map(
-                    _worker_simulate_grid, tasks):
-                merged[keys] = (ipcs, instructions, wall)
+                self._record(policy, ranks, grid.ipcs[:, number, :])
+            return
+        self._prepare_builder(todo, policies)
+        chunks = _chunks(todo, workers)
+        outputs = self._pool_map(
+            _worker_simulate_grid,
+            [(tuple(policies), chunk) for chunk in chunks], workers)
         # Record policy-major with chunks in row order -- exactly the
         # block layout the serial per-policy path would produce.
+        chunk_ranks = [chunk.ranks(SUITE) for chunk in chunks]
         for number, policy in enumerate(policies):
-            for keys in chunk_keys:
-                ipcs, _, _ = merged[keys]
-                chunk = [Workload.from_key(key) for key in keys]
-                self.results.record_batch(policy, chunk,
-                                          ipcs[:, number, :])
-                self._dirty = True
-        for keys in chunk_keys:
-            ipcs, instructions, wall = merged[keys]
-            self.timing.simulations += ipcs.shape[0] * len(policies)
-            self.timing.instructions += instructions
-            self.timing.wall_seconds += wall
-        return self.results
+            for ranks, (ipcs, _, _) in zip(chunk_ranks, outputs):
+                self._record(policy, ranks, ipcs[:, number, :])
+        for chunk, (_, instructions, wall) in zip(chunks, outputs):
+            self._account(len(chunk) * len(policies), instructions, wall)
 
-    # -- per-workload pool path ----------------------------------------
+    # -- per-workload path ---------------------------------------------
 
-    def _run_grid_parallel(self, workloads: Sequence[Workload],
-                           policies: Sequence[str]) -> PopulationResults:
-        pending: List[Tuple[str, str]] = []
-        seen = set()
-        for workload in workloads:
-            for policy in policies:
-                task = (policy, workload.key())
-                if task in seen or self.results.has(policy, workload):
-                    continue
-                seen.add(task)
-                pending.append(task)
-        if not pending:
-            return self.results
-        # Train models once in the parent before the pool starts: forked
-        # workers inherit the trained cache (and spawn ships it in the
-        # initializer pickle) instead of re-training per worker.  Only
-        # benchmarks with pending cells need models.
-        if self.builder is not None and hasattr(self.builder, "build"):
-            for benchmark in sorted({name for _, key in pending
-                                     for name in Workload.from_key(key)}):
-                self.builder.build(benchmark)
-        merged: Dict[Tuple[str, str], Tuple[List[float], int, float]] = {}
-        workers = min(self.config.jobs, len(pending))
-        with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context(),
-                initializer=_worker_init,
-                initargs=(self.backend, self.config, self.builder)) as pool:
-            for policy, key, ipcs, instructions, wall in pool.map(
-                    _worker_simulate, pending):
-                merged[(policy, key)] = (ipcs, instructions, wall)
-        # Record in the exact order the serial path would have, so the
-        # results (and their JSON) are bit-identical for any `jobs`.
-        for workload in workloads:
-            for policy in policies:
-                entry = merged.pop((policy, workload.key()), None)
-                if entry is None:
-                    continue
-                ipcs, instructions, wall = entry
-                self.timing.simulations += 1
-                self.timing.instructions += instructions
-                self.timing.wall_seconds += wall
-                self.results.record(policy, workload, ipcs)
-                self._dirty = True
-        return self.results
+    def _run_grid_workloads(self, rows: CodeMatrix,
+                            pending: List[Tuple[str, np.ndarray]]) -> None:
+        """Per-workload runs of the pending cells, row-major.
+
+        Only rows with a pending cell become workload objects.  Cells
+        run (serial) or are recorded (pool) workload by workload,
+        policies in request order, so results are bit-identical for
+        any ``jobs``.
+        """
+        policies = [policy for policy, _ in pending]
+        mask = np.zeros((len(rows), len(policies)), dtype=bool)
+        for number, (_, todo) in enumerate(pending):
+            mask[todo, number] = True
+        active = np.flatnonzero(mask.any(axis=1))
+        cells = [(workload, policy)
+                 for workload, flags in zip(rows.take(active).workloads(),
+                                            mask[active].tolist())
+                 for policy, flag in zip(policies, flags) if flag]
+        if self.config.jobs == 1:
+            for workload, policy in cells:
+                self.run_workload(workload, policy)
+            return
+        self._prepare_builder(rows.take(active), policies)
+        outputs = self._pool_map(
+            _worker_simulate,
+            [(policy, workload.key()) for workload, policy in cells],
+            min(self.config.jobs, len(cells)))
+        for (workload, policy), (ipcs, instructions, wall) in zip(cells,
+                                                                  outputs):
+            self._account(1, instructions, wall)
+            self.results.record(policy, workload, ipcs)
+            self._dirty = True
 
     def reference_ipcs(self, benchmarks: Iterable[str],
                        policy: str = "LRU") -> Dict[str, float]:
@@ -530,9 +506,8 @@ class Campaign:
             if benchmark not in self.results.reference:
                 started = time.perf_counter()
                 ipc = self._make_simulator(policy).reference_ipc(benchmark)
-                self.timing.simulations += 1
-                self.timing.instructions += self.config.trace_length
-                self.timing.wall_seconds += time.perf_counter() - started
+                self._account(1, self.config.trace_length,
+                              time.perf_counter() - started)
                 self.results.record_reference(benchmark, ipc)
                 self._dirty = True
         return dict(self.results.reference)

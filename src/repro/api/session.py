@@ -413,7 +413,7 @@ class Session:
 
     def results(self, backend: Optional[str] = None, cores: int = 2,
                 policies: Optional[Sequence[str]] = None,
-                workloads: Optional[Sequence[Workload]] = None,
+                workloads=None,
                 reference: bool = True) -> PopulationResults:
         """IPCs for a workload grid, simulated as needed and cached.
 
@@ -421,8 +421,9 @@ class Session:
             backend: simulator backend (session default if None).
             cores: number of cores K.
             policies: LLC policies to cover (default: the paper's five).
-            workloads: explicit workload list (default: the whole
-                population for this core count).
+            workloads: the grid rows -- a population, a code matrix or
+                a workload list (default: the whole population for this
+                core count).
             reference: also measure single-thread reference IPCs (for
                 the WSU/HSU speedup metrics).
         """
@@ -594,7 +595,7 @@ class Session:
             started = time.perf_counter()
             results = self.results(backend, cores,
                                    policies=[baseline, candidate],
-                                   workloads=list(population))
+                                   workloads=population)
             timings["panels"] = time.perf_counter() - started
             training_runs = self._builder_runs(builder) - runs_before
 
@@ -717,7 +718,6 @@ class Session:
 
         started = time.perf_counter()
         population = self.population(cores, sample)
-        frame = list(population)
         timings["population"] = time.perf_counter() - started
 
         # ---- stage 1: analytic screen over the full frame ------------
@@ -726,7 +726,7 @@ class Session:
         started = time.perf_counter()
         screen_results = self.results(screen_backend, cores,
                                       policies=[baseline, candidate],
-                                      workloads=frame)
+                                      workloads=population)
         timings["screen-panels"] = time.perf_counter() - started
         screen_runs = self._builder_runs(screen_builder) - runs_before
 
@@ -759,10 +759,11 @@ class Session:
         refine_builder = self.builder(refine_backend)
         runs_before = self._builder_runs(refine_builder)
         started = time.perf_counter()
-        selected = [frame[i] for i in rows.tolist()]
+        selected_rows = population.code_matrix.take(rows)
         refine_results = self.results(refine_backend, cores,
                                       policies=[baseline, candidate],
-                                      workloads=selected)
+                                      workloads=selected_rows)
+        selected = selected_rows.workloads()
         refine_variable = DeltaVariable(metric_obj, refine_results.reference)
         refined_values = np.array(
             [refine_variable.value(w,

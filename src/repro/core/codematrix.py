@@ -138,6 +138,13 @@ def rank_codes(codes: np.ndarray, num_benchmarks: int,
     return ranks
 
 
+def has_duplicates(ranks: np.ndarray) -> bool:
+    """Whether a 1-D rank vector repeats a value (one sort; cheaper
+    than ``np.unique`` for the integer vectors ranks are)."""
+    ordered = np.sort(ranks)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 def unrank_codes(ranks: Iterable[int], num_benchmarks: int,
                  cores: int) -> np.ndarray:
     """Code rows of combinadic ranks, vectorized (inverse of rank).
@@ -383,9 +390,31 @@ class CodeMatrix:
     def __len__(self) -> int:
         return self.codes.shape[0]
 
-    def ranks(self) -> np.ndarray:
-        """Combinadic rank of every row (int64)."""
-        return rank_codes(self.codes, self.num_benchmarks, validate=False)
+    def ranks(self, universe: Optional[Sequence[str]] = None) -> np.ndarray:
+        """Combinadic rank of every row (int64).
+
+        Args:
+            universe: a sorted benchmark suite containing this matrix's
+                benchmarks; ranks are then taken over it instead of over
+                :attr:`benchmarks`.  A subset's codes map into the
+                larger suite with one array lookup, which keeps rows
+                sorted, so the ranks of one workload agree across every
+                subset of the same suite.
+        """
+        if universe is None or tuple(universe) == self.benchmarks:
+            return rank_codes(self.codes, self.num_benchmarks, validate=False)
+        universe = tuple(universe)
+        position = {name: code for code, name in enumerate(universe)}
+        missing = [name for name in self.benchmarks if name not in position]
+        if missing:
+            raise ValueError(f"benchmarks {missing} are not in the universe")
+        lookup = np.array([position[name] for name in self.benchmarks],
+                          dtype=np.int64)
+        return rank_codes(lookup[self.codes], len(universe), validate=False)
+
+    def take(self, rows) -> "CodeMatrix":
+        """The given rows (indices or a boolean mask), in that order."""
+        return CodeMatrix(self.benchmarks, self.codes[rows])
 
     def row_workload(self, row: int) -> Workload:
         """Materialise one row as a :class:`Workload`."""

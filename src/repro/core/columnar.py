@@ -99,7 +99,7 @@ class WorkloadIndex:
             matrix: a :class:`~repro.core.codematrix.CodeMatrix` with
                 unique, sorted rows.
         """
-        from repro.core.codematrix import rank_codes
+        from repro.core.codematrix import has_duplicates, rank_codes
 
         if len(matrix) == 0:
             raise ValueError("empty workload index")
@@ -112,8 +112,7 @@ class WorkloadIndex:
         index._codes = matrix.codes
         index._encoded = None
         index._encoded_order = None
-        ranks = rank_codes(matrix.codes, matrix.num_benchmarks)
-        if np.unique(ranks).shape[0] != index._size:
+        if has_duplicates(rank_codes(matrix.codes, matrix.num_benchmarks)):
             raise ValueError("duplicate workloads in index")
         return index
 

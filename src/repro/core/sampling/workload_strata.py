@@ -117,6 +117,34 @@ def build_workload_strata(delta: Mapping[Workload, float],
     return [[ordered[i] for i in span] for span in ranges]
 
 
+def _merged_groups(sizes: List[int], total: int,
+                   size: int) -> List[List[int]]:
+    """Stratum numbers forming each of at most ``size`` sampling groups.
+
+    When the requested sample is smaller than the number of strata,
+    dropping strata would bias the estimate (the tails of the d(w)
+    distribution live in small strata).  Since strata are contiguous
+    d(w) ranges, merging *adjacent* strata preserves homogeneity as
+    well as possible while guaranteeing every group one slot.
+    """
+    if size >= len(sizes):
+        return [[number] for number in range(len(sizes))]
+    merged: List[List[int]] = []
+    target = total / size
+    current: List[int] = []
+    count = 0
+    for number, stratum_size in enumerate(sizes):
+        current.append(number)
+        count += stratum_size
+        if count >= target and len(merged) < size - 1:
+            merged.append(current)
+            current = []
+            count = 0
+    if current:
+        merged.append(current)
+    return merged
+
+
 class WorkloadStratification(SamplingMethod):
     """Stratified sampling over d(w)-derived workload strata.
 
@@ -133,8 +161,12 @@ class WorkloadStratification(SamplingMethod):
     def __init__(self, delta: Mapping[Workload, float],
                  min_stratum: int = DEFAULT_MIN_STRATUM,
                  sd_threshold: Optional[float] = None) -> None:
-        self.strata = build_workload_strata(delta, min_stratum, sd_threshold)
-        self._total = sum(len(s) for s in self.strata)
+        self._strata: Optional[List[List[Workload]]] = \
+            build_workload_strata(delta, min_stratum, sd_threshold)
+        #: Columnar instances: each stratum's row numbers in ``_index``.
+        self._rows: Optional[List[np.ndarray]] = None
+        self._index = None
+        self._total = sum(len(s) for s in self._strata)
 
     @classmethod
     def from_column(cls, delta, min_stratum: int = DEFAULT_MIN_STRATUM,
@@ -143,8 +175,10 @@ class WorkloadStratification(SamplingMethod):
         """Build the strata from a columnar d(w) vector.
 
         Identical strata to the mapping constructor (same stable sort,
-        same Welford scan), without materialising a dict: the natural
-        companion of :class:`repro.core.columnar.DeltaColumn`.
+        same Welford scan), kept as the row numbers of the column's
+        index: no workload is built unless the scalar :meth:`sample`
+        path or :attr:`strata` asks for one.  The natural companion of
+        :class:`repro.core.columnar.DeltaColumn`.
 
         Args:
             delta: a :class:`~repro.core.columnar.DeltaColumn`.
@@ -161,40 +195,35 @@ class WorkloadStratification(SamplingMethod):
         order = np.argsort(values, kind="stable")
         ranges = _stratum_ranges(values[order].tolist(),
                                  min_stratum, sd_threshold)
-        workloads = delta.index.workloads
         instance = cls.__new__(cls)
-        instance.strata = [[workloads[order[i]] for i in span]
-                           for span in ranges]
-        instance._total = sum(len(s) for s in instance.strata)
+        instance._strata = None
+        instance._rows = [order[span.start:span.stop] for span in ranges]
+        instance._index = delta.index
+        instance._total = len(order)
         return instance
 
     @property
+    def strata(self) -> List[List[Workload]]:
+        """The strata as workload lists, in ascending d(w) order."""
+        if self._strata is None:
+            workloads = self._index.workloads
+            self._strata = [[workloads[row] for row in rows.tolist()]
+                            for rows in self._rows]
+        return self._strata
+
+    @property
     def num_strata(self) -> int:
-        return len(self.strata)
+        return len(self._rows if self._rows is not None else self._strata)
 
     def _strata_for_size(self, size: int) -> List[List[Workload]]:
-        """The strata, merged down to at most ``size`` groups.
-
-        When the requested sample is smaller than the number of strata,
-        dropping strata would bias the estimate (the tails of the d(w)
-        distribution live in small strata).  Since strata are contiguous
-        d(w) ranges, merging *adjacent* strata preserves homogeneity as
-        well as possible while guaranteeing every group one slot.
-        """
-        if size >= len(self.strata):
-            return self.strata
-        merged: List[List[Workload]] = []
-        target = self._total / size
-        current: List[Workload] = []
-        for stratum in self.strata:
-            current = current + stratum
-            if (len(current) >= target
-                    and len(merged) < size - 1):
-                merged.append(current)
-                current = []
-        if current:
-            merged.append(current)
-        return merged
+        """The strata, merged down to at most ``size`` groups (see
+        :func:`_merged_groups`)."""
+        strata = self.strata
+        groups = _merged_groups([len(s) for s in strata], self._total, size)
+        if len(groups) == len(strata):
+            return strata
+        return [[workload for number in group for workload in strata[number]]
+                for group in groups]
 
     def sample(self, population: WorkloadPopulation, size: int,
                rng: random.Random) -> WeightedSample:
@@ -232,6 +261,12 @@ class WorkloadStratification(SamplingMethod):
         weights = [w / scale for w in weights]
         return WeightedSample(tuple(workloads), tuple(weights))
 
+    def _row_strata(self, index) -> List[np.ndarray]:
+        """Each stratum's row numbers in ``index``."""
+        if self._rows is not None and index.same_rows(self._index):
+            return self._rows
+        return [index.rows(stratum) for stratum in self.strata]
+
     def plan(self, index, population: WorkloadPopulation):
         """Row-partition plan over the d(w)-derived strata.
 
@@ -240,18 +275,24 @@ class WorkloadStratification(SamplingMethod):
         the returned :class:`StratifiedRowPlan` replays every draw's
         per-stratum ``rng.sample`` picks in batched NumPy ops (scalar
         reference kept as ``rows_matrix_scalar``; see its docstring).
+        Strata built :meth:`from_column` over ``index`` are row numbers
+        already and need no workload lookup.
         """
         if type(self).sample is not WorkloadStratification.sample:
             return None     # subclass changed the sampling behaviour
+        rows = self._row_strata(index)
+        sizes = [len(stratum) for stratum in rows]
+
         def layout(size: int) -> List[Tuple[List[int], int]]:
             if size < 1:
                 raise ValueError("sample size must be >= 1")
-            strata = self._strata_for_size(size)
+            groups = _merged_groups(sizes, self._total, size)
             extra = largest_remainder_allocation(
-                [float(len(s)) for s in strata], size - len(strata))
+                [float(sum(sizes[n] for n in group)) for group in groups],
+                size - len(groups))
             # Every stratum keeps its one guaranteed slot, so no
             # stratum ever has zero picks here.
-            return [(index.rows(stratum).tolist(), 1 + e)
-                    for stratum, e in zip(strata, extra)]
+            return [(np.concatenate([rows[n] for n in group]).tolist(),
+                     1 + e) for group, e in zip(groups, extra)]
 
         return StratifiedRowPlan(layout, self._total)

@@ -376,7 +376,7 @@ def run_sim_bench(profile: str = "smoke",
                             trace_length=trace_length, seed=seed)
     campaign = Campaign(config, builder=badco_builder)
     start = time.perf_counter()
-    campaign.run_grid(workloads, policies)
+    campaign.run_grid(population, policies)
     record("sim-panel-badco", "badco", time.perf_counter() - start,
            campaign.timing.mips)
 
@@ -420,7 +420,7 @@ def run_sim_bench(profile: str = "smoke",
                             trace_length=trace_length, seed=seed)
     campaign = Campaign(config, builder=analytic_builder)
     start = time.perf_counter()
-    campaign.run_grid(workloads, policies)
+    campaign.run_grid(population, policies)
     record("sim-panel-analytic", "analytic", time.perf_counter() - start,
            campaign.timing.mips)
 
@@ -498,7 +498,7 @@ def run_pop_bench(profile: str = "smoke",
         for label in ("cold", "warm"):
             campaign = Campaign(config)    # fresh builder each time
             start = time.perf_counter()
-            campaign.run_grid(list(grid_population), list(SIM_POLICIES))
+            campaign.run_grid(grid_population, list(SIM_POLICIES))
             campaign.reference_ipcs(grid_names)
             record(f"pop-store-{label}", time.perf_counter() - start,
                    len(grid_population), backend="analytic")

@@ -11,7 +11,8 @@ publishes the live results object back via :meth:`store` under the
 fresh file identity, so the next open is a hit without touching disk.
 
 Memory behaviour: entries are charged their *virtual* panel size
-(``ndarray.nbytes`` summed over blocks).  For mmap'd panels that is
+(:attr:`PopulationResults.nbytes <repro.sim.results.PopulationResults.
+nbytes>`: IPC panels plus their rank vectors).  For mmap'd panels that is
 address space, not resident memory -- the OS pages IPC blocks in on
 demand and can drop clean pages under pressure -- so the byte budget
 bounds the worst case (every panel fully touched), while the typical
@@ -42,18 +43,6 @@ from repro.sim.results import PopulationResults
 #: (a 10 000 x 2 x 8 float64 panel is ~1.3 MB; the budget is sized for
 #: many resident campaigns, not one).
 DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024
-
-
-def results_nbytes(results: PopulationResults) -> int:
-    """The virtual byte size charged for one cached results object."""
-    total = 0
-    for blocks in results._blocks.values():
-        for _, matrix in blocks:
-            total += int(matrix.nbytes)
-    for table in results._ipcs.values():
-        total += 8 * results.cores * len(table)
-    total += 8 * len(results.reference)
-    return total
 
 
 @dataclass
@@ -141,7 +130,7 @@ class ResidentPanelCache:
     def _insert(self, key: str, ident: Tuple[int, int],
                 results: PopulationResults) -> None:
         self._entries.pop(key, None)
-        self._entries[key] = _Entry(ident, results, results_nbytes(results))
+        self._entries[key] = _Entry(ident, results, results.nbytes)
         total = sum(entry.nbytes for entry in self._entries.values())
         while total > self.budget_bytes and len(self._entries) > 1:
             _, evicted = self._entries.popitem(last=False)

@@ -181,7 +181,7 @@ class RequestScheduler:
                 with lock:
                     population = session.population(cores, sample)
                     session.results(backend, cores, policies=policies,
-                                    workloads=list(population))
+                                    workloads=population)
         except BaseException as error:
             for _, future in members:
                 if future.set_running_or_notify_cancel():

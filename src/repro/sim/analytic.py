@@ -42,12 +42,13 @@ enough for confidence estimation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH
+from repro.core.codematrix import CodeMatrix
 from repro.core.workload import Workload
 from repro.mem.uncore import Uncore, UncoreConfig, uncore_config_for_cores
 from repro.sim.badco.machine import BadcoMachine
@@ -89,6 +90,42 @@ class BenchmarkVector:
     footprint_lines: int
 
 
+#: The field types a stored ``vector`` record must carry exactly.
+_VECTOR_TYPES = {"uops": int, "intrinsic": float, "sensitivity": float,
+                 "requests": int, "footprint_lines": int}
+
+
+def _vector_from_record(payload) -> Optional[BenchmarkVector]:
+    """A stored ``vector`` record as a :class:`BenchmarkVector`, or None
+    unless it has exactly the vector's fields with their exact types."""
+    if not isinstance(payload, dict) or set(payload) != set(_VECTOR_TYPES):
+        return None
+    if any(type(payload[name]) is not kind
+           for name, kind in _VECTOR_TYPES.items()):
+        return None
+    return BenchmarkVector(**payload)
+
+
+def _flatten(model) -> BenchmarkVector:
+    """A BADCO node model reduced to the scalars the closure reads."""
+    lines = set()
+    requests = 0
+    intrinsic = 0.0
+    sensitivity = 0.0
+    for node in model.nodes:
+        intrinsic += node.intrinsic
+        if node.read_address is not None:
+            requests += 1
+            sensitivity += node.sensitivity
+            lines.add(node.read_address >> 6)
+        for address, _ in node.extra_requests:
+            lines.add(address >> 6)
+    return BenchmarkVector(
+        uops=model.trace_length, intrinsic=intrinsic,
+        sensitivity=sensitivity, requests=requests,
+        footprint_lines=max(len(lines), 1))
+
+
 @dataclass(frozen=True)
 class Calibration:
     """Standalone anchor of one (benchmark, policy, uncore) triple.
@@ -117,14 +154,16 @@ class BatchRun:
     ``workloads[i]`` (workload-sorted benchmark order, as everywhere).
 
     Attributes:
-        workloads: the simulated workloads, in row order.
+        workloads: the simulated rows, in row order (a workload tuple,
+            or the :class:`~repro.core.codematrix.CodeMatrix` the
+            analytic backend was given).
         ipcs: the N x K float64 IPC panel.
         instructions: modelled uops (one pass per thread; the analytic
             model has no restarts), the basis of MIPS accounting.
         wall_seconds: host wall-clock time of the batch evaluation.
     """
 
-    workloads: Tuple[Workload, ...]
+    workloads: Union[Tuple[Workload, ...], CodeMatrix]
     ipcs: np.ndarray
     instructions: int
     wall_seconds: float
@@ -139,14 +178,15 @@ class GridRun:
     per-policy loop collapses into a single dispatch.
 
     Attributes:
-        workloads: the simulated workloads, in row order.
+        workloads: the simulated rows, in row order (as given: a
+            workload tuple or a code matrix).
         policies: the policies, in axis-1 order.
         ipcs: the N x P x K float64 IPC panel.
         instructions: modelled uops over the whole grid.
         wall_seconds: host wall-clock time of the array evaluation.
     """
 
-    workloads: Tuple[Workload, ...]
+    workloads: Union[Tuple[Workload, ...], CodeMatrix]
     policies: Tuple[str, ...]
     ipcs: np.ndarray
     instructions: int
@@ -167,10 +207,10 @@ class AnalyticModelBuilder:
     the per-(benchmark, policy, uncore) calibration runs.
 
     With a model *store* attached (see :mod:`repro.sim.modelstore`) the
-    calibration anchors and policy probes persist alongside the BADCO
-    node models: a warm campaign loads them instead of re-running, with
-    bit-identical values (JSON shortest-repr round-trips float64
-    exactly).
+    flattened vectors, calibration anchors and policy probes persist
+    alongside the BADCO node models: a warm campaign loads them instead
+    of re-deriving them, with bit-identical values (JSON shortest-repr
+    round-trips float64 exactly), and never deserialises a node model.
 
     Args:
         trace_length: uops per benchmark trace.
@@ -243,27 +283,27 @@ class AnalyticModelBuilder:
         return self.badco.build(benchmark)
 
     def vectors(self, benchmark: str) -> BenchmarkVector:
-        """The flattened node model of one benchmark (memoised)."""
+        """The flattened node model of one benchmark (memoised).
+
+        With a store attached the vector persists as a ``vector`` record
+        keyed by the node model's own store signature, so a warm
+        campaign reads five scalars instead of deserialising the whole
+        node model.  A record that is missing, unreadable or has the
+        wrong fields or types is re-derived from the model and saved.
+        """
         vector = self._vectors.get(benchmark)
+        if vector is not None:
+            return vector
+        if self.store is not None:
+            signature = self.badco._store_signature()
+            vector = _vector_from_record(
+                self.store.load_record("vector", benchmark, signature))
         if vector is None:
-            model = self.badco.build(benchmark)
-            lines = set()
-            requests = 0
-            intrinsic = 0.0
-            sensitivity = 0.0
-            for node in model.nodes:
-                intrinsic += node.intrinsic
-                if node.read_address is not None:
-                    requests += 1
-                    sensitivity += node.sensitivity
-                    lines.add(node.read_address >> 6)
-                for address, _ in node.extra_requests:
-                    lines.add(address >> 6)
-            vector = BenchmarkVector(
-                uops=model.trace_length, intrinsic=intrinsic,
-                sensitivity=sensitivity, requests=requests,
-                footprint_lines=max(len(lines), 1))
-            self._vectors[benchmark] = vector
+            vector = _flatten(self.badco.build(benchmark))
+            if self.store is not None:
+                self.store.save_record("vector", benchmark, signature,
+                                       asdict(vector))
+        self._vectors[benchmark] = vector
         return vector
 
     def calibrate(self, benchmark: str, uncore_config: UncoreConfig,
@@ -560,7 +600,7 @@ class AnalyticSimulator:
             "extra": per_policy(lambda c: c.extra_per_miss),
         }
 
-    def run_batch(self, workloads: Sequence[Workload]) -> BatchRun:
+    def run_batch(self, workloads) -> BatchRun:
         """Score every workload in one set of array operations.
 
         Rows are independent: the IPCs of a workload do not depend on
@@ -570,15 +610,11 @@ class AnalyticSimulator:
         :meth:`run_batch_grid`, so the loop, batch and grid paths are
         bit-identical by construction.
         """
-        workloads = tuple(workloads)
-        if not workloads:
-            return BatchRun((), np.empty((0, self.cores)), 0, 0.0)
         grid = self.run_batch_grid(workloads, (self.policy,))
-        return BatchRun(workloads, grid.ipcs[:, 0, :], grid.instructions,
-                        grid.wall_seconds)
+        return BatchRun(grid.workloads, grid.ipcs[:, 0, :],
+                        grid.instructions, grid.wall_seconds)
 
-    def run_batch_grid(self, workloads: Sequence[Workload],
-                       policies: Sequence[str]) -> GridRun:
+    def run_batch_grid(self, workloads, policies: Sequence[str]) -> GridRun:
         """Score a whole (workloads x policies) grid in one closure call.
 
         The policy axis rides along as the leading gather dimension:
@@ -587,20 +623,29 @@ class AnalyticSimulator:
         instead of P per-policy evaluations -- and each policy's slice
         is bit-identical to its single-policy :meth:`run_batch` panel
         (the reductions run along the core axis only).
+
+        Args:
+            workloads: the rows -- a
+                :class:`~repro.core.codematrix.CodeMatrix`, scored from
+                its codes without building a workload per row, or a
+                workload sequence.
+            policies: the policies, in axis-1 order.
         """
-        workloads = tuple(workloads)
         policies = tuple(policies)
         if not policies:
             raise ValueError("need at least one policy")
-        if not workloads:
-            return GridRun((), policies,
+        if not isinstance(workloads, CodeMatrix):
+            workloads = tuple(workloads)
+        if not len(workloads):
+            return GridRun(workloads, policies,
                            np.empty((0, len(policies), self.cores)), 0, 0.0)
-        for workload in workloads:
-            if workload.k != self.cores:
-                raise ValueError(
-                    f"workload has {workload.k} threads, machine has "
-                    f"{self.cores} cores")
-        benchmarks = sorted({b for w in workloads for b in w})
+        rows = (workloads if isinstance(workloads, CodeMatrix)
+                else CodeMatrix.from_workloads(workloads))
+        if rows.cores != self.cores:
+            raise ValueError(f"workload has {rows.cores} threads, machine "
+                             f"has {self.cores} cores")
+        used = np.flatnonzero(rows.benchmark_occurrences())
+        benchmarks = [rows.benchmarks[code] for code in used.tolist()]
         # Train/calibrate before the clock starts: those one-off costs
         # are accounted in the builder (calibration_seconds), so
         # GridRun.wall_seconds measures only the array evaluation.
@@ -613,13 +658,12 @@ class AnalyticSimulator:
         else:
             protections = np.zeros(len(policies))
         started = time.perf_counter()
-        code = {name: i for i, name in enumerate(benchmarks)}
-        codes = np.fromiter(
-            (code[b] for w in workloads for b in w),
-            dtype=np.int64, count=len(workloads) * self.cores,
-        ).reshape(len(workloads), self.cores)
-        ipcs = self._evaluate(vectors, protections, codes)
-        instructions = (len(workloads) * len(policies) * self.cores
+        # Re-code the rows over the benchmarks they use (the gathered
+        # vectors' column order).
+        lookup = np.zeros(rows.num_benchmarks, dtype=np.int64)
+        lookup[used] = np.arange(len(used))
+        ipcs = self._evaluate(vectors, protections, lookup[rows.codes])
+        instructions = (len(rows) * len(policies) * self.cores
                         * self.trace_length)
         return GridRun(workloads, policies,
                        np.ascontiguousarray(ipcs.transpose(1, 0, 2)),

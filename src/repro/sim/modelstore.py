@@ -9,16 +9,26 @@ deterministic functions of their configuration, so this module makes
 them durable: a :class:`ModelStore` is a directory of
 content-addressed files, and builders consult it before training.
 
+Two kinds of file live here:
+
+- ``.npz`` artefacts: BADCO node models and interval profiles;
+- small JSON *records* (:meth:`ModelStore.save_record`): the analytic
+  backend's ``calib`` anchors and ``probe`` protections, and its
+  ``vector`` records -- each benchmark's node model flattened to the
+  five scalars the closure reads, keyed by the node model's own
+  signature, so a warm analytic campaign never deserialises a model.
+
 Keys are explicit: every artefact file name carries the benchmark (or
 policy) it belongs to, a short configuration *signature* -- a SHA-256
 digest over everything the artefact depends on (trace length, seed,
 the full core / uncore configuration reprs, warmup fraction) -- and the
-store format version.  Like the campaign npz twin, bumping
-:data:`MODELSTORE_VERSION` orphans every stale file at once; stale or
-corrupt entries are never served, they are silently retrained.
+store format version.  Like the campaign cache key's results version,
+bumping :data:`MODELSTORE_VERSION` orphans every stale file at once;
+stale or corrupt entries are never served, they are silently
+re-derived.
 
 Stored values round-trip bit-identically: node-model floats travel as
-raw float64 npz bytes, calibration scalars as JSON shortest-repr (which
+raw float64 npz bytes, record scalars as JSON shortest-repr (which
 Python parses back to the identical double).  A campaign against a warm
 store therefore produces bit-identical results to the cold run that
 filled it -- pinned by ``tests/test_modelstore.py``.
@@ -291,10 +301,11 @@ class ModelStore:
         return IntervalProfile(benchmark, trace_length, intervals)
 
     # ------------------------------------------------------------------
-    # Small scalar records (calibrations, policy probes)
+    # Small scalar records (calibrations, policy probes, vectors)
 
     def record_path(self, kind: str, name: str, signature: str) -> Path:
-        """Where one scalar record lives (``kind``: "calib", "probe")."""
+        """Where one scalar record lives (``kind``: "calib", "probe",
+        "vector")."""
         return self._path(f"{kind}-{name}-{signature}", ".json")
 
     def save_record(self, kind: str, name: str, signature: str,

@@ -175,8 +175,10 @@ def test_analytic_campaign_cache_roundtrip(tmp_path, parity_population):
     first = Campaign(config)
     first.run_grid(workloads, ["LRU"])
     first.save()
-    assert config.cache_npz_path.exists()
-    assert config.cache_path.exists()
+    # One npz per cache key, nothing else.
+    assert sorted(p.name for p in tmp_path.iterdir()
+                  if p.suffix != ".lock") == [config.cache_path.name]
+    assert config.cache_path.suffix == ".npz"
     # Serialising must not collapse the columnar blocks ...
     assert "LRU" in first.results._blocks
     second = Campaign(config)
@@ -236,40 +238,56 @@ def test_protection_probe_bounds():
     assert builder.protection(uncore_config_for_cores(2, "LRU")) == 0.0
 
 
-def test_corrupt_npz_cache_falls_back_to_json(tmp_path, parity_population):
-    workloads = list(parity_population)[:3]
-    config = CampaignConfig(backend="analytic", cores=2,
+def _cached_campaign(tmp_path, population, cores=2):
+    """A campaign over the first three rows, saved to ``tmp_path``."""
+    config = CampaignConfig(backend="analytic", cores=cores,
                             trace_length=TEST_TRACE_LENGTH,
                             cache_dir=tmp_path)
-    first = Campaign(config)
-    first.run_grid(workloads, ["LRU"])
-    first.save()
-    config.cache_npz_path.write_bytes(b"not a zip file")
-    second = Campaign(config)            # must not raise
-    assert second._loaded_from_cache
-    for workload in workloads:
-        assert second.results.ipcs("LRU", workload) == \
-            first.results.ipcs("LRU", workload)
+    campaign = Campaign(config)
+    campaign.run_grid(population.code_matrix.take(slice(0, 3)), ["LRU"])
+    campaign.save()
+    return config, campaign
 
 
-def test_newer_json_cache_wins_over_stale_npz(tmp_path, parity_population):
-    import os
+def _assert_recomputed(config, original, caplog):
+    """A new campaign over ``config`` ignores its cache file with a
+    warning naming it, and recomputes the same panel."""
+    with caplog.at_level("WARNING", logger="repro.api.engine"):
+        again = Campaign(config)                # must not raise
+    assert not again._loaded_from_cache
+    assert str(config.cache_path) in caplog.text
+    again.run_grid(original.results.workloads("LRU"), ["LRU"])
+    assert again.timing.simulations == 3
+    assert again.results.to_json() == original.results.to_json()
 
-    workloads = list(parity_population)[:2]
-    config = CampaignConfig(backend="analytic", cores=2,
-                            trace_length=TEST_TRACE_LENGTH,
-                            cache_dir=tmp_path)
-    first = Campaign(config)
-    first.run_grid(workloads, ["LRU"])
-    first.save()
-    # Regenerate the JSON by hand (newer mtime): it must be preferred.
-    edited = Campaign(config)
-    edited.results.record("DIP", workloads[0], [1.0, 2.0])
-    config.cache_path.write_text(edited.results.to_json())
-    later = config.cache_npz_path.stat().st_mtime + 5
-    os.utime(config.cache_path, (later, later))
-    reloaded = Campaign(config)
-    assert reloaded.results.has("DIP", workloads[0])
+
+def test_corrupt_npz_cache_is_recomputed_with_a_warning(
+        tmp_path, parity_population, caplog):
+    config, first = _cached_campaign(tmp_path, parity_population)
+    config.cache_path.write_bytes(b"not a zip file")
+    _assert_recomputed(config, first, caplog)
+
+
+def test_npz_ranked_over_another_suite_is_a_cache_miss(
+        tmp_path, parity_population, caplog):
+    config, first = _cached_campaign(tmp_path, parity_population)
+    with np.load(config.cache_path) as data:
+        arrays = dict(data)
+    arrays["suite"] = arrays["suite"][::-1]
+    with open(config.cache_path, "wb") as handle:
+        np.savez(handle, **arrays)
+    _assert_recomputed(config, first, caplog)
+
+
+def test_npz_of_another_core_count_is_a_cache_miss(
+        tmp_path, parity_population, caplog):
+    config, first = _cached_campaign(tmp_path, parity_population)
+    # The 4-core campaign's cache file, planted under the 2-core key.
+    other, _ = _cached_campaign(tmp_path / "k4",
+                                WorkloadPopulation(PARITY_BENCHMARKS, 4),
+                                cores=4)
+    config.cache_path.write_bytes(other.cache_path.read_bytes())
+    _assert_recomputed(config, first, caplog)
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +419,7 @@ def test_engine_ragged_caches_grid_dispatch_intersection(parity_population,
     original = Campaign._run_grid_policy_axis
 
     def spy(self, todo, policies, workers):
-        calls.append((list(todo), list(policies)))
+        calls.append((todo.workloads(), list(policies)))
         return original(self, todo, policies, workers)
 
     monkeypatch.setattr(Campaign, "_run_grid_policy_axis", spy)
@@ -425,7 +443,7 @@ def test_engine_ragged_three_policies_second_grid(parity_population,
     original = Campaign._run_grid_policy_axis
 
     def spy(self, todo, policies, workers):
-        calls.append((list(todo), list(policies)))
+        calls.append((todo.workloads(), list(policies)))
         return original(self, todo, policies, workers)
 
     monkeypatch.setattr(Campaign, "_run_grid_policy_axis", spy)

@@ -65,6 +65,51 @@ def test_warm_store_trains_nothing_and_reproduces(dirs, cold):
     assert warm.num_strata == cold.num_strata
 
 
+@pytest.mark.parametrize("cache", ["fresh", "reopened"])
+def test_warm_estimate_loads_no_node_model_and_builds_no_workload(
+        dirs, cold, tmp_path, monkeypatch, cache):
+    """The warm analytic path is matrix-native end to end.
+
+    A new session against a warm store reads stored vectors instead of
+    deserialising BADCO node models, and scores, caches, reloads and
+    stratifies code rows without materialising a single workload --
+    whether it writes a fresh campaign cache or reopens one.
+    """
+    from repro.core.workload import Workload
+    from repro.sim.modelstore import ModelStore
+
+    calls = {"load_badco_model": 0, "workloads": 0}
+    load_badco_model = ModelStore.load_badco_model
+    init = Workload.__init__
+    from_sorted = Workload.from_sorted.__func__
+
+    def count_load(self, *args, **kwargs):
+        calls["load_badco_model"] += 1
+        return load_badco_model(self, *args, **kwargs)
+
+    def count_init(self, *args, **kwargs):
+        calls["workloads"] += 1
+        init(self, *args, **kwargs)
+
+    def count_from_sorted(cls, *args, **kwargs):
+        calls["workloads"] += 1
+        return from_sorted(cls, *args, **kwargs)
+
+    cache_dir = dirs[0] if cache == "reopened" else tmp_path / "cache"
+    session = _session((cache_dir, dirs[1]))
+    monkeypatch.setattr(ModelStore, "load_badco_model", count_load)
+    monkeypatch.setattr(Workload, "__init__", count_init)
+    monkeypatch.setattr(Workload, "from_sorted",
+                        classmethod(count_from_sorted))
+    warm = session.estimate_full_scale(
+        "LRU", "DIP", cores=8, sample=300, draws=100,
+        sample_sizes=(5, 20))
+    assert calls == {"load_badco_model": 0, "workloads": 0}
+    assert warm.training_runs == 0
+    assert warm.confidence == cold.confidence
+    assert warm.inverse_cv == cold.inverse_cv
+
+
 def test_jobs_invariance(dirs, cold):
     parallel = _session(dirs, jobs=2).estimate_full_scale(
         "LRU", "DIP", cores=8, sample=300, draws=100,

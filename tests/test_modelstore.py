@@ -1,5 +1,7 @@
 """The persistent trained-model store: round trips, warm campaigns."""
 
+import pytest
+
 from repro.api import Campaign, CampaignConfig, Session
 from repro.core.population import WorkloadPopulation
 from repro.sim.analytic import AnalyticModelBuilder
@@ -190,6 +192,64 @@ def test_corrupt_calibration_values_fall_back_to_running(tmp_path):
     warm = AnalyticModelBuilder(TRACE, 0, store=store)
     assert warm.calibrate("gcc", config) == calibration
     assert warm.calibration_runs == 1       # re-ran, did not serve garbage
+
+
+def _vector_record(store, builder, benchmark="gcc"):
+    return store.record_path("vector", benchmark,
+                             builder.badco._store_signature())
+
+
+def test_vector_record_round_trips_bit_exactly(tmp_path, monkeypatch):
+    store = ModelStore(tmp_path)
+    cold = AnalyticModelBuilder(TRACE, 0, store=store)
+    vector = cold.vectors("gcc")
+    assert _vector_record(store, cold).exists()
+
+    # A warm builder reads the five scalars, never the node model.
+    loads = []
+    original = ModelStore.load_badco_model
+
+    def spy(self, *args, **kwargs):
+        loads.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelStore, "load_badco_model", spy)
+    warm = AnalyticModelBuilder(TRACE, 0, store=store)
+    loaded = warm.vectors("gcc")
+    assert loaded == vector
+    assert [type(getattr(loaded, name)) for name in vars(loaded)] == \
+        [type(getattr(vector, name)) for name in vars(vector)]
+    assert loads == []
+    assert warm.badco.training_runs == 0
+
+
+@pytest.mark.parametrize("damage", ["missing", "corrupt", "wrong-types",
+                                    "wrong-fields"])
+def test_bad_vector_record_is_rederived_identically(tmp_path, damage):
+    import json
+
+    store = ModelStore(tmp_path)
+    cold = AnalyticModelBuilder(TRACE, 0, store=store)
+    vector = cold.vectors("gcc")
+    path = _vector_record(store, cold)
+    payload = json.loads(path.read_text())
+    if damage == "missing":
+        path.unlink()
+    elif damage == "corrupt":
+        path.write_text("{not json")
+    elif damage == "wrong-types":
+        payload.update(uops=float(payload["uops"]), intrinsic="oops")
+        path.write_text(json.dumps(payload))
+    else:
+        payload["extra"] = 1
+        path.write_text(json.dumps(payload))
+    warm = AnalyticModelBuilder(TRACE, 0, store=store)
+    assert warm.vectors("gcc") == vector
+    # Re-derived from the stored node model (no retraining) and saved
+    # back, so the next builder reads a good record again.
+    assert warm.badco.training_runs == 0
+    assert json.loads(path.read_text()) == json.loads(
+        json.dumps(vars(vector)))
 
 
 def test_interval_profile_round_trips_bit_identically(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.workload import Workload
-from repro.sim.results import PopulationResults
+from repro.sim.results import SUITE, PopulationResults
 from repro.sim.runner import SimulationCampaign
 
 from tests.conftest import TEST_TRACE_LENGTH
@@ -14,7 +14,7 @@ from tests.conftest import TEST_TRACE_LENGTH
 
 def test_record_and_read():
     results = PopulationResults(2, "detailed")
-    w = Workload(["a", "b"])
+    w = Workload(["gcc", "mcf"])
     results.record("LRU", w, [1.0, 2.0])
     assert results.ipcs("LRU", w) == [1.0, 2.0]
     assert results.policies == ["LRU"]
@@ -25,12 +25,12 @@ def test_record_and_read():
 def test_arity_validated():
     results = PopulationResults(2, "detailed")
     with pytest.raises(ValueError):
-        results.record("LRU", Workload(["a", "b"]), [1.0])
+        results.record("LRU", Workload(["gcc", "mcf"]), [1.0])
 
 
 def test_common_workloads():
     results = PopulationResults(2, "x")
-    w1, w2 = Workload(["a", "a"]), Workload(["a", "b"])
+    w1, w2 = Workload(["gcc", "gcc"]), Workload(["gcc", "mcf"])
     results.record("LRU", w1, [1, 1])
     results.record("LRU", w2, [1, 1])
     results.record("DIP", w1, [1, 1])
@@ -44,29 +44,31 @@ def test_json_roundtrip(tmp_path):
     results.record_reference("mcf", 0.2)
     path = tmp_path / "results.json"
     results.save(path)
-    loaded = PopulationResults.load(path)
-    assert loaded.cores == 4
-    assert loaded.simulator == "badco"
-    assert loaded.ipcs("DRRIP", w) == [0.1, 0.5, 0.5, 1.4]
-    assert loaded.reference["mcf"] == 0.2
+    # The JSON export is for people and diff tools: floats survive it
+    # exactly, keyed by the workload's readable key.
+    assert json.loads(path.read_text()) == {
+        "cores": 4, "simulator": "badco", "reference": {"mcf": 0.2},
+        "ipcs": {"DRRIP": {w.key(): [0.1, 0.5, 0.5, 1.4]}}}
+    assert path.read_text() == results.to_json()
 
 
 def _batchful_results():
     """Results mixing streamed batches and per-workload records."""
     results = PopulationResults(2, "analytic")
-    w1, w2, w3 = (Workload(["a", "a"]), Workload(["a", "b"]),
-                  Workload(["b", "b"]))
+    w1, w2, w3 = (Workload(["gcc", "gcc"]), Workload(["gcc", "mcf"]),
+                  Workload(["mcf", "mcf"]))
     results.record_batch("LRU", [w1, w2], np.array([[1.0, 2.0], [3.0, 4.0]]))
     results.record_batch("LRU", [w3], np.array([[5.0, 6.0]]))
     results.record("DIP", w1, [0.5, 0.25])
-    results.record_reference("a", 1.5)
+    results.record_reference("gcc", 1.5)
     return results, (w1, w2, w3)
 
 
 def test_record_batch_reads_like_record():
     results, (w1, w2, w3) = _batchful_results()
     assert results.has("LRU", w2)
-    assert not results.has("LRU", Workload(["c", "c"]))
+    assert not results.has("LRU", Workload(["povray", "povray"]))
+    assert not results.has("LRU", Workload(["not-a-benchmark"] * 2))
     assert results.ipcs("LRU", w3) == [5.0, 6.0]
     assert results.workloads("LRU") == [w1, w2, w3]
     assert results.common_workloads() == [w1]
@@ -77,7 +79,7 @@ def test_record_batch_reads_like_record():
 
 def test_record_batch_validates_shape_and_duplicates():
     results = PopulationResults(2, "analytic")
-    w = Workload(["a", "b"])
+    w = Workload(["gcc", "mcf"])
     with pytest.raises(ValueError):
         results.record_batch("LRU", [w], np.array([[1.0, 2.0, 3.0]]))
     results.record_batch("LRU", [w], np.array([[1.0, 2.0]]))
@@ -103,25 +105,34 @@ def test_columnar_panel_serves_batches_without_dict():
 
 def test_npz_roundtrip_matches_json(tmp_path):
     results, _ = _batchful_results()
-    json_path = tmp_path / "results.json"
     npz_path = tmp_path / "results.npz"
-    results.save_npz(npz_path)          # before to_json materialises
-    results.save(json_path)
+    exported = results.to_json()
+    results.save_npz(npz_path)
     from_npz = PopulationResults.load_npz(npz_path)
-    from_json = PopulationResults.load(json_path)
-    # npz loads stay columnar: panels restore as blocks, not dicts
-    # (checked before to_json, which materialises the legacy view).
+    # npz loads stay columnar: panels restore as rank-keyed blocks,
+    # and the reloaded campaign exports byte-identically.
     assert "LRU" in from_npz._blocks
-    assert json.loads(from_npz.to_json()) == json.loads(from_json.to_json())
+    assert from_npz.to_json() == exported
     assert from_npz.cores == 2 and from_npz.simulator == "analytic"
-    assert from_npz.reference == {"a": 1.5}
+    assert from_npz.reference == {"gcc": 1.5}
+    with np.load(npz_path) as data:
+        assert data["ranks_0"].dtype == np.int64
+        assert int(data["cores"]) == 2
+        assert tuple(data["suite"].tolist()) == SUITE
+
+
+def test_nbytes_counts_panels_ranks_and_references():
+    results, _ = _batchful_results()
+    # LRU: 3 rows of (int64 rank + 2 float64 IPCs); DIP: one dict entry
+    # charged the same; one reference IPC.
+    assert results.nbytes == 3 * 8 * 3 + 8 * 3 + 8
 
 
 def test_npz_roundtrip_exact_floats(tmp_path):
     rng = np.random.default_rng(7)
     results = PopulationResults(2, "badco")
     workloads = [Workload([a, b]) for a, b in
-                 [("a", "a"), ("a", "b"), ("b", "c")]]
+                 [("gcc", "gcc"), ("gcc", "mcf"), ("mcf", "povray")]]
     panel = rng.random((3, 2))
     results.record_batch("LRU", workloads, panel)
     path = tmp_path / "r.npz"
@@ -178,7 +189,7 @@ def test_campaign_timing_mips():
 
 def test_record_over_batch_row_is_last_write_wins():
     results = PopulationResults(2, "analytic")
-    w = Workload(["a", "b"])
+    w = Workload(["gcc", "mcf"])
     results.record_batch("LRU", [w], np.array([[1.0, 2.0]]))
     results.record("LRU", w, [9.0, 8.0])
     assert results.ipcs("LRU", w) == [9.0, 8.0]

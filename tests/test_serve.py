@@ -26,7 +26,6 @@ from repro.serve import (
     ServerError,
     protocol,
 )
-from repro.serve.cache import results_nbytes
 from repro.sim.results import PopulationResults
 
 BENCHMARKS = ("bzip2", "gcc", "libquantum", "mcf", "namd", "povray")
@@ -130,12 +129,11 @@ def test_canonical_params_ignore_key_order():
 
 def _panel(tmp_path, name, policies=("LRU",), seed=0, compressed=False):
     population = WorkloadPopulation(("bzip2", "gcc", "mcf"), 2)
-    workloads = list(population)
     rng = np.random.default_rng(seed)
     results = PopulationResults(2, "analytic")
     for policy in policies:
-        results.record_batch(policy, workloads,
-                             rng.random((len(workloads), 2)))
+        results.record_batch(policy, population,
+                             rng.random((len(population), 2)))
     path = tmp_path / f"{name}.npz"
     results.save_npz(path, compressed=compressed)
     return path
@@ -157,7 +155,7 @@ def test_panel_lru_hits_and_identity_invalidation(tmp_path):
 
 def test_panel_lru_budget_evicts_least_recently_used(tmp_path):
     paths = [_panel(tmp_path, f"panel{i}", seed=i) for i in range(3)]
-    one = results_nbytes(PopulationResults.load_npz(paths[0]))
+    one = PopulationResults.load_npz(paths[0]).nbytes
     cache = ResidentPanelCache(budget_bytes=2 * one)
     for path in paths:
         cache.load(path)
@@ -199,14 +197,14 @@ def test_npz_mmap_load_matches_eager_and_shares_pages(tmp_path):
     eager = PopulationResults.load_npz(path)
     mapped = PopulationResults.load_npz(path, mmap_mode="r")
     for policy in ("LRU", "DIP"):
-        for (workloads, block), (_, twin) in zip(
+        for (ranks, block), (_, twin) in zip(
                 mapped._blocks[policy], eager._blocks[policy]):
             # np.asarray over a memmap keeps the buffer: the block is
             # a plain ndarray view whose base is the file mapping.
             assert isinstance(block.base, np.memmap)
             assert not isinstance(twin.base, np.memmap)
             assert np.array_equal(block, twin)
-            assert workloads
+            assert ranks.dtype == np.int64 and len(ranks) == len(block)
     workload = next(iter(WorkloadPopulation(("bzip2", "gcc", "mcf"), 2)))
     assert mapped.ipcs("LRU", workload) == eager.ipcs("LRU", workload)
 
