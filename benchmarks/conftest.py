@@ -4,15 +4,15 @@ Every benchmark regenerates one of the paper's tables or figures and
 asserts its qualitative shape.  The scale comes from the REPRO_SCALE
 environment variable (small | medium | full; default small so the
 whole harness completes in minutes), and simulation campaigns are
-cached on disk (REPRO_CACHE_DIR) and shared across benchmarks via a
-session-scoped context.
+cached on disk (REPRO_CACHE_DIR) and shared across benchmarks via one
+pytest-session-scoped :class:`repro.api.Session`.
 """
 
 import os
 
 import pytest
 
-from repro.experiments import ExperimentContext, Scale
+from repro.api import Scale, Session
 
 
 def _scale() -> Scale:
@@ -27,5 +27,5 @@ def scale() -> Scale:
 
 
 @pytest.fixture(scope="session")
-def context(scale) -> ExperimentContext:
-    return ExperimentContext(scale, seed=0)
+def session(scale) -> Session:
+    return Session(scale, seed=0)

@@ -3,10 +3,10 @@
 from repro.experiments import ext1_speedup_accuracy
 
 
-def test_ext1_speedup_accuracy(benchmark, scale, context):
+def test_ext1_speedup_accuracy(benchmark, scale, session):
     result = benchmark.pedantic(
         lambda: ext1_speedup_accuracy.run(
-            scale, context, cores=2, epsilon=0.01,
+            scale, session, cores=2, epsilon=0.01,
             sample_sizes=(10, 20, 40, 80)),
         rounds=1, iterations=1)
     print()

@@ -3,9 +3,9 @@
 from repro.experiments import ext2_simulator_ablation
 
 
-def test_ext2_simulator_ablation(benchmark, scale, context):
+def test_ext2_simulator_ablation(benchmark, scale, session):
     result = benchmark.pedantic(
-        lambda: ext2_simulator_ablation.run(scale, context, cores=2,
+        lambda: ext2_simulator_ablation.run(scale, session, cores=2,
                                             sample_sizes=(10, 20, 40)),
         rounds=1, iterations=1)
     print()

@@ -3,9 +3,9 @@
 from repro.experiments import fig2_cpi_accuracy
 
 
-def test_fig2_cpi_accuracy(benchmark, scale, context):
+def test_fig2_cpi_accuracy(benchmark, scale, session):
     result = benchmark.pedantic(
-        lambda: fig2_cpi_accuracy.run(scale, context, core_counts=(2, 4)),
+        lambda: fig2_cpi_accuracy.run(scale, session, core_counts=(2, 4)),
         rounds=1, iterations=1)
     print()
     for row in result.rows():

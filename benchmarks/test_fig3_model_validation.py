@@ -3,10 +3,10 @@
 from repro.experiments import fig3_model_validation
 
 
-def test_fig3_model_validation(benchmark, scale, context):
+def test_fig3_model_validation(benchmark, scale, session):
     result = benchmark.pedantic(
         lambda: fig3_model_validation.run(
-            scale, context, core_counts=(2,),
+            scale, session, core_counts=(2,),
             sample_sizes=(10, 20, 40, 80, 160)),
         rounds=1, iterations=1)
     print()

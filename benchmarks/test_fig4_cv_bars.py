@@ -3,9 +3,9 @@
 from repro.experiments import fig4_cv_bars
 
 
-def test_fig4_cv_bars(benchmark, scale, context):
+def test_fig4_cv_bars(benchmark, scale, session):
     result = benchmark.pedantic(
-        lambda: fig4_cv_bars.run(scale, context, cores=4,
+        lambda: fig4_cv_bars.run(scale, session, cores=4,
                                  pairs=(("LRU", "FIFO"), ("LRU", "DIP"),
                                         ("DIP", "DRRIP"))),
         rounds=1, iterations=1)

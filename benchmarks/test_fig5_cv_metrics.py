@@ -3,9 +3,9 @@
 from repro.experiments import fig5_cv_metrics
 
 
-def test_fig5_cv_metrics(benchmark, scale, context):
+def test_fig5_cv_metrics(benchmark, scale, session):
     result = benchmark.pedantic(
-        lambda: fig5_cv_metrics.run(scale, context, cores=4),
+        lambda: fig5_cv_metrics.run(scale, session, cores=4),
         rounds=1, iterations=1)
     print()
     for row in result.rows():

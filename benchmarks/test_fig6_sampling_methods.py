@@ -3,11 +3,11 @@
 from repro.experiments import fig6_sampling_methods
 
 
-def test_fig6_sampling_methods(benchmark, scale, context):
+def test_fig6_sampling_methods(benchmark, scale, session):
     sizes = (10, 20, 30, 60, 100)
     result = benchmark.pedantic(
         lambda: fig6_sampling_methods.run(
-            scale, context, cores=2, sample_sizes=sizes),
+            scale, session, cores=2, sample_sizes=sizes),
         rounds=1, iterations=1)
     print()
     for row in result.rows():

@@ -3,9 +3,9 @@
 from repro.experiments import fig7_actual_confidence
 
 
-def test_fig7_actual_confidence(benchmark, scale, context):
+def test_fig7_actual_confidence(benchmark, scale, session):
     result = benchmark.pedantic(
-        lambda: fig7_actual_confidence.run(scale, context,
+        lambda: fig7_actual_confidence.run(scale, session,
                                            core_counts=(2,)),
         rounds=1, iterations=1)
     print()

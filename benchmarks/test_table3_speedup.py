@@ -3,9 +3,9 @@
 from repro.experiments import table3_speedup
 
 
-def test_table3_speedup(benchmark, scale, context):
+def test_table3_speedup(benchmark, scale, session):
     result = benchmark.pedantic(
-        lambda: table3_speedup.run(scale, context, workloads_per_point=2),
+        lambda: table3_speedup.run(scale, session, workloads_per_point=2),
         rounds=1, iterations=1)
     print()
     for row in result.rows():

@@ -3,9 +3,9 @@
 from repro.experiments import table4_classification
 
 
-def test_table4_classification(benchmark, scale, context):
+def test_table4_classification(benchmark, scale, session):
     result = benchmark.pedantic(
-        lambda: table4_classification.run(scale, context),
+        lambda: table4_classification.run(scale, session),
         rounds=1, iterations=1)
     print()
     for row in result.rows():

@@ -34,8 +34,8 @@ def main() -> None:
     print(f"  guideline: {decision.recommendation.value}")
 
     estimator = study.estimator(draws=600)
-    strat = WorkloadStratification(study.delta,
-                                   min_stratum=len(population) // 12)
+    strat = WorkloadStratification.from_column(
+        study.delta_column, min_stratum=len(population) // 12)
     print(f"\nConfidence of a 15-workload sample "
           f"(decisive = far from 0.5):")
     for method in (SimpleRandomSampling(), strat):

@@ -51,8 +51,8 @@ def main() -> None:
         sampler = BalancedRandomSampling()
         size = min(decision.sample_size, 12)
     else:
-        sampler = WorkloadStratification(study.delta,
-                                         min_stratum=len(population) // 12)
+        sampler = WorkloadStratification.from_column(
+            study.delta_column, min_stratum=len(population) // 12)
         size = decision.sample_size
     sample = sampler.sample(population, size, rng)
 

@@ -5,9 +5,9 @@ For DIP vs LRU on 2 cores, measure -- by Monte-Carlo resampling from a
 BADCO-simulated population -- how quickly each sampling method's
 verdict becomes decisive as the sample grows.
 
-The experiment drivers still take an :class:`ExperimentContext`; its
-``.session`` attribute is the underlying :class:`repro.Session`, so the
-two interoperate without re-simulating anything.
+The experiment drivers take a :class:`repro.Session` too: the Table IV
+MPKI classification below runs on the same session (its scale, seed
+and benchmark suite).
 
 This walkthrough uses the *columnar* analytics API: d(w) is built as
 one vector (``DeltaVariable.column``), the strata come straight from it
@@ -21,9 +21,9 @@ from repro import (
     BenchmarkStratification,
     ConfidenceEstimator,
     DeltaVariable,
-    ExperimentContext,
     IPCT,
     Scale,
+    Session,
     SimpleRandomSampling,
     WorkloadIndex,
     WorkloadStratification,
@@ -33,8 +33,7 @@ from repro.experiments.table4_classification import run as run_table4
 
 
 def main() -> None:
-    context = ExperimentContext(Scale.SMALL, seed=0)
-    session = context.session
+    session = Session(Scale.SMALL, seed=0)
     cores = 2
     results = session.results("badco", cores)
     population = session.population(cores)
@@ -45,7 +44,7 @@ def main() -> None:
                             results.ipc_table("DIP"))
 
     print("Classifying benchmarks by MPKI (for benchmark stratification)...")
-    classes = class_labels(run_table4(Scale.SMALL, context).mpki)
+    classes = class_labels(run_table4(Scale.SMALL, session).mpki)
 
     methods = [SimpleRandomSampling(),
                BenchmarkStratification(classes),

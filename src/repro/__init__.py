@@ -28,9 +28,6 @@ Quickstart::
     study = session.study("LRU", "DIP", metric="IPCT", cores=2,
                           backend="badco")
     print(study.inverse_cv, study.guideline())
-
-The pre-registry spellings (``ExperimentContext``,
-``SimulationCampaign``) remain importable as thin shims.
 """
 
 from repro.core import (
@@ -73,13 +70,13 @@ from repro.sim import (
     IntervalProfileBuilder,
     IntervalSimulator,
     PopulationResults,
-    SimulationCampaign,
 )
 from repro.api import (
     BACKENDS,
     Campaign,
     CampaignConfig,
     CampaignTiming,
+    Scale,
     Session,
     SimulatorBackend,
     UnknownBackendError,
@@ -87,14 +84,14 @@ from repro.api import (
     get_backend,
     register_backend,
 )
-from repro.experiments import ExperimentContext, POLICY_PAIRS, Scale
+from repro.experiments import POLICY_PAIRS
 
 __version__ = "1.1.0"
 
 __all__ = [
     "__version__",
     # api
-    "Session", "CampaignConfig", "Campaign", "CampaignTiming",
+    "Session", "Scale", "CampaignConfig", "Campaign", "CampaignTiming",
     "BACKENDS", "SimulatorBackend", "UnknownBackendError",
     "register_backend", "get_backend", "backend_names",
     # core
@@ -116,7 +113,7 @@ __all__ = [
     # sim
     "DetailedSimulator", "BadcoSimulator", "BadcoModelBuilder",
     "IntervalSimulator", "IntervalProfileBuilder",
-    "PopulationResults", "SimulationCampaign",
+    "PopulationResults",
     # experiments
-    "ExperimentContext", "Scale", "POLICY_PAIRS",
+    "POLICY_PAIRS",
 ]

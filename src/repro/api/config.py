@@ -1,10 +1,9 @@
 """Campaign configuration: one frozen value object, one cache key.
 
-:class:`CampaignConfig` replaces the positional-argument sprawl of the
-old ``SimulationCampaign(simulator, cores, trace_length, seed, ...)``
-constructor.  Being frozen and hashable, a config doubles as the
-identity of a campaign: two campaigns with equal *simulation* fields
-are interchangeable, and :attr:`CampaignConfig.cache_key` names the
+:class:`CampaignConfig` names everything that identifies a campaign.
+Being frozen and hashable, a config doubles as the identity of a
+campaign: two campaigns with equal *simulation* fields are
+interchangeable, and :attr:`CampaignConfig.cache_key` names the
 on-disk cache entry they share.
 
 ``jobs`` and ``cache_dir`` deliberately stay out of the cache key:

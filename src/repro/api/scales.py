@@ -8,10 +8,6 @@ under CI, so every entry point accepts a :class:`Scale`:
 - ``MEDIUM``: minutes; the default for the benchmark harness --
   population shapes and orderings are stable at this size.
 - ``FULL``: the paper's population sizes (hours of CPU).
-
-Historically these lived in ``repro.experiments.common``, which still
-re-exports them; they moved here so the public :mod:`repro.api` facade
-can use them without depending on the experiment drivers.
 """
 
 from __future__ import annotations

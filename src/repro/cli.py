@@ -40,13 +40,13 @@ import sys
 from typing import List, Optional
 
 from repro.api.backends import UnknownBackendError, backend_names, get_backend
+from repro.api.scales import Scale
 from repro.api.session import Session
 from repro.bench.spec import SPEC_2006
 from repro.core.confidence import confidence_from_cv
 from repro.core.metrics import metric_by_name
 from repro.core.planner import recommend_method
 from repro.core.population import population_size
-from repro.experiments.common import ExperimentContext, Scale
 
 _EXPERIMENTS = {
     "fig1": "fig1_confidence_curve",
@@ -348,11 +348,11 @@ def _cmd_study(args) -> int:
         return 2
     session = Session(args.scale, jobs=args.jobs, backend=backend,
                       model_store_dir=args.model_store)
-    metric = metric_by_name(args.metric)
     try:
+        metric = metric_by_name(args.metric)
         study = session.study(args.baseline, args.candidate,
                               metric=metric, cores=args.cores)
-    except ValueError as error:      # e.g. an unknown policy name
+    except ValueError as error:      # an unknown metric or policy name
         print(error, file=sys.stderr)
         return 2
     print(f"{args.candidate} vs {args.baseline} "
@@ -656,9 +656,9 @@ def _cmd_experiment(args) -> int:
             print(f"experiment {args.name!r} does not take a backend",
                   file=sys.stderr)
             return 2
-    context = ExperimentContext(args.scale, jobs=args.jobs,
-                                model_store_dir=args.model_store)
-    result = module.run(args.scale, context=context, **kwargs)
+    session = Session(args.scale, jobs=args.jobs,
+                      model_store_dir=args.model_store)
+    result = module.run(args.scale, session=session, **kwargs)
     for row in result.rows():
         print(row)
     return 0

@@ -43,6 +43,16 @@ from repro.core.sampling.fastpath import fast_generator
 from repro.core.workload import Workload
 
 
+def checked_draws(draws: int) -> int:
+    """``draws`` itself, or a ValueError naming it when it is < 1.
+
+    Every confidence and hit rate is a count over ``draws`` samples.
+    """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1 (got {draws})")
+    return draws
+
+
 def _population_index(population: WorkloadPopulation) -> WorkloadIndex:
     """The population's memoised index (zero-copy over its code matrix)."""
     index = getattr(population, "index", None)
@@ -100,6 +110,7 @@ class ConfidenceEstimator:
 
     def __init__(self, population: WorkloadPopulation, delta: DeltaLike,
                  draws: int = 1000, fast_sampling: bool = False) -> None:
+        self.draws = checked_draws(draws)
         self.population = population
         if isinstance(delta, DeltaColumn):
             if not delta.index.same_rows(_population_index(population)):
@@ -112,7 +123,6 @@ class ConfidenceEstimator:
         # Mapping input is validated with one set difference, reporting
         # every missing workload (not an O(N) membership scan).
         self.column = as_delta_column(self.index, delta)
-        self.draws = draws
         self.fast_sampling = fast_sampling
         self._delta_mapping: Optional[Dict[Workload, float]] = None
         # Keyed by identity but pinning the method object: an id() can
@@ -230,6 +240,7 @@ class PairedConfidenceEstimator:
                  draws: int = 1000, fast_sampling: bool = False) -> None:
         if not deltas:
             raise ValueError("no delta columns given")
+        self.draws = checked_draws(draws)
         self.population = population
         self.index = _population_index(population)
         self.columns = {key: as_delta_column(self.index, delta)
@@ -237,7 +248,6 @@ class PairedConfidenceEstimator:
         #: N x P, one pair per column, in ``deltas`` insertion order.
         self.stacked = np.column_stack(
             [column.values for column in self.columns.values()])
-        self.draws = draws
         self.fast_sampling = fast_sampling
         self._plans: Dict[int, tuple] = {}
 

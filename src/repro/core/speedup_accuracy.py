@@ -30,6 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.columnar import IpcMatrix, WorkloadIndex, throughputs
+from repro.core.estimator import checked_draws
 from repro.core.metrics import ReferenceIpcs, ThroughputMetric
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling.base import SamplingMethod, SamplingPlan
@@ -72,9 +73,9 @@ class SpeedupAccuracyEvaluator:
                  ipcs_y: IpcTable, metric: ThroughputMetric,
                  reference: Optional[ReferenceIpcs] = None,
                  draws: int = 500) -> None:
+        self.draws = checked_draws(draws)
         self.population = population
         self.metric = metric
-        self.draws = draws
         self.index = WorkloadIndex.from_population(population)
         matrix_x = IpcMatrix.from_table(self.index, ipcs_x, label="ipcs_x")
         matrix_y = IpcMatrix.from_table(self.index, ipcs_y, label="ipcs_y")

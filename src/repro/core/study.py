@@ -10,7 +10,7 @@ simulation samples and approximate-simulation populations.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.core.columnar import DeltaColumn, WorkloadIndex
 from repro.core.confidence import confidence_from_cv, required_sample_size
@@ -29,8 +29,7 @@ class PolicyComparisonStudy:
     """Does microarchitecture Y outperform X on this population?
 
     The d(w) table is built and held columnar (one index, one float64
-    vector); :attr:`delta` exposes the legacy mapping view on demand so
-    existing callers keep working.
+    vector) as :attr:`delta_column`.
 
     Args:
         population: the workload population (or large sample standing
@@ -51,14 +50,6 @@ class PolicyComparisonStudy:
             self.index, ipcs_x, ipcs_y)
         self.statistics: DeltaStatistics = delta_statistics(
             self.delta_column.values)
-        self._delta_mapping: Optional[Dict[Workload, float]] = None
-
-    @property
-    def delta(self) -> Dict[Workload, float]:
-        """d(w) per workload (legacy mapping view of the column)."""
-        if self._delta_mapping is None:
-            self._delta_mapping = self.delta_column.as_mapping()
-        return self._delta_mapping
 
     # ------------------------------------------------------------------
     # Analytical model (Section III)

@@ -1,19 +1,14 @@
 """Experiment drivers: one per table / figure of the paper.
 
-Each driver module exposes a ``run(scale, ...)`` function returning a
-structured result object with the same rows / series the paper reports,
-plus a ``main()`` that prints it.  The benchmark harness under
-``benchmarks/`` calls these drivers; ``EXPERIMENTS.md`` records
-paper-vs-measured values.
-
-Shared infrastructure (scales, campaign caching, the policy list) lives
-in :mod:`repro.experiments.common`.
+Each driver module exposes a ``run(scale, session, ...)`` function
+returning a structured result object with the same rows / series the
+paper reports, plus a ``main()`` that prints it.  ``session`` is a
+:class:`repro.api.Session` (a fresh one at ``scale`` when omitted), so
+drivers handed the same session share its populations, model builders
+and campaigns.  The benchmark harness under ``benchmarks/`` calls these
+drivers and checks their shapes.
 """
 
-from repro.experiments.common import (
-    ExperimentContext,
-    POLICY_PAIRS,
-    Scale,
-)
+from repro.experiments.common import POLICY_PAIRS
 
-__all__ = ["ExperimentContext", "POLICY_PAIRS", "Scale"]
+__all__ = ["POLICY_PAIRS"]

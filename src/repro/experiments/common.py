@@ -1,43 +1,16 @@
-"""Shared experiment infrastructure: scales, contexts, campaign reuse.
+"""What several experiment drivers share: the paper's policy pairs.
 
-The size knobs (:class:`Scale`, :class:`ScaleParameters`,
-:func:`default_cache_dir`) now live in :mod:`repro.api.scales` and are
-re-exported here for compatibility; the heavy lifting -- populations,
-shared model builders, memoised campaigns, the on-disk cache
-(environment variable ``REPRO_CACHE_DIR``, default
-``~/.cache/repro-ispass2013``) -- lives in
-:class:`repro.api.session.Session`.
-
-:class:`ExperimentContext` remains the experiment drivers' handle on
-all of that: it wraps one :class:`Session` so that the many figures
-sharing the same population (Figs. 3-7 all consume the 4-core
-approximate-simulation population) pay for it once per process, and
-once per machine when a cache directory is configured.
+Everything else a driver needs -- populations, shared model builders,
+memoised campaigns, the on-disk cache -- comes from the
+:class:`repro.api.Session` it is handed; the size knobs
+(:class:`~repro.api.scales.Scale`) live in :mod:`repro.api.scales`.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.api.scales import (
-    _PARAMETERS as _PARAMETERS,
-    Scale,
-    ScaleLike,
-    ScaleParameters,
-    default_cache_dir,
-    scale_parameters,
-)
-from repro.api.engine import Campaign
-from repro.api.session import Session
-from repro.core.population import WorkloadPopulation
-from repro.core.workload import Workload
-from repro.sim.results import PopulationResults
-
-__all__ = [
-    "ExperimentContext", "POLICY_PAIRS", "Scale", "ScaleParameters",
-    "default_cache_dir", "scale_parameters",
-]
+__all__ = ["POLICY_PAIRS"]
 
 #: The ten ordered policy pairs of the paper's Figs. 4-5 ("X>Y" bars).
 POLICY_PAIRS: Tuple[Tuple[str, str], ...] = (
@@ -46,123 +19,3 @@ POLICY_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("FIFO", "DIP"), ("FIFO", "DRRIP"),
     ("DIP", "DRRIP"),
 )
-
-
-class ExperimentContext:
-    """Owns populations and simulation campaigns for one scale.
-
-    A thin wrapper over :class:`repro.api.session.Session` keeping the
-    interface the experiment drivers grew up with.
-
-    Args:
-        scale: experiment size.
-        seed: global seed (traces, populations, resampling).
-        cache_dir: on-disk campaign cache; defaults per
-            :func:`repro.api.scales.default_cache_dir`.
-        model_store_dir: persistent trained-model store; defaults per
-            :func:`repro.api.scales.default_model_store_dir`.
-        benchmarks: benchmark suite (default: the 22 SPEC stand-ins).
-        jobs: worker processes for campaign grids (1 = serial).
-    """
-
-    def __init__(self, scale: ScaleLike = Scale.MEDIUM, seed: int = 0,
-                 cache_dir: Optional[Path] = None,
-                 benchmarks: Optional[Sequence[str]] = None,
-                 jobs: int = 1,
-                 model_store_dir: Optional[Path] = None) -> None:
-        self.session = Session(scale, seed=seed, jobs=jobs,
-                               cache_dir=cache_dir,
-                               model_store_dir=model_store_dir,
-                               benchmarks=benchmarks)
-
-    # -- session views -------------------------------------------------
-
-    @property
-    def scale(self) -> Scale:
-        return self.session.scale
-
-    @property
-    def parameters(self) -> ScaleParameters:
-        return self.session.parameters
-
-    @property
-    def seed(self) -> int:
-        return self.session.seed
-
-    @property
-    def jobs(self) -> int:
-        return self.session.jobs
-
-    @property
-    def cache_dir(self) -> Optional[Path]:
-        return self.session.cache_dir
-
-    @property
-    def benchmarks(self) -> List[str]:
-        return self.session.benchmarks
-
-    @property
-    def policies(self) -> List[str]:
-        return self.session.policies
-
-    # ------------------------------------------------------------------
-
-    def population(self, cores: int) -> WorkloadPopulation:
-        """The (possibly capped) workload population for a core count."""
-        return self.session.population(cores)
-
-    def detailed_sample(self, cores: int) -> List[Workload]:
-        """The paper's "250 randomly selected workloads" (scaled)."""
-        return self.session.detailed_sample(cores)
-
-    # ------------------------------------------------------------------
-
-    def builder(self, backend: str = "badco"):
-        """The shared model builder (one per backend and trace length)."""
-        return self.session.builder(backend)
-
-    def campaign(self, simulator: str, cores: int) -> Campaign:
-        """The memoised campaign for (simulator backend, cores)."""
-        return self.session.campaign(simulator, cores)
-
-    # ------------------------------------------------------------------
-    # Bulk products used by several figures
-
-    def population_results(self, cores: int,
-                           backend: str = "badco") -> PopulationResults:
-        """Approximate-simulation IPCs for the whole population.
-
-        Covers all five paper policies plus the single-thread reference
-        IPCs, persisting to the cache directory.
-        """
-        return self.session.results(backend, cores)
-
-    def sample_results(self, cores: int,
-                       backend: str = "detailed") -> PopulationResults:
-        """IPCs for the detailed sample under all policies."""
-        return self.session.results(backend, cores,
-                                    workloads=self.detailed_sample(cores))
-
-    def results_for(self, cores: int, workloads: Sequence[Workload],
-                    backend: str = "badco") -> PopulationResults:
-        """IPCs for an explicit workload list (all policies)."""
-        return self.session.results(backend, cores, workloads=workloads)
-
-    # -- pre-registry spellings, kept for compatibility ----------------
-
-    def badco_population_results(self, cores: int) -> PopulationResults:
-        """BADCO IPCs for the whole population under all five policies."""
-        return self.population_results(cores, "badco")
-
-    def detailed_sample_results(self, cores: int) -> PopulationResults:
-        """Detailed IPCs for the detailed sample under all policies."""
-        return self.sample_results(cores, "detailed")
-
-    def badco_results_for(self, cores: int,
-                          workloads: Sequence[Workload]) -> PopulationResults:
-        """BADCO IPCs for an explicit workload list (all policies)."""
-        return self.results_for(cores, workloads, "badco")
-
-    def __repr__(self) -> str:
-        return (f"ExperimentContext(scale={self.scale.value!r}, "
-                f"seed={self.seed}, jobs={self.jobs})")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import Scale, Session
 from repro.core.classification import class_labels
 from repro.core.columnar import WorkloadIndex
 from repro.core.delta import DeltaVariable
@@ -30,7 +31,6 @@ from repro.core.sampling import (
     WorkloadStratification,
 )
 from repro.core.speedup_accuracy import SpeedupAccuracyEvaluator
-from repro.experiments.common import ExperimentContext, Scale
 from repro.experiments.table4_classification import run as run_table4
 
 DEFAULT_SIZES = (10, 20, 40, 80, 160)
@@ -57,24 +57,24 @@ class Ext1Result:
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None,
+        session: Optional[Session] = None,
         cores: int = 2,
         pair: Tuple[str, str] = ("LRU", "DIP"),
         metric: ThroughputMetric = IPCT,
         epsilon: float = 0.01,
         sample_sizes: Sequence[int] = DEFAULT_SIZES,
         backend: str = "badco") -> Ext1Result:
-    context = context or ExperimentContext(scale)
-    results = context.population_results(cores, backend)
-    population = context.population(cores)
+    session = session or Session(scale)
+    results = session.results(backend, cores)
+    population = session.population(cores)
     x, y = pair
     evaluator = SpeedupAccuracyEvaluator(
         population, results.ipc_table(x), results.ipc_table(y), metric,
-        results.reference, draws=min(context.parameters.draws, 1000))
+        results.reference, draws=min(session.parameters.draws, 1000))
     variable = DeltaVariable(metric, results.reference)
     delta = variable.column(WorkloadIndex.from_population(population),
                             results.ipc_table(x), results.ipc_table(y))
-    classes = class_labels(run_table4(scale, context).mpki)
+    classes = class_labels(run_table4(scale, session).mpki)
     methods = [SimpleRandomSampling()]
     if population.is_exhaustive:
         methods.append(BalancedRandomSampling())
@@ -85,7 +85,7 @@ def run(scale: Scale = Scale.MEDIUM,
     mean_errors: Dict[str, List[float]] = {}
     for method in methods:
         points = evaluator.curve(method, sample_sizes, epsilon,
-                                 seed=context.seed)
+                                 seed=session.seed)
         hit_rates[method.name] = [p.hit_rate for p in points]
         mean_errors[method.name] = [p.mean_abs_error for p in points]
     return Ext1Result(pair=pair, metric=metric.name, epsilon=epsilon,

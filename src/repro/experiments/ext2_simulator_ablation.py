@@ -23,13 +23,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.api import Scale, Session
 from repro.core.columnar import DeltaColumn, WorkloadIndex
 from repro.core.delta import DeltaVariable
 from repro.core.estimator import ConfidenceEstimator
 from repro.core.metrics import IPCT
 from repro.core.sampling import SimpleRandomSampling, WorkloadStratification
 from repro.core.workload import Workload
-from repro.experiments.common import ExperimentContext, Scale
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.interval import IntervalProfileBuilder, IntervalSimulator
 
@@ -79,13 +79,13 @@ class Ext2Result:
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None,
+        session: Optional[Session] = None,
         cores: int = 2,
         pair: Tuple[str, str] = ("LRU", "DIP"),
         benchmarks: Sequence[str] = ("povray", "gcc", "mcf", "libquantum"),
         sample_sizes: Sequence[int] = (10, 20, 40)) -> Ext2Result:
-    context = context or ExperimentContext(scale)
-    length = context.parameters.trace_length
+    session = session or Session(scale)
+    length = session.parameters.trace_length
     x, y = pair
 
     # --- 1. single-thread accuracy of the two approximate simulators.
@@ -93,29 +93,29 @@ def run(scale: Scale = Scale.MEDIUM,
     # cost, so a warm session model store must not satisfy the builds.
     from repro.sim.badco.model import BadcoModelBuilder
 
-    badco_builder = BadcoModelBuilder(length, context.seed)
-    interval_builder = IntervalProfileBuilder(length, context.seed)
+    badco_builder = BadcoModelBuilder(length, session.seed)
+    interval_builder = IntervalProfileBuilder(length, session.seed)
     interval_builder.training_uops = 0
     accuracy: List[AccuracyRow] = []
     from repro.sim.badco.multicore import BadcoSimulator
     for benchmark in benchmarks:
         workload = Workload([benchmark])
         detailed = DetailedSimulator(cores=1, trace_length=length,
-                                     seed=context.seed).run(workload).ipcs[0]
+                                     seed=session.seed).run(workload).ipcs[0]
         badco = BadcoSimulator(cores=1, builder=badco_builder,
                                trace_length=length,
-                               seed=context.seed).run(workload).ipcs[0]
+                               seed=session.seed).run(workload).ipcs[0]
         interval = IntervalSimulator(cores=1, builder=interval_builder,
                                      trace_length=length,
-                                     seed=context.seed).run(workload).ipcs[0]
+                                     seed=session.seed).run(workload).ipcs[0]
         accuracy.append(AccuracyRow(benchmark, detailed, badco, interval))
     badco_errors = [row.errors()[0] for row in accuracy]
     interval_errors = [row.errors()[1] for row in accuracy]
 
     # --- 2. robustness: strata from the interval simulator's d(w),
     #        judged against the BADCO population's d(w).
-    results = context.population_results(cores, "badco")
-    population = context.population(cores)
+    results = session.results("badco", cores)
+    population = session.population(cores)
     variable = DeltaVariable(IPCT, results.reference)
     index = WorkloadIndex.from_population(population)
     delta_truth = variable.column(index, results.ipc_table(x),
@@ -129,12 +129,12 @@ def run(scale: Scale = Scale.MEDIUM,
         for policy in (x, y):
             sim = IntervalSimulator(cores=cores, policy=policy,
                                     builder=interval_builder,
-                                    trace_length=length, seed=context.seed)
+                                    trace_length=length, seed=session.seed)
             ipcs[policy] = sim.run(workload).ipcs
         interval_values[row] = variable.value(workload, ipcs[x], ipcs[y])
     interval_delta = DeltaColumn(index, interval_values)
     estimator = ConfidenceEstimator(population, delta_truth,
-                                    draws=min(context.parameters.draws, 500))
+                                    draws=min(session.parameters.draws, 500))
     min_stratum = max(10, len(population) // 40)
     methods = {
         "random": SimpleRandomSampling(),
@@ -144,7 +144,7 @@ def run(scale: Scale = Scale.MEDIUM,
             interval_delta, min_stratum=min_stratum),
     }
     confidence = {
-        name: [estimator.confidence(method, w, seed=context.seed)
+        name: [estimator.confidence(method, w, seed=session.seed)
                for w in sample_sizes]
         for name, method in methods.items()}
     badco_trained = max(len(badco_builder._cache), 1)

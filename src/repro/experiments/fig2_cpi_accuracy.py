@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import ExperimentContext, Scale
+from repro.api import Scale, Session
 
 
 @dataclass
@@ -59,15 +59,15 @@ def _speedup_errors(detailed, badco, baseline: str, workloads) -> List[float]:
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None,
+        session: Optional[Session] = None,
         core_counts: Tuple[int, ...] = (2, 4, 8),
         approx_backend: str = "badco") -> Fig2Result:
-    context = context or ExperimentContext(scale)
+    session = session or Session(scale)
     per_cores: Dict[int, Fig2CoreResult] = {}
     for cores in core_counts:
-        sample = context.detailed_sample(cores)
-        detailed = context.sample_results(cores)
-        badco = context.results_for(cores, sample, approx_backend)
+        sample = session.detailed_sample(cores)
+        detailed = session.results("detailed", cores, workloads=sample)
+        badco = session.results(approx_backend, cores, workloads=sample)
         points: List[Tuple[float, float]] = []
         errors: List[float] = []
         under = 0

@@ -14,13 +14,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.api import Scale, Session
 from repro.core.columnar import WorkloadIndex
 from repro.core.confidence import confidence_from_cv
 from repro.core.delta import DeltaVariable, delta_statistics
 from repro.core.estimator import ConfidenceEstimator
 from repro.core.metrics import ThroughputMetric, WSU
 from repro.core.sampling import SimpleRandomSampling
-from repro.experiments.common import ExperimentContext, Scale
 
 DEFAULT_SIZES = (10, 20, 40, 80, 160, 320, 640)
 
@@ -53,31 +53,31 @@ class Fig3Result:
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None,
+        session: Optional[Session] = None,
         pair: Tuple[str, str] = ("DIP", "DRRIP"),
         metric: ThroughputMetric = WSU,
         core_counts: Sequence[int] = (2, 4, 8),
         sample_sizes: Sequence[int] = DEFAULT_SIZES,
         backend: str = "badco") -> Fig3Result:
-    context = context or ExperimentContext(scale)
+    session = session or Session(scale)
     x, y = pair
     series: Dict[int, Fig3Series] = {}
     for cores in core_counts:
-        results = context.population_results(cores, backend)
-        population = context.population(cores)
+        results = session.results(backend, cores)
+        population = session.population(cores)
         variable = DeltaVariable(metric, results.reference)
         index = WorkloadIndex.from_population(population)
         delta = variable.column(index, results.ipc_table(x),
                                 results.ipc_table(y))
         stats = delta_statistics(delta.values)
         estimator = ConfidenceEstimator(population, delta,
-                                        draws=context.parameters.draws)
+                                        draws=session.parameters.draws)
         method = SimpleRandomSampling()
         # One vectorized call evaluates the whole model series (eq. 5).
         model = np.asarray(
             confidence_from_cv(stats.cv, np.asarray(sample_sizes))).tolist()
         measured = estimator.curve(method, sample_sizes,
-                                   seed=context.seed).confidence
+                                   seed=session.seed).confidence
         series[cores] = Fig3Series(cores, tuple(sample_sizes), model,
                                    list(measured))
     return Fig3Result(pair=pair, metric=metric.name, series=series)

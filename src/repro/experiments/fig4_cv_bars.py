@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import Scale, Session
 from repro.core.columnar import delta_column_from_matrices
 from repro.core.delta import DeltaVariable, delta_statistics
 from repro.core.metrics import METRICS, ThroughputMetric
 from repro.core.workload import Workload
-from repro.experiments.common import ExperimentContext, POLICY_PAIRS, Scale
+from repro.experiments.common import POLICY_PAIRS
 from repro.sim.results import PopulationResults
 
 #: Measurement sources, in the order of Fig. 4's bar groups.
@@ -63,24 +64,25 @@ class Fig4Result:
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None,
+        session: Optional[Session] = None,
         cores: int = 4,
         pairs: Sequence[Tuple[str, str]] = POLICY_PAIRS,
         sources: Sequence[str] = SOURCES,
         approx_backend: str = "badco") -> Fig4Result:
-    context = context or ExperimentContext(scale)
-    sample = context.detailed_sample(cores)
+    session = session or Session(scale)
+    sample = session.detailed_sample(cores)
     bars: Dict[Tuple[str, str], Dict[str, Dict[str, float]]] = {}
     tables: Dict[str, Tuple[PopulationResults, Sequence[Workload]]] = {}
     if "detailed-sample" in sources:
-        tables["detailed-sample"] = (context.sample_results(cores), sample)
+        tables["detailed-sample"] = (
+            session.results("detailed", cores, workloads=sample), sample)
     if "badco-sample" in sources:
         tables["badco-sample"] = (
-            context.results_for(cores, sample, approx_backend), sample)
+            session.results(approx_backend, cores, workloads=sample), sample)
     if "badco-population" in sources:
         tables["badco-population"] = (
-            context.population_results(cores, approx_backend),
-            list(context.population(cores)))
+            session.results(approx_backend, cores),
+            list(session.population(cores)))
     # One columnar panel per source: every policy's IPC matrix is built
     # (and validated) once, then all pair x metric cells are array ops.
     policies = sorted({p for pair in pairs for p in pair})

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import Scale, Session
 from repro.core.columnar import delta_column_from_matrices
 from repro.core.confidence import required_sample_size
 from repro.core.delta import DeltaVariable, delta_statistics
 from repro.core.metrics import METRICS
-from repro.experiments.common import ExperimentContext, POLICY_PAIRS, Scale
+from repro.experiments.common import POLICY_PAIRS
 
 
 @dataclass
@@ -55,13 +56,13 @@ class Fig5Result:
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None,
+        session: Optional[Session] = None,
         cores: int = 4,
         pairs: Sequence[Tuple[str, str]] = POLICY_PAIRS,
         backend: str = "badco") -> Fig5Result:
-    context = context or ExperimentContext(scale)
-    results = context.population_results(cores, backend)
-    workloads = list(context.population(cores))
+    session = session or Session(scale)
+    results = session.results(backend, cores)
+    workloads = list(session.population(cores))
     policies = sorted({p for pair in pairs for p in pair})
     _, matrices = results.columnar_panel(policies, workloads)
     bars: Dict[Tuple[str, str], Dict[str, float]] = {}

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import Scale, Session
 from repro.core.classification import class_labels
 from repro.core.delta import DeltaVariable
 from repro.core.estimator import PairedConfidenceEstimator
@@ -27,7 +28,6 @@ from repro.core.sampling import (
     SimpleRandomSampling,
     WorkloadStratification,
 )
-from repro.experiments.common import ExperimentContext, Scale
 from repro.experiments.table4_classification import run as run_table4
 
 #: The four pairs of the paper's Fig. 6, as (X, Y) with "Y > X" plotted.
@@ -61,16 +61,16 @@ class Fig6Result:
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None,
+        session: Optional[Session] = None,
         cores: int = 4,
         metric: ThroughputMetric = IPCT,
         pairs: Sequence[Tuple[str, str]] = FIG6_PAIRS,
         sample_sizes: Sequence[int] = DEFAULT_SIZES,
         backend: str = "badco") -> Fig6Result:
-    context = context or ExperimentContext(scale)
-    results = context.population_results(cores, backend)
-    population = context.population(cores)
-    classes = class_labels(run_table4(scale, context).mpki)
+    session = session or Session(scale)
+    results = session.results(backend, cores)
+    population = session.population(cores)
+    classes = class_labels(run_table4(scale, session).mpki)
     curves: Dict[Tuple[str, str], Dict[str, List[float]]] = {}
     index = population.index
     variable = DeltaVariable(metric, results.reference)
@@ -89,9 +89,9 @@ def run(scale: Scale = Scale.MEDIUM,
         shared_methods.append(BalancedRandomSampling())
     shared_methods.append(BenchmarkStratification(classes))
     paired = PairedConfidenceEstimator(population, deltas,
-                                       draws=context.parameters.draws)
+                                       draws=session.parameters.draws)
     shared_curves = {
-        method.name: paired.curve(method, sample_sizes, seed=context.seed)
+        method.name: paired.curve(method, sample_sizes, seed=session.seed)
         for method in shared_methods}
     stratifiers = {
         pair: WorkloadStratification.from_column(
@@ -100,7 +100,7 @@ def run(scale: Scale = Scale.MEDIUM,
     strata_counts = {pair: stratifier.num_strata
                      for pair, stratifier in stratifiers.items()}
     strata_curves = paired.pair_curves(stratifiers, sample_sizes,
-                                       seed=context.seed)
+                                       seed=session.seed)
     for pair in pairs:
         by_method = {name: list(per_pair[pair].confidence)
                      for name, per_pair in shared_curves.items()}

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import Scale, Session
 from repro.core.classification import class_labels
 from repro.core.columnar import WorkloadIndex
 from repro.core.delta import DeltaVariable
@@ -30,7 +31,6 @@ from repro.core.sampling import (
     SimpleRandomSampling,
     WorkloadStratification,
 )
-from repro.experiments.common import ExperimentContext, Scale
 from repro.experiments.table4_classification import run as run_table4
 
 DEFAULT_SIZES = (10, 20, 30, 40, 50)
@@ -57,25 +57,27 @@ class Fig7Result:
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None,
+        session: Optional[Session] = None,
         pair: Tuple[str, str] = ("LRU", "DIP"),
         metric: ThroughputMetric = IPCT,
         core_counts: Sequence[int] = (2, 4),
         sample_sizes: Sequence[int] = DEFAULT_SIZES,
         approx_backend: str = "badco") -> Fig7Result:
-    context = context or ExperimentContext(scale)
+    session = session or Session(scale)
     x, y = pair
-    classes = class_labels(run_table4(scale, context).mpki)
+    classes = class_labels(run_table4(scale, session).mpki)
     curves: Dict[int, Dict[str, List[float]]] = {}
     for cores in core_counts:
         # The sampling frame is the detailed-simulated workload set (the
         # paper's 253 / 250 workloads): detailed IPCs exist for all of it.
-        sample_workloads = context.detailed_sample(cores)
-        detailed = context.sample_results(cores)
-        badco = context.results_for(cores, sample_workloads, approx_backend)
+        sample_workloads = session.detailed_sample(cores)
+        detailed = session.results("detailed", cores,
+                                   workloads=sample_workloads)
+        badco = session.results(approx_backend, cores,
+                                workloads=sample_workloads)
         # The sampling frame *is* the detailed-simulated subset.
         frame = WorkloadPopulation.from_workloads(
-            sample_workloads, benchmarks=context.benchmarks)
+            sample_workloads, benchmarks=session.benchmarks)
         index = WorkloadIndex.from_population(frame)
         variable_detailed = DeltaVariable(metric, detailed.reference)
         delta_detailed = variable_detailed.column(
@@ -86,7 +88,7 @@ def run(scale: Scale = Scale.MEDIUM,
         # Judge with detailed IPCs; select (stratify) with BADCO's d(w).
         estimator = ConfidenceEstimator(
             frame, delta_detailed,
-            draws=min(context.parameters.draws, 1000))
+            draws=min(session.parameters.draws, 1000))
         stratifier = WorkloadStratification.from_column(
             delta_badco, min_stratum=max(4, len(sample_workloads) // 10))
         # The frame is the detailed-simulated subset, never exhaustive,
@@ -99,7 +101,7 @@ def run(scale: Scale = Scale.MEDIUM,
         )
         curves[cores] = {
             method.name: list(estimator.curve(method, sample_sizes,
-                                              seed=context.seed).confidence)
+                                              seed=session.seed).confidence)
             for method in methods}
     return Fig7Result(pair=pair, metric=metric.name,
                       sample_sizes=tuple(sample_sizes), curves=curves)

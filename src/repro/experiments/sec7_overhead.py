@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.api import Scale, Session
 from repro.core.planner import OverheadModel
-from repro.experiments.common import ExperimentContext, Scale
 from repro.experiments.table3_speedup import run as run_table3
 
 #: The paper's Table III MIPS numbers.
@@ -89,16 +89,16 @@ def run_paper_numbers(instructions: float = 100e6, cores: int = 4,
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None) -> Dict[str, Sec7Result]:
+        session: Optional[Session] = None) -> Dict[str, Sec7Result]:
     """Both variants: paper MIPS, and MIPS measured on this machine."""
-    context = context or ExperimentContext(scale)
+    session = session or Session(scale)
     paper = run_paper_numbers()
-    table3 = run_table3(scale, context, core_counts=(1, 4),
+    table3 = run_table3(scale, session, core_counts=(1, 4),
                         workloads_per_point=2)
     measured_model = OverheadModel(
-        instructions_per_thread=context.parameters.trace_length,
+        instructions_per_thread=session.parameters.trace_length,
         cores=4,
-        benchmarks=len(context.benchmarks),
+        benchmarks=len(session.benchmarks),
         detailed_mips=table3.rows_by_cores[4].detailed_mips,
         detailed_single_mips=table3.rows_by_cores[1].detailed_mips,
         approx_mips=table3.rows_by_cores[4].badco_mips,

@@ -14,10 +14,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.backends import get_backend
+from repro.api import Scale, Session, get_backend
 from repro.core.population import sample_workload
 from repro.core.workload import Workload
-from repro.experiments.common import ExperimentContext, Scale
 
 
 @dataclass
@@ -48,36 +47,36 @@ class Table3Result:
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None,
+        session: Optional[Session] = None,
         core_counts: Tuple[int, ...] = (1, 2, 4, 8),
         workloads_per_point: int = 3,
         approx_backend: str = "badco") -> Table3Result:
-    context = context or ExperimentContext(scale)
-    length = context.parameters.trace_length
+    session = session or Session(scale)
+    length = session.parameters.trace_length
     detailed_backend = get_backend("detailed")
     approx = get_backend(approx_backend)
-    builder = context.builder(approx_backend)
+    builder = session.builder(approx_backend)
     # Train all models up front so building is not charged to sim speed
     # (the paper charges it separately, in Section VII-A).
     if builder is not None:
-        for benchmark in context.benchmarks:
+        for benchmark in session.benchmarks:
             builder.build(benchmark)
-    rng = random.Random(context.seed + 3)
+    rng = random.Random(session.seed + 3)
     rows: Dict[int, Table3Row] = {}
     for cores in core_counts:
         picks: List[Workload] = [
-            sample_workload(context.benchmarks, max(cores, 1), rng)
+            sample_workload(session.benchmarks, max(cores, 1), rng)
             for _ in range(workloads_per_point)]
         det_instr = det_wall = 0.0
         bad_instr = bad_wall = 0.0
         for workload in picks:
             det = detailed_backend.make_simulator(
-                cores, "LRU", length, seed=context.seed)
+                cores, "LRU", length, seed=session.seed)
             run_d = det.run(workload)
             det_instr += run_d.instructions
             det_wall += run_d.wall_seconds
             bad = approx.make_simulator(
-                cores, "LRU", length, seed=context.seed, builder=builder)
+                cores, "LRU", length, seed=session.seed, builder=builder)
             run_b = bad.run(workload)
             bad_instr += run_b.instructions
             bad_wall += run_b.wall_seconds

@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.api import Scale, Session
 from repro.bench.generator import cached_trace
 from repro.bench.spec import MpkiClass, TABLE_IV
 from repro.core.classification import classify_benchmarks
 from repro.cpu.core import DetailedCore
 from repro.cpu.resources import default_core_config
-from repro.experiments.common import ExperimentContext, Scale
 from repro.mem.uncore import Uncore, uncore_config_for_cores
 
 
@@ -70,11 +70,11 @@ class Table4Result:
 
 
 def run(scale: Scale = Scale.MEDIUM,
-        context: Optional[ExperimentContext] = None) -> Table4Result:
-    context = context or ExperimentContext(scale)
-    length = context.parameters.trace_length
-    mpki = {name: measure_mpki(name, length, seed=context.seed)
-            for name in context.benchmarks}
+        session: Optional[Session] = None) -> Table4Result:
+    session = session or Session(scale)
+    length = session.parameters.trace_length
+    mpki = {name: measure_mpki(name, length, seed=session.seed)
+            for name in session.benchmarks}
     return Table4Result(mpki=mpki, classes=classify_benchmarks(mpki))
 
 

@@ -36,6 +36,7 @@ runs lock-free.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -45,6 +46,8 @@ from typing import Any, Dict, List, Tuple
 from repro.mem.replacement import validate_policy_name
 from repro.serve import protocol
 from repro.serve.state import ResidentState, split_params
+
+logger = logging.getLogger(__name__)
 
 #: How long a coalescing group stays open for late joiners.  Long
 #: enough to catch a concurrent burst, short next to the ~30 ms+ of
@@ -92,8 +95,14 @@ class RequestScheduler:
     # Submission
 
     def submit(self, op: str, params: Dict[str, Any]) -> Future:
-        """Schedule one query; the future resolves to its wire result."""
+        """Schedule one query; the future resolves to its wire result.
+
+        A malformed estimate (say ``seed: "x"``) resolves to its error
+        at once, so a repeat of it is not deduplicated onto a future
+        that never resolves.
+        """
         dedup_key = (op, protocol.canonical_params(params))
+        malformed = None
         with self._lock:
             self.requests += 1
             existing = self._inflight.get(dedup_key)
@@ -105,9 +114,16 @@ class RequestScheduler:
             future.add_done_callback(
                 lambda _, key=dedup_key: self._forget(key))
             if op == "estimate":
-                self._join_group(params, future)
-                return future
-        self._pool.submit(self._run_simple, op, params, future)
+                try:
+                    self._join_group(params, future)
+                    return future
+                except Exception as error:
+                    malformed = error
+        if malformed is not None:
+            # Outside the lock: the _forget callback takes it.
+            future.set_exception(malformed)
+        else:
+            self._pool.submit(self._run_simple, op, params, future)
         return future
 
     def _forget(self, dedup_key: Tuple[str, str]) -> None:
@@ -139,12 +155,18 @@ class RequestScheduler:
         group.members.append((params, future))
 
     def _estimate_is_warm(self, params: Dict[str, Any]) -> bool:
-        """Whether this estimate is pure memo reads (no dispatch)."""
+        """Whether this estimate is pure memo reads (no dispatch).
+
+        Any failure reads as cold: a malformed member must fail alone,
+        in its own estimate, not sink the probe of its whole group.
+        """
         try:
             session_kwargs, op_kwargs = split_params(params)
             session = self.state.session(**session_kwargs)
             return bool(session.estimate_is_warm(**op_kwargs))
-        except Exception:
+        except Exception as error:
+            logger.debug("warm probe failed, treating the estimate as "
+                         "cold: %s: %s", type(error).__name__, error)
             return False
 
     def _run_estimate_group(self, group_key: Tuple[Any, ...],

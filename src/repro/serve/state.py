@@ -89,16 +89,22 @@ class ResidentState:
     def session(self, scale: Any = "small", seed: int = 0,
                 benchmarks: Optional[Sequence[str]] = None, jobs: int = 1,
                 fast_sampling: Optional[bool] = None) -> Session:
-        """The memoised resident session for one parameter set."""
+        """The memoised resident session for one parameter set.
+
+        An ordinary :class:`Session` that only shares
+        :attr:`panel_cache`, so served answers run the one-shot code
+        and are bit-identical to it.
+        """
         key = self.session_key(scale, seed, benchmarks, jobs, fast_sampling)
         with self._lock:
             session = self._sessions.get(key)
             if session is None:
-                session = Session.from_resident_state(
-                    self, scale, seed=int(seed), jobs=int(jobs),
+                session = Session(
+                    scale, seed=int(seed), jobs=int(jobs),
                     cache_dir=self.cache_dir,
                     model_store_dir=self.model_store_dir,
-                    benchmarks=benchmarks, fast_sampling=fast_sampling)
+                    benchmarks=benchmarks, fast_sampling=fast_sampling,
+                    panel_cache=self.panel_cache)
                 self._sessions[key] = session
             return session
 

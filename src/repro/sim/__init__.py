@@ -19,10 +19,7 @@ Zesto / BADCO pair:
 Campaigns -- (workload x policy) grids with on-disk memoisation,
 process-pool parallelism and wall-clock / MIPS accounting (Table III)
 -- live in :mod:`repro.api.engine`; each family is exposed there as a
-named backend in the :data:`repro.api.BACKENDS` registry.  The old
-:class:`~repro.sim.runner.SimulationCampaign` name still works as a
-deprecation shim (imported lazily here to keep ``repro.sim`` free of a
-circular import with ``repro.api``).
+named backend in the :data:`repro.api.BACKENDS` registry.
 """
 
 from repro.sim.detailed import DetailedSimulator, WorkloadRun
@@ -47,23 +44,4 @@ __all__ = [
     "AnalyticSimulator",
     "BatchRun",
     "PopulationResults",
-    "SimulationCampaign",
-    "CampaignTiming",
 ]
-
-#: Names served lazily from repro.sim.runner (PEP 562): the campaign
-#: shim imports repro.api, which imports this package's simulators, so
-#: an eager import here would be circular.
-_LAZY = {"SimulationCampaign", "CampaignTiming"}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from repro.sim import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _LAZY)

@@ -1,5 +1,6 @@
 """The public API: backend registry, campaign configs, Session, jobs."""
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -14,7 +15,6 @@ from repro.api import (
     register_backend,
 )
 from repro.core.workload import Workload
-from repro.experiments.common import ExperimentContext
 from repro.sim.badco.multicore import BadcoSimulator
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.interval.multicore import IntervalSimulator
@@ -229,7 +229,7 @@ def test_session_memoises_building_blocks(small_session):
 
 
 def test_session_study_matches_hand_wired_path():
-    """The facade and the legacy incantation agree exactly."""
+    """The facade and a hand-wired campaign + study agree exactly."""
     from repro.core.metrics import IPCT
     from repro.core.study import PolicyComparisonStudy
 
@@ -238,16 +238,21 @@ def test_session_study_matches_hand_wired_path():
     study = session.study("LRU", "DIP", metric="IPCT", cores=2,
                           backend="badco")
 
-    context = ExperimentContext(Scale.SMALL, seed=0, cache_dir=None,
-                                benchmarks=API_BENCHMARKS)
-    results = context.badco_population_results(2)
+    other = Session(Scale.SMALL, seed=0, cache_dir=None,
+                    benchmarks=API_BENCHMARKS)
+    campaign = Campaign(other.config("badco", 2))
+    campaign.run_grid(other.population(2), ["LRU", "DIP"])
+    campaign.reference_ipcs(API_BENCHMARKS)
+    results = campaign.results
     hand_wired = PolicyComparisonStudy(
-        context.population(2), results.ipc_table("LRU"),
+        other.population(2), results.ipc_table("LRU"),
         results.ipc_table("DIP"), IPCT, results.reference)
 
     assert study.inverse_cv == hand_wired.inverse_cv
     assert study.statistics.mean == hand_wired.statistics.mean
-    assert study.delta == hand_wired.delta
+    assert study.delta_column.index.same_rows(hand_wired.delta_column.index)
+    assert np.array_equal(study.delta_column.values,
+                          hand_wired.delta_column.values)
 
 
 def test_session_study_rejects_unknown_policy(small_session):
@@ -262,15 +267,6 @@ def test_session_results_reuses_campaign(small_session):
     assert first is second
     assert small_session.campaign("badco", 2).timing.simulations == \
         simulations
-
-
-def test_experiment_context_wraps_session():
-    context = ExperimentContext(Scale.SMALL, seed=0, cache_dir=None,
-                                benchmarks=API_BENCHMARKS, jobs=3)
-    assert context.session.jobs == 3
-    assert context.campaign("badco", 2) is context.session.campaign(
-        "badco", 2)
-    assert context.population(2) is context.session.population(2)
 
 
 # ----------------------------------------------------------------------
@@ -349,20 +345,3 @@ def test_simulation_is_reproducible_across_processes():
             capture_output=True, text=True).stdout
         ipcs.append(json.loads(output))
     assert ipcs[0] == ipcs[1]
-
-
-# ----------------------------------------------------------------------
-# Legacy shim
-
-
-def test_simulation_campaign_shim_warns_and_works():
-    from repro.sim.runner import SimulationCampaign
-
-    with pytest.warns(DeprecationWarning):
-        campaign = SimulationCampaign("badco", 2,
-                                      trace_length=TEST_TRACE_LENGTH)
-    assert isinstance(campaign, Campaign)
-    assert campaign.simulator == "badco"
-    assert campaign.trace_length == TEST_TRACE_LENGTH
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        SimulationCampaign("zesto", 2)

@@ -111,6 +111,15 @@ def test_estimate_rejects_unknown_policy(tmp_path, capsys, monkeypatch):
     assert "NOPE" in capsys.readouterr().err
 
 
+def test_study_rejects_unknown_metric(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["study", "LRU", "DIP", "--metric", "NOPE",
+                 "--scale", "small"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown metric 'NOPE'" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["experiment", "fig99"])

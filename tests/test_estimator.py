@@ -226,3 +226,26 @@ def test_paired_estimator_rejects_empty():
     population = WorkloadPopulation(["a", "b"], 2)
     with pytest.raises(ValueError):
         PairedConfidenceEstimator(population, {}, draws=10)
+
+
+
+@pytest.mark.parametrize("draws", [0, -3])
+@pytest.mark.parametrize("kind", ["confidence", "paired", "speedup"])
+def test_draws_below_one_rejected(small_population, kind, draws):
+    from repro.core.estimator import PairedConfidenceEstimator
+    from repro.core.metrics import IPCT
+    from repro.core.speedup_accuracy import SpeedupAccuracyEvaluator
+
+    delta = _delta(small_population, 0.0)
+    ipcs = {w: [1.0] * w.k for w in small_population}
+    build = {
+        "confidence": lambda: ConfidenceEstimator(
+            small_population, delta, draws=draws),
+        "paired": lambda: PairedConfidenceEstimator(
+            small_population, {"pair": delta}, draws=draws),
+        "speedup": lambda: SpeedupAccuracyEvaluator(
+            small_population, ipcs, ipcs, IPCT, draws=draws),
+    }[kind]
+    # Every confidence / hit rate divides by draws.
+    with pytest.raises(ValueError, match="draws must be >= 1"):
+        build()

@@ -50,3 +50,13 @@ def test_full_scale_estimate_example(hermetic_dirs, capsys):
     assert "training runs: 0" in out
     assert "bit-identical 1/cv: True" in out
     assert "RND vs LRU" in out
+
+
+def test_new_policy_ship_example(hermetic_dirs, capsys):
+    module = _load("new_policy_ship")
+    module.main()
+    out = capsys.readouterr().out
+    assert "guideline: declare-equivalent" in out
+    # Exact verdicts: the strata come from study.delta_column.
+    assert "            random: 0.302" in out
+    assert "   workload-strata: 0.352" in out

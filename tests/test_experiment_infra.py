@@ -1,12 +1,9 @@
-"""Experiment infrastructure: scales, contexts, result formatting."""
+"""Experiment infrastructure: scales, sessions, result formatting."""
 
 import pytest
 
-from repro.experiments.common import (
-    ExperimentContext,
-    POLICY_PAIRS,
-    Scale,
-)
+from repro.api import Scale, Session
+from repro.experiments.common import POLICY_PAIRS
 from repro.experiments.fig2_cpi_accuracy import Fig2CoreResult, Fig2Result
 from repro.experiments.table3_speedup import Table3Result, Table3Row
 from repro.experiments.fig5_cv_metrics import Fig5Result
@@ -22,9 +19,9 @@ def test_policy_pairs_are_the_papers_ten():
 
 
 def test_scales_are_ordered_in_size():
-    small = ExperimentContext(Scale.SMALL, cache_dir=None)
-    medium = ExperimentContext(Scale.MEDIUM, cache_dir=None)
-    full = ExperimentContext(Scale.FULL, cache_dir=None)
+    small = Session(Scale.SMALL, cache_dir=None)
+    medium = Session(Scale.MEDIUM, cache_dir=None)
+    full = Session(Scale.FULL, cache_dir=None)
     assert small.parameters.trace_length < medium.parameters.trace_length \
         <= full.parameters.trace_length
     for cores in (2, 4, 8):
@@ -34,7 +31,7 @@ def test_scales_are_ordered_in_size():
 
 
 def test_full_scale_matches_paper_population_sizes():
-    params = ExperimentContext(Scale.FULL, cache_dir=None).parameters
+    params = Session(Scale.FULL, cache_dir=None).parameters
     assert params.population_cap[2] == 253
     assert params.population_cap[4] == 12650
     assert params.population_cap[8] == 10000
@@ -43,20 +40,20 @@ def test_full_scale_matches_paper_population_sizes():
 
 
 def test_context_caches_populations_and_campaigns():
-    context = ExperimentContext(Scale.SMALL, cache_dir=None)
-    assert context.population(2) is context.population(2)
-    assert context.campaign("badco", 2) is context.campaign("badco", 2)
-    assert context.builder() is context.builder()
+    session = Session(Scale.SMALL, cache_dir=None)
+    assert session.population(2) is session.population(2)
+    assert session.campaign("badco", 2) is session.campaign("badco", 2)
+    assert session.builder() is session.builder()
 
 
 def test_detailed_sample_is_deterministic_and_inside_population():
-    context = ExperimentContext(Scale.SMALL, cache_dir=None)
-    a = context.detailed_sample(2)
-    b = context.detailed_sample(2)
+    session = Session(Scale.SMALL, cache_dir=None)
+    a = session.detailed_sample(2)
+    b = session.detailed_sample(2)
     assert a == b
-    population = set(context.population(2))
+    population = set(session.population(2))
     assert all(w in population for w in a)
-    assert len(a) == context.parameters.detailed_sample
+    assert len(a) == session.parameters.detailed_sample
 
 
 def test_table3_row_speedup():

@@ -2,14 +2,14 @@
 
 These are integration tests over the whole stack (traces -> cores ->
 uncore -> campaigns -> statistics).  They use the SMALL scale and a
-shared per-session context, so the population is simulated once.
+shared module-scoped session, so the population is simulated once.
 """
 
 
 import pytest
 
 from repro.core.metrics import IPCT
-from repro.experiments import ExperimentContext, Scale
+from repro.api import Scale, Session
 from repro.experiments import (
     fig1_confidence_curve,
     fig3_model_validation,
@@ -22,9 +22,9 @@ from repro.experiments import (
 
 
 @pytest.fixture(scope="module")
-def context(tmp_path_factory):
+def session(tmp_path_factory):
     cache = tmp_path_factory.mktemp("campaigns")
-    return ExperimentContext(Scale.SMALL, seed=0, cache_dir=cache)
+    return Session(Scale.SMALL, seed=0, cache_dir=cache)
 
 
 def test_fig1_saturation():
@@ -48,8 +48,8 @@ def test_sec7_paper_numbers_reproduce_exactly():
 
 def test_table4_classes_match_paper_at_full_trace_length():
     """Classification needs the MEDIUM trace length to be stable."""
-    ctx = ExperimentContext(Scale.MEDIUM, seed=0, cache_dir=None)
-    result = table4_classification.run(Scale.MEDIUM, ctx)
+    medium = Session(Scale.MEDIUM, seed=0, cache_dir=None)
+    result = table4_classification.run(Scale.MEDIUM, medium)
     matches = result.matches_paper()
     assert sum(matches.values()) >= 20      # at least 20/22 in class
     # The class *sizes* keep Table IV's shape.
@@ -61,9 +61,9 @@ def test_table4_classes_match_paper_at_full_trace_length():
     assert sizes[MpkiClass.HIGH] >= 5
 
 
-def test_fig5_case_study_shape(context):
+def test_fig5_case_study_shape(session):
     """The qualitative Fig. 4/5 findings on the 2-core population."""
-    result = fig5_cv_metrics.run(Scale.SMALL, context, cores=2)
+    result = fig5_cv_metrics.run(Scale.SMALL, session, cores=2)
     icv = {f"{x}>{y}": m for (x, y), m in result.bars.items()}
     # LRU beats RND and FIFO (negative 1/cv for d = t_other - t_LRU).
     assert icv["LRU>RND"]["IPCT"] < 0
@@ -76,23 +76,23 @@ def test_fig5_case_study_shape(context):
     assert abs(icv["DIP>DRRIP"]["IPCT"]) < 1.0
 
 
-def test_fig5_signs_mostly_consistent_across_metrics(context):
-    result = fig5_cv_metrics.run(Scale.SMALL, context, cores=2)
+def test_fig5_signs_mostly_consistent_across_metrics(session):
+    result = fig5_cv_metrics.run(Scale.SMALL, session, cores=2)
     consistent = result.sign_consistent_pairs()
     assert len(consistent) >= 7             # out of 10 pairs
 
 
-def test_fig3_model_matches_experiment(context):
+def test_fig3_model_matches_experiment(session):
     result = fig3_model_validation.run(
-        Scale.SMALL, context, core_counts=(2,),
+        Scale.SMALL, session, core_counts=(2,),
         sample_sizes=(10, 40, 160))
     series = result.series[2]
     assert series.max_gap() < 0.15
 
 
-def test_fig6_sampling_method_ordering(context):
+def test_fig6_sampling_method_ordering(session):
     result = fig6_sampling_methods.run(
-        Scale.SMALL, context, cores=2,
+        Scale.SMALL, session, cores=2,
         pairs=(("LRU", "DIP"),), sample_sizes=(10, 30))
     curves = result.curves[("LRU", "DIP")]
     # Everybody is a probability.
@@ -107,8 +107,8 @@ def test_fig6_sampling_method_ordering(context):
         assert strat >= rand - 0.05
 
 
-def test_fig4_sources_agree_on_clear_pairs(context):
-    result = fig4_cv_bars.run(Scale.SMALL, context, cores=2,
+def test_fig4_sources_agree_on_clear_pairs(session):
+    result = fig4_cv_bars.run(Scale.SMALL, session, cores=2,
                               pairs=(("LRU", "FIFO"),),
                               sources=("badco-sample", "badco-population"))
     cells = result.bars[("LRU", "FIFO")]["IPCT"]

@@ -1,13 +1,13 @@
-"""PopulationResults storage and SimulationCampaign memoisation."""
+"""PopulationResults storage and Campaign memoisation."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.api import Campaign, CampaignConfig
 from repro.core.workload import Workload
 from repro.sim.results import SUITE, PopulationResults
-from repro.sim.runner import SimulationCampaign
 
 from tests.conftest import TEST_TRACE_LENGTH
 
@@ -142,8 +142,13 @@ def test_npz_roundtrip_exact_floats(tmp_path):
         assert loaded.ipcs("LRU", workload) == row.tolist()
 
 
+def _campaign(backend, **fields):
+    return Campaign(CampaignConfig(backend=backend, cores=2,
+                                   trace_length=TEST_TRACE_LENGTH, **fields))
+
+
 def test_campaign_memoises_runs():
-    campaign = SimulationCampaign("badco", 2, trace_length=TEST_TRACE_LENGTH)
+    campaign = _campaign("badco")
     w = Workload(["povray", "hmmer"])
     first = campaign.run_workload(w, "LRU")
     simulations = campaign.timing.simulations
@@ -153,7 +158,7 @@ def test_campaign_memoises_runs():
 
 
 def test_campaign_grid_and_reference():
-    campaign = SimulationCampaign("badco", 2, trace_length=TEST_TRACE_LENGTH)
+    campaign = _campaign("badco")
     workloads = [Workload(["povray", "povray"]), Workload(["povray", "hmmer"])]
     results = campaign.run_grid(workloads, ["LRU", "FIFO"])
     assert len(results) == 4
@@ -163,12 +168,10 @@ def test_campaign_grid_and_reference():
 
 def test_campaign_disk_cache(tmp_path):
     w = Workload(["povray", "hmmer"])
-    first = SimulationCampaign("badco", 2, trace_length=TEST_TRACE_LENGTH,
-                               cache_dir=tmp_path)
+    first = _campaign("badco", cache_dir=tmp_path)
     ipcs = first.run_workload(w, "LRU")
     first.save()
-    second = SimulationCampaign("badco", 2, trace_length=TEST_TRACE_LENGTH,
-                                cache_dir=tmp_path)
+    second = _campaign("badco", cache_dir=tmp_path)
     assert second.results.has("LRU", w)
     assert second.run_workload(w, "LRU") == ipcs
     assert second.timing.simulations == 0
@@ -176,12 +179,11 @@ def test_campaign_disk_cache(tmp_path):
 
 def test_unknown_simulator_rejected():
     with pytest.raises(ValueError):
-        SimulationCampaign("zesto", 2)
+        _campaign("zesto")
 
 
 def test_campaign_timing_mips():
-    campaign = SimulationCampaign("detailed", 2,
-                                  trace_length=TEST_TRACE_LENGTH)
+    campaign = _campaign("detailed")
     campaign.run_workload(Workload(["povray", "povray"]), "LRU")
     assert campaign.timing.mips > 0
     assert campaign.timing.instructions >= 2 * TEST_TRACE_LENGTH

@@ -326,12 +326,23 @@ def test_stats_and_ping_over_tcp(store, tmp_path):
 
 
 def test_bad_requests_error_without_dropping_the_connection(server):
-    with ReproClient(server.address) as client:
+    with ReproClient(server.address, timeout=5) as client:
         with pytest.raises(ServerError, match="unknown op"):
             client.request("frobnicate")
         with pytest.raises(ServerError, match="NOPE"):
             client.estimate(**_query(candidate="NOPE"))
-        assert client.ping()   # the connection survived both errors
+        # These fail while the estimate is being scheduled (its
+        # coalescing key is malformed).  A repeat must fail just as
+        # promptly, not wait on a deduplicated future that never
+        # resolves.
+        for malformed in ({"seed": "x"}, {"scale": "huge"},
+                          {"cores": [4]}):
+            for _ in range(2):
+                started = time.monotonic()
+                with pytest.raises(ServerError):
+                    client.estimate(**_query(**malformed))
+                assert time.monotonic() - started < 2.0
+        assert client.ping()   # the connection survived every error
 
 
 def test_shutdown_op_stops_the_daemon(store, tmp_path):

@@ -141,6 +141,20 @@ def test_two_stage_jobs_invariance(dirs, estimate, tmp_path):
     assert parallel.floor_allocated == estimate.floor_allocated
 
 
+def test_two_stage_screen_is_the_full_scale_estimate(dirs):
+    # Stage 1 runs estimate_full_scale's own stages and shares its d(w)
+    # memo: after a full-scale estimate of the same frame, the screen
+    # replays it (no panels, no training) and reports the same numbers.
+    session = _session(dirs)
+    full = session.estimate_full_scale(
+        "LRU", "DIP", cores=4, sample=40, draws=100, sample_sizes=(5, 15))
+    estimate = _estimate(session)
+    assert estimate.screen_inverse_cv == full.inverse_cv
+    assert estimate.screen_confidence == full.confidence
+    assert estimate.timings["screen-panels"] == 0.0
+    assert estimate.training_runs == 0
+
+
 def test_two_stage_refine_frac(dirs):
     session = _session(dirs)
     estimate = session.estimate_two_stage(
