@@ -22,9 +22,9 @@ same seeded generator.
 Draw paths, per plan (see the README's "Sampling internals" section):
 
 - :class:`SimpleRandomSampling` -- fully vectorized: uniform draws are
-  consecutive ``_randbelow`` outputs, replayed straight off the
-  Mersenne-Twister word stream (:class:`~repro.core.sampling.mtstream.
-  MTStream`).
+  consecutive ``_randbelow`` outputs, read in bulk off the generator's
+  word stream (:class:`~repro.core.sampling.mtstream.MTStream`), which
+  then advances the generator past exactly the words they consumed.
 - :class:`BenchmarkStratification` / :class:`WorkloadStratification`
   -- fully vectorized via the shared :class:`StratifiedRowPlan`: the
   per-stratum ``random.sample``/``randrange`` calls are replayed by

@@ -197,11 +197,12 @@ class StratifiedRowPlan(SamplingPlan):
     replacement when a stratum is oversampled) consumption is replayed
     through :func:`repro.core.sampling.mtstream.replay_schedule`, so
     all ``draws x strata x size`` row indices come out of batched
-    NumPy gathers -- bit-identical to the scalar loop, including the
-    final ``rng`` state.  The historical per-draw loop remains as
-    :meth:`rows_matrix_scalar`: it is the reference the golden parity
-    tests compare against, and the automatic fallback for frames too
-    large for the word-stream replay (strata beyond 2**32 rows).
+    NumPy gathers over one read-ahead word buffer -- bit-identical to
+    the scalar loop, including the final ``rng`` state.  The
+    historical per-draw loop remains as :meth:`rows_matrix_scalar`: it
+    is the reference the golden parity tests compare against, and the
+    automatic fallback for frames too large for the 32-bit word-stream
+    replay (strata beyond 2**32 rows).
 
     Args:
         layout: callable mapping a sample size to the per-stratum
@@ -210,16 +211,13 @@ class StratifiedRowPlan(SamplingPlan):
             the method's ``sample`` uses) and ``w_h`` its slot count.
             Strata with ``w_h == 0`` must be omitted.
         total: N, the frame size the stratum weights N_h / N refer to.
-        vectorized: opt out of the replay path (scalar reference loop
-            only); results are identical either way.
     """
 
     def __init__(self,
                  layout: Callable[[int], List[Tuple[List[int], int]]],
-                 total: int, vectorized: bool = True) -> None:
+                 total: int) -> None:
         self._layout = layout
         self._total = total
-        self._vectorized = vectorized
         self._cache: Dict[int, tuple] = {}
 
     def _layout_for(self, size: int):
@@ -259,7 +257,7 @@ class StratifiedRowPlan(SamplingPlan):
         )
 
         chosen, weights, ops, arrays, replayable = self._layout_for(size)
-        if not (self._vectorized and replayable):
+        if not replayable:
             return self.rows_matrix_scalar(size, draws, rng)
         matrices = replay_schedule(rng, ops, draws)
         out = np.empty((draws, len(weights)), dtype=np.int64)

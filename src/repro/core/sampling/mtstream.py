@@ -1,4 +1,4 @@
-"""A NumPy-vectorized replay of :class:`random.Random`'s word stream.
+"""Batched, bit-compatible replay of :class:`random.Random` sampling.
 
 The Monte-Carlo confidence estimator must stay *bit-compatible* with
 the historical pure-Python loop: the same seed has to select the same
@@ -10,12 +10,15 @@ workloads.  CPython's :class:`random.Random` is a Mersenne Twister
     while r >= n:
         r = getrandbits(k)      # rejection: one more word per retry
 
-so the whole stream is a deterministic function of the 624-word
-generator state.  :class:`MTStream` snapshots that state (via
-``Random.getstate()``) and regenerates the identical word sequence with
-vectorized twist/temper steps, which lets the estimator draw *millions*
-of sample indices in a handful of array operations instead of millions
-of interpreter-level calls -- with bit-for-bit identical results.
+so every draw is a function of the generator's 32-bit word stream.
+:class:`MTStream` reads that stream ahead from a *clone* of the
+caller's generator -- one ``getrandbits(32 * m)`` call yields the next
+``m`` words, least significant first, in CPython's own C loop -- and
+advances the caller's generator past exactly the words a replay
+consumed, with one more such call.  NumPy then turns millions of words
+into sample indices in a handful of array operations instead of
+millions of interpreter-level calls, with bit-for-bit identical
+results.
 
 Only ``getrandbits(k)`` with ``k <= 32`` is replayed (one word per
 call), which covers ``randrange``/``_randbelow`` for any population
@@ -34,7 +37,10 @@ three vectorized stages:
 
 1. per distinct bound ``n``, classify every buffered word as accepted
    or rejected once (``word >> (32 - k) < n``), giving prefix counts
-   and accepted-position tables;
+   and accepted-position tables; selection-set steps also get, for
+   every accepted start, the end of their duplicate re-draw window,
+   found from the few close duplicate pairs in time linear in the
+   buffer;
 2. compose, over *all* possible word offsets at once, the per-draw
    advance map ``G[o]`` = "a draw starting at word ``o`` ends at word
    ``G[o]``" (one gather per schedule step), then walk the draws
@@ -59,104 +65,52 @@ import numpy as np
 
 from . import _kernels
 
-_N = 624                    # state words
-_M = 397                    # twist offset
-_LAG = _N - _M              # 227: feedback lag of the in-place update
-_MATRIX_A = np.uint32(0x9908B0DF)
-_UPPER = np.uint32(0x80000000)
-_LOWER = np.uint32(0x7FFFFFFF)
-
-
-def _twist(state: np.ndarray) -> np.ndarray:
-    """One MT19937 state transition, vectorized.
-
-    The reference implementation updates in place, so ``mt[i]`` reads
-    ``mt[i + 397 mod 624]`` *after* that word was updated whenever
-    ``i >= 227``.  Three chunks, each reading only words earlier chunks
-    already produced, replicate the sequential result exactly.
-    """
-    # y_i mixes the *old* mt[i] and mt[i+1] for every i < 623 (the
-    # sequential loop has updated neither when it reaches i); only
-    # i = 623 reads the already-updated mt[0], patched scalar below.
-    y = state & _UPPER
-    y[:-1] |= state[1:] & _LOWER
-    mixed = (y >> np.uint32(1)) ^ ((y & np.uint32(1)) * _MATRIX_A)
-    new = np.empty_like(state)
-    new[:_LAG] = state[_M:] ^ mixed[:_LAG]                   # i in [0, 227)
-    new[_LAG:2 * _LAG] = new[:_LAG] ^ mixed[_LAG:2 * _LAG]   # [227, 454)
-    new[2 * _LAG:_N - 1] = new[_LAG:_N - 1 - _LAG] \
-        ^ mixed[2 * _LAG:_N - 1]                             # [454, 623)
-    y_last = (int(state[_N - 1]) & 0x80000000) | (int(new[0]) & 0x7FFFFFFF)
-    new[_N - 1] = int(new[_M - 1]) ^ (y_last >> 1) \
-        ^ (0x9908B0DF if y_last & 1 else 0)
-    return new
-
-
-def _temper(words: np.ndarray) -> np.ndarray:
-    y = words.copy()
-    y ^= y >> np.uint32(11)
-    y ^= (y << np.uint32(7)) & np.uint32(0x9D2C5680)
-    y ^= (y << np.uint32(15)) & np.uint32(0xEFC62000)
-    y ^= y >> np.uint32(18)
-    return y
-
 
 class MTStream:
     """The exact 32-bit output stream of one :class:`random.Random`.
 
+    Words are read ahead from a private clone, so reading never
+    disturbs ``rng``; :meth:`commit` then advances ``rng`` past exactly
+    the words consumed so far, as the equivalent scalar calls would.
+
     Args:
-        rng: the generator whose *future* outputs to replay.  The
-            snapshot is taken at construction; the original ``rng`` is
-            not advanced or otherwise disturbed.
+        rng: the generator whose *future* outputs to replay.
     """
 
     def __init__(self, rng: random.Random) -> None:
-        version, internal, _gauss = rng.getstate()
-        if version != 3:
-            raise ValueError(f"unsupported random.Random state v{version}")
-        self._state = np.array(internal[:-1], dtype=np.uint32)
-        self._pos = int(internal[-1])       # words consumed of the block
-        self._block = _temper(self._state)
+        self._rng = rng
+        self._source = random.Random(0)     # any seed: setstate wins
+        self._source.setstate(rng.getstate())
+        self._ahead = np.empty(0, dtype=np.uint32)
+        self._consumed = 0
 
-    def checkpoint(self) -> Tuple[np.ndarray, int, np.ndarray]:
-        """An O(1) snapshot of (state, position, tempered block).
+    def peek(self, count: int) -> np.ndarray:
+        """The unconsumed words, read ahead to at least ``count``."""
+        missing = count - len(self._ahead)
+        if missing > 0:
+            raw = self._source.getrandbits(32 * missing)
+            fresh = np.frombuffer(raw.to_bytes(4 * missing, "little"),
+                                  dtype="<u4").astype(np.uint32, copy=False)
+            self._ahead = np.concatenate([self._ahead, fresh])
+        return self._ahead
 
-        Safe to hold by reference: :meth:`words` never mutates the
-        state arrays in place, it rebinds them.  :class:`_WordTape`
-        uses this to remember where a replay started.
-        """
-        return (self._state, self._pos, self._block)
+    def advance(self, count: int) -> None:
+        """Consume the next ``count`` words (already peeked)."""
+        self._ahead = self._ahead[count:]
+        self._consumed += count
 
-    def _fresh_blocks(self, count: int):
-        """``count`` successive raw states, plus their tempered words.
-
-        Twisting is inherently sequential, but tempering is element-wise
-        -- doing it once over the concatenated batch turns ~8 array ops
-        per block into ~8 ops per *batch*.
-        """
-        states = []
-        state = self._state
-        for _ in range(count):
-            state = _twist(state)
-            states.append(state)
-        words = _temper(np.concatenate(states)) if states \
-            else np.empty(0, dtype=np.uint32)
-        return states, words
+    def commit(self) -> None:
+        """Advance the caller's generator past every consumed word."""
+        if self._consumed:
+            self._rng.getrandbits(32 * self._consumed)
+            self._consumed = 0
 
     def words(self, count: int) -> np.ndarray:
-        """The next ``count`` tempered 32-bit words, as uint32."""
+        """The next ``count`` 32-bit words, as uint32."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        remainder = self._block[self._pos:self._pos + count]
-        if len(remainder) == count:         # served from the open block
-            self._pos += count
-            return remainder.copy()
-        blocks = -(-(count - len(remainder)) // _N)
-        states, fresh = self._fresh_blocks(blocks)
-        out = np.concatenate([remainder, fresh[:count - len(remainder)]])
-        self._state = states[-1]
-        self._block = fresh[(blocks - 1) * _N:]
-        self._pos = count - len(remainder) - (blocks - 1) * _N
+        out = self.peek(count)[:count].copy()
+        self.advance(count)
         return out
 
     def getrandbits(self, k: int, count: int) -> np.ndarray:
@@ -184,37 +138,20 @@ class MTStream:
         have = 0
         while have < count:
             need = count - have
-            # Expected attempts = need / (n / 2**k); draw a batch with
-            # ~10% headroom so one round nearly always suffices.
-            attempts = need * (1 << k) // n + (need >> 3) + 32
-            remainder = self._block[self._pos:]
-            blocks = max(0, -(-(attempts - len(remainder)) // _N))
-            states, fresh = self._fresh_blocks(blocks)
-            pool = np.concatenate([remainder, fresh]) if blocks \
-                else remainder
+            # Expected attempts = need / (n / 2**k); read ~10% headroom
+            # so one round nearly always suffices.
+            pool = self.peek(need * (1 << k) // n + (need >> 3) + 32)
             vals = pool >> shift
             hits = np.flatnonzero(vals < bound)
             if len(hits) >= need:
                 # The scalar loop stops right after the need-th
                 # acceptance: place the stream exactly there.
                 out[have:] = vals[hits[:need]]
-                consumed = int(hits[need - 1]) + 1
-                have = count
-                if consumed <= len(remainder):
-                    self._pos += consumed
-                else:
-                    into_fresh = consumed - len(remainder)
-                    which = (into_fresh - 1) // _N
-                    self._state = states[which]
-                    self._block = fresh[which * _N:(which + 1) * _N]
-                    self._pos = into_fresh - which * _N
-            else:
-                out[have:have + len(hits)] = vals[hits]
-                have += len(hits)
-                if blocks:
-                    self._state = states[-1]
-                    self._block = fresh[(blocks - 1) * _N:]
-                self._pos = _N      # the whole pool was consumed
+                self.advance(int(hits[need - 1]) + 1)
+                break
+            out[have:have + len(hits)] = vals[hits]
+            have += len(hits)
+            self.advance(len(pool))
         return out
 
 
@@ -238,9 +175,10 @@ class MTStream:
 # replay_schedule evaluates the whole schedule for `draws` consecutive
 # draws against one generator, exactly as a Python loop would.
 
-#: Extra selection-set window slots provisioned per step before the
+#: Re-draw slots a ``q``-pick selection-set window may use before the
 #: rare straggler (a draw hitting an improbable duplicate pile-up)
-#: falls back to a tiny scalar walk.
+#: falls back to a tiny scalar walk: only duplicate pairs closer than
+#: ``q + _WINDOW_EXTRA`` slots are tracked.
 _WINDOW_EXTRA = 16
 
 
@@ -504,9 +442,14 @@ class _Bound:
         test ``previous[t] >= window_start``."""
         if self._previous is None:
             accepted = self.accepted()
-            order = np.argsort(accepted, kind="stable")
+            # Values below 2**16 sort as uint16 keys: NumPy's stable
+            # sort is then a radix sort, linear in the buffer.
+            keys = accepted.astype(np.uint16) if self.n <= 0xFFFF \
+                else accepted
+            order = np.argsort(keys, kind="stable")
             previous = np.full(self.count, -1, dtype=np.int64)
-            same = accepted[order[1:]] == accepted[order[:-1]]
+            ordered = keys[order]
+            same = ordered[1:] == ordered[:-1]
             previous[order[1:][same]] = order[:-1][same]
             self._previous = previous
         return self._previous
@@ -517,47 +460,79 @@ class _Bound:
         For each start ``T`` over the accepted-value sequence, the
         index completing ``q`` distinct selections when consuming from
         ``T`` (re-drawing duplicates), or -1 when the buffer ends
-        first.  Vectorized over all starts; a scalar walk mops up
-        starts whose window outlives the provisioned cap.
+        first.
+
+        Index ``j`` re-draws for start ``T`` iff ``previous[j] >= T``,
+        so the end is the least ``e`` with ``e = T + q - 1 + dups(T,
+        e)``, ``dups`` counting the pairs ``(previous[j], j)`` with
+        ``T <= previous[j]`` and ``j <= e``.  Inside a window of at
+        most ``q + _WINDOW_EXTRA`` slots only pairs closer than that
+        can count: one difference-array pass counts each start's pairs
+        within its first ``q`` slots (unless ``q`` nears the square
+        root of ``n``, most starts have none), and the rest iterate
+        ``e`` upwards over the pair list -- never past the true end.
+        A scalar walk finishes windows outgrowing the cap.
         """
         ends = self._ends.get(q)
         if ends is not None:
             return ends
         previous = self.previous()
         total = self.count
-        starts = np.arange(total + 1, dtype=np.int64)
-        found = np.zeros(total + 1, dtype=np.int64)
-        ends = np.full(total + 1, -1, dtype=np.int64)
-        active = np.ones(total + 1, dtype=bool)
         cap = q + _WINDOW_EXTRA
-        for offset in range(cap):
-            index = starts + offset
-            inside = index < total
-            active &= inside            # window ran off the buffer: -1
-            if not active.any():
-                break
-            safe = np.minimum(index, max(total - 1, 0))
-            fresh = active & (previous[safe] < starts)
-            found += fresh
-            hit = fresh & (found == q)
-            ends[hit] = index[hit]
-            active &= ~hit
-        else:
-            # Stragglers: duplicate pile-ups beyond the cap (each extra
-            # slot needs another same-value repeat -- vanishingly rare).
-            for start in np.flatnonzero(active):
-                start = int(start)
-                seen = int(found[start])
-                index = start + cap
-                while index < total:
-                    if previous[index] < start:
-                        seen += 1
-                        if seen == q:
-                            ends[start] = index
-                            break
-                    index += 1
+        gap = np.arange(total, dtype=np.int64) - previous
+        right = np.flatnonzero((previous >= 0) & (gap < cap))
+        left = previous[right]
+        # Pair (p, j) lies in the first q slots of starts j-q+1 .. p.
+        near = gap[right] < q
+        counts = np.bincount(np.maximum(right[near] - (q - 1), 0),
+                             minlength=total + 1)
+        counts[:total] -= np.bincount(left[near] + 1, minlength=total)
+        dups = np.cumsum(counts)
+        live = max(total - q + 1, 0)    # starts whose first q slots fit
+        ends = np.arange(q - 1, total + q, dtype=np.int64)
+        ends[live:] = -1
+        starts = np.flatnonzero(dups[:live])
+        end = ends[starts]
+        dups = dups[starts]
+        ends[starts] = -1
+        while len(starts):
+            step = starts + (q - 1) + dups
+            settled = step == end
+            ends[starts[settled]] = end[settled]
+            moving = ~settled & (step < total)
+            outgrown = moving & (step - starts >= cap)
+            for start, index, seen in zip(starts[outgrown],
+                                          end[outgrown] + 1,
+                                          (end - step + q)[outgrown]):
+                ends[start] = _walk_window(previous, int(start), int(index),
+                                           int(seen), q)
+            moving &= ~outgrown
+            starts, end, step, dups = (starts[moving], end[moving],
+                                       step[moving], dups[moving])
+            # Pairs newly inside the window: right end in (end, step].
+            first = np.searchsorted(right, end, side="right")
+            width = np.searchsorted(right, step, side="right") - first
+            owner = np.repeat(np.arange(len(starts)), width)
+            pair = np.arange(len(owner)) \
+                + np.repeat(first - np.cumsum(width) + width, width)
+            dups += np.bincount(owner[left[pair] >= starts[owner]],
+                                minlength=len(starts))
+            end = step
         self._ends[q] = ends
         return ends
+
+
+def _walk_window(previous: np.ndarray, start: int, index: int, seen: int,
+                 q: int) -> int:
+    """Finish one window scalar-wise: ``seen`` distinct selections were
+    made before ``index``; -1 when the buffer ends first."""
+    while index < len(previous):
+        if previous[index] < start:
+            seen += 1
+            if seen == q:
+                return index
+        index += 1
+    return -1
 
 
 def replay_schedule(rng: random.Random, ops: Sequence[Tuple[str, int, int]],
@@ -582,63 +557,21 @@ def replay_schedule(rng: random.Random, ops: Sequence[Tuple[str, int, int]],
     outs = [np.empty((draws, width), dtype=np.int64) for width in widths]
     if draws == 0 or not steps:
         return outs
-    tape = _WordTape(rng)
+    stream = MTStream(rng)
     mean, variance = _expected_words(steps)
     budget = int(draws * mean
                  + 6.0 * math.sqrt(max(draws * variance, 1.0))) + 64
-    buffer = tape.words(budget)
+    buffer = stream.peek(budget)
     while True:
         consumed = _replay_buffer(buffer, steps, draws, outs)
         if consumed is not None:
             break
         # The buffer ran out mid-schedule (an unlucky rejection streak):
         # extend it and redo the bookkeeping over the longer buffer.
-        buffer = tape.words(len(buffer) + max(len(buffer) // 2, 1024))
-    tape.commit(consumed, rng)
+        buffer = stream.peek(len(buffer) + max(len(buffer) // 2, 1024))
+    stream.advance(consumed)
+    stream.commit()
     return outs
-
-
-class _WordTape:
-    """A growable word buffer remembering its generator block states.
-
-    Unlike :meth:`MTStream.words`, the tape keeps each 624-word block's
-    raw state, so once the replay knows how many words were actually
-    consumed the caller's generator is positioned with one ``setstate``
-    instead of regenerating the whole stream.
-    """
-
-    def __init__(self, rng: random.Random) -> None:
-        stream = MTStream(rng)
-        self._state0, self._pos0, block = stream.checkpoint()
-        self._head_len = len(block) - self._pos0
-        self._states: List[np.ndarray] = []
-        self._words = block[self._pos0:]
-
-    def words(self, count: int) -> np.ndarray:
-        """The buffer, grown to at least ``count`` words."""
-        missing = count - len(self._words)
-        if missing > 0:
-            blocks = -(-missing // _N)
-            state = self._states[-1] if self._states else self._state0
-            fresh = []
-            for _ in range(blocks):
-                state = _twist(state)
-                fresh.append(state)
-            self._states.extend(fresh)
-            self._words = np.concatenate(
-                [self._words, _temper(np.concatenate(fresh))])
-        return self._words
-
-    def commit(self, consumed: int, rng: random.Random) -> None:
-        """Advance ``rng`` exactly ``consumed`` words past the start."""
-        if consumed <= self._head_len:
-            state, position = self._state0, self._pos0 + consumed
-        else:
-            block = (consumed - self._head_len - 1) // _N
-            state = self._states[block]
-            position = consumed - self._head_len - block * _N
-        _version, _internal, gauss = rng.getstate()
-        rng.setstate((3, tuple(int(w) for w in state) + (position,), gauss))
 
 
 def _replay_buffer(buffer: np.ndarray, steps: Sequence[_Step], draws: int,

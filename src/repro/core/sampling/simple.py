@@ -22,9 +22,10 @@ class SimpleRandomPlan(SamplingPlan):
     Draw path: **vectorized, always**.  ``sample`` consumes one
     ``_randbelow(N)`` per pick, so a whole batch is ``draws * size``
     consecutive outputs of the generator's word stream -- which
-    :class:`MTStream` replays in bulk with exact-position rejection
-    sampling.  This is the simplest of the replay paths (one bound, no
-    schedule), so it needs no scalar fallback of its own; the
+    :class:`MTStream` reads in bulk with exact-position rejection
+    sampling, then commits: ``rng`` ends where the ``sample`` loop
+    would leave it.  This is the simplest of the replay paths (one
+    bound, no schedule), so it needs no scalar fallback of its own; the
     estimator's object path remains the golden-parity reference.
     """
 
@@ -37,6 +38,7 @@ class SimpleRandomPlan(SamplingPlan):
             raise ValueError("sample size must be >= 1")
         stream = MTStream(rng)
         rows = stream.randbelow(self._n, draws * size)
+        stream.commit()
         weights = np.full(size, 1.0 / size)
         return rows.reshape(draws, size), weights
 

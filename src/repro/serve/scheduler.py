@@ -197,7 +197,12 @@ class RequestScheduler:
                     _, op_kwargs = split_params(params)
                     for name in (op_kwargs.get("baseline", "LRU"),
                                  op_kwargs.get("candidate", "DIP")):
-                        name = validate_policy_name(name)
+                        try:
+                            name = validate_policy_name(name)
+                        except (AttributeError, ValueError):
+                            # Unknown, or not a string: that member
+                            # fails alone, in its own estimate below.
+                            continue
                         if name not in policies:
                             policies.append(name)
                 with lock:

@@ -1,4 +1,4 @@
-"""MTStream must replay random.Random's exact word stream."""
+"""MTStream must replay random.Random's exact word stream and commit it."""
 
 import random
 
@@ -74,3 +74,25 @@ def test_rejects_bad_arguments():
         stream.getrandbits(33, 1)
     with pytest.raises(ValueError):
         stream.words(-1)
+
+
+def test_reads_leave_the_generator_alone_until_commit():
+    """Words come from a clone; commit advances rng past the consumed
+    words exactly as the scalar calls would."""
+    rng = random.Random(31)
+    state = rng.getstate()
+    stream = MTStream(rng)
+    stream.randbelow(253, 900)
+    stream.words(17)
+    assert rng.getstate() == state
+    stream.commit()
+    reference = random.Random(31)
+    for _ in range(900):
+        reference.randrange(253)
+    for _ in range(17):
+        reference.getrandbits(32)
+    assert rng.getstate() == reference.getstate()
+    stream.commit()             # nothing consumed since: a no-op
+    assert rng.getstate() == reference.getstate()
+    assert stream.words(5).tolist() == [reference.getrandbits(32)
+                                        for _ in range(5)]

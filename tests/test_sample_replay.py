@@ -147,10 +147,133 @@ def test_buffer_regrow_still_bit_identical(monkeypatch):
         [("sample", 400, 2), ("randbelow", 1, 2)], draws=300, seed=5)
 
 
+def _count_walks(monkeypatch):
+    """Spy on the straggler walk; returns the list its calls append to."""
+    calls = []
+    original = mtstream._walk_window
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mtstream, "_walk_window", spy)
+    return calls
+
+
 def test_window_straggler_fallback(monkeypatch):
     """Duplicate pile-ups beyond the window cap take the scalar walk."""
     monkeypatch.setattr(mtstream, "_WINDOW_EXTRA", 0)
+    walks = _count_walks(monkeypatch)
     assert_schedule_matches([("sample", 22, 5)], draws=400, seed=11)
+    assert walks
+
+
+# ----------------------------------------------------------------------
+# Selection-set windows: the duplicate-pair construction vs the
+# per-offset scan it replaced, and parity at the served shape.
+
+def window_ends_reference(previous, q, extra):
+    """Window ends by one full pass per window offset (the reference).
+
+    For every accepted start, scan offsets ``0 .. q + extra - 1``
+    counting fresh values (``previous[index] < start``); starts still
+    short of ``q`` distinct values after that finish with a scalar
+    walk.  -1 where the buffer ends first.
+    """
+    total = len(previous)
+    starts = np.arange(total + 1, dtype=np.int64)
+    found = np.zeros(total + 1, dtype=np.int64)
+    ends = np.full(total + 1, -1, dtype=np.int64)
+    active = np.ones(total + 1, dtype=bool)
+    cap = q + extra
+    for offset in range(cap):
+        index = starts + offset
+        active &= index < total
+        if not active.any():
+            break
+        safe = np.minimum(index, max(total - 1, 0))
+        fresh = active & (previous[safe] < starts)
+        found += fresh
+        hit = fresh & (found == q)
+        ends[hit] = index[hit]
+        active &= ~hit
+    else:
+        for start in np.flatnonzero(active):
+            start = int(start)
+            seen = int(found[start])
+            index = start + cap
+            while index < total:
+                if previous[index] < start:
+                    seen += 1
+                    if seen == q:
+                        ends[start] = index
+                        break
+                index += 1
+    return ends
+
+
+def previous_reference(accepted):
+    last = {}
+    out = []
+    for index, value in enumerate(accepted):
+        out.append(last.get(value, -1))
+        last[value] = index
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 300), st.data())
+def test_window_ends_match_the_offset_scan(n, data):
+    q = data.draw(st.integers(2, min(n, 40)), label="q")
+    extra = data.draw(st.sampled_from([0, mtstream._WINDOW_EXTRA]),
+                      label="extra")
+    top = (1 << n.bit_length()) - 1
+    words = data.draw(st.lists(st.integers(0, top), max_size=600),
+                      label="words")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mtstream, "_WINDOW_EXTRA", extra)
+        bound = mtstream._Bound(n, np.array(words, dtype=np.uint32),
+                                q + extra)
+        ends = bound.window_ends(q)
+    previous = bound.previous()
+    assert previous.tolist() == previous_reference(bound.accepted().tolist())
+    expected = window_ends_reference(previous, q, extra)
+    assert ends.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n,q", [(10660, 80), (316, 80), (65535, 30),
+                                 (70000, 30), (22, 5)])
+def test_window_ends_match_on_long_buffers(n, q):
+    """Radix-keyed (n < 2**16) and wide-keyed bounds over long buffers."""
+    words = np.random.default_rng(n ^ q).integers(
+        0, 1 << n.bit_length(), size=60_000).astype(np.uint32)
+    bound = mtstream._Bound(n, words, q + mtstream._WINDOW_EXTRA)
+    expected = window_ends_reference(bound.previous(), q,
+                                     mtstream._WINDOW_EXTRA)
+    assert np.array_equal(bound.window_ends(q), expected)
+
+
+#: The workload-strata schedule of one W = 100 point of the benchmark's
+#: served estimate (4 cores, 12 650 workloads, LRU vs DRRIP).
+SERVED_W100 = [("sample", 316, 3), ("sample", 10660, 80),
+               ("sample", 316, 3), ("sample", 316, 3), ("sample", 426, 4),
+               ("sample", 414, 4), ("sample", 202, 3)]
+
+
+@pytest.mark.parametrize("ops,draws,seed", [
+    (SERVED_W100, 1000, 100),
+    ([("sample", 10007, 80)], 300, 3),     # q = 80 over n ~ 10 000
+])
+def test_served_shape_selection_set_parity(ops, draws, seed):
+    assert_schedule_matches(ops, draws=draws, seed=seed)
+
+
+def test_windows_outgrowing_the_gap_limit_parity(monkeypatch):
+    """Duplicate-heavy windows (q = 80 of n = 316, ~12 re-draws each)
+    pass the gap limit and finish on the straggler walk."""
+    walks = _count_walks(monkeypatch)
+    assert_schedule_matches([("sample", 316, 80)], draws=300, seed=8)
+    assert walks
 
 
 def test_rejects_bad_schedules():
@@ -204,3 +327,37 @@ def test_balanced_plan_parity_both_modes():
         plan = BalancedRandomPlan(population.index, population,
                                   vectorized=vectorized)
         _plan_parity(plan, sizes=(4, 7, 30))
+
+
+def test_stratified_plan_parity_at_the_served_shape():
+    """8 strata, W = 100, 1 000 draws: rows and final state."""
+    from repro.core.sampling import StratifiedRowPlan
+
+    sizes = [10660, 316, 316, 316, 426, 414, 202, 2000]
+    slots = [60, 3, 3, 3, 4, 4, 3, 20]
+    cuts = np.cumsum([0] + sizes)
+    strata = [list(range(int(lo), int(hi)))
+              for lo, hi in zip(cuts[:-1], cuts[1:])]
+    plan = StratifiedRowPlan(lambda size: list(zip(strata, slots)),
+                             int(cuts[-1]))
+    _plan_parity(plan, sizes=(100,), draws=1000)
+
+
+def test_simple_plan_batches_advance_the_generator():
+    """Consecutive batches continue the stream like sample() calls."""
+    from repro.bench.spec import benchmark_names
+    from repro.core.population import WorkloadPopulation
+    from repro.core.sampling import SimpleRandomSampling
+
+    population = WorkloadPopulation(benchmark_names()[:8], 3)
+    method = SimpleRandomSampling()
+    plan = method.plan(population.index, population)
+    batched = random.Random(21)
+    looped = random.Random(21)
+    for size, draws in ((7, 50), (3, 40)):
+        rows, _ = plan.rows_matrix(size, draws, batched)
+        expected = [list(method.sample(population, size, looped).workloads)
+                    for _ in range(draws)]
+        assert [[population[r] for r in row]
+                for row in rows.tolist()] == expected
+    assert batched.getstate() == looped.getstate()

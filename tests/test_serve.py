@@ -282,6 +282,27 @@ def test_concurrent_overlapping_requests_coalesce(store, tmp_path,
         assert estimate.training_runs == 0
 
 
+def test_coalesced_member_with_unknown_policy_fails_alone(store, tmp_path,
+                                                         oneshot):
+    state = ResidentState(cache_dir=tmp_path / "cache",
+                          model_store_dir=store)
+    # A long window so the bad request reliably joins the good one.
+    with ReproServer(state, socket_path=tmp_path / "serve.sock",
+                     window_seconds=0.5) as server:
+        good = server.scheduler.submit("estimate", _query())
+        unknown = server.scheduler.submit("estimate",
+                                          _query(candidate="NOPE"))
+        malformed = server.scheduler.submit("estimate", _query(baseline=7))
+        with pytest.raises(ValueError, match="NOPE"):
+            unknown.result(timeout=300)
+        with pytest.raises(AttributeError):
+            malformed.result(timeout=300)
+        estimate = protocol.estimate_from_wire(good.result(timeout=300))
+        counters = server.scheduler.counters()
+    assert counters["coalesced"] == 2
+    assert _fields(estimate) == _fields(oneshot)
+
+
 def test_identical_inflight_requests_share_one_future(server):
     params = _query()
     first = server.scheduler.submit("estimate", params)
