@@ -6,6 +6,8 @@ requested data is available.  Fills are installed at issue time with a
 per-line ``ready_time``, which naturally models MSHR secondary misses
 ("the line is already being fetched") and late prefetches without a
 global event queue -- the property the simulators rely on for speed.
+:meth:`Cache.access` is the innermost call of every simulation, so the
+geometry it reads is copied into plain attributes at construction.
 """
 
 from __future__ import annotations
@@ -105,6 +107,10 @@ class Cache:
         self.stats = CacheStats()
         sets = config.num_sets
         ways = config.ways
+        self.num_sets = sets
+        self.latency = config.latency
+        self.mshr_entries = config.mshr_entries
+        self._line_mask = ~(config.line_bytes - 1)
         self._tags: List[List[int]] = [[-1] * ways for _ in range(sets)]
         self._dirty: List[List[bool]] = [[False] * ways for _ in range(sets)]
         self._ready: List[List[int]] = [[0] * ways for _ in range(sets)]
@@ -115,22 +121,16 @@ class Cache:
         # Completion times of outstanding fills, for MSHR accounting.
         self._outstanding: List[int] = []
         self._line_shift = config.line_bytes.bit_length() - 1
-        self._set_mask = sets - 1 if sets & (sets - 1) == 0 else None
 
     # ------------------------------------------------------------------
     # Address helpers
 
     def _locate(self, address: int):
         line = address >> self._line_shift
-        if self._set_mask is not None:
-            set_index = line & self._set_mask
-        else:
-            set_index = line % self.config.num_sets
-        tag = line // self.config.num_sets
-        return set_index, tag
+        return line % self.num_sets, line // self.num_sets
 
     def _line_address(self, set_index: int, tag: int) -> int:
-        line = tag * self.config.num_sets + set_index
+        line = tag * self.num_sets + set_index
         return line << self._line_shift
 
     # ------------------------------------------------------------------
@@ -141,15 +141,13 @@ class Cache:
 
         If all MSHR entries are occupied by fills still in flight at
         ``now``, the new miss waits until the earliest one completes.
-        The outstanding list is pruned lazily, only when it apparently
-        fills up, which keeps the common case allocation-free.
+        The outstanding list is pruned lazily: :meth:`_fill` only calls
+        this when the list apparently fills up, which keeps the common
+        case allocation-free.
         """
-        outstanding = self._outstanding
-        if len(outstanding) < self.config.mshr_entries:
-            return 0
-        live = [t for t in outstanding if t > now]
+        live = [t for t in self._outstanding if t > now]
         self._outstanding = live
-        if len(live) < self.config.mshr_entries:
+        if len(live) < self.mshr_entries:
             return 0
         return min(live) - now
 
@@ -166,42 +164,44 @@ class Cache:
         initiated, which must not count towards this cache's demand
         miss rate (MPKI) nor steer DIP/DRRIP's PSEL.
         """
-        set_index, tag = self._locate(address)
+        line = address >> self._line_shift
+        set_index = line % self.num_sets
+        tag = line // self.num_sets
         tags = self._tags[set_index]
-        done = now + self.config.latency
-        for way, existing in enumerate(tags):
-            if existing == tag:
-                ready = self._ready[set_index][way]
-                if count_demand:
-                    self.stats.demand_accesses += 1
-                    if ready > now:
-                        # Line is in flight.  A *late prefetch* (fill
-                        # was prefetch-initiated) counts as a demand
-                        # miss whose latency is partially hidden; a
-                        # demand-initiated fill merges into the MSHR
-                        # and is not a new miss.
-                        self.stats.mshr_hits += 1
-                        if self._filled_by_prefetch[set_index][way]:
-                            self.stats.demand_misses += 1
-                            self._filled_by_prefetch[set_index][way] = False
-                        else:
-                            self.stats.demand_hits += 1
-                    else:
-                        self.stats.demand_hits += 1
+        stats = self.stats
+        if tag in tags:
+            way = tags.index(tag)
+            ready = self._ready[set_index][way]
+            if count_demand:
+                stats.demand_accesses += 1
+                if ready > now:
+                    # Line is in flight.  A *late prefetch* (fill was
+                    # prefetch-initiated) counts as a demand miss whose
+                    # latency is partially hidden; a demand-initiated
+                    # fill merges into the MSHR and is not a new miss.
+                    stats.mshr_hits += 1
+                    if self._filled_by_prefetch[set_index][way]:
+                        stats.demand_misses += 1
                         self._filled_by_prefetch[set_index][way] = False
-                self.policy.on_hit(set_index, way)
-                if is_write:
-                    self._dirty[set_index][way] = True
-                return max(done, ready)
+                    else:
+                        stats.demand_hits += 1
+                else:
+                    stats.demand_hits += 1
+                    self._filled_by_prefetch[set_index][way] = False
+            self.policy.on_hit(set_index, way)
+            if is_write:
+                self._dirty[set_index][way] = True
+            done = now + self.latency
+            return ready if ready > done else done
         # True miss.
         if count_demand:
-            self.stats.demand_accesses += 1
-            self.stats.demand_misses += 1
+            stats.demand_accesses += 1
+            stats.demand_misses += 1
             self.policy.on_miss(set_index)
         else:
-            self.stats.prefetch_issued += 1
-        return self._fill(address, set_index, tag, now, is_write=is_write,
-                          is_prefetch=not count_demand)
+            stats.prefetch_issued += 1
+        return self._fill(address, set_index, tag, now, is_write,
+                          not count_demand)
 
     def prefetch(self, address: int, now: int) -> Optional[int]:
         """Prefetch a line; returns its ready time, or None if useless."""
@@ -216,16 +216,18 @@ class Cache:
     def _fill(self, address: int, set_index: int, tag: int, now: int,
               is_write: bool, is_prefetch: bool = False) -> int:
         """Install a line, evicting if needed; returns data-ready time."""
-        start = now + self.config.latency + self._mshr_delay(now)
+        start = now + self.latency
+        if len(self._outstanding) >= self.mshr_entries:
+            start += self._mshr_delay(now)
         if self.next_level is not None:
-            line_address = address & ~(self.config.line_bytes - 1)
-            done = self.next_level(line_address, start, False, is_prefetch)
+            done = self.next_level(address & self._line_mask, start, False,
+                                   is_prefetch)
         else:
             done = start
         tags = self._tags[set_index]
-        try:
+        if -1 in tags:
             way = tags.index(-1)              # prefer an invalid way
-        except ValueError:
+        else:
             way = self.policy.victim(set_index)
             self._evict(set_index, way, now)
         tags[way] = tag

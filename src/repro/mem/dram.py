@@ -51,6 +51,8 @@ class MemoryInterface:
 
     def __init__(self, config: Optional[MemoryConfig] = None) -> None:
         self.config = config if config is not None else MemoryConfig()
+        self.transfer_cycles = self.config.transfer_cycles
+        self.dram_latency = self.config.dram_latency
         self.reads = 0
         self.writes = 0
         self.busy_cycles = 0
@@ -58,14 +60,15 @@ class MemoryInterface:
 
     def access(self, address: int, now: int, is_write: bool,
                is_prefetch: bool = False) -> int:
-        start = max(now, self._bus_free)
-        self._bus_free = start + self.config.transfer_cycles
-        self.busy_cycles += self.config.transfer_cycles
+        bus_free = self._bus_free
+        start = bus_free if bus_free > now else now
+        self._bus_free = start + self.transfer_cycles
+        self.busy_cycles += self.transfer_cycles
         if is_write:
             self.writes += 1
             return now
         self.reads += 1
-        return start + self.config.dram_latency
+        return start + self.dram_latency
 
     @property
     def total_transfers(self) -> int:

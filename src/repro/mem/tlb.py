@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 PAGE_BYTES = 4096
-_PAGE_SHIFT = 12
+PAGE_SHIFT = 12
 
 
 class FrameAllocator:
@@ -34,24 +34,28 @@ class FrameAllocator:
 
 
 class PageTable:
-    """Lazy virtual-to-physical mapping for one thread."""
+    """Lazy virtual-to-physical mapping for one thread.
+
+    ``mapping`` (page -> frame) is public for the uncore's hot path;
+    frames are allocated only by :meth:`translate`.
+    """
 
     def __init__(self, allocator: FrameAllocator) -> None:
         self._allocator = allocator
-        self._mapping: Dict[int, int] = {}
+        self.mapping: Dict[int, int] = {}
 
     def translate(self, virtual_address: int) -> int:
         """Physical address for a virtual one, allocating on first touch."""
-        page = virtual_address >> _PAGE_SHIFT
-        frame = self._mapping.get(page)
+        page = virtual_address >> PAGE_SHIFT
+        frame = self.mapping.get(page)
         if frame is None:
             frame = self._allocator.allocate()
-            self._mapping[page] = frame
-        return (frame << _PAGE_SHIFT) | (virtual_address & (PAGE_BYTES - 1))
+            self.mapping[page] = frame
+        return (frame << PAGE_SHIFT) | (virtual_address & (PAGE_BYTES - 1))
 
     @property
     def pages_mapped(self) -> int:
-        return len(self._mapping)
+        return len(self.mapping)
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ class Tlb:
         self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
 
     def lookup(self, virtual_address: int) -> int:
-        page = virtual_address >> _PAGE_SHIFT
+        page = virtual_address >> PAGE_SHIFT
         set_index = page % self.config.num_sets
         entries = self._sets[set_index]
         if page in entries:

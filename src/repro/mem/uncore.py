@@ -16,13 +16,13 @@ miss stream through the shared LLC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import MemoryConfig, MemoryInterface
 from repro.mem.prefetch import StreamPrefetcher
 from repro.mem.replacement import make_policy
-from repro.mem.tlb import FrameAllocator, PageTable
+from repro.mem.tlb import PAGE_BYTES, PAGE_SHIFT, FrameAllocator, PageTable
 
 KB = 1024
 
@@ -97,7 +97,9 @@ class Uncore:
     Each core (thread) gets its own :class:`PageTable`; translation
     happens here, so private caches above operate on virtual addresses
     while the shared LLC is physically indexed -- different threads can
-    never hit on each other's data.
+    never hit on each other's data.  :meth:`access` is every machine's
+    uncore callback: a mapped page translates without a call, and the
+    stream prefetcher (which acts only on misses) sees LLC demand misses.
     """
 
     def __init__(self, config: UncoreConfig, seed: int = 0) -> None:
@@ -109,20 +111,15 @@ class Uncore:
         policy = make_policy(config.policy, llc_config.num_sets,
                              llc_config.ways, seed=seed)
         self.llc = Cache(llc_config, policy, next_level=self.memory.access)
-        self._allocator = FrameAllocator()
-        self._page_tables: Dict[int, PageTable] = {}
+        # Frames are allocated on first touch, so eager tables are free.
+        allocator = FrameAllocator()
+        self._page_tables: List[PageTable] = [
+            PageTable(allocator) for _ in range(max(config.cores, 1))]
         if config.stream_prefetcher:
             self._prefetcher: Optional[StreamPrefetcher] = StreamPrefetcher(self.llc)
         else:
             self._prefetcher = None
         self.requests_per_core: List[int] = [0] * max(config.cores, 1)
-
-    def page_table_for(self, core_id: int) -> PageTable:
-        table = self._page_tables.get(core_id)
-        if table is None:
-            table = PageTable(self._allocator)
-            self._page_tables[core_id] = table
-        return table
 
     def access(self, core_id: int, virtual_address: int, now: int,
                is_write: bool = False, pc: int = 0,
@@ -134,13 +131,20 @@ class Uncore:
         but do not train the LLC stream prefetcher.
         """
         self.requests_per_core[core_id] += 1
-        physical = self.page_table_for(core_id).translate(virtual_address)
-        before_misses = self.llc.stats.demand_misses
-        done = self.llc.access(physical, now, is_write=is_write,
-                               count_demand=not is_prefetch)
-        if self._prefetcher is not None and not is_prefetch:
-            was_miss = self.llc.stats.demand_misses > before_misses
-            self._prefetcher.observe(pc, physical, now, was_miss)
+        table = self._page_tables[core_id]
+        frame = table.mapping.get(virtual_address >> PAGE_SHIFT)
+        if frame is None:
+            physical = table.translate(virtual_address)
+        else:
+            physical = (frame << PAGE_SHIFT) | (virtual_address
+                                                & (PAGE_BYTES - 1))
+        llc = self.llc
+        if is_prefetch or self._prefetcher is None:
+            return llc.access(physical, now, is_write, not is_prefetch)
+        misses = llc.stats.demand_misses
+        done = llc.access(physical, now, is_write, True)
+        if llc.stats.demand_misses > misses:
+            self._prefetcher.observe(pc, physical, now, True)
         return done
 
     @property

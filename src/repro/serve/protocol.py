@@ -34,6 +34,14 @@ from typing import IO, Any, Dict, Optional
 from repro.api.session import FullScaleEstimate, TwoStageEstimate
 
 
+#: Largest request frame the daemon reads, newline included (1 MiB).
+#: Requests are a few hundred bytes; a longer line gets a
+#: :class:`ProtocolError` reply and the connection closes, so one client
+#: cannot grow a handler's buffer without bound.  Responses (``panel``
+#: results) can be far larger, so clients read them uncapped.
+MAX_REQUEST_BYTES = 1 << 20
+
+
 class ProtocolError(ValueError):
     """A malformed frame or an unserialisable payload."""
 
@@ -61,9 +69,20 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     return message
 
 
-def read_message(stream: IO[bytes]) -> Optional[Dict[str, Any]]:
-    """The next frame from a socket file, or None on a clean EOF."""
-    line = stream.readline()
+def read_message(stream: IO[bytes],
+                 limit: Optional[int] = None) -> Optional[Dict[str, Any]]:
+    """The next frame from a socket file, or None on a clean EOF.
+
+    With a ``limit`` at most ``limit + 1`` bytes are read, and a frame
+    longer than ``limit`` bytes (newline included) raises
+    :class:`ProtocolError`.
+    """
+    if limit is None:
+        line = stream.readline()
+    else:
+        line = stream.readline(limit + 1)
+        if len(line) > limit:
+            raise ProtocolError(f"frame exceeds {limit} bytes")
     if not line:
         return None
     return decode_line(line)

@@ -38,7 +38,8 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         while True:
             try:
-                message = protocol.read_message(self.rfile)
+                message = protocol.read_message(
+                    self.rfile, protocol.MAX_REQUEST_BYTES)
             except protocol.ProtocolError as error:
                 self._reply({"id": None, "ok": False, "error": str(error)})
                 return

@@ -53,7 +53,7 @@ from repro.core.workload import Workload
 from repro.mem.uncore import Uncore, UncoreConfig, uncore_config_for_cores
 from repro.sim.badco.machine import BadcoMachine
 from repro.sim.badco.model import BadcoModelBuilder
-from repro.sim.detailed import WorkloadRun, _MeasuredThread
+from repro.sim.detailed import WorkloadRun, _MeasuredThread, interleave
 
 #: Bus utilisation is clipped below saturation so the queueing term
 #: stays finite; beyond this the linear-rate estimate is meaningless
@@ -339,10 +339,11 @@ class AnalyticModelBuilder:
         latency_total = 0.0
         demand_reads = 0
 
-        def access(address: int, now: int, is_write: bool, pc: int,
-                   is_prefetch: bool = False) -> int:
+        def access(core_id: int, address: int, now: int, is_write: bool,
+                   pc: int, is_prefetch: bool) -> int:
             nonlocal latency_total, demand_reads
-            done = uncore.access(0, address, now, is_write, pc, is_prefetch)
+            done = uncore.access(core_id, address, now, is_write, pc,
+                                 is_prefetch)
             if not is_write and not is_prefetch:
                 latency_total += done - now
                 demand_reads += 1
@@ -351,11 +352,7 @@ class AnalyticModelBuilder:
         machine = BadcoMachine(0, model, access)
         warmup = int(self.trace_length * warmup_fraction)
         meter = _MeasuredThread(warmup, self.trace_length)
-        while not meter.finished:
-            if machine.done:
-                machine.restart()
-            machine.advance()
-            meter.observe(machine.executed, machine.local_time)
+        interleave([machine], [meter])
         stats = uncore.llc.stats
         accesses = max(stats.demand_accesses, 1)
         misses = stats.demand_misses

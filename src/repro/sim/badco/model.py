@@ -19,12 +19,16 @@ The construction follows the paper's recipe:
   fraction of its request's latency that lands on the critical path.
   Overlapped (MLP) requests yield sensitivities well below 1, which is
   how the model captures memory-level parallelism.
+
+A node is a :class:`typing.NamedTuple`: the replay loop unpacks one
+tuple per node, and the model store builds a model's nodes with one
+``map(BadcoNode._make, ...)`` over its columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH, cached_trace
 from repro.cpu.core import DetailedCore
@@ -41,9 +45,8 @@ TRAIN_MISS_LATENCY = 240
 MAX_NODE_UOPS = 256
 
 
-@dataclass(frozen=True)
-class BadcoNode:
-    """One node of a BADCO model.
+class BadcoNode(NamedTuple):
+    """One node of a BADCO model (immutable; fields in replay order).
 
     Attributes:
         uop_count: uops represented by this node.
@@ -76,12 +79,6 @@ class BadcoModel:
     @property
     def total_uops(self) -> int:
         return sum(node.uop_count for node in self.nodes)
-
-    @property
-    def request_count(self) -> int:
-        demand = sum(1 for n in self.nodes if n.read_address is not None)
-        extra = sum(len(n.extra_requests) for n in self.nodes)
-        return demand + extra
 
 
 class _TrainingRun:

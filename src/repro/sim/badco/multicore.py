@@ -10,14 +10,17 @@ smallest local clock issues next), which serialises simultaneous
 requests fairly the same way.
 
 Restart and measurement semantics are identical to the detailed
-simulator's (Section IV-A), so per-workload IPCs from the two
-simulators are directly comparable -- which Figs. 2 and 4 rely on.
+simulator's (Section IV-A) -- both run the same scheduler,
+:func:`repro.sim.detailed.interleave` -- so per-workload IPCs from the
+two simulators are directly comparable, which Figs. 2 and 4 rely on.
+Each machine calls the shared uncore's ``access`` directly with its
+core id.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Optional
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH
 from repro.core.workload import Workload
@@ -25,7 +28,7 @@ from repro.mem.uncore import Uncore, UncoreConfig, uncore_config_for_cores
 from repro.sim.badco.machine import BadcoMachine
 from repro.sim.badco.model import BadcoModelBuilder
 from repro.sim.batch import EventDrivenBatchMixin
-from repro.sim.detailed import WorkloadRun, _MeasuredThread
+from repro.sim.detailed import WorkloadRun, _MeasuredThread, interleave
 
 
 class BadcoSimulator(EventDrivenBatchMixin):
@@ -73,51 +76,17 @@ class BadcoSimulator(EventDrivenBatchMixin):
                 f"{self.cores} cores")
         started = time.perf_counter()
         uncore = Uncore(self.uncore_config, seed=self.seed)
-        machines: List[BadcoMachine] = []
-        meters: List[_MeasuredThread] = []
         warmup = int(self.trace_length * self.warmup_fraction)
-        for core_id, benchmark in enumerate(workload):
-            model = self.builder.build(benchmark)
-
-            def access(address: int, now: int, is_write: bool, pc: int,
-                       is_prefetch: bool = False,
-                       _core_id: int = core_id) -> int:
-                return uncore.access(_core_id, address, now, is_write, pc,
-                                     is_prefetch)
-
-            machines.append(BadcoMachine(core_id, model, access))
-            meters.append(_MeasuredThread(warmup, self.trace_length))
-
-        self._interleave(machines, meters)
+        machines = [BadcoMachine(core_id, self.builder.build(benchmark),
+                                 uncore.access)
+                    for core_id, benchmark in enumerate(workload)]
+        meters = [_MeasuredThread(warmup, self.trace_length)
+                  for _ in machines]
+        interleave(machines, meters)
         total_executed = sum(machine.executed for machine in machines)
         wall = time.perf_counter() - started
         ipcs = [meter.ipc() for meter in meters]
         return WorkloadRun(workload, ipcs, total_executed, wall)
-
-    @staticmethod
-    def _interleave(machines: List[BadcoMachine],
-                    meters: List[_MeasuredThread]) -> None:
-        pending = len(machines)
-        while pending:
-            best = None
-            best_time = None
-            for machine, meter in zip(machines, meters):
-                if meter.finished:
-                    continue
-                if best_time is None or machine.local_time < best_time:
-                    best = machine
-                    best_time = machine.local_time
-            for machine, meter in zip(machines, meters):
-                if meter.finished and machine.local_time < best_time:
-                    if machine.done:
-                        machine.restart()
-                    machine.advance()
-            if best.done:
-                best.restart()
-            best.advance()
-            meter = meters[machines.index(best)]
-            meter.observe(best.executed, best.local_time)
-            pending = sum(1 for m in meters if not m.finished)
 
     def reference_ipc(self, benchmark: str) -> float:
         """Single-thread IPC of a benchmark on this machine (alone)."""

@@ -17,12 +17,18 @@ instructions the paper can skip cache warming, but at our trace lengths
 cold misses would dominate, so each thread's first ``warmup_fraction``
 of uops runs unmeasured (caches and predictors stay warm across the
 boundary).
+
+:func:`interleave` is the one scheduler of all three event-driven
+simulators -- this one, :mod:`repro.sim.badco` and
+:mod:`repro.sim.interval` -- and of the analytic backend's standalone
+calibration run.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH, cached_trace
@@ -93,15 +99,49 @@ class _MeasuredThread:
         self._prev_executed = executed
         self._prev_time = local_time
 
-    @property
-    def finished(self) -> bool:
-        return self.end_time is not None
-
     def ipc(self) -> float:
         if self.start_time is None or self.end_time is None:
             raise RuntimeError("measurement window never completed")
         cycles = self.end_time - self.start_time
         return (self.quota - self.warmup) / max(cycles, 1.0)
+
+
+def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread]) -> None:
+    """Advance steppers in global time order until every meter has measured.
+
+    A stepper (detailed core, BADCO or interval machine) has
+    ``local_time``, ``executed``, ``done``, ``restart()`` and an
+    ``advance()`` returning its new local time.  Each step advances the
+    unfinished thread with the smallest local time (lowest core index on
+    ties), after advancing once, in core order, every finished thread
+    behind it: finished threads restart and keep running so slower ones
+    see realistic contention (Section IV-A).  Local times and the
+    running/finished split live in local lists, so a step reads no
+    property of an idle thread.
+    """
+    times = [stepper.local_time for stepper in steppers]
+    running = list(range(len(steppers)))
+    finished: List[int] = []
+    by_time = times.__getitem__
+    while running:
+        best = min(running, key=by_time)
+        best_time = times[best]
+        for i in finished:
+            if times[i] < best_time:
+                stepper = steppers[i]
+                if stepper.done:
+                    stepper.restart()
+                times[i] = stepper.advance()
+        stepper = steppers[best]
+        if stepper.done:
+            stepper.restart()
+        times[best] = now = stepper.advance()
+        meter = meters[best]
+        meter.observe(stepper.executed, now)
+        if meter.end_time is not None:
+            running.remove(best)
+            finished.append(best)
+            finished.sort()
 
 
 class DetailedSimulator:
@@ -154,54 +194,15 @@ class DetailedSimulator:
         warmup = int(self.trace_length * self.warmup_fraction)
         for core_id, benchmark in enumerate(workload):
             trace = cached_trace(benchmark, self.trace_length, self.seed)
-
-            def access(address: int, now: int, is_write: bool, pc: int,
-                       is_prefetch: bool = False,
-                       _core_id: int = core_id) -> int:
-                return uncore.access(_core_id, address, now, is_write, pc,
-                                     is_prefetch)
-
-            cores.append(DetailedCore(core_id, self.core_config, trace, access))
+            cores.append(DetailedCore(core_id, self.core_config, trace,
+                                      partial(uncore.access, core_id)))
             meters.append(_MeasuredThread(warmup, self.trace_length))
 
-        self._interleave(cores, meters)
+        interleave(cores, meters)
         total_executed = sum(core.executed for core in cores)
         wall = time.perf_counter() - started
         ipcs = [meter.ipc() for meter in meters]
         return WorkloadRun(workload, ipcs, total_executed, wall)
-
-    @staticmethod
-    def _interleave(cores: Sequence[DetailedCore],
-                    meters: Sequence[_MeasuredThread]) -> None:
-        """Advance cores in global time order until all have measured.
-
-        Finished threads restart and keep executing so the contention
-        seen by slower threads stays realistic (Section IV-A).
-        """
-        pending = len(cores)
-        while pending:
-            # Pick the core with the smallest commit frontier.
-            best = None
-            best_time = None
-            for core, meter in zip(cores, meters):
-                if meter.finished:
-                    continue
-                if best_time is None or core.local_time < best_time:
-                    best = core
-                    best_time = core.local_time
-            # Also let finished cores keep pace (they provide contention):
-            # advance any finished core that has fallen behind the pick.
-            for core, meter in zip(cores, meters):
-                if meter.finished and core.local_time < best_time:
-                    if core.done:
-                        core.restart()
-                    core.advance()
-            if best.done:
-                best.restart()
-            best.advance()
-            meter = meters[cores.index(best)]
-            meter.observe(best.executed, best.local_time)
-            pending = sum(1 for m in meters if not m.finished)
 
     # ------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Executing an interval profile against a real uncore."""
+"""Executing an interval profile against a real uncore (whose ``access``
+is the callback, as for the BADCO machine)."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ from typing import Callable
 
 from repro.sim.interval.profile import IntervalProfile, TRAIN_HIT_LATENCY
 
-UncoreAccess = Callable[[int, int, bool, int, bool], int]
+#: (core_id, address, now, is_write, pc, is_prefetch) -> completion time.
+UncoreAccess = Callable[[int, int, int, bool, int, bool], int]
 
 
 class IntervalMachine:
@@ -24,12 +26,11 @@ class IntervalMachine:
                  uncore_access: UncoreAccess, start_time: int = 0) -> None:
         self.core_id = core_id
         self.profile = profile
+        self._intervals = profile.intervals
         self._uncore_access = uncore_access
         self._time = float(start_time)
-        self.start_time = start_time
         self.position = 0
         self.executed = 0
-        self.requests_issued = 0
 
     @property
     def local_time(self) -> float:
@@ -37,23 +38,23 @@ class IntervalMachine:
 
     @property
     def done(self) -> bool:
-        return self.position >= len(self.profile.intervals)
+        return self.position >= len(self._intervals)
 
     def restart(self) -> None:
         self.position = 0
 
     def advance(self) -> float:
-        interval = self.profile.intervals[self.position]
+        interval = self._intervals[self.position]
         self.position += 1
         now = int(self._time)
+        access = self._uncore_access
+        core_id = self.core_id
+        pc = interval.pc
         for address, is_write in interval.extras:
-            self._uncore_access(address, now, is_write, interval.pc, True)
-            self.requests_issued += 1
+            access(core_id, address, now, is_write, pc, True)
         stall = 0.0
         for address in interval.reads:
-            done = self._uncore_access(address, now, False, interval.pc,
-                                       False)
-            self.requests_issued += 1
+            done = access(core_id, address, now, False, pc, False)
             extra = (done - now) - TRAIN_HIT_LATENCY
             if extra > stall:
                 stall = extra               # group pays the slowest only

@@ -1,15 +1,16 @@
-"""Multicore interval simulation (same semantics as the other two)."""
+"""Multicore interval simulation (same semantics as the other two, and
+the same scheduler: :func:`repro.sim.detailed.interleave`)."""
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Optional
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH
 from repro.core.workload import Workload
 from repro.mem.uncore import Uncore, UncoreConfig, uncore_config_for_cores
 from repro.sim.batch import EventDrivenBatchMixin
-from repro.sim.detailed import WorkloadRun, _MeasuredThread
+from repro.sim.detailed import WorkloadRun, _MeasuredThread, interleave
 from repro.sim.interval.machine import IntervalMachine
 from repro.sim.interval.profile import IntervalProfileBuilder
 
@@ -53,50 +54,16 @@ class IntervalSimulator(EventDrivenBatchMixin):
                 f"{self.cores} cores")
         started = time.perf_counter()
         uncore = Uncore(self.uncore_config, seed=self.seed)
-        machines: List[IntervalMachine] = []
-        meters: List[_MeasuredThread] = []
         warmup = int(self.trace_length * self.warmup_fraction)
-        for core_id, benchmark in enumerate(workload):
-            profile = self.builder.build(benchmark)
-
-            def access(address: int, now: int, is_write: bool, pc: int,
-                       is_prefetch: bool = False,
-                       _core_id: int = core_id) -> int:
-                return uncore.access(_core_id, address, now, is_write, pc,
-                                     is_prefetch)
-
-            machines.append(IntervalMachine(core_id, profile, access))
-            meters.append(_MeasuredThread(warmup, self.trace_length))
-
-        self._interleave(machines, meters)
+        machines = [IntervalMachine(core_id, self.builder.build(benchmark),
+                                    uncore.access)
+                    for core_id, benchmark in enumerate(workload)]
+        meters = [_MeasuredThread(warmup, self.trace_length)
+                  for _ in machines]
+        interleave(machines, meters)
         total = sum(machine.executed for machine in machines)
         wall = time.perf_counter() - started
         return WorkloadRun(workload, [m.ipc() for m in meters], total, wall)
-
-    @staticmethod
-    def _interleave(machines: List[IntervalMachine],
-                    meters: List[_MeasuredThread]) -> None:
-        pending = len(machines)
-        while pending:
-            best = None
-            best_time = None
-            for machine, meter in zip(machines, meters):
-                if meter.finished:
-                    continue
-                if best_time is None or machine.local_time < best_time:
-                    best = machine
-                    best_time = machine.local_time
-            for machine, meter in zip(machines, meters):
-                if meter.finished and machine.local_time < best_time:
-                    if machine.done:
-                        machine.restart()
-                    machine.advance()
-            if best.done:
-                best.restart()
-            best.advance()
-            meter = meters[machines.index(best)]
-            meter.observe(best.executed, best.local_time)
-            pending = sum(1 for m in meters if not m.finished)
 
     def reference_ipc(self, benchmark: str) -> float:
         single = IntervalSimulator(

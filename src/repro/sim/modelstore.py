@@ -51,7 +51,7 @@ import io
 import json
 import zipfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -206,16 +206,17 @@ class ModelStore:
         except (OSError, KeyError, ValueError, EOFError,
                 zipfile.BadZipFile):
             return None
-        extras: List[Tuple[Tuple[int, bool], ...]] = [
-            tuple(zip(addresses[start:stop], is_write[start:stop]))
-            for start, stop in zip(offsets[:-1], offsets[1:])]
-        nodes = [
-            BadcoNode(
-                uop_count=uop_count[i], intrinsic=intrinsic[i],
-                sensitivity=sensitivity[i],
-                read_address=None if read_address[i] < 0 else read_address[i],
-                read_pc=read_pc[i], extra_requests=extras[i])
-            for i in range(len(uop_count))]
+        if not (len(uop_count) == len(intrinsic) == len(sensitivity)
+                == len(read_address) == len(read_pc) == len(offsets) - 1):
+            return None      # ragged columns: zip would truncate them
+        pairs = tuple(zip(addresses, is_write))
+        extras = [pairs[start:stop]
+                  for start, stop in zip(offsets, offsets[1:])]
+        read_address = [None if address < 0 else address
+                        for address in read_address]
+        nodes = list(map(BadcoNode._make, zip(
+            uop_count, intrinsic, sensitivity, read_address, read_pc,
+            extras)))
         return BadcoModel(benchmark, trace_length, nodes)
 
     # ------------------------------------------------------------------

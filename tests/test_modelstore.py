@@ -5,7 +5,7 @@ import pytest
 from repro.api import Campaign, CampaignConfig, Session
 from repro.core.population import WorkloadPopulation
 from repro.sim.analytic import AnalyticModelBuilder
-from repro.sim.badco.model import BadcoModelBuilder
+from repro.sim.badco.model import BadcoModelBuilder, BadcoNode
 from repro.sim.modelstore import (
     MODELSTORE_VERSION,
     ModelStore,
@@ -32,8 +32,9 @@ def test_badco_model_round_trips_bit_identically(tmp_path):
     assert warm.training_uops == 0
     assert loaded.benchmark == trained.benchmark
     assert loaded.trace_length == trained.trace_length
-    # Dataclass equality covers every float and every extra request.
+    # Tuple equality covers every float and every extra request.
     assert loaded.nodes == trained.nodes
+    assert all(type(node) is BadcoNode for node in loaded.nodes)
 
 
 def test_store_miss_on_different_configuration(tmp_path):
@@ -169,6 +170,25 @@ def test_badzip_store_entry_falls_back_to_training(tmp_path):
         path.write_bytes(b"PK\x03\x04garbage")
     assert store.load_badco_model("gcc",
                                   first._store_signature()) is None
+    warm = BadcoModelBuilder(TRACE, 0, store=store)
+    assert warm.build("gcc").nodes == first.build("gcc").nodes
+    assert warm.training_runs == 2
+
+
+def test_ragged_store_entry_falls_back_to_training(tmp_path):
+    """A well-formed npz whose node columns disagree in length is a
+    corrupt entry: it must retrain, not load a truncated model."""
+    import numpy as np
+
+    store = ModelStore(tmp_path)
+    first = BadcoModelBuilder(TRACE, 0, store=store)
+    first.build("gcc")
+    path = store.badco_model_path("gcc", first._store_signature())
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["intrinsic"] = arrays["intrinsic"][:-1]
+    np.savez_compressed(path, **arrays)
+    assert store.load_badco_model("gcc", first._store_signature()) is None
     warm = BadcoModelBuilder(TRACE, 0, store=store)
     assert warm.build("gcc").nodes == first.build("gcc").nodes
     assert warm.training_runs == 2

@@ -366,6 +366,27 @@ def test_bad_requests_error_without_dropping_the_connection(server):
         assert client.ping()   # the connection survived every error
 
 
+def test_oversized_frame_is_refused_without_stalling_others(server,
+                                                            oneshot):
+    from repro.serve.server import connect
+
+    limit = protocol.MAX_REQUEST_BYTES
+    with connect(server.address, timeout=60) as hostile:
+        # The cap's worth of bytes and no newline: its handler is now
+        # buffering mid-frame, waiting for one more byte.
+        hostile.sendall(b"x" * limit)
+        with ReproClient(server.address, timeout=60) as client:
+            served = client.estimate(**_query())
+        hostile.sendall(b"x")
+        with hostile.makefile("rb") as replies:
+            reply = protocol.decode_line(replies.readline())
+            closed = replies.read() == b""
+    assert reply["ok"] is False
+    assert f"exceeds {limit} bytes" in reply["error"]
+    assert closed
+    assert _fields(served) == _fields(oneshot)
+
+
 def test_shutdown_op_stops_the_daemon(store, tmp_path):
     state = ResidentState(cache_dir=tmp_path / "cache",
                           model_store_dir=store)
