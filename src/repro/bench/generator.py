@@ -10,8 +10,9 @@ Trace generation happens in two stages, like a real program:
    predictor learn per-PC patterns and the stride prefetcher learn
    per-PC strides, as they do on real codes.
 2. The static program is *executed*: the PC walks the slots, loop
-   branches iterate blocks, and memory slots draw effective addresses
-   from the spec's address stream.
+   branches iterate blocks, memory slots draw effective addresses from
+   the spec's address stream, and every other slot yields one uop,
+   built once and shared by all its visits.
 
 ``generate_trace(spec, length, seed)`` is a pure function: the same
 (spec, length, seed) triple always yields the same uop sequence.  This
@@ -149,28 +150,37 @@ def generate_trace(spec: BenchmarkSpec, length: int = DEFAULT_TRACE_LENGTH,
     if length <= 0:
         raise ValueError("trace length must be positive")
     rng = random.Random(f"{spec.name}/{seed}")
-    addresses = _make_address_stream(spec, rng)
+    next_address = _make_address_stream(spec, rng).next_address
     program = _build_static_program(spec, rng)
     slots = len(program)
+    # A slot that is neither a branch nor a memory access yields the
+    # same uop on every visit: build it once (None marks the others).
+    fixed = [None if static.kind in (UopKind.LOAD, UopKind.STORE,
+                                     UopKind.BRANCH)
+             else Uop(static.kind, _CODE_BASE + slot * _INSTRUCTION_BYTES,
+                      static.deps)
+             for slot, static in enumerate(program)]
 
     uops: List[Uop] = []
+    append = uops.append
     slot = 0
-    while len(uops) < length:
-        static = program[slot]
-        pc = _CODE_BASE + slot * _INSTRUCTION_BYTES
-        if static.kind == UopKind.BRANCH:
-            taken = static.behavior.next_outcome()
-            target = _CODE_BASE + static.target_slot * _INSTRUCTION_BYTES
-            uops.append(Uop(UopKind.BRANCH, pc, static.deps,
-                            taken=taken, target=target))
-            slot = static.target_slot if taken else slot + 1
-        else:
-            if static.kind in (UopKind.LOAD, UopKind.STORE):
-                uops.append(Uop(static.kind, pc, static.deps,
-                                address=addresses.next_address()))
-            else:
-                uops.append(Uop(static.kind, pc, static.deps))
+    for _ in range(length):
+        uop = fixed[slot]
+        if uop is not None:
+            append(uop)
             slot += 1
+        else:
+            static = program[slot]
+            pc = _CODE_BASE + slot * _INSTRUCTION_BYTES
+            if static.kind == UopKind.BRANCH:
+                taken = static.behavior.next_outcome()
+                target = _CODE_BASE + static.target_slot * _INSTRUCTION_BYTES
+                append(Uop(UopKind.BRANCH, pc, static.deps, None, taken,
+                           target))
+                slot = static.target_slot if taken else slot + 1
+            else:
+                append(Uop(static.kind, pc, static.deps, next_address()))
+                slot += 1
         if slot >= slots:
             slot = 0
     return Trace(spec.name, uops, seed=seed)

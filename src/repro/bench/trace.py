@@ -6,13 +6,15 @@ SimpleScalar's EIO feature and replays exactly the same dynamic uop
 sequence in every simulation; we preserve that property -- a
 :class:`Trace` is immutable once built and fully determined by the
 benchmark spec and seed that produced it.
+
+A :class:`Uop` is a :class:`typing.NamedTuple`, which the detailed core
+unpacks once per uop.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 
 class UopKind(enum.IntEnum):
@@ -39,9 +41,8 @@ EXECUTION_LATENCY = {
 }
 
 
-@dataclass(frozen=True)
-class Uop:
-    """One dynamic micro-operation.
+class Uop(NamedTuple):
+    """One dynamic micro-operation (immutable; fields in unpack order).
 
     Attributes:
         kind: operation class.

@@ -10,7 +10,7 @@ allocate-on-mispredict update rule.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 
 class BranchPredictor:
@@ -32,26 +32,16 @@ class BranchPredictor:
 class _TaggedTable:
     """One tagged TAGE component."""
 
-    __slots__ = ("entries", "history_bits", "tag_bits", "tags", "counters",
+    __slots__ = ("entries", "history_mask", "tag_mask", "tags", "counters",
                  "useful")
 
     def __init__(self, entries: int, history_bits: int, tag_bits: int = 8) -> None:
         self.entries = entries
-        self.history_bits = history_bits
-        self.tag_bits = tag_bits
+        self.history_mask = (1 << history_bits) - 1
+        self.tag_mask = (1 << tag_bits) - 1
         self.tags: List[int] = [-1] * entries
         self.counters: List[int] = [0] * entries   # signed 3-bit [-4, 3]
         self.useful: List[int] = [0] * entries
-
-    def index_and_tag(self, pc: int, history: int) -> tuple:
-        folded = 0
-        h = history & ((1 << self.history_bits) - 1)
-        while h:
-            folded ^= h & 0xFFFF
-            h >>= 16
-        index = (pc ^ folded ^ (folded >> 4)) % self.entries
-        tag = ((pc >> 2) ^ folded) & ((1 << self.tag_bits) - 1)
-        return index, tag
 
 
 class TageLitePredictor(BranchPredictor):
@@ -72,16 +62,26 @@ class TageLitePredictor(BranchPredictor):
         self._history = 0
         self._last_provider: Optional[int] = None
         self._last_index = 0
+        # Each table's (index, tag) for the branch being predicted.
+        self._slots: List[Tuple[int, int]] = []
         self.predictions = 0
         self.mispredictions = 0
 
     # -- prediction ----------------------------------------------------
 
     def predict(self, pc: int) -> bool:
+        """Predict; a table hashes the XOR of its history bits' 16-bit
+        chunks (at most four: the global history keeps 64 bits)."""
+        history = self._history
         self._last_provider = None
         prediction = self._bimodal[pc % len(self._bimodal)] >= 0
+        self._slots = slots = []
         for table_number, table in enumerate(self._tables):
-            index, tag = table.index_and_tag(pc, self._history)
+            h = history & table.history_mask
+            folded = (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) & 0xFFFF
+            index = (pc ^ folded ^ (folded >> 4)) % table.entries
+            tag = ((pc >> 2) ^ folded) & table.tag_mask
+            slots.append((index, tag))
             if table.tags[index] == tag:
                 prediction = table.counters[index] >= 0
                 self._last_provider = table_number
@@ -108,14 +108,15 @@ class TageLitePredictor(BranchPredictor):
         self.predictions += 1
         if mispredicted:
             self.mispredictions += 1
-            self._allocate(pc, taken)
+            self._allocate(taken)
         self._history = ((self._history << 1) | int(taken)) & ((1 << 64) - 1)
 
-    def _allocate(self, pc: int, taken: bool) -> None:
-        """Allocate in a longer-history table after a misprediction."""
+    def _allocate(self, taken: bool) -> None:
+        """Allocate in a longer-history table after a misprediction, at
+        the (index, tag) :meth:`predict` computed from this history."""
         start = 0 if self._last_provider is None else self._last_provider + 1
-        for table in self._tables[start:]:
-            index, tag = table.index_and_tag(pc, self._history)
+        for table, (index, tag) in zip(self._tables[start:],
+                                       self._slots[start:]):
             if table.useful[index] == 0:
                 table.tags[index] = tag
                 table.counters[index] = 0 if taken else -1

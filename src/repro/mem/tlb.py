@@ -80,19 +80,22 @@ class Tlb:
     """Set-associative TLB with LRU replacement.
 
     ``lookup`` returns the extra cycles the translation costs beyond the
-    pipelined access (0 on a hit, ``miss_penalty`` on a miss).
+    pipelined access (0 on a hit, ``miss_penalty`` on a miss); the
+    geometry it reads is copied into plain attributes at construction.
     """
 
     def __init__(self, config: TlbConfig) -> None:
         self.config = config
         self.hits = 0
         self.misses = 0
-        self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
+        self.num_sets = config.num_sets
+        self.ways = config.ways
+        self.miss_penalty = config.miss_penalty
+        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
 
     def lookup(self, virtual_address: int) -> int:
         page = virtual_address >> PAGE_SHIFT
-        set_index = page % self.config.num_sets
-        entries = self._sets[set_index]
+        entries = self._sets[page % self.num_sets]
         if page in entries:
             self.hits += 1
             entries.remove(page)
@@ -100,6 +103,6 @@ class Tlb:
             return 0
         self.misses += 1
         entries.append(page)
-        if len(entries) > self.config.ways:
+        if len(entries) > self.ways:
             entries.pop(0)                # evict LRU
-        return self.config.miss_penalty
+        return self.miss_penalty

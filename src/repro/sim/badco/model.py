@@ -3,11 +3,14 @@
 The construction follows the paper's recipe:
 
 - "BADCO uses two traces to build a core model": we run the detailed
-  core twice on the benchmark's trace, once against an *always-hit*
-  uncore (every request returns after the LLC hit latency) and once
-  against an *always-miss* uncore (every request pays the full memory
-  latency).  Both runs see the exact same uop and request streams --
-  cache state in our hierarchy is timing-independent -- so nodes align.
+  core twice on the benchmark's trace
+  (:func:`repro.cpu.core.fixed_latency_run`), once against an
+  *always-hit* uncore (every request returns after the LLC hit latency)
+  and once against an *always-miss* uncore (every request pays the full
+  memory latency).  Their request streams can differ -- a demand hit on
+  a late prefetch counts as a DL1 miss and triggers a next-line
+  prefetch -- so nodes are cut at the hit run's blocking reads and
+  timed at the same uop index in both runs.
 - "nodes represent groups of uops and their associated uncore
   requests": each *blocking* request (a demand data read) anchors a
   node containing the uops since the previous anchor; non-blocking
@@ -27,11 +30,12 @@ tuple per node, and the model store builds a model's nodes with one
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH, cached_trace
-from repro.cpu.core import DetailedCore
+from repro.cpu.core import RequestEvent, fixed_latency_run
 from repro.cpu.resources import CoreConfig, default_core_config
 
 #: Training uncore latencies (core cycles): always-hit and always-miss.
@@ -79,31 +83,6 @@ class BadcoModel:
     @property
     def total_uops(self) -> int:
         return sum(node.uop_count for node in self.nodes)
-
-
-class _TrainingRun:
-    """One detailed run against a fixed-latency synthetic uncore."""
-
-    def __init__(self, benchmark: str, trace_length: int, seed: int,
-                 latency: int, core_config: CoreConfig) -> None:
-        trace = cached_trace(benchmark, trace_length, seed)
-        self.commit_times: List[float] = []
-        #: (uop_index, address, is_write, pc, is_blocking_read)
-        self.events: List[Tuple[int, int, bool, int, bool]] = []
-        core_box: List[DetailedCore] = []
-
-        def access(address: int, now: int, is_write: bool, pc: int,
-                   is_prefetch: bool = False) -> int:
-            core = core_box[0]
-            blocking = not is_write and not is_prefetch
-            self.events.append((core.position - 1, address, is_write, pc,
-                                blocking))
-            return now + latency
-
-        core = DetailedCore(0, core_config, trace, access)
-        core_box.append(core)
-        while not core.done:
-            self.commit_times.append(core.advance())
 
 
 class BadcoModelBuilder:
@@ -170,16 +149,17 @@ class BadcoModelBuilder:
         return model
 
     def _build(self, benchmark: str) -> BadcoModel:
-        import time as _time
-        started = _time.perf_counter()
-        hit_run = _TrainingRun(benchmark, self.trace_length, self.seed,
-                               TRAIN_HIT_LATENCY, self.core_config)
-        miss_run = _TrainingRun(benchmark, self.trace_length, self.seed,
-                                TRAIN_MISS_LATENCY, self.core_config)
+        started = time.perf_counter()
+        trace = cached_trace(benchmark, self.trace_length, self.seed)
+        hit_times, events = fixed_latency_run(trace, self.core_config,
+                                              TRAIN_HIT_LATENCY)
+        miss_times, _ = fixed_latency_run(trace, self.core_config,
+                                          TRAIN_MISS_LATENCY)
         self.training_uops += 2 * self.trace_length
         self.training_runs += 2
-        self.training_seconds += _time.perf_counter() - started
-        nodes = _build_nodes(hit_run, miss_run, self.trace_length)
+        self.training_seconds += time.perf_counter() - started
+        nodes = _build_nodes(events, hit_times, miss_times,
+                             self.trace_length)
         return BadcoModel(benchmark, self.trace_length, nodes)
 
 
@@ -206,22 +186,23 @@ def _emit(nodes: List[BadcoNode], uop_count: int, intrinsic: float,
         read_address=address, read_pc=pc, extra_requests=extras))
 
 
-def _build_nodes(hit_run: _TrainingRun, miss_run: _TrainingRun,
+def _build_nodes(events: List[RequestEvent], hit_times: List[float],
+                 miss_times: List[float],
                  trace_length: int) -> List[BadcoNode]:
-    """Group the training events into timed nodes."""
+    """Group the hit run's request events into timed nodes."""
     extra_latency = TRAIN_MISS_LATENCY - TRAIN_HIT_LATENCY
     nodes: List[BadcoNode] = []
     previous_uop = -1
     previous_hit_time = 0.0
     previous_miss_time = 0.0
     pending_extras: List[Tuple[int, bool]] = []
-    for index, address, is_write, pc, blocking in hit_run.events:
+    for index, address, is_write, pc, blocking in events:
         if not blocking:
             pending_extras.append((address, is_write))
             continue
         uop_count = max(index - previous_uop, 0)
-        hit_time = hit_run.commit_times[index]
-        miss_time = miss_run.commit_times[index]
+        hit_time = hit_times[index]
+        miss_time = miss_times[index]
         d1 = hit_time - previous_hit_time
         d2 = miss_time - previous_miss_time
         sensitivity = max(0.0, (d2 - d1) / extra_latency)
@@ -234,7 +215,7 @@ def _build_nodes(hit_run: _TrainingRun, miss_run: _TrainingRun,
     # Tail node: uops after the last blocking request.
     tail_uops = (trace_length - 1) - previous_uop
     if tail_uops > 0 or pending_extras:
-        d1 = hit_run.commit_times[-1] - previous_hit_time
+        d1 = hit_times[-1] - previous_hit_time
         _emit(nodes, max(tail_uops, 0), max(d1, 0.0), 0.0, None, 0,
               tuple(pending_extras))
     return nodes

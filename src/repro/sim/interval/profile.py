@@ -3,9 +3,10 @@
 A profile is a sequence of *intervals*.  Each interval covers the uops
 between two overlap groups of demand reads: it carries the core-limited
 cycles the detailed core spent there when every request hit
-(``intrinsic``), plus the requests of the group that ends it.  Requests
-whose uops fall within one ROB window form a single group -- the
-classic interval-simulation MLP assumption is that their memory
+(``intrinsic``, from :func:`repro.cpu.core.fixed_latency_run` against
+an always-hit uncore), plus the requests of the group that ends it.
+Requests whose uops fall within one ROB window form a single group --
+the classic interval-simulation MLP assumption is that their memory
 latencies overlap, so only the group leader's latency lands on the
 critical path.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH, cached_trace
-from repro.cpu.core import DetailedCore
+from repro.cpu.core import fixed_latency_run
 from repro.cpu.resources import CoreConfig, default_core_config
 
 #: Fixed training latency (always-hit uncore), as for BADCO's hit run.
@@ -120,21 +121,8 @@ class IntervalProfileBuilder:
     def _build(self, benchmark: str) -> IntervalProfile:
         started = time.perf_counter()
         trace = cached_trace(benchmark, self.trace_length, self.seed)
-        commit_times: List[float] = []
-        events: List[Tuple[int, int, bool, int, bool]] = []
-        core_box: List[DetailedCore] = []
-
-        def access(address: int, now: int, is_write: bool, pc: int,
-                   is_prefetch: bool = False) -> int:
-            core = core_box[0]
-            blocking = not is_write and not is_prefetch
-            events.append((core.position - 1, address, is_write, pc, blocking))
-            return now + TRAIN_HIT_LATENCY
-
-        core = DetailedCore(0, self.core_config, trace, access)
-        core_box.append(core)
-        while not core.done:
-            commit_times.append(core.advance())
+        commit_times, events = fixed_latency_run(trace, self.core_config,
+                                                 TRAIN_HIT_LATENCY)
         self.training_uops += self.trace_length
         self.training_runs += 1
         self.training_seconds += time.perf_counter() - started

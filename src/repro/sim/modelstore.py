@@ -24,8 +24,9 @@ digest over everything the artefact depends on (trace length, seed,
 the full core / uncore configuration reprs, warmup fraction) -- and the
 store format version.  Like the campaign cache key's results version,
 bumping :data:`MODELSTORE_VERSION` orphans every stale file at once;
-stale or corrupt entries are never served, they are silently
-re-derived.
+stale or corrupt entries are never served, they are re-derived (a
+present node model or interval profile that cannot be used logs one
+warning naming its file).
 
 Stored values round-trip bit-identically: node-model floats travel as
 raw float64 npz bytes, record scalars as JSON shortest-repr (which
@@ -49,9 +50,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import logging
 import zipfile
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +69,8 @@ MODELSTORE_VERSION = 1
 #: Signature length (hex chars of the SHA-256 digest).
 _SIGNATURE_CHARS = 16
 
+logger = logging.getLogger(__name__)
+
 
 def config_signature(*parts: object) -> str:
     """A short stable digest over configuration objects.
@@ -79,6 +83,38 @@ def config_signature(*parts: object) -> str:
     payload = "\x1f".join(repr(part) for part in parts)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return digest[:_SIGNATURE_CHARS]
+
+
+def _unusable(path: Path, reason: str) -> None:
+    """Log why a present entry is not served; returns a loader's miss."""
+    logger.warning("model store entry %s is unusable (%s); retraining",
+                   path, reason)
+
+
+def _read_columns(path: Path, benchmark: str,
+                  names: Tuple[str, ...]) -> Optional[list]:
+    """One npz entry's members as Python values, or None when it is
+    missing or unusable (then logged)."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            stored = str(data["benchmark"])
+            columns = [data[name].tolist() for name in names]
+    except FileNotFoundError:
+        return None
+    except (OSError, KeyError, ValueError, EOFError,
+            zipfile.BadZipFile) as error:
+        return _unusable(path, f"{type(error).__name__}: {error}")
+    if stored != benchmark:
+        return _unusable(path, f"it holds {stored}")
+    return columns
+
+
+def _split(flat: tuple, offsets: List[int], rows: int) -> Optional[list]:
+    """``flat`` cut into ``rows`` slices at an offset table, or None
+    unless the table has ``rows + 1`` entries and ends at ``flat``'s end."""
+    if len(offsets) != rows + 1 or offsets[-1] != len(flat):
+        return None
+    return [flat[start:stop] for start, stop in zip(offsets, offsets[1:])]
 
 
 def attach_store(builder: object,
@@ -190,28 +226,21 @@ class ModelStore:
                          signature: str) -> Optional[BadcoModel]:
         """Deserialise one node model, or None on miss / corruption."""
         path = self.badco_model_path(benchmark, signature)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if str(data["benchmark"]) != benchmark:
-                    return None
-                trace_length = int(data["trace_length"])
-                uop_count = data["uop_count"].tolist()
-                intrinsic = data["intrinsic"].tolist()
-                sensitivity = data["sensitivity"].tolist()
-                read_address = data["read_address"].tolist()
-                read_pc = data["read_pc"].tolist()
-                offsets = data["extra_offsets"].tolist()
-                addresses = data["extra_addresses"].tolist()
-                is_write = data["extra_is_write"].tolist()
-        except (OSError, KeyError, ValueError, EOFError,
-                zipfile.BadZipFile):
+        columns = _read_columns(path, benchmark, (
+            "trace_length", "uop_count", "intrinsic", "sensitivity",
+            "read_address", "read_pc", "extra_offsets", "extra_addresses",
+            "extra_is_write"))
+        if columns is None:
             return None
-        if not (len(uop_count) == len(intrinsic) == len(sensitivity)
-                == len(read_address) == len(read_pc) == len(offsets) - 1):
-            return None      # ragged columns: zip would truncate them
-        pairs = tuple(zip(addresses, is_write))
-        extras = [pairs[start:stop]
-                  for start, stop in zip(offsets, offsets[1:])]
+        (trace_length, uop_count, intrinsic, sensitivity, read_address,
+         read_pc, offsets, addresses, is_write) = columns
+        # Ragged columns or flat arrays would be truncated by zip.
+        extras = _split(tuple(zip(addresses, is_write)), offsets,
+                        len(uop_count))
+        if extras is None or len(addresses) != len(is_write) or not (
+                len(uop_count) == len(intrinsic) == len(sensitivity)
+                == len(read_address) == len(read_pc)):
+            return _unusable(path, "ragged columns")
         read_address = [None if address < 0 else address
                         for address in read_address]
         nodes = list(map(BadcoNode._make, zip(
@@ -272,33 +301,25 @@ class ModelStore:
         from repro.sim.interval.profile import Interval, IntervalProfile
 
         path = self.interval_profile_path(benchmark, signature)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if str(data["benchmark"]) != benchmark:
-                    return None
-                trace_length = int(data["trace_length"])
-                uop_count = data["uop_count"].tolist()
-                intrinsic = data["intrinsic"].tolist()
-                pc = data["pc"].tolist()
-                read_offsets = data["read_offsets"].tolist()
-                read_addresses = data["read_addresses"].tolist()
-                extra_offsets = data["extra_offsets"].tolist()
-                extra_addresses = data["extra_addresses"].tolist()
-                extra_is_write = data["extra_is_write"].tolist()
-        except (OSError, KeyError, ValueError, EOFError,
-                zipfile.BadZipFile):
+        columns = _read_columns(path, benchmark, (
+            "trace_length", "uop_count", "intrinsic", "pc", "read_offsets",
+            "read_addresses", "extra_offsets", "extra_addresses",
+            "extra_is_write"))
+        if columns is None:
             return None
-        intervals = [
-            Interval(
-                uop_count=uop_count[i], intrinsic=intrinsic[i],
-                reads=tuple(read_addresses[read_offsets[i]:
-                                           read_offsets[i + 1]]),
-                extras=tuple(zip(extra_addresses[extra_offsets[i]:
-                                                 extra_offsets[i + 1]],
-                                 extra_is_write[extra_offsets[i]:
-                                                extra_offsets[i + 1]])),
-                pc=pc[i])
-            for i in range(len(uop_count))]
+        (trace_length, uop_count, intrinsic, pc, read_offsets,
+         read_addresses, extra_offsets, extra_addresses,
+         extra_is_write) = columns
+        rows = len(uop_count)
+        reads = _split(tuple(read_addresses), read_offsets, rows)
+        extras = _split(tuple(zip(extra_addresses, extra_is_write)),
+                        extra_offsets, rows)
+        if reads is None or extras is None \
+                or len(extra_addresses) != len(extra_is_write) \
+                or not (rows == len(intrinsic) == len(pc)):
+            return _unusable(path, "ragged columns")
+        intervals = list(map(Interval, uop_count, intrinsic, reads, extras,
+                             pc))
         return IntervalProfile(benchmark, trace_length, intervals)
 
     # ------------------------------------------------------------------

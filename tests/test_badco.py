@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.bench.generator import cached_trace
 from repro.core.workload import Workload
+from repro.cpu.core import fixed_latency_run
+from repro.cpu.resources import default_core_config
 from repro.sim.badco import BadcoModelBuilder, BadcoSimulator
-from repro.sim.badco.model import MAX_NODE_UOPS
+from repro.sim.badco.model import (MAX_NODE_UOPS, TRAIN_HIT_LATENCY,
+                                   TRAIN_MISS_LATENCY)
 from repro.sim.detailed import DetailedSimulator
 
 from tests.conftest import TEST_TRACE_LENGTH
@@ -41,6 +45,30 @@ def test_sensitivities_sane(builder):
     # A pointer-chasing benchmark has strongly blocking nodes.
     anchored = [n for n in model.nodes if n.read_address is not None]
     assert max(n.sensitivity for n in anchored) > 0.5
+
+
+def test_nodes_anchor_on_the_hit_runs_blocking_reads(builder):
+    """The two training runs need not issue the same requests.
+
+    With slow fills a prefetch is still in flight when its line is
+    demanded, which counts as a DL1 miss and triggers a next-line
+    prefetch, so bwaves makes 128 blocking reads in the always-miss run
+    against 135 in the always-hit run.  Nodes anchor on the hit run's.
+    """
+    trace = cached_trace("bwaves", LENGTH, 0)
+
+    def blocking_reads(latency):
+        _, events = fixed_latency_run(trace, default_core_config(), latency)
+        return [address for _, address, _, _, blocking in events
+                if blocking]
+
+    hit = blocking_reads(TRAIN_HIT_LATENCY)
+    miss = blocking_reads(TRAIN_MISS_LATENCY)
+    anchored = [node.read_address for node in builder.build("bwaves").nodes
+                if node.read_address is not None]
+    assert (len(hit), len(miss)) == (135, 128)
+    assert anchored == hit
+    assert anchored != miss
 
 
 def test_models_cached(builder):

@@ -13,7 +13,11 @@ stored with floats as ``float.hex`` strings:
 - one 2-core :class:`~repro.sim.detailed.DetailedSimulator` run;
 - one analytic :class:`~repro.sim.analytic.Calibration`;
 - the LLC :class:`~repro.mem.cache.CacheStats` and the memory
-  interface counters after one BADCO run.
+  interface counters after one BADCO run;
+- training, per benchmark: a sha256 of the trace's uop fields, of the
+  BADCO node columns and of the interval profile, plus the
+  :meth:`~repro.cpu.core.DetailedCore.result` counters of one
+  standalone core run against a fixed-latency uncore.
 
 Regenerate only for a deliberate numeric change, and say so::
 
@@ -21,13 +25,17 @@ Regenerate only for a deliberate numeric change, and say so::
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from repro.bench.generator import cached_trace
 from repro.core.workload import Workload
+from repro.cpu.core import DetailedCore
+from repro.cpu.resources import default_core_config
 from repro.mem import replacement
 from repro.mem.uncore import Uncore, uncore_config_for_cores
 from repro.sim.analytic import AnalyticModelBuilder
@@ -51,6 +59,8 @@ ROWS = {
 EIGHT_CORE = ("DIP", ("gcc", "gcc", "libquantum", "libquantum",
                       "mcf", "mcf", "povray", "povray"))
 STATS_RUN = ("DRRIP", ("bwaves", "mcf"))
+#: Uncore latency of the standalone core run in the training section.
+STANDALONE_LATENCY = 100
 
 
 def _batch(simulator, rows):
@@ -102,6 +112,49 @@ def _uncore_counters(builder):
             "requests_per_core": list(uncore.requests_per_core)}
 
 
+def _sha256(rows):
+    """Digest of a sequence of rows by their ``repr`` (floats hexed)."""
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(repr(_hexed(row)).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _standalone(trace):
+    """One core running ``trace`` alone against a fixed-latency uncore."""
+    def access(address, now, is_write, pc, is_prefetch=False):
+        return now + STANDALONE_LATENCY
+
+    core = DetailedCore(0, default_core_config(), trace, access)
+    while not core.done:
+        core.advance()
+    return {**dataclasses.asdict(core.result()),
+            "local_time": core.local_time.hex()}
+
+
+def _training(badco_builder, interval_builder):
+    """Traces, trained models and a standalone core run per benchmark."""
+    section = {}
+    for name in BENCHMARKS:
+        trace = cached_trace(name, LENGTH, 0)
+        nodes = badco_builder.build(name).nodes
+        intervals = interval_builder.build(name).intervals
+        section[name] = {
+            "trace": _sha256(
+                (int(uop.kind), uop.pc, tuple(uop.src_distances),
+                 uop.address, uop.taken, uop.target) for uop in trace),
+            "badco_nodes": _sha256(
+                [getattr(node, field) for node in nodes]
+                for field in nodes[0]._fields),
+            "interval_profile": _sha256(
+                (interval.uop_count, interval.intrinsic, interval.reads,
+                 interval.extras, interval.pc) for interval in intervals),
+            "standalone": _standalone(trace),
+        }
+    return section
+
+
 def record():
     """The golden payload, computed from scratch."""
     badco_builder = BadcoModelBuilder(LENGTH, 0)
@@ -124,6 +177,7 @@ def record():
                      "instructions": detailed.instructions},
         "calibration": _hexed(dataclasses.asdict(calibration)),
         "uncore_counters": _uncore_counters(badco_builder),
+        "training": _training(badco_builder, interval_builder),
     }
 
 
@@ -148,7 +202,8 @@ def test_reference_ipcs_match_the_golden(run, golden, backend):
 
 
 @pytest.mark.parametrize("section",
-                         ["detailed", "calibration", "uncore_counters"])
+                         ["detailed", "calibration", "uncore_counters",
+                          "training"])
 def test_section_matches_the_golden(run, golden, section):
     assert run[section] == golden[section]
 

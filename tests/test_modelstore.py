@@ -175,23 +175,58 @@ def test_badzip_store_entry_falls_back_to_training(tmp_path):
     assert warm.training_runs == 2
 
 
+def _shorten(path, member):
+    """Rewrite a stored npz with one member an element short."""
+    import numpy as np
+
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays[member] = arrays[member][:-1]
+    np.savez_compressed(path, **arrays)
+
+
 def test_ragged_store_entry_falls_back_to_training(tmp_path):
     """A well-formed npz whose node columns disagree in length is a
     corrupt entry: it must retrain, not load a truncated model."""
-    import numpy as np
-
     store = ModelStore(tmp_path)
     first = BadcoModelBuilder(TRACE, 0, store=store)
     first.build("gcc")
-    path = store.badco_model_path("gcc", first._store_signature())
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    arrays["intrinsic"] = arrays["intrinsic"][:-1]
-    np.savez_compressed(path, **arrays)
+    _shorten(store.badco_model_path("gcc", first._store_signature()),
+             "intrinsic")
     assert store.load_badco_model("gcc", first._store_signature()) is None
     warm = BadcoModelBuilder(TRACE, 0, store=store)
     assert warm.build("gcc").nodes == first.build("gcc").nodes
     assert warm.training_runs == 2
+
+
+@pytest.mark.parametrize("kind, member", [
+    ("badco", "extra_addresses"),
+    ("interval", "intrinsic"),
+    ("interval", "extra_addresses"),
+    ("interval", "read_addresses"),
+])
+def test_unusable_entry_retrains_with_one_warning(tmp_path, caplog, kind,
+                                                  member):
+    """A ragged column, or a flat array its offset table overruns, is a
+    corrupt entry: the builder retrains the same model and the store
+    logs one warning naming the file."""
+    from repro.sim.interval.profile import IntervalProfileBuilder
+
+    store = ModelStore(tmp_path)
+    builder, path_of = {
+        "badco": (BadcoModelBuilder, store.badco_model_path),
+        "interval": (IntervalProfileBuilder, store.interval_profile_path),
+    }[kind]
+    first = builder(TRACE, 0, store=store)
+    trained = first.build("gcc")
+    path = path_of("gcc", first._store_signature())
+    _shorten(path, member)
+    warm = builder(TRACE, 0, store=store)
+    with caplog.at_level("WARNING", logger="repro.sim.modelstore"):
+        assert vars(warm.build("gcc")) == vars(trained)
+    assert warm.training_runs == first.training_runs
+    (record,) = caplog.records
+    assert str(path) in record.getMessage()
 
 
 def test_corrupt_calibration_values_fall_back_to_running(tmp_path):
