@@ -7,7 +7,8 @@ per-line ``ready_time``, which naturally models MSHR secondary misses
 ("the line is already being fetched") and late prefetches without a
 global event queue -- the property the simulators rely on for speed.
 :meth:`Cache.access` is the innermost call of every simulation, so the
-geometry it reads is copied into plain attributes at construction.
+geometry it reads is copied into plain attributes, and the policy's
+hooks bound, at construction.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ class Cache:
                 f"cache {config.num_sets}x{config.ways}")
         self.config = config
         self.policy = policy
+        self._on_hit = policy.on_hit
+        self._on_miss = policy.on_miss
+        self._on_fill = policy.on_fill
+        self._victim = policy.victim
         self.next_level = next_level
         self.stats = CacheStats()
         sets = config.num_sets
@@ -110,6 +115,7 @@ class Cache:
         self.num_sets = sets
         self.latency = config.latency
         self.mshr_entries = config.mshr_entries
+        self.writeback = config.writeback
         self._line_mask = ~(config.line_bytes - 1)
         self._tags: List[List[int]] = [[-1] * ways for _ in range(sets)]
         self._dirty: List[List[bool]] = [[False] * ways for _ in range(sets)]
@@ -121,17 +127,6 @@ class Cache:
         # Completion times of outstanding fills, for MSHR accounting.
         self._outstanding: List[int] = []
         self._line_shift = config.line_bytes.bit_length() - 1
-
-    # ------------------------------------------------------------------
-    # Address helpers
-
-    def _locate(self, address: int):
-        line = address >> self._line_shift
-        return line % self.num_sets, line // self.num_sets
-
-    def _line_address(self, set_index: int, tag: int) -> int:
-        line = tag * self.num_sets + set_index
-        return line << self._line_shift
 
     # ------------------------------------------------------------------
     # MSHR accounting
@@ -164,9 +159,7 @@ class Cache:
         initiated, which must not count towards this cache's demand
         miss rate (MPKI) nor steer DIP/DRRIP's PSEL.
         """
-        line = address >> self._line_shift
-        set_index = line % self.num_sets
-        tag = line // self.num_sets
+        tag, set_index = divmod(address >> self._line_shift, self.num_sets)
         tags = self._tags[set_index]
         stats = self.stats
         if tag in tags:
@@ -188,7 +181,7 @@ class Cache:
                 else:
                     stats.demand_hits += 1
                     self._filled_by_prefetch[set_index][way] = False
-            self.policy.on_hit(set_index, way)
+            self._on_hit(set_index, way)
             if is_write:
                 self._dirty[set_index][way] = True
             done = now + self.latency
@@ -197,7 +190,7 @@ class Cache:
         if count_demand:
             stats.demand_accesses += 1
             stats.demand_misses += 1
-            self.policy.on_miss(set_index)
+            self._on_miss(set_index)
         else:
             stats.prefetch_issued += 1
         return self._fill(address, set_index, tag, now, is_write,
@@ -205,7 +198,7 @@ class Cache:
 
     def prefetch(self, address: int, now: int) -> Optional[int]:
         """Prefetch a line; returns its ready time, or None if useless."""
-        set_index, tag = self._locate(address)
+        tag, set_index = divmod(address >> self._line_shift, self.num_sets)
         if tag in self._tags[set_index]:
             self.stats.prefetch_useless += 1
             return None
@@ -219,43 +212,42 @@ class Cache:
         start = now + self.latency
         if len(self._outstanding) >= self.mshr_entries:
             start += self._mshr_delay(now)
-        if self.next_level is not None:
-            done = self.next_level(address & self._line_mask, start, False,
-                                   is_prefetch)
+        next_level = self.next_level
+        if next_level is not None:
+            done = next_level(address & self._line_mask, start, False,
+                              is_prefetch)
         else:
             done = start
         tags = self._tags[set_index]
+        dirty = self._dirty[set_index]
         if -1 in tags:
             way = tags.index(-1)              # prefer an invalid way
         else:
-            way = self.policy.victim(set_index)
-            self._evict(set_index, way, now)
+            way = self._victim(set_index)
+            stats = self.stats
+            stats.evictions += 1
+            if dirty[way] and self.writeback:
+                stats.writebacks += 1
+                if next_level is not None:
+                    # Writebacks consume next-level bandwidth but never
+                    # block the demand path, matching the write-buffer
+                    # behaviour of the paper's configuration.
+                    next_level((tags[way] * self.num_sets + set_index)
+                               << self._line_shift, now, True, False)
         tags[way] = tag
-        self._dirty[set_index][way] = is_write
+        dirty[way] = is_write
         self._ready[set_index][way] = done
         self._filled_by_prefetch[set_index][way] = is_prefetch
         self._outstanding.append(done)
-        self.policy.on_fill(set_index, way)
+        self._on_fill(set_index, way)
         return done
-
-    def _evict(self, set_index: int, way: int, now: int) -> None:
-        self.stats.evictions += 1
-        if self._dirty[set_index][way] and self.config.writeback:
-            self.stats.writebacks += 1
-            if self.next_level is not None:
-                victim_address = self._line_address(set_index, self._tags[set_index][way])
-                # Writebacks consume next-level bandwidth but never block
-                # the demand path, matching the write-buffer behaviour of
-                # the paper's configuration.
-                self.next_level(victim_address, now, True, False)
-        self._dirty[set_index][way] = False
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and tools)
 
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is present (even in flight)."""
-        set_index, tag = self._locate(address)
+        tag, set_index = divmod(address >> self._line_shift, self.num_sets)
         return tag in self._tags[set_index]
 
     def resident_lines(self) -> int:

@@ -92,13 +92,15 @@ class StreamPrefetcher(Prefetcher):
         self.streams = streams
         self.degree = degree
         self.region_bytes = region_bytes
+        self._line_bytes = cache.config.line_bytes
+        self._prefetch = cache.prefetch
         # region -> (last_line, direction, confirmed)
         self._table: Dict[int, Tuple[int, int, bool]] = {}
 
     def observe(self, pc: int, address: int, now: int, was_miss: bool) -> None:
         if not was_miss:
             return
-        line_bytes = self.cache.config.line_bytes
+        line_bytes = self._line_bytes
         line = address // line_bytes
         region = address // self.region_bytes
         entry = self._table.get(region)
@@ -114,5 +116,5 @@ class StreamPrefetcher(Prefetcher):
             direction = step
             if confirmed:
                 for ahead in range(1, self.degree + 1):
-                    self.cache.prefetch((line + direction * ahead) * line_bytes, now)
+                    self._prefetch((line + direction * ahead) * line_bytes, now)
         self._table[region] = (line, direction, confirmed)

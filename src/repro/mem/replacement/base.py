@@ -66,7 +66,8 @@ class SetDuelingMonitor:
     Leader selection uses the simple modulo constituency scheme: with a
     dueling period ``p = num_sets // leaders_per_policy``, sets with
     ``index % p == 0`` lead policy A and ``index % p == p // 2`` lead
-    policy B.
+    policy B.  Each set's role (+1 A-leader, -1 B-leader, 0 follower)
+    is computed once.
 
     Args:
         num_sets: number of cache sets.
@@ -80,6 +81,10 @@ class SetDuelingMonitor:
         self.period = max(2, num_sets // leaders)
         self.psel_max = (1 << psel_bits) - 1
         self.psel = self.psel_max // 2
+        self._midpoint = (self.psel_max + 1) // 2
+        self._roles = [1 if self.is_leader_a(index)
+                       else -1 if self.is_leader_b(index) else 0
+                       for index in range(num_sets)]
 
     def is_leader_a(self, set_index: int) -> bool:
         return set_index % self.period == 0
@@ -93,16 +98,16 @@ class SetDuelingMonitor:
         A miss in an A-leader pushes PSEL up (evidence against A); a
         miss in a B-leader pushes it down.
         """
-        if self.is_leader_a(set_index):
+        role = self._roles[set_index]
+        if role > 0:
             self.psel = min(self.psel + 1, self.psel_max)
-        elif self.is_leader_b(set_index):
+        elif role:
             self.psel = max(self.psel - 1, 0)
 
     def use_policy_a(self, set_index: int) -> bool:
         """Insertion policy the given set should use right now."""
-        if self.is_leader_a(set_index):
-            return True
-        if self.is_leader_b(set_index):
-            return False
+        role = self._roles[set_index]
+        if role:
+            return role > 0
         # Followers: PSEL below midpoint means A-leaders miss less.
-        return self.psel < (self.psel_max + 1) // 2
+        return self.psel < self._midpoint

@@ -35,11 +35,7 @@ class LruPolicy(ReplacementPolicy):
         stamps = self._stamp[set_index]
         return stamps.index(min(stamps))
 
-    def on_fill(self, set_index: int, way: int) -> None:
-        self._touch(set_index, way)
-
-    def on_hit(self, set_index: int, way: int) -> None:
-        self._touch(set_index, way)
+    on_fill = on_hit = _touch
 
 
 class LipPolicy(LruPolicy):

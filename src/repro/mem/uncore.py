@@ -15,8 +15,8 @@ miss stream through the shared LLC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import List
 
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import MemoryConfig, MemoryInterface
@@ -56,11 +56,7 @@ class UncoreConfig:
 
     def with_policy(self, policy: str) -> "UncoreConfig":
         """A copy of this configuration under another replacement policy."""
-        return UncoreConfig(
-            cores=self.cores, llc_size=self.llc_size,
-            llc_latency=self.llc_latency, llc_ways=self.llc_ways,
-            llc_mshr_entries=self.llc_mshr_entries, policy=policy,
-            memory=self.memory, stream_prefetcher=self.stream_prefetcher)
+        return replace(self, policy=policy)
 
 
 #: Table II, scaled: cores -> (paper LLC size, latency).
@@ -99,7 +95,9 @@ class Uncore:
     while the shared LLC is physically indexed -- different threads can
     never hit on each other's data.  :meth:`access` is every machine's
     uncore callback: a mapped page translates without a call, and the
-    stream prefetcher (which acts only on misses) sees LLC demand misses.
+    stream prefetcher (which acts only on misses) sees LLC demand misses;
+    the LLC's ``access`` and counters, the page-table mappings and the
+    prefetcher's ``observe`` are bound once at construction.
     """
 
     def __init__(self, config: UncoreConfig, seed: int = 0) -> None:
@@ -115,10 +113,11 @@ class Uncore:
         allocator = FrameAllocator()
         self._page_tables: List[PageTable] = [
             PageTable(allocator) for _ in range(max(config.cores, 1))]
-        if config.stream_prefetcher:
-            self._prefetcher: Optional[StreamPrefetcher] = StreamPrefetcher(self.llc)
-        else:
-            self._prefetcher = None
+        self._mappings = [table.mapping for table in self._page_tables]
+        self._llc_access = self.llc.access
+        self._llc_stats = self.llc.stats
+        self._observe = (StreamPrefetcher(self.llc).observe
+                         if config.stream_prefetcher else None)
         self.requests_per_core: List[int] = [0] * max(config.cores, 1)
 
     def access(self, core_id: int, virtual_address: int, now: int,
@@ -131,20 +130,20 @@ class Uncore:
         but do not train the LLC stream prefetcher.
         """
         self.requests_per_core[core_id] += 1
-        table = self._page_tables[core_id]
-        frame = table.mapping.get(virtual_address >> PAGE_SHIFT)
+        frame = self._mappings[core_id].get(virtual_address >> PAGE_SHIFT)
         if frame is None:
-            physical = table.translate(virtual_address)
+            physical = self._page_tables[core_id].translate(virtual_address)
         else:
             physical = (frame << PAGE_SHIFT) | (virtual_address
                                                 & (PAGE_BYTES - 1))
-        llc = self.llc
-        if is_prefetch or self._prefetcher is None:
-            return llc.access(physical, now, is_write, not is_prefetch)
-        misses = llc.stats.demand_misses
-        done = llc.access(physical, now, is_write, True)
-        if llc.stats.demand_misses > misses:
-            self._prefetcher.observe(pc, physical, now, True)
+        observe = self._observe
+        if is_prefetch or observe is None:
+            return self._llc_access(physical, now, is_write, not is_prefetch)
+        stats = self._llc_stats
+        misses = stats.demand_misses
+        done = self._llc_access(physical, now, is_write, True)
+        if stats.demand_misses > misses:
+            observe(pc, physical, now, True)
         return done
 
     @property

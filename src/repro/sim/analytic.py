@@ -16,12 +16,15 @@ Per benchmark ``b`` the node model flattens to (policy-independent):
 - ``requests[b]``    -- demand (blocking) reads issued per pass;
 - ``footprint[b]``   -- distinct cache lines touched.
 
-One cheap *calibration* run per (benchmark, policy) -- the benchmark's
-BADCO machine alone against the target uncore, the same run
-``reference_ipc`` already pays for -- anchors the model: it yields the
-standalone IPC, the standalone LLC demand miss ratio ``m0`` and the
-average extra latency a miss costs beyond a hit.  The shared-cache
-closure then scales miss ratios with co-runner pressure:
+One standalone *anchor* per (benchmark, policy) -- the benchmark's
+BADCO machine alone against the target uncore, the one run both
+backends' ``reference_ipc`` read
+(:meth:`~repro.sim.badco.model.BadcoModelBuilder.anchor`) -- calibrates
+the model: it yields the standalone IPC, the standalone LLC demand miss
+ratio ``m0`` and the average extra latency a miss costs beyond a hit.
+An anchor whose LLC never evicts is the same under every policy, so
+such pairs calibrate identically and are simulated once.  The
+shared-cache closure then scales miss ratios with co-runner pressure:
 
 - every thread's resident fraction shrinks from ``min(1, C/F_b)`` alone
   to ``min(1, C/F_total)`` under proportional sharing of the C-line LLC,
@@ -50,10 +53,9 @@ import numpy as np
 from repro.bench.generator import DEFAULT_TRACE_LENGTH
 from repro.core.codematrix import CodeMatrix
 from repro.core.workload import Workload
-from repro.mem.uncore import Uncore, UncoreConfig, uncore_config_for_cores
-from repro.sim.badco.machine import BadcoMachine
-from repro.sim.badco.model import BadcoModelBuilder
-from repro.sim.detailed import WorkloadRun, _MeasuredThread, interleave
+from repro.mem.uncore import UncoreConfig, uncore_config_for_cores
+from repro.sim.badco.model import BadcoModelBuilder, Calibration
+from repro.sim.detailed import WorkloadRun
 
 #: Bus utilisation is clipped below saturation so the queueing term
 #: stays finite; beyond this the linear-rate estimate is meaningless
@@ -126,25 +128,6 @@ def _flatten(model) -> BenchmarkVector:
         footprint_lines=max(len(lines), 1))
 
 
-@dataclass(frozen=True)
-class Calibration:
-    """Standalone anchor of one (benchmark, policy, uncore) triple.
-
-    Attributes:
-        ipc: measured standalone IPC (bit-identical to the ``badco``
-            backend's ``reference_ipc`` for the same configuration).
-        cycles: local time of one full standalone pass.
-        miss_ratio: LLC demand miss ratio running alone.
-        extra_per_miss: average cycles a demand miss cost beyond the
-            LLC hit latency.
-    """
-
-    ipc: float
-    cycles: float
-    miss_ratio: float
-    extra_per_miss: float
-
-
 @dataclass
 class BatchRun:
     """Outcome of simulating many workloads in one array operation.
@@ -203,8 +186,9 @@ class AnalyticModelBuilder:
 
     Wraps a :class:`~repro.sim.badco.model.BadcoModelBuilder` (shared
     when given, so ``badco`` and ``analytic`` campaigns in one session
-    train each benchmark once) and memoises the flattened vectors and
-    the per-(benchmark, policy, uncore) calibration runs.
+    train each benchmark once and share its standalone anchors) and
+    memoises the flattened vectors, the policy probes and their pair
+    runs.
 
     With a model *store* attached (see :mod:`repro.sim.modelstore`) the
     flattened vectors, calibration anchors and policy probes persist
@@ -227,40 +211,22 @@ class AnalyticModelBuilder:
         self.trace_length = trace_length
         self.seed = seed
         self.badco = badco_builder or BadcoModelBuilder(trace_length, seed)
-        if self.badco.trace_length != trace_length:
-            raise ValueError("badco builder trace length does not match")
+        if (self.badco.trace_length, self.badco.seed) != (trace_length, seed):
+            raise ValueError("badco builder trace length or seed does not "
+                             "match")
         self.store = None
         if store is not None:
             self.use_store(store)
         self._vectors: Dict[str, BenchmarkVector] = {}
-        self._calibrations: Dict[Tuple[str, str, int, int], Calibration] = {}
-        self._protections: Dict[Tuple[str, int, int], float] = {}
-        #: Wall-clock spent in standalone calibration runs (the analytic
-        #: backend's own training cost, reported by ``repro bench``).
-        self.calibration_seconds = 0.0
-        self.calibration_runs = 0
+        self._protections: Dict[Tuple[UncoreConfig, float], float] = {}
+        self._pairs: Dict[Tuple[UncoreConfig, float, str, str], float] = {}
+        #: Probe pair runs actually simulated.
+        self.probe_runs = 0
 
     def use_store(self, store: Optional[object]) -> None:
         """Attach a persistent model store (shared with the BADCO builder)."""
         self.store = store
         self.badco.use_store(store)
-
-    def _calibration_signature(self, uncore_config: UncoreConfig,
-                               warmup_fraction: float) -> str:
-        """Everything a calibration / probe run depends on, digested.
-
-        The anchor replays the benchmark's node model against the
-        target uncore with the given warmup metering, so the key
-        includes the node model's own store signature (core config,
-        trace length, seed, training constants) -- a change that
-        retrains the models must also re-anchor the calibrations.
-        """
-        from repro.sim.modelstore import config_signature
-
-        return config_signature(
-            "analytic-calibration", self.trace_length, self.seed,
-            warmup_fraction, uncore_config,
-            self.badco._store_signature())
 
     @property
     def training_uops(self) -> int:
@@ -268,10 +234,16 @@ class AnalyticModelBuilder:
         return self.badco.training_uops
 
     @property
+    def calibration_runs(self) -> int:
+        """Standalone anchors (on the wrapped BADCO builder) and probe
+        pair runs simulated so far.  Zero against a warm store."""
+        return self.badco.anchor_runs + self.probe_runs
+
+    @property
     def training_runs(self) -> int:
         """Model-building runs performed so far: the wrapped BADCO
-        builder's detailed training runs plus this builder's own
-        calibration and probe runs.  Zero against a warm store."""
+        builder's detailed training runs plus the calibration and probe
+        runs.  Zero against a warm store."""
         return self.badco.training_runs + self.calibration_runs
 
     def build(self, benchmark: str):
@@ -308,96 +280,35 @@ class AnalyticModelBuilder:
 
     def calibrate(self, benchmark: str, uncore_config: UncoreConfig,
                   warmup_fraction: float = 0.25) -> Calibration:
-        """Standalone anchor run of one benchmark (memoised).
-
-        Replays the benchmark's BADCO machine alone against a fresh
-        uncore -- exactly the run the ``badco`` backend's
-        ``reference_ipc`` performs -- while also counting LLC misses
-        and demand latencies.
-        """
-        key = (benchmark, uncore_config.policy, uncore_config.llc_size,
-               uncore_config.llc_latency)
-        calibration = self._calibrations.get(key)
-        if calibration is not None:
-            return calibration
-        if self.store is not None:
-            signature = self._calibration_signature(uncore_config,
-                                                    warmup_fraction)
-            payload = self.store.load_record(
-                "calib", f"{benchmark}-{uncore_config.policy}", signature)
-            if payload is not None \
-                    and set(payload) == {"ipc", "cycles", "miss_ratio",
-                                         "extra_per_miss"} \
-                    and all(type(value) in (int, float)
-                            for value in payload.values()):
-                calibration = Calibration(**payload)
-                self._calibrations[key] = calibration
-                return calibration
-        started = time.perf_counter()
-        model = self.badco.build(benchmark)
-        uncore = Uncore(uncore_config, seed=self.seed)
-        latency_total = 0.0
-        demand_reads = 0
-
-        def access(core_id: int, address: int, now: int, is_write: bool,
-                   pc: int, is_prefetch: bool) -> int:
-            nonlocal latency_total, demand_reads
-            done = uncore.access(core_id, address, now, is_write, pc,
-                                 is_prefetch)
-            if not is_write and not is_prefetch:
-                latency_total += done - now
-                demand_reads += 1
-            return done
-
-        machine = BadcoMachine(0, model, access)
-        warmup = int(self.trace_length * warmup_fraction)
-        meter = _MeasuredThread(warmup, self.trace_length)
-        interleave([machine], [meter])
-        stats = uncore.llc.stats
-        accesses = max(stats.demand_accesses, 1)
-        misses = stats.demand_misses
-        miss_ratio = misses / accesses
-        hit_latency = uncore_config.llc_latency
-        if misses > 0:
-            extra = max((latency_total - demand_reads * hit_latency) / misses,
-                        1.0)
-        else:
-            # No misses observed: fall back to the raw memory round trip.
-            extra = float(uncore_config.memory.dram_latency
-                          + uncore_config.memory.transfer_cycles)
-        calibration = Calibration(
-            ipc=meter.ipc(), cycles=machine.local_time,
-            miss_ratio=miss_ratio, extra_per_miss=extra)
-        self._calibrations[key] = calibration
-        self.calibration_seconds += time.perf_counter() - started
-        self.calibration_runs += 1
-        if self.store is not None:
-            self.store.save_record(
-                "calib", f"{benchmark}-{uncore_config.policy}",
-                self._calibration_signature(uncore_config, warmup_fraction),
-                {"ipc": calibration.ipc, "cycles": calibration.cycles,
-                 "miss_ratio": calibration.miss_ratio,
-                 "extra_per_miss": calibration.extra_per_miss})
-        return calibration
+        """Standalone anchor of one benchmark: the wrapped BADCO
+        builder's :meth:`~repro.sim.badco.model.BadcoModelBuilder.anchor`,
+        the run the ``badco`` backend's ``reference_ipc`` reads too."""
+        return self.badco.anchor(benchmark, uncore_config, warmup_fraction)
 
     def _probe_pair_ipc(self, uncore_config: UncoreConfig,
                         warmup_fraction: float,
                         reuser: str = PROBE_REUSER,
                         streamer: str = PROBE_STREAMER) -> float:
-        """Reuser IPC of a probe pair under one policy's uncore."""
+        """Reuser IPC of a probe pair under one policy's uncore
+        (memoised, so every policy's probe shares one LRU baseline)."""
         from repro.sim.badco.multicore import BadcoSimulator
 
         if reuser == streamer:
             raise ValueError("probe pair needs two distinct benchmarks")
-        simulator = BadcoSimulator(
-            cores=2, policy=uncore_config.policy, builder=self.badco,
-            trace_length=self.trace_length,
-            warmup_fraction=warmup_fraction, seed=self.seed,
-            uncore_config=uncore_config)
-        workload = Workload([reuser, streamer])
-        run = simulator.run(workload)
-        # Workloads canonicalise sorted, so locate the reuser's core.
-        return run.ipcs[list(workload).index(reuser)]
+        key = (uncore_config, warmup_fraction, reuser, streamer)
+        ipc = self._pairs.get(key)
+        if ipc is None:
+            simulator = BadcoSimulator(
+                cores=2, policy=uncore_config.policy, builder=self.badco,
+                trace_length=self.trace_length,
+                warmup_fraction=warmup_fraction, seed=self.seed,
+                uncore_config=uncore_config)
+            workload = Workload([reuser, streamer])
+            run = simulator.run(workload)
+            # Workloads canonicalise sorted, so locate the reuser's core.
+            ipc = self._pairs[key] = run.ipcs[list(workload).index(reuser)]
+            self.probe_runs += 1
+        return ipc
 
     def probe_protection(self, uncore_config: UncoreConfig,
                          warmup_fraction: float, reuser: str,
@@ -412,8 +323,8 @@ class AnalyticModelBuilder:
         ``clip((paired - baseline) / (alone - baseline), 0, 1)`` -- 0
         when the pair exposes no protectable headroom at all (e.g. an
         L1-resident reuser), exactly like the canonical probe.
-        Performs up to three simulator runs per call (the alone run is
-        memoised with the calibrations); LRU is 0 by definition.
+        Performs up to three simulator runs per call, each memoised;
+        LRU is 0 by definition.
         """
         if uncore_config.policy == "LRU":
             return 0.0
@@ -439,8 +350,8 @@ class AnalyticModelBuilder:
         combination, so the single-pair assumption behind the
         production :meth:`protection` probe can be checked against
         representatives of each benchmark class instead of trusted
-        blindly.  Not memoised and not persisted -- this is an
-        offline validation tool, not part of the scoring path.
+        blindly.  Not persisted -- this is an offline validation tool,
+        not part of the scoring path.
         """
         return {(reuser, streamer):
                 self.probe_protection(uncore_config, warmup_fraction,
@@ -453,11 +364,11 @@ class AnalyticModelBuilder:
 
         0 means the policy protects a co-running reuse region no better
         than LRU; 1 means the reuser keeps its full standalone IPC next
-        to a streamer.  Measured once per (policy, LLC) with two probe
-        runs (memoised; LRU is 0 by definition and pays nothing).
+        to a streamer.  :meth:`probe_protection` on the canonical pair,
+        memoised and stored per (uncore, ``warmup_fraction``); LRU is 0
+        by definition and pays nothing.
         """
-        key = (uncore_config.policy, uncore_config.llc_size,
-               uncore_config.llc_latency)
+        key = (uncore_config, warmup_fraction)
         value = self._protections.get(key)
         if value is not None:
             return value
@@ -466,33 +377,19 @@ class AnalyticModelBuilder:
             self._protections[key] = 0.0
             return 0.0
         if self.store is not None:
-            signature = self._calibration_signature(uncore_config,
-                                                    warmup_fraction)
+            signature = self.badco._calibration_signature(uncore_config,
+                                                          warmup_fraction)
             payload = self.store.load_record("probe", uncore_config.policy,
                                              signature)
             if payload is not None and isinstance(
                     payload.get("protection"), float):
                 self._protections[key] = payload["protection"]
                 return payload["protection"]
-        started = time.perf_counter()
-        baseline_config = uncore_config.with_policy("LRU")
-        baseline = self._probe_pair_ipc(baseline_config, warmup_fraction)
-        paired = self._probe_pair_ipc(uncore_config, warmup_fraction)
-        alone = self.calibrate(PROBE_REUSER, uncore_config,
-                               warmup_fraction).ipc
-        headroom = alone - baseline
-        if headroom <= 1e-12:
-            value = 0.0
-        else:
-            value = min(max((paired - baseline) / headroom, 0.0), 1.0)
-        self._protections[key] = value
-        self.calibration_seconds += time.perf_counter() - started
-        self.calibration_runs += 1
+        value = self._protections[key] = self.probe_protection(
+            uncore_config, warmup_fraction, PROBE_REUSER, PROBE_STREAMER)
         if self.store is not None:
-            self.store.save_record(
-                "probe", uncore_config.policy,
-                self._calibration_signature(uncore_config, warmup_fraction),
-                {"protection": value})
+            self.store.save_record("probe", uncore_config.policy, signature,
+                                   {"protection": value})
         return value
 
     def prepare(self, benchmarks: Sequence[str], policies: Sequence[str],
@@ -514,7 +411,7 @@ class AnalyticModelBuilder:
     def __repr__(self) -> str:
         return (f"AnalyticModelBuilder(length={self.trace_length}, "
                 f"vectors={len(self._vectors)}, "
-                f"calibrations={len(self._calibrations)})")
+                f"probes={len(self._protections)})")
 
 
 class AnalyticSimulator:
@@ -644,8 +541,8 @@ class AnalyticSimulator:
         used = np.flatnonzero(rows.benchmark_occurrences())
         benchmarks = [rows.benchmarks[code] for code in used.tolist()]
         # Train/calibrate before the clock starts: those one-off costs
-        # are accounted in the builder (calibration_seconds), so
-        # GridRun.wall_seconds measures only the array evaluation.
+        # are the builder's, so GridRun.wall_seconds measures only the
+        # array evaluation.
         vectors = self._gather(benchmarks, policies)
         if self.cores > 1:
             protections = np.array(
@@ -752,11 +649,12 @@ class AnalyticSimulator:
                            batch.instructions, batch.wall_seconds)
 
     def reference_ipc(self, benchmark: str) -> float:
-        """Standalone IPC from the calibration run.
+        """Standalone IPC from the calibration anchor.
 
-        Bit-identical to the ``badco`` backend's ``reference_ipc`` for
-        the same configuration: the calibration replays the same
-        machine against the same uncore with the same metering.
+        The ``badco`` backend's ``reference_ipc`` for the same
+        configuration, bit for bit: both read the same stored anchor
+        (:meth:`~repro.sim.badco.model.BadcoModelBuilder.anchor`), which
+        a shared BADCO builder runs once for both.
         """
         return self.builder.calibrate(
             benchmark, self.uncore_config, self.warmup_fraction).ipc

@@ -26,17 +26,23 @@ The construction follows the paper's recipe:
 A node is a :class:`typing.NamedTuple`: the replay loop unpacks one
 tuple per node, and the model store builds a model's nodes with one
 ``map(BadcoNode._make, ...)`` over its columns.
+
+The builder also owns each benchmark's standalone anchor
+(:meth:`BadcoModelBuilder.anchor`), which both the ``badco`` and the
+``analytic`` backend read.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH, cached_trace
 from repro.cpu.core import RequestEvent, fixed_latency_run
 from repro.cpu.resources import CoreConfig, default_core_config
+from repro.mem.uncore import Uncore, UncoreConfig
+from repro.sim.detailed import _MeasuredThread, interleave
 
 #: Training uncore latencies (core cycles): always-hit and always-miss.
 TRAIN_HIT_LATENCY = 6
@@ -72,6 +78,25 @@ class BadcoNode(NamedTuple):
     extra_requests: Tuple[Tuple[int, bool], ...] = ()
 
 
+@dataclass(frozen=True)
+class Calibration:
+    """Standalone anchor of one (benchmark, policy, uncore) triple.
+
+    Attributes:
+        ipc: measured standalone IPC (the reference IPC of both the
+            ``badco`` and the ``analytic`` backend).
+        cycles: local time of one full standalone pass.
+        miss_ratio: LLC demand miss ratio running alone.
+        extra_per_miss: average cycles a demand miss cost beyond the
+            LLC hit latency.
+    """
+
+    ipc: float
+    cycles: float
+    miss_ratio: float
+    extra_per_miss: float
+
+
 @dataclass
 class BadcoModel:
     """A behavioural model of one benchmark on the Table I core."""
@@ -93,7 +118,8 @@ class BadcoModelBuilder:
     store before paying the two detailed training runs, and saves what
     it trains.  Stored models round-trip bit-identically, so campaigns
     against a warm store reproduce cold-run results exactly while
-    performing zero training runs.
+    performing zero training runs.  Standalone anchors (:meth:`anchor`)
+    persist the same way, as ``calib`` records.
 
     Args:
         trace_length: uops per benchmark trace.
@@ -117,6 +143,10 @@ class BadcoModelBuilder:
         #: Detailed training runs actually performed (2 per trained
         #: benchmark; 0 for store / memory hits).
         self.training_runs = 0
+        self._anchors: Dict[tuple, Calibration] = {}
+        #: Standalone anchor runs actually simulated (0 for store or
+        #: memory hits, and for anchors shared across policies).
+        self.anchor_runs = 0
 
     def use_store(self, store: Optional[object]) -> None:
         """Attach (or detach) a persistent model store."""
@@ -130,6 +160,17 @@ class BadcoModelBuilder:
                                 self.core_config,
                                 TRAIN_HIT_LATENCY, TRAIN_MISS_LATENCY,
                                 MAX_NODE_UOPS)
+
+    def _calibration_signature(self, uncore_config: UncoreConfig,
+                               warmup_fraction: float) -> str:
+        """Everything an anchor or probe run depends on, digested: the
+        uncore, the warmup metering and the node model's own signature
+        (a change that retrains the models also re-anchors)."""
+        from repro.sim.modelstore import config_signature
+
+        return config_signature(
+            "analytic-calibration", self.trace_length, self.seed,
+            warmup_fraction, uncore_config, self._store_signature())
 
     def build(self, benchmark: str) -> BadcoModel:
         """Build (or fetch from cache / store) the model of one benchmark."""
@@ -161,6 +202,97 @@ class BadcoModelBuilder:
         nodes = _build_nodes(events, hit_times, miss_times,
                              self.trace_length)
         return BadcoModel(benchmark, self.trace_length, nodes)
+
+    def anchor(self, benchmark: str, uncore_config: UncoreConfig,
+               warmup_fraction: float = 0.25) -> Calibration:
+        """The benchmark's machine alone on one uncore (memoised).
+
+        The one standalone run of the code base: the ``badco`` backend's
+        ``reference_ipc`` is its ``ipc``, and the ``analytic`` backend
+        calibrates on the whole anchor.  Memoised per (benchmark, the
+        whole uncore configuration, ``warmup_fraction``) and persisted
+        as a ``calib`` record named ``"{benchmark}-{policy}"``.
+
+        An anchor whose LLC evicted nothing also serves the same
+        benchmark and uncore under every other policy.  The cache asks
+        its policy for a ``victim`` only when a fill finds its set full,
+        and each such call is an eviction, so ``evictions == 0`` means
+        ``victim`` was never called.  The other hooks (``on_hit``,
+        ``on_miss``, ``on_fill``) update only the policy's own state.
+        So under any policy the run hits, misses and fills the same
+        lines at the same times -- the same bus timing, latencies and
+        meter readings, bit for bit -- and evicts nothing either.  Each
+        policy's record is still saved.
+        """
+        key = (benchmark, uncore_config, warmup_fraction)
+        anchor = self._anchors.get(key)
+        if anchor is not None:
+            return anchor
+        shared = (benchmark, uncore_config.with_policy(""), warmup_fraction)
+        anchor = self._anchors.get(shared)
+        name = f"{benchmark}-{uncore_config.policy}"
+        if self.store is not None:
+            signature = self._calibration_signature(uncore_config,
+                                                    warmup_fraction)
+            payload = (self.store.load_record("calib", name, signature)
+                       if anchor is None else None)
+            if isinstance(payload, dict) and set(payload) == {
+                    "ipc", "cycles", "miss_ratio", "extra_per_miss"} \
+                    and all(type(value) in (int, float)
+                            for value in payload.values()):
+                anchor = self._anchors[key] = Calibration(**payload)
+                return anchor
+        if anchor is None:
+            anchor, evictions = self._simulate_anchor(
+                benchmark, uncore_config, warmup_fraction)
+            self.anchor_runs += 1
+            if evictions == 0:
+                self._anchors[shared] = anchor
+        if self.store is not None:
+            self.store.save_record("calib", name, signature, asdict(anchor))
+        self._anchors[key] = anchor
+        return anchor
+
+    def _simulate_anchor(self, benchmark: str, uncore_config: UncoreConfig,
+                         warmup_fraction: float) -> Tuple[Calibration, int]:
+        """One standalone run, counting LLC misses and demand latencies;
+        returns the anchor and the LLC's eviction count."""
+        from repro.sim.badco.machine import BadcoMachine
+
+        model = self.build(benchmark)
+        uncore = Uncore(uncore_config, seed=self.seed)
+        uncore_access = uncore.access
+        latency_total = 0.0
+        demand_reads = 0
+
+        def access(core_id: int, address: int, now: int, is_write: bool,
+                   pc: int, is_prefetch: bool) -> int:
+            nonlocal latency_total, demand_reads
+            done = uncore_access(core_id, address, now, is_write, pc,
+                                 is_prefetch)
+            if not is_write and not is_prefetch:
+                latency_total += done - now
+                demand_reads += 1
+            return done
+
+        machine = BadcoMachine(0, model, access)
+        meter = _MeasuredThread(int(self.trace_length * warmup_fraction),
+                                self.trace_length)
+        interleave([machine], [meter])
+        stats = uncore.llc.stats
+        misses = stats.demand_misses
+        miss_ratio = misses / max(stats.demand_accesses, 1)
+        if misses > 0:
+            extra = max((latency_total
+                         - demand_reads * uncore_config.llc_latency) / misses,
+                        1.0)
+        else:
+            # No misses observed: fall back to the raw memory round trip.
+            extra = float(uncore_config.memory.dram_latency
+                          + uncore_config.memory.transfer_cycles)
+        return Calibration(ipc=meter.ipc(), cycles=machine.local_time,
+                           miss_ratio=miss_ratio,
+                           extra_per_miss=extra), stats.evictions
 
 
 def _emit(nodes: List[BadcoNode], uop_count: int, intrinsic: float,

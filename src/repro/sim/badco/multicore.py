@@ -89,11 +89,13 @@ class BadcoSimulator(EventDrivenBatchMixin):
         return WorkloadRun(workload, ipcs, total_executed, wall)
 
     def reference_ipc(self, benchmark: str) -> float:
-        """Single-thread IPC of a benchmark on this machine (alone)."""
-        single = BadcoSimulator(
-            cores=1, policy=self.policy, builder=self.builder,
-            trace_length=self.trace_length,
-            warmup_fraction=self.warmup_fraction, seed=self.seed,
-            uncore_config=self.uncore_config.with_policy(self.policy))
-        run = single.run(Workload([benchmark]))
-        return run.ipcs[0]
+        """Single-thread IPC of a benchmark on this machine (alone).
+
+        The IPC of the builder's standalone anchor on this uncore
+        (:meth:`~repro.sim.badco.model.BadcoModelBuilder.anchor`): one
+        memoised, stored run shared with the ``analytic`` backend's
+        calibration, equal to a one-core :meth:`run` of the benchmark
+        on this uncore.
+        """
+        return self.builder.anchor(benchmark, self.uncore_config,
+                                   self.warmup_fraction).ipc

@@ -20,8 +20,8 @@ boundary).
 
 :func:`interleave` is the one scheduler of all three event-driven
 simulators -- this one, :mod:`repro.sim.badco` and
-:mod:`repro.sim.interval` -- and of the analytic backend's standalone
-calibration run.
+:mod:`repro.sim.interval` -- and of the BADCO builder's standalone
+anchor run.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Persistent store for trained models and calibration anchors.
 
 Training a BADCO node model costs two detailed runs per benchmark, an
-interval profile one, and the analytic backend adds one standalone
-calibration run per (benchmark, policy) plus two probe runs per policy
+interval profile one; standalone anchors add up to one run per
+(benchmark, policy) and the analytic probes one pair run per policy
 -- the dominant start-up cost of every campaign now that panel
 evaluation is a handful of NumPy calls.  All of those artefacts are
 deterministic functions of their configuration, so this module makes
@@ -12,8 +12,8 @@ content-addressed files, and builders consult it before training.
 Two kinds of file live here:
 
 - ``.npz`` artefacts: BADCO node models and interval profiles;
-- small JSON *records* (:meth:`ModelStore.save_record`): the analytic
-  backend's ``calib`` anchors and ``probe`` protections, and its
+- small JSON *records* (:meth:`ModelStore.save_record`): the ``calib``
+  anchors both backends read, the analytic ``probe`` protections and
   ``vector`` records -- each benchmark's node model flattened to the
   five scalars the closure reads, keyed by the node model's own
   signature, so a warm analytic campaign never deserialises a model.

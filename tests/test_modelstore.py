@@ -239,7 +239,7 @@ def test_corrupt_calibration_values_fall_back_to_running(tmp_path):
     config = uncore_config_for_cores(2, "LRU")
     calibration = cold.calibrate("gcc", config)
     # Corrupt the stored values (right keys, wrong types).
-    signature = cold._calibration_signature(config, 0.25)
+    signature = cold.badco._calibration_signature(config, 0.25)
     path = store.record_path("calib", "gcc-LRU", signature)
     path.write_text(json.dumps({"ipc": "oops", "cycles": None,
                                 "miss_ratio": 0.1,

@@ -141,6 +141,33 @@ def test_two_stage_jobs_invariance(dirs, estimate, tmp_path):
     assert parallel.floor_allocated == estimate.floor_allocated
 
 
+def test_warm_two_stage_simulates_no_anchor_and_loads_only_row_models(
+        dirs, estimate, tmp_path, monkeypatch):
+    # A new session on the warm store: the screen's calibrations and the
+    # refine's reference IPCs read the same stored anchors, so the
+    # refine deserialises only the node models its one row runs.
+    from repro.sim.modelstore import ModelStore
+
+    loaded = []
+    load_badco_model = ModelStore.load_badco_model
+
+    def count_load(self, benchmark, signature):
+        loaded.append(benchmark)
+        return load_badco_model(self, benchmark, signature)
+
+    monkeypatch.setattr(ModelStore, "load_badco_model", count_load)
+    session = Session("small", seed=0, cache_dir=tmp_path / "cache",
+                      model_store_dir=dirs[1], benchmarks=list(BENCHMARKS))
+    warm = session.estimate_two_stage(
+        "LRU", "DIP", cores=4, sample=40, draws=100, sample_sizes=(5, 15),
+        refine_backend="badco", refine_budget=1)
+    assert warm.training_runs == warm.refine_training_runs == 0
+    assert session.builder("badco").anchor_runs == 0
+    (row,) = session.campaign("badco", cores=4).results.workloads("LRU")
+    assert sorted(loaded) == sorted(set(row))
+    assert len(set(row)) < len(BENCHMARKS)
+
+
 def test_two_stage_screen_is_the_full_scale_estimate(dirs):
     # Stage 1 runs estimate_full_scale's own stages and shares its d(w)
     # memo: after a full-scale estimate of the same frame, the screen
