@@ -16,7 +16,7 @@ daemon).  This package enforces them mechanically:
   suppression comments (a reason is mandatory);
 - :mod:`repro.analysis.registry` -- rule base class, registry, and the
   parsed-module / project sources rules consume;
-- :mod:`repro.analysis.rules` -- the project-specific rules REP001..8;
+- :mod:`repro.analysis.rules` -- the project-specific rules REP001..7;
 - :mod:`repro.analysis.runner` -- the file walker that ties it all
   together.
 

@@ -1,4 +1,4 @@
-"""The project-specific invariant rules (REP001 .. REP008).
+"""The project-specific invariant rules (REP001 .. REP007).
 
 Each rule encodes one reproducibility invariant, with its motivating
 bug or upcoming need recorded in ``motivation`` (also listed in the
@@ -616,62 +616,3 @@ class SetIterationOrderRule(Rule):
             "sorted(...) (or reduce it with an order-insensitive "
             "aggregate)")
 
-
-# ----------------------------------------------------------------------
-# REP008 -- compiled-kernel imports must be soft
-
-
-#: Root modules of optional compiled accelerators.  An unguarded import
-#: of any of these turns an accelerator into a hard dependency.
-_COMPILED_MODULES = frozenset({"numba", "cython", "Cython", "pyximport"})
-
-
-@register
-class SoftKernelImportRule(Rule):
-    id = "REP008"
-    name = "hard-kernel-import"
-    motivation = ("compiled kernels (numba/cython) are optional "
-                  "accelerators with a pure-NumPy fallback selected at "
-                  "call time; an unguarded import would turn them into "
-                  "hard dependencies and break the baked-in toolchain "
-                  "environments that ship without a compiler")
-
-    def check_module(self, module: ModuleSource) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                roots = [alias.name.split(".", 1)[0]
-                         for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                roots = [(node.module or "").split(".", 1)[0]]
-            else:
-                continue
-            compiled = sorted(set(roots) & _COMPILED_MODULES)
-            if compiled and not self._import_guarded(module, node):
-                findings.append(module.finding(
-                    self.id, node.lineno,
-                    f"unguarded import of compiled module "
-                    f"{', '.join(compiled)}; wrap it in try/except "
-                    "ImportError and bind a pure-NumPy fallback symbol"))
-        return findings
-
-    @staticmethod
-    def _import_guarded(module: ModuleSource, node: ast.AST) -> bool:
-        """Inside the body of a try whose handlers catch ImportError."""
-        current = node
-        parent = module.parents.get(node)
-        while parent is not None:
-            if isinstance(parent, ast.Try) and current in parent.body:
-                for handler in parent.handlers:
-                    caught = handler.type
-                    if caught is None:      # bare except
-                        return True
-                    types = (caught.elts if isinstance(caught, ast.Tuple)
-                             else [caught])
-                    for item in types:
-                        name = (dotted_name(item) or "").rsplit(".", 1)[-1]
-                        if name in ("ImportError", "ModuleNotFoundError",
-                                    "Exception", "BaseException"):
-                            return True
-            current, parent = parent, module.parents.get(parent)
-        return False

@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result file ('' to skip writing)")
 
     lint = sub.add_parser(
-        "lint", help="run the repro invariant linter (REP001..REP008)")
+        "lint", help="run the repro invariant linter (REP001..REP007)")
     lint.add_argument("paths", nargs="*",
                       help="files or directories to lint (default: the "
                            "installed repro package source)")
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "exit")
 
     report = sub.add_parser(
-        "report", help="render, diff, and track bench trajectories")
+        "report", help="render and diff bench trajectories")
     report_sub = report.add_subparsers(dest="report_command", required=True)
 
     show = report_sub.add_parser(
@@ -284,25 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "--suite all run)")
     diff.add_argument("--format", choices=("text", "json", "csv"),
                       default="text", help="output format")
-
-    trend = report_sub.add_parser(
-        "trend", help="per-record series across the run-history store")
-    trend.add_argument("--history", default=None,
-                       help="history store (default: "
-                            ".repro/bench-history.jsonl)")
-    trend.add_argument("--names", nargs="*", default=None,
-                       help="glob patterns selecting records "
-                            "(default: all)")
-    trend.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text", help="output format")
-
-    record = report_sub.add_parser(
-        "record", help="append a trajectory to the run-history store")
-    record.add_argument("--input", default="BENCH_analytics.json",
-                        help="trajectory file to record")
-    record.add_argument("--history", default=None,
-                        help="history store (default: "
-                             ".repro/bench-history.jsonl)")
     return parser
 
 
@@ -542,11 +523,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from pathlib import Path
-
     from repro.report import (
-        DEFAULT_HISTORY, ReportError, append_run, diff_runs, load_bench,
-        load_history, render_diff, render_run, render_trend, trend_series,
+        ReportError, diff_runs, load_bench, render_diff, render_run,
     )
 
     try:
@@ -572,18 +550,6 @@ def _cmd_report(args) -> int:
                                require_suites=args.require_suites)
             print(render_diff(result, fmt=args.format), end="")
             return 0 if result.ok else 1
-        if args.report_command == "trend":
-            history = Path(args.history or DEFAULT_HISTORY)
-            series = trend_series(load_history(history),
-                                  names=args.names or None)
-            print(render_trend(series, fmt=args.format), end="")
-            return 0
-        if args.report_command == "record":
-            history = Path(args.history or DEFAULT_HISTORY)
-            run = load_bench(args.input)
-            index = append_run(history, run)
-            print(f"recorded {args.input} as run {index} in {history}")
-            return 0
     except ReportError as error:
         print(error, file=sys.stderr)
         return 2

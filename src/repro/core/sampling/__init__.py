@@ -50,10 +50,7 @@ implements ``rows_matrix_fast`` -- the **opt-in fast draw path**
 Floyd distinct sampling, argsort-key permutations) and is therefore
 *not* bit-compatible with the MT replay -- same distributions, same
 weights, different specific rows for a given seed.  The MT replay
-stays the default and the parity oracle; the replay's own scan hot
-spots can additionally use optional numba kernels
-(:mod:`~repro.core.sampling._kernels`, soft import, bit-identical
-pure-NumPy fallback).
+stays the default and the parity oracle.
 """
 
 from repro.core.sampling.base import (

@@ -70,16 +70,6 @@ def benchmark_strata(class_names: Sequence[str], class_sizes: Sequence[int],
     return strata
 
 
-def _sample_multiset(items: Sequence[str], count: int,
-                     rng: random.Random) -> List[str]:
-    """Uniform multiset of ``count`` items via stars and bars."""
-    if count == 0:
-        return []
-    b = len(items)
-    positions = sorted(rng.sample(range(b + count - 1), count))
-    return [items[p - j] for j, p in enumerate(positions)]
-
-
 class BenchmarkStratification(SamplingMethod):
     """Stratified sampling over benchmark-class composition strata.
 

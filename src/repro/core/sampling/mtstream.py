@@ -63,8 +63,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
-
 
 class MTStream:
     """The exact 32-bit output stream of one :class:`random.Random`.
@@ -327,7 +325,7 @@ class _Bound:
     consumer advances the stream right after accepting.
     """
 
-    __slots__ = ("n", "length", "count", "positions1", "_real", "_mask",
+    __slots__ = ("n", "length", "count", "positions1", "real", "_mask",
                  "_values", "_prefix", "_nxt1", "_accepted", "_next_diff",
                  "_previous", "_ends")
 
@@ -335,25 +333,16 @@ class _Bound:
         self.n = n
         self.length = len(values)
         self._values = values
-        if _kernels.enabled():
-            # One fused compiled pass; mask and accepted indices are
-            # recovered lazily from `positions1` if ever needed.
-            self.count, self.positions1 = _kernels.classify_positions(
-                values, np.uint32(n), pad)
-            self._mask = None
-            self._real = None
-        else:
-            self._mask = values < np.uint32(n)
-            real = np.flatnonzero(self._mask)
-            self._real = real
-            self.count = len(real)
-            # Index `count + j` serves absorbed consumption: one past
-            # word `length`, i.e. the overflow state, for overshoot up
-            # to `pad`.
-            positions1 = np.empty(self.count + pad + 1, dtype=np.int64)
-            np.add(real, 1, out=positions1[:self.count])
-            positions1[self.count:] = self.length + 1
-            self.positions1 = positions1
+        self._mask = values < np.uint32(n)
+        #: The accepted word indices, in stream order.
+        self.real = real = np.flatnonzero(self._mask)
+        self.count = len(real)
+        # Index `count + j` serves absorbed consumption: one past word
+        # `length`, i.e. the overflow state, for overshoot up to `pad`.
+        positions1 = np.empty(self.count + pad + 1, dtype=np.int64)
+        np.add(real, 1, out=positions1[:self.count])
+        positions1[self.count:] = self.length + 1
+        self.positions1 = positions1
         self._prefix = None
         self._nxt1 = None
         self._accepted = None
@@ -373,23 +362,11 @@ class _Bound:
             prefix = self._prefix_table()
             gathered = prefix if points is None else prefix[points]
             return gathered.astype(np.int64)
-        return np.searchsorted(self.real(), points, side="left")
-
-    def real(self) -> np.ndarray:
-        """The accepted word indices, in stream order."""
-        if self._real is None:
-            self._real = self.positions1[:self.count] - 1
-        return self._real
+        return np.searchsorted(self.real, points, side="left")
 
     def _prefix_table(self) -> np.ndarray:
         if self._prefix is None:
-            if _kernels.enabled():
-                self._prefix = _kernels.prefix_table(
-                    self._values, np.uint32(self.n))
-                return self._prefix
             length = self.length
-            if self._mask is None:
-                self._mask = self._values < np.uint32(self.n)
             # int32: a plain int64 cumsum costs ~2x; rank() upcasts the
             # (usually much smaller) gathered batch instead.
             prefix = np.empty(length + 2, dtype=np.int32)
@@ -414,7 +391,7 @@ class _Bound:
     def accepted(self) -> np.ndarray:
         """The accepted values, in stream order."""
         if self._accepted is None:
-            self._accepted = self._values[self.real()]
+            self._accepted = self._values[self.real]
         return self._accepted
 
     def next_diff(self) -> np.ndarray:
@@ -631,20 +608,14 @@ def _replay_buffer(buffer: np.ndarray, steps: Sequence[_Step], draws: int,
 
     # Stage 2b: walk the draws through the composed map -- the only
     # sequential part, one array lookup per draw.
-    if _kernels.enabled():
-        starts, consumed = _kernels.walk_chain(advance, draws, length)
-        if consumed < 0:
+    starts = np.empty(draws, dtype=np.int64)
+    cursor = 0
+    for draw in range(draws):
+        starts[draw] = cursor
+        cursor = int(advance[cursor])
+        if cursor > length:
             return None
-        consumed = int(consumed)
-    else:
-        starts = np.empty(draws, dtype=np.int64)
-        cursor = 0
-        for draw in range(draws):
-            starts[draw] = cursor
-            cursor = int(advance[cursor])
-            if cursor > length:
-                return None
-        consumed = cursor
+    consumed = cursor
 
     # Stage 3: gather every step's accepted values at the now-known
     # offsets (vectorized across draws) into the output matrices.

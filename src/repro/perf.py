@@ -58,10 +58,7 @@ cross-suite, ``e2e-8core-warm``) vs ``serve-query-warm``.
 
 The analytics suite additionally records the PR-7 sampling paths:
 ``estimator-workload-strata-fast`` (the opt-in ``fast_sampling=True``
-draw path, paired against ``estimator-workload-strata-columnar``),
-``estimator-workload-strata-kernels-off``/``-on`` (the MT replay with
-the optional compiled scan kernels disabled/enabled -- identical code
-when numba is absent, flagged by ``"kernels_available"``), and
+draw path, paired against ``estimator-workload-strata-columnar``) and
 ``estimator-workload-strata-pairs-loop``/``-pairs`` (per-pair
 estimator loop vs the fig6 pair-batched
 :meth:`~repro.core.estimator.PairedConfidenceEstimator.pair_curves`).
@@ -69,7 +66,6 @@ estimator loop vs the fig6 pair-batched
 
 from __future__ import annotations
 
-import os
 import random
 import tempfile
 import time
@@ -87,7 +83,6 @@ from repro.core.sampling import (
     BenchmarkStratification,
     SimpleRandomSampling,
     WorkloadStratification,
-    _kernels,
 )
 
 #: The acceptance configuration: 1000 draws, samples of 30 workloads.
@@ -249,30 +244,6 @@ def run_bench(draws: int = DEFAULT_DRAWS,
            _time(lambda: fast_estimator.confidence(
                strata_method, sample_size, seed=seed), repeat),
            draws)
-
-    # --- the compiled scan kernels, off vs on, on the MT replay path.
-    # Identical code when numba is absent (``kernels_available`` says
-    # which case a record measured); the pairing stays meaningful on
-    # the CI leg that installs numba.
-    def _replay(value: Optional[str]) -> float:
-        previous = os.environ.get(_kernels.KERNELS_ENV)
-        try:
-            if value is None:
-                os.environ.pop(_kernels.KERNELS_ENV, None)
-            else:
-                os.environ[_kernels.KERNELS_ENV] = value
-            return _time(lambda: estimator.confidence(
-                strata_method, sample_size, seed=seed), repeat)
-        finally:
-            if previous is None:
-                os.environ.pop(_kernels.KERNELS_ENV, None)
-            else:
-                os.environ[_kernels.KERNELS_ENV] = previous
-
-    for suffix, value in (("off", "0"), ("on", None)):
-        record(f"estimator-workload-strata-kernels-{suffix}",
-               _replay(value), draws)
-        records[-1]["kernels_available"] = _kernels.HAVE_NUMBA
 
     # --- fig6-style pair batching: four policy pairs, one shared row
     # gather (pair_curves) against the per-pair estimator loop.
@@ -736,9 +707,6 @@ def speedups(records: List[Dict[str, object]]) -> Dict[str, float]:
                              ("estimator-workload-strata-pairs",
                               "estimator-workload-strata-pairs-loop",
                               "estimator-workload-strata-pairs"),
-                             ("estimator-workload-strata-kernels",
-                              "estimator-workload-strata-kernels-off",
-                              "estimator-workload-strata-kernels-on"),
                              ("serve-query", "serve-query-cold",
                               "serve-query-warm"),
                              ("serve-oneshot", "serve-oneshot-warm",

@@ -1,15 +1,13 @@
-"""Result records, regression gating, and trend reports over the
-bench trajectory (``repro report``).
+"""Result records and regression gating over the bench trajectory
+(``repro report``).
 
-The subsystem splits into four layers:
+The subsystem splits into three layers:
 
 - :mod:`repro.report.records` -- the versioned run-record schema and
   typed load/validate of ``BENCH_*.json`` trajectories;
 - :mod:`repro.report.aggregate` -- suite tables, geomean speedups,
   the :data:`THRESHOLDS` / :data:`SPEEDUP_FLOORS` single source of
   truth, and :func:`diff_runs` (the regression gate);
-- :mod:`repro.report.store` -- the append-only JSONL run-history
-  store behind ``repro report record`` / ``trend``;
 - :mod:`repro.report.render` -- deterministic text/JSON/CSV renderers.
 """
 
@@ -48,15 +46,6 @@ from repro.report.render import (
     format_table,
     render_diff,
     render_run,
-    render_trend,
-)
-from repro.report.store import (
-    DEFAULT_HISTORY,
-    HistoryEntry,
-    TrendPoint,
-    append_run,
-    load_history,
-    trend_series,
 )
 
 __all__ = [
@@ -65,18 +54,14 @@ __all__ = [
     "SPEEDUP_FLOORS",
     "THRESHOLDS",
     "TRAJECTORY_RECORDS",
-    "DEFAULT_HISTORY",
     "FORMATS",
     "BenchRun",
     "DiffEntry",
     "DiffResult",
     "FloorCheck",
-    "HistoryEntry",
     "MachineContext",
     "ReportError",
     "RunRecord",
-    "TrendPoint",
-    "append_run",
     "bench_run",
     "bench_run_from_payload",
     "diff_runs",
@@ -87,14 +72,11 @@ __all__ = [
     "hot_path_names",
     "hot_path_records",
     "load_bench",
-    "load_history",
     "machine_context",
     "render_diff",
     "render_run",
-    "render_trend",
     "save_bench",
     "suite_of",
     "suite_tables",
     "threshold_for",
-    "trend_series",
 ]

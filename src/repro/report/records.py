@@ -14,8 +14,8 @@ consume any trajectory ever written:
   ``{"schema", "context", "profile", "speedups", "records"}``.  Every
   record carries its ``suite`` and ``profile`` at write time, the
   envelope captures the machine context the run was measured on (CPU
-  count, Python/NumPy versions, ``kernels_available``, git commit) and
-  the derived speedup ratios, so a trajectory is self-describing.
+  count, Python/NumPy versions, git commit) and the derived speedup
+  ratios, so a trajectory is self-describing.
 
 :func:`load_bench` accepts both shapes and always returns a
 :class:`BenchRun`; :func:`save_bench` writes the current schema
@@ -83,13 +83,11 @@ class MachineContext:
     cpu_count: Optional[int] = None
     python: Optional[str] = None
     numpy: Optional[str] = None
-    kernels_available: Optional[bool] = None
     git_commit: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {}
-        for key in ("cpu_count", "python", "numpy", "kernels_available",
-                    "git_commit"):
+        for key in ("cpu_count", "python", "numpy", "git_commit"):
             value = getattr(self, key)
             if value is not None:
                 payload[key] = value
@@ -101,8 +99,7 @@ class MachineContext:
             raise ReportError(f"context must be an object, got "
                               f"{type(payload).__name__}")
         known = {key: payload.get(key) for key in (
-            "cpu_count", "python", "numpy", "kernels_available",
-            "git_commit")}
+            "cpu_count", "python", "numpy", "git_commit")}
         return cls(**known)           # type: ignore[arg-type]
 
 
@@ -128,13 +125,10 @@ def machine_context() -> MachineContext:
     """Gather the live machine context for a fresh bench run."""
     import numpy
 
-    from repro.core.sampling import _kernels
-
     return MachineContext(
         cpu_count=os.cpu_count(),
         python=platform.python_version(),
         numpy=numpy.__version__,
-        kernels_available=_kernels.HAVE_NUMBA,
         git_commit=_git_commit())
 
 
@@ -147,8 +141,8 @@ class RunRecord:
     """One validated bench measurement.
 
     ``extras`` holds every key the harness recorded beyond the typed
-    ones (scheduler counters, LRU hit rates, kernel flags), as a sorted
-    tuple of items so records stay hashable and order-canonical.
+    ones (scheduler counters, LRU hit rates), as a sorted tuple of
+    items so records stay hashable and order-canonical.
     """
 
     name: str

@@ -1,6 +1,6 @@
-"""Renderers for runs, diffs, and trends (text, JSON, CSV).
+"""Renderers for runs and diffs (text, JSON, CSV).
 
-All three renderers are deterministic functions of their input -- no
+Both renderers are deterministic functions of their input -- no
 clocks, no environment -- so the golden-file tests can pin the text
 and CSV output byte-for-byte.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.report.aggregate import (
     DiffResult,
@@ -19,7 +19,6 @@ from repro.report.aggregate import (
     suite_tables,
 )
 from repro.report.records import BenchRun
-from repro.report.store import TrendPoint
 
 FORMATS = ("text", "json", "csv")
 
@@ -228,49 +227,10 @@ def render_diff(diff: DiffResult, fmt: str = "text") -> str:
               f"{len(diff.missing_hot_paths)} missing hot path(s), "
               f"{sum(1 for check in diff.floor_checks if not check.ok)}"
               f" floor failure(s)")
+    if diff.missing_ratios:
+        counts += f", {len(diff.missing_ratios)} missing ratio(s)"
     if diff.missing_suites:
         counts += f", {len(diff.missing_suites)} missing suite(s)"
     sections.append(f"verdict: {verdict} ({counts})")
     return "\n\n".join(sections) + "\n"
 
-
-# ----------------------------------------------------------------------
-# repro report trend
-
-
-def render_trend(series: Dict[str, List[TrendPoint]],
-                 fmt: str = "text") -> str:
-    """Render per-record series across the history store."""
-    if fmt == "json":
-        payload = {name: [{
-            "index": point.index,
-            "recorded_at": point.recorded_at,
-            "git_commit": point.git_commit,
-            "profile": point.profile,
-            "seconds": point.seconds,
-            "relative": point.relative,
-        } for point in points] for name, points in series.items()}
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        rows = [(name, point.index, point.recorded_at or "",
-                 point.git_commit or "", point.profile or "",
-                 _seconds(point.seconds),
-                 "" if point.relative is None
-                 else f"{point.relative:+.4f}")
-                for name, points in series.items() for point in points]
-        return _csv(("name", "run", "recorded_at", "git_commit",
-                     "profile", "seconds", "relative"), rows)
-
-    if not series:
-        return "no history recorded\n"
-    sections = []
-    for name, points in series.items():
-        rows = [(str(point.index), point.recorded_at or "-",
-                 point.git_commit or "-", point.profile or "-",
-                 _seconds(point.seconds),
-                 "-" if point.relative is None
-                 else _percent(point.relative)) for point in points]
-        sections.append(f"[{name}]\n" + format_table(
-            ("run", "recorded", "commit", "profile", "seconds",
-             "delta"), rows, align="><<<>>"))
-    return "\n\n".join(sections) + "\n"

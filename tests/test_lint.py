@@ -317,50 +317,6 @@ def test_rep007_silent_on_sorted_and_reductions():
 
 
 # ----------------------------------------------------------------------
-# REP008 hard-kernel-import
-
-
-def test_rep008_fires_on_unguarded_compiled_imports():
-    findings = lint_snippet("""
-        import numba
-        from numba import njit
-
-        def hot(values):
-            return njit(values)
-    """)
-    assert fired(findings) == {"REP008"}
-    assert len(findings) == 2
-
-
-def test_rep008_silent_on_guarded_import_with_fallback():
-    findings = lint_snippet("""
-        try:
-            from numba import njit
-        except ImportError:
-            njit = None
-
-        try:
-            import pyximport
-        except (RuntimeError, ModuleNotFoundError):
-            pyximport = None
-
-        def kernel(fn):
-            return fn if njit is None else njit(fn)
-    """)
-    assert findings == []
-
-
-def test_rep008_handler_must_catch_import_errors():
-    findings = lint_snippet("""
-        try:
-            import numba
-        except ValueError:
-            numba = None
-    """)
-    assert fired(findings) == {"REP008"}
-
-
-# ----------------------------------------------------------------------
 # Suppression machinery (REP000)
 
 
@@ -449,7 +405,7 @@ def test_cli_lint_rules_listing(capsys):
     assert main(["lint", "--rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005",
-                    "REP006", "REP007", "REP008"):
+                    "REP006", "REP007"):
         assert rule_id in out
 
 
@@ -457,7 +413,7 @@ def test_every_rule_has_id_name_and_motivation():
     rules = all_rules()
     assert [rule.id for rule in rules] == [
         "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-        "REP007", "REP008"]
+        "REP007"]
     for rule in rules:
         assert rule.name and rule.motivation
 

@@ -1,15 +1,15 @@
 """The analytics / sim perf harness and its CLI subcommand."""
 
 import json
+from pathlib import Path
 
 from repro.cli import main
 from repro.perf import run_bench, run_sim_bench, speedups, write_bench
 
+TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_analytics.json"
 SCHEMA_KEYS = {"name", "seconds", "draws", "population_size"}
 #: Sim-suite records add provenance (and MIPS for simulator runs).
 SIM_EXTRA_KEYS = {"backend", "mips"}
-#: Analytics kernel records flag whether numba was importable.
-ANALYTICS_EXTRA_KEYS = {"kernels_available"}
 #: Serve-suite records add the scheduler/LRU counters of the run.
 SERVE_EXTRA_KEYS = {"backend", "hit_rate", "requests",
                     "dispatch_groups", "coalesced"}
@@ -24,7 +24,7 @@ def test_records_follow_schema():
     records = _smoke_records()
     assert records, "harness produced no records"
     for record in records:
-        assert SCHEMA_KEYS <= set(record) <= SCHEMA_KEYS | ANALYTICS_EXTRA_KEYS
+        assert set(record) == SCHEMA_KEYS
         assert record["seconds"] > 0
         assert record["population_size"] == 253
     names = [r["name"] for r in records]
@@ -35,10 +35,16 @@ def test_records_follow_schema():
         assert name.replace("-scalar", "-columnar") in names
     # The PR-7 sampling-path records are all present.
     assert {"estimator-workload-strata-fast",
-            "estimator-workload-strata-kernels-off",
-            "estimator-workload-strata-kernels-on",
             "estimator-workload-strata-pairs-loop",
             "estimator-workload-strata-pairs"} <= set(names)
+    # The committed trajectory's analytics suite is exactly what the
+    # harness records: a record dropped from one side only would leave
+    # a hot path the gate reports missing (or one it never gates).
+    from repro.report import load_bench
+
+    committed = [r.name for r in load_bench(TRAJECTORY).records
+                 if r.suite == "analytics"]
+    assert sorted(committed) == sorted(names)
 
 
 def test_speedups_pair_scalar_with_columnar():
@@ -47,8 +53,7 @@ def test_speedups_pair_scalar_with_columnar():
     assert set(ratios) == {
         "delta-wsu", "estimator-random", "estimator-workload-strata",
         "estimator-bench-strata", "estimator-workload-strata-fast",
-        "estimator-workload-strata-pairs",
-        "estimator-workload-strata-kernels"}
+        "estimator-workload-strata-pairs"}
     # The columnar bench-strata estimator skips the per-draw O(N)
     # strata rebuild; even at smoke scale that is a decisive win.
     assert ratios["estimator-bench-strata"] > 2
@@ -66,8 +71,7 @@ def test_write_bench_round_trips(tmp_path):
     assert payload["schema"] == SCHEMA_VERSION
     assert payload["profile"] == "smoke"
     assert payload["speedups"] == speedups(records)
-    assert {"cpu_count", "python", "numpy",
-            "kernels_available"} <= set(payload["context"])
+    assert {"cpu_count", "python", "numpy"} <= set(payload["context"])
     stripped = [{k: v for k, v in r.items()
                  if k not in ("suite", "profile")}
                 for r in payload["records"]]
@@ -101,9 +105,7 @@ def test_cli_bench_writes_output(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     record_keys = SCHEMA_KEYS | {"suite", "profile"}
-    assert all(record_keys <= set(r)
-               <= record_keys | ANALYTICS_EXTRA_KEYS
-               for r in payload["records"])
+    assert all(set(r) == record_keys for r in payload["records"])
     stdout = capsys.readouterr().out
     assert "speedup estimator-random" in stdout
 

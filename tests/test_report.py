@@ -1,12 +1,12 @@
-"""The report subsystem: records, aggregation, store, renderers, CLI.
+"""The report subsystem: records, aggregation, renderers, CLI.
 
 Covers the regression-gate contract end to end: typed load of both
 schema shapes, hypothesis properties of the aggregation core (geomean
 order invariance, diff-with-self cleanliness, threshold boundary
-behavior), golden-file pins of the text/CSV renderers, the history
-store round trip, and the CLI exit-code contract (a synthetic 2x
-slowdown of a named hot path must exit non-zero; the committed
-trajectory against itself must exit zero).
+behavior), golden-file pins of the text/CSV renderers, and the CLI
+exit-code contract (a synthetic 2x slowdown of a named hot path must
+exit non-zero; the committed trajectory against itself must exit
+zero).
 """
 
 import json
@@ -24,22 +24,18 @@ from repro.report import (
     MachineContext,
     ReportError,
     RunRecord,
-    append_run,
     bench_run_from_payload,
     diff_runs,
     floors_for,
     geomean,
     geomean_speedups,
     load_bench,
-    load_history,
     machine_context,
     render_diff,
     render_run,
-    render_trend,
     save_bench,
     suite_of,
     threshold_for,
-    trend_series,
 )
 
 TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_analytics.json"
@@ -154,7 +150,6 @@ def test_machine_context_round_trips():
     context = machine_context()
     assert context.cpu_count >= 1
     assert context.python and context.numpy
-    assert context.kernels_available in (True, False)
     assert MachineContext.from_dict(context.to_dict()) == context
 
 
@@ -271,6 +266,19 @@ def test_missing_hot_path_fails_the_diff():
     diff = diff_runs(base, _run(seconds))
     assert diff.missing_hot_paths == ["serve-query-warm"]
     assert not diff.ok
+
+
+def test_missing_ratio_fails_the_diff():
+    """A floored ratio the candidate cannot form fails, and says so."""
+    base = _run(FIXTURE_SECONDS)
+    seconds = {name: value for name, value in FIXTURE_SECONDS.items()
+               if name != "e2e-8core-cold"}
+    diff = diff_runs(base, _run(seconds))
+    assert diff.missing_ratios == ["e2e-8core"]
+    assert not diff.ok
+    assert render_diff(diff).splitlines()[-1] == (
+        "verdict: FAIL (0 regression(s), 0 missing hot path(s), "
+        "0 floor failure(s), 1 missing ratio(s))")
 
 
 def test_dropped_suite_is_reported_and_gated_on_request():
@@ -437,46 +445,6 @@ def test_render_run_csv_and_json():
 
 
 # ----------------------------------------------------------------------
-# History store and trends
-
-
-def test_history_round_trip_and_trend(tmp_path):
-    history = tmp_path / "history.jsonl"
-    first = _run(FIXTURE_SECONDS, profile="full")
-    assert append_run(history, first, recorded_at="2026-01-01") == 0
-    seconds = dict(FIXTURE_SECONDS)
-    seconds["serve-query-warm"] *= 2
-    assert append_run(history, _run(seconds, profile="full"),
-                      recorded_at="2026-01-02") == 1
-    entries = load_history(history)
-    assert [entry.recorded_at for entry in entries] == \
-        ["2026-01-01", "2026-01-02"]
-    series = trend_series(entries, names=["serve-query-warm"])
-    assert list(series) == ["serve-query-warm"]
-    points = series["serve-query-warm"]
-    assert points[0].relative is None
-    assert points[1].relative == pytest.approx(1.0)
-    text = render_trend(series)
-    assert "[serve-query-warm]" in text and "+100.0%" in text
-    csv_text = render_trend(series, fmt="csv")
-    assert csv_text.splitlines()[0].startswith("name,run")
-    assert len(csv_text.splitlines()) == 3
-
-
-def test_load_history_rejects_torn_lines(tmp_path):
-    history = tmp_path / "history.jsonl"
-    history.write_text('{"recorded_at": "x", "schema": 2, '
-                       '"records": []}\n{oops\n')
-    with pytest.raises(ReportError):
-        load_history(history)
-    assert load_history(tmp_path / "absent.jsonl") == []
-
-
-def test_render_trend_empty():
-    assert render_trend({}) == "no history recorded\n"
-
-
-# ----------------------------------------------------------------------
 # CLI exit-code contract
 
 
@@ -537,20 +505,6 @@ def test_cli_report_diff_bad_inputs(tmp_path, capsys):
     assert main(["report", "diff", "--baseline", str(TRAJECTORY),
                  "--candidate", str(TRAJECTORY),
                  "--threshold-scale", "0"]) == 2
-
-
-def test_cli_report_record_and_trend(tmp_path, capsys):
-    history = tmp_path / "history.jsonl"
-    assert main(["report", "record", "--input", str(TRAJECTORY),
-                 "--history", str(history)]) == 0
-    assert main(["report", "record", "--input", str(TRAJECTORY),
-                 "--history", str(history)]) == 0
-    capsys.readouterr()
-    assert main(["report", "trend", "--history", str(history),
-                 "--names", "serve-query-warm"]) == 0
-    out = capsys.readouterr().out
-    assert "[serve-query-warm]" in out
-    assert out.count("+0.0%") == 1
 
 
 def test_thresholds_name_the_documented_hot_paths():
