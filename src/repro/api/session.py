@@ -48,10 +48,14 @@ from repro.core.metrics import ThroughputMetric, metric_by_name
 from repro.core.population import WorkloadPopulation
 from repro.core.study import PolicyComparisonStudy
 from repro.core.workload import Workload
+from repro.heap import retain_freed_heap
 from repro.mem.replacement import POLICY_NAMES, validate_policy_name
 from repro.sim.results import PopulationResults
 
 MetricLike = Union[str, ThroughputMetric]
+
+#: Confidence-curve sample sizes W of both estimators by default.
+DEFAULT_SAMPLE_SIZES = (10, 30, 100)
 
 
 def _metric(metric: MetricLike) -> ThroughputMetric:
@@ -277,6 +281,13 @@ class Session:
             session's campaigns, so npz cache loads are mmap'd, LRU'd
             and shared across sessions.  ``None`` (the default, and
             the one-shot CLI path) keeps eager per-campaign loads.
+
+    Constructing a session applies the process-wide heap policy of
+    :func:`repro.heap.retain_freed_heap` (glibc only, once per
+    process, no switch): freed NumPy temporaries stay in the heap, so a
+    repeat estimate reuses its pages instead of faulting fresh ones.
+    The cost is that RSS stays near its high-water mark between
+    estimates; the high-water mark itself does not grow.
     """
 
     def __init__(self, scale: ScaleLike = Scale.MEDIUM, *, seed: int = 0,
@@ -288,6 +299,7 @@ class Session:
                  panel_cache: Optional[Any] = None) -> None:
         from repro.core.sampling.fastpath import fast_sampling_default
 
+        retain_freed_heap()
         self.scale = coerce_scale(scale)
         self.parameters: ScaleParameters = scale_parameters(self.scale)
         self.seed = seed
@@ -500,7 +512,7 @@ class Session:
                             cores: int = 8,
                             sample: Optional[int] = None,
                             draws: Optional[int] = None,
-                            sample_sizes: Sequence[int] = (10, 30, 100),
+                            sample_sizes: Sequence[int] = DEFAULT_SAMPLE_SIZES,
                             min_stratum: Optional[int] = None,
                             backend: Optional[str] = None,
                             fast_sampling: Optional[bool] = None
@@ -571,7 +583,7 @@ class Session:
                            cores: int = 8,
                            sample: Optional[int] = None,
                            draws: Optional[int] = None,
-                           sample_sizes: Sequence[int] = (10, 30, 100),
+                           sample_sizes: Sequence[int] = DEFAULT_SAMPLE_SIZES,
                            min_stratum: Optional[int] = None,
                            refine_backend: str = "badco",
                            refine_budget: Optional[int] = None,

@@ -59,13 +59,39 @@ def _adaptive_threshold(values: List[float]) -> float:
     return ADAPTIVE_SD_FRACTION * population_std
 
 
+def _variance_limit(sd_threshold: float) -> float:
+    """The largest double whose ``math.sqrt`` is <= ``sd_threshold``.
+
+    ``math.sqrt`` is correctly rounded and monotone, so for every
+    variance ``v >= 0``: ``math.sqrt(v) > sd_threshold`` exactly when
+    ``v > _variance_limit(sd_threshold)`` -- the stratum cut without a
+    square root per row.  A NaN threshold cuts nothing (NaN compares
+    false either way), +inf cuts nothing, and a negative one (-inf
+    included) cuts wherever the standard deviation is a number.
+    """
+    if math.isnan(sd_threshold) or sd_threshold == math.inf:
+        return sd_threshold
+    if sd_threshold < 0.0:
+        return -math.inf
+    limit = sd_threshold * sd_threshold
+    while math.sqrt(limit) > sd_threshold:
+        limit = math.nextafter(limit, 0.0)
+    while math.sqrt(math.nextafter(limit, math.inf)) <= sd_threshold:
+        limit = math.nextafter(limit, math.inf)
+    return limit
+
+
 def _stratum_ranges(ordered_values: List[float], min_stratum: int,
                     sd_threshold: float) -> List[range]:
     """Cut ascending d(w) values into strata; [start, stop) ranges.
 
     The single Welford scan behind both the mapping-based and the
-    columnar stratum builders (so they are bit-identical).
+    columnar stratum builders (so they are bit-identical).  A stratum
+    closes once it holds ``min_stratum`` values and its standard
+    deviation exceeds ``sd_threshold``, tested on the variance against
+    :func:`_variance_limit` (the same decision, row for row).
     """
+    limit = _variance_limit(sd_threshold)
     ranges: List[range] = []
     start = 0
     # Incremental mean/variance (Welford) for the open stratum.
@@ -76,8 +102,7 @@ def _stratum_ranges(ordered_values: List[float], min_stratum: int,
         diff = value - mean
         mean += diff / n
         m2 += diff * (value - mean)
-        std = math.sqrt(m2 / n)
-        if n >= min_stratum and std > sd_threshold:
+        if n >= min_stratum and m2 / n > limit:
             ranges.append(range(start, i + 1))
             start = i + 1
             mean = 0.0

@@ -31,7 +31,13 @@ import dataclasses
 import json
 from typing import IO, Any, Dict, Optional
 
-from repro.api.session import FullScaleEstimate, TwoStageEstimate
+from repro.api.scales import scale_parameters
+from repro.api.session import (
+    DEFAULT_SAMPLE_SIZES,
+    FullScaleEstimate,
+    TwoStageEstimate,
+)
+from repro.serve.state import DEFAULT_SCALE
 
 
 #: Largest request frame the daemon reads, newline included (1 MiB).
@@ -40,6 +46,37 @@ from repro.api.session import FullScaleEstimate, TwoStageEstimate
 #: cannot grow a handler's buffer without bound.  Responses (``panel``
 #: results) can be far larger, so clients read them uncapped.
 MAX_REQUEST_BYTES = 1 << 20
+
+# Bounds on one estimate's size, checked before it is scheduled (see
+# :func:`check_estimate_bounds`).  The yardstick, measured on a warm
+# FULL 4-core session: a 1 000-draw W = 100 stratified replay (10^5
+# drawn rows) takes ≈ 28 MB of fresh pages, ≈ 280 B per drawn row.
+
+#: Drawn rows, ``draws`` x sum(``sample_sizes``), with ``draws=None``
+#: counted as the scale's default.  No confidence point replays more,
+#: so its transient stays under ≈ 560 MB (20 of the 28 MB replays);
+#: FULL's default, 10 000 draws x (10, 30, 100) = 1.4 M rows, fits.
+MAX_DRAWN_ROWS = 2_000_000
+
+#: Entries of ``sample_sizes``.  Each is two more replays with their
+#: own tables and a fixed cost (32 one-draw sizes take ≈ 50 ms), which
+#: the drawn-row count does not see; 32 is ten times the default's
+#: three sizes and over three times Fig. 6's nine.
+MAX_SAMPLE_SIZES = 32
+
+#: Largest W.  A drawn row gets dearer as a stratum's share of the
+#: sample grows: 10^5 drawn rows take ≈ 0.07 s and ≈ 28 MB at W = 100
+#: but ≈ 1.2 s at W = 1 000 of the 12 650-row frame, and one draw at
+#: W = 12 650 takes 3 s.  At this bound MAX_DRAWN_ROWS keeps a request
+#: under ≈ 25 s; every W the experiments use (at most 640) fits.
+MAX_SAMPLE_SIZE = 1_000
+
+#: Frame rows (``sample``).  A fresh 8-core estimate peaks at ≈ 410 B
+#: of RSS per frame row (42 MB at 10 000 rows, 79 MB at 100 000), and
+#: the resident session keeps the frame and its panels, so this bound
+#: holds one frame to ≈ 40 MB, the order of one 28 MB replay; the
+#: paper's 8-core frame (FULL's cap) is 10 000 rows.
+MAX_FRAME_ROWS = 100_000
 
 
 class ProtocolError(ValueError):
@@ -86,6 +123,39 @@ def read_message(stream: IO[bytes],
     if not line:
         return None
     return decode_line(line)
+
+
+def check_estimate_bounds(params: Dict[str, Any]) -> None:
+    """Raise a ValueError naming the parameter and its bound when an
+    ``estimate`` / ``estimate_two_stage`` request is oversize.
+
+    Only integer values are checked; a value of another type passes
+    through, and the estimate itself rejects it, alone.
+    """
+    def integer(value: Any) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    sample = params.get("sample")
+    if integer(sample) and sample > MAX_FRAME_ROWS:
+        raise ValueError(f"sample={sample} exceeds MAX_FRAME_ROWS "
+                         f"({MAX_FRAME_ROWS})")
+    sizes = params.get("sample_sizes", DEFAULT_SAMPLE_SIZES)
+    if not isinstance(sizes, (list, tuple)):
+        return
+    if len(sizes) > MAX_SAMPLE_SIZES:
+        raise ValueError(f"sample_sizes has {len(sizes)} entries, more "
+                         f"than MAX_SAMPLE_SIZES ({MAX_SAMPLE_SIZES})")
+    sizes = [size for size in sizes if integer(size)]
+    if sizes and max(sizes) > MAX_SAMPLE_SIZE:
+        raise ValueError(f"sample_sizes entry {max(sizes)} exceeds "
+                         f"MAX_SAMPLE_SIZE ({MAX_SAMPLE_SIZE})")
+    draws = params.get("draws")
+    if draws is None:
+        draws = scale_parameters(params.get("scale", DEFAULT_SCALE)).draws
+    if integer(draws) and draws * sum(sizes) > MAX_DRAWN_ROWS:
+        raise ValueError(f"draws x sum(sample_sizes) = {draws} x "
+                         f"{sum(sizes)} drawn rows exceeds MAX_DRAWN_ROWS "
+                         f"({MAX_DRAWN_ROWS})")
 
 
 def canonical_params(params: Dict[str, Any]) -> str:

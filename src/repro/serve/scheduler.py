@@ -97,9 +97,11 @@ class RequestScheduler:
     def submit(self, op: str, params: Dict[str, Any]) -> Future:
         """Schedule one query; the future resolves to its wire result.
 
-        A malformed estimate (say ``seed: "x"``) resolves to its error
-        at once, so a repeat of it is not deduplicated onto a future
-        that never resolves.
+        A malformed estimate (say ``seed: "x"``) or an oversize one
+        (see :func:`~repro.serve.protocol.check_estimate_bounds`)
+        resolves to its error at once, before it opens a dispatch group
+        or reaches a worker, so a repeat of it is not deduplicated onto
+        a future that never resolves.
         """
         dedup_key = (op, protocol.canonical_params(params))
         malformed = None
@@ -113,10 +115,12 @@ class RequestScheduler:
             self._inflight[dedup_key] = future
             future.add_done_callback(
                 lambda _, key=dedup_key: self._forget(key))
-            if op == "estimate":
+            if op in ("estimate", "estimate_two_stage"):
                 try:
-                    self._join_group(params, future)
-                    return future
+                    protocol.check_estimate_bounds(params)
+                    if op == "estimate":
+                        self._join_group(params, future)
+                        return future
                 except Exception as error:
                     malformed = error
         if malformed is not None:

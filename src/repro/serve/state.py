@@ -39,6 +39,9 @@ SESSION_PARAMS = ("scale", "seed", "benchmarks", "jobs", "fast_sampling")
 
 SessionKey = Tuple[Any, ...]
 
+#: The scale of a request that names none.
+DEFAULT_SCALE = "small"
+
 
 def split_params(params: Dict[str, Any]
                  ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -75,7 +78,7 @@ class ResidentState:
         self._lock = threading.Lock()
 
     @staticmethod
-    def session_key(scale: Any = "small", seed: int = 0,
+    def session_key(scale: Any = DEFAULT_SCALE, seed: int = 0,
                     benchmarks: Optional[Sequence[str]] = None,
                     jobs: int = 1,
                     fast_sampling: Optional[bool] = None) -> SessionKey:
@@ -86,7 +89,7 @@ class ResidentState:
                 tuple(benchmarks) if benchmarks is not None else None,
                 int(jobs), fast_sampling)
 
-    def session(self, scale: Any = "small", seed: int = 0,
+    def session(self, scale: Any = DEFAULT_SCALE, seed: int = 0,
                 benchmarks: Optional[Sequence[str]] = None, jobs: int = 1,
                 fast_sampling: Optional[bool] = None) -> Session:
         """The memoised resident session for one parameter set.

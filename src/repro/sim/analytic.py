@@ -70,6 +70,10 @@ MAX_BUS_UTILISATION = 0.95
 PROBE_REUSER = "gcc"
 PROBE_STREAMER = "libquantum"
 
+#: Cells (rows x policies x cores) per block of the grid closure:
+#: 8 192 float64 values, so each block temporary is 64 KiB.
+GRID_BLOCK_CELLS = 8192
+
 
 @dataclass(frozen=True)
 class BenchmarkVector:
@@ -156,7 +160,7 @@ class BatchRun:
 class GridRun:
     """Outcome of one (workloads x policies) grid evaluated at once.
 
-    The policy-axis counterpart of :class:`BatchRun`: one closure call
+    The policy-axis counterpart of :class:`BatchRun`: one dispatch
     scores every workload under every policy, so the campaign engine's
     per-policy loop collapses into a single dispatch.
 
@@ -509,7 +513,7 @@ class AnalyticSimulator:
                         grid.instructions, grid.wall_seconds)
 
     def run_batch_grid(self, workloads, policies: Sequence[str]) -> GridRun:
-        """Score a whole (workloads x policies) grid in one closure call.
+        """Score a whole (workloads x policies) grid in one dispatch.
 
         The policy axis rides along as the leading gather dimension:
         every array operation of the contention closure broadcasts over
@@ -517,6 +521,13 @@ class AnalyticSimulator:
         instead of P per-policy evaluations -- and each policy's slice
         is bit-identical to its single-policy :meth:`run_batch` panel
         (the reductions run along the core axis only).
+
+        The closure runs in row blocks of ``GRID_BLOCK_CELLS // (P*K)``
+        rows (1 024 at P = 2, K = 4), each written straight into the
+        N x P x K result, so every float64 temporary stays within
+        64 KiB and cache-resident instead of growing with the frame.
+        Rows are independent (see :meth:`run_batch`), so the blocking
+        changes no bit.
 
         Args:
             workloads: the rows -- a
@@ -556,12 +567,17 @@ class AnalyticSimulator:
         # vectors' column order).
         lookup = np.zeros(rows.num_benchmarks, dtype=np.int64)
         lookup[used] = np.arange(len(used))
-        ipcs = self._evaluate(vectors, protections, lookup[rows.codes])
+        codes = lookup[rows.codes]
+        ipcs = np.empty((len(rows), len(policies), self.cores))
+        block = max(1, GRID_BLOCK_CELLS // (len(policies) * self.cores))
+        for start in range(0, len(rows), block):
+            stop = start + block
+            ipcs[start:stop] = self._evaluate(
+                vectors, protections, codes[start:stop]).transpose(1, 0, 2)
         instructions = (len(rows) * len(policies) * self.cores
                         * self.trace_length)
-        return GridRun(workloads, policies,
-                       np.ascontiguousarray(ipcs.transpose(1, 0, 2)),
-                       instructions, time.perf_counter() - started)
+        return GridRun(workloads, policies, ipcs, instructions,
+                       time.perf_counter() - started)
 
     def _evaluate(self, vec: Dict[str, np.ndarray], protections: np.ndarray,
                   codes: np.ndarray) -> np.ndarray:
@@ -570,7 +586,12 @@ class AnalyticSimulator:
         Every step is element-wise or reduces along the trailing core
         axis, so each policy's N x K slice computes exactly as a
         single-policy evaluation would -- the policy axis is pure
-        broadcast.  The gathers are normalised to C order: advanced
+        broadcast.  Terms that depend only on the benchmark (the
+        standalone pass time, the standalone hit ratio and the
+        equal-share residency bound) are computed at P x B and gathered
+        once: a gather is a copy, so an element-wise expression over
+        gathered operands equals the gather of the same expression, bit
+        for bit.  The gathers are normalised to C order: advanced
         indexing ``vec[...][:, codes]`` leaves the policy axis innermost
         for P >= 2, and the core-axis reductions below round differently
         over that layout than over the (trivially contiguous) P == 1
@@ -606,13 +627,13 @@ class AnalyticSimulator:
         # so a tiny hot set co-running with a streaming thread is not
         # evicted wholesale, while same-size thrashers split the cache.
         alone_resident = np.minimum(1.0, llc_lines / vec["footprint"])
+        equal_share = llc_lines / (codes.shape[1] * vec["footprint"])
         shared_resident = np.minimum(1.0, np.maximum(
-            llc_lines / np.maximum(felt, 1.0),
-            llc_lines / (codes.shape[1] * footprint)))
+            llc_lines / np.maximum(felt, 1.0), gather(equal_share)))
         survival = np.minimum(
             1.0, shared_resident / gather(alone_resident))
         # A standalone hit survives sharing with probability `survival`.
-        miss_ratio = 1.0 - (1.0 - gather(vec["miss_ratio"])) * survival
+        miss_ratio = 1.0 - gather(1.0 - vec["miss_ratio"]) * survival
 
         # Bus queueing: co-runner miss traffic (misses per cycle, using
         # standalone pass times as the rate basis) occupies the FSB for
@@ -632,12 +653,11 @@ class AnalyticSimulator:
         # Per-pass time, alone and shared, from the same expression; the
         # measured standalone IPC anchors the absolute level, so only
         # the contention *ratio* is analytic.
-        sensitivity = gather(vec["sensitivity"])
-        intrinsic = gather(vec["intrinsic"])
-        alone_time = (intrinsic + sensitivity
-                      * gather(vec["miss_ratio"]) * gather(vec["extra"]))
-        shared_time = intrinsic + sensitivity * miss_ratio * extra
-        return gather(vec["alone_ipc"]) * (alone_time
+        alone_time = (vec["intrinsic"] + vec["sensitivity"]
+                      * vec["miss_ratio"] * vec["extra"])        # P x B
+        shared_time = (gather(vec["intrinsic"])
+                       + gather(vec["sensitivity"]) * miss_ratio * extra)
+        return gather(vec["alone_ipc"]) * (gather(alone_time)
                                            / np.maximum(shared_time, 1.0))
 
     # ------------------------------------------------------------------

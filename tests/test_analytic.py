@@ -18,12 +18,18 @@ import numpy as np
 import pytest
 
 from repro.api import Campaign, CampaignConfig
+from repro.core.codematrix import CodeMatrix
 from repro.core.columnar import delta_column_from_matrices
 from repro.core.delta import DeltaVariable, delta_statistics
 from repro.core.metrics import IPCT
 from repro.core.population import WorkloadPopulation
 from repro.core.workload import Workload
-from repro.sim.analytic import AnalyticModelBuilder, AnalyticSimulator
+from repro.sim.analytic import (
+    GRID_BLOCK_CELLS,
+    MAX_BUS_UTILISATION,
+    AnalyticModelBuilder,
+    AnalyticSimulator,
+)
 
 from tests.conftest import TEST_TRACE_LENGTH
 
@@ -349,6 +355,92 @@ def test_run_batch_grid_row_chunking_is_bit_identical(parity_population):
                                        policies).ipcs
               for start in range(0, 9, 4)]
     assert np.array_equal(np.concatenate(pieces, axis=0), full)
+
+
+def _unblocked_grid(simulator, workloads, policies):
+    """The reference N x P x K grid: one closure call over the frame.
+
+    The contention expression without row blocks or hoisted terms:
+    every operand is gathered to P x N x K first, over the whole frame
+    at once.
+    """
+    policies = tuple(policies)
+    rows = CodeMatrix.from_workloads(workloads)
+    used = np.flatnonzero(rows.benchmark_occurrences())
+    vec = simulator._gather([rows.benchmarks[c] for c in used.tolist()],
+                            policies)
+    protections = np.array(
+        [simulator.builder.protection(simulator._config_for(policy),
+                                      simulator.warmup_fraction)
+         for policy in policies], dtype=np.float64)
+    lookup = np.zeros(rows.num_benchmarks, dtype=np.int64)
+    lookup[used] = np.arange(len(used))
+    codes = lookup[rows.codes]
+    config = simulator.uncore_config
+    llc_lines = config.llc_size / config.memory.line_bytes
+
+    def gather(array):
+        return np.ascontiguousarray(array[:, codes])
+
+    footprint = gather(vec["footprint"])
+    per_bench_pressure = (vec["footprint"]
+                          * (1.0 - protections[:, None]
+                             * vec["miss_ratio"]))
+    pressure = gather(per_bench_pressure)
+    felt = pressure.sum(axis=-1)[..., None] - pressure + footprint
+    alone_resident = np.minimum(1.0, llc_lines / vec["footprint"])
+    shared_resident = np.minimum(1.0, np.maximum(
+        llc_lines / np.maximum(felt, 1.0),
+        llc_lines / (codes.shape[1] * footprint)))
+    survival = np.minimum(1.0, shared_resident / gather(alone_resident))
+    miss_ratio = 1.0 - (1.0 - gather(vec["miss_ratio"])) * survival
+    transfer = float(config.memory.transfer_cycles)
+    rates = (gather(vec["requests"]) * miss_ratio
+             / gather(vec["alone_cycles"]))
+    others = rates.sum(axis=-1)[..., None] - rates
+    utilisation = np.minimum(others * transfer, MAX_BUS_UTILISATION)
+    queue_wait = transfer * utilisation / (1.0 - utilisation)
+    extra = gather(vec["extra"]) + queue_wait
+    sensitivity = gather(vec["sensitivity"])
+    intrinsic = gather(vec["intrinsic"])
+    alone_time = (intrinsic + sensitivity
+                  * gather(vec["miss_ratio"]) * gather(vec["extra"]))
+    shared_time = intrinsic + sensitivity * miss_ratio * extra
+    ipcs = gather(vec["alone_ipc"]) * (alone_time
+                                       / np.maximum(shared_time, 1.0))
+    return np.ascontiguousarray(ipcs.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("policies", [("DIP",), ("LRU", "DIP"),
+                                      ("LRU", "DIP", "DRRIP")])
+def test_run_batch_grid_blocks_match_one_unblocked_call(policies):
+    """Row blocks and hoisted terms change no bit of the grid.
+
+    The frame spans at least three blocks at every P (1 024 rows per
+    block at P = 1, K = 8), so block boundaries and the short last
+    block are both exercised.
+    """
+    population = WorkloadPopulation(PARITY_BENCHMARKS + ["bzip2"], 8)
+    workloads = list(population)
+    builder = AnalyticModelBuilder(TEST_TRACE_LENGTH, 0)
+    simulator = AnalyticSimulator(8, "LRU", builder=builder,
+                                  trace_length=TEST_TRACE_LENGTH)
+    block = GRID_BLOCK_CELLS // (len(policies) * 8)
+    assert len(workloads) > 2 * block
+    blocks = []
+    evaluate = simulator._evaluate
+
+    def counted(*args):
+        blocks.append(len(args[-1]))
+        return evaluate(*args)
+
+    simulator._evaluate = counted
+    grid = simulator.run_batch_grid(workloads, policies)
+    assert len(blocks) == -(-len(workloads) // block) >= 3
+    assert max(blocks) == block
+    reference = _unblocked_grid(simulator, workloads, policies)
+    assert grid.ipcs.flags.c_contiguous
+    assert grid.ipcs.tobytes() == reference.tobytes()
 
 
 def test_run_batch_grid_validates_inputs(parity_population):

@@ -1,11 +1,17 @@
 """Workload stratification: the Section VI-B-2 algorithm."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling import WorkloadStratification, build_workload_strata
+from repro.core.sampling.workload_strata import (
+    _stratum_ranges,
+    _variance_limit,
+)
 
 
 def _delta_for(population, spread=1.0):
@@ -116,3 +122,90 @@ def test_stratified_estimate_beats_random_on_structured_delta():
     _, var_strat = estimates(strat)
     _, var_simple = estimates(simple)
     assert var_strat < var_simple / 2
+
+
+# ----------------------------------------------------------------------
+# The stratum scan tests the variance, not the standard deviation
+
+
+def _reference_ranges(ordered_values, min_stratum, sd_threshold):
+    """The scan with a square root per row: the decision to reproduce."""
+    ranges = []
+    start = 0
+    mean = 0.0
+    m2 = 0.0
+    for i, value in enumerate(ordered_values):
+        n = i - start + 1
+        diff = value - mean
+        mean += diff / n
+        m2 += diff * (value - mean)
+        std = math.sqrt(m2 / n)
+        if n >= min_stratum and std > sd_threshold:
+            ranges.append(range(start, i + 1))
+            start = i + 1
+            mean = 0.0
+            m2 = 0.0
+    if start < len(ordered_values):
+        ranges.append(range(start, len(ordered_values)))
+    return ranges
+
+
+def _unbroken_stds(ordered_values):
+    """Every row's running standard deviation of one uncut scan."""
+    stds = []
+    mean = 0.0
+    m2 = 0.0
+    for n, value in enumerate(ordered_values, start=1):
+        diff = value - mean
+        mean += diff / n
+        m2 += diff * (value - mean)
+        stds.append(math.sqrt(m2 / n))
+    return stds
+
+
+_COLUMNS = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),
+    st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+             min_size=1, max_size=300),
+    st.lists(st.integers(-300, 300).map(lambda k: k / 100.0),
+             min_size=1, max_size=300),
+)
+
+_SPECIAL_THRESHOLDS = (math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0,
+                       5e-324, 1e-200, 1e200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_COLUMNS, data=st.data())
+def test_variance_scan_matches_the_square_root_scan(values, data):
+    values = sorted(values)
+    min_stratum = data.draw(st.sampled_from(
+        [1, 2, 50, max(1, len(values) // 40)]))
+    stds = _unbroken_stds(values)
+    # Thresholds on the exact boundary (a standard deviation the scan
+    # computes) and one ULP either side are where a rounding slip shows.
+    boundary = data.draw(st.sampled_from(stds))
+    threshold = data.draw(st.one_of(
+        st.sampled_from(_SPECIAL_THRESHOLDS),
+        st.floats(0.0, 1e3),
+        st.sampled_from([boundary, math.nextafter(boundary, -math.inf),
+                         math.nextafter(boundary, math.inf)])))
+    assert (_stratum_ranges(values, min_stratum, threshold)
+            == _reference_ranges(values, min_stratum, threshold))
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold=st.floats(0.0, allow_infinity=False))
+def test_variance_limit_is_the_largest_variance_at_or_under_it(threshold):
+    limit = _variance_limit(threshold)
+    assert math.sqrt(limit) <= threshold
+    assert math.sqrt(math.nextafter(limit, math.inf)) > threshold
+
+
+def test_variance_limit_special_thresholds():
+    assert math.isnan(_variance_limit(math.nan))
+    assert _variance_limit(math.inf) == math.inf
+    assert _variance_limit(-math.inf) == -math.inf
+    assert _variance_limit(-1.0) == -math.inf
+    assert _variance_limit(-0.0) == 0.0
+    assert _variance_limit(1e200) == math.nextafter(math.inf, 0.0)

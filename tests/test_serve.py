@@ -387,6 +387,66 @@ def test_oversized_frame_is_refused_without_stalling_others(server,
     assert _fields(served) == _fields(oneshot)
 
 
+#: One oversize request per bound, by the bound's name: the parameter
+#: the error reply must name and the params that exceed the bound
+#: (``_query`` draws 100 rows at sizes 5 and 20).
+OVERSIZE = {
+    "MAX_DRAWN_ROWS": ("draws", lambda: {
+        "draws": protocol.MAX_DRAWN_ROWS // 25 + 1}),
+    "MAX_SAMPLE_SIZES": ("sample_sizes", lambda: {
+        "sample_sizes": [5] * (protocol.MAX_SAMPLE_SIZES + 1)}),
+    "MAX_SAMPLE_SIZE": ("sample_sizes", lambda: {
+        "sample_sizes": [5, protocol.MAX_SAMPLE_SIZE + 1]}),
+    "MAX_FRAME_ROWS": ("sample", lambda: {
+        "sample": protocol.MAX_FRAME_ROWS + 1}),
+}
+
+
+@pytest.mark.parametrize("op", ["estimate", "estimate_two_stage"])
+@pytest.mark.parametrize("bound", sorted(OVERSIZE))
+def test_oversize_estimate_fails_alone_before_it_is_scheduled(
+        server, monkeypatch, bound, op):
+    ran = []
+
+    def refuse(self, *args, **kwargs):
+        ran.append(kwargs)
+        raise RuntimeError("the oversize estimate ran")
+
+    # An oversize estimate must never reach a session; the stubs also
+    # make a dropped bound fail fast instead of running the estimate.
+    monkeypatch.setattr(Session, "estimate_full_scale", refuse)
+    monkeypatch.setattr(Session, "estimate_two_stage", refuse)
+    parameter, oversize = OVERSIZE[bound]
+    params = _query(**oversize())
+    if op == "estimate_two_stage":
+        params["refine_budget"] = 4
+    with ReproClient(server.address, timeout=60) as client:
+        with pytest.raises(ServerError) as error:
+            client.request(op, **params)
+        assert client.ping()
+    message = str(error.value)
+    assert parameter in message
+    assert f"{bound} ({getattr(protocol, bound)})" in message
+    assert server.scheduler.counters()["dispatch_groups"] == 0
+    assert ran == []
+
+
+def test_the_bounds_admit_every_default_request_shape():
+    # FULL's default: 10 000 draws x (10, 30, 100) over the 8-core
+    # 10 000-row frame, named or left to the scale.
+    protocol.check_estimate_bounds({"scale": "full", "cores": 8})
+    protocol.check_estimate_bounds({
+        "scale": "full", "cores": 8, "sample": 10_000, "draws": 10_000,
+        "sample_sizes": [10, 30, 100]})
+    for scale in ("small", "medium"):
+        protocol.check_estimate_bounds({"scale": scale})
+    protocol.check_estimate_bounds({})
+    # One more sample size on the FULL default is over the drawn rows.
+    with pytest.raises(ValueError, match="MAX_DRAWN_ROWS"):
+        protocol.check_estimate_bounds({
+            "scale": "full", "sample_sizes": [10, 30, 100, 100]})
+
+
 def test_shutdown_op_stops_the_daemon(store, tmp_path):
     state = ResidentState(cache_dir=tmp_path / "cache",
                           model_store_dir=store)
