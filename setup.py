@@ -14,7 +14,7 @@ setup(
                  "Throughput' (ISPASS 2013)"),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.8",
+    python_requires=">=3.9",
     install_requires=[
         "numpy>=1.22",      # columnar analytics core (repro.core.columnar)
     ],

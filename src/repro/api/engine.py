@@ -176,10 +176,10 @@ class Campaign:
             defaults to a fresh one from the backend, trained lazily.
         panel_cache: optional :class:`repro.serve.ResidentPanelCache`
             (duck-typed: ``load(path)`` and ``store(path, results)``).
-            When set, cache loads go through it -- mmap'd, LRU'd and
-            hit/miss counted -- and saves publish the live results back
-            so repeat opens of the same npz skip the disk entirely.
-            ``None`` (the default) keeps the one-shot eager-load path.
+            When set, cache loads go through it -- LRU'd and hit/miss
+            counted -- and saves publish the live results back so
+            repeat opens of the same npz skip the disk entirely.
+            ``None`` (the default) keeps the one-shot per-campaign load.
     """
 
     def __init__(self, config: CampaignConfig,
@@ -259,8 +259,7 @@ class Campaign:
         Writers serialise on a per-cache-key :class:`repro.ioutil.
         FileLock` so two processes filling the same cache entry can't
         interleave their read-modify-write cycles (atomic replaces
-        already keep *readers* safe; mmap'd readers keep the replaced
-        inode alive and simply see the pre-save snapshot).
+        already keep *readers* safe).
 
         Lock ordering: the campaign-cache lock and the
         :class:`~repro.sim.modelstore.ModelStore` writer lock are never
@@ -280,7 +279,7 @@ class Campaign:
         self._dirty = False
         if self.panel_cache is not None:
             # Publish the live object under the fresh file identity so
-            # the next open of this npz is a cache hit, not a re-mmap.
+            # the next open of this npz is a cache hit, not a reload.
             self.panel_cache.store(path, self.results)
 
     # ------------------------------------------------------------------

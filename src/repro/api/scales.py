@@ -49,7 +49,8 @@ class ScaleParameters:
     Attributes:
         trace_length: uops per thread.
         population_cap: max workloads in the approximate-simulation
-            population per core count (None = the paper's exact sizes).
+            population, for each core count the scale covers (2, 4
+            and 8); any other core count needs an explicit frame size.
         detailed_sample: workloads simulated with the detailed
             simulator (the paper uses 250).
         draws: Monte-Carlo resamples per confidence estimate.

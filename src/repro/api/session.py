@@ -57,6 +57,9 @@ MetricLike = Union[str, ThroughputMetric]
 #: Confidence-curve sample sizes W of both estimators by default.
 DEFAULT_SAMPLE_SIZES = (10, 30, 100)
 
+#: Core count K of both estimators by default (the paper's full scale).
+DEFAULT_CORES = 8
+
 
 def _metric(metric: MetricLike) -> ThroughputMetric:
     return metric_by_name(metric) if isinstance(metric, str) else metric
@@ -98,8 +101,6 @@ class FullScaleEstimate:
         num_strata: workload strata built from the d(w) column.
         inverse_cv: 1/cv of d(w) over the frame (the Fig. 4/5 bar).
         sample_sizes: the W values of the confidence curves.
-        fast_sampling: whether the confidence draws took the opt-in
-            fast (non-bit-compatible) sampling path.
         confidence: per sampling-method confidence curve values.
         training_runs: BADCO trainings + analytic calibrations/probes
             performed during this call (0 == fully warm store).
@@ -119,7 +120,6 @@ class FullScaleEstimate:
     num_strata: int
     inverse_cv: float
     sample_sizes: Tuple[int, ...]
-    fast_sampling: bool = False
     confidence: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
     training_runs: int = 0
     timings: Dict[str, float] = field(default_factory=dict)
@@ -138,10 +138,6 @@ class FullScaleEstimate:
             lines.append(f"{indent}{size:6d}  " + "  ".join(
                 f"{series[i]:16.3f}" for series in confidence.values()))
         return lines
-
-    def _fast_note(self) -> List[str]:
-        return (["  sampling: fast path (not bit-compatible with the "
-                 "seeded MT draws)"] if self.fast_sampling else [])
 
     def _phases(self) -> str:
         return "  phase seconds: " + ", ".join(
@@ -162,7 +158,6 @@ class FullScaleEstimate:
             f"(strata: {self.num_strata}, draws: {self.draws})",
             "  training/calibration runs this call: "
             + self._runs(self.training_runs),
-            *self._fast_note(),
             *self._curve_lines(self.confidence, "  "),
             self._phases(),
         ]
@@ -249,7 +244,6 @@ class TwoStageEstimate(FullScaleEstimate):
             f"(strata: {self.num_strata}, draws: {self.draws})",
         ])
         lines.extend(self._curve_lines(self.confidence, "    "))
-        lines.extend(self._fast_note())
         lines.append(self._phases())
         return lines
 
@@ -270,17 +264,11 @@ class Session:
             ``models/`` subdirectory of the cache), an empty string
             disables it.
         benchmarks: benchmark suite (default: the 22 SPEC stand-ins).
-        fast_sampling: default for the session's confidence
-            estimations: take the opt-in fast (non-bit-compatible)
-            sampling path (see
-            :mod:`repro.core.sampling.fastpath`).  ``None`` reads the
-            ``REPRO_FAST_SAMPLING`` environment override (off unless
-            set truthy).
         panel_cache: optional resident panel cache (see
             :class:`repro.serve.ResidentPanelCache`) threaded into the
-            session's campaigns, so npz cache loads are mmap'd, LRU'd
-            and shared across sessions.  ``None`` (the default, and
-            the one-shot CLI path) keeps eager per-campaign loads.
+            session's campaigns, so npz cache loads are LRU'd and
+            shared across sessions.  ``None`` (the default, and the
+            one-shot CLI path) keeps per-campaign loads.
 
     Constructing a session applies the process-wide heap policy of
     :func:`repro.heap.retain_freed_heap` (glibc only, once per
@@ -295,17 +283,12 @@ class Session:
                  cache_dir: Optional[Path] = None,
                  model_store_dir: Optional[Union[str, Path]] = None,
                  benchmarks: Optional[Sequence[str]] = None,
-                 fast_sampling: Optional[bool] = None,
                  panel_cache: Optional[Any] = None) -> None:
-        from repro.core.sampling.fastpath import fast_sampling_default
-
         retain_freed_heap()
         self.scale = coerce_scale(scale)
         self.parameters: ScaleParameters = scale_parameters(self.scale)
         self.seed = seed
         self.jobs = jobs
-        self.fast_sampling = (fast_sampling_default()
-                              if fast_sampling is None else fast_sampling)
         self.backend = get_backend(backend).name
         self.cache_dir = (cache_dir if cache_dir is not None
                           else default_cache_dir())
@@ -342,11 +325,21 @@ class Session:
                 Memoised per ``(cores, sample)``, so repeat estimates
                 with an explicit frame size (the serve daemon's common
                 case) never re-enumerate or re-rank-sample.
+
+        Raises:
+            ValueError: ``sample`` is None and the scale has no cap for
+                ``cores``.
         """
         pop = self._populations.get((cores, sample))
         if pop is None:
-            cap = (sample if sample is not None
-                   else self.parameters.population_cap[cores])
+            caps = self.parameters.population_cap
+            if sample is None and cores not in caps:
+                raise ValueError(
+                    f"scale {self.scale.value!r} has a population cap "
+                    f"only for {', '.join(map(str, sorted(caps)))} "
+                    f"cores, not {cores}; pass sample=N to set the "
+                    f"frame size")
+            cap = sample if sample is not None else caps[cores]
             pop = WorkloadPopulation(self.benchmarks, cores,
                                      max_size=cap, seed=self.seed)
             self._populations[(cores, sample)] = pop
@@ -483,7 +476,8 @@ class Session:
 
     def estimate_is_warm(self, baseline: str = "LRU",
                          candidate: str = "DIP", *,
-                         metric: MetricLike = "IPCT", cores: int = 8,
+                         metric: MetricLike = "IPCT",
+                         cores: int = DEFAULT_CORES,
                          sample: Optional[int] = None,
                          backend: Optional[str] = None,
                          **_confidence_knobs) -> bool:
@@ -493,10 +487,9 @@ class Session:
         reads (memoised d(w) column plus the seeded confidence draws),
         so neither the coalescing window nor the shared grid dispatch
         buys it anything.  Extra keywords (``draws``, ``sample_sizes``,
-        ``min_stratum``, ``fast_sampling``) only shape the confidence
-        phase and are ignored.  Unknown policies, metrics or backends
-        simply report cold -- :meth:`estimate_full_scale` owns the
-        error.
+        ``min_stratum``) only shape the confidence phase and are
+        ignored.  Unknown policies, metrics or backends simply report
+        cold -- :meth:`estimate_full_scale` owns the error.
         """
         try:
             key = (get_backend(backend or "analytic").name, cores, sample,
@@ -509,13 +502,12 @@ class Session:
     def estimate_full_scale(self, baseline: str = "LRU",
                             candidate: str = "DIP", *,
                             metric: MetricLike = "IPCT",
-                            cores: int = 8,
+                            cores: int = DEFAULT_CORES,
                             sample: Optional[int] = None,
                             draws: Optional[int] = None,
                             sample_sizes: Sequence[int] = DEFAULT_SAMPLE_SIZES,
                             min_stratum: Optional[int] = None,
-                            backend: Optional[str] = None,
-                            fast_sampling: Optional[bool] = None
+                            backend: Optional[str] = None
                             ) -> FullScaleEstimate:
         """The paper's full-scale scenario, end to end.
 
@@ -551,9 +543,6 @@ class Session:
                 paper's 50, raised to frame/40 for large frames).
             backend: batch-capable simulator backend (default
                 ``analytic``).
-            fast_sampling: take the fast (non-bit-compatible) draw
-                path for the confidence phase; ``None`` inherits the
-                session default (itself ``REPRO_FAST_SAMPLING``-aware).
 
         Returns:
             A :class:`FullScaleEstimate` report.
@@ -568,8 +557,7 @@ class Session:
                            stage.seconds))
         started = time.perf_counter()
         fields = self._confidence_stage(stage.population, stage.delta,
-                                        draws, sample_sizes, min_stratum,
-                                        fast_sampling)
+                                        draws, sample_sizes, min_stratum)
         timings["confidence"] = time.perf_counter() - started
         return FullScaleEstimate(
             baseline=baseline, candidate=candidate, metric=metric_obj.name,
@@ -580,7 +568,7 @@ class Session:
     def estimate_two_stage(self, baseline: str = "LRU",
                            candidate: str = "DIP", *,
                            metric: MetricLike = "IPCT",
-                           cores: int = 8,
+                           cores: int = DEFAULT_CORES,
                            sample: Optional[int] = None,
                            draws: Optional[int] = None,
                            sample_sizes: Sequence[int] = DEFAULT_SAMPLE_SIZES,
@@ -588,8 +576,7 @@ class Session:
                            refine_backend: str = "badco",
                            refine_budget: Optional[int] = None,
                            refine_frac: Optional[float] = None,
-                           screen_backend: str = "analytic",
-                           fast_sampling: Optional[bool] = None
+                           screen_backend: str = "analytic"
                            ) -> TwoStageEstimate:
         """Analytic screening plus a budgeted event-driven refine pass.
 
@@ -612,7 +599,7 @@ class Session:
 
         Args:
             baseline / candidate / metric / cores / sample / draws /
-                sample_sizes / min_stratum / fast_sampling: exactly as
+                sample_sizes / min_stratum: exactly as
                 :meth:`estimate_full_scale`.
             refine_backend: event-driven backend for the refine pass
                 (``badco`` or ``interval``).
@@ -643,7 +630,7 @@ class Session:
         candidate = validate_policy_name(candidate)
         screen_backend = get_backend(screen_backend).name
         refine_backend = get_backend(refine_backend).name
-        knobs = (draws, sample_sizes, min_stratum, fast_sampling)
+        knobs = (draws, sample_sizes, min_stratum)
 
         # ---- stage 1: the full-scale stages on the screening backend -
         screen = self._delta_stage(screen_backend, cores, sample, baseline,
@@ -750,13 +737,12 @@ class Session:
 
     def _confidence_stage(self, population, delta,
                           draws: Optional[int], sample_sizes: Sequence[int],
-                          min_stratum: Optional[int],
-                          fast_sampling: Optional[bool]) -> Dict[str, Any]:
+                          min_stratum: Optional[int]) -> Dict[str, Any]:
         """Both estimators' second stage: confidence curves for a column.
 
         Simple random vs workload-stratified sampling over ``delta``;
-        ``None`` knobs take the scale's draws, W_T = max(50, frame/40)
-        and the session's fast-sampling default.
+        ``None`` knobs take the scale's draws and
+        W_T = max(50, frame/40).
 
         Returns:
             The :class:`FullScaleEstimate` fields this stage settles:
@@ -775,9 +761,7 @@ class Session:
             delta, min_stratum=min_stratum)
         estimator = ConfidenceEstimator(
             population, delta,
-            draws=draws if draws is not None else self.parameters.draws,
-            fast_sampling=(fast_sampling if fast_sampling is not None
-                           else self.fast_sampling))
+            draws=draws if draws is not None else self.parameters.draws)
         confidence = {}
         for method in (SimpleRandomSampling(), stratifier):
             curve = estimator.curve(method, tuple(sample_sizes),
@@ -789,7 +773,6 @@ class Session:
             "sampled": not population.is_exhaustive,
             "draws": estimator.draws, "num_strata": stratifier.num_strata,
             "sample_sizes": tuple(sample_sizes),
-            "fast_sampling": estimator.fast_sampling,
             "confidence": confidence,
         }
 

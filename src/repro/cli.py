@@ -15,7 +15,7 @@ Commands:
                       store, and run stratified confidence estimation;
 - ``plan``         -- apply the Section VII guideline to a cv value;
 - ``serve``        -- run the resident estimation daemon: models,
-                      enumerated populations and mmap'd panels stay
+                      enumerated populations and loaded panels stay
                       warm in one process; queries arrive as
                       newline-framed JSON over a Unix socket or TCP
                       port and overlapping estimates coalesce into
@@ -132,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--model-store", default=None,
                           help="directory for persisted trained models "
                                "(default: <cache>/models, '' disables)")
-    estimate.add_argument("--fast-sampling", action="store_const",
-                          const=True, default=None, dest="fast_sampling",
-                          help="opt into the fast, non-bit-compatible "
-                               "confidence draws (default: off, or the "
-                               "REPRO_FAST_SAMPLING env override)")
     estimate.add_argument("--refine-backend", default=None,
                           help="two-stage estimation: event-driven backend "
                                "(badco or interval) that re-scores the "
@@ -367,8 +362,7 @@ def _cmd_estimate(args) -> int:
               file=sys.stderr)
         return 2
     session = Session(args.scale, jobs=args.jobs, backend=backend,
-                      model_store_dir=args.model_store,
-                      fast_sampling=args.fast_sampling)
+                      model_store_dir=args.model_store)
     try:
         if args.refine_backend is not None:
             refine_backend = get_backend(args.refine_backend).name

@@ -33,13 +33,7 @@ from repro.core.columnar import (
 )
 from repro.core.metrics import _row_dot
 from repro.core.population import WorkloadPopulation
-from repro.core.sampling.base import (
-    SamplingMethod,
-    SamplingPlan,
-    has_fast_block,
-    has_fast_path,
-)
-from repro.core.sampling.fastpath import fast_generator
+from repro.core.sampling.base import SamplingMethod, SamplingPlan
 from repro.core.workload import Workload
 
 
@@ -61,16 +55,12 @@ def _population_index(population: WorkloadPopulation) -> WorkloadIndex:
     return WorkloadIndex.from_population(population)
 
 
-def _draw_rows(plan: SamplingPlan, size: int, draws: int, seed: int,
-               fast_sampling: bool):
-    """One (size, seed) row batch: fast path when opted in + supported.
+def _draw_rows(plan: SamplingPlan, size: int, draws: int, seed: int):
+    """One (size, seed) row batch.
 
-    Both the MT stream (``random.Random((seed << 16) ^ size)``) and the
-    fast generator are derived fresh per point, so batched curves equal
-    per-point calls on either path.
+    The MT stream (``random.Random((seed << 16) ^ size)``) is derived
+    fresh per point, so batched curves equal per-point calls.
     """
-    if fast_sampling and has_fast_path(plan):
-        return plan.rows_matrix_fast(size, draws, fast_generator(seed, size))
     rng = random.Random((seed << 16) ^ size)
     return plan.rows_matrix(size, draws, rng)
 
@@ -101,15 +91,10 @@ class ConfidenceEstimator:
             needs this table.
         draws: number of independent samples per (method, size) point;
             the paper uses 1000 (model validation) to 10000 (Fig. 6).
-        fast_sampling: opt into the fast, non-bit-compatible draw path
-            (:mod:`repro.core.sampling.fastpath`) for methods whose
-            plans support it; methods without a fast path -- and the
-            scalar fallback -- keep the bit-compatible MT streams.
-            Defaults to off: the MT replay stays the parity oracle.
     """
 
     def __init__(self, population: WorkloadPopulation, delta: DeltaLike,
-                 draws: int = 1000, fast_sampling: bool = False) -> None:
+                 draws: int = 1000) -> None:
         self.draws = checked_draws(draws)
         self.population = population
         if isinstance(delta, DeltaColumn):
@@ -123,7 +108,6 @@ class ConfidenceEstimator:
         # Mapping input is validated with one set difference, reporting
         # every missing workload (not an O(N) membership scan).
         self.column = as_delta_column(self.index, delta)
-        self.fast_sampling = fast_sampling
         self._delta_mapping: Optional[Dict[Workload, float]] = None
         # Keyed by identity but pinning the method object: an id() can
         # be reused once its owner is garbage collected.
@@ -149,8 +133,7 @@ class ConfidenceEstimator:
         plan = self._plan_for(method)
         if plan is None:            # method without a columnar path
             return self.confidence_scalar(method, sample_size, seed=seed)
-        rows, weights = _draw_rows(plan, sample_size, self.draws, seed,
-                                   self.fast_sampling)
+        rows, weights = _draw_rows(plan, sample_size, self.draws, seed)
         # _row_dot is bit-identical to WeightedSample.weighted_mean
         # applied per row (left-to-right product accumulation).
         means = _row_dot(self.column.values[rows], weights)
@@ -192,8 +175,7 @@ class ConfidenceEstimator:
                       for size in sample_sizes]
             return ConfidenceCurve(method.name, tuple(sample_sizes),
                                    tuple(values))
-        batches = [_draw_rows(plan, size, self.draws, seed,
-                              self.fast_sampling)
+        batches = [_draw_rows(plan, size, self.draws, seed)
                    for size in sample_sizes]
         gathered = self.column.values[
             np.concatenate([rows for rows, _ in batches], axis=1)]
@@ -231,13 +213,11 @@ class PairedConfidenceEstimator:
             the caller's pair labels; all must align with the
             population's row order.
         draws: Monte-Carlo resamples per (method, size) point.
-        fast_sampling: opt into the fast, non-bit-compatible draw path
-            (same contract as :class:`ConfidenceEstimator`).
     """
 
     def __init__(self, population: WorkloadPopulation,
                  deltas: "Dict[object, DeltaLike]",
-                 draws: int = 1000, fast_sampling: bool = False) -> None:
+                 draws: int = 1000) -> None:
         if not deltas:
             raise ValueError("no delta columns given")
         self.draws = checked_draws(draws)
@@ -248,7 +228,6 @@ class PairedConfidenceEstimator:
         #: N x P, one pair per column, in ``deltas`` insertion order.
         self.stacked = np.column_stack(
             [column.values for column in self.columns.values()])
-        self.fast_sampling = fast_sampling
         self._plans: Dict[int, tuple] = {}
 
     def _plan_for(self, method: SamplingMethod) -> Optional[SamplingPlan]:
@@ -264,9 +243,8 @@ class PairedConfidenceEstimator:
         """Per-pair fallback for methods without a columnar plan."""
         out = {}
         for key, column in self.columns.items():
-            estimator = ConfidenceEstimator(
-                self.population, column, draws=self.draws,
-                fast_sampling=self.fast_sampling)
+            estimator = ConfidenceEstimator(self.population, column,
+                                            draws=self.draws)
             out[key] = estimator.curve(method, sample_sizes, seed=seed)
         return out
 
@@ -288,8 +266,7 @@ class PairedConfidenceEstimator:
         plan = self._plan_for(method)
         if plan is None or not sample_sizes:
             return self._scalar_curves(method, sample_sizes, seed)
-        batches = [_draw_rows(plan, size, self.draws, seed,
-                              self.fast_sampling)
+        batches = [_draw_rows(plan, size, self.draws, seed)
                    for size in sample_sizes]
         # One gather for all sizes and all pairs: (draws, sum sizes, P).
         gathered = self.stacked[
@@ -311,43 +288,14 @@ class PairedConfidenceEstimator:
                                        values)
         return out
 
-    def _draw_pair_rows(self, plans: "Dict[object, SamplingPlan]",
-                        keys: List[object], size: int, seed: int):
-        """One (size, seed) row batch per pair, stacked when fast.
-
-        On the fast path all pairs draw from ONE ``(draws, sum slots)``
-        uniform block of a single generator, each pair consuming its
-        own column span.  Deriving a fresh ``fast_generator(seed,
-        size)`` per pair instead would hand every pair the *identical*
-        uniform block -- perfectly correlated draws masquerading as
-        independent Monte-Carlo experiments -- and pay P generator
-        round trips.  The default MT path is untouched: each pair keeps
-        its own bit-compatible stream.
-        """
-        if self.fast_sampling and \
-                all(has_fast_block(plans[key]) for key in keys):
-            widths = [plans[key].fast_slots(size) for key in keys]
-            block = fast_generator(seed, size).random(
-                (self.draws, sum(widths)))
-            drawn = []
-            column = 0
-            for key, width in zip(keys, widths):
-                drawn.append(plans[key].rows_matrix_fast_block(
-                    size, block[:, column:column + width]))
-                column += width
-            return drawn
-        return [_draw_rows(plans[key], size, self.draws, seed,
-                           self.fast_sampling) for key in keys]
-
     def _fallback_pair_curves(self, methods: "Dict[object, SamplingMethod]",
                               sample_sizes: Sequence[int],
                               seed: int) -> Dict[object, ConfidenceCurve]:
         """Per-pair loop: the reference `pair_curves` batches against."""
         out = {}
         for key, column in self.columns.items():
-            estimator = ConfidenceEstimator(
-                self.population, column, draws=self.draws,
-                fast_sampling=self.fast_sampling)
+            estimator = ConfidenceEstimator(self.population, column,
+                                            draws=self.draws)
             out[key] = estimator.curve(methods[key], sample_sizes, seed=seed)
         return out
 
@@ -364,20 +312,15 @@ class PairedConfidenceEstimator:
         weighted-mean reduction run once over a ``(draws, W, P)`` block
         instead of P separate 2-D passes.
 
-        On the default MT path, per-pair results are bit-identical to
-        running that pair's method through a separate
-        :class:`ConfidenceEstimator`: each (pair, size) point draws
-        from its own fresh RNG stream exactly as the single-pair path
-        does, and the reduction's element-wise accumulation order is
-        unchanged (the trailing pair axis only broadcasts).  With
-        ``fast_sampling=True`` the pairs instead share ONE stacked
-        uniform block per size (see :meth:`_draw_pair_rows`), so their
-        draws are decorrelated -- per-pair results then agree with the
-        single-pair fast path at distribution level, not bit for bit.
-        Pairs whose plans emit ragged widths for a size -- impossible
-        for the built-in methods, which always emit exactly ``size``
-        slots -- fall back to the per-pair loop, as do methods without
-        a columnar plan.
+        Per-pair results are bit-identical to running that pair's
+        method through a separate :class:`ConfidenceEstimator`: each
+        (pair, size) point draws from its own fresh RNG stream exactly
+        as the single-pair path does, and the reduction's element-wise
+        accumulation order is unchanged (the trailing pair axis only
+        broadcasts).  Pairs whose plans emit ragged widths for a size
+        -- impossible for the built-in methods, which always emit
+        exactly ``size`` slots -- fall back to the per-pair loop, as do
+        methods without a columnar plan.
 
         Args:
             methods: one sampling method per pair, keyed exactly like
@@ -394,7 +337,8 @@ class PairedConfidenceEstimator:
         keys = list(self.columns)
         batches = []        # per size: (draws, W, P) rows, (W, P) weights
         for size in sample_sizes:
-            drawn = self._draw_pair_rows(plans, keys, size, seed)
+            drawn = [_draw_rows(plans[key], size, self.draws, seed)
+                     for key in keys]
             if len({rows.shape[1] for rows, _ in drawn}) != 1:
                 return self._fallback_pair_curves(methods, sample_sizes,
                                                   seed)

@@ -39,18 +39,6 @@ Draw paths, per plan (see the README's "Sampling internals" section):
 
 Third-party :class:`SamplingMethod` subclasses that only implement
 ``sample`` transparently fall back to the estimator's scalar loop.
-
-Besides the bit-compatible paths above, every built-in plan also
-implements ``rows_matrix_fast`` -- the **opt-in fast draw path**
-(``fast_sampling=True`` on the estimators, ``--fast-sampling`` /
-``REPRO_FAST_SAMPLING`` on the API and CLI).  It draws all
-``draws x strata x size`` indices from one seeded
-``numpy.random.Generator`` uniform block
-(:mod:`~repro.core.sampling.fastpath`: inverse-CDF picks, vectorized
-Floyd distinct sampling, argsort-key permutations) and is therefore
-*not* bit-compatible with the MT replay -- same distributions, same
-weights, different specific rows for a given seed.  The MT replay
-stays the default and the parity oracle.
 """
 
 from repro.core.sampling.base import (
@@ -58,13 +46,6 @@ from repro.core.sampling.base import (
     SamplingPlan,
     StratifiedRowPlan,
     WeightedSample,
-    has_fast_block,
-    has_fast_path,
-)
-from repro.core.sampling.fastpath import (
-    FAST_SAMPLING_ENV,
-    fast_generator,
-    fast_sampling_default,
 )
 from repro.core.sampling.simple import SimpleRandomSampling
 from repro.core.sampling.balanced import BalancedRandomSampling
@@ -86,15 +67,10 @@ from repro.core.sampling.workload_strata import (
 SAMPLING_METHODS = ("random", "bal-random", "bench-strata", "workload-strata")
 
 __all__ = [
-    "FAST_SAMPLING_ENV",
     "SamplingMethod",
     "SamplingPlan",
     "StratifiedRowPlan",
     "WeightedSample",
-    "fast_generator",
-    "fast_sampling_default",
-    "has_fast_block",
-    "has_fast_path",
     "SimpleRandomSampling",
     "BalancedRandomSampling",
     "BenchmarkStratification",

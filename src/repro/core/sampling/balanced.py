@@ -105,42 +105,6 @@ class BalancedRandomPlan(SamplingPlan):
         weights = np.full(size, 1.0 / size)
         return rows, weights
 
-    def fast_slots(self, size: int) -> int:
-        """Floyd extras plus one shuffle key per benchmark slot."""
-        if size < 1:
-            raise ValueError("sample size must be >= 1")
-        slots = size * self._cores
-        return slots % self._num_benchmarks + slots
-
-    def rows_matrix_fast_block(self, size: int, uniforms: np.ndarray
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fast draws: Floyd extras + argsort-key shuffles, one block.
-
-        The extra slots come from Floyd's distinct sampling and each
-        draw's pool permutation from an argsort over iid uniform keys
-        (a uniform random permutation), so there is no per-position
-        Fisher-Yates replay and no O(slots^2) classification cost --
-        this path has no :data:`VECTOR_SLOT_LIMIT` cliff.  Not
-        bit-compatible with :meth:`rows_matrix` (see the ``fastpath``
-        module docstring); same balanced-multiset distribution.
-        """
-        from repro.core.sampling.fastpath import floyd_distinct
-
-        b, cores = self._num_benchmarks, self._cores
-        slots = size * cores
-        base, extra = divmod(slots, b)
-        draws = uniforms.shape[0]
-        pools = np.empty((draws, slots), dtype=np.int64)
-        pools[:, :base * b] = np.repeat(np.arange(b, dtype=np.int64), base)
-        if extra:
-            pools[:, base * b:] = floyd_distinct(uniforms[:, :extra], b)
-        order = np.argsort(uniforms[:, extra:], axis=1, kind="stable")
-        pools = np.take_along_axis(pools, order, axis=1)
-        codes = np.sort(pools.reshape(draws * size, cores), axis=1)
-        rows = self._index.rows_from_codes(codes).reshape(draws, size)
-        weights = np.full(size, 1.0 / size)
-        return rows, weights
-
     def rows_matrix_scalar(self, size: int, draws: int,
                            rng: random.Random
                            ) -> Tuple[np.ndarray, np.ndarray]:

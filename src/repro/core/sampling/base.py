@@ -105,88 +105,8 @@ class SamplingPlan:
         """
         raise NotImplementedError
 
-    def fast_slots(self, size: int) -> Optional[int]:
-        """Uniform columns one fast draw of ``size`` rows consumes.
-
-        Plans with a fast path report here how wide a ``(draws, slots)``
-        uniform block :meth:`rows_matrix_fast_block` needs, so callers
-        batching several plans (e.g. the paired estimator's
-        ``pair_curves``) can draw one stacked block from a single
-        generator and hand each plan its own column span.  ``None``
-        (the default) means the plan has no block-based fast path.
-        """
-        return None
-
-    def rows_matrix_fast_block(self, size: int, uniforms: np.ndarray
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fast draws from a caller-supplied uniform block.
-
-        ``uniforms`` must be a ``(draws, fast_slots(size))`` float64
-        block of iid U[0, 1) values; the plan turns it into row picks
-        deterministically (no further randomness is consumed).  The
-        base :meth:`rows_matrix_fast` composes this with one
-        ``rng.random`` call, so overriding ``fast_slots`` and this
-        method is all a plan needs to join the fast path.
-        """
-        raise NotImplementedError
-
-    def rows_matrix_fast(self, size: int, draws: int,
-                         rng: np.random.Generator
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """The opt-in fast draw path (NOT bit-compatible).
-
-        Same contract as :meth:`rows_matrix` -- same weights, same
-        per-stratum allocation, same marginal distributions -- but the
-        row indices come from a ``numpy.random.Generator`` uniform
-        block instead of the MT19937 replay, so for a given seed the
-        *specific* rows differ from the default path.  Only reached
-        when the estimator was built with ``fast_sampling=True``; plans
-        without an override simply never take the fast path (the
-        estimator checks :func:`has_fast_path` first).
-
-        The base implementation draws one ``(draws, fast_slots(size))``
-        uniform block and delegates to :meth:`rows_matrix_fast_block`
-        -- bit-identical, for a given generator state, to the plans'
-        historical single-block ``rows_matrix_fast`` overrides.
-        """
-        slots = self.fast_slots(size)
-        if slots is None:
-            raise NotImplementedError
-        return self.rows_matrix_fast_block(size, rng.random((draws, slots)))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-def has_fast_path(plan: Optional[SamplingPlan]) -> bool:
-    """Whether ``plan`` implements the fast draw path.
-
-    True when the plan overrides :meth:`SamplingPlan.rows_matrix_fast`
-    directly (legacy style) or supplies the block pair
-    (:meth:`SamplingPlan.fast_slots` +
-    :meth:`SamplingPlan.rows_matrix_fast_block`) the base method
-    composes.
-    """
-    if plan is None:
-        return False
-    cls = type(plan)
-    return (cls.rows_matrix_fast is not SamplingPlan.rows_matrix_fast
-            or has_fast_block(plan))
-
-
-def has_fast_block(plan: Optional[SamplingPlan]) -> bool:
-    """Whether ``plan`` accepts caller-supplied uniform blocks.
-
-    This is the stronger capability ``pair_curves`` needs to stack all
-    pairs' draws into one block: both :meth:`SamplingPlan.fast_slots`
-    and :meth:`SamplingPlan.rows_matrix_fast_block` must be overridden.
-    """
-    if plan is None:
-        return False
-    cls = type(plan)
-    return (cls.fast_slots is not SamplingPlan.fast_slots
-            and cls.rows_matrix_fast_block
-            is not SamplingPlan.rows_matrix_fast_block)
 
 
 class StratifiedRowPlan(SamplingPlan):
@@ -271,41 +191,6 @@ class StratifiedRowPlan(SamplingPlan):
                 # Selection-set / randrange indices address the stratum
                 # directly.
                 out[:, column:column + w_h] = rows[drawn]
-            column += w_h
-        return out, weights
-
-    def fast_slots(self, size: int) -> int:
-        """One uniform column per allocated slot (all strata)."""
-        return len(self._layout_for(size)[1])
-
-    def rows_matrix_fast_block(self, size: int, uniforms: np.ndarray
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fast draws: one uniform block, per-stratum inverse CDF.
-
-        Reuses the cached layout (identical strata, slot counts and
-        weights as the default path), then fills every stratum's slots
-        from the ``(draws, slots)`` uniform block: Floyd's distinct
-        sampling where the default path calls ``rng.sample``,
-        inverse-CDF with-replacement picks where it calls
-        ``randrange``.  Works even for frames the word-stream replay
-        cannot address (no 2**32 stratum limit).  Not bit-compatible
-        with :meth:`rows_matrix` -- see the ``fastpath`` module
-        docstring for the validation contract.
-        """
-        from repro.core.sampling.fastpath import (
-            floyd_distinct,
-            uniform_indices,
-        )
-
-        _chosen, weights, ops, arrays, _replayable = self._layout_for(size)
-        draws, slots = uniforms.shape
-        out = np.empty((draws, slots), dtype=np.int64)
-        column = 0
-        for (kind, n_h, w_h), rows in zip(ops, arrays):
-            span = uniforms[:, column:column + w_h]
-            picks = (floyd_distinct(span, n_h) if kind == "sample"
-                     else uniform_indices(span, n_h))
-            out[:, column:column + w_h] = rows[picks]
             column += w_h
         return out, weights
 

@@ -12,10 +12,8 @@ where b_i is the number of benchmarks in class C_i.  Sampling draws
 W_h workloads uniformly from each stratum (proportional allocation
 here) and estimates throughput with the weighted mean of eq. (9).
 
-Draws go through the shared :class:`StratifiedRowPlan`: the
-bit-compatible MT replay by default, or the opt-in non-bit-compatible
-fast path (:mod:`~repro.core.sampling.fastpath`) when the estimator
-was built with ``fast_sampling=True``.
+Draws go through the shared :class:`StratifiedRowPlan`'s
+bit-compatible MT replay.
 """
 
 from __future__ import annotations

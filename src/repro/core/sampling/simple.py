@@ -42,26 +42,6 @@ class SimpleRandomPlan(SamplingPlan):
         weights = np.full(size, 1.0 / size)
         return rows.reshape(draws, size), weights
 
-    def fast_slots(self, size: int) -> int:
-        """One uniform column per pick."""
-        if size < 1:
-            raise ValueError("sample size must be >= 1")
-        return size
-
-    def rows_matrix_fast_block(self, size: int, uniforms: np.ndarray
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fast draws: inverse-CDF picks from one uniform block.
-
-        Not bit-compatible with :meth:`rows_matrix` (see the
-        ``fastpath`` module docstring); same uniform-with-replacement
-        distribution.
-        """
-        from repro.core.sampling.fastpath import uniform_indices
-
-        rows = uniform_indices(uniforms, self._n)
-        weights = np.full(size, 1.0 / size)
-        return rows, weights
-
 
 class SimpleRandomSampling(SamplingMethod):
     """Uniform random selection of workloads, with replacement.

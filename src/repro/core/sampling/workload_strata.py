@@ -16,12 +16,8 @@ paper stresses the resulting sample is valid only for the specific
 (X, Y, metric) pair whose d(w) built the strata -- which this class
 enforces by construction, being built *from* a d(w) table.
 
-Draws go through the shared :class:`StratifiedRowPlan`: the
-bit-compatible MT replay by default, or -- because the strata are
-plain row partitions -- the opt-in fast path
-(:mod:`~repro.core.sampling.fastpath`, ``fast_sampling=True``) that
-fills all strata from one uniform block, which is what breaks the
-replay's serial-scan floor on large frames.
+Draws go through the shared :class:`StratifiedRowPlan`'s
+bit-compatible MT replay.
 """
 
 from __future__ import annotations

@@ -56,9 +56,7 @@ pairing is ``e2e-8core-cold`` vs ``e2e-8core-warm``; the serve
 pairings are ``serve-query-cold`` / ``serve-oneshot-warm`` (and,
 cross-suite, ``e2e-8core-warm``) vs ``serve-query-warm``.
 
-The analytics suite additionally records the PR-7 sampling paths:
-``estimator-workload-strata-fast`` (the opt-in ``fast_sampling=True``
-draw path, paired against ``estimator-workload-strata-columnar``) and
+The analytics suite additionally records
 ``estimator-workload-strata-pairs-loop``/``-pairs`` (per-pair
 estimator loop vs the fig6 pair-batched
 :meth:`~repro.core.estimator.PairedConfidenceEstimator.pair_curves`).
@@ -234,16 +232,6 @@ def run_bench(draws: int = DEFAULT_DRAWS,
                _time(lambda m=method: estimator.confidence(
                    m, sample_size, seed=seed), tries),
                draws)
-
-    # --- the opt-in fast path (not bit-compatible with the MT replay)
-    # against the columnar replay on the same workload-strata method.
-    strata_method = methods[1][1]
-    fast_estimator = ConfidenceEstimator(population, delta, draws=draws,
-                                         fast_sampling=True)
-    record("estimator-workload-strata-fast",
-           _time(lambda: fast_estimator.confidence(
-               strata_method, sample_size, seed=seed), repeat),
-           draws)
 
     # --- fig6-style pair batching: four policy pairs, one shared row
     # gather (pair_curves) against the per-pair estimator loop.
@@ -701,9 +689,6 @@ def speedups(records: List[Dict[str, object]]) -> Dict[str, float]:
                               "pop-store-warm"),
                              ("e2e-8core", "e2e-8core-cold",
                               "e2e-8core-warm"),
-                             ("estimator-workload-strata-fast",
-                              "estimator-workload-strata-columnar",
-                              "estimator-workload-strata-fast"),
                              ("estimator-workload-strata-pairs",
                               "estimator-workload-strata-pairs-loop",
                               "estimator-workload-strata-pairs"),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.report.records import BenchRun, RunRecord
 
@@ -64,7 +64,6 @@ TRAJECTORY_RECORDS: Tuple[str, ...] = (
     "delta-wsu-scalar", "delta-wsu-columnar",
     "estimator-random-scalar", "estimator-random-columnar",
     "estimator-bench-strata-scalar", "estimator-bench-strata-columnar",
-    "estimator-workload-strata-fast",
     "estimator-workload-strata-pairs",
     "sim-panel-badco", "sim-panel-analytic",
     "sim-batch-parallel-jobs1", "sim-batch-parallel-jobs2",

@@ -2,7 +2,7 @@
 
 ``repro serve`` keeps everything that makes a warm estimate fast --
 trained models, enumerated :class:`~repro.core.codematrix.CodeMatrix`
-populations, mmap'd campaign panels -- resident in one long-lived
+populations, loaded campaign panels -- resident in one long-lived
 process, and answers estimate / study / panel queries over a Unix
 socket or TCP port in milliseconds instead of paying process start,
 store reload and enumeration per invocation.

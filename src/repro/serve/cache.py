@@ -1,29 +1,24 @@
-"""The resident panel LRU: byte-budgeted, mmap-backed, counted.
+"""The resident panel LRU: byte-budgeted, counted.
 
 :class:`ResidentPanelCache` is the serve daemon's memory for campaign
 npz panels.  Campaigns constructed with ``panel_cache=...`` route their
-cache loads through :meth:`load`, which maps the npz panels read-only
-via :meth:`PopulationResults.load_npz(mmap_mode="r")
-<repro.sim.results.PopulationResults.load_npz>` instead of eagerly
-materialising them, and memoises the loaded object keyed by the file's
-identity ``(path, mtime_ns, size)``.  After a campaign saves, it
-publishes the live results object back via :meth:`store` under the
-fresh file identity, so the next open is a hit without touching disk.
+cache loads through :meth:`load`, which reads the npz through
+:meth:`PopulationResults.load_npz
+<repro.sim.results.PopulationResults.load_npz>` (every member's CRC
+checked, so a corrupt file raises and the campaign recomputes) and
+memoises the loaded object keyed by the file's identity ``(path,
+mtime_ns, size)``.  After a campaign saves, it publishes the live
+results object back via :meth:`store` under the fresh file identity,
+so the next open is a hit without touching disk.
 
-Memory behaviour: entries are charged their *virtual* panel size
+Memory behaviour: entries are charged their panel size
 (:attr:`PopulationResults.nbytes <repro.sim.results.PopulationResults.
-nbytes>`: IPC panels plus their rank vectors).  For mmap'd panels that is
-address space, not resident memory -- the OS pages IPC blocks in on
-demand and can drop clean pages under pressure -- so the byte budget
-bounds the worst case (every panel fully touched), while the typical
-resident cost of a served query is only the rows it actually reads.
-Eviction pops least-recently-used entries until the budget holds,
-always keeping the newest entry even when it alone exceeds the budget
-(a cache that refused the working set would just thrash).  Evicted
-panels stay valid for campaigns still holding them -- eviction only
-drops the cache's reference; consistency is preserved because saves
-are atomic replaces, so a shared mmap keeps the replaced inode's
-consistent snapshot alive until the last reference drops.
+nbytes>`: IPC panels plus their rank vectors), so the byte budget
+bounds the resident panels.  Eviction pops least-recently-used entries
+until the budget holds, always keeping the newest entry even when it
+alone exceeds the budget (a cache that refused the working set would
+just thrash).  Evicted panels stay valid for campaigns still holding
+them -- eviction only drops the cache's reference.
 
 Counters (``hits`` / ``misses`` / ``evictions``) feed the ``stats``
 query and the ``serve`` bench suite.
@@ -56,7 +51,7 @@ class ResidentPanelCache:
     """LRU of loaded campaign panels, keyed by file identity.
 
     Args:
-        budget_bytes: total virtual panel bytes to keep resident.
+        budget_bytes: total panel bytes to keep resident.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> None:
@@ -84,7 +79,7 @@ class ResidentPanelCache:
         return (stat.st_mtime_ns, stat.st_size)
 
     def load(self, path: Union[str, Path]) -> PopulationResults:
-        """The panels at ``path``, from cache or a fresh mmap load.
+        """The panels at ``path``, from cache or a fresh load.
 
         A cached entry is served only while the file identity matches;
         a replaced file (new mtime/size) is a miss and reloads.  Raises
@@ -103,7 +98,7 @@ class ResidentPanelCache:
         # Loaded outside the lock: a slow disk read must not stall
         # hits on other paths.  Two threads racing the same cold path
         # both load; the later insert wins (harmless -- same bytes).
-        results = PopulationResults.load_npz(path, mmap_mode="r")
+        results = PopulationResults.load_npz(path)
         with self._lock:
             self.misses += 1
             self._insert(key, ident, results)

@@ -33,6 +33,7 @@ from typing import IO, Any, Dict, Optional
 
 from repro.api.scales import scale_parameters
 from repro.api.session import (
+    DEFAULT_CORES,
     DEFAULT_SAMPLE_SIZES,
     FullScaleEstimate,
     TwoStageEstimate,
@@ -77,6 +78,14 @@ MAX_SAMPLE_SIZE = 1_000
 #: holds one frame to ≈ 40 MB, the order of one 28 MB replay; the
 #: paper's 8-core frame (FULL's cap) is 10 000 rows.
 MAX_FRAME_ROWS = 100_000
+
+#: Refined rows of one ``estimate_two_stage`` (``refine_budget``, or
+#: ``refine_frac`` x the frame).  Each is one BADCO run: on a warm FULL
+#: 8-core store a refine takes ≈ 0.53-0.67 s per row (21.4-21.6 s for
+#: 40 rows, 5.1-5.3 s for 8; 2-CPU host, uncalibrated), so this bound
+#: keeps a request near the ≈ 25 s of MAX_SAMPLE_SIZE; the largest
+#: budget the repo uses (the ``e2e`` bench suite's) is 40.
+MAX_REFINE_ROWS = 40
 
 
 class ProtocolError(ValueError):
@@ -129,8 +138,9 @@ def check_estimate_bounds(params: Dict[str, Any]) -> None:
     """Raise a ValueError naming the parameter and its bound when an
     ``estimate`` / ``estimate_two_stage`` request is oversize.
 
-    Only integer values are checked; a value of another type passes
-    through, and the estimate itself rejects it, alone.
+    Only integer values are checked (and a ``refine_frac`` in (0, 1]);
+    a value of another type passes through, and the estimate itself
+    rejects it, alone.
     """
     def integer(value: Any) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
@@ -139,6 +149,21 @@ def check_estimate_bounds(params: Dict[str, Any]) -> None:
     if integer(sample) and sample > MAX_FRAME_ROWS:
         raise ValueError(f"sample={sample} exceeds MAX_FRAME_ROWS "
                          f"({MAX_FRAME_ROWS})")
+    budget = params.get("refine_budget")
+    if integer(budget) and budget > MAX_REFINE_ROWS:
+        raise ValueError(f"refine_budget={budget} exceeds MAX_REFINE_ROWS "
+                         f"({MAX_REFINE_ROWS})")
+    frac = params.get("refine_frac")
+    if isinstance(frac, (int, float)) and 0 < frac <= 1:
+        frame = sample if integer(sample) else None
+        cores = params.get("cores", DEFAULT_CORES)
+        if frame is None and integer(cores):
+            frame = scale_parameters(params.get(
+                "scale", DEFAULT_SCALE)).population_cap.get(cores)
+        if frame is not None and round(frac * frame) > MAX_REFINE_ROWS:
+            raise ValueError(f"refine_frac={frac} of a {frame}-row frame "
+                             f"is {round(frac * frame)} rows, more than "
+                             f"MAX_REFINE_ROWS ({MAX_REFINE_ROWS})")
     sizes = params.get("sample_sizes", DEFAULT_SAMPLE_SIZES)
     if not isinstance(sizes, (list, tuple)):
         return
@@ -187,8 +212,17 @@ def estimate_from_wire(wire: Dict[str, Any]) -> FullScaleEstimate:
     :func:`estimate_to_wire`, equal to the original field for field."""
     wire = dict(wire)
     kind = wire.pop("kind", "full_scale")
+    cls = TwoStageEstimate if kind == "two_stage" else FullScaleEstimate
+    # A daemon and a client on either side of a field change disagree
+    # here; name the fields instead of failing inside the constructor.
+    fields = {field.name for field in dataclasses.fields(cls)}
+    unexpected = sorted(set(wire) - fields)
+    missing = sorted(fields - set(wire))
+    if unexpected or missing:
+        raise ProtocolError(
+            f"{cls.__name__} wire fields do not match: unexpected "
+            f"{unexpected}, missing {missing}")
     wire["sample_sizes"] = tuple(wire["sample_sizes"])
     _retuple(wire, "confidence")
     _retuple(wire, "screen_confidence")
-    cls = TwoStageEstimate if kind == "two_stage" else FullScaleEstimate
     return cls(**wire)

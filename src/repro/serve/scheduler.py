@@ -43,6 +43,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
+from repro.api.session import DEFAULT_CORES
 from repro.mem.replacement import validate_policy_name
 from repro.serve import protocol
 from repro.serve.state import ResidentState, split_params
@@ -54,7 +55,8 @@ logger = logging.getLogger(__name__)
 #: even a fully warm estimate.
 DEFAULT_WINDOW_SECONDS = 0.01
 
-_ESTIMATE_DEFAULTS = {"backend": "analytic", "cores": 8, "sample": None}
+_ESTIMATE_DEFAULTS = {"backend": "analytic", "cores": DEFAULT_CORES,
+                      "sample": None}
 
 
 @dataclass

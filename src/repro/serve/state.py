@@ -4,10 +4,10 @@
 between queries:
 
 - one :class:`~repro.serve.cache.ResidentPanelCache` shared by every
-  session's campaigns (mmap'd npz panels, byte-budgeted LRU);
+  session's campaigns (loaded npz panels, byte-budgeted LRU);
 - memoised :class:`~repro.api.session.Session` objects keyed by the
-  parameters that define one (scale, seed, benchmarks, jobs,
-  fast-sampling) universe -- sessions in turn memoise builders,
+  parameters that define one (scale, seed, benchmarks, jobs)
+  universe -- sessions in turn memoise builders,
   campaigns and ``(cores, sample)`` populations, so a warm query
   re-derives nothing;
 - the process-wide :mod:`~repro.core.codematrix` enumeration cache
@@ -35,7 +35,7 @@ from repro.serve.cache import DEFAULT_BUDGET_BYTES, ResidentPanelCache
 
 #: Request parameters that select (and key) a session; everything else
 #: in an estimate/study/panel request is an operation parameter.
-SESSION_PARAMS = ("scale", "seed", "benchmarks", "jobs", "fast_sampling")
+SESSION_PARAMS = ("scale", "seed", "benchmarks", "jobs")
 
 SessionKey = Tuple[Any, ...]
 
@@ -80,25 +80,24 @@ class ResidentState:
     @staticmethod
     def session_key(scale: Any = DEFAULT_SCALE, seed: int = 0,
                     benchmarks: Optional[Sequence[str]] = None,
-                    jobs: int = 1,
-                    fast_sampling: Optional[bool] = None) -> SessionKey:
+                    jobs: int = 1) -> SessionKey:
         """The hashable identity of one session's parameter set."""
         from repro.api.scales import coerce_scale
 
         return (coerce_scale(scale).value, int(seed),
                 tuple(benchmarks) if benchmarks is not None else None,
-                int(jobs), fast_sampling)
+                int(jobs))
 
     def session(self, scale: Any = DEFAULT_SCALE, seed: int = 0,
-                benchmarks: Optional[Sequence[str]] = None, jobs: int = 1,
-                fast_sampling: Optional[bool] = None) -> Session:
+                benchmarks: Optional[Sequence[str]] = None,
+                jobs: int = 1) -> Session:
         """The memoised resident session for one parameter set.
 
         An ordinary :class:`Session` that only shares
         :attr:`panel_cache`, so served answers run the one-shot code
         and are bit-identical to it.
         """
-        key = self.session_key(scale, seed, benchmarks, jobs, fast_sampling)
+        key = self.session_key(scale, seed, benchmarks, jobs)
         with self._lock:
             session = self._sessions.get(key)
             if session is None:
@@ -106,8 +105,7 @@ class ResidentState:
                     scale, seed=int(seed), jobs=int(jobs),
                     cache_dir=self.cache_dir,
                     model_store_dir=self.model_store_dir,
-                    benchmarks=benchmarks, fast_sampling=fast_sampling,
-                    panel_cache=self.panel_cache)
+                    benchmarks=benchmarks, panel_cache=self.panel_cache)
                 self._sessions[key] = session
             return session
 

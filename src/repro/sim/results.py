@@ -292,8 +292,7 @@ class PopulationResults:
     @property
     def nbytes(self) -> int:
         """Bytes of the stored panels: IPCs, their int64 ranks and the
-        reference IPCs.  For mmap'd blocks this is address space, not
-        resident memory."""
+        reference IPCs."""
         return sum(int(ranks.nbytes) + int(matrix.nbytes)
                    for blocks in self._blocks.values()
                    for ranks, matrix in blocks) + 8 * len(self.reference)
@@ -316,19 +315,14 @@ class PopulationResults:
         """Write the JSON export (:meth:`to_json`) atomically."""
         atomic_write_text(path, self.to_json())
 
-    def save_npz(self, path: Path, compressed: bool = False) -> None:
+    def save_npz(self, path: Path) -> None:
         """Persist as NumPy arrays (the campaign-cache format).
 
         Per policy: one int64 suite-rank vector plus the matching
         N x K float64 panel, in recording order; the suite and K ride
         along so a load can refuse panels ranked over another universe.
-
-        Uncompressed (the default): float64 IPC panels barely deflate,
-        and only ``ZIP_STORED`` members can be served by
-        :meth:`load_npz`'s ``mmap_mode`` path (the serve daemon's
-        resident panels map the cache file instead of materialising
-        it).  Pass ``compressed=True`` to trade the mmap fast path for
-        a smaller file.
+        Members are stored uncompressed: float64 IPC panels barely
+        deflate.
         """
         arrays: Dict[str, np.ndarray] = {
             "suite": np.array(SUITE, dtype=str),
@@ -344,37 +338,20 @@ class PopulationResults:
             ranks, _, _, panel = self._lookup(policy)
             arrays[f"ranks_{number}"] = ranks
             arrays[f"ipcs_{number}"] = panel
-        save = np.savez_compressed if compressed else np.savez
         with atomic_open(path, "wb") as handle:
-            save(handle, **arrays)
+            np.savez(handle, **arrays)
 
     @staticmethod
-    def load_npz(path: Path,
-                 mmap_mode: Optional[str] = None) -> "PopulationResults":
+    def load_npz(path: Path) -> "PopulationResults":
         """Inverse of :meth:`save_npz`.
-
-        Args:
-            path: the ``.npz`` file to read.
-            mmap_mode: if ``"r"``, IPC panels stored uncompressed in
-                the zip are served as read-only :class:`numpy.memmap`
-                views over the file instead of being read into memory
-                -- the ``repro serve`` daemon's resident-panel path.
-                Pages are faulted in on first touch and shared between
-                processes mapping the same file; a concurrent writer
-                that atomically replaces the file leaves existing
-                mappings on the old inode, so a loaded results object
-                is always an internally consistent snapshot.
-                Compressed members (and the small rank and metadata
-                arrays) are read eagerly.
 
         Raises:
             ValueError: the file ranks its rows over another benchmark
                 suite, or holds malformed ranks or panels (as well as
                 whatever :func:`numpy.load` raises on a torn file).
+            zipfile.BadZipFile: a member fails the CRC-32 check of
+                :func:`numpy.load` (a bit-flipped file).
         """
-        mapped: Dict[str, np.ndarray] = {}
-        if mmap_mode is not None:
-            mapped = _mmap_npz_members(path, prefix="ipcs_")
         with np.load(path, allow_pickle=False) as data:
             if tuple(data["suite"].tolist()) != SUITE:
                 raise ValueError(
@@ -386,70 +363,11 @@ class PopulationResults:
             for name, value in zip(names.tolist(), values.tolist()):
                 results.reference[str(name)] = value
             for number, policy in enumerate(data["policy_names"].tolist()):
-                panel = mapped.get(f"ipcs_{number}")
-                if panel is None:
-                    panel = data[f"ipcs_{number}"]
                 results.record_batch(str(policy), data[f"ranks_{number}"],
-                                     panel)
+                                     data[f"ipcs_{number}"])
         return results
 
     def __repr__(self) -> str:
         return (f"PopulationResults(cores={self.cores}, "
                 f"simulator={self.simulator!r}, policies={self.policies}, "
                 f"entries={len(self)})")
-
-
-def _mmap_npz_members(path: Path, prefix: str) -> Dict[str, np.ndarray]:
-    """Read-only memmaps of the uncompressed ``prefix*`` npz members.
-
-    A ``ZIP_STORED`` member of an npz archive is its ``.npy`` payload
-    byte for byte, so the array data can be mapped in place: walk the
-    member's local file header (30 fixed bytes + name + extra field --
-    read from the *local* record, whose extra field may differ from the
-    central directory's), parse the npy header right behind it, and
-    :class:`numpy.memmap` the payload at the resulting offset.
-
-    Members that are compressed, object-typed, or oddly shaped are
-    simply skipped (the caller falls back to the eager ``np.load``
-    read), as is the whole archive on any parse error -- mmap is a fast
-    path, never a correctness dependency.
-    """
-    import zipfile
-
-    from numpy.lib import format as npy_format
-
-    path = Path(path)
-    members: Dict[str, np.ndarray] = {}
-    try:
-        with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
-            for info in archive.infolist():
-                name = info.filename
-                if not (name.startswith(prefix) and name.endswith(".npy")):
-                    continue
-                if info.compress_type != zipfile.ZIP_STORED:
-                    continue
-                raw.seek(info.header_offset)
-                header = raw.read(30)
-                if len(header) != 30 or header[:4] != b"PK\x03\x04":
-                    continue
-                name_length = int.from_bytes(header[26:28], "little")
-                extra_length = int.from_bytes(header[28:30], "little")
-                raw.seek(info.header_offset + 30 + name_length
-                         + extra_length)
-                version = npy_format.read_magic(raw)
-                if version == (1, 0):
-                    shape, fortran, dtype = \
-                        npy_format.read_array_header_1_0(raw)
-                elif version == (2, 0):
-                    shape, fortran, dtype = \
-                        npy_format.read_array_header_2_0(raw)
-                else:
-                    continue
-                if dtype.hasobject:
-                    continue
-                members[name[: -len(".npy")]] = np.memmap(
-                    path, dtype=dtype, mode="r", offset=raw.tell(),
-                    shape=shape, order="F" if fortran else "C")
-    except (OSError, ValueError, zipfile.BadZipFile):
-        return {}
-    return members

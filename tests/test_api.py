@@ -228,6 +228,14 @@ def test_session_memoises_building_blocks(small_session):
     assert small_session.builder("detailed") is None
 
 
+def test_session_population_needs_a_frame_for_an_uncapped_core_count(
+        small_session):
+    # The scale caps 2, 4 and 8 cores; 3 cores has no default frame.
+    with pytest.raises(ValueError, match=r"2, 4, 8 cores.*sample=N"):
+        small_session.population(3)
+    assert len(small_session.population(3, sample=5)) == 5
+
+
 def test_session_study_matches_hand_wired_path():
     """The facade and a hand-wired campaign + study agree exactly."""
     from repro.core.metrics import IPCT

@@ -111,6 +111,15 @@ def test_estimate_rejects_unknown_policy(tmp_path, capsys, monkeypatch):
     assert "NOPE" in capsys.readouterr().err
 
 
+def test_estimate_rejects_a_core_count_without_a_cap(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["estimate", "LRU", "DIP", "--cores", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "2, 4, 8 cores" in err and "sample=N" in err
+    assert "Traceback" not in err
+
+
 def test_study_rejects_unknown_metric(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     assert main(["study", "LRU", "DIP", "--metric", "NOPE",

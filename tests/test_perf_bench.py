@@ -33,9 +33,8 @@ def test_records_follow_schema():
     scalars = {n for n in names if n.endswith("-scalar")}
     for name in scalars:
         assert name.replace("-scalar", "-columnar") in names
-    # The PR-7 sampling-path records are all present.
-    assert {"estimator-workload-strata-fast",
-            "estimator-workload-strata-pairs-loop",
+    # The pair-batching records are both present.
+    assert {"estimator-workload-strata-pairs-loop",
             "estimator-workload-strata-pairs"} <= set(names)
     # The committed trajectory's analytics suite is exactly what the
     # harness records: a record dropped from one side only would leave
@@ -52,8 +51,7 @@ def test_speedups_pair_scalar_with_columnar():
     ratios = speedups(records)
     assert set(ratios) == {
         "delta-wsu", "estimator-random", "estimator-workload-strata",
-        "estimator-bench-strata", "estimator-workload-strata-fast",
-        "estimator-workload-strata-pairs"}
+        "estimator-bench-strata", "estimator-workload-strata-pairs"}
     # The columnar bench-strata estimator skips the per-draw O(N)
     # strata rebuild; even at smoke scale that is a decisive win.
     assert ratios["estimator-bench-strata"] > 2

@@ -2,14 +2,17 @@
 
 Integration over the serve stack: the newline-framed protocol's
 lossless estimate round trip, the byte-budgeted resident panel LRU,
-mmap'd npz panel loads, and the daemon itself -- parallel clients must
-get answers bit-identical to the one-shot driver, concurrent
-overlapping requests must coalesce into fewer grid dispatches than
-requests, and identical in-flight requests must share one future.
+CRC-checked npz panel loads, and the daemon itself -- parallel
+clients must get answers bit-identical to the one-shot driver,
+concurrent overlapping requests must coalesce into fewer grid
+dispatches than requests, and identical in-flight requests must share
+one future.
 """
 
 import dataclasses
+import logging
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -92,7 +95,7 @@ def test_protocol_estimate_round_trip_is_lossless():
         baseline="LRU", candidate="DIP", metric="WSU", backend="analytic",
         cores=8, population_size=300, true_population_size=1287,
         sampled=True, draws=100, num_strata=7, inverse_cv=-1.0 / 3.0,
-        sample_sizes=(5, 20), fast_sampling=False,
+        sample_sizes=(5, 20),
         confidence={"random": (0.1 + 0.2, 2.0 / 3.0),
                     "workload-strata": (1e-17, 0.9999999999999999)},
         training_runs=0, timings={"panels": 0.125, "confidence": 1e-9})
@@ -116,6 +119,23 @@ def test_protocol_two_stage_round_trip_keeps_the_subclass():
     assert rebuilt == estimate
 
 
+def test_wire_fields_from_another_version_raise_a_named_error():
+    wire = protocol.estimate_to_wire(FullScaleEstimate(
+        baseline="LRU", candidate="DIP", metric="WSU", backend="analytic",
+        cores=8, population_size=300, true_population_size=1287,
+        sampled=True, draws=100, num_strata=7, inverse_cv=0.25,
+        sample_sizes=(5,)))
+    # A daemon that sends a field this client does not know, and one
+    # that lacks a field this client expects.
+    with pytest.raises(protocol.ProtocolError, match=(
+            r"unexpected \['degenerate'\], missing \[\]")):
+        protocol.estimate_from_wire({**wire, "degenerate": False})
+    del wire["num_strata"]
+    with pytest.raises(protocol.ProtocolError, match=(
+            r"unexpected \[\], missing \['num_strata'\]")):
+        protocol.estimate_from_wire(wire)
+
+
 def test_canonical_params_ignore_key_order():
     params = _query()
     reordered = dict(reversed(list(params.items())))
@@ -127,7 +147,7 @@ def test_canonical_params_ignore_key_order():
 # The resident panel LRU
 
 
-def _panel(tmp_path, name, policies=("LRU",), seed=0, compressed=False):
+def _panel(tmp_path, name, policies=("LRU",), seed=0):
     population = WorkloadPopulation(("bzip2", "gcc", "mcf"), 2)
     rng = np.random.default_rng(seed)
     results = PopulationResults(2, "analytic")
@@ -135,7 +155,7 @@ def _panel(tmp_path, name, policies=("LRU",), seed=0, compressed=False):
         results.record_batch(policy, population,
                              rng.random((len(population), 2)))
     path = tmp_path / f"{name}.npz"
-    results.save_npz(path, compressed=compressed)
+    results.save_npz(path)
     return path
 
 
@@ -189,34 +209,36 @@ def test_panel_lru_store_publishes_the_live_object(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# mmap'd npz loads
+# Corrupt cache files
 
 
-def test_npz_mmap_load_matches_eager_and_shares_pages(tmp_path):
-    path = _panel(tmp_path, "mapped", policies=("LRU", "DIP"))
-    eager = PopulationResults.load_npz(path)
-    mapped = PopulationResults.load_npz(path, mmap_mode="r")
-    for policy in ("LRU", "DIP"):
-        for (ranks, block), (_, twin) in zip(
-                mapped._blocks[policy], eager._blocks[policy]):
-            # np.asarray over a memmap keeps the buffer: the block is
-            # a plain ndarray view whose base is the file mapping.
-            assert isinstance(block.base, np.memmap)
-            assert not isinstance(twin.base, np.memmap)
-            assert np.array_equal(block, twin)
-            assert ranks.dtype == np.int64 and len(ranks) == len(block)
-    workload = next(iter(WorkloadPopulation(("bzip2", "gcc", "mcf"), 2)))
-    assert mapped.ipcs("LRU", workload) == eager.ipcs("LRU", workload)
-
-
-def test_compressed_npz_falls_back_to_an_eager_load(tmp_path):
-    path = _panel(tmp_path, "deflated", compressed=True)
-    eager = PopulationResults.load_npz(path)
-    mapped = PopulationResults.load_npz(path, mmap_mode="r")
-    for (_, block), (_, twin) in zip(
-            mapped._blocks["LRU"], eager._blocks["LRU"]):
-        assert not isinstance(block.base, np.memmap)
-        assert np.array_equal(block, twin)
+def test_bit_flipped_cached_panel_is_recomputed_not_served(store, tmp_path,
+                                                           caplog):
+    cache = tmp_path / "cache"
+    saved = ResidentState(cache_dir=cache, model_store_dir=store).session(
+        benchmarks=list(BENCHMARKS)).estimate_full_scale("LRU", "DIP",
+                                                         **FRAME)
+    (path,) = cache.glob("*.npz")
+    # Flip one bit of the first stored IPC: low exponent / top mantissa.
+    with np.load(path) as data:
+        payload = data["ipcs_0"].tobytes()
+    raw = bytearray(path.read_bytes())
+    offset = raw.find(payload)
+    assert offset > 0
+    raw[offset + 6] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(zipfile.BadZipFile, match="CRC"):
+        PopulationResults.load_npz(path)
+    # A fresh daemon state over the same cache directory.
+    state = ResidentState(cache_dir=cache, model_store_dir=store)
+    with caplog.at_level(logging.WARNING, logger="repro.api.engine"):
+        served = state.session(
+            benchmarks=list(BENCHMARKS)).estimate_full_scale(
+                "LRU", "DIP", **FRAME)
+    assert f"campaign cache {path} is unreadable (BadZipFile" in caplog.text
+    assert _fields(served) == _fields(saved)
+    # The recomputed panels replaced the corrupt file.
+    PopulationResults.load_npz(path)
 
 
 # ----------------------------------------------------------------------
@@ -366,6 +388,14 @@ def test_bad_requests_error_without_dropping_the_connection(server):
         assert client.ping()   # the connection survived every error
 
 
+def test_a_removed_session_parameter_fails_alone(server, oneshot):
+    with ReproClient(server.address, timeout=60) as client:
+        with pytest.raises(ServerError, match="fast_sampling"):
+            client.estimate(**_query(fast_sampling=False))
+        assert client.ping()
+        assert _fields(client.estimate(**_query())) == _fields(oneshot)
+
+
 def test_oversized_frame_is_refused_without_stalling_others(server,
                                                             oneshot):
     from repro.serve.server import connect
@@ -387,18 +417,25 @@ def test_oversized_frame_is_refused_without_stalling_others(server,
     assert _fields(served) == _fields(oneshot)
 
 
-#: One oversize request per bound, by the bound's name: the parameter
-#: the error reply must name and the params that exceed the bound
-#: (``_query`` draws 100 rows at sizes 5 and 20).
+#: Oversize requests per bound, by the bound's name: the parameter the
+#: error reply must name and the params that exceed the bound
+#: (``_query`` draws 100 rows at sizes 5 and 20 over a 300-row frame).
 OVERSIZE = {
-    "MAX_DRAWN_ROWS": ("draws", lambda: {
-        "draws": protocol.MAX_DRAWN_ROWS // 25 + 1}),
-    "MAX_SAMPLE_SIZES": ("sample_sizes", lambda: {
-        "sample_sizes": [5] * (protocol.MAX_SAMPLE_SIZES + 1)}),
-    "MAX_SAMPLE_SIZE": ("sample_sizes", lambda: {
-        "sample_sizes": [5, protocol.MAX_SAMPLE_SIZE + 1]}),
-    "MAX_FRAME_ROWS": ("sample", lambda: {
-        "sample": protocol.MAX_FRAME_ROWS + 1}),
+    "MAX_DRAWN_ROWS": [("draws", lambda: {
+        "draws": protocol.MAX_DRAWN_ROWS // 25 + 1})],
+    "MAX_SAMPLE_SIZES": [("sample_sizes", lambda: {
+        "sample_sizes": [5] * (protocol.MAX_SAMPLE_SIZES + 1)})],
+    "MAX_SAMPLE_SIZE": [("sample_sizes", lambda: {
+        "sample_sizes": [5, protocol.MAX_SAMPLE_SIZE + 1]})],
+    "MAX_FRAME_ROWS": [("sample", lambda: {
+        "sample": protocol.MAX_FRAME_ROWS + 1})],
+    "MAX_REFINE_ROWS": [
+        ("refine_budget", lambda: {
+            "refine_budget": protocol.MAX_REFINE_ROWS + 1}),
+        ("refine_frac", lambda: {"refine_frac": 1.0}),
+        # No frame size: the scale's cap (FULL, 8 cores: 10 000 rows).
+        ("refine_frac", lambda: {"scale": "full", "sample": None,
+                                 "refine_frac": 0.5})],
 }
 
 
@@ -416,17 +453,17 @@ def test_oversize_estimate_fails_alone_before_it_is_scheduled(
     # make a dropped bound fail fast instead of running the estimate.
     monkeypatch.setattr(Session, "estimate_full_scale", refuse)
     monkeypatch.setattr(Session, "estimate_two_stage", refuse)
-    parameter, oversize = OVERSIZE[bound]
-    params = _query(**oversize())
-    if op == "estimate_two_stage":
-        params["refine_budget"] = 4
-    with ReproClient(server.address, timeout=60) as client:
-        with pytest.raises(ServerError) as error:
-            client.request(op, **params)
-        assert client.ping()
-    message = str(error.value)
-    assert parameter in message
-    assert f"{bound} ({getattr(protocol, bound)})" in message
+    for parameter, oversize in OVERSIZE[bound]:
+        params = _query(**oversize())
+        if op == "estimate_two_stage" and "refine_frac" not in params:
+            params.setdefault("refine_budget", 4)
+        with ReproClient(server.address, timeout=60) as client:
+            with pytest.raises(ServerError) as error:
+                client.request(op, **params)
+            assert client.ping()
+        message = str(error.value)
+        assert parameter in message
+        assert f"{bound} ({getattr(protocol, bound)})" in message
     assert server.scheduler.counters()["dispatch_groups"] == 0
     assert ran == []
 
@@ -441,6 +478,16 @@ def test_the_bounds_admit_every_default_request_shape():
     for scale in ("small", "medium"):
         protocol.check_estimate_bounds({"scale": scale})
     protocol.check_estimate_bounds({})
+    # Every refine budget the repo uses: the tests' 4 and 6, CI's 5,
+    # the benchmark's 8 and the e2e bench suite's 40, at FULL scale.
+    for budget in (4, 5, 6, 8, 40):
+        protocol.check_estimate_bounds({
+            "scale": "full", "cores": 8, "refine_budget": budget})
+    # A fraction is checked against the frame: its own, else the cap.
+    protocol.check_estimate_bounds({"sample": 400, "refine_frac": 0.1})
+    protocol.check_estimate_bounds({"scale": "small", "refine_frac": 0.5})
+    with pytest.raises(ValueError, match="MAX_REFINE_ROWS"):
+        protocol.check_estimate_bounds({"sample": 400, "refine_frac": 0.2})
     # One more sample size on the FULL default is over the drawn rows.
     with pytest.raises(ValueError, match="MAX_DRAWN_ROWS"):
         protocol.check_estimate_bounds({
