@@ -20,6 +20,7 @@ The Section VII recipe, driven through one :class:`repro.Session`:
 import random
 
 from repro import BalancedRandomSampling, Session, WorkloadStratification
+from repro.core.columnar import delta_column_from_matrices
 from repro.core.planner import Recommendation
 
 
@@ -58,18 +59,17 @@ def main() -> None:
 
     print(f"\nStep 3: detailed simulation of the {len(sample)} selected "
           f"workloads only...")
+    rows = sorted(set(sample.workloads))
     results = session.results("detailed", cores,
                               policies=[BASELINE, NEW_POLICY],
-                              workloads=sorted(set(sample.workloads)))
+                              workloads=rows)
 
-    variable = study.delta_variable
-    values = []
-    for workload in sample.workloads:
-        values.append(variable.value(
-            workload,
-            results.ipcs(BASELINE, workload),
-            results.ipcs(NEW_POLICY, workload)))
-    verdict = sample.weighted_mean(values)
+    index, matrices = results.columnar_panel([BASELINE, NEW_POLICY], rows)
+    delta = delta_column_from_matrices(
+        study.delta_variable, matrices[BASELINE],
+        matrices[NEW_POLICY]).values.tolist()
+    verdict = sample.weighted_mean([delta[index.row(workload)]
+                                    for workload in sample.workloads])
     detailed = session.campaign("detailed", cores)
     print(f"\nDetailed-simulation verdict on D = mean d(w): {verdict:+.5f}")
     print(f"=> {NEW_POLICY} {'outperforms' if verdict > 0 else 'does not outperform'} "

@@ -17,6 +17,7 @@ from repro import (
     delta_statistics,
     required_sample_size,
 )
+from repro.core.columnar import delta_column_from_matrices
 from repro.experiments.common import POLICY_PAIRS
 
 
@@ -24,7 +25,10 @@ def main() -> None:
     session = Session(scale="small", seed=0)
     cores = 2
     results = session.results("badco", cores)
-    population = list(session.population(cores))
+    population = session.population(cores)
+    _, matrices = results.columnar_panel(
+        sorted({policy for pair in POLICY_PAIRS for policy in pair}),
+        population)
 
     print(f"Required random-sample size W = 8 cv^2 per metric "
           f"({cores}-core population of {len(population)}):\n")
@@ -33,10 +37,10 @@ def main() -> None:
     for x, y in POLICY_PAIRS:
         row = []
         for metric in METRICS:
-            variable = DeltaVariable(metric, results.reference)
-            delta = [variable.value(w, results.ipcs(x, w), results.ipcs(y, w))
-                     for w in population]
-            stats = delta_statistics(delta)
+            delta = delta_column_from_matrices(
+                DeltaVariable(metric, results.reference), matrices[x],
+                matrices[y])
+            stats = delta_statistics(delta.values.tolist())
             try:
                 w_needed = required_sample_size(stats.cv)
             except ValueError:

@@ -10,10 +10,11 @@ MPKI classification below runs on the same session (its scale, seed
 and benchmark suite).
 
 This walkthrough uses the *columnar* analytics API: d(w) is built as
-one vector (``DeltaVariable.column``), the strata come straight from it
-(``WorkloadStratification.from_column``), and the estimator batches all
-draws as array operations -- same numbers as the mapping API, orders of
-magnitude faster at paper scale.
+one vector from the campaign's IPC matrices
+(``columnar_panel`` + ``delta_column_from_matrices``), the strata come
+straight from it (``WorkloadStratification.from_column``), and the
+estimator batches all draws as array operations -- same numbers as the
+mapping API, orders of magnitude faster at paper scale.
 """
 
 from repro import (
@@ -25,10 +26,10 @@ from repro import (
     Scale,
     Session,
     SimpleRandomSampling,
-    WorkloadIndex,
     WorkloadStratification,
 )
 from repro.core.classification import class_labels
+from repro.core.columnar import delta_column_from_matrices
 from repro.experiments.table4_classification import run as run_table4
 
 
@@ -38,10 +39,9 @@ def main() -> None:
     results = session.results("badco", cores)
     population = session.population(cores)
 
-    variable = DeltaVariable(IPCT, results.reference)
-    index = WorkloadIndex.from_population(population)
-    delta = variable.column(index, results.ipc_table("LRU"),
-                            results.ipc_table("DIP"))
+    _, matrices = results.columnar_panel(("LRU", "DIP"), population)
+    delta = delta_column_from_matrices(DeltaVariable(IPCT, results.reference),
+                                       matrices["LRU"], matrices["DIP"])
 
     print("Classifying benchmarks by MPKI (for benchmark stratification)...")
     classes = class_labels(run_table4(Scale.SMALL, session).mpki)

@@ -33,7 +33,6 @@ from repro.api.backends import (
     SimulatorBackend,
     UnknownBackendError,
     backend_names,
-    backend_supports_batch,
     backend_supports_policy_axis,
     get_backend,
     register_backend,
@@ -55,8 +54,7 @@ __all__ = [
     "BACKENDS", "SimulatorBackend", "UnknownBackendError",
     "DetailedBackend", "BadcoBackend", "IntervalBackend",
     "AnalyticBackend", "register_backend", "get_backend",
-    "backend_names", "backend_supports_batch",
-    "backend_supports_policy_axis",
+    "backend_names", "backend_supports_policy_axis",
     # campaigns
     "CampaignConfig", "Campaign", "CampaignTiming", "RESULTS_VERSION",
     # scales

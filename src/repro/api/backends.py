@@ -12,13 +12,10 @@ repository's three families:
 - ``analytic`` -- the array-evaluated BADCO variant: whole workload
   panels in a handful of NumPy calls (see :mod:`repro.sim.analytic`).
 
-Backends whose simulators can score many workloads per call declare it
-with ``supports_batch = True``; their simulator objects then expose
-``run_batch(workloads) -> BatchRun`` next to the per-workload ``run``,
-and the campaign engine dispatches grids to the batch path (serial or
-chunked over the process pool) instead of the per-workload loop.
-Backends that can also batch the policy dimension declare
-``supports_policy_axis = True`` and expose
+Every simulator scores a grid through ``run_batch(workloads) ->
+BatchRun``; the campaign engine calls it once per policy (or per row
+chunk on its process pool).  Backends that can also batch the policy
+dimension declare ``supports_policy_axis = True`` and expose
 ``run_batch_grid(workloads, policies) -> GridRun`` (one N x P x K
 call); the engine then collapses its per-policy loop into a single
 dispatch whenever every policy shares the same pending workloads.
@@ -49,16 +46,14 @@ class SimulatorBackend(Protocol):
     """Factory interface one simulator family must implement.
 
     The simulator object returned by :meth:`make_simulator` must offer
-    ``run(workload) -> WorkloadRun`` and
-    ``reference_ipc(benchmark) -> float`` -- the contract shared by
+    ``run_batch(workloads) -> BatchRun`` (the N x K panel of a workload
+    sequence, in row order) and ``reference_ipc(benchmark) -> float``.
+    A simulator whose unit of work is one ``run(workload) ->
+    WorkloadRun`` gets ``run_batch`` by mixing in
+    :class:`~repro.sim.detailed.EventDrivenBatchMixin`, as
     :class:`~repro.sim.detailed.DetailedSimulator`,
     :class:`~repro.sim.badco.BadcoSimulator` and
-    :class:`~repro.sim.interval.IntervalSimulator`.
-
-    Backends may additionally declare ``supports_batch = True`` (left
-    out of the protocol so plain factories still conform) when their
-    simulators expose ``run_batch(workloads) -> BatchRun``; the engine
-    queries it via :func:`backend_supports_batch`.
+    :class:`~repro.sim.interval.IntervalSimulator` do.
     """
 
     name: str
@@ -95,16 +90,9 @@ class DetailedBackend:
 
 
 class BadcoBackend:
-    """The BADCO-style approximate simulator (shared model builder).
-
-    Batch-capable: :class:`~repro.sim.badco.multicore.BadcoSimulator`
-    mixes in :class:`~repro.sim.batch.EventDrivenBatchMixin`, so grids
-    dispatch through ``run_batch`` (serial, or jobs-invariant pool
-    chunks) exactly like the analytic backend.
-    """
+    """The BADCO-style approximate simulator (shared model builder)."""
 
     name = "badco"
-    supports_batch = True
 
     def make_builder(self, trace_length: int, seed: int) -> Any:
         from repro.sim.badco.model import BadcoModelBuilder
@@ -124,14 +112,9 @@ class BadcoBackend:
 
 
 class IntervalBackend:
-    """The one-training-run interval-model simulator.
-
-    Batch-capable like ``badco``: the simulator's ``run_batch`` comes
-    from :class:`~repro.sim.batch.EventDrivenBatchMixin`.
-    """
+    """The one-training-run interval-model simulator."""
 
     name = "interval"
-    supports_batch = True
 
     def make_builder(self, trace_length: int, seed: int) -> Any:
         from repro.sim.interval.profile import IntervalProfileBuilder
@@ -151,10 +134,9 @@ class IntervalBackend:
 
 
 class AnalyticBackend:
-    """The array-evaluated BADCO model (batch-capable, shared builder)."""
+    """The array-evaluated BADCO model (policy-axis, shared builder)."""
 
     name = "analytic"
-    supports_batch = True
     supports_policy_axis = True
 
     def make_builder(self, trace_length: int, seed: int) -> Any:
@@ -174,17 +156,12 @@ class AnalyticBackend:
             seed=seed)
 
 
-def backend_supports_batch(backend: SimulatorBackend) -> bool:
-    """Whether a backend's simulators offer the ``run_batch`` path."""
-    return bool(getattr(backend, "supports_batch", False))
-
-
 def backend_supports_policy_axis(backend: SimulatorBackend) -> bool:
     """Whether a backend's simulators offer ``run_batch_grid``.
 
     Policy-axis backends score a whole (workloads x policies) grid in
     one N x P x K call; the engine then replaces its per-policy batch
-    loop with a single dispatch.  Implies :func:`backend_supports_batch`.
+    loop with a single dispatch.
     """
     return bool(getattr(backend, "supports_policy_axis", False))
 

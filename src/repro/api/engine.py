@@ -10,25 +10,25 @@ Grids are matrix-native: :meth:`Campaign.run_grid` takes a population,
 a :class:`~repro.core.codematrix.CodeMatrix` or a workload sequence
 (encoded once), identifies rows by suite rank (see
 :mod:`repro.sim.results`) and finds each policy's pending rows with
-array set operations.  Workload objects are built only for simulators
-that need them: per-workload backends and the pending rows of
-event-driven batch backends.
+array set operations.  Workload objects are built only for the pending
+rows of event-driven simulators.
 
-With ``jobs>1`` the pending cells fan out over a
-:class:`concurrent.futures.ProcessPoolExecutor` (one simulator per
-task, one lazily-built model builder per worker process) and the
-parent records the outputs in the order the serial path would have, so
-the results are bit-identical to a ``jobs=1`` run.  Every simulation is
-independent (fresh uncore, fixed seeds), which is what makes this safe.
-
-Backends declaring ``supports_batch`` score all of a policy's pending
-rows with one ``run_batch`` call (or ``jobs`` contiguous row chunks)
-and stream the panel into the results via
+There is one grid path.  Every simulator scores a policy's pending rows
+with one ``run_batch`` call (or ``jobs`` contiguous row chunks) and the
+panel streams into the results via
 :meth:`~repro.sim.results.PopulationResults.record_batch`.  Backends
-also declaring ``supports_policy_axis`` (the analytic one) take code
-rows directly and score the rows several policies share with one
+declaring ``supports_policy_axis`` (the analytic one) take code rows
+directly and score the rows several policies share with one
 ``run_batch_grid`` N x P x K dispatch; each policy's slice is
 bit-identical to its single-policy panel.
+
+With ``jobs>1`` the chunks fan out over a
+:class:`concurrent.futures.ProcessPoolExecutor` -- the only process
+pool in the package -- with one simulator per task and one
+lazily-built model builder per worker process.  The parent records the
+outputs in the order the serial path would have, so the results are
+bit-identical to a ``jobs=1`` run.  Every simulation is independent
+(fresh uncore, fixed seeds), which is what makes this safe.
 
 A ``model_store_dir`` attaches a persistent
 :class:`~repro.sim.modelstore.ModelStore` to the builder, so trained
@@ -53,13 +53,11 @@ import numpy as np
 
 from repro.api.backends import (
     SimulatorBackend,
-    backend_supports_batch,
     backend_supports_policy_axis,
     get_backend,
 )
 from repro.api.config import CampaignConfig
 from repro.core.codematrix import CodeMatrix
-from repro.core.workload import Workload
 from repro.sim.results import SUITE, PopulationResults
 
 logger = logging.getLogger(__name__)
@@ -118,13 +116,6 @@ def _batch_input(backend: SimulatorBackend, rows: CodeMatrix):
     if backend_supports_policy_axis(backend):
         return rows
     return rows.workloads()
-
-
-def _worker_simulate(task: Tuple[str, str]) -> Tuple[List[float], int,
-                                                     float]:
-    policy, workload_key = task
-    run = _worker_simulator(policy).run(Workload.from_key(workload_key))
-    return run.ipcs, run.instructions, run.wall_seconds
 
 
 def _worker_simulate_batch(task: Tuple[str, CodeMatrix]):
@@ -310,15 +301,6 @@ class Campaign:
                 initargs=(self.backend, self.config, self.builder)) as pool:
             return list(pool.map(function, tasks))
 
-    def run_workload(self, workload: Workload, policy: str) -> List[float]:
-        """Per-core IPCs of one (workload, policy), memoised."""
-        if not self.results.has(policy, workload):
-            run = self._make_simulator(policy).run(workload)
-            self._account(1, run.instructions, run.wall_seconds)
-            self.results.record(policy, workload, run.ipcs)
-            self._dirty = True
-        return self.results.ipcs(policy, workload)
-
     def run_grid(self, workloads, policies: Sequence[str]
                  ) -> PopulationResults:
         """Simulate every (workload, policy) pair; returns the results.
@@ -348,18 +330,12 @@ class Campaign:
             todo = np.flatnonzero(~self.results.contains(policy, ranks))
             if todo.size:
                 pending.append((policy, todo))
-        if not pending:
-            return self.results
-        if backend_supports_batch(self.backend):
-            self._run_grid_batch(rows, pending)
-        else:
-            self._run_grid_workloads(rows, pending)
+        if pending:
+            self._run_pending(rows, pending)
         return self.results
 
-    # -- batch path ----------------------------------------------------
-
-    def _run_grid_batch(self, rows: CodeMatrix,
-                        pending: List[Tuple[str, np.ndarray]]) -> None:
+    def _run_pending(self, rows: CodeMatrix,
+                     pending: List[Tuple[str, np.ndarray]]) -> None:
         """One ``run_batch`` call (or ``jobs`` chunks) per policy.
 
         Policy-axis backends first grid-dispatch the rows all pending
@@ -367,7 +343,8 @@ class Campaign:
         single call -- and repeat on what remains while two or more
         policies still share rows; the rest takes the per-policy path.
         Batch rows are independent, so per-policy panels concatenated
-        from pool chunks are bit-identical to a serial run.
+        from pool chunks are bit-identical to a serial run, and each
+        policy's rows are recorded in grid row order.
         """
         while backend_supports_policy_axis(self.backend) and len(pending) > 1:
             shared = pending[0][1]
@@ -462,41 +439,6 @@ class Campaign:
                 self._record(policy, ranks, ipcs[:, number, :])
         for chunk, (_, instructions, wall) in zip(chunks, outputs):
             self._account(len(chunk) * len(policies), instructions, wall)
-
-    # -- per-workload path ---------------------------------------------
-
-    def _run_grid_workloads(self, rows: CodeMatrix,
-                            pending: List[Tuple[str, np.ndarray]]) -> None:
-        """Per-workload runs of the pending cells, row-major.
-
-        Only rows with a pending cell become workload objects.  Cells
-        run (serial) or are recorded (pool) workload by workload,
-        policies in request order, so results are bit-identical for
-        any ``jobs``.
-        """
-        policies = [policy for policy, _ in pending]
-        mask = np.zeros((len(rows), len(policies)), dtype=bool)
-        for number, (_, todo) in enumerate(pending):
-            mask[todo, number] = True
-        active = np.flatnonzero(mask.any(axis=1))
-        cells = [(workload, policy)
-                 for workload, flags in zip(rows.take(active).workloads(),
-                                            mask[active].tolist())
-                 for policy, flag in zip(policies, flags) if flag]
-        if self.config.jobs == 1:
-            for workload, policy in cells:
-                self.run_workload(workload, policy)
-            return
-        self._prepare_builder(rows.take(active), policies)
-        outputs = self._pool_map(
-            _worker_simulate,
-            [(policy, workload.key()) for workload, policy in cells],
-            min(self.config.jobs, len(cells)))
-        for (workload, policy), (ipcs, instructions, wall) in zip(cells,
-                                                                  outputs):
-            self._account(1, instructions, wall)
-            self.results.record(policy, workload, ipcs)
-            self._dirty = True
 
     def reference_ipcs(self, benchmarks: Iterable[str],
                        policy: str = "LRU") -> Dict[str, float]:

@@ -468,11 +468,11 @@ class Session:
         metric_obj = _metric(metric)
         baseline = validate_policy_name(baseline)
         candidate = validate_policy_name(candidate)
-        results = self.results(backend, cores,
-                               policies=[baseline, candidate])
+        _, matrices, reference = self.panel(
+            backend, cores, policies=[baseline, candidate])
         return PolicyComparisonStudy(
-            self.population(cores), results.ipc_table(baseline),
-            results.ipc_table(candidate), metric_obj, results.reference)
+            self.population(cores), matrices[baseline],
+            matrices[candidate], metric_obj, reference)
 
     def estimate_is_warm(self, baseline: str = "LRU",
                          candidate: str = "DIP", *,
@@ -593,9 +593,9 @@ class Session:
         scaled-trace caveat) cannot hide that region from refinement.
 
         The refine pass runs through the campaign engine, so with
-        ``jobs > 1`` the selected rows are chunk-sharded over a process
-        pool via the event-driven backends' ``run_batch`` -- results
-        are bit-identical for any ``jobs``.
+        ``jobs > 1`` the selected rows are chunk-sharded over the
+        engine's process pool, one ``run_batch`` call per chunk --
+        results are bit-identical for any ``jobs``.
 
         Args:
             baseline / candidate / metric / cores / sample / draws /

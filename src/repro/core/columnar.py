@@ -33,9 +33,6 @@ import numpy as np
 from repro.core.metrics import ReferenceIpcs, ThroughputMetric
 from repro.core.workload import Workload
 
-#: Per-workload per-core IPCs of one microarchitecture.
-IpcTable = Mapping[Workload, Sequence[float]]
-
 
 def _preview(items: Sequence, limit: int = 5) -> str:
     shown = ", ".join(str(x) for x in items[:limit])
@@ -285,30 +282,6 @@ class IpcMatrix:
         """
         return IpcMatrix(WorkloadIndex.from_code_matrix(matrix), values)
 
-    @staticmethod
-    def from_table(index: WorkloadIndex, table: IpcTable,
-                   label: str = "IPC table") -> "IpcMatrix":
-        """Build from a mapping, validating coverage *once*.
-
-        All missing workloads are found with one set difference (not an
-        O(N) per-estimator scan) and reported together.
-        """
-        missing = sorted(set(index.workloads) - set(table.keys()))
-        if missing:
-            raise ValueError(
-                f"{label}: {len(missing)} workloads lack IPCs "
-                f"({_preview(missing)})")
-        cores = index.cores
-        for workload in index.workloads:
-            if len(table[workload]) != cores:
-                raise ValueError(
-                    f"{label}: {workload} has {len(table[workload])} "
-                    f"IPCs, expected {cores}")
-        flat = np.fromiter(
-            (ipc for w in index.workloads for ipc in table[w]),
-            dtype=np.float64, count=len(index) * cores)
-        return IpcMatrix(index, flat.reshape(len(index), cores))
-
     def __repr__(self) -> str:
         return f"IpcMatrix({self.values.shape[0]} x {self.values.shape[1]})"
 
@@ -339,9 +312,9 @@ class DeltaColumn:
     """d(w) for every indexed workload, as one float64 vector.
 
     The columnar counterpart of the ``Mapping[Workload, float]`` delta
-    tables: built once (validating the IPC tables in the process),
-    consumed by the vectorized estimator and by workload
-    stratification.
+    tables: built once from two IPC matrices
+    (:func:`delta_column_from_matrices`), consumed by the vectorized
+    estimator and by workload stratification.
 
     Args:
         index: row interpretation.
@@ -400,22 +373,14 @@ def as_delta_column(index: WorkloadIndex, delta: DeltaLike) -> DeltaColumn:
     return DeltaColumn.from_mapping(index, delta)
 
 
-def delta_column(variable, index: WorkloadIndex, ipcs_x: IpcTable,
-                 ipcs_y: IpcTable) -> DeltaColumn:
-    """d(w) for all workloads from raw IPC tables, validated once.
-
-    ``variable`` is a :class:`~repro.core.delta.DeltaVariable`; tables
-    are validated while being columnized, so downstream consumers
-    (estimators, stratifiers) skip per-instance scans.
-    """
-    mx = IpcMatrix.from_table(index, ipcs_x, label="ipcs_x")
-    my = IpcMatrix.from_table(index, ipcs_y, label="ipcs_y")
-    return delta_column_from_matrices(variable, mx, my)
-
-
 def delta_column_from_matrices(variable, ipcs_x: IpcMatrix,
                                ipcs_y: IpcMatrix) -> DeltaColumn:
-    """d(w) from prebuilt IPC matrices (no further validation)."""
+    """d(w) for every row of two IPC matrices sharing one index.
+
+    The one d(w) column builder; ``variable`` is a
+    :class:`~repro.core.delta.DeltaVariable`.  The matrices were
+    validated when they were built, so nothing is re-checked here.
+    """
     if ipcs_x.index is not ipcs_y.index:
         raise ValueError("IPC matrices must share an index")
     tx = throughputs(variable.metric, ipcs_x, variable.reference)

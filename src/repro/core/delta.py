@@ -104,16 +104,6 @@ class DeltaVariable:
         """d(w) for every workload in a set."""
         return {w: self.value(w, ipcs_x[w], ipcs_y[w]) for w in workloads}
 
-    def column(self, index, ipcs_x: IpcTable, ipcs_y: IpcTable):
-        """d(w) for every indexed workload, as a columnar vector.
-
-        The vectorized sibling of :meth:`table`: one array expression
-        instead of N scalar calls, with the IPC tables validated once.
-        Returns a :class:`repro.core.columnar.DeltaColumn`.
-        """
-        from repro.core.columnar import delta_column
-        return delta_column(self, index, ipcs_x, ipcs_y)
-
 
 def delta_statistics(
         values: Union[Sequence[float], np.ndarray]) -> DeltaStatistics:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from repro.core.estimator import checked_draws
 from repro.core.metrics import ReferenceIpcs, ThroughputMetric
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling.base import SamplingMethod, SamplingPlan
-from repro.core.workload import Workload
-
-IpcTable = Mapping[Workload, Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -63,24 +60,27 @@ class SpeedupAccuracyEvaluator:
 
     Args:
         population: the workload population.
-        ipcs_x / ipcs_y: per-workload per-core IPC tables.
+        ipcs_x / ipcs_y: per-core IPCs under each machine, two
+            :class:`~repro.core.columnar.IpcMatrix` objects over the
+            population's rows.
         metric: throughput metric whose population speedup is targeted.
         reference: single-thread reference IPCs (WSU/HSU/GMS).
         draws: samples per evaluation point.
     """
 
-    def __init__(self, population: WorkloadPopulation, ipcs_x: IpcTable,
-                 ipcs_y: IpcTable, metric: ThroughputMetric,
+    def __init__(self, population: WorkloadPopulation, ipcs_x: IpcMatrix,
+                 ipcs_y: IpcMatrix, metric: ThroughputMetric,
                  reference: Optional[ReferenceIpcs] = None,
                  draws: int = 500) -> None:
         self.draws = checked_draws(draws)
         self.population = population
         self.metric = metric
         self.index = WorkloadIndex.from_population(population)
-        matrix_x = IpcMatrix.from_table(self.index, ipcs_x, label="ipcs_x")
-        matrix_y = IpcMatrix.from_table(self.index, ipcs_y, label="ipcs_y")
-        self._tx = throughputs(metric, matrix_x, reference)
-        self._ty = throughputs(metric, matrix_y, reference)
+        if not (ipcs_x.index.same_rows(self.index)
+                and ipcs_y.index.same_rows(self.index)):
+            raise ValueError("IPC matrices must cover the population's rows")
+        self._tx = throughputs(metric, ipcs_x, reference)
+        self._ty = throughputs(metric, ipcs_y, reference)
         population_x = metric.sample_throughput(self._tx.tolist())
         population_y = metric.sample_throughput(self._ty.tolist())
         self.true_speedup = population_y / population_x

@@ -4,15 +4,22 @@
 (X, Y, metric) triple: the d(w) table, its coefficient of variation,
 the analytical confidence model, empirical confidence under any
 sampling method, and the Section VII guideline decision.  It operates
-on per-workload IPC tables, so it works identically on detailed-
-simulation samples and approximate-simulation populations.
+on two IPC matrices over the population's rows (what
+:meth:`~repro.sim.results.PopulationResults.columnar_panel` returns),
+so it works identically on detailed-simulation samples and
+approximate-simulation populations.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
-from repro.core.columnar import DeltaColumn, WorkloadIndex
+from repro.core.columnar import (
+    DeltaColumn,
+    IpcMatrix,
+    WorkloadIndex,
+    delta_column_from_matrices,
+)
 from repro.core.confidence import confidence_from_cv, required_sample_size
 from repro.core.delta import DeltaStatistics, DeltaVariable, delta_statistics
 from repro.core.estimator import ConfidenceEstimator
@@ -20,9 +27,6 @@ from repro.core.metrics import ReferenceIpcs, ThroughputMetric
 from repro.core.planner import GuidelineDecision, recommend_method
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling.base import SamplingMethod
-from repro.core.workload import Workload
-
-IpcTable = Mapping[Workload, Sequence[float]]
 
 
 class PolicyComparisonStudy:
@@ -34,20 +38,24 @@ class PolicyComparisonStudy:
     Args:
         population: the workload population (or large sample standing
             in for it).
-        ipcs_x / ipcs_y: per-workload per-core IPCs under each machine.
+        ipcs_x / ipcs_y: per-core IPCs under each machine, two
+            :class:`~repro.core.columnar.IpcMatrix` objects sharing one
+            index over the population's rows.
         metric: throughput metric of the comparison.
         reference: single-thread reference IPCs (for WSU/HSU/GMS).
     """
 
-    def __init__(self, population: WorkloadPopulation, ipcs_x: IpcTable,
-                 ipcs_y: IpcTable, metric: ThroughputMetric,
+    def __init__(self, population: WorkloadPopulation, ipcs_x: IpcMatrix,
+                 ipcs_y: IpcMatrix, metric: ThroughputMetric,
                  reference: Optional[ReferenceIpcs] = None) -> None:
         self.population = population
         self.metric = metric
         self.delta_variable = DeltaVariable(metric, reference)
         self.index = WorkloadIndex.from_population(population)
-        self.delta_column: DeltaColumn = self.delta_variable.column(
-            self.index, ipcs_x, ipcs_y)
+        if not ipcs_x.index.same_rows(self.index):
+            raise ValueError("IPC matrices must cover the population's rows")
+        self.delta_column: DeltaColumn = delta_column_from_matrices(
+            self.delta_variable, ipcs_x, ipcs_y)
         self.statistics: DeltaStatistics = delta_statistics(
             self.delta_column.values)
 

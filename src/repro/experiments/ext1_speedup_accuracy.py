@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import Scale, Session
 from repro.core.classification import class_labels
-from repro.core.columnar import WorkloadIndex
+from repro.core.columnar import delta_column_from_matrices
 from repro.core.delta import DeltaVariable
 from repro.core.metrics import IPCT, ThroughputMetric
 from repro.core.sampling import (
@@ -68,12 +68,12 @@ def run(scale: Scale = Scale.MEDIUM,
     results = session.results(backend, cores)
     population = session.population(cores)
     x, y = pair
+    _, matrices = results.columnar_panel((x, y), population)
     evaluator = SpeedupAccuracyEvaluator(
-        population, results.ipc_table(x), results.ipc_table(y), metric,
+        population, matrices[x], matrices[y], metric,
         results.reference, draws=min(session.parameters.draws, 1000))
-    variable = DeltaVariable(metric, results.reference)
-    delta = variable.column(WorkloadIndex.from_population(population),
-                            results.ipc_table(x), results.ipc_table(y))
+    delta = delta_column_from_matrices(
+        DeltaVariable(metric, results.reference), matrices[x], matrices[y])
     classes = class_labels(run_table4(scale, session).mpki)
     methods = [SimpleRandomSampling()]
     if population.is_exhaustive:

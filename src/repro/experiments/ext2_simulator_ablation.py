@@ -21,10 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.api import Scale, Session
-from repro.core.columnar import DeltaColumn, WorkloadIndex
+from repro.core.columnar import IpcMatrix, delta_column_from_matrices
 from repro.core.delta import DeltaVariable
 from repro.core.estimator import ConfidenceEstimator
 from repro.core.metrics import IPCT
@@ -117,22 +115,20 @@ def run(scale: Scale = Scale.MEDIUM,
     results = session.results("badco", cores)
     population = session.population(cores)
     variable = DeltaVariable(IPCT, results.reference)
-    index = WorkloadIndex.from_population(population)
-    delta_truth = variable.column(index, results.ipc_table(x),
-                                  results.ipc_table(y))
-    # Interval-simulator d(w) over the same population, built straight
-    # into a column aligned with the index's row order (the simulation
-    # loop is inherently per-workload; the d(w) container is not).
-    interval_values = np.empty(len(index.workloads), dtype=np.float64)
-    for row, workload in enumerate(index.workloads):
-        ipcs = {}
-        for policy in (x, y):
-            sim = IntervalSimulator(cores=cores, policy=policy,
-                                    builder=interval_builder,
-                                    trace_length=length, seed=session.seed)
-            ipcs[policy] = sim.run(workload).ipcs
-        interval_values[row] = variable.value(workload, ipcs[x], ipcs[y])
-    interval_delta = DeltaColumn(index, interval_values)
+    index, matrices = results.columnar_panel((x, y), population)
+    delta_truth = delta_column_from_matrices(variable, matrices[x],
+                                             matrices[y])
+    # Interval-simulator d(w) over the same rows: one batch per policy
+    # on the private builder.
+    interval = {}
+    for policy in (x, y):
+        simulator = IntervalSimulator(cores=cores, policy=policy,
+                                      builder=interval_builder,
+                                      trace_length=length, seed=session.seed)
+        interval[policy] = IpcMatrix(
+            index, simulator.run_batch(index.workloads).ipcs)
+    interval_delta = delta_column_from_matrices(variable, interval[x],
+                                                interval[y])
     estimator = ConfidenceEstimator(population, delta_truth,
                                     draws=min(session.parameters.draws, 500))
     min_stratum = max(10, len(population) // 40)

@@ -42,20 +42,32 @@ class Fig2Result:
         return lines
 
 
-def _speedup_errors(detailed, badco, baseline: str, workloads) -> List[float]:
-    """Per-policy-pair IPC-throughput speedup errors (percent)."""
+def _speedup_errors(detailed: Dict[str, List[List[float]]],
+                    badco: Dict[str, List[List[float]]],
+                    baseline: str) -> List[float]:
+    """Per-policy-pair IPC-throughput speedup errors (percent).
+
+    ``detailed`` and ``badco`` map each policy to its per-row IPC lists,
+    rows in the same order.  Throughputs are Python ``sum()`` calls,
+    left to right.
+    """
     errors = []
-    policies = [p for p in detailed.policies if p != baseline]
+    policies = [p for p in detailed if p != baseline]
     for policy in policies:
-        for workload in workloads:
-            det_base = sum(detailed.ipcs(baseline, workload))
-            det_new = sum(detailed.ipcs(policy, workload))
-            bad_base = sum(badco.ipcs(baseline, workload))
-            bad_new = sum(badco.ipcs(policy, workload))
-            su_det = det_new / det_base
-            su_bad = bad_new / bad_base
+        for det_base, det_new, bad_base, bad_new in zip(
+                detailed[baseline], detailed[policy], badco[baseline],
+                badco[policy]):
+            su_det = sum(det_new) / sum(det_base)
+            su_bad = sum(bad_new) / sum(bad_base)
             errors.append(abs(su_bad - su_det) / su_det * 100.0)
     return errors
+
+
+def _rows(results, policies, sample) -> Dict[str, List[List[float]]]:
+    """Each policy's IPCs over the sample, as per-row Python lists."""
+    _, matrices = results.columnar_panel(policies, sample)
+    return {policy: matrix.values.tolist()
+            for policy, matrix in matrices.items()}
 
 
 def run(scale: Scale = Scale.MEDIUM,
@@ -68,21 +80,21 @@ def run(scale: Scale = Scale.MEDIUM,
         sample = session.detailed_sample(cores)
         detailed = session.results("detailed", cores, workloads=sample)
         badco = session.results(approx_backend, cores, workloads=sample)
+        policies = detailed.policies
+        det_rows = _rows(detailed, policies, sample)
+        bad_rows = _rows(badco, policies, sample)
         points: List[Tuple[float, float]] = []
         errors: List[float] = []
         under = 0
-        for workload in sample:
-            for policy in ("LRU",):
-                det = detailed.ipcs(policy, workload)
-                bad = badco.ipcs(policy, workload)
-                for ipc_d, ipc_b in zip(det, bad):
-                    cpi_d = 1.0 / ipc_d
-                    cpi_b = 1.0 / ipc_b
-                    points.append((cpi_b, cpi_d))
-                    errors.append(abs(cpi_b - cpi_d) / cpi_d * 100.0)
-                    if cpi_b < cpi_d:
-                        under += 1
-        speedup_errors = _speedup_errors(detailed, badco, "LRU", sample)
+        for det, bad in zip(det_rows["LRU"], bad_rows["LRU"]):
+            for ipc_d, ipc_b in zip(det, bad):
+                cpi_d = 1.0 / ipc_d
+                cpi_b = 1.0 / ipc_b
+                points.append((cpi_b, cpi_d))
+                errors.append(abs(cpi_b - cpi_d) / cpi_d * 100.0)
+                if cpi_b < cpi_d:
+                    under += 1
+        speedup_errors = _speedup_errors(det_rows, bad_rows, "LRU")
         per_cores[cores] = Fig2CoreResult(
             cores=cores,
             points=points,

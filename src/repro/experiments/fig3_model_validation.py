@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api import Scale, Session
-from repro.core.columnar import WorkloadIndex
+from repro.core.columnar import delta_column_from_matrices
 from repro.core.confidence import confidence_from_cv
 from repro.core.delta import DeltaVariable, delta_statistics
 from repro.core.estimator import ConfidenceEstimator
@@ -65,10 +65,10 @@ def run(scale: Scale = Scale.MEDIUM,
     for cores in core_counts:
         results = session.results(backend, cores)
         population = session.population(cores)
-        variable = DeltaVariable(metric, results.reference)
-        index = WorkloadIndex.from_population(population)
-        delta = variable.column(index, results.ipc_table(x),
-                                results.ipc_table(y))
+        _, matrices = results.columnar_panel((x, y), population)
+        delta = delta_column_from_matrices(
+            DeltaVariable(metric, results.reference), matrices[x],
+            matrices[y])
         stats = delta_statistics(delta.values)
         estimator = ConfidenceEstimator(population, delta,
                                         draws=session.parameters.draws)

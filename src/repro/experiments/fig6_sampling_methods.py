@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import Scale, Session
 from repro.core.classification import class_labels
+from repro.core.columnar import delta_column_from_matrices
 from repro.core.delta import DeltaVariable
 from repro.core.estimator import PairedConfidenceEstimator
 from repro.core.metrics import IPCT, ThroughputMetric
@@ -72,11 +73,12 @@ def run(scale: Scale = Scale.MEDIUM,
     population = session.population(cores)
     classes = class_labels(run_table4(scale, session).mpki)
     curves: Dict[Tuple[str, str], Dict[str, List[float]]] = {}
-    index = population.index
     variable = DeltaVariable(metric, results.reference)
+    _, matrices = results.columnar_panel(
+        sorted({policy for pair in pairs for policy in pair}), population)
     deltas = {
-        pair: variable.column(index, results.ipc_table(pair[0]),
-                              results.ipc_table(pair[1]))
+        pair: delta_column_from_matrices(variable, matrices[pair[0]],
+                                         matrices[pair[1]])
         for pair in pairs}
     # The pair-independent methods (their draws never look at d(w))
     # share one row batch and one gather across all pairs; workload

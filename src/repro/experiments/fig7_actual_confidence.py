@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import Scale, Session
 from repro.core.classification import class_labels
-from repro.core.columnar import WorkloadIndex
+from repro.core.columnar import delta_column_from_matrices
 from repro.core.delta import DeltaVariable
 from repro.core.estimator import ConfidenceEstimator
 from repro.core.metrics import IPCT, ThroughputMetric
@@ -78,13 +78,14 @@ def run(scale: Scale = Scale.MEDIUM,
         # The sampling frame *is* the detailed-simulated subset.
         frame = WorkloadPopulation.from_workloads(
             sample_workloads, benchmarks=session.benchmarks)
-        index = WorkloadIndex.from_population(frame)
-        variable_detailed = DeltaVariable(metric, detailed.reference)
-        delta_detailed = variable_detailed.column(
-            index, detailed.ipc_table(x), detailed.ipc_table(y))
-        variable_badco = DeltaVariable(metric, badco.reference)
-        delta_badco = variable_badco.column(
-            index, badco.ipc_table(x), badco.ipc_table(y))
+        _, matrices = detailed.columnar_panel((x, y), frame)
+        delta_detailed = delta_column_from_matrices(
+            DeltaVariable(metric, detailed.reference), matrices[x],
+            matrices[y])
+        _, matrices = badco.columnar_panel((x, y), frame)
+        delta_badco = delta_column_from_matrices(
+            DeltaVariable(metric, badco.reference), matrices[x],
+            matrices[y])
         # Judge with detailed IPCs; select (stratify) with BADCO's d(w).
         estimator = ConfidenceEstimator(
             frame, delta_detailed,

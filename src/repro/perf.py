@@ -24,11 +24,11 @@ Five suites, written to the same ``BENCH_analytics.json`` trajectory:
   The suite then times :meth:`~repro.api.Session.estimate_two_stage`
   against the warm store (``e2e-two-stage``: analytic screen plus a
   budgeted badco refine, with the refine phase broken out as
-  ``e2e-two-stage-refine``).  The sim suite likewise records the
-  event-driven ``run_batch`` entry point serial vs pool-chunked vs
-  auto-sized (``sim-batch-parallel-jobs1`` / ``-jobs2`` / ``-auto``,
-  bit-identical panels; ``-auto`` is ``jobs=0``, one worker per CPU --
-  the ratio is what process fan-out buys on the host);
+  ``e2e-two-stage-refine``).  The sim suite likewise records one
+  BADCO campaign grid on the engine's process pool at ``jobs`` 1, 2
+  and 0 (``sim-batch-parallel-jobs1`` / ``-jobs2`` / ``-auto``,
+  bit-identical panels; ``-auto`` is one worker per CPU -- the ratio
+  is what process fan-out buys on the host);
 - *serve* (:func:`run_serve_bench`) -- the resident-state daemon
   (:mod:`repro.serve`): the same e2e frame answered by ``repro serve``
   over a Unix socket.  ``serve-query-cold`` is the daemon's first
@@ -73,6 +73,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.bench.spec import benchmark_names
+from repro.core.columnar import IpcMatrix, delta_column_from_matrices
 from repro.core.delta import DeltaVariable
 from repro.core.estimator import ConfidenceEstimator, PairedConfidenceEstimator
 from repro.core.metrics import WSU
@@ -99,7 +100,7 @@ PROFILES: Dict[str, Dict[str, int]] = {
 
 #: Sim-suite profiles: grid sizes for the panel-build comparison.
 #: ``benchmarks`` counts suite names (picked to span the three MPKI
-#: classes), ``sample`` caps the slow per-workload backends' slice.
+#: classes), ``sample`` caps the slow event-driven backends' slice.
 SIM_PROFILES: Dict[str, Dict[str, int]] = {
     "full": {"cores": 2, "trace_length": 16000, "benchmarks": 10,
              "max_population": 0, "sample": 4},
@@ -197,17 +198,21 @@ def run_bench(draws: int = DEFAULT_DRAWS,
             "population_size": len(population),
         })
 
-    # --- d(w) construction: per-workload loop vs one array expression.
+    # --- d(w) construction: per-workload loop vs one array expression
+    # over IPC matrices built from the same tables outside the timer.
     workloads = list(population)
+    matrix_x = IpcMatrix(index, [ipcs_x[w] for w in index.workloads])
+    matrix_y = IpcMatrix(index, [ipcs_y[w] for w in index.workloads])
     record("delta-wsu-scalar",
            _time(lambda: variable.table(workloads, ipcs_x, ipcs_y), repeat),
            0)
     record("delta-wsu-columnar",
-           _time(lambda: variable.column(index, ipcs_x, ipcs_y), repeat),
+           _time(lambda: delta_column_from_matrices(variable, matrix_x,
+                                                    matrix_y), repeat),
            0)
 
     # --- Monte-Carlo confidence: the dominant wall-clock cost.
-    delta = variable.column(index, ipcs_x, ipcs_y)
+    delta = delta_column_from_matrices(variable, matrix_x, matrix_y)
     estimator = ConfidenceEstimator(population, delta, draws=draws)
     mapping = delta.as_mapping()
 
@@ -339,34 +344,29 @@ def run_sim_bench(profile: str = "smoke",
     record("sim-panel-badco", "badco", time.perf_counter() - start,
            campaign.timing.mips)
 
-    # --- the batch entry point on the warm builder: the serial
-    # per-workload loop against the pool-chunked dispatch (bit-equal
-    # panels; the ratio records what process fan-out buys -- about 1x
-    # on a single-core host, where it only pays fork overhead).
-    from repro.sim.badco.multicore import BadcoSimulator
-
-    simulator = BadcoSimulator(cores=cores, policy=SIM_POLICIES[1],
-                               builder=badco_builder,
-                               trace_length=trace_length)
-    start = time.perf_counter()
-    serial_batch = simulator.run_batch(workloads, jobs=1)
-    seconds = time.perf_counter() - start
-    record("sim-batch-parallel-jobs1", "badco", seconds,
-           serial_batch.instructions / seconds / 1e6)
-    start = time.perf_counter()
-    parallel_batch = simulator.run_batch(workloads, jobs=2)
-    seconds = time.perf_counter() - start
-    record("sim-batch-parallel-jobs2", "badco", seconds,
-           parallel_batch.instructions / seconds / 1e6)
-    assert np.array_equal(serial_batch.ipcs, parallel_batch.ipcs), \
-        "pool-chunked run_batch diverged from the serial loop"
-    start = time.perf_counter()
-    auto_batch = simulator.run_batch(workloads, jobs=0)
-    seconds = time.perf_counter() - start
-    record("sim-batch-parallel-auto", "badco", seconds,
-           auto_batch.instructions / seconds / 1e6)
-    assert np.array_equal(serial_batch.ipcs, auto_batch.ipcs), \
-        "auto-sized run_batch diverged from the serial loop"
+    # --- the engine's process pool on the warm builder: one BADCO grid
+    # at jobs=1, 2 and 0 (auto, one worker per CPU), no cache
+    # (bit-equal panels; the ratio records what process fan-out buys --
+    # about 1x on a single-core host, where it only pays fork overhead).
+    grid_policies = list(SIM_POLICIES[1:])
+    panels = {}
+    for label, jobs in (("jobs1", 1), ("jobs2", 2), ("auto", 0)):
+        config = CampaignConfig(backend="badco", cores=cores,
+                                trace_length=trace_length, seed=seed,
+                                jobs=jobs)
+        campaign = Campaign(config, builder=badco_builder)
+        start = time.perf_counter()
+        campaign.run_grid(population, grid_policies)
+        seconds = time.perf_counter() - start
+        record(f"sim-batch-parallel-{label}", "badco", seconds,
+               campaign.timing.instructions / seconds / 1e6)
+        _, matrices = campaign.results.columnar_panel(grid_policies,
+                                                      population)
+        panels[label] = matrices[grid_policies[0]].values
+    assert np.array_equal(panels["jobs1"], panels["jobs2"]), \
+        "the jobs=2 engine grid diverged from jobs=1"
+    assert np.array_equal(panels["jobs1"], panels["auto"]), \
+        "the auto-sized engine grid diverged from jobs=1"
 
     # --- the analytic batch path: calibration, then one array call.
     analytic_builder = AnalyticModelBuilder(trace_length, seed,
@@ -383,7 +383,7 @@ def run_sim_bench(profile: str = "smoke",
     record("sim-panel-analytic", "analytic", time.perf_counter() - start,
            campaign.timing.mips)
 
-    # --- single-workload MIPS of the per-workload backends.
+    # --- MIPS of the slow event-driven backends on a small slice.
     sample = workloads[:parameters["sample"]]
     for backend in ("detailed", "interval"):
         config = CampaignConfig(backend=backend, cores=cores,
@@ -652,10 +652,11 @@ def run_serve_bench(profile: str = "smoke",
                       - before["dispatch_groups"])
             coalesced = counters["coalesced"] - before["coalesced"]
 
-            # A same-universe query from a different session (jobs=0
-            # resolves differently but shares the campaign signature)
-            # exercises the resident panel LRU's hit path.
-            client.estimate(**{**query, "jobs": 0})
+            # A same-universe query from a different session (the
+            # benchmarks in another order: a new session key, the same
+            # campaign signature) exercises the resident panel LRU's
+            # hit path.
+            client.estimate(**{**query, "benchmarks": names[::-1]})
 
             panel = client.stats()["panel_cache"]
             lookups = panel["hits"] + panel["misses"]

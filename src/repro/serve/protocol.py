@@ -38,6 +38,8 @@ from repro.api.session import (
     FullScaleEstimate,
     TwoStageEstimate,
 )
+from repro.bench.spec import benchmark_names
+from repro.core.codematrix import multiset_count
 from repro.serve.state import DEFAULT_SCALE
 
 
@@ -155,11 +157,20 @@ def check_estimate_bounds(params: Dict[str, Any]) -> None:
                          f"({MAX_REFINE_ROWS})")
     frac = params.get("refine_frac")
     if isinstance(frac, (int, float)) and 0 < frac <= 1:
+        # The frame: ``sample``, else the scale's cap, but never more
+        # rows than the population of the named benchmarks (else the
+        # suite's) has.
         frame = sample if integer(sample) else None
         cores = params.get("cores", DEFAULT_CORES)
-        if frame is None and integer(cores):
-            frame = scale_parameters(params.get(
-                "scale", DEFAULT_SCALE)).population_cap.get(cores)
+        if integer(cores) and cores >= 1:
+            if frame is None:
+                frame = scale_parameters(params.get(
+                    "scale", DEFAULT_SCALE)).population_cap.get(cores)
+            named = params.get("benchmarks")
+            count = (len(named) if isinstance(named, (list, tuple)) and named
+                     else len(benchmark_names()))
+            if frame is not None:
+                frame = min(frame, multiset_count(count, cores))
         if frame is not None and round(frac * frame) > MAX_REFINE_ROWS:
             raise ValueError(f"refine_frac={frac} of a {frame}-row frame "
                              f"is {round(frac * frame)} rows, more than "

@@ -6,10 +6,9 @@ between queries:
 - one :class:`~repro.serve.cache.ResidentPanelCache` shared by every
   session's campaigns (loaded npz panels, byte-budgeted LRU);
 - memoised :class:`~repro.api.session.Session` objects keyed by the
-  parameters that define one (scale, seed, benchmarks, jobs)
-  universe -- sessions in turn memoise builders,
-  campaigns and ``(cores, sample)`` populations, so a warm query
-  re-derives nothing;
+  parameters that define one (scale, seed, benchmarks) universe --
+  sessions in turn memoise builders, campaigns and ``(cores, sample)``
+  populations, so a warm query re-derives nothing;
 - the process-wide :mod:`~repro.core.codematrix` enumeration cache
   (the 2.8 s / 69 MB 8-core ``CodeMatrix.full``), which sessions share
   implicitly;
@@ -20,7 +19,10 @@ between queries:
 
 Storage locations (``cache_dir`` / ``model_store_dir``) are fixed at
 daemon start, not per request: clients name experiments, the operator
-names directories.
+names directories.  Resident sessions always run ``jobs=1``: the
+daemon's concurrency is its scheduler threads, and no request chooses
+how many processes the campaign engine forks (a request that sends
+``jobs`` fails alone, as an unknown operation parameter).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.serve.cache import DEFAULT_BUDGET_BYTES, ResidentPanelCache
 
 #: Request parameters that select (and key) a session; everything else
 #: in an estimate/study/panel request is an operation parameter.
-SESSION_PARAMS = ("scale", "seed", "benchmarks", "jobs")
+SESSION_PARAMS = ("scale", "seed", "benchmarks")
 
 SessionKey = Tuple[Any, ...]
 
@@ -79,31 +81,28 @@ class ResidentState:
 
     @staticmethod
     def session_key(scale: Any = DEFAULT_SCALE, seed: int = 0,
-                    benchmarks: Optional[Sequence[str]] = None,
-                    jobs: int = 1) -> SessionKey:
+                    benchmarks: Optional[Sequence[str]] = None
+                    ) -> SessionKey:
         """The hashable identity of one session's parameter set."""
         from repro.api.scales import coerce_scale
 
         return (coerce_scale(scale).value, int(seed),
-                tuple(benchmarks) if benchmarks is not None else None,
-                int(jobs))
+                tuple(benchmarks) if benchmarks is not None else None)
 
     def session(self, scale: Any = DEFAULT_SCALE, seed: int = 0,
-                benchmarks: Optional[Sequence[str]] = None,
-                jobs: int = 1) -> Session:
+                benchmarks: Optional[Sequence[str]] = None) -> Session:
         """The memoised resident session for one parameter set.
 
         An ordinary :class:`Session` that only shares
         :attr:`panel_cache`, so served answers run the one-shot code
         and are bit-identical to it.
         """
-        key = self.session_key(scale, seed, benchmarks, jobs)
+        key = self.session_key(scale, seed, benchmarks)
         with self._lock:
             session = self._sessions.get(key)
             if session is None:
                 session = Session(
-                    scale, seed=int(seed), jobs=int(jobs),
-                    cache_dir=self.cache_dir,
+                    scale, seed=int(seed), cache_dir=self.cache_dir,
                     model_store_dir=self.model_store_dir,
                     benchmarks=benchmarks, panel_cache=self.panel_cache)
                 self._sessions[key] = session

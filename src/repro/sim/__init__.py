@@ -1,8 +1,11 @@
 """Simulators and campaign infrastructure.
 
-Three simulator families behind one interface (``run(workload)`` /
-``reference_ipc(benchmark)``), mirroring and extending the paper's
-Zesto / BADCO pair:
+Four simulator families behind one interface
+(``run_batch(workloads) -> BatchRun`` / ``reference_ipc(benchmark)``),
+mirroring and extending the paper's Zesto / BADCO pair.  The three
+event-driven ones simulate one workload per ``run`` and inherit
+``run_batch`` as the serial loop over it
+(:class:`~repro.sim.detailed.EventDrivenBatchMixin`):
 
 - :class:`~repro.sim.detailed.DetailedSimulator` -- the slow ground
   truth: out-of-order cores (``repro.cpu``) sharing an uncore;
@@ -17,19 +20,16 @@ Zesto / BADCO pair:
   BADCO runs.
 
 Campaigns -- (workload x policy) grids with on-disk memoisation,
-process-pool parallelism and wall-clock / MIPS accounting (Table III)
--- live in :mod:`repro.api.engine`; each family is exposed there as a
-named backend in the :data:`repro.api.BACKENDS` registry.
+process-pool parallelism (the engine's pool is the only one) and
+wall-clock / MIPS accounting (Table III) -- live in
+:mod:`repro.api.engine`; each family is exposed there as a named
+backend in the :data:`repro.api.BACKENDS` registry.
 """
 
-from repro.sim.detailed import DetailedSimulator, WorkloadRun
+from repro.sim.detailed import BatchRun, DetailedSimulator, WorkloadRun
 from repro.sim.badco import BadcoModel, BadcoModelBuilder, BadcoSimulator
 from repro.sim.interval import IntervalProfileBuilder, IntervalSimulator
-from repro.sim.analytic import (
-    AnalyticModelBuilder,
-    AnalyticSimulator,
-    BatchRun,
-)
+from repro.sim.analytic import AnalyticModelBuilder, AnalyticSimulator
 from repro.sim.results import PopulationResults
 
 __all__ = [

@@ -55,7 +55,7 @@ from repro.core.codematrix import CodeMatrix
 from repro.core.workload import Workload
 from repro.mem.uncore import UncoreConfig, uncore_config_for_cores
 from repro.sim.badco.model import BadcoModelBuilder, Calibration
-from repro.sim.detailed import WorkloadRun
+from repro.sim.detailed import BatchRun, WorkloadRun
 
 #: Bus utilisation is clipped below saturation so the queueing term
 #: stays finite; beyond this the linear-rate estimate is meaningless
@@ -130,30 +130,6 @@ def _flatten(model) -> BenchmarkVector:
         uops=model.trace_length, intrinsic=intrinsic,
         sensitivity=sensitivity, requests=requests,
         footprint_lines=max(len(lines), 1))
-
-
-@dataclass
-class BatchRun:
-    """Outcome of simulating many workloads in one array operation.
-
-    The batch counterpart of :class:`~repro.sim.detailed.WorkloadRun`:
-    row ``i`` of :attr:`ipcs` is the per-core IPC vector of
-    ``workloads[i]`` (workload-sorted benchmark order, as everywhere).
-
-    Attributes:
-        workloads: the simulated rows, in row order (a workload tuple,
-            or the :class:`~repro.core.codematrix.CodeMatrix` the
-            analytic backend was given).
-        ipcs: the N x K float64 IPC panel.
-        instructions: modelled uops (one pass per thread; the analytic
-            model has no restarts), the basis of MIPS accounting.
-        wall_seconds: host wall-clock time of the batch evaluation.
-    """
-
-    workloads: Union[Tuple[Workload, ...], CodeMatrix]
-    ipcs: np.ndarray
-    instructions: int
-    wall_seconds: float
 
 
 @dataclass

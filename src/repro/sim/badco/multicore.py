@@ -27,17 +27,20 @@ from repro.core.workload import Workload
 from repro.mem.uncore import Uncore, UncoreConfig, uncore_config_for_cores
 from repro.sim.badco.machine import BadcoMachine
 from repro.sim.badco.model import BadcoModelBuilder
-from repro.sim.batch import EventDrivenBatchMixin
-from repro.sim.detailed import WorkloadRun, _MeasuredThread, interleave
+from repro.sim.detailed import (
+    EventDrivenBatchMixin,
+    WorkloadRun,
+    _MeasuredThread,
+    interleave,
+)
 
 
 class BadcoSimulator(EventDrivenBatchMixin):
     """Simulate workloads with BADCO machines sharing a real uncore.
 
-    Also offers ``run_batch(workloads, jobs=1)`` (via
-    :class:`~repro.sim.batch.EventDrivenBatchMixin`): the stacked
-    N x K panel of per-workload runs, optionally chunked over a process
-    pool with bit-identical merges for any ``jobs``.
+    Also offers ``run_batch(workloads)`` (via
+    :class:`~repro.sim.detailed.EventDrivenBatchMixin`): the stacked
+    N x K panel of per-workload runs.
 
     Args:
         cores: number of cores K.

@@ -22,6 +22,13 @@ boundary).
 simulators -- this one, :mod:`repro.sim.badco` and
 :mod:`repro.sim.interval` -- and of the BADCO builder's standalone
 anchor run.
+
+Every simulator has the same batch entry point, ``run_batch(workloads)
+-> BatchRun``: the analytic one scores a panel in one array call, and
+the event-driven ones -- this one, BADCO and interval -- inherit
+:class:`EventDrivenBatchMixin`, the serial loop over ``run``.  The
+campaign engine calls it once per policy, inside its own process pool
+when ``jobs > 1``.
 """
 
 from __future__ import annotations
@@ -29,9 +36,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH, cached_trace
+from repro.core.codematrix import CodeMatrix
 from repro.core.workload import Workload
 from repro.cpu.core import DetailedCore
 from repro.cpu.resources import CoreConfig, default_core_config
@@ -61,6 +71,55 @@ class WorkloadRun:
         if self.wall_seconds <= 0:
             return 0.0
         return self.instructions / 1e6 / self.wall_seconds
+
+
+@dataclass
+class BatchRun:
+    """Outcome of simulating many workloads in one call.
+
+    The batch counterpart of :class:`WorkloadRun`: row ``i`` of
+    :attr:`ipcs` is the per-core IPC vector of ``workloads[i]``
+    (workload-sorted benchmark order, as everywhere).
+
+    Attributes:
+        workloads: the simulated rows, in row order (a workload tuple,
+            or the :class:`~repro.core.codematrix.CodeMatrix` the
+            analytic backend was given).
+        ipcs: the N x K float64 IPC panel.
+        instructions: simulated (or, for the analytic model, modelled)
+            uops, the basis of MIPS accounting.
+        wall_seconds: host wall-clock time of the simulations.
+    """
+
+    workloads: Union[Tuple[Workload, ...], CodeMatrix]
+    ipcs: np.ndarray
+    instructions: int
+    wall_seconds: float
+
+
+class EventDrivenBatchMixin:
+    """``run_batch`` for simulators whose unit of work is one ``run``.
+
+    Host classes provide ``run(workload) -> WorkloadRun`` and ``cores``.
+    """
+
+    def run_batch(self, workloads: Sequence[Workload]) -> BatchRun:
+        """Simulate every workload in order; returns the N x K panel.
+
+        Every run builds its own uncore from fixed seeds, so the panel
+        equals the stacked per-workload ``run`` results bit for bit,
+        and ``wall_seconds`` sums the per-run simulation walls.
+        """
+        workloads = tuple(workloads)
+        ipcs = np.empty((len(workloads), self.cores), dtype=np.float64)
+        instructions = 0
+        wall = 0.0
+        for row, workload in enumerate(workloads):
+            run = self.run(workload)
+            ipcs[row] = run.ipcs
+            instructions += run.instructions
+            wall += run.wall_seconds
+        return BatchRun(workloads, ipcs, instructions, wall)
 
 
 class _MeasuredThread:
@@ -144,7 +203,7 @@ def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread]) -> None:
             finished.sort()
 
 
-class DetailedSimulator:
+class DetailedSimulator(EventDrivenBatchMixin):
     """Simulate workloads on K detailed cores sharing an uncore.
 
     Args:

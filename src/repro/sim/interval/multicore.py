@@ -9,8 +9,12 @@ from typing import Optional
 from repro.bench.generator import DEFAULT_TRACE_LENGTH
 from repro.core.workload import Workload
 from repro.mem.uncore import Uncore, UncoreConfig, uncore_config_for_cores
-from repro.sim.batch import EventDrivenBatchMixin
-from repro.sim.detailed import WorkloadRun, _MeasuredThread, interleave
+from repro.sim.detailed import (
+    EventDrivenBatchMixin,
+    WorkloadRun,
+    _MeasuredThread,
+    interleave,
+)
 from repro.sim.interval.machine import IntervalMachine
 from repro.sim.interval.profile import IntervalProfileBuilder
 
@@ -22,9 +26,9 @@ class IntervalSimulator(EventDrivenBatchMixin):
     DetailedSimulator` and :class:`repro.sim.badco.BadcoSimulator`
     (run / reference_ipc / restart semantics), so campaigns and
     experiments can swap simulator families freely.  ``run_batch``
-    (via :class:`~repro.sim.batch.EventDrivenBatchMixin`) stacks
+    (via :class:`~repro.sim.detailed.EventDrivenBatchMixin`) stacks
     per-workload runs into the analytic backend's N x K panel
-    contract, optionally chunk-parallel with bit-identical merges.
+    contract.
     """
 
     name = "interval"

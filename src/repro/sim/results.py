@@ -13,12 +13,10 @@ lookup, so a workload has the same rank whichever subset enumerated it.
 
 Each policy's IPCs are a list of *blocks* -- a rank vector plus the
 matching N x K float64 panel -- appended whole by
-:meth:`PopulationResults.record_batch` (batch backends) or one row at a
-time by :meth:`~PopulationResults.record` (per-workload simulators).
-:meth:`~PopulationResults.columnar_panel` serves them to
-:class:`~repro.core.columnar.IpcMatrix` consumers by rank lookup;
-:class:`~repro.core.workload.Workload` objects are built only by the
-per-workload views (:meth:`~PopulationResults.ipc_table`, ...).
+:meth:`PopulationResults.record_batch`, the one writer, which refuses a
+row already recorded.  :meth:`~PopulationResults.columnar_panel`, the
+one reader, serves them to :class:`~repro.core.columnar.IpcMatrix`
+consumers by rank lookup.
 
 Persistence is NumPy ``.npz`` (:meth:`~PopulationResults.save_npz` /
 :meth:`~PopulationResults.load_npz`): per policy a rank vector plus its
@@ -40,8 +38,6 @@ from repro.bench.spec import benchmark_names
 from repro.core.codematrix import CodeMatrix, has_duplicates, multiset_count
 from repro.core.workload import Workload
 from repro.ioutil import atomic_open, atomic_write_text
-
-IpcVector = List[float]
 
 #: The benchmark universe panel ranks are taken over (sorted).
 SUITE: Tuple[str, ...] = tuple(sorted(benchmark_names()))
@@ -133,14 +129,6 @@ class PopulationResults:
         at = np.minimum(np.searchsorted(ordered, ranks), len(ordered) - 1)
         return np.where(ordered[at] == ranks, order[at], -1)
 
-    def _row(self, policy: str, workload: Workload) -> int:
-        """The workload's row in the policy's stacked panel (-1: absent
-        or not a row of this campaign at all)."""
-        if workload.k != self.cores or any(b not in SUITE for b in workload):
-            return -1
-        return int(self._positions(
-            policy, suite_ranks([workload], self.cores))[0])
-
     def contains(self, policy: str, rows) -> np.ndarray:
         """Boolean mask: which of ``rows`` (anything :func:`suite_ranks`
         takes) already have IPCs under ``policy``."""
@@ -148,26 +136,6 @@ class PopulationResults:
 
     # ------------------------------------------------------------------
     # Writing
-
-    def record(self, policy: str, workload: Workload,
-               ipcs: Sequence[float]) -> None:
-        """Store one workload's IPCs; re-recording a workload replaces
-        its row (last write wins)."""
-        if len(ipcs) != workload.k:
-            raise ValueError(
-                f"{workload}: expected {workload.k} IPCs, got {len(ipcs)}")
-        rank = suite_ranks([workload], self.cores)
-        row = int(self._positions(policy, rank)[0])
-        if row < 0:
-            self._blocks.setdefault(policy, []).append(
-                (rank, np.array([ipcs], dtype=np.float64)))
-            return
-        # Replace in a private copy: blocks may be read-only file maps.
-        ranks, _, _, panel = self._lookup(policy)
-        panel = np.array(panel, dtype=np.float64)
-        panel[row] = ipcs
-        self._blocks[policy] = [(ranks, panel)]
-        self._lookups.pop(policy)
 
     def record_batch(self, policy: str, workloads, ipcs: np.ndarray) -> None:
         """Append one N x K panel, without a per-workload round trip.
@@ -210,32 +178,6 @@ class PopulationResults:
             common = ranks if number == 0 else np.intersect1d(
                 common, ranks, assume_unique=True)
         return common
-
-    def workloads(self, policy: str) -> List[Workload]:
-        return self._decode(self._common_ranks([policy]))
-
-    def common_workloads(self) -> List[Workload]:
-        """Workloads simulated under *every* recorded policy."""
-        return self._decode(self._common_ranks(self.policies))
-
-    def ipcs(self, policy: str, workload: Workload) -> IpcVector:
-        row = self._row(policy, workload)
-        if row < 0:
-            raise KeyError(policy if policy not in self._blocks
-                           else workload)
-        return self._lookup(policy)[3][row].tolist()
-
-    def ipc_table(self, policy: str) -> Dict[Workload, IpcVector]:
-        """The per-workload IPC table of one policy (a new dict).
-
-        Builds one :class:`Workload` per row; array consumers should
-        prefer :meth:`columnar_panel`.
-        """
-        ranks, _, _, panel = self._lookup(policy)
-        return dict(zip(self._decode(ranks), panel.tolist()))
-
-    def has(self, policy: str, workload: Workload) -> bool:
-        return self._row(policy, workload) >= 0
 
     def _policy_matrix(self, policy: str, ranks: np.ndarray) -> np.ndarray:
         """The policy's panel aligned to ``ranks`` rows."""

@@ -1,13 +1,22 @@
 """Shared fixtures: tiny traces and populations sized for fast tests."""
 
+import numpy as np
 import pytest
 
 from repro.bench.spec import benchmark_names
+from repro.core.columnar import IpcMatrix
 from repro.core.population import WorkloadPopulation
 
 #: Trace length used by simulation tests: big enough for pipelines and
 #: caches to reach steady state, small enough to keep the suite fast.
 TEST_TRACE_LENGTH = 3000
+
+
+def ipc_matrix(index, table):
+    """An :class:`IpcMatrix` over ``index`` from a workload -> per-core
+    IPC list mapping (the tests' dict-shaped oracle inputs)."""
+    return IpcMatrix(index, np.array([table[w] for w in index.workloads],
+                                     dtype=np.float64))
 
 
 @pytest.fixture(scope="session")

@@ -55,6 +55,12 @@ def _campaign(backend, jobs=1):
                                    jobs=jobs))
 
 
+def _panels(campaign, policies, workloads):
+    """Each policy's IPC matrix values over ``workloads``."""
+    _, matrices = campaign.results.columnar_panel(policies, workloads)
+    return {policy: matrix.values for policy, matrix in matrices.items()}
+
+
 @pytest.fixture(scope="module")
 def parity_results(parity_population):
     campaigns = {}
@@ -66,15 +72,13 @@ def parity_results(parity_population):
 
 
 def test_ipc_error_vs_badco_is_bounded(parity_population, parity_results):
-    errors = []
-    for workload in parity_population:
-        for policy in PARITY_POLICIES:
-            badco = np.array(
-                parity_results["badco"].results.ipcs(policy, workload))
-            analytic = np.array(
-                parity_results["analytic"].results.ipcs(policy, workload))
-            errors.append(np.abs(analytic - badco) / badco)
-    errors = np.concatenate(errors)
+    badco = _panels(parity_results["badco"], PARITY_POLICIES,
+                    parity_population)
+    analytic = _panels(parity_results["analytic"], PARITY_POLICIES,
+                       parity_population)
+    errors = np.concatenate([
+        (np.abs(analytic[policy] - badco[policy]) / badco[policy]).ravel()
+        for policy in PARITY_POLICIES])
     assert errors.mean() < MEAN_IPC_ERROR_BOUND
     assert errors.max() < MAX_IPC_ERROR_BOUND
 
@@ -192,9 +196,8 @@ def test_analytic_campaign_cache_roundtrip(tmp_path, parity_population):
     # ... and the reload must come through the npz fast path (blocks,
     # not a rebuilt mapping).
     assert "LRU" in second.results._blocks
-    for workload in workloads:
-        assert second.results.ipcs("LRU", workload) == \
-            first.results.ipcs("LRU", workload)
+    assert np.array_equal(_panels(second, ["LRU"], workloads)["LRU"],
+                          _panels(first, ["LRU"], workloads)["LRU"])
     second.run_grid(workloads, ["LRU"])          # served from cache
     assert second.timing.simulations == 0
 
@@ -262,7 +265,8 @@ def _assert_recomputed(config, original, caplog):
         again = Campaign(config)                # must not raise
     assert not again._loaded_from_cache
     assert str(config.cache_path) in caplog.text
-    again.run_grid(original.results.workloads("LRU"), ["LRU"])
+    again.run_grid(original.results.columnar_panel(["LRU"])[0].workloads,
+                   ["LRU"])
     assert again.timing.simulations == 3
     assert again.results.to_json() == original.results.to_json()
 
@@ -470,7 +474,6 @@ def test_engine_single_dispatch_equals_per_policy_path(parity_population):
 
     class NoAxis:
         name = "analytic"
-        supports_batch = True
         supports_policy_axis = False
 
         def __getattr__(self, attribute):
@@ -493,10 +496,10 @@ def test_engine_grid_dispatch_falls_back_on_ragged_caches(parity_population):
     campaign.run_grid(workloads, PARITY_POLICIES)
     reference = _campaign("analytic")
     reference.run_grid(workloads, PARITY_POLICIES)
+    panels = _panels(campaign, PARITY_POLICIES, workloads)
+    expected = _panels(reference, PARITY_POLICIES, workloads)
     for policy in PARITY_POLICIES:
-        for workload in workloads:
-            assert (campaign.results.ipcs(policy, workload)
-                    == reference.results.ipcs(policy, workload))
+        assert np.array_equal(panels[policy], expected[policy])
 
 
 def test_engine_ragged_caches_grid_dispatch_intersection(parity_population,
@@ -544,10 +547,10 @@ def test_engine_ragged_three_policies_second_grid(parity_population,
                      (workloads[:4], ["DIP", "DRRIP"])]
     reference = _campaign("analytic")
     reference.run_grid(workloads, policies)
+    panels = _panels(campaign, policies, workloads)
+    expected = _panels(reference, policies, workloads)
     for policy in policies:
-        for workload in workloads:
-            assert (campaign.results.ipcs(policy, workload)
-                    == reference.results.ipcs(policy, workload))
+        assert np.array_equal(panels[policy], expected[policy])
 
 
 def test_grid_dispatch_jobs2_equals_jobs1(parity_population):

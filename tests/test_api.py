@@ -38,11 +38,18 @@ def test_builtin_backends_registered():
 
 
 def test_batch_capability_flags():
-    from repro.api import backend_supports_batch
+    from repro.api import backend_supports_policy_axis
 
-    for name in ("analytic", "badco", "interval"):
-        assert backend_supports_batch(get_backend(name))
-    assert not backend_supports_batch(get_backend("detailed"))
+    # One grid path: the engine calls run_batch on every backend, and
+    # the policy axis is its only capability flag.
+    for name in backend_names():
+        backend = get_backend(name)
+        simulator = backend.make_simulator(
+            2, "LRU", TEST_TRACE_LENGTH,
+            builder=backend.make_builder(TEST_TRACE_LENGTH, 0))
+        assert callable(getattr(simulator, "run_batch", None)), name
+        assert callable(getattr(simulator, "reference_ipc", None)), name
+        assert backend_supports_policy_axis(backend) == (name == "analytic")
 
 
 def test_backends_construct_their_simulator_family():
@@ -252,9 +259,10 @@ def test_session_study_matches_hand_wired_path():
     campaign.run_grid(other.population(2), ["LRU", "DIP"])
     campaign.reference_ipcs(API_BENCHMARKS)
     results = campaign.results
+    _, matrices = results.columnar_panel(["LRU", "DIP"], other.population(2))
     hand_wired = PolicyComparisonStudy(
-        other.population(2), results.ipc_table("LRU"),
-        results.ipc_table("DIP"), IPCT, results.reference)
+        other.population(2), matrices["LRU"], matrices["DIP"], IPCT,
+        results.reference)
 
     assert study.inverse_cv == hand_wired.inverse_cv
     assert study.statistics.mean == hand_wired.statistics.mean
@@ -291,10 +299,12 @@ def test_parallel_grid_is_bit_identical_to_serial():
     results_serial = serial.results("badco", 2, policies=policies)
     results_parallel = parallel.results("badco", 2, policies=policies)
     population = serial.population(2)
-    for workload in population:
-        for policy in policies:
-            assert results_serial.ipcs(policy, workload) == \
-                results_parallel.ipcs(policy, workload)
+    _, serial_panels = results_serial.columnar_panel(policies, population)
+    _, parallel_panels = results_parallel.columnar_panel(policies,
+                                                         population)
+    for policy in policies:
+        assert np.array_equal(serial_panels[policy].values,
+                              parallel_panels[policy].values)
     # Bit-identical all the way down to the serialised form.
     assert results_serial.to_json() == results_parallel.to_json()
 

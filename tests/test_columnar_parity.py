@@ -17,6 +17,7 @@ from repro.core.columnar import (
     DeltaColumn,
     IpcMatrix,
     WorkloadIndex,
+    delta_column_from_matrices,
     throughputs,
 )
 from repro.core.delta import DeltaVariable, delta_statistics
@@ -30,6 +31,8 @@ from repro.core.sampling import (
     WorkloadStratification,
 )
 from repro.core.speedup_accuracy import SpeedupAccuracyEvaluator
+
+from tests.conftest import ipc_matrix
 
 ALL_METRICS = (IPCT, WSU, HSU, GMS)
 
@@ -54,6 +57,12 @@ def index(population):
     return WorkloadIndex.from_population(population)
 
 
+def _column(variable, index, x, y):
+    """d(w) over ``index`` through the matrix path."""
+    return delta_column_from_matrices(variable, ipc_matrix(index, x),
+                                      ipc_matrix(index, y))
+
+
 def _classes(population):
     labels = ("low", "mid", "high")
     return {b: labels[i % 3] for i, b in enumerate(population.benchmarks)}
@@ -74,7 +83,7 @@ def _methods(population, delta_mapping):
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
 def test_throughputs_bit_identical(metric, population, tables, index):
     x, _, reference = tables
-    matrix = IpcMatrix.from_table(index, x)
+    matrix = ipc_matrix(index, x)
     vector = throughputs(metric, matrix, reference)
     for i, w in enumerate(index.workloads):
         scalar = metric.workload_throughput(x[w], w.benchmarks, reference)
@@ -86,7 +95,7 @@ def test_delta_column_bit_identical(metric, population, tables, index):
     x, y, reference = tables
     variable = DeltaVariable(metric, reference)
     legacy = variable.table(list(population), x, y)
-    column = variable.column(index, x, y)
+    column = _column(variable, index, x, y)
     for i, w in enumerate(index.workloads):
         assert column.values[i] == legacy[w]
 
@@ -112,7 +121,7 @@ def test_sample_throughputs_bit_identical(metric, weighted, tables):
 def test_delta_statistics_array_close(tables, population, index):
     x, y, reference = tables
     variable = DeltaVariable(WSU, reference)
-    column = variable.column(index, x, y)
+    column = _column(variable, index, x, y)
     scalar = delta_statistics(list(variable.table(list(population),
                                                   x, y).values()))
     vector = delta_statistics(column.values)
@@ -128,7 +137,7 @@ def test_confidence_bit_identical_per_metric(metric, population, tables,
                                              index):
     x, y, reference = tables
     variable = DeltaVariable(metric, reference)
-    column = variable.column(index, x, y)
+    column = _column(variable, index, x, y)
     estimator = ConfidenceEstimator(population, column, draws=150)
     mapping = column.as_mapping()
     for method in _methods(population, mapping):
@@ -202,7 +211,7 @@ def test_from_column_builds_identical_strata(population, tables, index):
     x, y, reference = tables
     variable = DeltaVariable(IPCT, reference)
     mapping = variable.table(list(population), x, y)
-    column = variable.column(index, x, y)
+    column = _column(variable, index, x, y)
     legacy = WorkloadStratification(mapping, min_stratum=7)
     columnar = WorkloadStratification.from_column(column, min_stratum=7)
     assert columnar.strata == legacy.strata
@@ -213,10 +222,11 @@ def test_from_column_builds_identical_strata(population, tables, index):
 # Speedup-accuracy parity
 
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
-def test_speedup_accuracy_bit_identical(metric, population, tables):
+def test_speedup_accuracy_bit_identical(metric, population, tables, index):
     x, y, reference = tables
-    evaluator = SpeedupAccuracyEvaluator(population, x, y, metric,
-                                         reference, draws=120)
+    evaluator = SpeedupAccuracyEvaluator(
+        population, ipc_matrix(index, x), ipc_matrix(index, y), metric,
+        reference, draws=120)
     rng = random.Random(2)
     delta = {w: rng.gauss(0.0, 1.0) for w in population}
     for method in _methods(population, delta):
@@ -246,7 +256,7 @@ def test_mismatched_column_rejected(population, index):
 
 
 def test_ipc_matrix_validates_shape(population, index):
-    table = {w: [1.0] * w.k for w in population}
-    table[index.workloads[3]] = [1.0]          # wrong core count
-    with pytest.raises(ValueError, match="expected 3"):
-        IpcMatrix.from_table(index, table)
+    with pytest.raises(ValueError, match="expected a 120 x 3 matrix"):
+        IpcMatrix(index, np.ones((len(index), 2)))     # wrong core count
+    with pytest.raises(ValueError, match="expected a 120 x 3 matrix"):
+        IpcMatrix(index, np.ones((len(index) - 7, 3)))  # missing rows

@@ -30,9 +30,8 @@ def _config(root):
 
 
 def _payload(results, population):
-    return {policy: [list(results.ipcs(policy, workload))
-                     for workload in population]
-            for policy in POLICIES}
+    _, matrices = results.columnar_panel(POLICIES, population)
+    return {policy: matrices[policy].values.tolist() for policy in POLICIES}
 
 
 def _writer(root, worker_id):

@@ -232,12 +232,16 @@ def test_paired_estimator_rejects_empty():
 @pytest.mark.parametrize("draws", [0, -3])
 @pytest.mark.parametrize("kind", ["confidence", "paired", "speedup"])
 def test_draws_below_one_rejected(small_population, kind, draws):
+    import numpy as np
+
+    from repro.core.columnar import IpcMatrix
     from repro.core.estimator import PairedConfidenceEstimator
     from repro.core.metrics import IPCT
     from repro.core.speedup_accuracy import SpeedupAccuracyEvaluator
 
     delta = _delta(small_population, 0.0)
-    ipcs = {w: [1.0] * w.k for w in small_population}
+    ipcs = IpcMatrix(small_population.index,
+                     np.ones((len(small_population), 2)))
     build = {
         "confidence": lambda: ConfidenceEstimator(
             small_population, delta, draws=draws),

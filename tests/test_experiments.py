@@ -8,14 +8,16 @@ shared module-scoped session, so the population is simulated once.
 
 import pytest
 
-from repro.core.metrics import IPCT
 from repro.api import Scale, Session
 from repro.experiments import (
+    ext1_speedup_accuracy,
+    ext2_simulator_ablation,
     fig1_confidence_curve,
     fig3_model_validation,
     fig4_cv_bars,
     fig5_cv_metrics,
     fig6_sampling_methods,
+    fig7_actual_confidence,
     sec7_overhead,
     table4_classification,
 )
@@ -114,3 +116,84 @@ def test_fig4_sources_agree_on_clear_pairs(session):
     cells = result.bars[("LRU", "FIFO")]["IPCT"]
     assert cells["badco-sample"] < 0
     assert cells["badco-population"] < 0
+
+
+# ----------------------------------------------------------------------
+# Exact pins of experiments whose SMALL answers no other test checks
+# (values recorded before their panel reads moved to ``columnar_panel``).
+
+def _hexed(values):
+    return [value.hex() for value in values]
+
+
+def test_fig7_detailed_judged_curves_are_pinned(session):
+    # The only test that runs the detailed backend through an
+    # experiment: BADCO strata, detailed verdicts, both d(w) columns
+    # built from panels.
+    zeros = [0.0] * 5
+    result = fig7_actual_confidence.run(Scale.SMALL, session,
+                                        core_counts=(2,))
+    assert result.curves == {2: {"random": zeros, "bench-strata": zeros,
+                                  "workload-strata": zeros}}
+    result = fig7_actual_confidence.run(Scale.SMALL, session,
+                                        pair=("RND", "LRU"),
+                                        core_counts=(2,))
+    curves = {name: _hexed(curve) for name, curve in result.curves[2].items()}
+    assert curves == {
+        "random": ["0x1.e8f5c28f5c28fp-1", "0x1.fd70a3d70a3d7p-1",
+                   "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                   "0x1.0000000000000p+0"],
+        "bench-strata": ["0x1.0000000000000p+0"] * 5,
+        "workload-strata": ["0x1.f0a3d70a3d70ap-1", "0x1.fd70a3d70a3d7p-1",
+                            "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                            "0x1.0000000000000p+0"],
+    }
+
+
+def test_ext1_speedup_accuracy_is_pinned(session):
+    result = ext1_speedup_accuracy.run(Scale.SMALL, session)
+    assert result.true_speedup.hex() == "0x1.ffdcb9e28ed52p-1"
+    assert result.hit_rates == {name: [1.0] * 5 for name in
+                                ("random", "bench-strata",
+                                 "workload-strata")}
+    assert {name: _hexed(errors)
+            for name, errors in result.mean_errors.items()} == {
+        "random": ["0x1.0e7f6bc5d3b9dp-12", "0x1.5465d5c0553bap-13",
+                   "0x1.06fadf7d3a66dp-13", "0x1.3fffed4f07314p-14",
+                   "0x1.062e1b4610f32p-14"],
+        "bench-strata": ["0x1.d3e869583f34ap-13", "0x1.ab91e87915cfap-14",
+                         "0x1.f18e9d1647bb8p-15", "0x1.22ceac83a7f83p-14",
+                         "0x1.a2bf2b1e6008fp-15"],
+        "workload-strata": ["0x1.44446de9968c8p-13",
+                            "0x1.708e204a4a3c3p-14",
+                            "0x1.5d2800ffcc672p-15",
+                            "0x1.d4e7ac9bf3861p-15",
+                            "0x1.5de28c9844991p-15"],
+    }
+
+
+def test_ext2_simulator_ablation_is_pinned(session):
+    result = ext2_simulator_ablation.run(Scale.SMALL, session)
+    assert [(row.benchmark, row.detailed_ipc.hex(), row.badco_ipc.hex(),
+             row.interval_ipc.hex()) for row in result.accuracy] == [
+        ("povray", "0x1.2be3ad5773798p-1", "0x1.2cc48826575abp-1",
+         "0x1.3b62557a3ac2dp-1"),
+        ("gcc", "0x1.70b89b3b498b6p-2", "0x1.770b54579d502p-2",
+         "0x1.5616fb4288146p-2"),
+        ("mcf", "0x1.3becbf02fab67p-5", "0x1.2d5e8cfa3b99ep-5",
+         "0x1.412289b35616fp-4"),
+        ("libquantum", "0x1.02618cb37798bp-3", "0x1.cb5154c45af8ep-4",
+         "0x1.cf8e7fc56c7d9p-3"),
+    ]
+    assert result.badco_mean_error.hex() == "0x1.1bb32a846e636p+2"
+    assert result.interval_mean_error.hex() == "0x1.86311c5400a45p+5"
+    assert (result.badco_training_uops,
+            result.interval_training_uops) == (48000, 132000)
+    assert {name: _hexed(curve)
+            for name, curve in result.confidence.items()} == {
+        "random": ["0x1.c28f5c28f5c29p-4", "0x1.1eb851eb851ecp-5",
+                   "0x0.0p+0"],
+        "strata-from-badco": ["0x0.0p+0"] * 3,
+        "strata-from-interval": ["0x1.1eb851eb851ecp-4",
+                                 "0x1.47ae147ae147bp-8", "0x0.0p+0"],
+    }

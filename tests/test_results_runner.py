@@ -12,35 +12,42 @@ from repro.sim.results import SUITE, PopulationResults
 from tests.conftest import TEST_TRACE_LENGTH
 
 
+def _panel(results, policy, workloads):
+    """One policy's IPC rows over ``workloads``, as Python lists."""
+    _, matrices = results.columnar_panel([policy], workloads)
+    return matrices[policy].values.tolist()
+
+
 def test_record_and_read():
     results = PopulationResults(2, "detailed")
     w = Workload(["gcc", "mcf"])
-    results.record("LRU", w, [1.0, 2.0])
-    assert results.ipcs("LRU", w) == [1.0, 2.0]
+    results.record_batch("LRU", [w], np.array([[1.0, 2.0]]))
+    assert _panel(results, "LRU", [w]) == [[1.0, 2.0]]
     assert results.policies == ["LRU"]
-    assert results.has("LRU", w)
-    assert not results.has("DIP", w)
+    assert results.contains("LRU", [w]).tolist() == [True]
+    assert results.contains("DIP", [w]).tolist() == [False]
 
 
 def test_arity_validated():
     results = PopulationResults(2, "detailed")
     with pytest.raises(ValueError):
-        results.record("LRU", Workload(["gcc", "mcf"]), [1.0])
+        results.record_batch("LRU", [Workload(["gcc", "mcf"])],
+                             np.array([[1.0]]))
 
 
-def test_common_workloads():
+def test_default_panel_rows_are_common_to_every_policy():
     results = PopulationResults(2, "x")
     w1, w2 = Workload(["gcc", "gcc"]), Workload(["gcc", "mcf"])
-    results.record("LRU", w1, [1, 1])
-    results.record("LRU", w2, [1, 1])
-    results.record("DIP", w1, [1, 1])
-    assert results.common_workloads() == [w1]
+    results.record_batch("LRU", [w1, w2], np.ones((2, 2)))
+    results.record_batch("DIP", [w1], np.ones((1, 2)))
+    index, _ = results.columnar_panel()
+    assert index.workloads == (w1,)
 
 
 def test_json_roundtrip(tmp_path):
     results = PopulationResults(4, "badco")
     w = Workload(["mcf", "gcc", "gcc", "povray"])
-    results.record("DRRIP", w, [0.1, 0.5, 0.5, 1.4])
+    results.record_batch("DRRIP", [w], np.array([[0.1, 0.5, 0.5, 1.4]]))
     results.record_reference("mcf", 0.2)
     path = tmp_path / "results.json"
     results.save(path)
@@ -53,28 +60,26 @@ def test_json_roundtrip(tmp_path):
 
 
 def _batchful_results():
-    """Results mixing streamed batches and per-workload records."""
+    """Results streamed in several batches per policy."""
     results = PopulationResults(2, "analytic")
     w1, w2, w3 = (Workload(["gcc", "gcc"]), Workload(["gcc", "mcf"]),
                   Workload(["mcf", "mcf"]))
     results.record_batch("LRU", [w1, w2], np.array([[1.0, 2.0], [3.0, 4.0]]))
     results.record_batch("LRU", [w3], np.array([[5.0, 6.0]]))
-    results.record("DIP", w1, [0.5, 0.25])
+    results.record_batch("DIP", [w1], np.array([[0.5, 0.25]]))
     results.record_reference("gcc", 1.5)
     return results, (w1, w2, w3)
 
 
 def test_record_batch_reads_like_record():
     results, (w1, w2, w3) = _batchful_results()
-    assert results.has("LRU", w2)
-    assert not results.has("LRU", Workload(["povray", "povray"]))
-    assert not results.has("LRU", Workload(["not-a-benchmark"] * 2))
-    assert results.ipcs("LRU", w3) == [5.0, 6.0]
-    assert results.workloads("LRU") == [w1, w2, w3]
-    assert results.common_workloads() == [w1]
+    assert results.contains("LRU", [w2, w3]).tolist() == [True, True]
+    assert results.contains("DIP", [w1, w2]).tolist() == [True, False]
+    assert _panel(results, "LRU", [w3]) == [[5.0, 6.0]]
+    index, _ = results.columnar_panel(["LRU"])
+    assert index.workloads == (w1, w2, w3)
     assert len(results) == 4
-    assert results.ipc_table("LRU")[w2] == [3.0, 4.0]    # materialised
-    assert results.ipcs("LRU", w2) == [3.0, 4.0]
+    assert _panel(results, "LRU", [w2]) == [[3.0, 4.0]]
 
 
 def test_record_batch_validates_shape_and_duplicates():
@@ -85,9 +90,10 @@ def test_record_batch_validates_shape_and_duplicates():
     results.record_batch("LRU", [w], np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         results.record_batch("LRU", [w], np.array([[1.0, 2.0]]))
-    results.record("DIP", w, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        results.record_batch("DIP", [w], np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="duplicate rows"):
+        results.record_batch("DIP", [w, w], np.ones((2, 2)))
+    # A refused batch records nothing.
+    assert len(results) == 1
 
 
 def test_columnar_panel_serves_batches_without_dict():
@@ -123,7 +129,7 @@ def test_npz_roundtrip_matches_json(tmp_path):
 
 def test_nbytes_counts_panels_ranks_and_references():
     results, _ = _batchful_results()
-    # LRU: 3 rows of (int64 rank + 2 float64 IPCs); DIP: one dict entry
+    # LRU: 3 rows of (int64 rank + 2 float64 IPCs); DIP: one row
     # charged the same; one reference IPC.
     assert results.nbytes == 3 * 8 * 3 + 8 * 3 + 8
 
@@ -138,8 +144,8 @@ def test_npz_roundtrip_exact_floats(tmp_path):
     path = tmp_path / "r.npz"
     results.save_npz(path)
     loaded = PopulationResults.load_npz(path)
-    for workload, row in zip(workloads, panel):
-        assert loaded.ipcs("LRU", workload) == row.tolist()
+    assert np.array_equal(
+        loaded.columnar_panel(["LRU"], workloads)[1]["LRU"].values, panel)
 
 
 def _campaign(backend, **fields):
@@ -150,9 +156,10 @@ def _campaign(backend, **fields):
 def test_campaign_memoises_runs():
     campaign = _campaign("badco")
     w = Workload(["povray", "hmmer"])
-    first = campaign.run_workload(w, "LRU")
+    first = _panel(campaign.run_grid([w], ["LRU"]), "LRU", [w])
     simulations = campaign.timing.simulations
-    second = campaign.run_workload(w, "LRU")
+    assert simulations == 1
+    second = _panel(campaign.run_grid([w], ["LRU"]), "LRU", [w])
     assert first == second
     assert campaign.timing.simulations == simulations    # no re-run
 
@@ -169,11 +176,11 @@ def test_campaign_grid_and_reference():
 def test_campaign_disk_cache(tmp_path):
     w = Workload(["povray", "hmmer"])
     first = _campaign("badco", cache_dir=tmp_path)
-    ipcs = first.run_workload(w, "LRU")
+    ipcs = _panel(first.run_grid([w], ["LRU"]), "LRU", [w])
     first.save()
     second = _campaign("badco", cache_dir=tmp_path)
-    assert second.results.has("LRU", w)
-    assert second.run_workload(w, "LRU") == ipcs
+    assert second.results.contains("LRU", [w]).tolist() == [True]
+    assert _panel(second.run_grid([w], ["LRU"]), "LRU", [w]) == ipcs
     assert second.timing.simulations == 0
 
 
@@ -184,18 +191,7 @@ def test_unknown_simulator_rejected():
 
 def test_campaign_timing_mips():
     campaign = _campaign("detailed")
-    campaign.run_workload(Workload(["povray", "povray"]), "LRU")
+    campaign.run_grid([Workload(["povray", "povray"])], ["LRU"])
+    assert campaign.timing.simulations == 1
     assert campaign.timing.mips > 0
     assert campaign.timing.instructions >= 2 * TEST_TRACE_LENGTH
-
-
-def test_record_over_batch_row_is_last_write_wins():
-    results = PopulationResults(2, "analytic")
-    w = Workload(["gcc", "mcf"])
-    results.record_batch("LRU", [w], np.array([[1.0, 2.0]]))
-    results.record("LRU", w, [9.0, 8.0])
-    assert results.ipcs("LRU", w) == [9.0, 8.0]
-    assert len(results) == 1
-    # Materialisation must not revert to the stale block value.
-    assert results.ipc_table("LRU")[w] == [9.0, 8.0]
-    assert results.ipcs("LRU", w) == [9.0, 8.0]

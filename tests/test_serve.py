@@ -342,11 +342,12 @@ def test_resident_panel_cache_serves_sibling_sessions(store, tmp_path):
     first = state.session(benchmarks=list(BENCHMARKS)).estimate_full_scale(
         "LRU", "DIP", **FRAME)
     assert state.panel_cache.stats()["entries"] >= 1
-    # jobs is excluded from the campaign cache signature, so a sibling
-    # session (different session key, same cache key) must be served
-    # the published panels without re-simulating.
-    second = state.session(benchmarks=list(BENCHMARKS),
-                           jobs=0).estimate_full_scale(
+    # The benchmark subset is not part of the campaign cache key, so a
+    # sibling session naming the same benchmarks in another order
+    # (different session key, same cache key) must be served the
+    # published panels without re-simulating.
+    second = state.session(
+        benchmarks=list(reversed(BENCHMARKS))).estimate_full_scale(
         "LRU", "DIP", **FRAME)
     assert state.panel_cache.hits >= 1
     assert second.training_runs == 0
@@ -388,11 +389,22 @@ def test_bad_requests_error_without_dropping_the_connection(server):
         assert client.ping()   # the connection survived every error
 
 
-def test_a_removed_session_parameter_fails_alone(server, oneshot):
+def test_a_removed_session_parameter_fails_alone(server, oneshot,
+                                                 monkeypatch):
+    from repro.api.engine import Campaign
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("the campaign engine started a process pool")
+
+    # A served request never chooses how many processes the engine
+    # forks: resident sessions run jobs=1, so the stub never fires.
+    monkeypatch.setattr(Campaign, "_pool_map", refuse)
     with ReproClient(server.address, timeout=60) as client:
-        with pytest.raises(ServerError, match="fast_sampling"):
-            client.estimate(**_query(fast_sampling=False))
-        assert client.ping()
+        for removed in ({"jobs": 2}, {"fast_sampling": False}):
+            (name,) = removed
+            with pytest.raises(ServerError, match=name):
+                client.estimate(**_query(**removed))
+            assert client.ping()
         assert _fields(client.estimate(**_query())) == _fields(oneshot)
 
 
@@ -488,6 +500,15 @@ def test_the_bounds_admit_every_default_request_shape():
     protocol.check_estimate_bounds({"scale": "small", "refine_frac": 0.5})
     with pytest.raises(ValueError, match="MAX_REFINE_ROWS"):
         protocol.check_estimate_bounds({"sample": 400, "refine_frac": 0.2})
+    # The frame never has more rows than the population: 4 named
+    # benchmarks on 2 cores are 10 rows, the 22-benchmark suite's
+    # 2-core population 253, so these refine 10 and 25 rows.
+    protocol.check_estimate_bounds({
+        "cores": 2, "scale": "small",
+        "benchmarks": ["bzip2", "gcc", "libquantum", "mcf"],
+        "refine_frac": 1.0})
+    protocol.check_estimate_bounds({"cores": 2, "sample": 10_000,
+                                    "refine_frac": 0.1})
     # One more sample size on the FULL default is over the drawn rows.
     with pytest.raises(ValueError, match="MAX_DRAWN_ROWS"):
         protocol.check_estimate_bounds({

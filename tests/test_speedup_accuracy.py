@@ -8,6 +8,8 @@ from repro.core.metrics import IPCT
 from repro.core.sampling import SimpleRandomSampling, WorkloadStratification
 from repro.core.speedup_accuracy import SpeedupAccuracyEvaluator
 
+from tests.conftest import ipc_matrix
+
 
 def _tables(population, ratio=1.10, noise=0.02, seed=0):
     rng = random.Random(seed)
@@ -16,7 +18,7 @@ def _tables(population, ratio=1.10, noise=0.02, seed=0):
         base = [0.8 + 0.4 * rng.random() for _ in range(w.k)]
         x[w] = base
         y[w] = [b * (ratio + rng.gauss(0, noise)) for b in base]
-    return x, y
+    return ipc_matrix(population.index, x), ipc_matrix(population.index, y)
 
 
 def test_true_speedup_matches_construction(small_population):
@@ -60,10 +62,11 @@ def test_stratification_reduces_speedup_error(small_population):
     x, y = _tables(small_population, noise=0.08, seed=2)
     evaluator = SpeedupAccuracyEvaluator(small_population, x, y, IPCT,
                                          draws=400)
+    from repro.core.columnar import delta_column_from_matrices
     from repro.core.delta import DeltaVariable
 
-    delta = DeltaVariable(IPCT).table(list(small_population), x, y)
-    strat = WorkloadStratification(delta, min_stratum=3)
+    delta = delta_column_from_matrices(DeltaVariable(IPCT), x, y)
+    strat = WorkloadStratification.from_column(delta, min_stratum=3)
     random_error = evaluator.evaluate(
         SimpleRandomSampling(), 8, epsilon=0.01, seed=3).mean_abs_error
     strat_error = evaluator.evaluate(

@@ -9,16 +9,18 @@ from repro.core.planner import Recommendation
 from repro.core.sampling import SimpleRandomSampling
 from repro.core.study import PolicyComparisonStudy
 
+from tests.conftest import ipc_matrix
+
 
 def _tables(population, gap, noise=0.05, seed=0):
-    """Synthetic IPC tables where Y beats X by `gap` on average."""
+    """Synthetic IPC matrices where Y beats X by `gap` on average."""
     rng = random.Random(seed)
     x, y = {}, {}
     for w in population:
         base = [1.0 + 0.3 * rng.random() for _ in range(w.k)]
         x[w] = base
         y[w] = [b + gap + rng.gauss(0, noise) for b in base]
-    return x, y
+    return ipc_matrix(population.index, x), ipc_matrix(population.index, y)
 
 
 def test_clear_winner_detected(small_population):
@@ -70,6 +72,13 @@ def test_wsu_requires_reference(small_population):
     x, y = _tables(small_population, gap=0.1)
     with pytest.raises((ValueError, TypeError)):
         PolicyComparisonStudy(small_population, x, y, WSU).statistics
+
+
+def test_matrices_must_cover_the_population(small_population,
+                                            four_core_population):
+    x, y = _tables(four_core_population, gap=0.1)
+    with pytest.raises(ValueError, match="population's rows"):
+        PolicyComparisonStudy(small_population, x, y, IPCT)
 
 
 def test_wsu_with_reference(small_population):

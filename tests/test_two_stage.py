@@ -1,21 +1,22 @@
 """Two-stage estimation: batch entry points and the screen+refine driver.
 
-Covers the PR's acceptance contract end to end: the event-driven
-simulators' ``run_batch`` must be bit-identical to the per-workload
-``run`` loop for any ``jobs``; ``Session.estimate_two_stage`` must
-report both stages (screen confidence, refine accounting, spliced
-final estimate) with its own timing phases; and the refine-row ranking
-must always floor-allocate budget to d(w) == 0 cells so the screen
-cannot hide no-signal regions from the refine pass.
+Covers the contract end to end: the event-driven simulators'
+``run_batch`` must be bit-identical to the per-workload ``run`` loop,
+and a campaign grid on them bit-identical for any ``jobs``;
+``Session.estimate_two_stage`` must report both stages (screen
+confidence, refine accounting, spliced final estimate) with its own
+timing phases; and the refine-row ranking must always floor-allocate
+budget to d(w) == 0 cells so the screen cannot hide no-signal regions
+from the refine pass.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import Session, TwoStageEstimate
+from repro.api import Campaign, CampaignConfig, Session, TwoStageEstimate
 from repro.core.workload import Workload
 from repro.sim.badco.multicore import BadcoSimulator
-from repro.sim.batch import batch_from_runs
+from repro.sim.detailed import BatchRun, DetailedSimulator
 from repro.sim.interval.multicore import IntervalSimulator
 
 #: Small trace keeps the event-driven loops at smoke cost.
@@ -23,38 +24,68 @@ TRACE = 3000
 
 BENCHMARKS = ("bzip2", "gcc", "libquantum", "mcf", "namd", "povray")
 
+#: The event-driven simulators, by backend name.
+EVENT_DRIVEN = {"detailed": DetailedSimulator, "badco": BadcoSimulator,
+                "interval": IntervalSimulator}
 
-# ---- run_batch: the parallel batch entry points ----------------------
+#: Five 2-core rows, one of them a repeated benchmark.
+BATCH_ROWS = [Workload(pair) for pair in
+              [("gcc", "libquantum"), ("mcf", "milc"), ("bzip2", "namd"),
+               ("gcc", "mcf"), ("libquantum", "libquantum")]]
 
-@pytest.mark.parametrize("simulator_class",
-                         [BadcoSimulator, IntervalSimulator],
-                         ids=["badco", "interval"])
-def test_run_batch_matches_run_loop_and_is_jobs_invariant(simulator_class):
-    simulator = simulator_class(cores=2, policy="DIP", trace_length=TRACE)
-    workloads = [Workload(pair) for pair in
-                 [("gcc", "libquantum"), ("mcf", "milc"),
-                  ("bzip2", "namd"), ("gcc", "mcf"),
-                  ("libquantum", "libquantum")]]
-    reference = batch_from_runs(workloads,
-                                [simulator.run(w) for w in workloads])
-    serial = simulator.run_batch(workloads, jobs=1)
-    parallel = simulator.run_batch(workloads, jobs=3)
-    assert serial.workloads == tuple(workloads)
-    assert parallel.workloads == tuple(workloads)
+
+def batch_from_runs(workloads, runs) -> BatchRun:
+    """Stack per-workload ``WorkloadRun`` results into a panel: the
+    reference construction ``run_batch`` must equal bit for bit."""
+    return BatchRun(tuple(workloads),
+                    np.array([run.ipcs for run in runs], dtype=np.float64),
+                    sum(run.instructions for run in runs),
+                    sum(run.wall_seconds for run in runs))
+
+
+# ---- run_batch: one entry point on every event-driven simulator ------
+
+@pytest.mark.parametrize("backend", sorted(EVENT_DRIVEN))
+def test_run_batch_matches_run_loop_and_is_jobs_invariant(backend):
+    simulator = EVENT_DRIVEN[backend](cores=2, policy="DIP",
+                                      trace_length=TRACE)
+    reference = batch_from_runs(BATCH_ROWS,
+                                [simulator.run(w) for w in BATCH_ROWS])
+    batch = simulator.run_batch(BATCH_ROWS)
+    assert batch.workloads == tuple(BATCH_ROWS)
     # Bit-identical, not merely close: every run builds its own uncore
-    # from fixed seeds, so chunking must never change a value.
-    assert np.array_equal(serial.ipcs, reference.ipcs)
-    assert np.array_equal(parallel.ipcs, serial.ipcs)
-    assert serial.instructions == parallel.instructions \
-        == reference.instructions
+    # from fixed seeds.
+    assert np.array_equal(batch.ipcs, reference.ipcs)
+    assert batch.instructions == reference.instructions
+
+    # The engine's pool: jobs=3 over ten cells forces it even on a
+    # one-CPU host, and its chunks must merge back to the serial grid.
+    campaigns = {}
+    for jobs in (1, 3):
+        campaign = Campaign(CampaignConfig(backend=backend, cores=2,
+                                           trace_length=TRACE, jobs=jobs))
+        campaign.run_grid(BATCH_ROWS, ["LRU", "DIP"])
+        campaigns[jobs] = campaign
+    serial, pooled = campaigns[1], campaigns[3]
+    _, serial_panels = serial.results.columnar_panel(["LRU", "DIP"],
+                                                     BATCH_ROWS)
+    _, pooled_panels = pooled.results.columnar_panel(["LRU", "DIP"],
+                                                     BATCH_ROWS)
+    for policy in ("LRU", "DIP"):
+        assert np.array_equal(serial_panels[policy].values,
+                              pooled_panels[policy].values)
+    assert np.array_equal(serial_panels["DIP"].values, batch.ipcs)
+    assert serial.results.to_json() == pooled.results.to_json()
+    assert serial.timing.simulations == pooled.timing.simulations == 10
+    assert serial.timing.instructions == pooled.timing.instructions
 
 
 def test_run_batch_empty_is_well_formed():
-    simulator = BadcoSimulator(cores=2, trace_length=TRACE)
-    batch = simulator.run_batch([], jobs=4)
-    assert batch.workloads == ()
-    assert batch.ipcs.shape[0] == 0
-    assert batch.instructions == 0
+    for simulator_class in EVENT_DRIVEN.values():
+        batch = simulator_class(cores=2, trace_length=TRACE).run_batch([])
+        assert batch.workloads == ()
+        assert batch.ipcs.shape == (0, 2)
+        assert batch.instructions == 0
 
 
 # ---- the two-stage driver --------------------------------------------
@@ -163,7 +194,9 @@ def test_warm_two_stage_simulates_no_anchor_and_loads_only_row_models(
         refine_backend="badco", refine_budget=1)
     assert warm.training_runs == warm.refine_training_runs == 0
     assert session.builder("badco").anchor_runs == 0
-    (row,) = session.campaign("badco", cores=4).results.workloads("LRU")
+    index, _ = session.campaign("badco", cores=4).results.columnar_panel(
+        ["LRU"])
+    (row,) = index.workloads
     assert sorted(loaded) == sorted(set(row))
     assert len(set(row)) < len(BENCHMARKS)
 

@@ -62,11 +62,11 @@ def _panels(session):
     """SHA-256 per (campaign, policy) panel, rows in population order."""
     digests = {}
     for (backend, cores), campaign in sorted(session._campaigns.items()):
-        population = list(session.population(cores))
+        population = session.population(cores).code_matrix
         results = campaign.results
         for policy in results.policies:
-            present = set(results.workloads(policy))
-            rows = [w for w in population if w in present]
+            rows = population.take(
+                np.flatnonzero(results.contains(policy, population)))
             _, matrices = results.columnar_panel([policy], rows)
             values = np.ascontiguousarray(matrices[policy].values,
                                           dtype=np.float64)
