@@ -24,11 +24,12 @@ the BADCO behavioural model, which is the relationship the paper's
 methodology needs.
 
 Cores expose a *stepper* interface (``advance``, the ``__next__`` of
-one generator whose locals hold the pipeline state): the multicore
-simulator interleaves cores in global time order so that shared-LLC and
-bus contention are resolved consistently.  :func:`fixed_latency_run` is
-the training run of BADCO node models and interval profiles: one core
-alone against a fixed-latency uncore.
+one generator whose locals hold the pipeline state, rewinding the trace
+itself at its end): the multicore simulator interleaves cores in global
+time order so that shared-LLC and bus contention are resolved
+consistently.  :func:`fixed_latency_run` is the training run of BADCO
+node models and interval profiles: one core alone against a
+fixed-latency uncore.
 """
 
 from __future__ import annotations
@@ -43,10 +44,7 @@ from repro.mem.cache import Cache
 from repro.mem.prefetch import NextLinePrefetcher, StridePrefetcher
 from repro.mem.replacement import make_policy
 from repro.mem.tlb import Tlb
-
-#: Uncore access callback:
-#: (address, now, is_write, pc, is_prefetch) -> completion time.
-UncoreAccess = Callable[[int, int, bool, int, bool], int]
+from repro.mem.uncore import UncorePort
 
 #: (uop index, address, is_write, pc, is_blocking_read) of a request.
 RequestEvent = Tuple[int, int, bool, int, bool]
@@ -75,21 +73,22 @@ class DetailedCore:
     """Out-of-order core executing one trace against an uncore.
 
     ``advance()`` executes the next uop and returns the new local time.
-    It is the ``__next__`` of the :meth:`_pipeline` generator, so past
-    the end of the trace without :meth:`restart` it raises
-    ``IndexError`` and the pipeline ends.
+    It is the ``__next__`` of the :meth:`_pipeline` generator.  Past the
+    end of the trace it rewinds to the first uop (the paper restarts a
+    finished thread "as many times as necessary"), keeping the
+    microarchitectural state -- caches, predictor, TLBs -- warm and
+    ``executed`` counting on.
 
     Args:
-        core_id: index of this core (passed through to the uncore).
         config: Table I resources.
         trace: the benchmark trace to execute.
-        uncore_access: callback serving L1 misses.
+        uncore_access: callback serving L1 misses (normally the shared
+            uncore's port for this core).
         start_time: global cycle at which this core begins.
     """
 
-    def __init__(self, core_id: int, config: CoreConfig, trace: Trace,
-                 uncore_access: UncoreAccess, start_time: int = 0) -> None:
-        self.core_id = core_id
+    def __init__(self, config: CoreConfig, trace: Trace,
+                 uncore_access: UncorePort, start_time: int = 0) -> None:
         self.config = config
         self.trace = trace
         self._uncore_access = uncore_access
@@ -133,17 +132,9 @@ class DetailedCore:
 
     @property
     def done(self) -> bool:
-        """True when the whole trace has been executed once."""
+        """True right after the trace's last uop (until the next
+        ``advance`` rewinds it)."""
         return self.position >= self._length
-
-    def restart(self) -> None:
-        """Rewind the trace (multiprogram restart semantics).
-
-        Microarchitectural state (caches, predictor) is deliberately
-        kept: the paper restarts a finished thread "as many times as
-        necessary" on a warm machine.
-        """
-        self.position = 0
 
     # ------------------------------------------------------------------
 
@@ -185,7 +176,12 @@ class DetailedCore:
         loads_seen = stores_seen = 0
         while True:
             position = self.position
-            kind, pc, src_distances, address, taken, target = uops[position]
+            try:
+                kind, pc, src_distances, address, taken, target = \
+                    uops[position]
+            except IndexError:
+                position = 0
+                kind, pc, src_distances, address, taken, target = uops[0]
             self.position = position + 1
             index = self.executed
             self.executed = index + 1
@@ -325,7 +321,7 @@ def fixed_latency_run(trace: Trace, config: CoreConfig, latency: int
                        not is_write and not is_prefetch))
         return now + latency
 
-    core = DetailedCore(0, config, trace, access)
+    core = DetailedCore(config, trace, access)
     advance = core.advance
     commit_times = [advance() for _ in range(len(trace))]
     return commit_times, events

@@ -27,13 +27,8 @@ def measure_mpki(benchmark: str, trace_length: int, seed: int = 0,
                  warmup_fraction: float = 0.25) -> float:
     """Single-thread LLC MPKI on the reference (2-core LRU) uncore."""
     uncore = Uncore(uncore_config_for_cores(1, "LRU"), seed=seed)
-
-    def access(address: int, now: int, is_write: bool, pc: int,
-               is_prefetch: bool = False) -> int:
-        return uncore.access(0, address, now, is_write, pc, is_prefetch)
-
     trace = cached_trace(benchmark, trace_length, seed)
-    core = DetailedCore(0, default_core_config(), trace, access)
+    core = DetailedCore(default_core_config(), trace, uncore.port(0))
     warmup = int(trace_length * warmup_fraction)
     while core.position < warmup:
         core.advance()

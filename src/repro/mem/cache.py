@@ -6,15 +6,22 @@ requested data is available.  Fills are installed at issue time with a
 per-line ``ready_time``, which naturally models MSHR secondary misses
 ("the line is already being fetched") and late prefetches without a
 global event queue -- the property the simulators rely on for speed.
-:meth:`Cache.access` is the innermost call of every simulation, so the
-geometry it reads is copied into plain attributes, and the policy's
-hooks bound, at construction.
+
+:meth:`Cache.access` is the innermost call of every simulation, so a
+lookup never scans a set: one ``line -> slot`` dict finds a resident
+line, per-way state lives in flat lists indexed by slot (``set * ways +
+way``), and a per-set valid count names the next invalid way (ways fill
+in order and are never invalidated).  The completion times of
+outstanding fills sit in a min-heap for MSHR accounting.  The geometry
+is copied into plain attributes, and the policy's hooks bound, at
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional
 
 from repro.mem.replacement.base import ReplacementPolicy
 
@@ -113,38 +120,26 @@ class Cache:
         sets = config.num_sets
         ways = config.ways
         self.num_sets = sets
+        self.ways = ways
         self.latency = config.latency
         self.mshr_entries = config.mshr_entries
         self.writeback = config.writeback
-        self._line_mask = ~(config.line_bytes - 1)
-        self._tags: List[List[int]] = [[-1] * ways for _ in range(sets)]
-        self._dirty: List[List[bool]] = [[False] * ways for _ in range(sets)]
-        self._ready: List[List[int]] = [[0] * ways for _ in range(sets)]
-        # True while a way's in-flight fill was initiated by a prefetch
-        # and no demand access has touched it yet (late-prefetch marker).
-        self._filled_by_prefetch: List[List[bool]] = [
-            [False] * ways for _ in range(sets)]
-        # Completion times of outstanding fills, for MSHR accounting.
-        self._outstanding: List[int] = []
         self._line_shift = config.line_bytes.bit_length() - 1
-
-    # ------------------------------------------------------------------
-    # MSHR accounting
-
-    def _mshr_delay(self, now: int) -> int:
-        """Extra delay before a new miss can start, given MSHR pressure.
-
-        If all MSHR entries are occupied by fills still in flight at
-        ``now``, the new miss waits until the earliest one completes.
-        The outstanding list is pruned lazily: :meth:`_fill` only calls
-        this when the list apparently fills up, which keeps the common
-        case allocation-free.
-        """
-        live = [t for t in self._outstanding if t > now]
-        self._outstanding = live
-        if len(live) < self.mshr_entries:
-            return 0
-        return min(live) - now
+        # Resident (or in-flight) line -> its slot, set * ways + way.
+        self._slots: Dict[int, int] = {}
+        # Valid ways per set: ways [0, count) hold lines.
+        self._valid: List[int] = [0] * sets
+        # Per-slot state: the line held, dirty bit, data-ready time, and
+        # whether the fill was initiated by a prefetch that no demand
+        # access has touched yet (late-prefetch marker).
+        slots = sets * ways
+        self._lines: List[int] = [-1] * slots
+        self._dirty: List[bool] = [False] * slots
+        self._ready: List[int] = [0] * slots
+        self._by_prefetch: List[bool] = [False] * slots
+        # Min-heap of outstanding fills' completion times, for MSHR
+        # accounting; pruned lazily, only when it looks full.
+        self._outstanding: List[int] = []
 
     # ------------------------------------------------------------------
     # Main access paths
@@ -159,13 +154,12 @@ class Cache:
         initiated, which must not count towards this cache's demand
         miss rate (MPKI) nor steer DIP/DRRIP's PSEL.
         """
-        tag, set_index = divmod(address >> self._line_shift, self.num_sets)
-        tags = self._tags[set_index]
-        stats = self.stats
-        if tag in tags:
-            way = tags.index(tag)
-            ready = self._ready[set_index][way]
+        line = address >> self._line_shift
+        slot = self._slots.get(line)
+        if slot is not None:
+            ready = self._ready[slot]
             if count_demand:
+                stats = self.stats
                 stats.demand_accesses += 1
                 if ready > now:
                     # Line is in flight.  A *late prefetch* (fill was
@@ -173,72 +167,86 @@ class Cache:
                     # latency is partially hidden; a demand-initiated
                     # fill merges into the MSHR and is not a new miss.
                     stats.mshr_hits += 1
-                    if self._filled_by_prefetch[set_index][way]:
+                    if self._by_prefetch[slot]:
                         stats.demand_misses += 1
-                        self._filled_by_prefetch[set_index][way] = False
+                        self._by_prefetch[slot] = False
                     else:
                         stats.demand_hits += 1
                 else:
                     stats.demand_hits += 1
-                    self._filled_by_prefetch[set_index][way] = False
-            self._on_hit(set_index, way)
+                    self._by_prefetch[slot] = False
+            set_index = line % self.num_sets
+            self._on_hit(set_index, slot - set_index * self.ways)
             if is_write:
-                self._dirty[set_index][way] = True
+                self._dirty[slot] = True
             done = now + self.latency
             return ready if ready > done else done
         # True miss.
+        set_index = line % self.num_sets
         if count_demand:
+            stats = self.stats
             stats.demand_accesses += 1
             stats.demand_misses += 1
             self._on_miss(set_index)
         else:
-            stats.prefetch_issued += 1
-        return self._fill(address, set_index, tag, now, is_write,
-                          not count_demand)
+            self.stats.prefetch_issued += 1
+        return self._fill(line, set_index, now, is_write, not count_demand)
 
     def prefetch(self, address: int, now: int) -> Optional[int]:
         """Prefetch a line; returns its ready time, or None if useless."""
-        tag, set_index = divmod(address >> self._line_shift, self.num_sets)
-        if tag in self._tags[set_index]:
+        line = address >> self._line_shift
+        if line in self._slots:
             self.stats.prefetch_useless += 1
             return None
         self.stats.prefetch_issued += 1
-        return self._fill(address, set_index, tag, now, is_write=False,
-                          is_prefetch=True)
+        return self._fill(line, line % self.num_sets, now, False, True)
 
-    def _fill(self, address: int, set_index: int, tag: int, now: int,
-              is_write: bool, is_prefetch: bool = False) -> int:
-        """Install a line, evicting if needed; returns data-ready time."""
+    def _fill(self, line: int, set_index: int, now: int, is_write: bool,
+              is_prefetch: bool) -> int:
+        """Install a line, evicting if needed; returns data-ready time.
+
+        A fill waits for an MSHR when every entry holds a fill still in
+        flight at ``now``: it starts when the earliest of them
+        completes.
+        """
         start = now + self.latency
-        if len(self._outstanding) >= self.mshr_entries:
-            start += self._mshr_delay(now)
+        outstanding = self._outstanding
+        if len(outstanding) >= self.mshr_entries:
+            while outstanding and outstanding[0] <= now:
+                heappop(outstanding)
+            if len(outstanding) >= self.mshr_entries:
+                start += outstanding[0] - now
         next_level = self.next_level
+        shift = self._line_shift
         if next_level is not None:
-            done = next_level(address & self._line_mask, start, False,
-                              is_prefetch)
+            done = next_level(line << shift, start, False, is_prefetch)
         else:
             done = start
-        tags = self._tags[set_index]
-        dirty = self._dirty[set_index]
-        if -1 in tags:
-            way = tags.index(-1)              # prefer an invalid way
+        ways = self.ways
+        way = self._valid[set_index]
+        if way < ways:                        # prefer an invalid way
+            self._valid[set_index] = way + 1
+            slot = set_index * ways + way
         else:
             way = self._victim(set_index)
+            slot = set_index * ways + way
+            victim = self._lines[slot]
+            del self._slots[victim]
             stats = self.stats
             stats.evictions += 1
-            if dirty[way] and self.writeback:
+            if self._dirty[slot] and self.writeback:
                 stats.writebacks += 1
                 if next_level is not None:
                     # Writebacks consume next-level bandwidth but never
                     # block the demand path, matching the write-buffer
                     # behaviour of the paper's configuration.
-                    next_level((tags[way] * self.num_sets + set_index)
-                               << self._line_shift, now, True, False)
-        tags[way] = tag
-        dirty[way] = is_write
-        self._ready[set_index][way] = done
-        self._filled_by_prefetch[set_index][way] = is_prefetch
-        self._outstanding.append(done)
+                    next_level(victim << shift, now, True, False)
+        self._slots[line] = slot
+        self._lines[slot] = line
+        self._dirty[slot] = is_write
+        self._ready[slot] = done
+        self._by_prefetch[slot] = is_prefetch
+        heappush(outstanding, done)
         self._on_fill(set_index, way)
         return done
 
@@ -247,18 +255,8 @@ class Cache:
 
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is present (even in flight)."""
-        tag, set_index = divmod(address >> self._line_shift, self.num_sets)
-        return tag in self._tags[set_index]
+        return address >> self._line_shift in self._slots
 
     def resident_lines(self) -> int:
         """Number of valid lines currently installed."""
-        return sum(1 for tags in self._tags for t in tags if t != -1)
-
-    def flush(self) -> None:
-        """Invalidate everything (statistics are kept)."""
-        for tags in self._tags:
-            for way in range(self.config.ways):
-                tags[way] = -1
-        for dirty in self._dirty:
-            for way in range(self.config.ways):
-                dirty[way] = False
+        return len(self._slots)

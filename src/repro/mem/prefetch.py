@@ -2,9 +2,11 @@
 
 The paper's configuration (Tables I and II) uses a next-line prefetcher
 at the IL1, an IP-based stride prefetcher (plus next-line) at the DL1,
-and IP-stride + stream prefetchers at the LLC.  All three are
-implemented here as *observers*: the owning cache or core calls
-``observe(pc, address, now, was_miss)`` after each demand access and the
+and IP-stride + stream prefetchers at the LLC.  The detailed core builds
+the L1 ones; the uncore builds only the LLC :class:`StreamPrefetcher`,
+which never reads ``pc`` -- there is no IP-stride prefetcher at the LLC.
+Each is an *observer*: the owning core or uncore calls
+``observe(pc, address, now, was_miss)`` after a demand access and the
 prefetcher issues ``cache.prefetch`` calls for predicted lines.
 """
 

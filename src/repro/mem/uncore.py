@@ -10,13 +10,14 @@ benchmarks are LLC-resident, LLC-thrashing or streaming.
 
 The uncore performs virtual-to-physical translation (allocating pages on
 first touch, as the paper describes for BADCO) and serves each core's L1
-miss stream through the shared LLC.
+miss stream through the shared LLC, one access closure per core
+(:meth:`Uncore.port`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List
+from typing import Callable, List
 
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import MemoryConfig, MemoryInterface
@@ -28,6 +29,10 @@ KB = 1024
 
 #: Paper-to-repro capacity scaling factor (see module docstring).
 CAPACITY_SCALE = 16
+
+#: One core's uncore port, :meth:`Uncore.port`'s closure:
+#: (virtual_address, now, is_write, pc, is_prefetch) -> completion time.
+UncorePort = Callable[[int, int, bool, int, bool], int]
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,10 @@ class Uncore:
     Each core (thread) gets its own :class:`PageTable`; translation
     happens here, so private caches above operate on virtual addresses
     while the shared LLC is physically indexed -- different threads can
-    never hit on each other's data.  :meth:`access` is every machine's
-    uncore callback: a mapped page translates without a call, and the
-    stream prefetcher (which acts only on misses) sees LLC demand misses;
-    the LLC's ``access`` and counters, the page-table mappings and the
-    prefetcher's ``observe`` are bound once at construction.
+    never hit on each other's data.  Cores reach the uncore through
+    their :meth:`port`.  The uncore keeps no reference to its ports and
+    the LLC none to the prefetcher, so a run's uncore holds no
+    reference cycle and is freed as soon as its machines are.
     """
 
     def __init__(self, config: UncoreConfig, seed: int = 0) -> None:
@@ -113,38 +117,51 @@ class Uncore:
         allocator = FrameAllocator()
         self._page_tables: List[PageTable] = [
             PageTable(allocator) for _ in range(max(config.cores, 1))]
-        self._mappings = [table.mapping for table in self._page_tables]
-        self._llc_access = self.llc.access
-        self._llc_stats = self.llc.stats
-        self._observe = (StreamPrefetcher(self.llc).observe
-                         if config.stream_prefetcher else None)
+        self.prefetcher = (StreamPrefetcher(self.llc)
+                           if config.stream_prefetcher else None)
         self.requests_per_core: List[int] = [0] * max(config.cores, 1)
 
-    def access(self, core_id: int, virtual_address: int, now: int,
-               is_write: bool = False, pc: int = 0,
-               is_prefetch: bool = False) -> int:
-        """Serve one L1 miss from a core; returns data-ready time.
+    def port(self, core_id: int) -> UncorePort:
+        """The closure serving core ``core_id``'s L1 misses.
 
+        ``port(virtual_address, now, is_write=False, pc=0,
+        is_prefetch=False)`` returns the data-ready time.  The core's
+        page table, the LLC's ``access`` and counters, the core's
+        request counter and the stream prefetcher's ``observe`` are
+        bound once: a mapped page translates without a call, and the
+        prefetcher (which acts only on misses) sees LLC demand misses.
         ``is_prefetch`` marks requests initiated by an L1 prefetcher;
         they are served like demand requests (they are real traffic)
         but do not train the LLC stream prefetcher.
         """
-        self.requests_per_core[core_id] += 1
-        frame = self._mappings[core_id].get(virtual_address >> PAGE_SHIFT)
-        if frame is None:
-            physical = self._page_tables[core_id].translate(virtual_address)
-        else:
-            physical = (frame << PAGE_SHIFT) | (virtual_address
-                                                & (PAGE_BYTES - 1))
-        observe = self._observe
-        if is_prefetch or observe is None:
-            return self._llc_access(physical, now, is_write, not is_prefetch)
-        stats = self._llc_stats
-        misses = stats.demand_misses
-        done = self._llc_access(physical, now, is_write, True)
-        if stats.demand_misses > misses:
-            observe(pc, physical, now, True)
-        return done
+        table = self._page_tables[core_id]
+        mapping = table.mapping
+        translate = table.translate
+        requests = self.requests_per_core
+        llc_access = self.llc.access
+        stats = self.llc.stats
+        observe = (self.prefetcher.observe
+                   if self.prefetcher is not None else None)
+        offset_mask = PAGE_BYTES - 1
+
+        def access(virtual_address: int, now: int, is_write: bool = False,
+                   pc: int = 0, is_prefetch: bool = False) -> int:
+            requests[core_id] += 1
+            frame = mapping.get(virtual_address >> PAGE_SHIFT)
+            if frame is None:
+                physical = translate(virtual_address)
+            else:
+                physical = (frame << PAGE_SHIFT) | (virtual_address
+                                                    & offset_mask)
+            if is_prefetch or observe is None:
+                return llc_access(physical, now, is_write, not is_prefetch)
+            misses = stats.demand_misses
+            done = llc_access(physical, now, is_write, True)
+            if stats.demand_misses > misses:
+                observe(pc, physical, now, True)
+            return done
+
+        return access
 
     @property
     def llc_demand_misses(self) -> int:
@@ -155,4 +172,5 @@ class Uncore:
         self.memory.reads = 0
         self.memory.writes = 0
         self.memory.busy_cycles = 0
-        self.requests_per_core = [0] * max(self.config.cores, 1)
+        # In place: the ports count into this list.
+        self.requests_per_core[:] = [0] * len(self.requests_per_core)

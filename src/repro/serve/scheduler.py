@@ -36,6 +36,7 @@ runs lock-free.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import threading
 import time
@@ -43,7 +44,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from repro.api.session import DEFAULT_CORES
+from repro.api.session import DEFAULT_CORES, Session
 from repro.mem.replacement import validate_policy_name
 from repro.serve import protocol
 from repro.serve.state import ResidentState, split_params
@@ -57,6 +58,13 @@ DEFAULT_WINDOW_SECONDS = 0.01
 
 _ESTIMATE_DEFAULTS = {"backend": "analytic", "cores": DEFAULT_CORES,
                       "sample": None}
+
+#: The session method each estimate op runs; a request's operation
+#: keywords must bind to its signature.
+_ESTIMATE_SIGNATURES = {
+    "estimate": inspect.signature(Session.estimate_full_scale),
+    "estimate_two_stage": inspect.signature(Session.estimate_two_stage),
+}
 
 
 @dataclass
@@ -99,11 +107,13 @@ class RequestScheduler:
     def submit(self, op: str, params: Dict[str, Any]) -> Future:
         """Schedule one query; the future resolves to its wire result.
 
-        A malformed estimate (say ``seed: "x"``) or an oversize one
-        (see :func:`~repro.serve.protocol.check_estimate_bounds`)
-        resolves to its error at once, before it opens a dispatch group
-        or reaches a worker, so a repeat of it is not deduplicated onto
-        a future that never resolves.
+        A malformed estimate (say ``seed: "x"``), an oversize one (see
+        :func:`~repro.serve.protocol.check_estimate_bounds`) or one
+        whose operation keywords do not bind to its session method (say
+        ``jobs``) resolves to its error at once, before it opens a
+        dispatch group or reaches a worker: it warms no panel, and a
+        repeat of it is not deduplicated onto a future that never
+        resolves.
         """
         dedup_key = (op, protocol.canonical_params(params))
         malformed = None
@@ -120,6 +130,8 @@ class RequestScheduler:
             if op in ("estimate", "estimate_two_stage"):
                 try:
                     protocol.check_estimate_bounds(params)
+                    _ESTIMATE_SIGNATURES[op].bind(
+                        None, **split_params(params)[1])
                     if op == "estimate":
                         self._join_group(params, future)
                         return future

@@ -261,21 +261,20 @@ class BadcoModelBuilder:
 
         model = self.build(benchmark)
         uncore = Uncore(uncore_config, seed=self.seed)
-        uncore_access = uncore.access
+        port = uncore.port(0)
         latency_total = 0.0
         demand_reads = 0
 
-        def access(core_id: int, address: int, now: int, is_write: bool,
-                   pc: int, is_prefetch: bool) -> int:
+        def access(address: int, now: int, is_write: bool, pc: int,
+                   is_prefetch: bool) -> int:
             nonlocal latency_total, demand_reads
-            done = uncore_access(core_id, address, now, is_write, pc,
-                                 is_prefetch)
+            done = port(address, now, is_write, pc, is_prefetch)
             if not is_write and not is_prefetch:
                 latency_total += done - now
                 demand_reads += 1
             return done
 
-        machine = BadcoMachine(0, model, access)
+        machine = BadcoMachine(model, access)
         meter = _MeasuredThread(int(self.trace_length * warmup_fraction),
                                 self.trace_length)
         interleave([machine], [meter])

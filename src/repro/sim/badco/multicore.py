@@ -13,8 +13,8 @@ Restart and measurement semantics are identical to the detailed
 simulator's (Section IV-A) -- both run the same scheduler,
 :func:`repro.sim.detailed.interleave` -- so per-workload IPCs from the
 two simulators are directly comparable, which Figs. 2 and 4 rely on.
-Each machine calls the shared uncore's ``access`` directly with its
-core id.
+Each machine calls its own port of the shared uncore
+(:meth:`~repro.mem.uncore.Uncore.port`).
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class BadcoSimulator(EventDrivenBatchMixin):
         started = time.perf_counter()
         uncore = Uncore(self.uncore_config, seed=self.seed)
         warmup = int(self.trace_length * self.warmup_fraction)
-        machines = [BadcoMachine(core_id, self.builder.build(benchmark),
-                                 uncore.access)
+        machines = [BadcoMachine(self.builder.build(benchmark),
+                                 uncore.port(core_id))
                     for core_id, benchmark in enumerate(workload)]
         meters = [_MeasuredThread(warmup, self.trace_length)
                   for _ in machines]

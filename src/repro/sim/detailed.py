@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from heapq import heapify, heappop, heapreplace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -169,36 +169,35 @@ def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread]) -> None:
     """Advance steppers in global time order until every meter has measured.
 
     A stepper (detailed core, BADCO or interval machine) has
-    ``local_time``, ``executed``, ``done``, ``restart()`` and an
-    ``advance()`` returning its new local time.  Each step advances the
-    unfinished thread with the smallest local time (lowest core index on
-    ties), after advancing once, in core order, every finished thread
-    behind it: finished threads restart and keep running so slower ones
-    see realistic contention (Section IV-A).  Local times and the
-    running/finished split live in local lists, so a step reads no
-    property of an idle thread.
+    ``local_time``, ``executed`` and an ``advance()`` returning its new
+    local time; past the end of its trace or model, ``advance`` rewinds
+    it itself.  Each step advances the unfinished thread with the
+    smallest local time (lowest core index on ties), after advancing
+    once, in core order, every finished thread behind it: finished
+    threads restart and keep running so slower ones see realistic
+    contention (Section IV-A).  Unfinished threads wait in a heap of
+    ``(local time, core index)``, whose top is exactly that thread;
+    finished threads' local times and the bound ``advance`` methods live
+    in local lists, so a step reads no attribute of an idle thread.
     """
     times = [stepper.local_time for stepper in steppers]
-    running = list(range(len(steppers)))
+    advances = [stepper.advance for stepper in steppers]
+    running = [(local, index) for index, local in enumerate(times)]
+    heapify(running)
     finished: List[int] = []
-    by_time = times.__getitem__
     while running:
-        best = min(running, key=by_time)
-        best_time = times[best]
+        best_time, best = running[0]
         for i in finished:
             if times[i] < best_time:
-                stepper = steppers[i]
-                if stepper.done:
-                    stepper.restart()
-                times[i] = stepper.advance()
-        stepper = steppers[best]
-        if stepper.done:
-            stepper.restart()
-        times[best] = now = stepper.advance()
+                times[i] = advances[i]()
+        now = advances[best]()
         meter = meters[best]
-        meter.observe(stepper.executed, now)
-        if meter.end_time is not None:
-            running.remove(best)
+        meter.observe(steppers[best].executed, now)
+        if meter.end_time is None:
+            heapreplace(running, (now, best))
+        else:
+            heappop(running)
+            times[best] = now
             finished.append(best)
             finished.sort()
 
@@ -253,8 +252,8 @@ class DetailedSimulator(EventDrivenBatchMixin):
         warmup = int(self.trace_length * self.warmup_fraction)
         for core_id, benchmark in enumerate(workload):
             trace = cached_trace(benchmark, self.trace_length, self.seed)
-            cores.append(DetailedCore(core_id, self.core_config, trace,
-                                      partial(uncore.access, core_id)))
+            cores.append(DetailedCore(self.core_config, trace,
+                                      uncore.port(core_id)))
             meters.append(_MeasuredThread(warmup, self.trace_length))
 
         interleave(cores, meters)

@@ -1,14 +1,11 @@
-"""Executing an interval profile against a real uncore (whose ``access``
-is the callback, as for the BADCO machine)."""
+"""Executing an interval profile against a real uncore (through the
+core's :meth:`repro.mem.uncore.Uncore.port`, as for the BADCO
+machine)."""
 
 from __future__ import annotations
 
-from typing import Callable
-
+from repro.mem.uncore import UncorePort
 from repro.sim.interval.profile import IntervalProfile, TRAIN_HIT_LATENCY
-
-#: (core_id, address, now, is_write, pc, is_prefetch) -> completion time.
-UncoreAccess = Callable[[int, int, int, bool, int, bool], int]
 
 
 class IntervalMachine:
@@ -19,12 +16,13 @@ class IntervalMachine:
     all reads of the closing overlap group issue together, and the
     interval completes when the *slowest* of them returns -- i.e. the
     group's latencies overlap perfectly (the interval-model MLP
-    idealisation; BADCO's per-node sensitivities are finer).
+    idealisation; BADCO's per-node sensitivities are finer).  An
+    ``advance`` past the last interval rewinds the profile itself
+    (restart semantics).
     """
 
-    def __init__(self, core_id: int, profile: IntervalProfile,
-                 uncore_access: UncoreAccess, start_time: int = 0) -> None:
-        self.core_id = core_id
+    def __init__(self, profile: IntervalProfile, uncore_access: UncorePort,
+                 start_time: int = 0) -> None:
         self.profile = profile
         self._intervals = profile.intervals
         self._uncore_access = uncore_access
@@ -36,25 +34,22 @@ class IntervalMachine:
     def local_time(self) -> float:
         return self._time
 
-    @property
-    def done(self) -> bool:
-        return self.position >= len(self._intervals)
-
-    def restart(self) -> None:
-        self.position = 0
-
     def advance(self) -> float:
-        interval = self._intervals[self.position]
-        self.position += 1
+        position = self.position
+        try:
+            interval = self._intervals[position]
+        except IndexError:
+            position = 0
+            interval = self._intervals[0]
+        self.position = position + 1
         now = int(self._time)
         access = self._uncore_access
-        core_id = self.core_id
         pc = interval.pc
         for address, is_write in interval.extras:
-            access(core_id, address, now, is_write, pc, True)
+            access(address, now, is_write, pc, True)
         stall = 0.0
         for address in interval.reads:
-            done = access(core_id, address, now, False, pc, False)
+            done = access(address, now, False, pc, False)
             extra = (done - now) - TRAIN_HIT_LATENCY
             if extra > stall:
                 stall = extra               # group pays the slowest only

@@ -59,8 +59,8 @@ class IntervalSimulator(EventDrivenBatchMixin):
         started = time.perf_counter()
         uncore = Uncore(self.uncore_config, seed=self.seed)
         warmup = int(self.trace_length * self.warmup_fraction)
-        machines = [IntervalMachine(core_id, self.builder.build(benchmark),
-                                    uncore.access)
+        machines = [IntervalMachine(self.builder.build(benchmark),
+                                    uncore.port(core_id))
                     for core_id, benchmark in enumerate(workload)]
         meters = [_MeasuredThread(warmup, self.trace_length)
                   for _ in machines]

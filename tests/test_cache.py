@@ -157,14 +157,6 @@ def test_mshr_pressure_delays_fills():
     assert t2 > max(t0, t1)
 
 
-def test_flush_invalidates():
-    cache = _cache()
-    cache.access(0x1000, 0)
-    cache.flush()
-    assert not cache.contains(0x1000)
-    assert cache.resident_lines() == 0
-
-
 def test_demand_miss_rate():
     cache = _cache()
     cache.access(0x0, 0)

@@ -18,7 +18,7 @@ def _flat_uncore(latency=10):
 
 
 def _run(trace, config=None, uncore=None):
-    core = DetailedCore(0, config or default_core_config(), trace,
+    core = DetailedCore(config or default_core_config(), trace,
                         uncore or _flat_uncore())
     while not core.done:
         core.advance()
@@ -86,15 +86,14 @@ def test_branch_mispredicts_cost_cycles():
 
 def test_restart_rewinds_position_keeps_state():
     trace = generate_trace(benchmark_by_name("povray"), 1500)
-    core = DetailedCore(0, default_core_config(), trace, _flat_uncore())
+    core = DetailedCore(default_core_config(), trace, _flat_uncore())
     while not core.done:
         core.advance()
     executed = core.executed
-    core.restart()
-    assert core.position == 0
-    assert core.executed == executed        # counters continue
-    core.advance()
-    assert core.executed == executed + 1
+    core.advance()                          # past the end: rewinds itself
+    assert core.position == 1               # ran the trace's first uop
+    assert not core.done
+    assert core.executed == executed + 1    # counters continue
 
 
 def test_result_counters_consistent():
@@ -108,7 +107,7 @@ def test_result_counters_consistent():
 
 def test_local_time_monotonic():
     trace = generate_trace(benchmark_by_name("mcf"), 1200)
-    core = DetailedCore(0, default_core_config(), trace, _flat_uncore(100))
+    core = DetailedCore(default_core_config(), trace, _flat_uncore(100))
     previous = 0.0
     while not core.done:
         now = core.advance()

@@ -126,7 +126,7 @@ def _standalone(trace):
     def access(address, now, is_write, pc, is_prefetch=False):
         return now + STANDALONE_LATENCY
 
-    core = DetailedCore(0, default_core_config(), trace, access)
+    core = DetailedCore(default_core_config(), trace, access)
     while not core.done:
         core.advance()
     return {**dataclasses.asdict(core.result()),

@@ -408,6 +408,21 @@ def test_a_removed_session_parameter_fails_alone(server, oneshot,
         assert _fields(client.estimate(**_query())) == _fields(oneshot)
 
 
+@pytest.mark.parametrize("op", ["estimate", "estimate_two_stage"])
+def test_an_unknown_keyword_is_refused_before_any_simulation(server, op):
+    params = _query(cores=4, sample=20, jobs=2)
+    if op == "estimate_two_stage":
+        params.update(refine_backend="badco", refine_budget=2)
+    with ReproClient(server.address, timeout=60) as client:
+        with pytest.raises(ServerError, match="'jobs'"):
+            client.request(op, **params)
+        assert client.ping()
+    session = server.state.session(scale="small", seed=0,
+                                   benchmarks=list(BENCHMARKS))
+    for backend in ("analytic", "badco"):
+        assert session.campaign(backend, 4).timing.simulations == 0
+
+
 def test_oversized_frame_is_refused_without_stalling_others(server,
                                                             oneshot):
     from repro.serve.server import connect
