@@ -13,7 +13,9 @@ Layers, bottom up:
 
 - :mod:`repro.api.backends` -- the :class:`SimulatorBackend` protocol
   and the :data:`BACKENDS` registry (``detailed`` / ``badco`` /
-  ``interval`` / ``analytic``, plus anything registered at runtime);
+  ``interval`` / ``analytic``, each one
+  :class:`~repro.api.backends.BuiltinBackend` over its simulator and
+  builder classes, plus anything registered at runtime);
 - :mod:`repro.api.config` -- :class:`CampaignConfig`, the frozen value
   object that identifies a campaign and names its cache entry;
 - :mod:`repro.api.engine` -- :class:`Campaign`, the serial/parallel
@@ -26,10 +28,6 @@ Layers, bottom up:
 
 from repro.api.backends import (
     BACKENDS,
-    AnalyticBackend,
-    BadcoBackend,
-    DetailedBackend,
-    IntervalBackend,
     SimulatorBackend,
     UnknownBackendError,
     backend_names,
@@ -52,9 +50,8 @@ from repro.api.session import FullScaleEstimate, Session, TwoStageEstimate
 __all__ = [
     # backends
     "BACKENDS", "SimulatorBackend", "UnknownBackendError",
-    "DetailedBackend", "BadcoBackend", "IntervalBackend",
-    "AnalyticBackend", "register_backend", "get_backend",
-    "backend_names", "backend_supports_policy_axis",
+    "register_backend", "get_backend", "backend_names",
+    "backend_supports_policy_axis",
     # campaigns
     "CampaignConfig", "Campaign", "CampaignTiming", "RESULTS_VERSION",
     # scales

@@ -3,7 +3,8 @@
 A *backend* wraps one simulator family behind a uniform factory
 interface so campaigns, the CLI and the :class:`repro.api.Session`
 facade can drive any of them by name.  The registry ships with the
-repository's three families:
+repository's four families, each one :class:`BuiltinBackend` over its
+simulator and builder classes:
 
 - ``detailed`` -- the slow ground truth (out-of-order cores);
 - ``badco``    -- the paper's fast approximate simulator (two training
@@ -31,14 +32,16 @@ Third-party simulators plug in without touching this package::
                            warmup_fraction, seed, builder=None): ...
 
     register_backend(SniperBackend())
-
-Simulator classes are imported lazily inside the factory methods so
-importing the registry stays cheap and free of import cycles.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Protocol, Tuple, runtime_checkable
+
+from repro.sim.analytic import AnalyticModelBuilder, AnalyticSimulator
+from repro.sim.badco import BadcoModelBuilder, BadcoSimulator
+from repro.sim.detailed import DetailedSimulator
+from repro.sim.interval import IntervalProfileBuilder, IntervalSimulator
 
 
 @runtime_checkable
@@ -48,9 +51,9 @@ class SimulatorBackend(Protocol):
     The simulator object returned by :meth:`make_simulator` must offer
     ``run_batch(workloads) -> BatchRun`` (the N x K panel of a workload
     sequence, in row order) and ``reference_ipc(benchmark) -> float``.
-    A simulator whose unit of work is one ``run(workload) ->
-    WorkloadRun`` gets ``run_batch`` by mixing in
-    :class:`~repro.sim.detailed.EventDrivenBatchMixin`, as
+    An event-driven simulator gets both, and ``run``, by subclassing
+    :class:`~repro.sim.detailed.EventDrivenSimulator` and giving
+    ``_stepper(benchmark, port)``, as
     :class:`~repro.sim.detailed.DetailedSimulator`,
     :class:`~repro.sim.badco.BadcoSimulator` and
     :class:`~repro.sim.interval.IntervalSimulator` do.
@@ -71,89 +74,38 @@ class SimulatorBackend(Protocol):
         """Construct a ready-to-run simulator instance."""
 
 
-class DetailedBackend:
-    """The detailed out-of-order multicore simulator (no builder)."""
+class BuiltinBackend:
+    """One shipped simulator family: its simulator and builder classes.
 
-    name = "detailed"
+    Args:
+        simulator: the simulator class; its ``name`` names the backend.
+        builder: the shared model builder class, built from
+            ``(trace_length, seed)``, or None if the family needs none.
+        supports_policy_axis: whether its simulators offer
+            ``run_batch_grid`` (see :func:`backend_supports_policy_axis`).
+    """
 
-    def make_builder(self, trace_length: int, seed: int) -> None:
-        return None
+    def __init__(self, simulator: type, builder: Optional[type] = None,
+                 supports_policy_axis: bool = False) -> None:
+        self.name = simulator.name
+        self.simulator = simulator
+        self.builder = builder
+        self.supports_policy_axis = supports_policy_axis
+
+    def make_builder(self, trace_length: int, seed: int) -> Optional[Any]:
+        return (None if self.builder is None
+                else self.builder(trace_length, seed))
 
     def make_simulator(self, cores: int, policy: str, trace_length: int,
                        warmup_fraction: float = 0.25, seed: int = 0,
                        builder: Optional[Any] = None) -> Any:
-        from repro.sim.detailed import DetailedSimulator
-
-        return DetailedSimulator(
+        options = {}
+        if self.builder is not None:
+            options["builder"] = (builder
+                                  or self.make_builder(trace_length, seed))
+        return self.simulator(
             cores=cores, policy=policy, trace_length=trace_length,
-            warmup_fraction=warmup_fraction, seed=seed)
-
-
-class BadcoBackend:
-    """The BADCO-style approximate simulator (shared model builder)."""
-
-    name = "badco"
-
-    def make_builder(self, trace_length: int, seed: int) -> Any:
-        from repro.sim.badco.model import BadcoModelBuilder
-
-        return BadcoModelBuilder(trace_length, seed)
-
-    def make_simulator(self, cores: int, policy: str, trace_length: int,
-                       warmup_fraction: float = 0.25, seed: int = 0,
-                       builder: Optional[Any] = None) -> Any:
-        from repro.sim.badco.multicore import BadcoSimulator
-
-        return BadcoSimulator(
-            cores=cores, policy=policy,
-            builder=builder or self.make_builder(trace_length, seed),
-            trace_length=trace_length, warmup_fraction=warmup_fraction,
-            seed=seed)
-
-
-class IntervalBackend:
-    """The one-training-run interval-model simulator."""
-
-    name = "interval"
-
-    def make_builder(self, trace_length: int, seed: int) -> Any:
-        from repro.sim.interval.profile import IntervalProfileBuilder
-
-        return IntervalProfileBuilder(trace_length, seed)
-
-    def make_simulator(self, cores: int, policy: str, trace_length: int,
-                       warmup_fraction: float = 0.25, seed: int = 0,
-                       builder: Optional[Any] = None) -> Any:
-        from repro.sim.interval.multicore import IntervalSimulator
-
-        return IntervalSimulator(
-            cores=cores, policy=policy,
-            builder=builder or self.make_builder(trace_length, seed),
-            trace_length=trace_length, warmup_fraction=warmup_fraction,
-            seed=seed)
-
-
-class AnalyticBackend:
-    """The array-evaluated BADCO model (policy-axis, shared builder)."""
-
-    name = "analytic"
-    supports_policy_axis = True
-
-    def make_builder(self, trace_length: int, seed: int) -> Any:
-        from repro.sim.analytic import AnalyticModelBuilder
-
-        return AnalyticModelBuilder(trace_length, seed)
-
-    def make_simulator(self, cores: int, policy: str, trace_length: int,
-                       warmup_fraction: float = 0.25, seed: int = 0,
-                       builder: Optional[Any] = None) -> Any:
-        from repro.sim.analytic import AnalyticSimulator
-
-        return AnalyticSimulator(
-            cores=cores, policy=policy,
-            builder=builder or self.make_builder(trace_length, seed),
-            trace_length=trace_length, warmup_fraction=warmup_fraction,
-            seed=seed)
+            warmup_fraction=warmup_fraction, seed=seed, **options)
 
 
 def backend_supports_policy_axis(backend: SimulatorBackend) -> bool:
@@ -220,7 +172,8 @@ def backend_names() -> Tuple[str, ...]:
     return tuple(sorted(BACKENDS))
 
 
-register_backend(DetailedBackend())
-register_backend(BadcoBackend())
-register_backend(IntervalBackend())
-register_backend(AnalyticBackend())
+register_backend(BuiltinBackend(DetailedSimulator))
+register_backend(BuiltinBackend(BadcoSimulator, BadcoModelBuilder))
+register_backend(BuiltinBackend(IntervalSimulator, IntervalProfileBuilder))
+register_backend(BuiltinBackend(AnalyticSimulator, AnalyticModelBuilder,
+                                supports_policy_axis=True))

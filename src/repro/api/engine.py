@@ -206,18 +206,6 @@ class Campaign:
     def trace_length(self) -> int:
         return self.config.trace_length
 
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
-    @property
-    def warmup_fraction(self) -> float:
-        return self.config.warmup_fraction
-
-    @property
-    def cache_dir(self):
-        return self.config.cache_dir
-
     # ------------------------------------------------------------------
     # Cache plumbing
 

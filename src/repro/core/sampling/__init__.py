@@ -34,8 +34,8 @@ Draw paths, per plan (see the README's "Sampling internals" section):
   reference and automatic fallback.
 - :class:`BalancedRandomSampling` -- vectorized for small samples
   (every Fisher-Yates shuffle position is its own replay step, so the
-  replay scales with slots^2 and auto mode hands large samples to the
-  scalar pool loop); row mapping is always vectorized.
+  replay scales with slots^2 and samples beyond ``VECTOR_SLOT_LIMIT``
+  slots take the scalar pool loop); row mapping is always vectorized.
 
 Third-party :class:`SamplingMethod` subclasses that only implement
 ``sample`` transparently fall back to the estimator's scalar loop.

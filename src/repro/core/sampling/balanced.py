@@ -10,7 +10,7 @@ equally often (up to rounding when B does not divide W*K).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.core.sampling.base import (
 from repro.core.workload import Workload
 
 
-#: Auto mode replays the shuffle only up to this many benchmark slots
+#: The plan replays the shuffle only up to this many benchmark slots
 #: per sample: each Fisher-Yates position is one schedule step, so the
 #: replay's word-classification work grows with slots^2 per draw batch
 #: while the scalar loop grows with slots -- beyond small samples the
@@ -45,21 +45,17 @@ class BalancedRandomPlan(SamplingPlan):
     whole batch of constructed workloads is mapped to rows in one
     vectorized sort + binary search over the index's packed keys.
     Because every shuffle position is its own ``_randbelow`` bound,
-    the replay costs O(slots^2) word classifications per batch; auto
-    mode therefore keeps the per-draw Python loop
+    the replay costs O(slots^2) word classifications per batch; the
+    plan therefore keeps the per-draw Python loop
     (:meth:`rows_matrix_scalar`, also the golden-parity reference)
     for samples beyond :data:`VECTOR_SLOT_LIMIT` slots.
 
     Args:
         index: the row universe (see :meth:`SamplingMethod.plan`).
         population: the exhaustive population being sampled.
-        vectorized: force the replay on (True) or off (False);
-            ``None`` (default) selects by slot count.  Results are
-            bit-identical either way.
     """
 
-    def __init__(self, index, population: WorkloadPopulation,
-                 vectorized: Optional[bool] = None) -> None:
+    def __init__(self, index, population: WorkloadPopulation) -> None:
         if not population.is_exhaustive:
             raise ValueError(
                 "balanced random sampling needs the exhaustive workload "
@@ -67,7 +63,6 @@ class BalancedRandomPlan(SamplingPlan):
         self._index = index
         self._num_benchmarks = len(population.benchmarks)
         self._cores = population.cores
-        self._vectorized = vectorized
 
     def rows_matrix(self, size: int, draws: int,
                     rng: random.Random) -> Tuple[np.ndarray, np.ndarray]:
@@ -80,9 +75,7 @@ class BalancedRandomPlan(SamplingPlan):
 
         if size < 1:
             raise ValueError("sample size must be >= 1")
-        replay = (size * self._cores <= VECTOR_SLOT_LIMIT
-                  if self._vectorized is None else self._vectorized)
-        if not replay:
+        if size * self._cores > VECTOR_SLOT_LIMIT:
             return self.rows_matrix_scalar(size, draws, rng)
         b, cores = self._num_benchmarks, self._cores
         slots = size * cores

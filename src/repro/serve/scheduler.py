@@ -25,13 +25,14 @@ session's d(w) memo (:meth:`~repro.api.session.Session.estimate_is_warm`
 window and an all-warm group skips the shared dispatch entirely, so
 the resident hot path pays only the confidence math and the wire.
 
-Locking: the leader holds the session's lock (see
-:meth:`~repro.serve.state.ResidentState.session_lock`) for the panel
-phase -- simulation, reference IPCs, the dirty-gated save.  Ops that
-mutate session state beyond panels (``study`` materialises dict views,
-``estimate_two_stage`` runs a refine campaign) execute entirely under
-that lock; warm ``estimate`` math reads immutable panel blocks and
-runs lock-free.
+Locking: the leader holds its universe's lock (see
+:meth:`~repro.serve.state.ResidentState.session_lock`: one per (scale,
+seed), since sessions that differ only in their benchmark list share
+campaigns) for the panel phase -- simulation, reference IPCs, the
+dirty-gated save.  Ops that mutate session state beyond panels
+(``study`` materialises dict views, ``estimate_two_stage`` runs a
+refine campaign) execute entirely under that lock; warm ``estimate``
+math reads immutable panel blocks and runs lock-free.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ between queries:
 - the process-wide :mod:`~repro.core.codematrix` enumeration cache
   (the 2.8 s / 69 MB 8-core ``CodeMatrix.full``), which sessions share
   implicitly;
-- a per-session :class:`threading.RLock` that the scheduler holds for
+- one :class:`threading.RLock` per (scale, seed) universe -- shared by
+  its sessions, which share campaigns -- that the scheduler holds for
   every state-mutating phase (panel simulation and save, dict
   materialisation, refine passes), leaving warm read-only estimate
   math lock-free.
@@ -109,12 +110,20 @@ class ResidentState:
             return session
 
     def session_lock(self, key: SessionKey) -> threading.RLock:
-        """The lock serialising one session's mutating phases."""
+        """The lock serialising the mutating phases of every session of
+        one (scale, seed) universe.
+
+        Campaign cache keys leave out the benchmark list, so sessions
+        that differ only in ``benchmarks`` share live campaigns through
+        :attr:`panel_cache`; one lock per session would let two of them
+        score the same campaign's pending rows at once.
+        """
+        universe = key[:2]
         with self._lock:
-            lock = self._locks.get(key)
+            lock = self._locks.get(universe)
             if lock is None:
                 lock = threading.RLock()
-                self._locks[key] = lock
+                self._locks[universe] = lock
             return lock
 
     def stats(self) -> Dict[str, Any]:

@@ -3,9 +3,11 @@
 Four simulator families behind one interface
 (``run_batch(workloads) -> BatchRun`` / ``reference_ipc(benchmark)``),
 mirroring and extending the paper's Zesto / BADCO pair.  The three
-event-driven ones simulate one workload per ``run`` and inherit
-``run_batch`` as the serial loop over it
-(:class:`~repro.sim.detailed.EventDrivenBatchMixin`):
+event-driven ones inherit one ``run``, ``run_batch`` (the serial loop
+over ``run``) and standalone ``reference_ipc`` from
+:class:`~repro.sim.detailed.EventDrivenSimulator` and differ only in
+the machine each core runs; the two trained ones build their models
+through one :class:`~repro.sim.detailed.TrainedModelBuilder`:
 
 - :class:`~repro.sim.detailed.DetailedSimulator` -- the slow ground
   truth: out-of-order cores (``repro.cpu``) sharing an uncore;

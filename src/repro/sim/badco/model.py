@@ -34,15 +34,15 @@ The builder also owns each benchmark's standalone anchor
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.bench.generator import DEFAULT_TRACE_LENGTH, cached_trace
-from repro.cpu.core import RequestEvent, fixed_latency_run
-from repro.cpu.resources import CoreConfig, default_core_config
+from repro.bench.generator import DEFAULT_TRACE_LENGTH
+from repro.bench.trace import Trace
+from repro.cpu.core import RequestEvent
+from repro.cpu.resources import CoreConfig
 from repro.mem.uncore import Uncore, UncoreConfig
-from repro.sim.detailed import _MeasuredThread, interleave
+from repro.sim.detailed import TrainedModelBuilder, _MeasuredThread, interleave
 
 #: Training uncore latencies (core cycles): always-hit and always-miss.
 TRAIN_HIT_LATENCY = 6
@@ -110,16 +110,13 @@ class BadcoModel:
         return sum(node.uop_count for node in self.nodes)
 
 
-class BadcoModelBuilder:
+class BadcoModelBuilder(TrainedModelBuilder):
     """Builds (and caches) BADCO models for benchmarks.
 
-    With a model *store* attached (see :mod:`repro.sim.modelstore`),
-    trained models persist across processes: ``build`` consults the
-    store before paying the two detailed training runs, and saves what
-    it trains.  Stored models round-trip bit-identically, so campaigns
-    against a warm store reproduce cold-run results exactly while
-    performing zero training runs.  Standalone anchors (:meth:`anchor`)
-    persist the same way, as ``calib`` records.
+    ``build`` is :meth:`~repro.sim.detailed.TrainedModelBuilder.build`
+    over two detailed training runs per benchmark; with a model store
+    attached, standalone anchors (:meth:`anchor`) persist the same way
+    as the node models, as ``calib`` records.
 
     Args:
         trace_length: uops per benchmark trace.
@@ -131,26 +128,11 @@ class BadcoModelBuilder:
     def __init__(self, trace_length: int = DEFAULT_TRACE_LENGTH, seed: int = 0,
                  core_config: Optional[CoreConfig] = None,
                  store: Optional[object] = None) -> None:
-        self.trace_length = trace_length
-        self.seed = seed
-        self.core_config = core_config or default_core_config()
-        self.store = store
-        self._cache = {}
-        #: Detailed-simulation uops spent building models (Section VII-A
-        #: charges this cost to the workload-stratification budget).
-        self.training_uops = 0
-        self.training_seconds = 0.0
-        #: Detailed training runs actually performed (2 per trained
-        #: benchmark; 0 for store / memory hits).
-        self.training_runs = 0
+        super().__init__(trace_length, seed, core_config, store)
         self._anchors: Dict[tuple, Calibration] = {}
         #: Standalone anchor runs actually simulated (0 for store or
         #: memory hits, and for anchors shared across policies).
         self.anchor_runs = 0
-
-    def use_store(self, store: Optional[object]) -> None:
-        """Attach (or detach) a persistent model store."""
-        self.store = store
 
     def _store_signature(self) -> str:
         """Everything a trained node model depends on, digested."""
@@ -160,6 +142,19 @@ class BadcoModelBuilder:
                                 self.core_config,
                                 TRAIN_HIT_LATENCY, TRAIN_MISS_LATENCY,
                                 MAX_NODE_UOPS)
+
+    def _load(self, benchmark: str, signature: str) -> Optional[BadcoModel]:
+        return self.store.load_badco_model(benchmark, signature)
+
+    def _save(self, model: BadcoModel, signature: str) -> None:
+        self.store.save_badco_model(model, signature)
+
+    def _train(self, benchmark: str, trace: Trace) -> BadcoModel:
+        hit_times, events = self._training_run(trace, TRAIN_HIT_LATENCY)
+        miss_times, _ = self._training_run(trace, TRAIN_MISS_LATENCY)
+        nodes = _build_nodes(events, hit_times, miss_times,
+                             self.trace_length)
+        return BadcoModel(benchmark, self.trace_length, nodes)
 
     def _calibration_signature(self, uncore_config: UncoreConfig,
                                warmup_fraction: float) -> str:
@@ -171,37 +166,6 @@ class BadcoModelBuilder:
         return config_signature(
             "analytic-calibration", self.trace_length, self.seed,
             warmup_fraction, uncore_config, self._store_signature())
-
-    def build(self, benchmark: str) -> BadcoModel:
-        """Build (or fetch from cache / store) the model of one benchmark."""
-        model = self._cache.get(benchmark)
-        if model is None:
-            if self.store is not None:
-                model = self.store.load_badco_model(benchmark,
-                                                    self._store_signature())
-                if model is not None and model.trace_length != self.trace_length:
-                    model = None     # signature collision; retrain
-            if model is None:
-                model = self._build(benchmark)
-                if self.store is not None:
-                    self.store.save_badco_model(model,
-                                                self._store_signature())
-            self._cache[benchmark] = model
-        return model
-
-    def _build(self, benchmark: str) -> BadcoModel:
-        started = time.perf_counter()
-        trace = cached_trace(benchmark, self.trace_length, self.seed)
-        hit_times, events = fixed_latency_run(trace, self.core_config,
-                                              TRAIN_HIT_LATENCY)
-        miss_times, _ = fixed_latency_run(trace, self.core_config,
-                                          TRAIN_MISS_LATENCY)
-        self.training_uops += 2 * self.trace_length
-        self.training_runs += 2
-        self.training_seconds += time.perf_counter() - started
-        nodes = _build_nodes(events, hit_times, miss_times,
-                             self.trace_length)
-        return BadcoModel(benchmark, self.trace_length, nodes)
 
     def anchor(self, benchmark: str, uncore_config: UncoreConfig,
                warmup_fraction: float = 0.25) -> Calibration:

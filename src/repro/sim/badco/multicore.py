@@ -10,45 +10,34 @@ smallest local clock issues next), which serialises simultaneous
 requests fairly the same way.
 
 Restart and measurement semantics are identical to the detailed
-simulator's (Section IV-A) -- both run the same scheduler,
-:func:`repro.sim.detailed.interleave` -- so per-workload IPCs from the
-two simulators are directly comparable, which Figs. 2 and 4 rely on.
-Each machine calls its own port of the shared uncore
+simulator's (Section IV-A) -- both inherit the one ``run`` of
+:class:`repro.sim.detailed.EventDrivenSimulator` -- so per-workload
+IPCs from the two simulators are directly comparable, which Figs. 2
+and 4 rely on.  Each machine calls its own port of the shared uncore
 (:meth:`~repro.mem.uncore.Uncore.port`).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH
-from repro.core.workload import Workload
-from repro.mem.uncore import Uncore, UncoreConfig, uncore_config_for_cores
+from repro.mem.uncore import UncoreConfig, UncorePort
 from repro.sim.badco.machine import BadcoMachine
 from repro.sim.badco.model import BadcoModelBuilder
-from repro.sim.detailed import (
-    EventDrivenBatchMixin,
-    WorkloadRun,
-    _MeasuredThread,
-    interleave,
-)
+from repro.sim.detailed import EventDrivenSimulator
 
 
-class BadcoSimulator(EventDrivenBatchMixin):
+class BadcoSimulator(EventDrivenSimulator):
     """Simulate workloads with BADCO machines sharing a real uncore.
-
-    Also offers ``run_batch(workloads)`` (via
-    :class:`~repro.sim.detailed.EventDrivenBatchMixin`): the stacked
-    N x K panel of per-workload runs.
 
     Args:
         cores: number of cores K.
         policy: LLC replacement policy name.
         builder: the model builder (shared across simulators so each
             model is trained once); defaults to a fresh builder.
-        trace_length / warmup_fraction / seed: as in
-            :class:`repro.sim.detailed.DetailedSimulator`.
+        trace_length / warmup_fraction / seed / uncore_config: as in
+            :class:`repro.sim.detailed.EventDrivenSimulator`.
     """
 
     name = "badco"
@@ -58,38 +47,14 @@ class BadcoSimulator(EventDrivenBatchMixin):
                  trace_length: int = DEFAULT_TRACE_LENGTH,
                  warmup_fraction: float = 0.25, seed: int = 0,
                  uncore_config: Optional[UncoreConfig] = None) -> None:
-        self.cores = cores
-        self.policy = policy
-        self.trace_length = trace_length
-        self.warmup_fraction = warmup_fraction
-        self.seed = seed
+        super().__init__(cores, policy, trace_length, warmup_fraction, seed,
+                         uncore_config)
         self.builder = builder or BadcoModelBuilder(trace_length, seed)
         if self.builder.trace_length != trace_length:
             raise ValueError("builder trace length does not match simulator")
-        self.uncore_config = (uncore_config
-                              or uncore_config_for_cores(cores, policy))
-        if uncore_config is not None and uncore_config.policy != policy:
-            self.uncore_config = uncore_config.with_policy(policy)
 
-    def run(self, workload: Workload) -> WorkloadRun:
-        """Simulate one workload; returns measured per-core IPCs."""
-        if workload.k != self.cores:
-            raise ValueError(
-                f"workload has {workload.k} threads, machine has "
-                f"{self.cores} cores")
-        started = time.perf_counter()
-        uncore = Uncore(self.uncore_config, seed=self.seed)
-        warmup = int(self.trace_length * self.warmup_fraction)
-        machines = [BadcoMachine(self.builder.build(benchmark),
-                                 uncore.port(core_id))
-                    for core_id, benchmark in enumerate(workload)]
-        meters = [_MeasuredThread(warmup, self.trace_length)
-                  for _ in machines]
-        interleave(machines, meters)
-        total_executed = sum(machine.executed for machine in machines)
-        wall = time.perf_counter() - started
-        ipcs = [meter.ipc() for meter in meters]
-        return WorkloadRun(workload, ipcs, total_executed, wall)
+    def _stepper(self, benchmark: str, port: UncorePort) -> BadcoMachine:
+        return BadcoMachine(self.builder.build(benchmark), port)
 
     def reference_ipc(self, benchmark: str) -> float:
         """Single-thread IPC of a benchmark on this machine (alone).
@@ -97,8 +62,8 @@ class BadcoSimulator(EventDrivenBatchMixin):
         The IPC of the builder's standalone anchor on this uncore
         (:meth:`~repro.sim.badco.model.BadcoModelBuilder.anchor`): one
         memoised, stored run shared with the ``analytic`` backend's
-        calibration, equal to a one-core :meth:`run` of the benchmark
-        on this uncore.
+        calibration, equal to the inherited one-core run of the
+        benchmark on this uncore.
         """
         return self.builder.anchor(benchmark, self.uncore_config,
                                    self.warmup_fraction).ipc

@@ -18,17 +18,21 @@ cold misses would dominate, so each thread's first ``warmup_fraction``
 of uops runs unmeasured (caches and predictors stay warm across the
 boundary).
 
-:func:`interleave` is the one scheduler of all three event-driven
-simulators -- this one, :mod:`repro.sim.badco` and
-:mod:`repro.sim.interval` -- and of the BADCO builder's standalone
-anchor run.
+:class:`EventDrivenSimulator` writes these rules out once: its ``run``
+builds the uncore, one port and one stepper per core, the meters and
+the :func:`interleave` call for all three event-driven simulators --
+this one, :mod:`repro.sim.badco` and :mod:`repro.sim.interval` -- which
+differ only in ``_stepper``, the machine one core runs.  ``interleave``
+also runs the BADCO builder's standalone anchor.  The two trained
+families build their models through one :class:`TrainedModelBuilder`
+(memo, then model store, then fixed-latency training runs of the
+detailed core).
 
 Every simulator has the same batch entry point, ``run_batch(workloads)
 -> BatchRun``: the analytic one scores a panel in one array call, and
-the event-driven ones -- this one, BADCO and interval -- inherit
-:class:`EventDrivenBatchMixin`, the serial loop over ``run``.  The
-campaign engine calls it once per policy, inside its own process pool
-when ``jobs > 1``.
+the event-driven ones inherit :meth:`EventDrivenSimulator.run_batch`,
+the serial loop over ``run``.  The campaign engine calls it once per
+policy, inside its own process pool when ``jobs > 1``.
 """
 
 from __future__ import annotations
@@ -36,16 +40,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH, cached_trace
+from repro.bench.trace import Trace
 from repro.core.codematrix import CodeMatrix
 from repro.core.workload import Workload
-from repro.cpu.core import DetailedCore
+from repro.cpu.core import DetailedCore, RequestEvent, fixed_latency_run
 from repro.cpu.resources import CoreConfig, default_core_config
-from repro.mem.uncore import Uncore, UncoreConfig, uncore_config_for_cores
+from repro.mem.uncore import (
+    Uncore,
+    UncoreConfig,
+    UncorePort,
+    uncore_config_for_cores,
+)
 
 
 @dataclass
@@ -95,31 +105,6 @@ class BatchRun:
     ipcs: np.ndarray
     instructions: int
     wall_seconds: float
-
-
-class EventDrivenBatchMixin:
-    """``run_batch`` for simulators whose unit of work is one ``run``.
-
-    Host classes provide ``run(workload) -> WorkloadRun`` and ``cores``.
-    """
-
-    def run_batch(self, workloads: Sequence[Workload]) -> BatchRun:
-        """Simulate every workload in order; returns the N x K panel.
-
-        Every run builds its own uncore from fixed seeds, so the panel
-        equals the stacked per-workload ``run`` results bit for bit,
-        and ``wall_seconds`` sums the per-run simulation walls.
-        """
-        workloads = tuple(workloads)
-        ipcs = np.empty((len(workloads), self.cores), dtype=np.float64)
-        instructions = 0
-        wall = 0.0
-        for row, workload in enumerate(workloads):
-            run = self.run(workload)
-            ipcs[row] = run.ipcs
-            instructions += run.instructions
-            wall += run.wall_seconds
-        return BatchRun(workloads, ipcs, instructions, wall)
 
 
 class _MeasuredThread:
@@ -202,8 +187,15 @@ def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread]) -> None:
             finished.sort()
 
 
-class DetailedSimulator(EventDrivenBatchMixin):
-    """Simulate workloads on K detailed cores sharing an uncore.
+class EventDrivenSimulator:
+    """K steppers sharing one uncore, under the rules of Section IV-A.
+
+    The one ``run`` of the event-driven families: each core of a
+    workload gets a port of a fresh uncore and the stepper
+    :meth:`_stepper` makes for its benchmark, and :func:`interleave`
+    runs them until every thread has measured its first pass.
+    Subclasses give ``_stepper(benchmark, port)`` -- a stepper as
+    :func:`interleave` describes it -- plus whatever it needs.
 
     Args:
         cores: number of cores K (1, 2, 4 or 8).
@@ -213,8 +205,88 @@ class DetailedSimulator(EventDrivenBatchMixin):
         warmup_fraction: unmeasured fraction at the start of each
             thread (see module docstring).
         seed: trace and policy seed; fixed seeds make runs reproducible.
-        core_config / uncore_config: override the Table I / Table II
-            defaults.
+        uncore_config: overrides the Table II defaults for K cores.
+    """
+
+    def __init__(self, cores: int, policy: str = "LRU",
+                 trace_length: int = DEFAULT_TRACE_LENGTH,
+                 warmup_fraction: float = 0.25, seed: int = 0,
+                 uncore_config: Optional[UncoreConfig] = None) -> None:
+        if not 0.0 <= warmup_fraction < 1.0:
+            raise ValueError("warmup_fraction must be in [0, 1)")
+        self.cores = cores
+        self.policy = policy
+        self.trace_length = trace_length
+        self.warmup_fraction = warmup_fraction
+        self.seed = seed
+        self.uncore_config = (uncore_config
+                              or uncore_config_for_cores(cores, policy))
+        if uncore_config is not None and uncore_config.policy != policy:
+            self.uncore_config = uncore_config.with_policy(policy)
+
+    def _stepper(self, benchmark: str, port: UncorePort) -> Any:
+        """The machine one core runs ``benchmark`` on, behind ``port``."""
+        raise NotImplementedError
+
+    def run(self, workload: Workload) -> WorkloadRun:
+        """Simulate one workload; returns measured per-core IPCs."""
+        if workload.k != self.cores:
+            raise ValueError(
+                f"workload has {workload.k} threads, machine has "
+                f"{self.cores} cores")
+        return self._run(workload)
+
+    def _run(self, workload: Workload) -> WorkloadRun:
+        """:meth:`run` for any thread count (:meth:`reference_ipc` runs
+        one thread on this machine)."""
+        started = time.perf_counter()
+        uncore = Uncore(self.uncore_config, seed=self.seed)
+        steppers = [self._stepper(benchmark, uncore.port(core_id))
+                    for core_id, benchmark in enumerate(workload)]
+        warmup = int(self.trace_length * self.warmup_fraction)
+        meters = [_MeasuredThread(warmup, self.trace_length)
+                  for _ in steppers]
+        interleave(steppers, meters)
+        total_executed = sum(stepper.executed for stepper in steppers)
+        wall = time.perf_counter() - started
+        ipcs = [meter.ipc() for meter in meters]
+        return WorkloadRun(workload, ipcs, total_executed, wall)
+
+    def run_batch(self, workloads: Sequence[Workload]) -> BatchRun:
+        """Simulate every workload in order; returns the N x K panel.
+
+        Every run builds its own uncore from fixed seeds, so the panel
+        equals the stacked per-workload ``run`` results bit for bit,
+        and ``wall_seconds`` sums the per-run simulation walls.
+        """
+        workloads = tuple(workloads)
+        ipcs = np.empty((len(workloads), self.cores), dtype=np.float64)
+        instructions = 0
+        wall = 0.0
+        for row, workload in enumerate(workloads):
+            run = self.run(workload)
+            ipcs[row] = run.ipcs
+            instructions += run.instructions
+            wall += run.wall_seconds
+        return BatchRun(workloads, ipcs, instructions, wall)
+
+    def reference_ipc(self, benchmark: str) -> float:
+        """Single-thread IPC of a benchmark on this machine (alone).
+
+        The paper's IPCref[b]: "the IPC of the benchmark running alone
+        on the reference machine".  The thread runs alone on one core
+        of this machine, against the full uncore of its core count.
+        """
+        return self._run(Workload([benchmark])).ipcs[0]
+
+
+class DetailedSimulator(EventDrivenSimulator):
+    """Simulate workloads on K detailed cores sharing an uncore.
+
+    Args:
+        cores / policy / trace_length / warmup_fraction / seed /
+            uncore_config: as in :class:`EventDrivenSimulator`.
+        core_config: overrides the Table I core defaults.
     """
 
     name = "detailed"
@@ -224,57 +296,79 @@ class DetailedSimulator(EventDrivenBatchMixin):
                  warmup_fraction: float = 0.25, seed: int = 0,
                  core_config: Optional[CoreConfig] = None,
                  uncore_config: Optional[UncoreConfig] = None) -> None:
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        self.cores = cores
-        self.policy = policy
+        super().__init__(cores, policy, trace_length, warmup_fraction, seed,
+                         uncore_config)
+        self.core_config = core_config or default_core_config()
+
+    def _stepper(self, benchmark: str, port: UncorePort) -> DetailedCore:
+        trace = cached_trace(benchmark, self.trace_length, self.seed)
+        return DetailedCore(self.core_config, trace, port)
+
+
+class TrainedModelBuilder:
+    """Builds (and memoises) one trained model per benchmark.
+
+    The one ``build`` of the trained families (BADCO node models and
+    interval profiles): a model comes from the memo, else from the
+    attached model store (see :mod:`repro.sim.modelstore`), else from
+    training, which the store then keeps.  Stored models round-trip
+    bit-identically, so campaigns against a warm store reproduce
+    cold-run results exactly while performing zero training runs.
+    Subclasses give ``_store_signature()``, the store's
+    ``_load(benchmark, signature)`` / ``_save(model, signature)`` pair
+    and ``_train(benchmark, trace)``, which runs the detailed core
+    through :meth:`_training_run`.
+
+    Args:
+        trace_length: uops per benchmark trace.
+        seed: trace seed (must match the campaign's seed).
+        core_config: detailed-core configuration used for training.
+        store: optional :class:`~repro.sim.modelstore.ModelStore`.
+    """
+
+    def __init__(self, trace_length: int = DEFAULT_TRACE_LENGTH,
+                 seed: int = 0, core_config: Optional[CoreConfig] = None,
+                 store: Optional[Any] = None) -> None:
         self.trace_length = trace_length
-        self.warmup_fraction = warmup_fraction
         self.seed = seed
         self.core_config = core_config or default_core_config()
-        self.uncore_config = (uncore_config
-                              or uncore_config_for_cores(cores, policy))
-        if uncore_config is not None and uncore_config.policy != policy:
-            self.uncore_config = uncore_config.with_policy(policy)
+        self.store = store
+        self._cache: Dict[str, Any] = {}
+        #: Detailed-simulation uops spent training (Section VII-A
+        #: charges this cost to the workload-stratification budget).
+        self.training_uops = 0
+        #: Detailed training runs actually performed (0 for store or
+        #: memory hits).
+        self.training_runs = 0
 
-    # ------------------------------------------------------------------
+    def use_store(self, store: Optional[Any]) -> None:
+        """Attach (or detach) a persistent model store."""
+        self.store = store
 
-    def run(self, workload: Workload) -> WorkloadRun:
-        """Simulate one workload; returns measured per-core IPCs."""
-        if workload.k != self.cores:
-            raise ValueError(
-                f"workload has {workload.k} threads, machine has "
-                f"{self.cores} cores")
-        started = time.perf_counter()
-        uncore = Uncore(self.uncore_config, seed=self.seed)
-        cores: List[DetailedCore] = []
-        meters: List[_MeasuredThread] = []
-        warmup = int(self.trace_length * self.warmup_fraction)
-        for core_id, benchmark in enumerate(workload):
-            trace = cached_trace(benchmark, self.trace_length, self.seed)
-            cores.append(DetailedCore(self.core_config, trace,
-                                      uncore.port(core_id)))
-            meters.append(_MeasuredThread(warmup, self.trace_length))
+    def build(self, benchmark: str) -> Any:
+        """The model of one benchmark: memo, then store, then training."""
+        model = self._cache.get(benchmark)
+        if model is not None:
+            return model
+        signature = None
+        if self.store is not None:
+            signature = self._store_signature()
+            model = self._load(benchmark, signature)
+            if model is not None and model.trace_length != self.trace_length:
+                model = None     # signature collision; retrain
+        if model is None:
+            model = self._train(
+                benchmark, cached_trace(benchmark, self.trace_length,
+                                        self.seed))
+            if signature is not None:
+                self._save(model, signature)
+        self._cache[benchmark] = model
+        return model
 
-        interleave(cores, meters)
-        total_executed = sum(core.executed for core in cores)
-        wall = time.perf_counter() - started
-        ipcs = [meter.ipc() for meter in meters]
-        return WorkloadRun(workload, ipcs, total_executed, wall)
-
-    # ------------------------------------------------------------------
-
-    def reference_ipc(self, benchmark: str) -> float:
-        """Single-thread IPC of a benchmark on this machine (alone).
-
-        The paper's IPCref[b]: "the IPC of the benchmark running alone
-        on the reference machine".  The thread runs alone on the full
-        uncore of this core count.
-        """
-        single = DetailedSimulator(
-            cores=1, policy=self.policy, trace_length=self.trace_length,
-            warmup_fraction=self.warmup_fraction, seed=self.seed,
-            core_config=self.core_config,
-            uncore_config=self.uncore_config.with_policy(self.policy))
-        run = single.run(Workload([benchmark]))
-        return run.ipcs[0]
+    def _training_run(self, trace: Trace, latency: int
+                      ) -> Tuple[List[float], List[RequestEvent]]:
+        """One counted detailed run of ``trace`` against an uncore that
+        answers every request after ``latency`` cycles."""
+        self.training_uops += self.trace_length
+        self.training_runs += 1
+        return fixed_latency_run(trace, self.core_config, latency)

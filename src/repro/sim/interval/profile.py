@@ -13,13 +13,11 @@ critical path.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.bench.generator import DEFAULT_TRACE_LENGTH, cached_trace
-from repro.cpu.core import fixed_latency_run
-from repro.cpu.resources import CoreConfig, default_core_config
+from repro.bench.trace import Trace
+from repro.sim.detailed import TrainedModelBuilder
 
 #: Fixed training latency (always-hit uncore), as for BADCO's hit run.
 TRAIN_HIT_LATENCY = 6
@@ -58,43 +56,16 @@ class IntervalProfile:
     def total_uops(self) -> int:
         return sum(i.uop_count for i in self.intervals)
 
-    @property
-    def request_count(self) -> int:
-        return sum(len(i.reads) + len(i.extras) for i in self.intervals)
 
-
-class IntervalProfileBuilder:
+class IntervalProfileBuilder(TrainedModelBuilder):
     """Builds (and caches) interval profiles from one detailed run.
 
-    With a model *store* attached (see :mod:`repro.sim.modelstore`)
-    profiles persist like BADCO node models and analytic calibration
-    anchors: a warm builder loads the one-run profile from disk
-    instead of re-running the detailed core, bit-identically, and
-    counts no training uops for it.
-
-    Args:
-        trace_length: uops per benchmark trace.
-        seed: trace seed (must match the campaign's).
-        core_config: detailed-core configuration used for training; its
-            ROB size defines the overlap window.
-        store: optional :class:`~repro.sim.modelstore.ModelStore`.
+    ``build`` is :meth:`~repro.sim.detailed.TrainedModelBuilder.build`
+    over one always-hit training run per benchmark: with a model store
+    attached, a warm builder loads the profile from disk instead,
+    bit-identically, and counts no training uops for it.  The training
+    core's ROB size defines the overlap window.
     """
-
-    def __init__(self, trace_length: int = DEFAULT_TRACE_LENGTH, seed: int = 0,
-                 core_config: Optional[CoreConfig] = None,
-                 store: Optional[object] = None) -> None:
-        self.trace_length = trace_length
-        self.seed = seed
-        self.core_config = core_config or default_core_config()
-        self.store = store
-        self._cache = {}
-        self.training_uops = 0
-        self.training_runs = 0
-        self.training_seconds = 0.0
-
-    def use_store(self, store: Optional[object]) -> None:
-        """Attach a persistent profile store (see ``attach_store``)."""
-        self.store = store
 
     def _store_signature(self) -> str:
         """Everything a profile depends on, digested for the store."""
@@ -104,28 +75,15 @@ class IntervalProfileBuilder:
                                 self.seed, self.core_config,
                                 TRAIN_HIT_LATENCY)
 
-    def build(self, benchmark: str) -> IntervalProfile:
-        profile = self._cache.get(benchmark)
-        if profile is None:
-            if self.store is not None:
-                profile = self.store.load_interval_profile(
-                    benchmark, self._store_signature())
-            if profile is None:
-                profile = self._build(benchmark)
-                if self.store is not None:
-                    self.store.save_interval_profile(
-                        profile, self._store_signature())
-            self._cache[benchmark] = profile
-        return profile
+    def _load(self, benchmark: str, signature: str
+              ) -> Optional[IntervalProfile]:
+        return self.store.load_interval_profile(benchmark, signature)
 
-    def _build(self, benchmark: str) -> IntervalProfile:
-        started = time.perf_counter()
-        trace = cached_trace(benchmark, self.trace_length, self.seed)
-        commit_times, events = fixed_latency_run(trace, self.core_config,
-                                                 TRAIN_HIT_LATENCY)
-        self.training_uops += self.trace_length
-        self.training_runs += 1
-        self.training_seconds += time.perf_counter() - started
+    def _save(self, profile: IntervalProfile, signature: str) -> None:
+        self.store.save_interval_profile(profile, signature)
+
+    def _train(self, benchmark: str, trace: Trace) -> IntervalProfile:
+        commit_times, events = self._training_run(trace, TRAIN_HIT_LATENCY)
         intervals = _group_intervals(events, commit_times,
                                      self.core_config.rob_entries,
                                      self.trace_length)

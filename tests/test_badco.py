@@ -78,7 +78,6 @@ def test_models_cached(builder):
 def test_training_cost_accounted(builder):
     builder.build("hmmer")
     assert builder.training_uops >= 2 * LENGTH
-    assert builder.training_seconds > 0
 
 
 def test_builder_length_mismatch_rejected(builder):

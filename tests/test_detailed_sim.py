@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.workload import Workload
+from repro.sim.badco import BadcoSimulator
 from repro.sim.detailed import DetailedSimulator
+from repro.sim.interval import IntervalSimulator
 
 from tests.conftest import TEST_TRACE_LENGTH
 
@@ -75,5 +77,7 @@ def test_mips_accounting():
 
 
 def test_invalid_warmup_fraction():
-    with pytest.raises(ValueError):
-        DetailedSimulator(cores=2, warmup_fraction=1.0)
+    # The event-driven base class validates it for all three families.
+    for simulator in (DetailedSimulator, BadcoSimulator, IntervalSimulator):
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            simulator(cores=2, warmup_fraction=1.0)

@@ -9,7 +9,7 @@ stored with floats as ``float.hex`` strings:
 - ``run_batch`` per-core IPCs and executed instructions on the
   ``badco`` and ``interval`` simulators, for every registered
   replacement policy at 2 and 4 cores, plus one 8-core row;
-- ``reference_ipc`` on both simulators;
+- ``reference_ipc`` on those two and on the detailed simulator;
 - one 2-core :class:`~repro.sim.detailed.DetailedSimulator` run;
 - one analytic :class:`~repro.sim.analytic.Calibration`;
 - the LLC :class:`~repro.mem.cache.CacheStats` and the memory
@@ -38,9 +38,9 @@ from repro.cpu.core import DetailedCore
 from repro.cpu.resources import default_core_config
 from repro.mem import replacement
 from repro.mem.uncore import Uncore, uncore_config_for_cores
+from repro.sim import detailed as event_driven
 from repro.sim.analytic import AnalyticModelBuilder
 from repro.sim.badco import BadcoModelBuilder, BadcoSimulator
-from repro.sim.badco import multicore as badco_multicore
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.interval import IntervalProfileBuilder, IntervalSimulator
 
@@ -83,9 +83,7 @@ def _panels(simulator_type, builder):
     return panels
 
 
-def _references(simulator_type, builder):
-    simulator = simulator_type(4, "LRU", builder=builder,
-                               trace_length=LENGTH)
+def _references(simulator):
     return {name: simulator.reference_ipc(name).hex()
             for name in BENCHMARKS}
 
@@ -102,7 +100,7 @@ def _uncore_counters(builder):
     policy, row = STATS_RUN
     simulator = BadcoSimulator(len(row), policy, builder=builder,
                                trace_length=LENGTH)
-    with mock.patch.object(badco_multicore, "Uncore", RecordingUncore):
+    with mock.patch.object(event_driven, "Uncore", RecordingUncore):
         simulator.run(Workload(list(row)))
     (uncore,) = uncores
     memory = uncore.memory
@@ -170,8 +168,12 @@ def record():
             "interval": _panels(IntervalSimulator, interval_builder),
         },
         "reference_ipc": {
-            "badco": _references(BadcoSimulator, badco_builder),
-            "interval": _references(IntervalSimulator, interval_builder),
+            "badco": _references(BadcoSimulator(
+                4, "LRU", builder=badco_builder, trace_length=LENGTH)),
+            "detailed": _references(DetailedSimulator(
+                4, "LRU", trace_length=LENGTH)),
+            "interval": _references(IntervalSimulator(
+                4, "LRU", builder=interval_builder, trace_length=LENGTH)),
         },
         "detailed": {"ipcs": _hexed(detailed.ipcs),
                      "instructions": detailed.instructions},
@@ -196,7 +198,7 @@ def test_run_batch_matches_the_golden(run, golden, backend):
     assert run["run_batch"][backend] == golden["run_batch"][backend]
 
 
-@pytest.mark.parametrize("backend", ["badco", "interval"])
+@pytest.mark.parametrize("backend", ["badco", "detailed", "interval"])
 def test_reference_ipcs_match_the_golden(run, golden, backend):
     assert run["reference_ipc"][backend] == golden["reference_ipc"][backend]
 

@@ -344,6 +344,28 @@ def test_interval_profile_store_misses_on_other_config(tmp_path):
     assert rebuilt.training_runs == 1
 
 
+@pytest.mark.parametrize("family", ["badco", "interval"])
+def test_a_stored_model_of_another_length_is_retrained(tmp_path, family):
+    """Both trained families share one ``build``, and its guard: a
+    stored model whose trace length is not the builder's (a signature
+    collision) is retrained, not replayed."""
+    from repro.sim.interval.profile import IntervalProfileBuilder
+
+    builder_type, path, runs = {
+        "badco": (BadcoModelBuilder, "badco_model_path", 2),
+        "interval": (IntervalProfileBuilder, "interval_profile_path", 1),
+    }[family]
+    store = ModelStore(tmp_path)
+    long = builder_type(TRACE, 0, store=store)
+    long.build("mcf")
+    short = builder_type(TRACE // 2, 0, store=store)
+    locate = getattr(store, path)
+    locate("mcf", long._store_signature()).replace(
+        locate("mcf", short._store_signature()))
+    assert short.build("mcf").trace_length == TRACE // 2
+    assert short.training_runs == runs
+
+
 def test_interval_campaign_warms_from_the_store(tmp_path):
     from repro.core.workload import Workload
 

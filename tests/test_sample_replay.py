@@ -317,15 +317,17 @@ def test_stratified_plan_parity_and_rng_state():
     _plan_parity(plan, sizes=(3, 9, 40, len(population) + 15))
 
 
-def test_balanced_plan_parity_both_modes():
+def test_balanced_plan_parity_both_modes(monkeypatch):
     from repro.bench.spec import benchmark_names
     from repro.core.population import WorkloadPopulation
-    from repro.core.sampling.balanced import BalancedRandomPlan
+    from repro.core.sampling import balanced
 
     population = WorkloadPopulation(benchmark_names()[:9], 2)
-    for vectorized in (True, None):
-        plan = BalancedRandomPlan(population.index, population,
-                                  vectorized=vectorized)
+    plan = balanced.BalancedRandomPlan(population.index, population)
+    # The default limit replays sizes 4 and 7 (8 and 14 slots) and hands
+    # size 30 (60 slots) to the scalar loop; raising it replays all three.
+    for limit in (60, balanced.VECTOR_SLOT_LIMIT):
+        monkeypatch.setattr(balanced, "VECTOR_SLOT_LIMIT", limit)
         _plan_parity(plan, sizes=(4, 7, 30))
 
 

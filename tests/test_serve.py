@@ -24,6 +24,7 @@ from repro.core.population import WorkloadPopulation
 from repro.serve import (
     ReproClient,
     ReproServer,
+    RequestScheduler,
     ResidentPanelCache,
     ResidentState,
     ServerError,
@@ -353,6 +354,43 @@ def test_resident_panel_cache_serves_sibling_sessions(store, tmp_path):
     assert second.training_runs == 0
     assert second.confidence == first.confidence
     assert second.inverse_cv == first.inverse_cv
+
+
+def test_sibling_sessions_refine_one_shared_campaign_in_turn(store,
+                                                             tmp_path):
+    """Sessions of one (scale, seed) universe that differ only in their
+    benchmark list share live campaigns through the panel cache, so
+    their refines must serialise on one lock: two at once must not both
+    score the same pending rows (which failed one of them with "rows
+    already recorded")."""
+    names = ["bzip2", "gcc", "libquantum", "mcf"]
+    frame = dict(scale="small", seed=0, cores=2, refine_budget=3)
+    state = ResidentState(cache_dir=tmp_path / "cache",
+                          model_store_dir=store)
+    scheduler = RequestScheduler(state)
+    try:
+        scheduler.submit("estimate_two_stage",
+                         dict(benchmarks=names, **frame)).result(timeout=300)
+        futures = [scheduler.submit("estimate_two_stage", dict(
+            baseline="LRU", candidate="DRRIP", benchmarks=benchmarks,
+            **frame)) for benchmarks in (names, names[::-1])]
+        replies = [protocol.estimate_from_wire(future.result(timeout=300))
+                   for future in futures]
+    finally:
+        scheduler.close()
+    oneshot = Session("small", seed=0, benchmarks=names,
+                      cache_dir=tmp_path / "oneshot",
+                      model_store_dir=store).estimate_two_stage(
+        "LRU", "DRRIP", cores=2, refine_budget=3)
+
+    def numbers(estimate):
+        fields = _fields(estimate)
+        # Which session trained or anchored first is a race, not a number.
+        fields.pop("training_runs")
+        fields.pop("refine_training_runs")
+        return fields
+
+    assert numbers(replies[0]) == numbers(replies[1]) == numbers(oneshot)
 
 
 def test_stats_and_ping_over_tcp(store, tmp_path):

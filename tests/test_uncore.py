@@ -11,11 +11,10 @@ from repro.mem.uncore import (
     Uncore,
     uncore_config_for_cores,
 )
+from repro.sim import detailed
 from repro.sim.badco import BadcoModelBuilder, BadcoSimulator
 from repro.sim.badco import model as badco_model
-from repro.sim.badco import multicore as badco_multicore
 from repro.sim.interval import IntervalProfileBuilder, IntervalSimulator
-from repro.sim.interval import multicore as interval_multicore
 
 from tests.conftest import TEST_TRACE_LENGTH
 
@@ -124,8 +123,8 @@ def _anchor(builders):
 
 
 @pytest.mark.parametrize("run, module", [
-    (_badco_run, badco_multicore),
-    (_interval_run, interval_multicore),
+    (_badco_run, detailed),
+    (_interval_run, detailed),
     (_anchor, badco_model),
 ], ids=["BadcoSimulator.run", "IntervalSimulator.run",
         "BadcoModelBuilder.anchor"])
