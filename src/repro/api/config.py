@@ -49,7 +49,10 @@ def resolve_jobs(jobs: int) -> int:
 #:       reproducible across processes and cannot be trusted).
 #: v3 -- one npz per key with rows keyed by suite rank (no JSON twin,
 #:       no workload-key strings); the IPC values are unchanged.
-RESULTS_VERSION = 3
+#: v4 -- the analytic closure's scan-resistance discount is gone;
+#:       analytic IPCs change wherever a policy's probed protection
+#:       was not 0 (every other backend's IPCs are unchanged).
+RESULTS_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class CampaignConfig:
         cache_dir: if set, results persist as one npz under this
             directory, named by :attr:`cache_key`.
         model_store_dir: if set, trained models (BADCO node models,
-            analytic vectors, calibrations and probes) persist under this
+            analytic vectors and calibration anchors) persist under this
             directory (see :mod:`repro.sim.modelstore`) and campaigns
             load instead of retraining on a hit.  Like ``cache_dir``,
             a storage location -- never part of the cache key, never a

@@ -102,7 +102,7 @@ class FullScaleEstimate:
         inverse_cv: 1/cv of d(w) over the frame (the Fig. 4/5 bar).
         sample_sizes: the W values of the confidence curves.
         confidence: per sampling-method confidence curve values.
-        training_runs: BADCO trainings + analytic calibrations/probes
+        training_runs: BADCO trainings + calibration anchors
             performed during this call (0 == fully warm store).
         timings: wall-clock seconds per phase ("population",
             "panels", "delta", "confidence").
@@ -818,7 +818,7 @@ class Session:
 
         Every builder owns its own accounting (``training_runs``; the
         analytic builder's includes its wrapped BADCO builder and its
-        calibration/probe runs); builder-less backends report zero.
+        anchor runs); builder-less backends report zero.
         """
         return int(getattr(builder, "training_runs", 0))
 

@@ -30,12 +30,17 @@ time order so that shared-LLC and bus contention are resolved
 consistently.  :func:`fixed_latency_run` is the training run of BADCO
 node models and interval profiles: one core alone against a
 fixed-latency uncore.
+
+Neither the generator nor the L1s' next level holds the core: they
+share a small :class:`_CoreState` instead, so a finished run's cores,
+caches and uncore are freed by reference counting, not left to the
+cyclic collector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from repro.bench.trace import EXECUTION_LATENCY, Trace, UopKind
 from repro.cpu.branch import BranchTargetBuffer, TageLitePredictor
@@ -69,6 +74,21 @@ class CoreResult:
         return self.cycles / self.instructions if self.instructions else 0.0
 
 
+class _CoreState:
+    """The counters a core's pipeline updates as it executes uops."""
+
+    __slots__ = ("position", "executed", "current_pc", "last_commit",
+                 "branch_mispredicts")
+
+    def __init__(self, start_time: int) -> None:
+        self.position = 0           # next uop index in the trace
+        self.executed = 0           # dynamic uops executed (incl. restarts)
+        # Set before every L1 access: the pc the uncore prefetchers see.
+        self.current_pc = 0
+        self.last_commit = float(start_time)
+        self.branch_mispredicts = 0
+
+
 class DetailedCore:
     """Out-of-order core executing one trace against an uncore.
 
@@ -91,63 +111,79 @@ class DetailedCore:
                  uncore_access: UncorePort, start_time: int = 0) -> None:
         self.config = config
         self.trace = trace
-        self._uncore_access = uncore_access
+        self.start_time = start_time
+        self._length = len(trace)
+        self._state = state = _CoreState(start_time)
+
+        def next_level(address: int, now: int, is_write: bool,
+                       is_prefetch: bool = False) -> int:
+            """The L1s' next level: route to the shared uncore."""
+            return uncore_access(address, int(now), is_write,
+                                 state.current_pc, is_prefetch)
 
         self.predictor = TageLitePredictor()
         self.btb = BranchTargetBuffer()
         self.il1 = Cache(config.il1,
                          make_policy("LRU", config.il1.num_sets, config.il1.ways),
-                         next_level=self._next_level)
+                         next_level=next_level)
         self.dl1 = Cache(config.dl1,
                          make_policy("LRU", config.dl1.num_sets, config.dl1.ways),
-                         next_level=self._next_level)
+                         next_level=next_level)
         self.il1_prefetcher = NextLinePrefetcher(self.il1)
         self.dl1_stride_prefetcher = StridePrefetcher(self.dl1)
         self.dl1_nextline_prefetcher = NextLinePrefetcher(self.dl1)
         self.itlb = Tlb(config.itlb)
         self.dtlb = Tlb(config.dtlb)
-
-        self.position = 0           # next uop index in the trace
-        self.executed = 0           # dynamic uops executed (incl. restarts)
-        self.branch_mispredicts = 0
-        self.start_time = start_time
-        self._length = len(trace)
-        self._last_commit = float(start_time)
-        # Set before every L1 access: the pc the uncore prefetchers see.
-        self._current_pc = 0
-        self.advance: Callable[[], float] = self._pipeline().__next__
+        self.advance: Callable[[], float] = self._pipeline(
+            config, trace.uops, start_time, state, self.il1, self.dl1,
+            self.il1_prefetcher, self.dl1_stride_prefetcher,
+            self.dl1_nextline_prefetcher, self.itlb, self.dtlb,
+            self.predictor, self.btb).__next__
 
     # ------------------------------------------------------------------
 
-    def _next_level(self, address: int, now: int, is_write: bool,
-                    is_prefetch: bool = False) -> int:
-        """The L1s' next level: route to the shared uncore."""
-        return self._uncore_access(address, int(now), is_write,
-                                   self._current_pc, is_prefetch)
+    @property
+    def position(self) -> int:
+        """Index of the next uop in the trace."""
+        return self._state.position
+
+    @property
+    def executed(self) -> int:
+        """Dynamic uops executed so far (restarts included)."""
+        return self._state.executed
+
+    @property
+    def branch_mispredicts(self) -> int:
+        """Mispredicted branches so far."""
+        return self._state.branch_mispredicts
 
     @property
     def local_time(self) -> float:
         """Current frontier of this core (last commit time)."""
-        return self._last_commit
+        return self._state.last_commit
 
     @property
     def done(self) -> bool:
         """True right after the trace's last uop (until the next
         ``advance`` rewinds it)."""
-        return self.position >= self._length
+        return self._state.position >= self._length
 
-    # ------------------------------------------------------------------
-
-    def _pipeline(self) -> Iterator[float]:
-        """Execute uops in program order, yielding each commit time.
+    @staticmethod
+    def _pipeline(config: CoreConfig, uops: Sequence[tuple], start_time: int,
+                  state: _CoreState, il1: Cache, dl1: Cache,
+                  il1_prefetcher: NextLinePrefetcher,
+                  dl1_stride_prefetcher: StridePrefetcher,
+                  dl1_nextline_prefetcher: NextLinePrefetcher, itlb: Tlb,
+                  dtlb: Tlb, predictor: TageLitePredictor,
+                  btb: BranchTargetBuffer) -> Iterator[float]:
+        """A core's uops in program order, yielding each commit time.
 
         Locals hold the pipeline state: slot pointers (absolute cycles,
         fractional for bandwidth), per-uop time rings, queue counters,
-        and the bound cache, TLB, prefetcher and predictor methods.
+        and the bound cache, TLB, prefetcher and predictor methods; the
+        counters the core reports live in ``state``.  A static method,
+        so the generator does not hold the core.
         """
-        config = self.config
-        start_time = self.start_time
-        uops = self.trace.uops
         fetch_step = 1.0 / config.fetch_width
         issue_step = 1.0 / config.issue_width
         commit_step = 1.0 / config.commit_width
@@ -156,13 +192,13 @@ class DetailedCore:
         ldq_entries, stq_entries = config.ldq_entries, config.stq_entries
         il1_latency = config.il1.latency
         LOAD, STORE, BRANCH = UopKind.LOAD, UopKind.STORE, UopKind.BRANCH
-        il1_access, il1_stats = self.il1.access, self.il1.stats
-        dl1_access, dl1_stats = self.dl1.access, self.dl1.stats
-        stride_observe = self.dl1_stride_prefetcher.observe
-        nextline_observe = self.dl1_nextline_prefetcher.observe
-        itlb_lookup, dtlb_lookup = self.itlb.lookup, self.dtlb.lookup
-        predict, train = self.predictor.predict, self.predictor.update
-        btb_lookup = self.btb.lookup
+        il1_access, il1_stats = il1.access, il1.stats
+        dl1_access, dl1_stats = dl1.access, dl1.stats
+        stride_observe = dl1_stride_prefetcher.observe
+        nextline_observe = dl1_nextline_prefetcher.observe
+        itlb_lookup, dtlb_lookup = itlb.lookup, dtlb.lookup
+        predict, train = predictor.predict, predictor.update
+        btb_lookup = btb.lookup
 
         fetch_slot = issue_slot = commit_slot = float(start_time)
         redirect_floor = last_commit = il1_ready = float(start_time)
@@ -175,16 +211,16 @@ class DetailedCore:
         store_ring: List[float] = [start_time] * stq_entries
         loads_seen = stores_seen = 0
         while True:
-            position = self.position
+            position = state.position
             try:
                 kind, pc, src_distances, address, taken, target = \
                     uops[position]
             except IndexError:
                 position = 0
                 kind, pc, src_distances, address, taken, target = uops[0]
-            self.position = position + 1
-            index = self.executed
-            self.executed = index + 1
+            state.position = position + 1
+            index = state.executed
+            state.executed = index + 1
             slot = index % window
             rs_slot = index % rs_entries
 
@@ -195,13 +231,13 @@ class DetailedCore:
             line = pc >> 6
             if line != last_fetch_line:
                 last_fetch_line = line
-                self._current_pc = pc
+                state.current_pc = pc
                 now = int(fetch)
                 itlb_penalty = itlb_lookup(pc)
                 before = il1_stats.demand_misses
                 il1_done = il1_access(pc, now + itlb_penalty)
                 if il1_stats.demand_misses > before:
-                    self.il1_prefetcher.observe(pc, pc, now, True)
+                    il1_prefetcher.observe(pc, pc, now, True)
                 # Hit latency is pipelined away; only the cycles beyond
                 # a hit (misses, in-flight fills, TLB walks) stall fetch.
                 stall = (il1_done - now) - il1_latency + itlb_penalty
@@ -248,7 +284,7 @@ class DetailedCore:
             # ---- Execute.
             complete = issue + EXECUTION_LATENCY[kind]
             if kind == LOAD:
-                self._current_pc = pc
+                state.current_pc = pc
                 now = int(issue) + 1
                 dtlb_penalty = dtlb_lookup(address)
                 before = dl1_stats.demand_misses
@@ -263,7 +299,7 @@ class DetailedCore:
             elif kind == STORE:
                 # Stores complete fast (data written at commit through
                 # the write buffer); the cache state update happens now.
-                self._current_pc = pc
+                state.current_pc = pc
                 dtlb_penalty = dtlb_lookup(address)
                 dl1_access(address, int(issue) + 1 + dtlb_penalty,
                            is_write=True)
@@ -276,7 +312,7 @@ class DetailedCore:
                 # The BTB trains on every taken branch.
                 if (taken and not btb_lookup(pc, target or 0)) \
                         or not correct_direction:
-                    self.branch_mispredicts += 1
+                    state.branch_mispredicts += 1
                     redirect_floor = complete + config.mispredict_penalty
             complete_ring[slot] = complete
 
@@ -288,20 +324,21 @@ class DetailedCore:
                 commit = commit_slot
             commit_slot = commit + commit_step
             commit_ring[slot] = commit
-            self._last_commit = last_commit = commit
+            state.last_commit = last_commit = commit
             yield commit
 
     # ------------------------------------------------------------------
 
     def result(self) -> CoreResult:
         """Counters for everything executed so far."""
-        cycles = int(self._last_commit - self.start_time)
+        state = self._state
+        cycles = int(state.last_commit - self.start_time)
         return CoreResult(
-            instructions=self.executed,
+            instructions=state.executed,
             cycles=max(cycles, 1),
             dl1_misses=self.dl1.stats.demand_misses,
             il1_misses=self.il1.stats.demand_misses,
-            branch_mispredicts=self.branch_mispredicts,
+            branch_mispredicts=state.branch_mispredicts,
         )
 
 
@@ -317,11 +354,13 @@ def fixed_latency_run(trace: Trace, config: CoreConfig, latency: int
 
     def access(address: int, now: int, is_write: bool, pc: int,
                is_prefetch: bool = False) -> int:
-        events.append((core.position - 1, address, is_write, pc,
+        events.append((state.position - 1, address, is_write, pc,
                        not is_write and not is_prefetch))
         return now + latency
 
     core = DetailedCore(config, trace, access)
+    # ``access`` reads the core's state, not the core: no cycle.
+    state = core._state
     advance = core.advance
     commit_times = [advance() for _ in range(len(trace))]
     return commit_times, events

@@ -23,7 +23,8 @@ backends' ``reference_ipc`` read
 the model: it yields the standalone IPC, the standalone LLC demand miss
 ratio ``m0`` and the average extra latency a miss costs beyond a hit.
 An anchor whose LLC never evicts is the same under every policy, so
-such pairs calibrate identically and are simulated once.  The
+such pairs calibrate identically and are simulated once.  A
+replacement policy reaches the model only through these anchors.  The
 shared-cache closure then scales miss ratios with co-runner pressure:
 
 - every thread's resident fraction shrinks from ``min(1, C/F_b)`` alone
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -61,14 +62,6 @@ from repro.sim.detailed import BatchRun, WorkloadRun
 #: stays finite; beyond this the linear-rate estimate is meaningless
 #: anyway.
 MAX_BUS_UTILISATION = 0.95
-
-#: The policy probe pair: a benchmark with a reusable LLC-resident
-#: region and a pure streamer.  How much of the reuser's standalone IPC
-#: a policy recovers when the two co-run measures the policy's scan
-#: resistance -- the trait that separates DIP/DRRIP from LRU in the
-#: paper's case study.
-PROBE_REUSER = "gcc"
-PROBE_STREAMER = "libquantum"
 
 #: Cells (rows x policies x cores) per block of the grid closure:
 #: 8 192 float64 values, so each block temporary is 64 KiB.
@@ -96,20 +89,9 @@ class BenchmarkVector:
     footprint_lines: int
 
 
-#: The field types a stored ``vector`` record must carry exactly.
-_VECTOR_TYPES = {"uops": int, "intrinsic": float, "sensitivity": float,
-                 "requests": int, "footprint_lines": int}
-
-
-def _vector_from_record(payload) -> Optional[BenchmarkVector]:
-    """A stored ``vector`` record as a :class:`BenchmarkVector`, or None
-    unless it has exactly the vector's fields with their exact types."""
-    if not isinstance(payload, dict) or set(payload) != set(_VECTOR_TYPES):
-        return None
-    if any(type(payload[name]) is not kind
-           for name, kind in _VECTOR_TYPES.items()):
-        return None
-    return BenchmarkVector(**payload)
+#: A stored ``vector`` record's fields, each with its one exact type.
+_VECTOR_FIELDS = {name: (kind,) for name, kind
+                  in get_type_hints(BenchmarkVector).items()}
 
 
 def _flatten(model) -> BenchmarkVector:
@@ -167,12 +149,11 @@ class AnalyticModelBuilder:
     Wraps a :class:`~repro.sim.badco.model.BadcoModelBuilder` (shared
     when given, so ``badco`` and ``analytic`` campaigns in one session
     train each benchmark once and share its standalone anchors) and
-    memoises the flattened vectors, the policy probes and their pair
-    runs.
+    memoises the flattened vectors.
 
     With a model *store* attached (see :mod:`repro.sim.modelstore`) the
-    flattened vectors, calibration anchors and policy probes persist
-    alongside the BADCO node models: a warm campaign loads them instead
+    flattened vectors and calibration anchors persist alongside the
+    BADCO node models: a warm campaign loads them instead
     of re-deriving them, with bit-identical values (JSON shortest-repr
     round-trips float64 exactly), and never deserialises a node model.
 
@@ -198,10 +179,6 @@ class AnalyticModelBuilder:
         if store is not None:
             self.use_store(store)
         self._vectors: Dict[str, BenchmarkVector] = {}
-        self._protections: Dict[Tuple[UncoreConfig, float], float] = {}
-        self._pairs: Dict[Tuple[UncoreConfig, float, str, str], float] = {}
-        #: Probe pair runs actually simulated.
-        self.probe_runs = 0
 
     def use_store(self, store: Optional[object]) -> None:
         """Attach a persistent model store (shared with the BADCO builder)."""
@@ -215,15 +192,15 @@ class AnalyticModelBuilder:
 
     @property
     def calibration_runs(self) -> int:
-        """Standalone anchors (on the wrapped BADCO builder) and probe
-        pair runs simulated so far.  Zero against a warm store."""
-        return self.badco.anchor_runs + self.probe_runs
+        """Standalone anchors simulated so far (the wrapped BADCO
+        builder's ``anchor_runs``).  Zero against a warm store."""
+        return self.badco.anchor_runs
 
     @property
     def training_runs(self) -> int:
         """Model-building runs performed so far: the wrapped BADCO
-        builder's detailed training runs plus the calibration and probe
-        runs.  Zero against a warm store."""
+        builder's detailed training runs plus its anchor runs.  Zero
+        against a warm store."""
         return self.badco.training_runs + self.calibration_runs
 
     def build(self, benchmark: str):
@@ -248,8 +225,10 @@ class AnalyticModelBuilder:
             return vector
         if self.store is not None:
             signature = self.badco._store_signature()
-            vector = _vector_from_record(
-                self.store.load_record("vector", benchmark, signature))
+            payload = self.store.load_record("vector", benchmark, signature,
+                                             _VECTOR_FIELDS)
+            if payload is not None:
+                vector = BenchmarkVector(**payload)
         if vector is None:
             vector = _flatten(self.badco.build(benchmark))
             if self.store is not None:
@@ -265,112 +244,16 @@ class AnalyticModelBuilder:
         the run the ``badco`` backend's ``reference_ipc`` reads too."""
         return self.badco.anchor(benchmark, uncore_config, warmup_fraction)
 
-    def _probe_pair_ipc(self, uncore_config: UncoreConfig,
-                        warmup_fraction: float,
-                        reuser: str = PROBE_REUSER,
-                        streamer: str = PROBE_STREAMER) -> float:
-        """Reuser IPC of a probe pair under one policy's uncore
-        (memoised, so every policy's probe shares one LRU baseline)."""
-        from repro.sim.badco.multicore import BadcoSimulator
-
-        if reuser == streamer:
-            raise ValueError("probe pair needs two distinct benchmarks")
-        key = (uncore_config, warmup_fraction, reuser, streamer)
-        ipc = self._pairs.get(key)
-        if ipc is None:
-            simulator = BadcoSimulator(
-                cores=2, policy=uncore_config.policy, builder=self.badco,
-                trace_length=self.trace_length,
-                warmup_fraction=warmup_fraction, seed=self.seed,
-                uncore_config=uncore_config)
-            workload = Workload([reuser, streamer])
-            run = simulator.run(workload)
-            # Workloads canonicalise sorted, so locate the reuser's core.
-            ipc = self._pairs[key] = run.ipcs[list(workload).index(reuser)]
-            self.probe_runs += 1
-        return ipc
-
-    def probe_protection(self, uncore_config: UncoreConfig,
-                         warmup_fraction: float, reuser: str,
-                         streamer: str) -> float:
-        """Scan resistance measured with one specific probe pair.
-
-        The same three-run experiment :meth:`protection` performs for
-        its canonical gcc+libquantum pair, for an arbitrary
-        (reuser, streamer) pair: the reuser's IPC alone (calibration),
-        next to the streamer under LRU (the unprotected baseline), and
-        next to the streamer under this policy.  Returns
-        ``clip((paired - baseline) / (alone - baseline), 0, 1)`` -- 0
-        when the pair exposes no protectable headroom at all (e.g. an
-        L1-resident reuser), exactly like the canonical probe.
-        Performs up to three simulator runs per call, each memoised;
-        LRU is 0 by definition.
-        """
-        if uncore_config.policy == "LRU":
-            return 0.0
-        baseline_config = uncore_config.with_policy("LRU")
-        baseline = self._probe_pair_ipc(baseline_config, warmup_fraction,
-                                        reuser, streamer)
-        paired = self._probe_pair_ipc(uncore_config, warmup_fraction,
-                                      reuser, streamer)
-        alone = self.calibrate(reuser, uncore_config, warmup_fraction).ipc
-        headroom = alone - baseline
-        if headroom <= 1e-12:
-            return 0.0
-        return min(max((paired - baseline) / headroom, 0.0), 1.0)
-
-    def probe_matrix(self, uncore_config: UncoreConfig,
-                     reusers: Sequence[str],
-                     streamers: Sequence[str] = (PROBE_STREAMER,),
-                     warmup_fraction: float = 0.25
-                     ) -> Dict[Tuple[str, str], float]:
-        """Per-pair scan-resistance matrix for validation studies.
-
-        Measures :meth:`probe_protection` for every (reuser, streamer)
-        combination, so the single-pair assumption behind the
-        production :meth:`protection` probe can be checked against
-        representatives of each benchmark class instead of trusted
-        blindly.  Not persisted -- this is an offline validation tool,
-        not part of the scoring path.
-        """
-        return {(reuser, streamer):
-                self.probe_protection(uncore_config, warmup_fraction,
-                                      reuser, streamer)
-                for reuser in reusers for streamer in streamers}
-
     def protection(self, uncore_config: UncoreConfig,
                    warmup_fraction: float = 0.25) -> float:
-        """The policy's scan resistance on this uncore, in [0, 1].
+        """Always 0.0: a policy reaches the closure only through its
+        standalone anchors, and nothing in the package calls this.
 
-        0 means the policy protects a co-running reuse region no better
-        than LRU; 1 means the reuser keeps its full standalone IPC next
-        to a streamer.  :meth:`probe_protection` on the canonical pair,
-        memoised and stored per (uncore, ``warmup_fraction``); LRU is 0
-        by definition and pays nothing.
+        It stays because the benchmark's tracer (``perfbench/
+        tracing.py``) lists it in ``WRAPPED``, and ``Tracer.install``
+        raises ``AttributeError`` on a missing target.
         """
-        key = (uncore_config, warmup_fraction)
-        value = self._protections.get(key)
-        if value is not None:
-            return value
-        if uncore_config.policy == "LRU":
-            # 0 by definition: no probe runs, no calibration accounting.
-            self._protections[key] = 0.0
-            return 0.0
-        if self.store is not None:
-            signature = self.badco._calibration_signature(uncore_config,
-                                                          warmup_fraction)
-            payload = self.store.load_record("probe", uncore_config.policy,
-                                             signature)
-            if payload is not None and isinstance(
-                    payload.get("protection"), float):
-                self._protections[key] = payload["protection"]
-                return payload["protection"]
-        value = self._protections[key] = self.probe_protection(
-            uncore_config, warmup_fraction, PROBE_REUSER, PROBE_STREAMER)
-        if self.store is not None:
-            self.store.save_record("probe", uncore_config.policy, signature,
-                                   {"protection": value})
-        return value
+        return 0.0
 
     def prepare(self, benchmarks: Sequence[str], policies: Sequence[str],
                 cores: int, warmup_fraction: float = 0.25) -> None:
@@ -382,16 +265,13 @@ class AnalyticModelBuilder:
         """
         for policy in policies:
             config = uncore_config_for_cores(cores, policy)
-            if cores > 1:
-                self.protection(config, warmup_fraction)
             for benchmark in benchmarks:
                 self.vectors(benchmark)
                 self.calibrate(benchmark, config, warmup_fraction)
 
     def __repr__(self) -> str:
         return (f"AnalyticModelBuilder(length={self.trace_length}, "
-                f"vectors={len(self._vectors)}, "
-                f"probes={len(self._protections)})")
+                f"vectors={len(self._vectors)})")
 
 
 class AnalyticSimulator:
@@ -531,13 +411,6 @@ class AnalyticSimulator:
         # are the builder's, so GridRun.wall_seconds measures only the
         # array evaluation.
         vectors = self._gather(benchmarks, policies)
-        if self.cores > 1:
-            protections = np.array(
-                [self.builder.protection(self._config_for(policy),
-                                         self.warmup_fraction)
-                 for policy in policies], dtype=np.float64)
-        else:
-            protections = np.zeros(len(policies))
         started = time.perf_counter()
         # Re-code the rows over the benchmarks they use (the gathered
         # vectors' column order).
@@ -549,13 +422,13 @@ class AnalyticSimulator:
         for start in range(0, len(rows), block):
             stop = start + block
             ipcs[start:stop] = self._evaluate(
-                vectors, protections, codes[start:stop]).transpose(1, 0, 2)
+                vectors, codes[start:stop]).transpose(1, 0, 2)
         instructions = (len(rows) * len(policies) * self.cores
                         * self.trace_length)
         return GridRun(workloads, policies, ipcs, instructions,
                        time.perf_counter() - started)
 
-    def _evaluate(self, vec: Dict[str, np.ndarray], protections: np.ndarray,
+    def _evaluate(self, vec: Dict[str, np.ndarray],
                   codes: np.ndarray) -> np.ndarray:
         """The model itself: P x N x K IPCs from gathered P x B vectors.
 
@@ -583,22 +456,12 @@ class AnalyticSimulator:
             """``array[:, codes]`` in C order (P x N x K)."""
             return np.ascontiguousarray(array[:, codes])
 
-        footprint = gather(vec["footprint"])                     # P x N x K
-        # Each co-runner pressures the shared LLC with its footprint,
-        # discounted by the policy's measured scan resistance times how
-        # streaming the co-runner is (its standalone miss ratio): a
-        # scan-resistant policy keeps a streamer from flushing its
-        # neighbours, which is exactly the DIP/DRRIP-vs-LRU effect the
-        # replacement case study turns on.
-        per_bench_pressure = (vec["footprint"]
-                              * (1.0 - protections[:, None]
-                                 * vec["miss_ratio"]))           # P x B
-        pressure = gather(per_bench_pressure)                    # P x N x K
-        # Pressure felt by thread b: its own full footprint plus the
-        # discounted footprints of everyone else.
-        felt = pressure.sum(axis=-1)[..., None] - pressure + footprint
+        # Every thread feels the whole workload's footprint pressing on
+        # the shared LLC.  Footprints are line counts, so the sum is
+        # exact in float64.
+        felt = gather(vec["footprint"]).sum(axis=-1)[..., None]  # P x N x 1
         # Fraction of each thread's lines resident alone vs shared: the
-        # LLC splits proportionally to pressure (residency C/F_felt),
+        # LLC splits proportionally to footprint (residency C/F_felt),
         # but reuse keeps every thread at least its equal share C/K --
         # so a tiny hot set co-running with a streaming thread is not
         # evicted wholesale, while same-size thrashers split the cache.

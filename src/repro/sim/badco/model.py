@@ -34,7 +34,7 @@ The builder also owns each benchmark's standalone anchor
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH
@@ -95,6 +95,12 @@ class Calibration:
     cycles: float
     miss_ratio: float
     extra_per_miss: float
+
+
+#: A stored ``calib`` record's fields; any of them may be an int or a
+#: float.
+_CALIBRATION_FIELDS = dict.fromkeys(
+    (field.name for field in fields(Calibration)), (int, float))
 
 
 @dataclass
@@ -158,9 +164,9 @@ class BadcoModelBuilder(TrainedModelBuilder):
 
     def _calibration_signature(self, uncore_config: UncoreConfig,
                                warmup_fraction: float) -> str:
-        """Everything an anchor or probe run depends on, digested: the
-        uncore, the warmup metering and the node model's own signature
-        (a change that retrains the models also re-anchors)."""
+        """Everything an anchor run depends on, digested: the uncore,
+        the warmup metering and the node model's own signature (a change
+        that retrains the models also re-anchors)."""
         from repro.sim.modelstore import config_signature
 
         return config_signature(
@@ -198,12 +204,10 @@ class BadcoModelBuilder(TrainedModelBuilder):
         if self.store is not None:
             signature = self._calibration_signature(uncore_config,
                                                     warmup_fraction)
-            payload = (self.store.load_record("calib", name, signature)
+            payload = (self.store.load_record("calib", name, signature,
+                                              _CALIBRATION_FIELDS)
                        if anchor is None else None)
-            if isinstance(payload, dict) and set(payload) == {
-                    "ipc", "cycles", "miss_ratio", "extra_per_miss"} \
-                    and all(type(value) in (int, float)
-                            for value in payload.values()):
+            if payload is not None:
                 anchor = self._anchors[key] = Calibration(**payload)
                 return anchor
         if anchor is None:

@@ -2,21 +2,20 @@
 
 Training a BADCO node model costs two detailed runs per benchmark, an
 interval profile one; standalone anchors add up to one run per
-(benchmark, policy) and the analytic probes one pair run per policy
--- the dominant start-up cost of every campaign now that panel
-evaluation is a handful of NumPy calls.  All of those artefacts are
-deterministic functions of their configuration, so this module makes
-them durable: a :class:`ModelStore` is a directory of
+(benchmark, policy) -- the dominant start-up cost of every campaign now
+that panel evaluation is a handful of NumPy calls.  All of those
+artefacts are deterministic functions of their configuration, so this
+module makes them durable: a :class:`ModelStore` is a directory of
 content-addressed files, and builders consult it before training.
 
 Two kinds of file live here:
 
 - ``.npz`` artefacts: BADCO node models and interval profiles;
 - small JSON *records* (:meth:`ModelStore.save_record`): the ``calib``
-  anchors both backends read, the analytic ``probe`` protections and
-  ``vector`` records -- each benchmark's node model flattened to the
-  five scalars the closure reads, keyed by the node model's own
-  signature, so a warm analytic campaign never deserialises a model.
+  anchors both backends read and the analytic ``vector`` records --
+  each benchmark's node model flattened to the five scalars the
+  closure reads, keyed by the node model's own signature, so a warm
+  analytic campaign never deserialises a model.
 
 Keys are explicit: every artefact file name carries the benchmark (or
 policy) it belongs to, a short configuration *signature* -- a SHA-256
@@ -25,8 +24,7 @@ the full core / uncore configuration reprs, warmup fraction) -- and the
 store format version.  Like the campaign cache key's results version,
 bumping :data:`MODELSTORE_VERSION` orphans every stale file at once;
 stale or corrupt entries are never served, they are re-derived (a
-present node model or interval profile that cannot be used logs one
-warning naming its file).
+present file that cannot be used logs one warning naming it).
 
 Stored values round-trip bit-identically: node-model floats travel as
 raw float64 npz bytes, record scalars as JSON shortest-repr (which
@@ -53,7 +51,7 @@ import json
 import logging
 import zipfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -87,7 +85,7 @@ def config_signature(*parts: object) -> str:
 
 def _unusable(path: Path, reason: str) -> None:
     """Log why a present entry is not served; returns a loader's miss."""
-    logger.warning("model store entry %s is unusable (%s); retraining",
+    logger.warning("model store entry %s is unusable (%s); re-deriving it",
                    path, reason)
 
 
@@ -323,10 +321,10 @@ class ModelStore:
         return IntervalProfile(benchmark, trace_length, intervals)
 
     # ------------------------------------------------------------------
-    # Small scalar records (calibrations, policy probes, vectors)
+    # Small scalar records (calibrations, vectors)
 
     def record_path(self, kind: str, name: str, signature: str) -> Path:
-        """Where one scalar record lives (``kind``: "calib", "probe",
+        """Where one scalar record lives (``kind``: "calib" or
         "vector")."""
         return self._path(f"{kind}-{name}-{signature}", ".json")
 
@@ -336,15 +334,29 @@ class ModelStore:
         data = json.dumps(payload, sort_keys=True).encode("utf-8")
         self._write_atomic(self.record_path(kind, name, signature), data)
 
-    def load_record(self, kind: str, name: str,
-                    signature: str) -> Optional[Dict[str, float]]:
-        """Load one scalar record, or None on miss / corruption."""
+    def load_record(self, kind: str, name: str, signature: str,
+                    fields: Mapping[str, Tuple[type, ...]]
+                    ) -> Optional[Dict[str, float]]:
+        """Load one scalar record, or None on a miss or an unusable file.
+
+        ``fields`` maps every key the record must hold, and no other, to
+        the types its value may have, exactly (``type(v) in allowed``,
+        so ``True`` is no ``int``).  A missing file is a silent miss; a
+        present one that does not parse or validate logs one warning
+        naming it.
+        """
         path = self.record_path(kind, name, signature)
         try:
             payload = json.loads(path.read_text())
-        except (OSError, ValueError):
+        except FileNotFoundError:
             return None
-        return payload if isinstance(payload, dict) else None
+        except (OSError, ValueError) as error:
+            return _unusable(path, f"{type(error).__name__}: {error}")
+        if not isinstance(payload, dict) or set(payload) != set(fields) \
+                or any(type(payload[key]) not in allowed
+                       for key, allowed in fields.items()):
+            return _unusable(path, f"not a record of {sorted(fields)}")
+        return payload
 
     def __repr__(self) -> str:
         return f"ModelStore({str(self.root)!r})"

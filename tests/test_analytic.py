@@ -24,16 +24,19 @@ from repro.core.delta import DeltaVariable, delta_statistics
 from repro.core.metrics import IPCT
 from repro.core.population import WorkloadPopulation
 from repro.core.workload import Workload
+from repro.mem.replacement import POLICY_NAMES
+from repro.mem.uncore import uncore_config_for_cores
 from repro.sim.analytic import (
     GRID_BLOCK_CELLS,
     MAX_BUS_UTILISATION,
     AnalyticModelBuilder,
     AnalyticSimulator,
 )
+from repro.sim.badco.multicore import BadcoSimulator
 
 from tests.conftest import TEST_TRACE_LENGTH
 
-#: Spans the three MPKI classes, including the probe pair members.
+#: Spans the three MPKI classes.
 PARITY_BENCHMARKS = ["povray", "hmmer", "gcc", "mcf", "libquantum",
                      "omnetpp"]
 PARITY_POLICIES = ["LRU", "DIP"]
@@ -238,13 +241,41 @@ def test_session_study_on_analytic_backend(monkeypatch, tmp_path):
 
 
 def test_protection_probe_bounds():
+    """``protection`` is a constant 0.0 that simulates nothing: a policy
+    reaches the closure only through its standalone anchors."""
     builder = AnalyticModelBuilder(TEST_TRACE_LENGTH, 0)
-    from repro.mem.uncore import uncore_config_for_cores
+    for cores in (2, 4):
+        for policy in POLICY_NAMES:
+            config = uncore_config_for_cores(cores, policy)
+            assert builder.protection(config) == 0.0
+            assert builder.protection(config, 0.5) == 0.0
+    assert builder.training_runs == 0
 
-    for policy in ("LRU", "DIP", "RND"):
-        value = builder.protection(uncore_config_for_cores(2, policy))
-        assert 0.0 <= value <= 1.0
-    assert builder.protection(uncore_config_for_cores(2, "LRU")) == 0.0
+
+def test_analytic_vs_badco_ipc_error_at_medium_trace():
+    """Recorded model error at the medium scale's trace length.
+
+    Per-core relative IPC error of the analytic model against the
+    event-driven BADCO simulator under DIP, over three pairs at
+    16 000 uops (``repro.api.scales``).  Measured (seeded,
+    deterministic): worst core 11.1% (mcf next to gcc), all others
+    under 1.2%, mean 2.3%.
+    """
+    trace = 16000
+    builder = AnalyticModelBuilder(trace, 0)
+    analytic = AnalyticSimulator(cores=2, policy="DIP", builder=builder,
+                                 trace_length=trace)
+    badco = BadcoSimulator(cores=2, policy="DIP", builder=builder.badco,
+                           trace_length=trace)
+    errors = []
+    for workload in (Workload(["gcc", "libquantum"]),
+                     Workload(["gcc", "mcf"]),
+                     Workload(["milc", "libquantum"])):
+        approx = np.asarray(analytic.run(workload).ipcs)
+        event = np.asarray(badco.run(workload).ipcs)
+        errors.extend((np.abs(approx - event) / event).tolist())
+    assert max(errors) < 0.15
+    assert float(np.mean(errors)) < 0.05
 
 
 def _cached_campaign(tmp_path, population, cores=2):
@@ -373,10 +404,6 @@ def _unblocked_grid(simulator, workloads, policies):
     used = np.flatnonzero(rows.benchmark_occurrences())
     vec = simulator._gather([rows.benchmarks[c] for c in used.tolist()],
                             policies)
-    protections = np.array(
-        [simulator.builder.protection(simulator._config_for(policy),
-                                      simulator.warmup_fraction)
-         for policy in policies], dtype=np.float64)
     lookup = np.zeros(rows.num_benchmarks, dtype=np.int64)
     lookup[used] = np.arange(len(used))
     codes = lookup[rows.codes]
@@ -387,11 +414,7 @@ def _unblocked_grid(simulator, workloads, policies):
         return np.ascontiguousarray(array[:, codes])
 
     footprint = gather(vec["footprint"])
-    per_bench_pressure = (vec["footprint"]
-                          * (1.0 - protections[:, None]
-                             * vec["miss_ratio"]))
-    pressure = gather(per_bench_pressure)
-    felt = pressure.sum(axis=-1)[..., None] - pressure + footprint
+    felt = footprint.sum(axis=-1)[..., None]
     alone_resident = np.minimum(1.0, llc_lines / vec["footprint"])
     shared_resident = np.minimum(1.0, np.maximum(
         llc_lines / np.maximum(felt, 1.0),

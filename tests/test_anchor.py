@@ -118,20 +118,14 @@ def test_calibrations_key_on_warmup_and_the_whole_uncore(models):
         assert fresh.calibrate("mcf", target, warmup) == expected
 
 
-def test_protection_keys_on_warmup(models):
-    builder = AnalyticModelBuilder(
-        TRACE, 0, badco_builder=_builder(models, ("gcc", "libquantum")))
-    config = uncore_config_for_cores(2, "DIP")
-    builder.protection(config, 0.25)
-    runs = builder.calibration_runs
-    builder.protection(config, 0.5)
-    assert builder.calibration_runs > runs
-
-
-def test_probes_share_one_lru_baseline_pair(models):
-    builder = AnalyticModelBuilder(
-        TRACE, 0, badco_builder=_builder(models, ("gcc", "libquantum")))
-    for policy in POLICY_NAMES:
-        builder.protection(uncore_config_for_cores(2, policy))
-    # The LRU baseline pair once, plus each other policy's own pair.
-    assert builder.probe_runs == len(POLICY_NAMES)
+def test_a_policy_reaches_the_analytic_model_only_through_anchors(
+        tmp_path):
+    """Preparing every policy's 2-core grid on a fresh store trains
+    node models and stores ``calib`` and ``vector`` records, nothing
+    else, and every calibration run is a standalone anchor."""
+    builder = AnalyticModelBuilder(TRACE, 0, store=ModelStore(tmp_path))
+    builder.prepare(BENCHMARKS, POLICY_NAMES, 2)
+    kinds = {path.name.split("-")[0] for path in tmp_path.iterdir()
+             if not path.name.startswith(".")}
+    assert kinds == {"badco", "calib", "vector"}
+    assert builder.calibration_runs == builder.badco.anchor_runs > 0

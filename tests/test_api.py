@@ -116,7 +116,7 @@ def test_register_backend_requires_name():
 def test_cache_key_is_stable_and_excludes_execution_knobs(tmp_path):
     config = CampaignConfig(backend="badco", cores=2, trace_length=6000,
                             seed=0, warmup_fraction=0.25)
-    assert config.cache_key == "badco-k2-l6000-s0-w25-v3"
+    assert config.cache_key == "badco-k2-l6000-s0-w25-v4"
     # jobs and cache_dir are execution knobs, not result identity.
     assert config.replace(jobs=8).cache_key == config.cache_key
     assert config.replace(cache_dir=tmp_path).cache_key == config.cache_key
@@ -161,7 +161,7 @@ def test_signature_exclude_partitions_the_fields(tmp_path):
 def test_config_cache_path_is_versioned(tmp_path):
     config = CampaignConfig(backend="detailed", cores=4, trace_length=3000,
                             seed=7, warmup_fraction=0.25, cache_dir=tmp_path)
-    assert config.cache_path == tmp_path / "detailed-k4-l3000-s7-w25-v3.npz"
+    assert config.cache_path == tmp_path / "detailed-k4-l3000-s7-w25-v4.npz"
     assert CampaignConfig(backend="detailed", cores=4).cache_path is None
 
 

@@ -1,11 +1,16 @@
 """The detailed out-of-order core timing model."""
 
+import gc
+import weakref
+from unittest import mock
+
 import pytest
 
 from repro.bench.generator import generate_trace
 from repro.bench.spec import benchmark_by_name
 from repro.bench.trace import Trace, Uop, UopKind
-from repro.cpu.core import DetailedCore
+from repro.cpu import core as core_module
+from repro.cpu.core import DetailedCore, fixed_latency_run
 from repro.cpu.resources import default_core_config
 
 from tests.conftest import TEST_TRACE_LENGTH
@@ -113,3 +118,31 @@ def test_local_time_monotonic():
         now = core.advance()
         assert now >= previous
         previous = now
+
+
+def test_a_fixed_latency_runs_core_is_freed_by_reference_counting():
+    """No reference cycle keeps a training run's core alive until the
+    cyclic collector runs: the core and its L1s are gone the moment
+    ``fixed_latency_run`` returns."""
+    refs = []
+
+    class RecordingCore(DetailedCore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.extend(weakref.ref(part)
+                        for part in (self, self.il1, self.dl1))
+
+    trace = generate_trace(benchmark_by_name("mcf"), TEST_TRACE_LENGTH)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with mock.patch.object(core_module, "DetailedCore", RecordingCore):
+            commit_times, events = fixed_latency_run(
+                trace, default_core_config(), 100)
+        assert len(commit_times) == len(trace) and events
+        assert len(refs) == 3
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()

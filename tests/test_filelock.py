@@ -19,6 +19,9 @@ from repro.sim.modelstore import ModelStore
 _PROCESSES = 4
 _INCREMENTS = 25
 
+#: The fields of the one-key records these tests store.
+IPC = {"ipc": (float,)}
+
 
 def _locked_increments(root: str, count: int) -> None:
     lock = FileLock(Path(root) / ".write.lock")
@@ -68,14 +71,16 @@ def test_modelstore_writes_under_its_writer_lock(tmp_path):
     store = ModelStore(tmp_path / "models")
     assert store.writer_lock() is store.writer_lock()
     store.save_record("calib", "gcc-LRU", "0" * 16, {"ipc": 1.0})
-    assert store.load_record("calib", "gcc-LRU", "0" * 16) == {"ipc": 1.0}
+    assert store.load_record("calib", "gcc-LRU", "0" * 16, IPC) == \
+        {"ipc": 1.0}
     assert (tmp_path / "models" / ".write.lock").exists()
     # A caller-held lock spans the whole read-modify-write; internal
     # saves re-enter it rather than deadlocking.
     with store.writer_lock():
-        if store.load_record("probe", "DIP", "1" * 16) is None:
-            store.save_record("probe", "DIP", "1" * 16, {"protection": 0.5})
-    assert store.load_record("probe", "DIP", "1" * 16) == {"protection": 0.5}
+        if store.load_record("calib", "gcc-DIP", "1" * 16, IPC) is None:
+            store.save_record("calib", "gcc-DIP", "1" * 16, {"ipc": 0.5})
+    assert store.load_record("calib", "gcc-DIP", "1" * 16, IPC) == \
+        {"ipc": 0.5}
 
 
 def test_modelstore_pickles_without_its_lock_handle(tmp_path):
@@ -85,4 +90,5 @@ def test_modelstore_pickles_without_its_lock_handle(tmp_path):
     assert clone.root == store.root
     assert not clone.writer_lock().held
     clone.save_record("calib", "mcf-LRU", "2" * 16, {"ipc": 0.5})
-    assert store.load_record("calib", "mcf-LRU", "2" * 16) == {"ipc": 0.5}
+    assert store.load_record("calib", "mcf-LRU", "2" * 16, IPC) == \
+        {"ipc": 0.5}

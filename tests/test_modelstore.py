@@ -77,12 +77,10 @@ def test_calibration_and_probe_round_trip(tmp_path):
     cold = AnalyticModelBuilder(TRACE, 0, store=store)
     config = uncore_config_for_cores(2, "DIP")
     calibration = cold.calibrate("gcc", config)
-    protection = cold.protection(config)
     assert cold.calibration_runs > 0
 
     warm = AnalyticModelBuilder(TRACE, 0, store=store)
     assert warm.calibrate("gcc", config) == calibration
-    assert warm.protection(config) == protection
     assert warm.calibration_runs == 0
     assert warm.badco.training_runs == 0
 
@@ -153,13 +151,23 @@ def test_model_store_dir_stays_out_of_the_cache_key(tmp_path):
     assert plain.cache_key == stored.cache_key
 
 
-def test_load_record_rejects_non_mapping(tmp_path):
+def test_load_record_rejects_non_mapping(tmp_path, caplog):
     store = ModelStore(tmp_path)
+    fields = {"ipc": (float,)}
     store.save_record("calib", "gcc-LRU", "sig", {"ipc": 1.0})
+    assert store.load_record("calib", "gcc-LRU", "sig", fields) == \
+        {"ipc": 1.0}
     path = store.record_path("calib", "gcc-LRU", "sig")
     path.write_text("[1, 2, 3]")
-    assert store.load_record("calib", "gcc-LRU", "sig") is None
-    assert store.load_record("calib", "missing", "sig") is None
+    with caplog.at_level("WARNING", logger="repro.sim.modelstore"):
+        assert store.load_record("calib", "gcc-LRU", "sig", fields) is None
+    (record,) = caplog.records
+    assert str(path) in record.getMessage()
+    caplog.clear()
+    # A plain miss is silent.
+    with caplog.at_level("WARNING", logger="repro.sim.modelstore"):
+        assert store.load_record("calib", "missing", "sig", fields) is None
+    assert caplog.records == []
 
 
 def test_badzip_store_entry_falls_back_to_training(tmp_path):
@@ -230,7 +238,7 @@ def test_unusable_entry_retrains_with_one_warning(tmp_path, caplog, kind,
     assert str(path) in record.getMessage()
 
 
-def test_corrupt_calibration_values_fall_back_to_running(tmp_path):
+def test_corrupt_calibration_values_fall_back_to_running(tmp_path, caplog):
     import json
 
     from repro.mem.uncore import uncore_config_for_cores
@@ -246,8 +254,11 @@ def test_corrupt_calibration_values_fall_back_to_running(tmp_path):
                                 "miss_ratio": 0.1,
                                 "extra_per_miss": True}))
     warm = AnalyticModelBuilder(TRACE, 0, store=store)
-    assert warm.calibrate("gcc", config) == calibration
+    with caplog.at_level("WARNING", logger="repro.sim.modelstore"):
+        assert warm.calibrate("gcc", config) == calibration
     assert warm.calibration_runs == 1       # re-ran, did not serve garbage
+    (record,) = caplog.records
+    assert str(path) in record.getMessage()
 
 
 def _vector_record(store, builder, benchmark="gcc"):
@@ -281,7 +292,8 @@ def test_vector_record_round_trips_bit_exactly(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("damage", ["missing", "corrupt", "wrong-types",
                                     "wrong-fields"])
-def test_bad_vector_record_is_rederived_identically(tmp_path, damage):
+def test_bad_vector_record_is_rederived_identically(tmp_path, caplog,
+                                                    damage):
     import json
 
     store = ModelStore(tmp_path)
@@ -300,7 +312,16 @@ def test_bad_vector_record_is_rederived_identically(tmp_path, damage):
         payload["extra"] = 1
         path.write_text(json.dumps(payload))
     warm = AnalyticModelBuilder(TRACE, 0, store=store)
-    assert warm.vectors("gcc") == vector
+    with caplog.at_level("WARNING", logger="repro.sim.modelstore"):
+        assert warm.vectors("gcc") == vector
+    # A present but unusable record logs one warning naming it; a
+    # missing one is a silent miss.
+    messages = [record.getMessage() for record in caplog.records]
+    if damage == "missing":
+        assert messages == []
+    else:
+        (message,) = messages
+        assert str(path) in message
     # Re-derived from the stored node model (no retraining) and saved
     # back, so the next builder reads a good record again.
     assert warm.badco.training_runs == 0

@@ -96,8 +96,7 @@ def test_policy_is_constructed_from_config():
 
 @pytest.fixture(scope="module")
 def builders():
-    """Warm BADCO and interval builders (training makes reference
-    cycles of its own, in the detailed core, so it runs out here)."""
+    """Warm BADCO and interval builders, trained once for every case."""
     badco = BadcoModelBuilder(TEST_TRACE_LENGTH, 0)
     interval = IntervalProfileBuilder(TEST_TRACE_LENGTH, 0)
     for benchmark in ("bwaves", "mcf"):
@@ -118,6 +117,12 @@ def _interval_run(builders):
         Workload(["bwaves", "mcf"]))
 
 
+def _detailed_run(builders):
+    detailed.DetailedSimulator(2, "DRRIP",
+                               trace_length=TEST_TRACE_LENGTH).run(
+        Workload(["bwaves", "mcf"]))
+
+
 def _anchor(builders):
     builders[0].anchor("mcf", uncore_config_for_cores(2, "LRU"))
 
@@ -125,9 +130,10 @@ def _anchor(builders):
 @pytest.mark.parametrize("run, module", [
     (_badco_run, detailed),
     (_interval_run, detailed),
+    (_detailed_run, detailed),
     (_anchor, badco_model),
 ], ids=["BadcoSimulator.run", "IntervalSimulator.run",
-        "BadcoModelBuilder.anchor"])
+        "DetailedSimulator.run", "BadcoModelBuilder.anchor"])
 def test_a_runs_uncore_is_freed_by_reference_counting(builders, run, module):
     """No reference cycle keeps a run's uncore alive until the cyclic
     collector runs: the uncore, its LLC and its stream prefetcher are
