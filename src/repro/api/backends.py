@@ -14,12 +14,18 @@ simulator and builder classes:
   panels in a handful of NumPy calls (see :mod:`repro.sim.analytic`).
 
 Every simulator scores a grid through ``run_batch(workloads) ->
-BatchRun``; the campaign engine calls it once per policy (or per row
-chunk on its process pool).  Backends that can also batch the policy
-dimension declare ``supports_policy_axis = True`` and expose
-``run_batch_grid(workloads, policies) -> GridRun`` (one N x P x K
-call); the engine then collapses its per-policy loop into a single
-dispatch whenever every policy shares the same pending workloads.
+BatchRun``, the workloads a sequence or a code matrix; the campaign
+engine calls it once per policy (or per row chunk on its process pool).
+Backends that can also batch the policy dimension declare
+``supports_policy_axis = True`` and expose ``run_batch_grid(workloads,
+policies) -> GridRun`` (one N x P x K call); the engine then collapses
+its per-policy loop into a single dispatch whenever every policy shares
+the same pending workloads.  The builtin ones take the flag from their
+simulator class: ``analytic`` scores the policy axis in its array
+expression, and ``badco`` and ``interval`` run each row once until its
+LLC first fills a set, then fork it per policy (see
+:mod:`repro.sim.detailed`).  ``detailed`` runs a row per policy: its
+cores' pipelines cannot be copied.
 
 Third-party simulators plug in without touching this package::
 
@@ -50,7 +56,8 @@ class SimulatorBackend(Protocol):
 
     The simulator object returned by :meth:`make_simulator` must offer
     ``run_batch(workloads) -> BatchRun`` (the N x K panel of a workload
-    sequence, in row order) and ``reference_ipc(benchmark) -> float``.
+    sequence, in row order; a code matrix on a backend that declares
+    ``supports_policy_axis``) and ``reference_ipc(benchmark) -> float``.
     An event-driven simulator gets both, and ``run``, by subclassing
     :class:`~repro.sim.detailed.EventDrivenSimulator` and giving
     ``_stepper(benchmark, port)``, as
@@ -78,19 +85,20 @@ class BuiltinBackend:
     """One shipped simulator family: its simulator and builder classes.
 
     Args:
-        simulator: the simulator class; its ``name`` names the backend.
+        simulator: the simulator class; its ``name`` names the backend
+            and its ``supports_policy_axis`` says whether it scores a
+            grid in one ``run_batch_grid`` call (see
+            :func:`backend_supports_policy_axis`).
         builder: the shared model builder class, built from
             ``(trace_length, seed)``, or None if the family needs none.
-        supports_policy_axis: whether its simulators offer
-            ``run_batch_grid`` (see :func:`backend_supports_policy_axis`).
     """
 
-    def __init__(self, simulator: type, builder: Optional[type] = None,
-                 supports_policy_axis: bool = False) -> None:
+    def __init__(self, simulator: type,
+                 builder: Optional[type] = None) -> None:
         self.name = simulator.name
         self.simulator = simulator
         self.builder = builder
-        self.supports_policy_axis = supports_policy_axis
+        self.supports_policy_axis = simulator.supports_policy_axis
 
     def make_builder(self, trace_length: int, seed: int) -> Optional[Any]:
         return (None if self.builder is None
@@ -175,5 +183,4 @@ def backend_names() -> Tuple[str, ...]:
 register_backend(BuiltinBackend(DetailedSimulator))
 register_backend(BuiltinBackend(BadcoSimulator, BadcoModelBuilder))
 register_backend(BuiltinBackend(IntervalSimulator, IntervalProfileBuilder))
-register_backend(BuiltinBackend(AnalyticSimulator, AnalyticModelBuilder,
-                                supports_policy_axis=True))
+register_backend(BuiltinBackend(AnalyticSimulator, AnalyticModelBuilder))

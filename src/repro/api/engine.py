@@ -17,10 +17,14 @@ There is one grid path.  Every simulator scores a policy's pending rows
 with one ``run_batch`` call (or ``jobs`` contiguous row chunks) and the
 panel streams into the results via
 :meth:`~repro.sim.results.PopulationResults.record_batch`.  Backends
-declaring ``supports_policy_axis`` (the analytic one) take code rows
-directly and score the rows several policies share with one
-``run_batch_grid`` N x P x K dispatch; each policy's slice is
-bit-identical to its single-policy panel.
+declaring ``supports_policy_axis`` take code rows directly and score
+the rows several policies share with one ``run_batch_grid`` N x P x K
+dispatch; each policy's slice is bit-identical to its single-policy
+panel.  The analytic backend evaluates the policy axis in one array
+expression; BADCO and interval run each row once until its LLC first
+fills a set and then fork it per policy (:mod:`repro.sim.detailed`),
+so a two-policy refine is one call.  The detailed backend scores a
+policy per call.
 
 With ``jobs>1`` the chunks fan out over a
 :class:`concurrent.futures.ProcessPoolExecutor` -- the only process
@@ -112,7 +116,7 @@ def _worker_simulator(policy: str):
 
 def _batch_input(backend: SimulatorBackend, rows: CodeMatrix):
     """What a backend's ``run_batch`` takes: policy-axis backends score
-    code rows directly, event-driven ones need workload objects."""
+    code rows directly, the others get workload objects."""
     if backend_supports_policy_axis(backend):
         return rows
     return rows.workloads()

@@ -592,10 +592,12 @@ class Session:
         an analytic screen that flattens a region to zero (the known
         scaled-trace caveat) cannot hide that region from refinement.
 
-        The refine pass runs through the campaign engine, so with
-        ``jobs > 1`` the selected rows are chunk-sharded over the
-        engine's process pool, one ``run_batch`` call per chunk --
-        results are bit-identical for any ``jobs``.
+        The refine pass runs through the campaign engine: both
+        policies' rows go to a ``badco`` or ``interval`` backend as one
+        ``run_batch_grid`` call, each row running once until its LLC
+        first fills a set, and with ``jobs > 1`` the selected rows are
+        chunk-sharded over the engine's process pool, one grid call
+        per chunk -- results are bit-identical for any ``jobs``.
 
         Args:
             baseline / candidate / metric / cores / sample / draws /

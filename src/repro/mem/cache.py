@@ -13,13 +13,19 @@ line, per-way state lives in flat lists indexed by slot (``set * ways +
 way``), and a per-set valid count names the next invalid way (ways fill
 in order and are never invalidated).  The completion times of
 outstanding fills sit in a min-heap for MSHR accounting.  The geometry
-is copied into plain attributes, and the policy's hooks bound, at
-construction.
+is copied into plain attributes at construction, and the policy's hooks
+bound there and by :meth:`Cache.use_policy`.
+
+A cache counts its full sets (:attr:`Cache.full_sets`): until the first
+set fills, no fill has asked the policy for a victim, so every policy
+has seen the same accesses.  :meth:`Cache.copy_from` gives a freshly
+built cache another one's lines, which is how a run forks per policy
+(see :mod:`repro.sim.detailed`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
 
@@ -105,22 +111,14 @@ class Cache:
 
     def __init__(self, config: CacheConfig, policy: ReplacementPolicy,
                  next_level: Optional[NextLevel] = None) -> None:
-        if policy.num_sets != config.num_sets or policy.ways != config.ways:
-            raise ValueError(
-                f"policy sized {policy.num_sets}x{policy.ways} does not match "
-                f"cache {config.num_sets}x{config.ways}")
         self.config = config
-        self.policy = policy
-        self._on_hit = policy.on_hit
-        self._on_miss = policy.on_miss
-        self._on_fill = policy.on_fill
-        self._victim = policy.victim
-        self.next_level = next_level
-        self.stats = CacheStats()
         sets = config.num_sets
         ways = config.ways
         self.num_sets = sets
         self.ways = ways
+        self.use_policy(policy)
+        self.next_level = next_level
+        self.stats = CacheStats()
         self.latency = config.latency
         self.mshr_entries = config.mshr_entries
         self.writeback = config.writeback
@@ -140,6 +138,45 @@ class Cache:
         # Min-heap of outstanding fills' completion times, for MSHR
         # accounting; pruned lazily, only when it looks full.
         self._outstanding: List[int] = []
+        #: Sets whose every way holds a line (ways are never
+        #: invalidated, so this only grows).  While it is 0 no fill has
+        #: called the policy's ``victim``.
+        self.full_sets = 0
+
+    def use_policy(self, policy: ReplacementPolicy) -> None:
+        """Replace the replacement policy, from the next access on.
+
+        The cache reads a policy only through ``victim`` and the hooks
+        bound here, so a policy that has seen every access so far (say,
+        one fed by a tee over several) takes over where it stands.
+        """
+        if policy.num_sets != self.num_sets or policy.ways != self.ways:
+            raise ValueError(
+                f"policy sized {policy.num_sets}x{policy.ways} does not match "
+                f"cache {self.num_sets}x{self.ways}")
+        self.policy = policy
+        self._on_hit = policy.on_hit
+        self._on_miss = policy.on_miss
+        self._on_fill = policy.on_fill
+        self._victim = policy.victim
+
+    def copy_from(self, source: "Cache") -> None:
+        """Take over ``source``'s lines, fills in flight and counters.
+
+        For a cache just built with ``source``'s geometry: its policy
+        and next level stay its own, and it shares no mutable state
+        with ``source``.
+        """
+        self._slots = source._slots.copy()
+        self._valid = source._valid.copy()
+        self._lines = source._lines.copy()
+        self._dirty = source._dirty.copy()
+        self._ready = source._ready.copy()
+        self._by_prefetch = source._by_prefetch.copy()
+        self._outstanding = source._outstanding.copy()
+        for field in fields(CacheStats):
+            setattr(self.stats, field.name, getattr(source.stats, field.name))
+        self.full_sets = source.full_sets
 
     # ------------------------------------------------------------------
     # Main access paths
@@ -226,6 +263,8 @@ class Cache:
         way = self._valid[set_index]
         if way < ways:                        # prefer an invalid way
             self._valid[set_index] = way + 1
+            if way + 1 == ways:
+                self.full_sets += 1
             slot = set_index * ways + way
         else:
             way = self._victim(set_index)

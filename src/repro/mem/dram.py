@@ -73,3 +73,10 @@ class MemoryInterface:
     @property
     def total_transfers(self) -> int:
         return self.reads + self.writes
+
+    def copy_from(self, source: "MemoryInterface") -> None:
+        """Take over ``source``'s counters and bus occupancy."""
+        self.reads = source.reads
+        self.writes = source.writes
+        self.busy_cycles = source.busy_cycles
+        self._bus_free = source._bus_free

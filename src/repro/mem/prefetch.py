@@ -120,3 +120,7 @@ class StreamPrefetcher(Prefetcher):
                 for ahead in range(1, self.degree + 1):
                     self._prefetch((line + direction * ahead) * line_bytes, now)
         self._table[region] = (line, direction, confirmed)
+
+    def copy_from(self, source: "StreamPrefetcher") -> None:
+        """Take over ``source``'s stream table."""
+        self._table = source._table.copy()

@@ -19,7 +19,8 @@ class ReplacementPolicy:
       set-dueling policies to steer their selector).
 
     The cache itself prefers invalid ways, so :meth:`victim` may assume
-    the set is full of valid lines.
+    the set is full of valid lines.  A policy that ignores a hook
+    inherits the no-op here, so callers can tell it needs no call.
     """
 
     #: Canonical display name; subclasses override.
@@ -41,12 +42,11 @@ class ReplacementPolicy:
         raise NotImplementedError
 
     def on_fill(self, set_index: int, way: int) -> None:
-        """A new line was installed into (set_index, way)."""
-        raise NotImplementedError
+        """A new line was installed into (set_index, way) (default:
+        no-op)."""
 
     def on_hit(self, set_index: int, way: int) -> None:
-        """An access hit (set_index, way)."""
-        raise NotImplementedError
+        """An access hit (set_index, way) (default: no-op)."""
 
     def on_miss(self, set_index: int) -> None:
         """A demand access missed in set_index (default: no-op)."""

@@ -28,6 +28,3 @@ class FifoPolicy(ReplacementPolicy):
         # forward so eviction follows true fill order.
         if way == self._next[set_index]:
             self._next[set_index] = (way + 1) % self.ways
-
-    def on_hit(self, set_index: int, way: int) -> None:
-        pass

@@ -16,9 +16,3 @@ class RandomPolicy(ReplacementPolicy):
 
     def victim(self, set_index: int) -> int:
         return self.rng.randrange(self.ways)
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        pass
-
-    def on_hit(self, set_index: int, way: int) -> None:
-        pass

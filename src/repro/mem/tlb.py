@@ -32,6 +32,10 @@ class FrameAllocator:
         self._next_frame += 1
         return frame
 
+    def copy_from(self, source: "FrameAllocator") -> None:
+        """Continue from where ``source`` stands."""
+        self._next_frame = source._next_frame
+
 
 class PageTable:
     """Lazy virtual-to-physical mapping for one thread.

@@ -11,18 +11,19 @@ benchmarks are LLC-resident, LLC-thrashing or streaming.
 The uncore performs virtual-to-physical translation (allocating pages on
 first touch, as the paper describes for BADCO) and serves each core's L1
 miss stream through the shared LLC, one access closure per core
-(:meth:`Uncore.port`).
+(:meth:`Uncore.port`).  :meth:`Uncore.fork` copies a running uncore
+under another LLC policy, so several policies can share a run's prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import MemoryConfig, MemoryInterface
 from repro.mem.prefetch import StreamPrefetcher
-from repro.mem.replacement import make_policy
+from repro.mem.replacement import ReplacementPolicy, make_policy
 from repro.mem.tlb import PAGE_BYTES, PAGE_SHIFT, FrameAllocator, PageTable
 
 KB = 1024
@@ -63,6 +64,13 @@ class UncoreConfig:
         """A copy of this configuration under another replacement policy."""
         return replace(self, policy=policy)
 
+    @property
+    def llc(self) -> CacheConfig:
+        """The LLC's geometry and timing."""
+        return CacheConfig(name="LLC", size_bytes=self.llc_size,
+                           ways=self.llc_ways, latency=self.llc_latency,
+                           mshr_entries=self.llc_mshr_entries)
+
 
 #: Table II, scaled: cores -> (paper LLC size, latency).
 _TABLE_II = {
@@ -102,24 +110,50 @@ class Uncore:
     their :meth:`port`.  The uncore keeps no reference to its ports and
     the LLC none to the prefetcher, so a run's uncore holds no
     reference cycle and is freed as soon as its machines are.
+
+    Args:
+        config: the uncore's configuration.
+        seed: seed of the LLC policy ``config`` names.
+        policy: an LLC policy object to use instead (sized for the LLC).
     """
 
-    def __init__(self, config: UncoreConfig, seed: int = 0) -> None:
+    def __init__(self, config: UncoreConfig, seed: int = 0,
+                 policy: Optional[ReplacementPolicy] = None) -> None:
         self.config = config
         self.memory = MemoryInterface(config.memory)
-        llc_config = CacheConfig(
-            name="LLC", size_bytes=config.llc_size, ways=config.llc_ways,
-            latency=config.llc_latency, mshr_entries=config.llc_mshr_entries)
-        policy = make_policy(config.policy, llc_config.num_sets,
-                             llc_config.ways, seed=seed)
+        llc_config = config.llc
+        if policy is None:
+            policy = make_policy(config.policy, llc_config.num_sets,
+                                 llc_config.ways, seed=seed)
         self.llc = Cache(llc_config, policy, next_level=self.memory.access)
         # Frames are allocated on first touch, so eager tables are free.
-        allocator = FrameAllocator()
+        self._frames = FrameAllocator()
         self._page_tables: List[PageTable] = [
-            PageTable(allocator) for _ in range(max(config.cores, 1))]
+            PageTable(self._frames) for _ in range(max(config.cores, 1))]
         self.prefetcher = (StreamPrefetcher(self.llc)
                            if config.stream_prefetcher else None)
         self.requests_per_core: List[int] = [0] * max(config.cores, 1)
+
+    def fork(self, policy: ReplacementPolicy) -> "Uncore":
+        """A copy of this uncore whose LLC continues under ``policy``.
+
+        The copy is built through the constructors, then takes over
+        every piece of mutable state: the LLC's lines and fills in
+        flight, the bus and DRAM counters, the frame allocator and page
+        tables, the stream prefetcher's table and the request counters.
+        It shares none of it with this uncore, and cores reach it
+        through its own :meth:`port`.
+        """
+        twin = type(self)(self.config.with_policy(policy.name), policy=policy)
+        twin.llc.copy_from(self.llc)
+        twin.memory.copy_from(self.memory)
+        twin._frames.copy_from(self._frames)
+        for table, source in zip(twin._page_tables, self._page_tables):
+            table.mapping.update(source.mapping)
+        if self.prefetcher is not None:
+            twin.prefetcher.copy_from(self.prefetcher)
+        twin.requests_per_core[:] = self.requests_per_core
+        return twin
 
     def port(self, core_id: int) -> UncorePort:
         """The closure serving core ``core_id``'s L1 misses.

@@ -28,7 +28,11 @@ Five suites, written to the same ``BENCH_analytics.json`` trajectory:
   BADCO campaign grid on the engine's process pool at ``jobs`` 1, 2
   and 0 (``sim-batch-parallel-jobs1`` / ``-jobs2`` / ``-auto``,
   bit-identical panels; ``-auto`` is one worker per CPU -- the ratio
-  is what process fan-out buys on the host);
+  is what process fan-out buys on the host), and one five-policy BADCO
+  grid twice: per policy through ``run_batch``
+  (``sim-policy-axis-loop``) and as one grid call whose rows run once
+  until their LLC first fills a set (``sim-policy-axis-grid``; the
+  ratio is what that shared prefix saves, on any host);
 - *serve* (:func:`run_serve_bench`) -- the resident-state daemon
   (:mod:`repro.serve`): the same e2e frame answered by ``repro serve``
   over a Unix socket.  ``serve-query-cold`` is the daemon's first
@@ -50,7 +54,8 @@ Results serialise as a list of records::
 store records add ``"backend"`` and, for simulator runs, ``"mips"``.
 The scalar/columnar pairing is by name suffix
 (``estimator-random-scalar`` vs ``estimator-random-columnar``); the sim
-panel pairing is ``sim-panel-badco`` vs ``sim-panel-analytic``; the
+panel pairing is ``sim-panel-badco`` vs ``sim-panel-analytic``, the
+policy-axis one ``sim-policy-axis-loop`` vs ``sim-policy-axis-grid``; the
 store pairing is ``pop-store-cold`` vs ``pop-store-warm``; the driver
 pairing is ``e2e-8core-cold`` vs ``e2e-8core-warm``; the serve
 pairings are ``serve-query-cold`` / ``serve-oneshot-warm`` (and,
@@ -110,6 +115,9 @@ SIM_PROFILES: Dict[str, Dict[str, int]] = {
 
 #: Policies exercised by the sim suite (one scan-resistant pair).
 SIM_POLICIES = ("LRU", "DIP")
+
+#: Rows of the sim suite's five-policy BADCO grid, at either profile.
+SIM_AXIS_ROWS = 12
 
 #: Pop-suite profiles.  ``cores``/``sample`` size the 8-core
 #: enumeration / sampling measurements (the population is always the
@@ -367,6 +375,31 @@ def run_sim_bench(profile: str = "smoke",
         "the jobs=2 engine grid diverged from jobs=1"
     assert np.array_equal(panels["jobs1"], panels["auto"]), \
         "the auto-sized engine grid diverged from jobs=1"
+
+    # --- the policy axis: the paper's five policies over a slice of the
+    # population, per policy through run_batch and as one grid call
+    # (bit-equal panels; each row runs once until its LLC first fills
+    # a set, then forks per policy).
+    from repro.mem.replacement import POLICY_NAMES
+    from repro.sim.badco import BadcoSimulator
+
+    rows = workloads[:SIM_AXIS_ROWS]
+    simulators = [BadcoSimulator(cores, policy, builder=badco_builder,
+                                 trace_length=trace_length, seed=seed)
+                  for policy in POLICY_NAMES]
+    start = time.perf_counter()
+    loop = [simulator.run_batch(rows) for simulator in simulators]
+    seconds = time.perf_counter() - start
+    record("sim-policy-axis-loop", "badco", seconds,
+           sum(run.instructions for run in loop) / seconds / 1e6)
+    start = time.perf_counter()
+    grid = simulators[0].run_batch(rows, POLICY_NAMES)
+    seconds = time.perf_counter() - start
+    record("sim-policy-axis-grid", "badco", seconds,
+           grid.instructions / seconds / 1e6)
+    assert all(np.array_equal(grid.ipcs[:, column, :], run.ipcs)
+               for column, run in enumerate(loop)), \
+        "the five-policy grid diverged from its per-policy batches"
 
     # --- the analytic batch path: calibration, then one array call.
     analytic_builder = AnalyticModelBuilder(trace_length, seed,
@@ -686,6 +719,8 @@ def speedups(records: List[Dict[str, object]]) -> Dict[str, float]:
                              ("sim-batch-parallel",
                               "sim-batch-parallel-jobs1",
                               "sim-batch-parallel-jobs2"),
+                             ("sim-policy-axis", "sim-policy-axis-loop",
+                              "sim-policy-axis-grid"),
                              ("pop-store", "pop-store-cold",
                               "pop-store-warm"),
                              ("e2e-8core", "e2e-8core-cold",

@@ -45,6 +45,10 @@ THRESHOLDS: Tuple[Tuple[str, float], ...] = (
 SPEEDUP_FLOORS: Dict[str, float] = {
     "estimator-bench-strata": 2.0,
     "sim-panel": 10.0,
+    # A five-policy BADCO grid takes at least 25 % less time as one call
+    # than per policy (the rows share their run until the LLC first
+    # fills a set): 1.52-1.61x at full profile, 1.9x at smoke.
+    "sim-policy-axis": 1.33,
     "pop-store": 2.0,
     "e2e-8core": 2.0,
     "serve-query": 1.0,
@@ -68,6 +72,7 @@ TRAJECTORY_RECORDS: Tuple[str, ...] = (
     "sim-panel-badco", "sim-panel-analytic",
     "sim-batch-parallel-jobs1", "sim-batch-parallel-jobs2",
     "sim-batch-parallel-auto",
+    "sim-policy-axis-loop", "sim-policy-axis-grid",
     "pop-store-cold", "pop-store-warm",
     "e2e-8core-cold", "e2e-8core-warm",
     "e2e-two-stage", "e2e-two-stage-refine",

@@ -81,12 +81,16 @@ MAX_SAMPLE_SIZE = 1_000
 #: paper's 8-core frame (FULL's cap) is 10 000 rows.
 MAX_FRAME_ROWS = 100_000
 
-#: Refined rows of one ``estimate_two_stage`` (``refine_budget``, or
-#: ``refine_frac`` x the frame).  Each is one BADCO run: on a warm FULL
-#: 8-core store a refine takes ≈ 0.53-0.67 s per row (21.4-21.6 s for
-#: 40 rows, 5.1-5.3 s for 8; 2-CPU host, uncalibrated), so this bound
-#: keeps a request near the ≈ 25 s of MAX_SAMPLE_SIZE; the largest
-#: budget the repo uses (the ``e2e`` bench suite's) is 40.
+#: Rows one estimate scores on an event-driven simulator: the refined
+#: rows of an ``estimate_two_stage`` (``refine_budget``, or
+#: ``refine_frac`` x the frame), and the whole frame of an estimate
+#: whose ``backend`` (or ``screen_backend``) is not ``analytic``.  Each
+#: row is one BADCO run shared by both policies up to the LLC's first
+#: full set: on a warm FULL 8-core store a refine takes ≈ 0.27-0.35 s
+#: per row (10.7-14.0 s for 40 rows, against 16.4-17.6 s when each
+#: policy ran alone; 2-CPU host, uncalibrated), so this bound keeps a
+#: request well under the ≈ 25 s of MAX_SAMPLE_SIZE; the largest budget
+#: the repo uses (the ``e2e`` bench suite's) is 40.
 MAX_REFINE_ROWS = 40
 
 
@@ -136,59 +140,76 @@ def read_message(stream: IO[bytes],
     return decode_line(line)
 
 
+def _integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _frame_rows(params: Dict[str, Any]) -> Optional[int]:
+    """The rows of a request's frame: ``sample``, else the scale's cap,
+    but never more rows than the population of the named benchmarks
+    (else the suite's) has; None when the request does not say."""
+    sample = params.get("sample")
+    frame = sample if _integer(sample) else None
+    cores = params.get("cores", DEFAULT_CORES)
+    if not (_integer(cores) and cores >= 1):
+        return frame
+    if frame is None:
+        frame = scale_parameters(params.get(
+            "scale", DEFAULT_SCALE)).population_cap.get(cores)
+    named = params.get("benchmarks")
+    count = (len(named) if isinstance(named, (list, tuple)) and named
+             else len(benchmark_names()))
+    if frame is not None:
+        frame = min(frame, multiset_count(count, cores))
+    return frame
+
+
 def check_estimate_bounds(params: Dict[str, Any]) -> None:
     """Raise a ValueError naming the parameter and its bound when an
     ``estimate`` / ``estimate_two_stage`` request is oversize.
 
-    Only integer values are checked (and a ``refine_frac`` in (0, 1]);
-    a value of another type passes through, and the estimate itself
-    rejects it, alone.
+    Only integer values are checked (and a ``refine_frac`` in (0, 1],
+    and a ``backend`` or ``screen_backend`` named by a string); a value
+    of another type passes through, and the estimate itself rejects it,
+    alone.
     """
-    def integer(value: Any) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
-
     sample = params.get("sample")
-    if integer(sample) and sample > MAX_FRAME_ROWS:
+    if _integer(sample) and sample > MAX_FRAME_ROWS:
         raise ValueError(f"sample={sample} exceeds MAX_FRAME_ROWS "
                          f"({MAX_FRAME_ROWS})")
     budget = params.get("refine_budget")
-    if integer(budget) and budget > MAX_REFINE_ROWS:
+    if _integer(budget) and budget > MAX_REFINE_ROWS:
         raise ValueError(f"refine_budget={budget} exceeds MAX_REFINE_ROWS "
                          f"({MAX_REFINE_ROWS})")
+    frame = _frame_rows(params)
     frac = params.get("refine_frac")
-    if isinstance(frac, (int, float)) and 0 < frac <= 1:
-        # The frame: ``sample``, else the scale's cap, but never more
-        # rows than the population of the named benchmarks (else the
-        # suite's) has.
-        frame = sample if integer(sample) else None
-        cores = params.get("cores", DEFAULT_CORES)
-        if integer(cores) and cores >= 1:
-            if frame is None:
-                frame = scale_parameters(params.get(
-                    "scale", DEFAULT_SCALE)).population_cap.get(cores)
-            named = params.get("benchmarks")
-            count = (len(named) if isinstance(named, (list, tuple)) and named
-                     else len(benchmark_names()))
-            if frame is not None:
-                frame = min(frame, multiset_count(count, cores))
-        if frame is not None and round(frac * frame) > MAX_REFINE_ROWS:
-            raise ValueError(f"refine_frac={frac} of a {frame}-row frame "
-                             f"is {round(frac * frame)} rows, more than "
-                             f"MAX_REFINE_ROWS ({MAX_REFINE_ROWS})")
+    if (isinstance(frac, (int, float)) and 0 < frac <= 1
+            and frame is not None and round(frac * frame) > MAX_REFINE_ROWS):
+        raise ValueError(f"refine_frac={frac} of a {frame}-row frame "
+                         f"is {round(frac * frame)} rows, more than "
+                         f"MAX_REFINE_ROWS ({MAX_REFINE_ROWS})")
+    for key in ("backend", "screen_backend"):
+        backend = params.get(key)
+        if (isinstance(backend, str) and backend != "analytic"
+                and frame is not None and frame > MAX_REFINE_ROWS):
+            raise ValueError(f"{key}={backend!r} scores the whole "
+                             f"{frame}-row frame on an event-driven "
+                             f"simulator, more than MAX_REFINE_ROWS "
+                             f"({MAX_REFINE_ROWS}) rows")
     sizes = params.get("sample_sizes", DEFAULT_SAMPLE_SIZES)
     if not isinstance(sizes, (list, tuple)):
         return
     if len(sizes) > MAX_SAMPLE_SIZES:
         raise ValueError(f"sample_sizes has {len(sizes)} entries, more "
                          f"than MAX_SAMPLE_SIZES ({MAX_SAMPLE_SIZES})")
-    sizes = [size for size in sizes if integer(size)]
+    sizes = [size for size in sizes if _integer(size)]
     if sizes and max(sizes) > MAX_SAMPLE_SIZE:
         raise ValueError(f"sample_sizes entry {max(sizes)} exceeds "
                          f"MAX_SAMPLE_SIZE ({MAX_SAMPLE_SIZE})")
     draws = params.get("draws")
     if draws is None:
         draws = scale_parameters(params.get("scale", DEFAULT_SCALE)).draws
-    if integer(draws) and draws * sum(sizes) > MAX_DRAWN_ROWS:
+    if _integer(draws) and draws * sum(sizes) > MAX_DRAWN_ROWS:
         raise ValueError(f"draws x sum(sample_sizes) = {draws} x "
                          f"{sum(sizes)} drawn rows exceeds MAX_DRAWN_ROWS "
                          f"({MAX_DRAWN_ROWS})")

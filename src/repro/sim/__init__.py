@@ -4,10 +4,13 @@ Four simulator families behind one interface
 (``run_batch(workloads) -> BatchRun`` / ``reference_ipc(benchmark)``),
 mirroring and extending the paper's Zesto / BADCO pair.  The three
 event-driven ones inherit one ``run``, ``run_batch`` (the serial loop
-over ``run``) and standalone ``reference_ipc`` from
-:class:`~repro.sim.detailed.EventDrivenSimulator` and differ only in
-the machine each core runs; the two trained ones build their models
-through one :class:`~repro.sim.detailed.TrainedModelBuilder`:
+over the workloads, which also scores several policies per row as an
+N x P x K :class:`~repro.sim.detailed.GridRun`) and standalone
+``reference_ipc`` from :class:`~repro.sim.detailed.EventDrivenSimulator`
+and differ only in the machine each core runs; BADCO and interval run a
+row's policies together until the LLC first fills a set.  The two
+trained ones build their models through one
+:class:`~repro.sim.detailed.TrainedModelBuilder`:
 
 - :class:`~repro.sim.detailed.DetailedSimulator` -- the slow ground
   truth: out-of-order cores (``repro.cpu``) sharing an uncore;
@@ -28,7 +31,12 @@ wall-clock / MIPS accounting (Table III) -- live in
 backend in the :data:`repro.api.BACKENDS` registry.
 """
 
-from repro.sim.detailed import BatchRun, DetailedSimulator, WorkloadRun
+from repro.sim.detailed import (
+    BatchRun,
+    DetailedSimulator,
+    GridRun,
+    WorkloadRun,
+)
 from repro.sim.badco import BadcoModel, BadcoModelBuilder, BadcoSimulator
 from repro.sim.interval import IntervalProfileBuilder, IntervalSimulator
 from repro.sim.analytic import AnalyticModelBuilder, AnalyticSimulator
@@ -45,5 +53,6 @@ __all__ = [
     "AnalyticModelBuilder",
     "AnalyticSimulator",
     "BatchRun",
+    "GridRun",
     "PopulationResults",
 ]

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Dict, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from repro.core.codematrix import CodeMatrix
 from repro.core.workload import Workload
 from repro.mem.uncore import UncoreConfig, uncore_config_for_cores
 from repro.sim.badco.model import BadcoModelBuilder, Calibration
-from repro.sim.detailed import BatchRun, WorkloadRun
+from repro.sim.detailed import BatchRun, GridRun, WorkloadRun
 
 #: Bus utilisation is clipped below saturation so the queueing term
 #: stays finite; beyond this the linear-rate estimate is meaningless
@@ -112,35 +112,6 @@ def _flatten(model) -> BenchmarkVector:
         uops=model.trace_length, intrinsic=intrinsic,
         sensitivity=sensitivity, requests=requests,
         footprint_lines=max(len(lines), 1))
-
-
-@dataclass
-class GridRun:
-    """Outcome of one (workloads x policies) grid evaluated at once.
-
-    The policy-axis counterpart of :class:`BatchRun`: one dispatch
-    scores every workload under every policy, so the campaign engine's
-    per-policy loop collapses into a single dispatch.
-
-    Attributes:
-        workloads: the simulated rows, in row order (as given: a
-            workload tuple or a code matrix).
-        policies: the policies, in axis-1 order.
-        ipcs: the N x P x K float64 IPC panel.
-        instructions: modelled uops over the whole grid.
-        wall_seconds: host wall-clock time of the array evaluation.
-    """
-
-    workloads: Union[Tuple[Workload, ...], CodeMatrix]
-    policies: Tuple[str, ...]
-    ipcs: np.ndarray
-    instructions: int
-    wall_seconds: float
-
-    def panel(self, policy: str) -> np.ndarray:
-        """The N x K slice of one policy (bit-identical to its
-        single-policy :meth:`AnalyticSimulator.run_batch` panel)."""
-        return self.ipcs[:, self.policies.index(policy), :]
 
 
 class AnalyticModelBuilder:
@@ -291,6 +262,8 @@ class AnalyticSimulator:
     """
 
     name = "analytic"
+    #: The engine hands this family a whole grid (:meth:`run_batch_grid`).
+    supports_policy_axis = True
 
     def __init__(self, cores: int, policy: str = "LRU",
                  builder: Optional[AnalyticModelBuilder] = None,

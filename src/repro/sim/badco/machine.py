@@ -13,7 +13,8 @@ bandwidth.  The machine exposes the same stepper interface as
 (:func:`repro.sim.detailed.interleave`) steps either kind of core: an
 ``advance`` past the last node rewinds the sequence itself (the paper's
 multiprogram restart).  Its uncore callback is the core's
-:meth:`repro.mem.uncore.Uncore.port`.
+:meth:`repro.mem.uncore.Uncore.port`, and :meth:`BadcoMachine.copy`
+continues it behind another uncore's port when a run forks per policy.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class BadcoMachine:
     """
 
     def __init__(self, model: BadcoModel, uncore_access: UncorePort,
-                 start_time: int = 0) -> None:
+                 start_time: float = 0) -> None:
         self.model = model
         self._nodes = model.nodes
         self._uncore_access = uncore_access
@@ -44,6 +45,13 @@ class BadcoMachine:
     @property
     def local_time(self) -> float:
         return self._time
+
+    def copy(self, uncore_access: UncorePort) -> "BadcoMachine":
+        """This machine where it stands, behind another uncore port."""
+        twin = BadcoMachine(self.model, uncore_access, self._time)
+        twin.position = self.position
+        twin.executed = self.executed
+        return twin
 
     def advance(self) -> float:
         """Execute the next node; returns the machine's new local time.

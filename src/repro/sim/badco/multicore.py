@@ -41,6 +41,7 @@ class BadcoSimulator(EventDrivenSimulator):
     """
 
     name = "badco"
+    supports_policy_axis = True
 
     def __init__(self, cores: int, policy: str = "LRU",
                  builder: Optional[BadcoModelBuilder] = None,

@@ -31,16 +31,26 @@ detailed core).
 Every simulator has the same batch entry point, ``run_batch(workloads)
 -> BatchRun``: the analytic one scores a panel in one array call, and
 the event-driven ones inherit :meth:`EventDrivenSimulator.run_batch`,
-the serial loop over ``run``.  The campaign engine calls it once per
-policy, inside its own process pool when ``jobs > 1``.
+the serial loop over the workloads.  Given several policies, it scores
+each row under all of them (an N x P x K :class:`GridRun`).  On the
+BADCO and interval simulators, which declare ``supports_policy_axis``,
+a row's policies share one run until the LLC first fills a set -- until
+then no policy has been asked for a victim, so all of them have seen
+the same accesses -- and each policy then finishes on its own copy of
+the run (:meth:`EventDrivenSimulator._score`).  Every answer equals the
+policy's own run bit for bit.  The campaign engine hands those two
+backends a grid in one call, and the detailed one a call per policy,
+inside its own process pool when ``jobs > 1``.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -50,6 +60,7 @@ from repro.core.codematrix import CodeMatrix
 from repro.core.workload import Workload
 from repro.cpu.core import DetailedCore, RequestEvent, fixed_latency_run
 from repro.cpu.resources import CoreConfig, default_core_config
+from repro.mem.replacement import ReplacementPolicy, make_policy
 from repro.mem.uncore import (
     Uncore,
     UncoreConfig,
@@ -107,6 +118,36 @@ class BatchRun:
     wall_seconds: float
 
 
+@dataclass
+class GridRun:
+    """Outcome of one (workloads x policies) grid scored in one call.
+
+    The policy-axis counterpart of :class:`BatchRun`: one dispatch
+    scores every workload under every policy, so the campaign engine's
+    per-policy loop collapses into a single dispatch.
+
+    Attributes:
+        workloads: the simulated rows, in row order (as given: a
+            workload tuple or a code matrix).
+        policies: the policies, in axis-1 order.
+        ipcs: the N x P x K float64 IPC panel.
+        instructions: simulated (or modelled) uops over the whole grid,
+            each policy's counted as its own run would count them.
+        wall_seconds: host wall-clock time the grid took.
+    """
+
+    workloads: Union[Tuple[Workload, ...], CodeMatrix]
+    policies: Tuple[str, ...]
+    ipcs: np.ndarray
+    instructions: int
+    wall_seconds: float
+
+    def panel(self, policy: str) -> np.ndarray:
+        """The N x K slice of one policy (bit-identical to its
+        single-policy ``run_batch`` panel)."""
+        return self.ipcs[:, self.policies.index(policy), :]
+
+
 class _MeasuredThread:
     """Measurement bookkeeping for one core's first pass.
 
@@ -150,7 +191,8 @@ class _MeasuredThread:
         return (self.quota - self.warmup) / max(cycles, 1.0)
 
 
-def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread]) -> None:
+def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread],
+               until: Optional[Callable[[], bool]] = None) -> bool:
     """Advance steppers in global time order until every meter has measured.
 
     A stepper (detailed core, BADCO or interval machine) has
@@ -164,12 +206,23 @@ def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread]) -> None:
     ``(local time, core index)``, whose top is exactly that thread;
     finished threads' local times and the bound ``advance`` methods live
     in local lists, so a step reads no attribute of an idle thread.
+
+    Between steps those lists hold nothing the steppers and meters do
+    not: the heap is the unmeasured threads at their local times, and
+    the finished list the measured ones.  So the loop resumes exactly:
+    with ``until``, it returns False at the first step boundary where
+    ``until()`` is true and some thread is still unmeasured, and a
+    later call on the same steppers and meters -- or on copies of them
+    -- carries on from there.  It returns True once every meter has
+    measured.
     """
     times = [stepper.local_time for stepper in steppers]
     advances = [stepper.advance for stepper in steppers]
-    running = [(local, index) for index, local in enumerate(times)]
+    running = [(times[index], index) for index, meter in enumerate(meters)
+               if meter.end_time is None]
     heapify(running)
-    finished: List[int] = []
+    finished = [index for index, meter in enumerate(meters)
+                if meter.end_time is not None]
     while running:
         best_time, best = running[0]
         for i in finished:
@@ -185,6 +238,82 @@ def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread]) -> None:
             times[best] = now
             finished.append(best)
             finished.sort()
+        if until is not None and running and until():
+            return False
+    return True
+
+
+class _NoVictim(Exception):
+    """A :class:`_PolicyTee` was asked for a victim."""
+
+
+def _hooks(policies: Sequence[ReplacementPolicy], name: str) -> list:
+    """The policies' bound ``name`` hooks, less the base class's no-ops."""
+    idle = getattr(ReplacementPolicy, name)
+    return [getattr(policy, name) for policy in policies
+            if getattr(type(policy), name) is not idle]
+
+
+class _PolicyTee:
+    """Several LLC policies fed the same hook calls, until a victim.
+
+    Every hook call reaches every policy, in order; a hook a policy
+    leaves to the base class's no-op is skipped, and a hook only one
+    policy uses is bound directly.  The hooks change only a policy's
+    own state (BIP's, DIP's and DRRIP's RNG draws and SHIP's
+    miss-to-fill signature included; RND draws only in ``victim``), and
+    the cache reads a policy only through ``victim``, so until that
+    call each policy stands exactly where a run of its own would have
+    it.  The tee cannot pick one victim for all of them: ``victim``
+    raises :class:`_NoVictim`.
+    """
+
+    def __init__(self, policies: Sequence[ReplacementPolicy]) -> None:
+        self.num_sets = policies[0].num_sets
+        self.ways = policies[0].ways
+        hits = _hooks(policies, "on_hit")
+        misses = _hooks(policies, "on_miss")
+        fills = _hooks(policies, "on_fill")
+
+        def on_hit(set_index: int, way: int) -> None:
+            for hook in hits:
+                hook(set_index, way)
+
+        def on_miss(set_index: int) -> None:
+            for hook in misses:
+                hook(set_index)
+
+        def on_fill(set_index: int, way: int) -> None:
+            for hook in fills:
+                hook(set_index, way)
+
+        self.on_hit = hits[0] if len(hits) == 1 else on_hit
+        self.on_miss = misses[0] if len(misses) == 1 else on_miss
+        self.on_fill = fills[0] if len(fills) == 1 else on_fill
+
+    def victim(self, set_index: int) -> int:
+        raise _NoVictim(set_index)
+
+
+#: One policy's outcome on one workload: per-core IPCs and uops executed.
+_Outcome = Tuple[List[float], int]
+
+
+def _outcome(steppers: Sequence, meters: Sequence[_MeasuredThread]
+             ) -> _Outcome:
+    return ([meter.ipc() for meter in meters],
+            sum(stepper.executed for stepper in steppers))
+
+
+def _resume(uncore: Uncore, steppers: Sequence,
+            meters: Sequence[_MeasuredThread]) -> _Outcome:
+    """Finish a run on a fork of its uncore, from copies of its
+    steppers and meters (which stay as they are)."""
+    steppers = [stepper.copy(uncore.port(core_id))
+                for core_id, stepper in enumerate(steppers)]
+    meters = [copy.copy(meter) for meter in meters]
+    interleave(steppers, meters)
+    return _outcome(steppers, meters)
 
 
 class EventDrivenSimulator:
@@ -195,7 +324,9 @@ class EventDrivenSimulator:
     :meth:`_stepper` makes for its benchmark, and :func:`interleave`
     runs them until every thread has measured its first pass.
     Subclasses give ``_stepper(benchmark, port)`` -- a stepper as
-    :func:`interleave` describes it -- plus whatever it needs.
+    :func:`interleave` describes it -- plus whatever it needs.  A family
+    whose steppers also ``copy(port)`` themselves declares
+    :attr:`supports_policy_axis`.
 
     Args:
         cores: number of cores K (1, 2, 4 or 8).
@@ -207,6 +338,11 @@ class EventDrivenSimulator:
         seed: trace and policy seed; fixed seeds make runs reproducible.
         uncore_config: overrides the Table II defaults for K cores.
     """
+
+    #: Whether a row's policies share one run up to the LLC's first
+    #: full set (see :meth:`_score`); the engine then hands this family
+    #: a whole grid in one ``run_batch_grid`` call.
+    supports_policy_axis = False
 
     def __init__(self, cores: int, policy: str = "LRU",
                  trace_length: int = DEFAULT_TRACE_LENGTH,
@@ -228,47 +364,105 @@ class EventDrivenSimulator:
         """The machine one core runs ``benchmark`` on, behind ``port``."""
         raise NotImplementedError
 
-    def run(self, workload: Workload) -> WorkloadRun:
-        """Simulate one workload; returns measured per-core IPCs."""
+    def _check(self, workload: Workload) -> None:
         if workload.k != self.cores:
             raise ValueError(
                 f"workload has {workload.k} threads, machine has "
                 f"{self.cores} cores")
-        return self._run(workload)
 
-    def _run(self, workload: Workload) -> WorkloadRun:
-        """:meth:`run` for any thread count (:meth:`reference_ipc` runs
-        one thread on this machine)."""
+    def run(self, workload: Workload) -> WorkloadRun:
+        """Simulate one workload; returns measured per-core IPCs."""
+        self._check(workload)
         started = time.perf_counter()
-        uncore = Uncore(self.uncore_config, seed=self.seed)
+        (ipcs, instructions), = self._score(workload, (self.policy,))
+        return WorkloadRun(workload, ipcs, instructions,
+                           time.perf_counter() - started)
+
+    def _score(self, workload: Workload,
+               policies: Sequence[str]) -> List[_Outcome]:
+        """Each policy's outcome on one workload, of any thread count
+        (:meth:`reference_ipc` runs one thread on this machine).
+
+        One policy runs alone.  Several share one run, with their LLC
+        hooks fed through a :class:`_PolicyTee`, up to the first step
+        boundary at which some LLC set is full.  A run that ends before
+        that is every policy's.  Otherwise each policy but the last
+        finishes on a fork of the uncore (:meth:`Uncore.fork`) with
+        copies of the steppers and meters, one fork alive at a time,
+        and the last finishes on the original.  Should the step that
+        fills the first set also need a victim, the tee refuses and
+        every policy runs alone.  Families without
+        :attr:`supports_policy_axis` run every policy alone.
+        """
+        if len(policies) > 1 and not self.supports_policy_axis:
+            return [self._score(workload, (policy,))[0]
+                    for policy in policies]
+        llc_config = self.uncore_config.llc
+        made = [make_policy(policy, llc_config.num_sets, llc_config.ways,
+                            seed=self.seed) for policy in policies]
+        uncore = Uncore(self.uncore_config, policy=(
+            made[0] if len(made) == 1 else _PolicyTee(made)))
         steppers = [self._stepper(benchmark, uncore.port(core_id))
                     for core_id, benchmark in enumerate(workload)]
         warmup = int(self.trace_length * self.warmup_fraction)
         meters = [_MeasuredThread(warmup, self.trace_length)
                   for _ in steppers]
+        if len(made) == 1:
+            interleave(steppers, meters)
+            return [_outcome(steppers, meters)]
+        llc = uncore.llc
+        try:
+            if interleave(steppers, meters, lambda: llc.full_sets > 0):
+                return [_outcome(steppers, meters)] * len(made)
+        except _NoVictim:
+            return [self._score(workload, (policy,))[0]
+                    for policy in policies]
+        outcomes = [_resume(uncore.fork(policy), steppers, meters)
+                    for policy in made[:-1]]
+        llc.use_policy(made[-1])
         interleave(steppers, meters)
-        total_executed = sum(stepper.executed for stepper in steppers)
-        wall = time.perf_counter() - started
-        ipcs = [meter.ipc() for meter in meters]
-        return WorkloadRun(workload, ipcs, total_executed, wall)
+        return outcomes + [_outcome(steppers, meters)]
 
-    def run_batch(self, workloads: Sequence[Workload]) -> BatchRun:
+    def run_batch(self, workloads,
+                  policies: Optional[Sequence[str]] = None
+                  ) -> Union[BatchRun, GridRun]:
         """Simulate every workload in order; returns the N x K panel.
 
         Every run builds its own uncore from fixed seeds, so the panel
-        equals the stacked per-workload ``run`` results bit for bit,
-        and ``wall_seconds`` sums the per-run simulation walls.
+        equals the stacked per-workload ``run`` results bit for bit.
+        ``workloads`` is a workload sequence or a code matrix, and
+        ``wall_seconds`` the time the simulations took.
+
+        With ``policies``, every workload is scored under each of them
+        (see :meth:`_score`) and the result is the N x P x K
+        :class:`GridRun`; each policy's slice, and the uops counted for
+        it, equal its own ``run_batch`` bit for bit.
         """
+        if isinstance(workloads, CodeMatrix):
+            workloads = workloads.workloads()
         workloads = tuple(workloads)
-        ipcs = np.empty((len(workloads), self.cores), dtype=np.float64)
+        names = (self.policy,) if policies is None else tuple(policies)
+        if not names:
+            raise ValueError("need at least one policy")
+        ipcs = np.empty((len(workloads), len(names), self.cores),
+                        dtype=np.float64)
         instructions = 0
-        wall = 0.0
+        started = time.perf_counter()
         for row, workload in enumerate(workloads):
-            run = self.run(workload)
-            ipcs[row] = run.ipcs
-            instructions += run.instructions
-            wall += run.wall_seconds
-        return BatchRun(workloads, ipcs, instructions, wall)
+            self._check(workload)
+            for column, (row_ipcs, executed) in enumerate(
+                    self._score(workload, names)):
+                ipcs[row, column] = row_ipcs
+                instructions += executed
+        wall = time.perf_counter() - started
+        if policies is None:
+            return BatchRun(workloads, ipcs[:, 0, :], instructions, wall)
+        return GridRun(workloads, names, ipcs, instructions, wall)
+
+    def run_batch_grid(self, workloads, policies: Sequence[str]) -> GridRun:
+        """The N x P x K grid of ``workloads`` under ``policies``: the
+        policy-axis entry point the engine calls (:meth:`run_batch`)."""
+        return self.run_batch(workloads, policies)
 
     def reference_ipc(self, benchmark: str) -> float:
         """Single-thread IPC of a benchmark on this machine (alone).
@@ -277,7 +471,8 @@ class EventDrivenSimulator:
         on the reference machine".  The thread runs alone on one core
         of this machine, against the full uncore of its core count.
         """
-        return self._run(Workload([benchmark])).ipcs[0]
+        (ipcs, _), = self._score(Workload([benchmark]), (self.policy,))
+        return ipcs[0]
 
 
 class DetailedSimulator(EventDrivenSimulator):

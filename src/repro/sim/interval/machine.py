@@ -18,11 +18,12 @@ class IntervalMachine:
     group's latencies overlap perfectly (the interval-model MLP
     idealisation; BADCO's per-node sensitivities are finer).  An
     ``advance`` past the last interval rewinds the profile itself
-    (restart semantics).
+    (restart semantics), and :meth:`copy` continues the machine behind
+    another uncore's port.
     """
 
     def __init__(self, profile: IntervalProfile, uncore_access: UncorePort,
-                 start_time: int = 0) -> None:
+                 start_time: float = 0) -> None:
         self.profile = profile
         self._intervals = profile.intervals
         self._uncore_access = uncore_access
@@ -33,6 +34,13 @@ class IntervalMachine:
     @property
     def local_time(self) -> float:
         return self._time
+
+    def copy(self, uncore_access: UncorePort) -> "IntervalMachine":
+        """This machine where it stands, behind another uncore port."""
+        twin = IntervalMachine(self.profile, uncore_access, self._time)
+        twin.position = self.position
+        twin.executed = self.executed
+        return twin
 
     def advance(self) -> float:
         position = self.position

@@ -23,6 +23,7 @@ class IntervalSimulator(EventDrivenSimulator):
     """
 
     name = "interval"
+    supports_policy_axis = True
 
     def __init__(self, cores: int, policy: str = "LRU",
                  builder: Optional[IntervalProfileBuilder] = None,

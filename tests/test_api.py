@@ -41,7 +41,9 @@ def test_batch_capability_flags():
     from repro.api import backend_supports_policy_axis
 
     # One grid path: the engine calls run_batch on every backend, and
-    # the policy axis is its only capability flag.
+    # the policy axis is its only capability flag.  Every family but
+    # the detailed one (whose cores cannot be copied) scores a grid in
+    # one run_batch_grid call.
     for name in backend_names():
         backend = get_backend(name)
         simulator = backend.make_simulator(
@@ -49,7 +51,9 @@ def test_batch_capability_flags():
             builder=backend.make_builder(TEST_TRACE_LENGTH, 0))
         assert callable(getattr(simulator, "run_batch", None)), name
         assert callable(getattr(simulator, "reference_ipc", None)), name
-        assert backend_supports_policy_axis(backend) == (name == "analytic")
+        assert backend_supports_policy_axis(backend) == (name != "detailed")
+        if backend_supports_policy_axis(backend):
+            assert callable(getattr(simulator, "run_batch_grid", None))
 
 
 def test_backends_construct_their_simulator_family():

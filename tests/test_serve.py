@@ -568,6 +568,44 @@ def test_the_bounds_admit_every_default_request_shape():
             "scale": "full", "sample_sizes": [10, 30, 100, 100]})
 
 
+@pytest.mark.parametrize("op, key", [("estimate", "backend"),
+                                     ("estimate_two_stage",
+                                      "screen_backend")])
+def test_event_driven_frame_fails_alone_before_it_is_scheduled(
+        server, monkeypatch, op, key):
+    """A frame scored on an event-driven simulator is a refine of every
+    row, so it is bounded like one; the analytic screen is not."""
+    ran = []
+
+    def refuse(self, *args, **kwargs):
+        ran.append(kwargs)
+        raise RuntimeError("the oversize estimate ran")
+
+    monkeypatch.setattr(Session, "estimate_full_scale", refuse)
+    monkeypatch.setattr(Session, "estimate_two_stage", refuse)
+    for backend in ("badco", "interval", "detailed"):
+        # ``_query``'s frame: 300 of the 1 287 8-core rows.
+        params = _query(**{key: backend})
+        if op == "estimate_two_stage":
+            params["refine_budget"] = 4
+        with ReproClient(server.address, timeout=60) as client:
+            with pytest.raises(ServerError) as error:
+                client.request(op, **params)
+            assert client.ping()
+        message = str(error.value)
+        assert f"{key}={backend!r}" in message
+        assert "300-row frame" in message
+        assert (f"MAX_REFINE_ROWS ({protocol.MAX_REFINE_ROWS})"
+                in message)
+    assert server.scheduler.counters()["dispatch_groups"] == 0
+    assert ran == []
+    # The same frame on the analytic backend passes, and so does an
+    # event-driven frame of MAX_REFINE_ROWS rows.
+    protocol.check_estimate_bounds(_query(**{key: "analytic"}))
+    protocol.check_estimate_bounds(_query(**{
+        key: "badco", "sample": protocol.MAX_REFINE_ROWS}))
+
+
 def test_shutdown_op_stops_the_daemon(store, tmp_path):
     state = ResidentState(cache_dir=tmp_path / "cache",
                           model_store_dir=store)

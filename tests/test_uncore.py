@@ -127,17 +127,28 @@ def _anchor(builders):
     builders[0].anchor("mcf", uncore_config_for_cores(2, "LRU"))
 
 
-@pytest.mark.parametrize("run, module", [
-    (_badco_run, detailed),
-    (_interval_run, detailed),
-    (_detailed_run, detailed),
-    (_anchor, badco_model),
+def _badco_grid(builders):
+    # bwaves + mcf fills an LLC set: DRRIP forks, LRU keeps the original.
+    BadcoSimulator(2, "DRRIP", builder=builders[0],
+                   trace_length=TEST_TRACE_LENGTH).run_batch(
+        [Workload(["bwaves", "mcf"])], ("DRRIP", "LRU"))
+
+
+@pytest.mark.parametrize("run, module, uncores", [
+    (_badco_run, detailed, 1),
+    (_interval_run, detailed, 1),
+    (_detailed_run, detailed, 1),
+    (_anchor, badco_model, 1),
+    (_badco_grid, detailed, 2),
 ], ids=["BadcoSimulator.run", "IntervalSimulator.run",
-        "DetailedSimulator.run", "BadcoModelBuilder.anchor"])
-def test_a_runs_uncore_is_freed_by_reference_counting(builders, run, module):
+        "DetailedSimulator.run", "BadcoModelBuilder.anchor",
+        "BadcoSimulator.run_batch_grid"])
+def test_a_runs_uncore_is_freed_by_reference_counting(builders, run, module,
+                                                      uncores):
     """No reference cycle keeps a run's uncore alive until the cyclic
-    collector runs: the uncore, its LLC and its stream prefetcher are
-    gone the moment the run returns."""
+    collector runs: the uncore, its LLC and its stream prefetcher -- and
+    those of the fork a grid's second policy finishes on -- are gone
+    the moment the run returns."""
     refs = []
 
     class RecordingUncore(Uncore):
@@ -152,8 +163,8 @@ def test_a_runs_uncore_is_freed_by_reference_counting(builders, run, module):
     try:
         with mock.patch.object(module, "Uncore", RecordingUncore):
             run(builders)
-        assert len(refs) == 3
-        assert [ref() for ref in refs] == [None, None, None]
+        assert len(refs) == 3 * uncores
+        assert [ref() for ref in refs] == [None] * (3 * uncores)
     finally:
         if enabled:
             gc.enable()
