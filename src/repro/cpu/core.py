@@ -180,9 +180,10 @@ class DetailedCore:
 
         Locals hold the pipeline state: slot pointers (absolute cycles,
         fractional for bandwidth), per-uop time rings, queue counters,
-        and the bound cache, TLB, prefetcher and predictor methods; the
-        counters the core reports live in ``state``.  A static method,
-        so the generator does not hold the core.
+        the L1s' ports (:meth:`~repro.mem.cache.Cache.port`, no
+        translation) and the bound TLB, prefetcher and predictor
+        methods; the counters the core reports live in ``state``.  A
+        static method, so the generator does not hold the core.
         """
         fetch_step = 1.0 / config.fetch_width
         issue_step = 1.0 / config.issue_width
@@ -192,8 +193,8 @@ class DetailedCore:
         ldq_entries, stq_entries = config.ldq_entries, config.stq_entries
         il1_latency = config.il1.latency
         LOAD, STORE, BRANCH = UopKind.LOAD, UopKind.STORE, UopKind.BRANCH
-        il1_access, il1_stats = il1.access, il1.stats
-        dl1_access, dl1_stats = dl1.access, dl1.stats
+        il1_access, il1_stats = il1.port(), il1.stats
+        dl1_access, dl1_stats = dl1.port(), dl1.stats
         stride_observe = dl1_stride_prefetcher.observe
         nextline_observe = dl1_nextline_prefetcher.observe
         itlb_lookup, dtlb_lookup = itlb.lookup, dtlb.lookup
@@ -301,8 +302,7 @@ class DetailedCore:
                 # the write buffer); the cache state update happens now.
                 state.current_pc = pc
                 dtlb_penalty = dtlb_lookup(address)
-                dl1_access(address, int(issue) + 1 + dtlb_penalty,
-                           is_write=True)
+                dl1_access(address, int(issue) + 1 + dtlb_penalty, True)
                 complete = issue + 1 + dtlb_penalty
                 store_ring[stores_seen % stq_entries] = complete
                 stores_seen += 1

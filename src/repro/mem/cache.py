@@ -1,20 +1,32 @@
 """Set-associative write-back cache with functional timing.
 
-The cache is a *latency-returning* timing model: ``access(address, now)``
-updates the cache state and returns the absolute time at which the
-requested data is available.  Fills are installed at issue time with a
-per-line ``ready_time``, which naturally models MSHR secondary misses
-("the line is already being fetched") and late prefetches without a
-global event queue -- the property the simulators rely on for speed.
+The cache is a *latency-returning* timing model: a request updates the
+cache state and returns the absolute time at which the requested data
+is available.  Fills are installed at issue time with a per-line
+``ready_time``, which naturally models MSHR secondary misses ("the line
+is already being fetched") and late prefetches without a global event
+queue -- the property the simulators rely on for speed.
 
-:meth:`Cache.access` is the innermost call of every simulation, so a
-lookup never scans a set: one ``line -> slot`` dict finds a resident
-line, per-way state lives in flat lists indexed by slot (``set * ways +
-way``), and a per-set valid count names the next invalid way (ways fill
-in order and are never invalidated).  The completion times of
-outstanding fills sit in a min-heap for MSHR accounting.  The geometry
-is copied into plain attributes at construction, and the policy's hooks
-bound there and by :meth:`Cache.use_policy`.
+A request is the innermost call of every simulation, so one factory
+writes a cache's access code once, as closures over the cache's state:
+a ``line -> slot`` dict finds a resident line (a lookup never scans a
+set), per-way state lives in flat lists indexed by slot (``set * ways +
+way``), a per-set valid count names the next invalid way (ways fill in
+order and are never invalidated), and the completion times of
+outstanding fills sit in a min-heap for MSHR accounting.
+:meth:`Cache.port` hands out the access closure -- the L1s' (no
+translation) and the shared LLC's, which
+:meth:`repro.mem.uncore.Uncore.port` gives a core's page table, request
+counter and stream-prefetch trigger -- and :attr:`Cache.prefetch` the
+prefetch fill.  A hit is one frame; a miss adds one fill and the next
+level.  :meth:`Cache.access` is a convenience over the cache's own
+port.  The closures hold the cache's containers, never the cache, so a
+cache keeps them without a reference cycle.
+
+The policy's hooks are bound into every port, less those a policy
+leaves to the base class's no-op, which are never called
+(:func:`~repro.mem.replacement.base.active_hook` decides).
+:meth:`Cache.use_policy` rebinds them on every port already made.
 
 A cache counts its full sets (:attr:`Cache.full_sets`): until the first
 set fills, no fill has asked the policy for a victim, so every policy
@@ -27,13 +39,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.mem.replacement.base import ReplacementPolicy
+from repro.mem.replacement.base import HOOKS, ReplacementPolicy, active_hook
+from repro.mem.tlb import PAGE_BYTES, PAGE_SHIFT
+
+if TYPE_CHECKING:
+    from repro.mem.tlb import PageTable
 
 #: Signature of the next memory level:
 #: (line_address, now, is_write, is_prefetch) -> completion time.
 NextLevel = Callable[[int, int, bool, bool], int]
+
+#: A cache port, :meth:`Cache.port`'s closure:
+#: (address, now, is_write, pc, is_prefetch) -> completion time.
+CachePort = Callable[[int, int, bool, int, bool], int]
+
+#: A prefetch trigger: (address, now), called on a port's demand misses.
+Trigger = Callable[[int, int], None]
 
 
 @dataclass(frozen=True)
@@ -101,6 +124,10 @@ class CacheStats:
 class Cache:
     """One level of set-associative cache.
 
+    Requests go through a port (:meth:`port`); :attr:`prefetch` is the
+    prefetch fill, ``prefetch(address, now) -> ready time``, or None
+    for a line already present or in flight.
+
     Args:
         config: geometry and timing.
         policy: replacement policy instance sized for this cache.
@@ -116,12 +143,7 @@ class Cache:
         ways = config.ways
         self.num_sets = sets
         self.ways = ways
-        self.use_policy(policy)
-        self.next_level = next_level
         self.stats = CacheStats()
-        self.latency = config.latency
-        self.mshr_entries = config.mshr_entries
-        self.writeback = config.writeback
         self._line_shift = config.line_bytes.bit_length() - 1
         # Resident (or in-flight) line -> its slot, set * ways + way.
         self._slots: Dict[int, int] = {}
@@ -138,13 +160,46 @@ class Cache:
         # Min-heap of outstanding fills' completion times, for MSHR
         # accounting; pruned lazily, only when it looks full.
         self._outstanding: List[int] = []
-        #: Sets whose every way holds a line (ways are never
-        #: invalidated, so this only grows).  While it is 0 no fill has
-        #: called the policy's ``victim``.
-        self.full_sets = 0
+        # Sets whose every way holds a line, in a list the fill path
+        # counts into (see :attr:`full_sets`).
+        self._full: List[int] = [0]
+        self._rebind, self._make_port, self.prefetch = _access_paths(
+            config, next_level, self.stats, self._slots, self._valid,
+            self._lines, self._dirty, self._ready, self._by_prefetch,
+            self._outstanding, self._full)
+        self.use_policy(policy)
+        self._access = self.port()
+
+    @property
+    def full_sets(self) -> int:
+        """Sets whose every way holds a line (ways are never
+        invalidated, so this only grows).  While it is 0 no fill has
+        called the policy's ``victim``."""
+        return self._full[0]
+
+    def port(self, table: Optional["PageTable"] = None,
+             requests: Optional[List[int]] = None, core_id: int = 0,
+             trigger: Optional[Trigger] = None) -> CachePort:
+        """A new access closure on this cache.
+
+        ``port(address, now, is_write=False, pc=0, is_prefetch=False)``
+        returns the data-ready time.  With ``table``, addresses are
+        virtual and translate through that page table (a mapped page
+        without a call); with ``requests``, each request counts into
+        ``requests[core_id]``; with ``trigger``, every demand miss --
+        a late prefetch included -- calls ``trigger(address, now)``
+        once the request is served.  ``is_prefetch`` marks traffic an
+        upper-level prefetcher (or a non-blocking BADCO request)
+        initiated: it is served with full timing and state effects but
+        counts no demand statistics, steers no set-dueling selector
+        and triggers nothing.  ``pc`` is accepted for the ports' common
+        signature; no cache reads it.
+        """
+        return self._make_port(table, requests, core_id, trigger)
 
     def use_policy(self, policy: ReplacementPolicy) -> None:
-        """Replace the replacement policy, from the next access on.
+        """Replace the replacement policy, from the next access on, on
+        every port this cache has made.
 
         The cache reads a policy only through ``victim`` and the hooks
         bound here, so a policy that has seen every access so far (say,
@@ -155,139 +210,40 @@ class Cache:
                 f"policy sized {policy.num_sets}x{policy.ways} does not match "
                 f"cache {self.num_sets}x{self.ways}")
         self.policy = policy
-        self._on_hit = policy.on_hit
-        self._on_miss = policy.on_miss
-        self._on_fill = policy.on_fill
-        self._victim = policy.victim
+        self._rebind(policy)
 
     def copy_from(self, source: "Cache") -> None:
         """Take over ``source``'s lines, fills in flight and counters.
 
         For a cache just built with ``source``'s geometry: its policy
         and next level stay its own, and it shares no mutable state
-        with ``source``.
+        with ``source``.  The state is copied in place, since this
+        cache's ports hold its containers.
         """
-        self._slots = source._slots.copy()
-        self._valid = source._valid.copy()
-        self._lines = source._lines.copy()
-        self._dirty = source._dirty.copy()
-        self._ready = source._ready.copy()
-        self._by_prefetch = source._by_prefetch.copy()
-        self._outstanding = source._outstanding.copy()
+        self._slots.clear()
+        self._slots.update(source._slots)
+        self._valid[:] = source._valid
+        self._lines[:] = source._lines
+        self._dirty[:] = source._dirty
+        self._ready[:] = source._ready
+        self._by_prefetch[:] = source._by_prefetch
+        self._outstanding[:] = source._outstanding
         for field in fields(CacheStats):
             setattr(self.stats, field.name, getattr(source.stats, field.name))
-        self.full_sets = source.full_sets
-
-    # ------------------------------------------------------------------
-    # Main access paths
+        self._full[0] = source._full[0]
 
     def access(self, address: int, now: int, is_write: bool = False,
                count_demand: bool = True) -> int:
-        """Demand access; returns the absolute data-ready time.
+        """One request through the cache's own port; returns the
+        absolute data-ready time.
 
-        ``count_demand=False`` serves the access with full timing and
-        state effects but without demand statistics or set-dueling
-        updates -- used for traffic that an upper-level *prefetcher*
-        initiated, which must not count towards this cache's demand
-        miss rate (MPKI) nor steer DIP/DRRIP's PSEL.
+        ``count_demand=False`` is a port's ``is_prefetch``: traffic
+        that an upper-level *prefetcher* initiated, served with full
+        timing and state effects but without demand statistics or
+        set-dueling updates, so it counts towards neither this cache's
+        demand miss rate (MPKI) nor DIP/DRRIP's PSEL.
         """
-        line = address >> self._line_shift
-        slot = self._slots.get(line)
-        if slot is not None:
-            ready = self._ready[slot]
-            if count_demand:
-                stats = self.stats
-                stats.demand_accesses += 1
-                if ready > now:
-                    # Line is in flight.  A *late prefetch* (fill was
-                    # prefetch-initiated) counts as a demand miss whose
-                    # latency is partially hidden; a demand-initiated
-                    # fill merges into the MSHR and is not a new miss.
-                    stats.mshr_hits += 1
-                    if self._by_prefetch[slot]:
-                        stats.demand_misses += 1
-                        self._by_prefetch[slot] = False
-                    else:
-                        stats.demand_hits += 1
-                else:
-                    stats.demand_hits += 1
-                    self._by_prefetch[slot] = False
-            set_index = line % self.num_sets
-            self._on_hit(set_index, slot - set_index * self.ways)
-            if is_write:
-                self._dirty[slot] = True
-            done = now + self.latency
-            return ready if ready > done else done
-        # True miss.
-        set_index = line % self.num_sets
-        if count_demand:
-            stats = self.stats
-            stats.demand_accesses += 1
-            stats.demand_misses += 1
-            self._on_miss(set_index)
-        else:
-            self.stats.prefetch_issued += 1
-        return self._fill(line, set_index, now, is_write, not count_demand)
-
-    def prefetch(self, address: int, now: int) -> Optional[int]:
-        """Prefetch a line; returns its ready time, or None if useless."""
-        line = address >> self._line_shift
-        if line in self._slots:
-            self.stats.prefetch_useless += 1
-            return None
-        self.stats.prefetch_issued += 1
-        return self._fill(line, line % self.num_sets, now, False, True)
-
-    def _fill(self, line: int, set_index: int, now: int, is_write: bool,
-              is_prefetch: bool) -> int:
-        """Install a line, evicting if needed; returns data-ready time.
-
-        A fill waits for an MSHR when every entry holds a fill still in
-        flight at ``now``: it starts when the earliest of them
-        completes.
-        """
-        start = now + self.latency
-        outstanding = self._outstanding
-        if len(outstanding) >= self.mshr_entries:
-            while outstanding and outstanding[0] <= now:
-                heappop(outstanding)
-            if len(outstanding) >= self.mshr_entries:
-                start += outstanding[0] - now
-        next_level = self.next_level
-        shift = self._line_shift
-        if next_level is not None:
-            done = next_level(line << shift, start, False, is_prefetch)
-        else:
-            done = start
-        ways = self.ways
-        way = self._valid[set_index]
-        if way < ways:                        # prefer an invalid way
-            self._valid[set_index] = way + 1
-            if way + 1 == ways:
-                self.full_sets += 1
-            slot = set_index * ways + way
-        else:
-            way = self._victim(set_index)
-            slot = set_index * ways + way
-            victim = self._lines[slot]
-            del self._slots[victim]
-            stats = self.stats
-            stats.evictions += 1
-            if self._dirty[slot] and self.writeback:
-                stats.writebacks += 1
-                if next_level is not None:
-                    # Writebacks consume next-level bandwidth but never
-                    # block the demand path, matching the write-buffer
-                    # behaviour of the paper's configuration.
-                    next_level(victim << shift, now, True, False)
-        self._slots[line] = slot
-        self._lines[slot] = line
-        self._dirty[slot] = is_write
-        self._ready[slot] = done
-        self._by_prefetch[slot] = is_prefetch
-        heappush(outstanding, done)
-        self._on_fill(set_index, way)
-        return done
+        return self._access(address, now, is_write, 0, not count_demand)
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and tools)
@@ -299,3 +255,155 @@ class Cache:
     def resident_lines(self) -> int:
         """Number of valid lines currently installed."""
         return len(self._slots)
+
+
+def _backing_store(address: int, now: int, is_write: bool,
+                   is_prefetch: bool) -> int:
+    """The next level of a cache built without one: no extra latency."""
+    return now
+
+
+def _access_paths(config: CacheConfig, next_level: Optional[NextLevel],
+                  stats: CacheStats, slots: Dict[int, int],
+                  valid: List[int], lines: List[int], dirty: List[bool],
+                  ready: List[int], by_prefetch: List[bool],
+                  outstanding: List[int], full: List[int]) -> tuple:
+    """One cache's access code, over its state: returns ``rebind``
+    (bind a policy's hooks), ``make_port`` and ``prefetch``.
+
+    Every port and the prefetch fill share one ``fill`` and one set of
+    hook cells, so ``rebind`` reaches every port made so far.  A hook
+    the policy leaves to the base class's no-op is None and not called.
+    """
+    if next_level is None:
+        next_level = _backing_store
+    sets = config.num_sets
+    ways = config.ways
+    latency = config.latency
+    mshr_entries = config.mshr_entries
+    writeback = config.writeback
+    shift = config.line_bytes.bit_length() - 1
+    offset_mask = PAGE_BYTES - 1
+    on_hit = on_miss = on_fill = victim = None
+
+    def rebind(policy: ReplacementPolicy) -> None:
+        nonlocal on_hit, on_miss, on_fill, victim
+        on_hit, on_miss, on_fill = [active_hook(policy, name)
+                                    for name in HOOKS]
+        victim = policy.victim
+
+    def fill(line: int, set_index: int, now: int, is_write: bool,
+             is_prefetch: bool) -> int:
+        """Install a line, evicting if needed; returns data-ready time.
+
+        A fill waits for an MSHR when every entry holds a fill still in
+        flight at ``now``: it starts when the earliest of them
+        completes.
+        """
+        start = now + latency
+        if len(outstanding) >= mshr_entries:
+            while outstanding and outstanding[0] <= now:
+                heappop(outstanding)
+            if len(outstanding) >= mshr_entries:
+                start += outstanding[0] - now
+        done = next_level(line << shift, start, False, is_prefetch)
+        way = valid[set_index]
+        if way < ways:                        # prefer an invalid way
+            valid[set_index] = way + 1
+            if way + 1 == ways:
+                full[0] += 1
+            slot = set_index * ways + way
+        else:
+            way = victim(set_index)
+            slot = set_index * ways + way
+            evicted = lines[slot]
+            del slots[evicted]
+            stats.evictions += 1
+            if writeback and dirty[slot]:
+                stats.writebacks += 1
+                # Writebacks consume next-level bandwidth but never
+                # block the demand path, matching the write-buffer
+                # behaviour of the paper's configuration.
+                next_level(evicted << shift, now, True, False)
+        slots[line] = slot
+        lines[slot] = line
+        dirty[slot] = is_write
+        ready[slot] = done
+        by_prefetch[slot] = is_prefetch
+        heappush(outstanding, done)
+        if on_fill is not None:
+            on_fill(set_index, way)
+        return done
+
+    def prefetch(address: int, now: int) -> Optional[int]:
+        line = address >> shift
+        if line in slots:
+            stats.prefetch_useless += 1
+            return None
+        stats.prefetch_issued += 1
+        return fill(line, line % sets, now, False, True)
+
+    def make_port(table: Optional["PageTable"], requests: Optional[List[int]],
+                  core_id: int, trigger: Optional[Trigger]) -> CachePort:
+        mapping = table.mapping if table is not None else None
+        translate = table.translate if table is not None else None
+
+        def access(address: int, now: int, is_write: bool = False,
+                   pc: int = 0, is_prefetch: bool = False) -> int:
+            if requests is not None:
+                requests[core_id] += 1
+            if mapping is not None:
+                frame = mapping.get(address >> PAGE_SHIFT)
+                if frame is None:
+                    address = translate(address)
+                else:
+                    address = (frame << PAGE_SHIFT) | (address & offset_mask)
+            line = address >> shift
+            slot = slots.get(line)
+            if slot is None:                  # a true miss
+                set_index = line % sets
+                if is_prefetch:
+                    stats.prefetch_issued += 1
+                    return fill(line, set_index, now, is_write, True)
+                stats.demand_accesses += 1
+                stats.demand_misses += 1
+                if on_miss is not None:
+                    on_miss(set_index)
+                if trigger is None:
+                    return fill(line, set_index, now, is_write, False)
+                done = fill(line, set_index, now, is_write, False)
+                trigger(address, now)
+                return done
+            when = ready[slot]
+            late = False
+            if not is_prefetch:
+                stats.demand_accesses += 1
+                if when <= now:
+                    stats.demand_hits += 1
+                    by_prefetch[slot] = False
+                else:
+                    # The line is in flight.  A *late prefetch* (fill
+                    # was prefetch-initiated) counts as a demand miss
+                    # whose latency is partially hidden; a
+                    # demand-initiated fill merges into the MSHR and is
+                    # not a new miss.
+                    stats.mshr_hits += 1
+                    if by_prefetch[slot]:
+                        stats.demand_misses += 1
+                        by_prefetch[slot] = False
+                        late = trigger is not None
+                    else:
+                        stats.demand_hits += 1
+            if on_hit is not None:
+                set_index = line % sets
+                on_hit(set_index, slot - set_index * ways)
+            if is_write:
+                dirty[slot] = True
+            done = now + latency
+            if late:
+                trigger(address, now)
+            return when if when > done else done
+
+        return access
+
+    return rebind, make_port, prefetch

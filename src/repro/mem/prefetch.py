@@ -5,16 +5,19 @@ at the IL1, an IP-based stride prefetcher (plus next-line) at the DL1,
 and IP-stride + stream prefetchers at the LLC.  The detailed core builds
 the L1 ones; the uncore builds only the LLC :class:`StreamPrefetcher`,
 which never reads ``pc`` -- there is no IP-stride prefetcher at the LLC.
-Each is an *observer*: the owning core or uncore calls
-``observe(pc, address, now, was_miss)`` after a demand access and the
-prefetcher issues ``cache.prefetch`` calls for predicted lines.
+Each is an *observer*: ``observe(pc, address, now, was_miss)`` after a
+demand access issues the cache's prefetch fill
+(:attr:`~repro.mem.cache.Cache.prefetch`) for predicted lines.  The
+detailed core calls the L1 ones; the stream prefetcher's
+:attr:`StreamPrefetcher.trigger` is bound into every LLC port, which
+calls it on each demand miss.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.mem.cache import Cache
+from repro.mem.cache import Cache, Trigger
 
 
 class Prefetcher:
@@ -22,6 +25,7 @@ class Prefetcher:
 
     def __init__(self, cache: Cache) -> None:
         self.cache = cache
+        self._prefetch = cache.prefetch
 
     def observe(self, pc: int, address: int, now: int, was_miss: bool) -> None:
         raise NotImplementedError
@@ -34,10 +38,13 @@ class NextLinePrefetcher(Prefetcher):
     for short streams.
     """
 
+    def __init__(self, cache: Cache) -> None:
+        super().__init__(cache)
+        self._line_bytes = cache.config.line_bytes
+
     def observe(self, pc: int, address: int, now: int, was_miss: bool) -> None:
         if was_miss:
-            line_bytes = self.cache.config.line_bytes
-            self.cache.prefetch(address + line_bytes, now)
+            self._prefetch(address + self._line_bytes, now)
 
 
 class StridePrefetcher(Prefetcher):
@@ -76,7 +83,7 @@ class StridePrefetcher(Prefetcher):
         self._table[pc] = (address, stride, confidence)
         if confidence >= self.confidence_needed and stride != 0:
             for ahead in range(1, self.degree + 1):
-                self.cache.prefetch(address + stride * ahead, now)
+                self._prefetch(address + stride * ahead, now)
 
 
 class StreamPrefetcher(Prefetcher):
@@ -85,7 +92,8 @@ class StreamPrefetcher(Prefetcher):
     Tracks recently-missed lines per 4 kB region; when two consecutive
     lines of a region miss in order, a stream is confirmed and the
     prefetcher runs ``degree`` lines ahead of the demand stream in the
-    detected direction.
+    detected direction.  :attr:`trigger`, ``trigger(address, now)``,
+    takes one miss: the uncore binds it into its LLC ports.
     """
 
     def __init__(self, cache: Cache, streams: int = 8, degree: int = 2,
@@ -94,33 +102,47 @@ class StreamPrefetcher(Prefetcher):
         self.streams = streams
         self.degree = degree
         self.region_bytes = region_bytes
-        self._line_bytes = cache.config.line_bytes
-        self._prefetch = cache.prefetch
         # region -> (last_line, direction, confirmed)
         self._table: Dict[int, Tuple[int, int, bool]] = {}
+        self.trigger: Trigger = _stream_trigger(
+            self._table, streams, degree, region_bytes,
+            cache.config.line_bytes, self._prefetch)
 
     def observe(self, pc: int, address: int, now: int, was_miss: bool) -> None:
-        if not was_miss:
-            return
-        line_bytes = self._line_bytes
+        if was_miss:
+            self.trigger(address, now)
+
+    def copy_from(self, source: "StreamPrefetcher") -> None:
+        """Take over ``source``'s stream table (in place: the trigger
+        holds it)."""
+        self._table.clear()
+        self._table.update(source._table)
+
+
+def _stream_trigger(table: Dict[int, Tuple[int, int, bool]], streams: int,
+                    degree: int, region_bytes: int, line_bytes: int,
+                    prefetch: Callable[[int, int], Optional[int]]
+                    ) -> Trigger:
+    """The stream prefetcher's miss handler, over its table and its
+    cache's prefetch fill -- not the prefetcher, which holds it."""
+
+    def trigger(address: int, now: int) -> None:
         line = address // line_bytes
-        region = address // self.region_bytes
-        entry = self._table.get(region)
+        region = address // region_bytes
+        entry = table.get(region)
         if entry is None:
-            if len(self._table) >= self.streams:
-                self._table.pop(next(iter(self._table)))
-            self._table[region] = (line, 0, False)
+            if len(table) >= streams:
+                table.pop(next(iter(table)))
+            table[region] = (line, 0, False)
             return
         last_line, direction, confirmed = entry
         step = line - last_line
-        if step in (1, -1):
+        if step == 1 or step == -1:
             confirmed = direction == step or not confirmed
             direction = step
             if confirmed:
-                for ahead in range(1, self.degree + 1):
-                    self._prefetch((line + direction * ahead) * line_bytes, now)
-        self._table[region] = (line, direction, confirmed)
+                for ahead in range(1, degree + 1):
+                    prefetch((line + direction * ahead) * line_bytes, now)
+        table[region] = (line, direction, confirmed)
 
-    def copy_from(self, source: "StreamPrefetcher") -> None:
-        """Take over ``source``'s stream table."""
-        self._table = source._table.copy()
+    return trigger

@@ -1,9 +1,15 @@
-"""Replacement-policy interface and the set-dueling building block."""
+"""Replacement-policy interface, its no-op filter and the set-dueling
+building block."""
 
 from __future__ import annotations
 
 import random
 import zlib
+from typing import Callable, Optional
+
+#: The hooks a cache calls as it goes (``victim`` is not one: a cache
+#: calls it only for a full set, and every policy defines it).
+HOOKS = ("on_hit", "on_miss", "on_fill")
 
 
 class ReplacementPolicy:
@@ -20,7 +26,8 @@ class ReplacementPolicy:
 
     The cache itself prefers invalid ways, so :meth:`victim` may assume
     the set is full of valid lines.  A policy that ignores a hook
-    inherits the no-op here, so callers can tell it needs no call.
+    inherits the no-op here, and :func:`active_hook` tells callers it
+    needs no call.
     """
 
     #: Canonical display name; subclasses override.
@@ -55,6 +62,19 @@ class ReplacementPolicy:
         return f"{type(self).__name__}(sets={self.num_sets}, ways={self.ways})"
 
 
+def active_hook(policy: object, name: str) -> Optional[Callable]:
+    """``policy``'s bound ``name`` hook, or None where it is the base
+    class's no-op: the one test of whether a hook needs calling.
+
+    It reads the bound attribute, so anything shaped like a policy (a
+    tee over several, say) answers for what it binds.
+    """
+    bound = getattr(policy, name)
+    if getattr(bound, "__func__", None) is getattr(ReplacementPolicy, name):
+        return None
+    return bound
+
+
 class SetDuelingMonitor:
     """Set-dueling selector shared by DIP and DRRIP.
 
@@ -81,10 +101,12 @@ class SetDuelingMonitor:
         self.period = max(2, num_sets // leaders)
         self.psel_max = (1 << psel_bits) - 1
         self.psel = self.psel_max // 2
-        self._midpoint = (self.psel_max + 1) // 2
-        self._roles = [1 if self.is_leader_a(index)
-                       else -1 if self.is_leader_b(index) else 0
-                       for index in range(num_sets)]
+        #: PSEL below this means the A-leaders miss less.
+        self.midpoint = (self.psel_max + 1) // 2
+        #: Each set's role: +1 A-leader, -1 B-leader, 0 follower.
+        self.roles = [1 if self.is_leader_a(index)
+                      else -1 if self.is_leader_b(index) else 0
+                      for index in range(num_sets)]
 
     def is_leader_a(self, set_index: int) -> bool:
         return set_index % self.period == 0
@@ -98,16 +120,18 @@ class SetDuelingMonitor:
         A miss in an A-leader pushes PSEL up (evidence against A); a
         miss in a B-leader pushes it down.
         """
-        role = self._roles[set_index]
+        role = self.roles[set_index]
         if role > 0:
             self.psel = min(self.psel + 1, self.psel_max)
         elif role:
             self.psel = max(self.psel - 1, 0)
 
     def use_policy_a(self, set_index: int) -> bool:
-        """Insertion policy the given set should use right now."""
-        role = self._roles[set_index]
+        """Insertion policy the given set should use right now (DIP and
+        DRRIP read :attr:`roles` and :attr:`psel` inline, to the same
+        effect)."""
+        role = self.roles[set_index]
         if role:
             return role > 0
         # Followers: PSEL below midpoint means A-leaders miss less.
-        return self.psel < self._midpoint
+        return self.psel < self.midpoint

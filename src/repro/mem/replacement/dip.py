@@ -27,18 +27,21 @@ class DipPolicy(LruPolicy):
                  leaders_per_policy: int = 8) -> None:
         super().__init__(num_sets, ways, seed)
         self.duel = SetDuelingMonitor(num_sets, leaders_per_policy)
-
-    def on_miss(self, set_index: int) -> None:
-        self.duel.record_miss(set_index)
+        # A demand miss only steers PSEL: the cache calls the monitor.
+        self.on_miss = self.duel.record_miss
 
     def on_fill(self, set_index: int, way: int) -> None:
-        if self.duel.use_policy_a(set_index):
-            # LRU insertion: new line goes to MRU.
-            self._touch(set_index, way)
-        elif self.rng.random() < self.epsilon:
-            # BIP: rare MRU insertion...
-            self._touch(set_index, way)
+        # One frame per fill: the duel's choice (``use_policy_a``) and
+        # the MRU touch are read inline; BIP draws only where LRU
+        # insertion is not chosen, as it always has.
+        duel = self.duel
+        role = duel.roles[set_index]
+        if (role > 0 or (not role and duel.psel < duel.midpoint)
+                or self.rng.random() < self.epsilon):
+            # LRU insertion, or BIP's rare one: new line goes to MRU.
+            self._clock = clock = self._clock + 1
+            self._stamp[set_index][way] = clock
         else:
-            # ...otherwise LRU-position insertion.
+            # BIP's usual LRU-position insertion.
             stamps = self._stamp[set_index]
             stamps[way] = min(stamps) - 1

@@ -66,13 +66,17 @@ class DrripPolicy(SrripPolicy):
                  leaders_per_policy: int = 8) -> None:
         super().__init__(num_sets, ways, seed)
         self.duel = SetDuelingMonitor(num_sets, leaders_per_policy)
+        # A demand miss only steers PSEL: the cache calls the monitor.
+        self.on_miss = self.duel.record_miss
 
-    def on_miss(self, set_index: int) -> None:
-        self.duel.record_miss(set_index)
-
-    def _insertion_rrpv(self, set_index: int) -> int:
-        if self.duel.use_policy_a(set_index):
-            return self.rrpv_max - 1      # SRRIP insertion
-        if self.rng.random() < self.epsilon:
-            return self.rrpv_max - 1
-        return self.rrpv_max              # BRRIP insertion
+    def on_fill(self, set_index: int, way: int) -> None:
+        # One frame per fill: SRRIP's "long" insertion where the duel
+        # picks SRRIP (``use_policy_a``, read inline), else BRRIP's --
+        # whose draw happens only there, as it always has.
+        duel = self.duel
+        role = duel.roles[set_index]
+        if (role > 0 or (not role and duel.psel < duel.midpoint)
+                or self.rng.random() < self.epsilon):
+            self._rrpv[set_index][way] = self.rrpv_max - 1
+        else:
+            self._rrpv[set_index][way] = self.rrpv_max

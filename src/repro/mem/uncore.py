@@ -10,30 +10,34 @@ benchmarks are LLC-resident, LLC-thrashing or streaming.
 
 The uncore performs virtual-to-physical translation (allocating pages on
 first touch, as the paper describes for BADCO) and serves each core's L1
-miss stream through the shared LLC, one access closure per core
-(:meth:`Uncore.port`).  :meth:`Uncore.fork` copies a running uncore
-under another LLC policy, so several policies can share a run's prefix.
+miss stream through the shared LLC.  A core's port
+(:meth:`Uncore.port`) is the LLC's own access closure
+(:meth:`~repro.mem.cache.Cache.port`) with the core's page table,
+request counter and the stream prefetcher's trigger bound in, so an LLC
+hit is one frame and a miss adds one fill and the bus call.
+:meth:`Uncore.fork` copies a running uncore under another LLC policy, so
+several policies can share a run's prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from repro.mem.cache import Cache, CacheConfig
+from repro.mem.cache import Cache, CacheConfig, CachePort
 from repro.mem.dram import MemoryConfig, MemoryInterface
 from repro.mem.prefetch import StreamPrefetcher
 from repro.mem.replacement import ReplacementPolicy, make_policy
-from repro.mem.tlb import PAGE_BYTES, PAGE_SHIFT, FrameAllocator, PageTable
+from repro.mem.tlb import FrameAllocator, PageTable
 
 KB = 1024
 
 #: Paper-to-repro capacity scaling factor (see module docstring).
 CAPACITY_SCALE = 16
 
-#: One core's uncore port, :meth:`Uncore.port`'s closure:
+#: One core's uncore port, :meth:`Uncore.port`'s closure (an LLC port):
 #: (virtual_address, now, is_write, pc, is_prefetch) -> completion time.
-UncorePort = Callable[[int, int, bool, int, bool], int]
+UncorePort = CachePort
 
 
 @dataclass(frozen=True)
@@ -107,9 +111,11 @@ class Uncore:
     happens here, so private caches above operate on virtual addresses
     while the shared LLC is physically indexed -- different threads can
     never hit on each other's data.  Cores reach the uncore through
-    their :meth:`port`.  The uncore keeps no reference to its ports and
-    the LLC none to the prefetcher, so a run's uncore holds no
-    reference cycle and is freed as soon as its machines are.
+    their :meth:`port`.  The uncore keeps no reference to its ports,
+    the LLC none to the prefetcher, and no port or trigger closure
+    holds the uncore, the LLC or the prefetcher (they hold their
+    containers), so a run's uncore holds no reference cycle and is
+    freed as soon as its machines are.
 
     Args:
         config: the uncore's configuration.
@@ -159,43 +165,19 @@ class Uncore:
         """The closure serving core ``core_id``'s L1 misses.
 
         ``port(virtual_address, now, is_write=False, pc=0,
-        is_prefetch=False)`` returns the data-ready time.  The core's
-        page table, the LLC's ``access`` and counters, the core's
-        request counter and the stream prefetcher's ``observe`` are
-        bound once: a mapped page translates without a call, and the
-        prefetcher (which acts only on misses) sees LLC demand misses.
-        ``is_prefetch`` marks requests initiated by an L1 prefetcher;
-        they are served like demand requests (they are real traffic)
-        but do not train the LLC stream prefetcher.
+        is_prefetch=False)`` returns the data-ready time.  It is the
+        LLC's access closure (:meth:`Cache.port`) with the core's page
+        table, the core's request counter and the stream prefetcher's
+        trigger bound in: a mapped page translates without a call, an
+        LLC hit is one frame, and the prefetcher sees LLC demand
+        misses.  ``is_prefetch`` marks requests initiated by an L1
+        prefetcher (or a BADCO machine's non-blocking traffic); they
+        are served like demand requests (they are real traffic) but do
+        not count as demand accesses or train the stream prefetcher.
         """
-        table = self._page_tables[core_id]
-        mapping = table.mapping
-        translate = table.translate
-        requests = self.requests_per_core
-        llc_access = self.llc.access
-        stats = self.llc.stats
-        observe = (self.prefetcher.observe
-                   if self.prefetcher is not None else None)
-        offset_mask = PAGE_BYTES - 1
-
-        def access(virtual_address: int, now: int, is_write: bool = False,
-                   pc: int = 0, is_prefetch: bool = False) -> int:
-            requests[core_id] += 1
-            frame = mapping.get(virtual_address >> PAGE_SHIFT)
-            if frame is None:
-                physical = translate(virtual_address)
-            else:
-                physical = (frame << PAGE_SHIFT) | (virtual_address
-                                                    & offset_mask)
-            if is_prefetch or observe is None:
-                return llc_access(physical, now, is_write, not is_prefetch)
-            misses = stats.demand_misses
-            done = llc_access(physical, now, is_write, True)
-            if stats.demand_misses > misses:
-                observe(pc, physical, now, True)
-            return done
-
-        return access
+        return self.llc.port(
+            self._page_tables[core_id], self.requests_per_core, core_id,
+            self.prefetcher.trigger if self.prefetcher is not None else None)
 
     @property
     def llc_demand_misses(self) -> int:

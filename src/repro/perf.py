@@ -32,7 +32,10 @@ Five suites, written to the same ``BENCH_analytics.json`` trajectory:
   grid twice: per policy through ``run_batch``
   (``sim-policy-axis-loop``) and as one grid call whose rows run once
   until their LLC first fills a set (``sim-policy-axis-grid``; the
-  ratio is what that shared prefix saves, on any host);
+  ratio is what that shared prefix saves, on any host).  Its
+  ``sim-uncore-requests`` times the request path alone: one recording
+  of a FULL-length 4-core BADCO row's port requests replayed through
+  fresh uncores (``requests_per_s`` rides along);
 - *serve* (:func:`run_serve_bench`) -- the resident-state daemon
   (:mod:`repro.serve`): the same e2e frame answered by ``repro serve``
   over a Unix socket.  ``serve-query-cold`` is the daemon's first
@@ -50,8 +53,9 @@ Results serialise as a list of records::
 
     {"name": ..., "seconds": ..., "draws": ..., "population_size": ...}
 
-``draws`` is 0 for entries that are not Monte-Carlo loops.  Sim and
-store records add ``"backend"`` and, for simulator runs, ``"mips"``.
+``draws`` is 0 for entries that are not Monte-Carlo loops, and a sim
+record's ``population_size`` counts the rows it ran.  Sim and store
+records add ``"backend"`` and, for simulator runs, ``"mips"``.
 The scalar/columnar pairing is by name suffix
 (``estimator-random-scalar`` vs ``estimator-random-columnar``); the sim
 panel pairing is ``sim-panel-badco`` vs ``sim-panel-analytic``, the
@@ -69,6 +73,7 @@ estimator loop vs the fig6 pair-batched
 
 from __future__ import annotations
 
+import itertools
 import random
 import tempfile
 import time
@@ -118,6 +123,13 @@ SIM_POLICIES = ("LRU", "DIP")
 
 #: Rows of the sim suite's five-policy BADCO grid, at either profile.
 SIM_AXIS_ROWS = 12
+
+#: The row whose uncore requests ``sim-uncore-requests`` replays at
+#: ``Scale.FULL``'s trace length (one of the benchmark's refine rows),
+#: the policies it replays them under and how many times (best of).
+SIM_REQUEST_ROW = ("bwaves", "bwaves", "h264ref", "omnetpp")
+SIM_REQUEST_POLICIES = ("LRU", "DIP")
+SIM_REQUEST_REPEATS = 5
 
 #: Pop-suite profiles.  ``cores``/``sample`` size the 8-core
 #: enumeration / sampling measurements (the population is always the
@@ -322,17 +334,19 @@ def run_sim_bench(profile: str = "smoke",
     records: List[Dict[str, object]] = []
 
     def record(name: str, backend: str, seconds: float,
-               mips: Optional[float] = None) -> None:
+               mips: Optional[float] = None,
+               rows: Optional[int] = None) -> Dict[str, object]:
         entry: Dict[str, object] = {
             "name": name,
             "seconds": seconds,
             "draws": 0,
-            "population_size": len(population),
+            "population_size": len(population) if rows is None else rows,
             "backend": backend,
         }
         if mips is not None:
             entry["mips"] = mips
         records.append(entry)
+        return entry
 
     # --- shared model training (both backends replay these models).
     from repro.sim.badco.model import BadcoModelBuilder
@@ -391,12 +405,12 @@ def run_sim_bench(profile: str = "smoke",
     loop = [simulator.run_batch(rows) for simulator in simulators]
     seconds = time.perf_counter() - start
     record("sim-policy-axis-loop", "badco", seconds,
-           sum(run.instructions for run in loop) / seconds / 1e6)
+           sum(run.instructions for run in loop) / seconds / 1e6, len(rows))
     start = time.perf_counter()
     grid = simulators[0].run_batch(rows, POLICY_NAMES)
     seconds = time.perf_counter() - start
     record("sim-policy-axis-grid", "badco", seconds,
-           grid.instructions / seconds / 1e6)
+           grid.instructions / seconds / 1e6, len(rows))
     assert all(np.array_equal(grid.ipcs[:, column, :], run.ipcs)
                for column, run in enumerate(loop)), \
         "the five-policy grid diverged from its per-policy batches"
@@ -425,8 +439,63 @@ def run_sim_bench(profile: str = "smoke",
         start = time.perf_counter()
         campaign.run_grid(sample, policies[:1])
         record(f"sim-workloads-{backend}", backend,
-               time.perf_counter() - start, campaign.timing.mips)
+               time.perf_counter() - start, campaign.timing.mips,
+               len(sample))
+
+    # --- the request path alone: one row's uncore requests, replayed.
+    requests = _uncore_requests(seed)
+    seconds = sum(_replay_seconds(requests, policy, seed)
+                  for policy in SIM_REQUEST_POLICIES)
+    replayed = len(requests) * len(SIM_REQUEST_POLICIES)
+    record("sim-uncore-requests", "badco", seconds,
+           rows=1)["requests_per_s"] = replayed / seconds
     return records
+
+
+def _uncore_requests(seed: int) -> List[tuple]:
+    """Every port request of one FULL-length 4-core BADCO run of
+    :data:`SIM_REQUEST_ROW` under LRU, in issue order: ``(core,
+    address, now, is_write, pc, is_prefetch)``."""
+    from repro.api.scales import Scale, scale_parameters
+    from repro.core.workload import Workload
+    from repro.sim.badco import BadcoSimulator
+
+    requests: List[tuple] = []
+    cores = itertools.count()
+
+    class Recording(BadcoSimulator):
+        def _stepper(self, benchmark, port):
+            core = next(cores)              # steppers are made in core order
+
+            def recording(address, now, is_write=False, pc=0,
+                          is_prefetch=False):
+                requests.append((core, address, now, is_write, pc,
+                                 is_prefetch))
+                return port(address, now, is_write, pc, is_prefetch)
+
+            return super()._stepper(benchmark, recording)
+
+    Recording(len(SIM_REQUEST_ROW), "LRU", seed=seed,
+              trace_length=scale_parameters(Scale.FULL).trace_length).run(
+        Workload(SIM_REQUEST_ROW))
+    return requests
+
+
+def _replay_seconds(requests: List[tuple], policy: str, seed: int) -> float:
+    """Best-of-:data:`SIM_REQUEST_REPEATS` time to serve ``requests``
+    through the ports of a fresh uncore under ``policy``."""
+    from repro.mem.uncore import Uncore, uncore_config_for_cores
+
+    config = uncore_config_for_cores(len(SIM_REQUEST_ROW), policy)
+    best = float("inf")
+    for _ in range(SIM_REQUEST_REPEATS):
+        uncore = Uncore(config, seed=seed)
+        ports = [uncore.port(core) for core in range(config.cores)]
+        start = time.perf_counter()
+        for core, address, now, is_write, pc, is_prefetch in requests:
+            ports[core](address, now, is_write, pc, is_prefetch)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def run_pop_bench(profile: str = "smoke",

@@ -35,6 +35,7 @@ from repro.report.records import BenchRun, RunRecord
 THRESHOLDS: Tuple[Tuple[str, float], ...] = (
     ("estimator-*", 0.50),
     ("sim-panel-analytic", 0.50),
+    ("sim-uncore-requests", 0.50),
     ("e2e-8core-warm", 0.50),
     ("serve-query-warm", 0.50),
 )
@@ -73,6 +74,7 @@ TRAJECTORY_RECORDS: Tuple[str, ...] = (
     "sim-batch-parallel-jobs1", "sim-batch-parallel-jobs2",
     "sim-batch-parallel-auto",
     "sim-policy-axis-loop", "sim-policy-axis-grid",
+    "sim-uncore-requests",
     "pop-store-cold", "pop-store-warm",
     "e2e-8core-cold", "e2e-8core-warm",
     "e2e-two-stage", "e2e-two-stage-refine",

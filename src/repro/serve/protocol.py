@@ -81,17 +81,32 @@ MAX_SAMPLE_SIZE = 1_000
 #: paper's 8-core frame (FULL's cap) is 10 000 rows.
 MAX_FRAME_ROWS = 100_000
 
-#: Rows one estimate scores on an event-driven simulator: the refined
-#: rows of an ``estimate_two_stage`` (``refine_budget``, or
-#: ``refine_frac`` x the frame), and the whole frame of an estimate
-#: whose ``backend`` (or ``screen_backend``) is not ``analytic``.  Each
-#: row is one BADCO run shared by both policies up to the LLC's first
-#: full set: on a warm FULL 8-core store a refine takes ≈ 0.27-0.35 s
-#: per row (10.7-14.0 s for 40 rows, against 16.4-17.6 s when each
-#: policy ran alone; 2-CPU host, uncalibrated), so this bound keeps a
-#: request well under the ≈ 25 s of MAX_SAMPLE_SIZE; the largest budget
-#: the repo uses (the ``e2e`` bench suite's) is 40.
+#: Rows one estimate scores on an event-driven simulator, in BADCO rows
+#: (each row weighs its backend's :data:`ROW_COST`): the refined rows
+#: of an ``estimate_two_stage`` (``refine_budget``, or ``refine_frac``
+#: x the frame) on its ``refine_backend``, and the whole frame of an
+#: estimate whose ``backend`` (or ``screen_backend``) is not
+#: ``analytic``.  Each BADCO row is one run shared by both policies up
+#: to the LLC's first full set: on a warm FULL 8-core store a refine
+#: takes ≈ 0.27-0.35 s per row (10.7-14.0 s for 40 rows, against
+#: 16.4-17.6 s when each policy ran alone; 2-CPU host, uncalibrated),
+#: so this bound keeps a request well under the ≈ 25 s of
+#: MAX_SAMPLE_SIZE; the largest budget the repo uses (the ``e2e``
+#: bench suite's) is 40.
 MAX_REFINE_ROWS = 40
+
+#: What one row costs on each event-driven backend, in BADCO rows (a
+#: backend not named here counts as BADCO).  Measured on a warm FULL
+#: store, each row run under LRU and DIP, 2-CPU host, uncalibrated, at
+#: 2/4/8 cores: over 6 random rows per core count a BADCO row took
+#: 0.015/0.050/0.123 s, a detailed one 0.24/0.68/2.02 s (16/14/16x) and
+#: an interval one 0.010/0.031/0.060 s (0.5-0.7x); over 3 other rows,
+#: BADCO 0.019/0.033/0.031 s and detailed 0.20/0.57/1.47 s (the 8-core
+#: draw held cheap BADCO rows).  So a detailed row weighs 16: a 40-row
+#: detailed refine (or frame) is refused, and the 2 rows that pass cost
+#: ≈ 8 s at 8 cores, inside the budget above.  An interval row weighs
+#: no less than a BADCO one.
+ROW_COST = {"badco": 1, "interval": 1, "detailed": 16}
 
 
 class ProtocolError(ValueError):
@@ -171,31 +186,31 @@ def check_estimate_bounds(params: Dict[str, Any]) -> None:
     Only integer values are checked (and a ``refine_frac`` in (0, 1],
     and a ``backend`` or ``screen_backend`` named by a string); a value
     of another type passes through, and the estimate itself rejects it,
-    alone.
+    alone.  Event-driven rows count in BADCO rows, each weighed by its
+    backend's :data:`ROW_COST`.
     """
     sample = params.get("sample")
     if _integer(sample) and sample > MAX_FRAME_ROWS:
         raise ValueError(f"sample={sample} exceeds MAX_FRAME_ROWS "
                          f"({MAX_FRAME_ROWS})")
+    refine_backend = params.get("refine_backend", "badco")
     budget = params.get("refine_budget")
-    if _integer(budget) and budget > MAX_REFINE_ROWS:
-        raise ValueError(f"refine_budget={budget} exceeds MAX_REFINE_ROWS "
-                         f"({MAX_REFINE_ROWS})")
+    if _integer(budget):
+        _check_refine_rows(f"refine_budget={budget}", budget,
+                           refine_backend)
     frame = _frame_rows(params)
     frac = params.get("refine_frac")
     if (isinstance(frac, (int, float)) and 0 < frac <= 1
-            and frame is not None and round(frac * frame) > MAX_REFINE_ROWS):
-        raise ValueError(f"refine_frac={frac} of a {frame}-row frame "
-                         f"is {round(frac * frame)} rows, more than "
-                         f"MAX_REFINE_ROWS ({MAX_REFINE_ROWS})")
+            and frame is not None):
+        _check_refine_rows(f"refine_frac={frac} of a {frame}-row frame is "
+                           f"{round(frac * frame)} rows", round(frac * frame),
+                           refine_backend)
     for key in ("backend", "screen_backend"):
         backend = params.get(key)
         if (isinstance(backend, str) and backend != "analytic"
-                and frame is not None and frame > MAX_REFINE_ROWS):
-            raise ValueError(f"{key}={backend!r} scores the whole "
-                             f"{frame}-row frame on an event-driven "
-                             f"simulator, more than MAX_REFINE_ROWS "
-                             f"({MAX_REFINE_ROWS}) rows")
+                and frame is not None):
+            _check_refine_rows(f"{key}={backend!r} scores the whole "
+                               f"{frame}-row frame", frame, backend)
     sizes = params.get("sample_sizes", DEFAULT_SAMPLE_SIZES)
     if not isinstance(sizes, (list, tuple)):
         return
@@ -213,6 +228,16 @@ def check_estimate_bounds(params: Dict[str, Any]) -> None:
         raise ValueError(f"draws x sum(sample_sizes) = {draws} x "
                          f"{sum(sizes)} drawn rows exceeds MAX_DRAWN_ROWS "
                          f"({MAX_DRAWN_ROWS})")
+
+
+def _check_refine_rows(what: str, rows: int, backend: Any) -> None:
+    """Refuse ``rows`` event-driven rows on ``backend`` that cost more
+    than MAX_REFINE_ROWS BADCO rows; ``what`` names the request."""
+    cost = ROW_COST.get(backend, 1) if isinstance(backend, str) else 1
+    if rows * cost > MAX_REFINE_ROWS:
+        raise ValueError(f"{what} on {backend!r}: {rows} x {cost} BADCO "
+                         f"rows, more than MAX_REFINE_ROWS "
+                         f"({MAX_REFINE_ROWS})")
 
 
 def canonical_params(params: Dict[str, Any]) -> str:

@@ -61,6 +61,7 @@ from repro.core.workload import Workload
 from repro.cpu.core import DetailedCore, RequestEvent, fixed_latency_run
 from repro.cpu.resources import CoreConfig, default_core_config
 from repro.mem.replacement import ReplacementPolicy, make_policy
+from repro.mem.replacement.base import HOOKS, active_hook
 from repro.mem.uncore import (
     Uncore,
     UncoreConfig,
@@ -247,20 +248,15 @@ class _NoVictim(Exception):
     """A :class:`_PolicyTee` was asked for a victim."""
 
 
-def _hooks(policies: Sequence[ReplacementPolicy], name: str) -> list:
-    """The policies' bound ``name`` hooks, less the base class's no-ops."""
-    idle = getattr(ReplacementPolicy, name)
-    return [getattr(policy, name) for policy in policies
-            if getattr(type(policy), name) is not idle]
-
-
-class _PolicyTee:
+class _PolicyTee(ReplacementPolicy):
     """Several LLC policies fed the same hook calls, until a victim.
 
     Every hook call reaches every policy, in order; a hook a policy
-    leaves to the base class's no-op is skipped, and a hook only one
-    policy uses is bound directly.  The hooks change only a policy's
-    own state (BIP's, DIP's and DRRIP's RNG draws and SHIP's
+    leaves to the base class's no-op is skipped
+    (:func:`~repro.mem.replacement.base.active_hook`), a hook only one
+    policy uses is bound directly, and one no policy uses stays the
+    inherited no-op, which the cache then never calls.  The hooks change only a
+    policy's own state (BIP's, DIP's and DRRIP's RNG draws and SHIP's
     miss-to-fill signature included; RND draws only in ``victim``), and
     the cache reads a policy only through ``victim``, so until that
     call each policy stands exactly where a run of its own would have
@@ -269,11 +265,11 @@ class _PolicyTee:
     """
 
     def __init__(self, policies: Sequence[ReplacementPolicy]) -> None:
-        self.num_sets = policies[0].num_sets
-        self.ways = policies[0].ways
-        hits = _hooks(policies, "on_hit")
-        misses = _hooks(policies, "on_miss")
-        fills = _hooks(policies, "on_fill")
+        super().__init__(policies[0].num_sets, policies[0].ways)
+        hits, misses, fills = (
+            [hook for hook in (active_hook(policy, name)
+                               for policy in policies) if hook is not None]
+            for name in HOOKS)
 
         def on_hit(set_index: int, way: int) -> None:
             for hook in hits:
@@ -287,9 +283,12 @@ class _PolicyTee:
             for hook in fills:
                 hook(set_index, way)
 
-        self.on_hit = hits[0] if len(hits) == 1 else on_hit
-        self.on_miss = misses[0] if len(misses) == 1 else on_miss
-        self.on_fill = fills[0] if len(fills) == 1 else on_fill
+        if hits:
+            self.on_hit = hits[0] if len(hits) == 1 else on_hit
+        if misses:
+            self.on_miss = misses[0] if len(misses) == 1 else on_miss
+        if fills:
+            self.on_fill = fills[0] if len(fills) == 1 else on_fill
 
     def victim(self, set_index: int) -> int:
         raise _NoVictim(set_index)

@@ -3,13 +3,25 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
-from repro.perf import run_bench, run_sim_bench, speedups, write_bench
+from repro.core.population import WorkloadPopulation
+from repro.perf import (
+    SIM_AXIS_ROWS,
+    SIM_PROFILES,
+    _pick_sim_benchmarks,
+    run_bench,
+    run_sim_bench,
+    speedups,
+    write_bench,
+)
 
 TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_analytics.json"
 SCHEMA_KEYS = {"name", "seconds", "draws", "population_size"}
-#: Sim-suite records add provenance (and MIPS for simulator runs).
-SIM_EXTRA_KEYS = {"backend", "mips"}
+#: Sim-suite records add provenance (and MIPS for simulator runs, or
+#: requests per second for the request-path replay).
+SIM_EXTRA_KEYS = {"backend", "mips", "requests_per_s"}
 #: Serve-suite records add the scheduler/LRU counters of the run.
 SERVE_EXTRA_KEYS = {"backend", "hit_rate", "requests",
                     "dispatch_groups", "coalesced"}
@@ -108,14 +120,19 @@ def test_cli_bench_writes_output(tmp_path, capsys):
     assert "speedup estimator-random" in stdout
 
 
-def test_sim_bench_records_and_speedup():
-    records = run_sim_bench(profile="smoke")
+@pytest.fixture(scope="module")
+def sim_records():
+    return run_sim_bench(profile="smoke")
+
+
+def test_sim_bench_records_and_speedup(sim_records):
+    records = sim_records
     by_name = {r["name"]: r for r in records}
     assert {"sim-train-models", "sim-panel-badco", "sim-calibrate-analytic",
             "sim-panel-analytic", "sim-batch-parallel-jobs1",
             "sim-batch-parallel-jobs2", "sim-batch-parallel-auto",
-            "sim-workloads-detailed",
-            "sim-workloads-interval"} <= set(by_name)
+            "sim-workloads-detailed", "sim-workloads-interval",
+            "sim-uncore-requests"} <= set(by_name)
     for record in records:
         assert SCHEMA_KEYS <= set(record) <= SCHEMA_KEYS | SIM_EXTRA_KEYS
         assert record["seconds"] > 0
@@ -131,6 +148,25 @@ def test_sim_bench_records_and_speedup():
     ratios = speedups(records)
     assert ratios["sim-panel"] >= 10
     assert ratios["sim-batch-parallel"] > 0
+    assert by_name["sim-uncore-requests"]["requests_per_s"] > 0
+
+
+def test_sim_records_report_the_rows_they_ran(sim_records):
+    """A sim record's ``population_size`` is the rows it simulated: the
+    policy-axis pair runs a 12-row slice, the slow backends a
+    ``sample``-row one and the request replay one row."""
+    profile = SIM_PROFILES["smoke"]
+    population = len(WorkloadPopulation(
+        _pick_sim_benchmarks(profile["benchmarks"]), profile["cores"]))
+    rows = {"sim-policy-axis-loop": min(SIM_AXIS_ROWS, population),
+            "sim-policy-axis-grid": min(SIM_AXIS_ROWS, population),
+            "sim-workloads-detailed": min(profile["sample"], population),
+            "sim-workloads-interval": min(profile["sample"], population),
+            "sim-uncore-requests": 1}
+    assert population not in rows.values()
+    for record in sim_records:
+        assert record["population_size"] == rows.get(record["name"],
+                                                     population), record
 
 
 def test_cli_bench_sim_suite(tmp_path, capsys):

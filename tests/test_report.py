@@ -514,9 +514,10 @@ def test_thresholds_name_the_documented_hot_paths():
     """The ISSUE's named hot paths are all gated by THRESHOLDS."""
     patterns = [pattern for pattern, _ in THRESHOLDS]
     assert patterns == ["estimator-*", "sim-panel-analytic",
-                        "e2e-8core-warm", "serve-query-warm"]
+                        "sim-uncore-requests", "e2e-8core-warm",
+                        "serve-query-warm"]
     for name in ("estimator-bench-strata-columnar",
-                 "sim-panel-analytic", "e2e-8core-warm",
-                 "serve-query-warm"):
+                 "sim-panel-analytic", "sim-uncore-requests",
+                 "e2e-8core-warm", "serve-query-warm"):
         assert threshold_for(name) is not None
     assert threshold_for("sim-panel-badco") is None

@@ -606,6 +606,43 @@ def test_event_driven_frame_fails_alone_before_it_is_scheduled(
         key: "badco", "sample": protocol.MAX_REFINE_ROWS}))
 
 
+@pytest.mark.parametrize("op, overrides", [
+    ("estimate_two_stage", {"refine_backend": "detailed",
+                            "refine_budget": protocol.MAX_REFINE_ROWS}),
+    ("estimate", {"backend": "detailed",
+                  "sample": protocol.MAX_REFINE_ROWS}),
+], ids=["detailed-refine", "detailed-frame"])
+def test_a_detailed_row_is_priced_as_what_it_costs(server, monkeypatch, op,
+                                                   overrides):
+    """A detailed row costs many BADCO rows (``ROW_COST``): a 40-row
+    detailed refine, or a detailed estimate over a 40-row frame, fails
+    alone before it is scheduled, while a 40-row BADCO refine passes."""
+    ran = []
+
+    def refuse(self, *args, **kwargs):
+        ran.append(kwargs)
+        raise RuntimeError("the oversize estimate ran")
+
+    monkeypatch.setattr(Session, "estimate_full_scale", refuse)
+    monkeypatch.setattr(Session, "estimate_two_stage", refuse)
+    with ReproClient(server.address, timeout=60) as client:
+        with pytest.raises(ServerError) as error:
+            client.request(op, **_query(**overrides))
+        assert client.ping()
+    message = str(error.value)
+    assert "'detailed'" in message
+    assert f"MAX_REFINE_ROWS ({protocol.MAX_REFINE_ROWS})" in message
+    assert server.scheduler.counters()["dispatch_groups"] == 0
+    assert ran == []
+    assert protocol.ROW_COST["detailed"] > 1
+    protocol.check_estimate_bounds(_query(
+        refine_backend="badco", refine_budget=protocol.MAX_REFINE_ROWS))
+    protocol.check_estimate_bounds(_query(
+        refine_backend="detailed",
+        refine_budget=protocol.MAX_REFINE_ROWS
+        // protocol.ROW_COST["detailed"]))
+
+
 def test_shutdown_op_stops_the_daemon(store, tmp_path):
     state = ResidentState(cache_dir=tmp_path / "cache",
                           model_store_dir=store)

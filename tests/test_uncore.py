@@ -7,6 +7,10 @@ from unittest import mock
 import pytest
 
 from repro.core.workload import Workload
+from repro.cpu.core import DetailedCore
+from repro.mem.cache import Cache, CacheConfig
+from repro.mem.replacement import ReplacementPolicy, make_policy
+from repro.mem.replacement.base import HOOKS, active_hook
 from repro.mem.uncore import (
     Uncore,
     uncore_config_for_cores,
@@ -134,21 +138,22 @@ def _badco_grid(builders):
         [Workload(["bwaves", "mcf"])], ("DRRIP", "LRU"))
 
 
-@pytest.mark.parametrize("run, module, uncores", [
-    (_badco_run, detailed, 1),
-    (_interval_run, detailed, 1),
-    (_detailed_run, detailed, 1),
-    (_anchor, badco_model, 1),
-    (_badco_grid, detailed, 2),
+@pytest.mark.parametrize("run, module, uncores, cores", [
+    (_badco_run, detailed, 1, 0),
+    (_interval_run, detailed, 1, 0),
+    (_detailed_run, detailed, 1, 2),
+    (_anchor, badco_model, 1, 0),
+    (_badco_grid, detailed, 2, 0),
 ], ids=["BadcoSimulator.run", "IntervalSimulator.run",
         "DetailedSimulator.run", "BadcoModelBuilder.anchor",
         "BadcoSimulator.run_batch_grid"])
 def test_a_runs_uncore_is_freed_by_reference_counting(builders, run, module,
-                                                      uncores):
+                                                      uncores, cores):
     """No reference cycle keeps a run's uncore alive until the cyclic
     collector runs: the uncore, its LLC and its stream prefetcher -- and
     those of the fork a grid's second policy finishes on -- are gone
-    the moment the run returns."""
+    the moment the run returns, and so are a detailed run's cores and
+    their L1s, whose pipelines hold the L1s' access closures."""
     refs = []
 
     class RecordingUncore(Uncore):
@@ -157,14 +162,84 @@ def test_a_runs_uncore_is_freed_by_reference_counting(builders, run, module,
             refs.extend(weakref.ref(part)
                         for part in (self, self.llc, self.prefetcher))
 
+    class RecordingCore(DetailedCore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.extend(weakref.ref(part)
+                        for part in (self, self.il1, self.dl1))
+
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        with mock.patch.object(module, "Uncore", RecordingUncore):
+        with mock.patch.object(module, "Uncore", RecordingUncore), \
+                mock.patch.object(detailed, "DetailedCore", RecordingCore):
             run(builders)
-        assert len(refs) == 3 * uncores
-        assert [ref() for ref in refs] == [None] * (3 * uncores)
+        assert len(refs) == 3 * uncores + 3 * cores
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if enabled:
             gc.enable()
+
+
+class SpyPolicy(ReplacementPolicy):
+    """Evicts way 0 and leaves every hook to the base class."""
+
+    name = "SPY"
+
+    def victim(self, set_index: int) -> int:
+        return 0
+
+
+@pytest.fixture()
+def raising_base_hooks(monkeypatch):
+    """The base class's no-op hooks raise while a test runs: a cache
+    or tee that calls a hook its policy never defined fails."""
+    def called_for_nothing(*args):
+        raise AssertionError("a no-op hook was called")
+
+    for name in HOOKS:
+        monkeypatch.setattr(ReplacementPolicy, name, called_for_nothing)
+
+
+def test_the_filter_drops_exactly_the_inherited_no_ops(raising_base_hooks):
+    def active(policy):
+        return [name for name in HOOKS
+                if active_hook(policy, name) is not None]
+
+    assert active(SpyPolicy(2, 2)) == []
+    assert active(make_policy("RND", 2, 2)) == []
+    assert active(make_policy("FIFO", 2, 2)) == ["on_fill"]
+    assert active(make_policy("LRU", 2, 2)) == ["on_hit", "on_fill"]
+    assert active(make_policy("DIP", 2, 2)) == list(HOOKS)
+    assert active(detailed._PolicyTee(
+        [make_policy("FIFO", 2, 2), make_policy("RND", 2, 2)])) == [
+            "on_fill"]
+
+
+def test_no_cache_or_tee_calls_a_hook_for_nothing(builders,
+                                                  raising_base_hooks):
+    """Neither an L1 (LRU leaves ``on_miss`` to the base), the LLC (FIFO
+    and RND leave it more), nor the tee over them calls an inherited
+    no-op: a detailed run, BADCO runs, a tee grid and a cache under a
+    policy that defines no hook at all all finish."""
+    row = Workload(["bwaves", "mcf"])
+    detailed.DetailedSimulator(2, "RND",
+                               trace_length=TEST_TRACE_LENGTH).run(row)
+    for policies in (("FIFO",), ("RND",), ("FIFO", "RND"), ("RND", "LRU")):
+        BadcoSimulator(2, policies[0], builder=builders[0],
+                       trace_length=TEST_TRACE_LENGTH).run_batch(
+            [row], policies)
+    config = CacheConfig(name="L", size_bytes=4 * 2 * 64, ways=2)
+    cache = Cache(config, SpyPolicy(config.num_sets, config.ways))
+    port = cache.port()
+    for now, line in enumerate((0, 1, 0, 4, 8, 1, 12, 0)):
+        port(line * 64, 10 * now, now % 3 == 0)
+    assert cache.stats.evictions > 0 and cache.stats.demand_hits > 0
+    uncore = Uncore(uncore_config_for_cores(2), policy=detailed._PolicyTee(
+        [SpyPolicy(64, 16), SpyPolicy(64, 16)]))
+    llc_port = uncore.port(0)
+    for index in range(64):
+        llc_port(64 * index, index)
+        llc_port(64 * index, 10 ** 4 + index)
+    assert uncore.llc.stats.demand_hits == 64
