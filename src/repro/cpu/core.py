@@ -31,8 +31,11 @@ consistently.  :func:`fixed_latency_run` is the training run of BADCO
 node models and interval profiles: one core alone against a
 fixed-latency uncore.
 
-Neither the generator nor the L1s' next level holds the core: they
-share a small :class:`_CoreState` instead, so a finished run's cores,
+The L1s' next level is the core's uncore access closure itself: each
+L1 access passes its uop's ``pc``, and the L1 carries it through the
+miss's fill, the prefetch fills it triggers and the writebacks it
+evicts.  The generator does not hold the core: the counters the core
+reports live in a small :class:`_CoreState`, so a finished run's cores,
 caches and uncore are freed by reference counting, not left to the
 cyclic collector.
 """
@@ -45,11 +48,10 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 from repro.bench.trace import EXECUTION_LATENCY, Trace, UopKind
 from repro.cpu.branch import BranchTargetBuffer, TageLitePredictor
 from repro.cpu.resources import CoreConfig
-from repro.mem.cache import Cache
+from repro.mem.cache import Cache, NextLevel
 from repro.mem.prefetch import NextLinePrefetcher, StridePrefetcher
 from repro.mem.replacement import make_policy
 from repro.mem.tlb import Tlb
-from repro.mem.uncore import UncorePort
 
 #: (uop index, address, is_write, pc, is_blocking_read) of a request.
 RequestEvent = Tuple[int, int, bool, int, bool]
@@ -77,14 +79,11 @@ class CoreResult:
 class _CoreState:
     """The counters a core's pipeline updates as it executes uops."""
 
-    __slots__ = ("position", "executed", "current_pc", "last_commit",
-                 "branch_mispredicts")
+    __slots__ = ("position", "executed", "last_commit", "branch_mispredicts")
 
     def __init__(self, start_time: int) -> None:
         self.position = 0           # next uop index in the trace
         self.executed = 0           # dynamic uops executed (incl. restarts)
-        # Set before every L1 access: the pc the uncore prefetchers see.
-        self.current_pc = 0
         self.last_commit = float(start_time)
         self.branch_mispredicts = 0
 
@@ -102,33 +101,27 @@ class DetailedCore:
     Args:
         config: Table I resources.
         trace: the benchmark trace to execute.
-        uncore_access: callback serving L1 misses (normally the shared
-            uncore's port for this core).
+        uncore_access: the L1s' next level, serving their misses,
+            prefetch fills and writebacks (normally the ``access`` of
+            the shared uncore's port for this core).
         start_time: global cycle at which this core begins.
     """
 
     def __init__(self, config: CoreConfig, trace: Trace,
-                 uncore_access: UncorePort, start_time: int = 0) -> None:
+                 uncore_access: NextLevel, start_time: int = 0) -> None:
         self.config = config
         self.trace = trace
         self.start_time = start_time
         self._length = len(trace)
         self._state = state = _CoreState(start_time)
-
-        def next_level(address: int, now: int, is_write: bool,
-                       is_prefetch: bool = False) -> int:
-            """The L1s' next level: route to the shared uncore."""
-            return uncore_access(address, int(now), is_write,
-                                 state.current_pc, is_prefetch)
-
         self.predictor = TageLitePredictor()
         self.btb = BranchTargetBuffer()
         self.il1 = Cache(config.il1,
                          make_policy("LRU", config.il1.num_sets, config.il1.ways),
-                         next_level=next_level)
+                         next_level=uncore_access)
         self.dl1 = Cache(config.dl1,
                          make_policy("LRU", config.dl1.num_sets, config.dl1.ways),
-                         next_level=next_level)
+                         next_level=uncore_access)
         self.il1_prefetcher = NextLinePrefetcher(self.il1)
         self.dl1_stride_prefetcher = StridePrefetcher(self.dl1)
         self.dl1_nextline_prefetcher = NextLinePrefetcher(self.dl1)
@@ -180,8 +173,8 @@ class DetailedCore:
 
         Locals hold the pipeline state: slot pointers (absolute cycles,
         fractional for bandwidth), per-uop time rings, queue counters,
-        the L1s' ports (:meth:`~repro.mem.cache.Cache.port`, no
-        translation) and the bound TLB, prefetcher and predictor
+        the L1s' access closures (:meth:`~repro.mem.cache.Cache.port`,
+        no translation; each access passes its uop's ``pc``) and the bound TLB, prefetcher and predictor
         methods; the counters the core reports live in ``state``.  A
         static method, so the generator does not hold the core.
         """
@@ -193,8 +186,8 @@ class DetailedCore:
         ldq_entries, stq_entries = config.ldq_entries, config.stq_entries
         il1_latency = config.il1.latency
         LOAD, STORE, BRANCH = UopKind.LOAD, UopKind.STORE, UopKind.BRANCH
-        il1_access, il1_stats = il1.port(), il1.stats
-        dl1_access, dl1_stats = dl1.port(), dl1.stats
+        il1_access, il1_stats = il1.port().access, il1.stats
+        dl1_access, dl1_stats = dl1.port().access, dl1.stats
         stride_observe = dl1_stride_prefetcher.observe
         nextline_observe = dl1_nextline_prefetcher.observe
         itlb_lookup, dtlb_lookup = itlb.lookup, dtlb.lookup
@@ -232,11 +225,10 @@ class DetailedCore:
             line = pc >> 6
             if line != last_fetch_line:
                 last_fetch_line = line
-                state.current_pc = pc
                 now = int(fetch)
                 itlb_penalty = itlb_lookup(pc)
                 before = il1_stats.demand_misses
-                il1_done = il1_access(pc, now + itlb_penalty)
+                il1_done = il1_access(pc, now + itlb_penalty, False, pc)
                 if il1_stats.demand_misses > before:
                     il1_prefetcher.observe(pc, pc, now, True)
                 # Hit latency is pipelined away; only the cycles beyond
@@ -285,11 +277,10 @@ class DetailedCore:
             # ---- Execute.
             complete = issue + EXECUTION_LATENCY[kind]
             if kind == LOAD:
-                state.current_pc = pc
                 now = int(issue) + 1
                 dtlb_penalty = dtlb_lookup(address)
                 before = dl1_stats.demand_misses
-                dl1_done = dl1_access(address, now + dtlb_penalty)
+                dl1_done = dl1_access(address, now + dtlb_penalty, False, pc)
                 was_miss = dl1_stats.demand_misses > before
                 stride_observe(pc, address, now, was_miss)
                 if was_miss:
@@ -300,9 +291,8 @@ class DetailedCore:
             elif kind == STORE:
                 # Stores complete fast (data written at commit through
                 # the write buffer); the cache state update happens now.
-                state.current_pc = pc
                 dtlb_penalty = dtlb_lookup(address)
-                dl1_access(address, int(issue) + 1 + dtlb_penalty, True)
+                dl1_access(address, int(issue) + 1 + dtlb_penalty, True, pc)
                 complete = issue + 1 + dtlb_penalty
                 store_ring[stores_seen % stq_entries] = complete
                 stores_seen += 1

@@ -28,7 +28,8 @@ def measure_mpki(benchmark: str, trace_length: int, seed: int = 0,
     """Single-thread LLC MPKI on the reference (2-core LRU) uncore."""
     uncore = Uncore(uncore_config_for_cores(1, "LRU"), seed=seed)
     trace = cached_trace(benchmark, trace_length, seed)
-    core = DetailedCore(default_core_config(), trace, uncore.port(0))
+    core = DetailedCore(default_core_config(), trace,
+                        uncore.port(0).access)
     warmup = int(trace_length * warmup_fraction)
     while core.position < warmup:
         core.advance()

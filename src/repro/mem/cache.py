@@ -14,21 +14,28 @@ set), per-way state lives in flat lists indexed by slot (``set * ways +
 way``), a per-set valid count names the next invalid way (ways fill in
 order and are never invalidated), and the completion times of
 outstanding fills sit in a min-heap for MSHR accounting.
-:meth:`Cache.port` hands out the access closure -- the L1s' (no
+:meth:`Cache.port` hands out a :class:`Port` -- the L1s' (no
 translation) and the shared LLC's, which
 :meth:`repro.mem.uncore.Uncore.port` gives a core's page table, request
-counter and stream-prefetch trigger -- and :attr:`Cache.prefetch` the
-prefetch fill.  A hit is one frame; a miss adds one fill and the next
-level.  :meth:`Cache.access` is a convenience over the cache's own
-port.  The closures hold the cache's containers, never the cache, so a
-cache keeps them without a reference cycle.
+counter and stream-prefetch trigger -- and :attr:`Cache.prefetch` is
+the prefetch fill.  A port's ``access`` serves one request: a hit is
+one frame; a miss adds one fill and, for an L1, the next level, which
+the fill calls with the request's ``pc`` (an L1's next level is its
+core's uncore ``access``).  The LLC's fill is also the bus: it queues
+the line's transfer on the :class:`~repro.mem.dram.MemoryInterface`'s
+state inline.  A port's ``post`` serves a batch of fire-and-forget
+requests in one frame.  :meth:`Cache.access` is a convenience over the
+cache's own port.  The closures hold the cache's containers (and the
+bus's state), never the cache, so a cache keeps them without a
+reference cycle.
 
 The policy's hooks are bound into every port, less those a policy
 leaves to the base class's no-op, which are never called
 (:func:`~repro.mem.replacement.base.active_hook` decides).
 :meth:`Cache.use_policy` rebinds them on every port already made.
 
-A cache counts its full sets (:attr:`Cache.full_sets`): until the first
+A cache counts its full sets (:attr:`Cache.full_sets`, and
+:attr:`Cache.full_count` for a loop that watches it): until the first
 set fills, no fill has asked the policy for a victim, so every policy
 has seen the same accesses.  :meth:`Cache.copy_from` gives a freshly
 built cache another one's lines, which is how a run forks per policy
@@ -39,24 +46,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.mem.replacement.base import HOOKS, ReplacementPolicy, active_hook
 from repro.mem.tlb import PAGE_BYTES, PAGE_SHIFT
 
 if TYPE_CHECKING:
+    from repro.mem.dram import MemoryInterface
     from repro.mem.tlb import PageTable
 
-#: Signature of the next memory level:
-#: (line_address, now, is_write, is_prefetch) -> completion time.
-NextLevel = Callable[[int, int, bool, bool], int]
-
-#: A cache port, :meth:`Cache.port`'s closure:
+#: A next memory level, and a port's per-request closure
+#: (:attr:`Port.access`):
 #: (address, now, is_write, pc, is_prefetch) -> completion time.
-CachePort = Callable[[int, int, bool, int, bool], int]
+NextLevel = Callable[[int, int, bool, int, bool], int]
+
+#: A port's fire-and-forget closure (:attr:`Port.post`):
+#: (requests, now, pc), the requests as (address, is_write) pairs.
+Post = Callable[[Sequence[Tuple[int, bool]], int, int], None]
 
 #: A prefetch trigger: (address, now), called on a port's demand misses.
 Trigger = Callable[[int, int], None]
+
+
+class Port(NamedTuple):
+    """One requester's entries into a cache (:meth:`Cache.port`).
+
+    ``access(address, now, is_write=False, pc=0, is_prefetch=False)``
+    serves one request and returns its data-ready time.  ``post(requests,
+    now, pc)`` serves ``(address, is_write)`` pairs, in order, exactly as
+    that many ``access(address, now, is_write, pc, True)`` calls would,
+    and returns nothing: fire-and-forget traffic in one call.
+    """
+
+    access: NextLevel
+    post: Post
 
 
 @dataclass(frozen=True)
@@ -125,19 +149,25 @@ class Cache:
     """One level of set-associative cache.
 
     Requests go through a port (:meth:`port`); :attr:`prefetch` is the
-    prefetch fill, ``prefetch(address, now) -> ready time``, or None
-    for a line already present or in flight.
+    prefetch fill, ``prefetch(address, now, pc=0) -> ready time``, or
+    None for a line already present or in flight.
 
     Args:
         config: geometry and timing.
         policy: replacement policy instance sized for this cache.
-        next_level: callable fetching a line from the level below,
-            returning the absolute completion time.  ``None`` models a
-            backing store with zero extra latency (useful in tests).
+        next_level: the level below, a :data:`NextLevel` (the L1s' is
+            their core's uncore port), called with the request's ``pc``
+            for every fill, prefetch fill and writeback.  ``None`` (and
+            no ``memory``) models a backing store with zero extra
+            latency (useful in tests).
+        memory: the bus and DRAM below the LLC, in place of a
+            ``next_level``: fills and writebacks update its
+            :attr:`~repro.mem.dram.MemoryInterface.state` inline.
     """
 
     def __init__(self, config: CacheConfig, policy: ReplacementPolicy,
-                 next_level: Optional[NextLevel] = None) -> None:
+                 next_level: Optional[NextLevel] = None,
+                 memory: Optional["MemoryInterface"] = None) -> None:
         self.config = config
         sets = config.num_sets
         ways = config.ways
@@ -160,29 +190,30 @@ class Cache:
         # Min-heap of outstanding fills' completion times, for MSHR
         # accounting; pruned lazily, only when it looks full.
         self._outstanding: List[int] = []
-        # Sets whose every way holds a line, in a list the fill path
-        # counts into (see :attr:`full_sets`).
-        self._full: List[int] = [0]
+        #: :attr:`full_sets` as a one-item list the fill path counts
+        #: into, so a loop can watch it without a call.
+        self.full_count: List[int] = [0]
         self._rebind, self._make_port, self.prefetch = _access_paths(
-            config, next_level, self.stats, self._slots, self._valid,
-            self._lines, self._dirty, self._ready, self._by_prefetch,
-            self._outstanding, self._full)
+            config, next_level, memory, self.stats, self._slots,
+            self._valid, self._lines, self._dirty, self._ready,
+            self._by_prefetch, self._outstanding, self.full_count)
         self.use_policy(policy)
-        self._access = self.port()
+        self._access = self.port().access
 
     @property
     def full_sets(self) -> int:
         """Sets whose every way holds a line (ways are never
         invalidated, so this only grows).  While it is 0 no fill has
         called the policy's ``victim``."""
-        return self._full[0]
+        return self.full_count[0]
 
     def port(self, table: Optional["PageTable"] = None,
              requests: Optional[List[int]] = None, core_id: int = 0,
-             trigger: Optional[Trigger] = None) -> CachePort:
-        """A new access closure on this cache.
+             trigger: Optional[Trigger] = None) -> Port:
+        """A new :class:`Port` on this cache: a per-request ``access``
+        closure and its fire-and-forget sibling ``post``.
 
-        ``port(address, now, is_write=False, pc=0, is_prefetch=False)``
+        ``access(address, now, is_write=False, pc=0, is_prefetch=False)``
         returns the data-ready time.  With ``table``, addresses are
         virtual and translate through that page table (a mapped page
         without a call); with ``requests``, each request counts into
@@ -192,8 +223,14 @@ class Cache:
         upper-level prefetcher (or a non-blocking BADCO request)
         initiated: it is served with full timing and state effects but
         counts no demand statistics, steers no set-dueling selector
-        and triggers nothing.  ``pc`` is accepted for the ports' common
-        signature; no cache reads it.
+        and triggers nothing.  ``pc`` travels with the request's fill,
+        and with the writeback it evicts, to the next level; the bus
+        ignores it.
+
+        ``post(requests, now, pc)`` serves ``(address, is_write)``
+        pairs as that many prefetch-flagged ``access`` calls would --
+        request count, translation, lookup, hit hook, dirty bit and
+        fill -- in one call.
         """
         return self._make_port(table, requests, core_id, trigger)
 
@@ -230,7 +267,7 @@ class Cache:
         self._outstanding[:] = source._outstanding
         for field in fields(CacheStats):
             setattr(self.stats, field.name, getattr(source.stats, field.name))
-        self._full[0] = source._full[0]
+        self.full_count[0] = source.full_count[0]
 
     def access(self, address: int, now: int, is_write: bool = False,
                count_demand: bool = True) -> int:
@@ -257,26 +294,35 @@ class Cache:
         return len(self._slots)
 
 
-def _backing_store(address: int, now: int, is_write: bool,
+def _backing_store(address: int, now: int, is_write: bool, pc: int,
                    is_prefetch: bool) -> int:
     """The next level of a cache built without one: no extra latency."""
     return now
 
 
 def _access_paths(config: CacheConfig, next_level: Optional[NextLevel],
-                  stats: CacheStats, slots: Dict[int, int],
-                  valid: List[int], lines: List[int], dirty: List[bool],
-                  ready: List[int], by_prefetch: List[bool],
-                  outstanding: List[int], full: List[int]) -> tuple:
+                  memory: Optional["MemoryInterface"], stats: CacheStats,
+                  slots: Dict[int, int], valid: List[int], lines: List[int],
+                  dirty: List[bool], ready: List[int],
+                  by_prefetch: List[bool], outstanding: List[int],
+                  full: List[int]) -> tuple:
     """One cache's access code, over its state: returns ``rebind``
     (bind a policy's hooks), ``make_port`` and ``prefetch``.
 
     Every port and the prefetch fill share one ``fill`` and one set of
     hook cells, so ``rebind`` reaches every port made so far.  A hook
     the policy leaves to the base class's no-op is None and not called.
+    Over a ``memory``, ``fill`` is the bus too: it queues each line
+    read and writeback on the bus's state, with no call.
     """
-    if next_level is None:
-        next_level = _backing_store
+    if memory is not None:
+        bus = memory.state
+        transfer = memory.transfer_cycles
+        dram_latency = memory.dram_latency
+    else:
+        bus = None
+        if next_level is None:
+            next_level = _backing_store
     sets = config.num_sets
     ways = config.ways
     latency = config.latency
@@ -293,12 +339,14 @@ def _access_paths(config: CacheConfig, next_level: Optional[NextLevel],
         victim = policy.victim
 
     def fill(line: int, set_index: int, now: int, is_write: bool,
-             is_prefetch: bool) -> int:
+             is_prefetch: bool, pc: int) -> int:
         """Install a line, evicting if needed; returns data-ready time.
 
         A fill waits for an MSHR when every entry holds a fill still in
         flight at ``now``: it starts when the earliest of them
-        completes.
+        completes.  Below the LLC, the line's bus transfer starts when
+        the bus is free, occupies it ``transfer`` cycles and returns
+        ``dram_latency`` cycles after it starts.
         """
         start = now + latency
         if len(outstanding) >= mshr_entries:
@@ -306,7 +354,15 @@ def _access_paths(config: CacheConfig, next_level: Optional[NextLevel],
                 heappop(outstanding)
             if len(outstanding) >= mshr_entries:
                 start += outstanding[0] - now
-        done = next_level(line << shift, start, False, is_prefetch)
+        if bus is None:
+            done = next_level(line << shift, start, False, pc, is_prefetch)
+        else:
+            begin = bus[0]
+            if begin < start:
+                begin = start
+            bus[0] = begin + transfer
+            bus[1] += 1
+            done = begin + dram_latency
         way = valid[set_index]
         if way < ways:                        # prefer an invalid way
             valid[set_index] = way + 1
@@ -324,7 +380,12 @@ def _access_paths(config: CacheConfig, next_level: Optional[NextLevel],
                 # Writebacks consume next-level bandwidth but never
                 # block the demand path, matching the write-buffer
                 # behaviour of the paper's configuration.
-                next_level(evicted << shift, now, True, False)
+                if bus is None:
+                    next_level(evicted << shift, now, True, pc, False)
+                else:
+                    begin = bus[0]
+                    bus[0] = (begin if begin > now else now) + transfer
+                    bus[2] += 1
         slots[line] = slot
         lines[slot] = line
         dirty[slot] = is_write
@@ -335,16 +396,16 @@ def _access_paths(config: CacheConfig, next_level: Optional[NextLevel],
             on_fill(set_index, way)
         return done
 
-    def prefetch(address: int, now: int) -> Optional[int]:
+    def prefetch(address: int, now: int, pc: int = 0) -> Optional[int]:
         line = address >> shift
         if line in slots:
             stats.prefetch_useless += 1
             return None
         stats.prefetch_issued += 1
-        return fill(line, line % sets, now, False, True)
+        return fill(line, line % sets, now, False, True, pc)
 
     def make_port(table: Optional["PageTable"], requests: Optional[List[int]],
-                  core_id: int, trigger: Optional[Trigger]) -> CachePort:
+                  core_id: int, trigger: Optional[Trigger]) -> Port:
         mapping = table.mapping if table is not None else None
         translate = table.translate if table is not None else None
 
@@ -364,14 +425,14 @@ def _access_paths(config: CacheConfig, next_level: Optional[NextLevel],
                 set_index = line % sets
                 if is_prefetch:
                     stats.prefetch_issued += 1
-                    return fill(line, set_index, now, is_write, True)
+                    return fill(line, set_index, now, is_write, True, pc)
                 stats.demand_accesses += 1
                 stats.demand_misses += 1
                 if on_miss is not None:
                     on_miss(set_index)
                 if trigger is None:
-                    return fill(line, set_index, now, is_write, False)
-                done = fill(line, set_index, now, is_write, False)
+                    return fill(line, set_index, now, is_write, False, pc)
+                done = fill(line, set_index, now, is_write, False, pc)
                 trigger(address, now)
                 return done
             when = ready[slot]
@@ -404,6 +465,32 @@ def _access_paths(config: CacheConfig, next_level: Optional[NextLevel],
                 trigger(address, now)
             return when if when > done else done
 
-        return access
+        def post(batch: Sequence[Tuple[int, bool]], now: int,
+                 pc: int) -> None:
+            # ``access``'s prefetch-flagged path, once per pair: no
+            # demand statistics, no trigger, no ready time.
+            if requests is not None:
+                requests[core_id] += len(batch)
+            for address, is_write in batch:
+                if mapping is not None:
+                    frame = mapping.get(address >> PAGE_SHIFT)
+                    if frame is None:
+                        address = translate(address)
+                    else:
+                        address = ((frame << PAGE_SHIFT)
+                                   | (address & offset_mask))
+                line = address >> shift
+                slot = slots.get(line)
+                if slot is None:
+                    stats.prefetch_issued += 1
+                    fill(line, line % sets, now, is_write, True, pc)
+                    continue
+                if on_hit is not None:
+                    set_index = line % sets
+                    on_hit(set_index, slot - set_index * ways)
+                if is_write:
+                    dirty[slot] = True
+
+        return Port(access, post)
 
     return rebind, make_port, prefetch

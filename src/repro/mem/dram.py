@@ -5,13 +5,15 @@ The paper's uncore (Table II) puts the LLC in front of an 8-byte-wide
 single shared resource with a busy-until pointer: each line transfer
 occupies the bus for ``line_bytes / bus_bytes`` bus cycles (converted to
 core cycles), and requests queue in arrival order -- which is also how
-multi-core memory contention arises in the simulators.
+multi-core memory contention arises in the simulators.  The bus is only
+ever the LLC's next level, so the LLC's fill does that arithmetic
+inline, on :attr:`MemoryInterface.state`: a line transfer costs no call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -41,42 +43,53 @@ class MemoryConfig:
 
 
 class MemoryInterface:
-    """Shared FSB + DRAM.
+    """Shared FSB + DRAM: the bus's state and its counters.
 
-    ``access`` returns the absolute completion time of a line read;
-    writes (writebacks) occupy bus bandwidth but complete immediately
+    The LLC's fill (:mod:`repro.mem.cache`) does the bus arithmetic
+    inline, on :attr:`state`: a line read starts when both the request
+    and the bus are free, occupies the bus for ``transfer_cycles`` and
+    completes ``dram_latency`` cycles after it starts; a write (an LLC
+    writeback) occupies the bus the same way but completes at once
     from the requester's point of view (posted writes through the LLC
-    write buffer).
+    write buffer).  The counters below are views of that state.
     """
 
     def __init__(self, config: Optional[MemoryConfig] = None) -> None:
         self.config = config if config is not None else MemoryConfig()
         self.transfer_cycles = self.config.transfer_cycles
         self.dram_latency = self.config.dram_latency
-        self.reads = 0
-        self.writes = 0
-        self.busy_cycles = 0
-        self._bus_free = 0
+        #: ``[cycle the bus is free from, line reads, line writes]``,
+        #: updated in place by the LLC's fill.
+        self.state: List[int] = [0, 0, 0]
 
-    def access(self, address: int, now: int, is_write: bool,
-               is_prefetch: bool = False) -> int:
-        bus_free = self._bus_free
-        start = bus_free if bus_free > now else now
-        self._bus_free = start + self.transfer_cycles
-        self.busy_cycles += self.transfer_cycles
-        if is_write:
-            self.writes += 1
-            return now
-        self.reads += 1
-        return start + self.dram_latency
+    @property
+    def bus_free(self) -> int:
+        """The cycle from which the bus is free."""
+        return self.state[0]
+
+    @property
+    def reads(self) -> int:
+        return self.state[1]
+
+    @property
+    def writes(self) -> int:
+        return self.state[2]
 
     @property
     def total_transfers(self) -> int:
-        return self.reads + self.writes
+        return self.state[1] + self.state[2]
+
+    @property
+    def busy_cycles(self) -> int:
+        """Core cycles the bus has been busy (every transfer takes
+        ``transfer_cycles``)."""
+        return self.total_transfers * self.transfer_cycles
+
+    def reset_statistics(self) -> None:
+        """Zero the transfer counts; the bus stays busy as it is."""
+        self.state[1:] = [0, 0]
 
     def copy_from(self, source: "MemoryInterface") -> None:
-        """Take over ``source``'s counters and bus occupancy."""
-        self.reads = source.reads
-        self.writes = source.writes
-        self.busy_cycles = source.busy_cycles
-        self._bus_free = source._bus_free
+        """Take over ``source``'s counters and bus occupancy (in place:
+        the LLC's fill holds :attr:`state`)."""
+        self.state[:] = source.state

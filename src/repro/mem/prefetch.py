@@ -7,7 +7,8 @@ the L1 ones; the uncore builds only the LLC :class:`StreamPrefetcher`,
 which never reads ``pc`` -- there is no IP-stride prefetcher at the LLC.
 Each is an *observer*: ``observe(pc, address, now, was_miss)`` after a
 demand access issues the cache's prefetch fill
-(:attr:`~repro.mem.cache.Cache.prefetch`) for predicted lines.  The
+(:attr:`~repro.mem.cache.Cache.prefetch`) for predicted lines, with the
+observed ``pc``, which the fill carries to the next level.  The
 detailed core calls the L1 ones; the stream prefetcher's
 :attr:`StreamPrefetcher.trigger` is bound into every LLC port, which
 calls it on each demand miss.
@@ -44,7 +45,7 @@ class NextLinePrefetcher(Prefetcher):
 
     def observe(self, pc: int, address: int, now: int, was_miss: bool) -> None:
         if was_miss:
-            self._prefetch(address + self._line_bytes, now)
+            self._prefetch(address + self._line_bytes, now, pc)
 
 
 class StridePrefetcher(Prefetcher):
@@ -83,7 +84,7 @@ class StridePrefetcher(Prefetcher):
         self._table[pc] = (address, stride, confidence)
         if confidence >= self.confidence_needed and stride != 0:
             for ahead in range(1, self.degree + 1):
-                self._prefetch(address + stride * ahead, now)
+                self._prefetch(address + stride * ahead, now, pc)
 
 
 class StreamPrefetcher(Prefetcher):

@@ -11,10 +11,12 @@ benchmarks are LLC-resident, LLC-thrashing or streaming.
 The uncore performs virtual-to-physical translation (allocating pages on
 first touch, as the paper describes for BADCO) and serves each core's L1
 miss stream through the shared LLC.  A core's port
-(:meth:`Uncore.port`) is the LLC's own access closure
+(:meth:`Uncore.port`) is the LLC's own port
 (:meth:`~repro.mem.cache.Cache.port`) with the core's page table,
 request counter and the stream prefetcher's trigger bound in, so an LLC
-hit is one frame and a miss adds one fill and the bus call.
+hit is one frame and a miss adds one fill, which is the bus transfer
+too; a BADCO or interval machine posts each node's non-blocking
+requests in one call.
 :meth:`Uncore.fork` copies a running uncore under another LLC policy, so
 several policies can share a run's prefix.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
-from repro.mem.cache import Cache, CacheConfig, CachePort
+from repro.mem.cache import Cache, CacheConfig, Port
 from repro.mem.dram import MemoryConfig, MemoryInterface
 from repro.mem.prefetch import StreamPrefetcher
 from repro.mem.replacement import ReplacementPolicy, make_policy
@@ -35,9 +37,10 @@ KB = 1024
 #: Paper-to-repro capacity scaling factor (see module docstring).
 CAPACITY_SCALE = 16
 
-#: One core's uncore port, :meth:`Uncore.port`'s closure (an LLC port):
-#: (virtual_address, now, is_write, pc, is_prefetch) -> completion time.
-UncorePort = CachePort
+#: One core's uncore port, :meth:`Uncore.port` (an LLC port): its
+#: ``access(virtual_address, now, is_write, pc, is_prefetch) ->
+#: completion time`` and ``post(requests, now, pc)``.
+UncorePort = Port
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ class Uncore:
         if policy is None:
             policy = make_policy(config.policy, llc_config.num_sets,
                                  llc_config.ways, seed=seed)
-        self.llc = Cache(llc_config, policy, next_level=self.memory.access)
+        self.llc = Cache(llc_config, policy, memory=self.memory)
         # Frames are allocated on first touch, so eager tables are free.
         self._frames = FrameAllocator()
         self._page_tables: List[PageTable] = [
@@ -162,18 +165,22 @@ class Uncore:
         return twin
 
     def port(self, core_id: int) -> UncorePort:
-        """The closure serving core ``core_id``'s L1 misses.
+        """The port serving core ``core_id``'s requests.
 
-        ``port(virtual_address, now, is_write=False, pc=0,
-        is_prefetch=False)`` returns the data-ready time.  It is the
-        LLC's access closure (:meth:`Cache.port`) with the core's page
+        It is an LLC port (:meth:`Cache.port`) with the core's page
         table, the core's request counter and the stream prefetcher's
         trigger bound in: a mapped page translates without a call, an
-        LLC hit is one frame, and the prefetcher sees LLC demand
-        misses.  ``is_prefetch`` marks requests initiated by an L1
-        prefetcher (or a BADCO machine's non-blocking traffic); they
-        are served like demand requests (they are real traffic) but do
-        not count as demand accesses or train the stream prefetcher.
+        LLC hit is one frame, a miss adds the fill (which is the bus
+        too), and the prefetcher sees LLC demand misses.  Its
+        ``access(virtual_address, now, is_write=False, pc=0,
+        is_prefetch=False)`` returns the data-ready time; it serves a
+        detailed core's L1 misses, prefetch fills and writebacks and a
+        BADCO or interval machine's demand reads.  ``is_prefetch`` marks
+        requests initiated by an L1 prefetcher; they are served like
+        demand requests (they are real traffic) but do not count as
+        demand accesses or train the stream prefetcher.  Its
+        ``post(requests, now, pc)`` serves a machine's non-blocking
+        ``(address, is_write)`` pairs the same way, in one call.
         """
         return self.llc.port(
             self._page_tables[core_id], self.requests_per_core, core_id,
@@ -185,8 +192,6 @@ class Uncore:
 
     def reset_statistics(self) -> None:
         self.llc.stats.reset()
-        self.memory.reads = 0
-        self.memory.writes = 0
-        self.memory.busy_cycles = 0
+        self.memory.reset_statistics()
         # In place: the ports count into this list.
         self.requests_per_core[:] = [0] * len(self.requests_per_core)

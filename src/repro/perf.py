@@ -34,8 +34,10 @@ Five suites, written to the same ``BENCH_analytics.json`` trajectory:
   until their LLC first fills a set (``sim-policy-axis-grid``; the
   ratio is what that shared prefix saves, on any host).  Its
   ``sim-uncore-requests`` times the request path alone: one recording
-  of a FULL-length 4-core BADCO row's port requests replayed through
-  fresh uncores (``requests_per_s`` rides along);
+  of a FULL-length 4-core BADCO row's uncore calls -- each node's
+  posted batch and its demand read -- replayed through fresh uncores'
+  ports (``requests_per_s`` counts the requests in them), and its
+  ``sim-panel-analytic`` is the best of a few fresh campaigns;
 - *serve* (:func:`run_serve_bench`) -- the resident-state daemon
   (:mod:`repro.serve`): the same e2e frame answered by ``repro serve``
   over a Unix socket.  ``serve-query-cold`` is the daemon's first
@@ -130,6 +132,9 @@ SIM_AXIS_ROWS = 12
 SIM_REQUEST_ROW = ("bwaves", "bwaves", "h264ref", "omnetpp")
 SIM_REQUEST_POLICIES = ("LRU", "DIP")
 SIM_REQUEST_REPEATS = 5
+
+#: Fresh analytic campaigns ``sim-panel-analytic`` is the best of.
+SIM_PANEL_REPEATS = 5
 
 #: Pop-suite profiles.  ``cores``/``sample`` size the 8-core
 #: enumeration / sampling measurements (the population is always the
@@ -424,11 +429,15 @@ def run_sim_bench(profile: str = "smoke",
            time.perf_counter() - start)
     config = CampaignConfig(backend="analytic", cores=cores,
                             trace_length=trace_length, seed=seed)
-    campaign = Campaign(config, builder=analytic_builder)
-    start = time.perf_counter()
-    campaign.run_grid(population, policies)
-    record("sim-panel-analytic", "analytic", time.perf_counter() - start,
-           campaign.timing.mips)
+    # Best of fresh campaigns: one panel takes about a millisecond, so
+    # a single first call would time the host's noise.
+    best = (float("inf"), 0.0)
+    for _ in range(SIM_PANEL_REPEATS):
+        campaign = Campaign(config, builder=analytic_builder)
+        start = time.perf_counter()
+        campaign.run_grid(population, policies)
+        best = min(best, (time.perf_counter() - start, campaign.timing.mips))
+    record("sim-panel-analytic", "analytic", *best)
 
     # --- MIPS of the slow event-driven backends on a small slice.
     sample = workloads[:parameters["sample"]]
@@ -442,48 +451,56 @@ def run_sim_bench(profile: str = "smoke",
                time.perf_counter() - start, campaign.timing.mips,
                len(sample))
 
-    # --- the request path alone: one row's uncore requests, replayed.
-    requests = _uncore_requests(seed)
-    seconds = sum(_replay_seconds(requests, policy, seed)
+    # --- the request path alone: one row's uncore calls, replayed.
+    calls = _uncore_calls(seed)
+    seconds = sum(_replay_seconds(calls, policy, seed)
                   for policy in SIM_REQUEST_POLICIES)
-    replayed = len(requests) * len(SIM_REQUEST_POLICIES)
+    requests = sum(1 if batch is None else len(batch)
+                   for _, _, _, batch, _ in calls)
+    replayed = requests * len(SIM_REQUEST_POLICIES)
     record("sim-uncore-requests", "badco", seconds,
            rows=1)["requests_per_s"] = replayed / seconds
     return records
 
 
-def _uncore_requests(seed: int) -> List[tuple]:
-    """Every port request of one FULL-length 4-core BADCO run of
-    :data:`SIM_REQUEST_ROW` under LRU, in issue order: ``(core,
-    address, now, is_write, pc, is_prefetch)``."""
+def _uncore_calls(seed: int) -> List[tuple]:
+    """Every uncore call of one FULL-length 4-core BADCO run of
+    :data:`SIM_REQUEST_ROW` under LRU, in issue order: ``(core, now,
+    pc, batch, address)``, a node's posted batch of ``(address,
+    is_write)`` pairs, or (``batch`` None) its demand read of
+    ``address``."""
     from repro.api.scales import Scale, scale_parameters
     from repro.core.workload import Workload
+    from repro.mem.cache import Port
     from repro.sim.badco import BadcoSimulator
 
-    requests: List[tuple] = []
+    calls: List[tuple] = []
     cores = itertools.count()
 
     class Recording(BadcoSimulator):
         def _stepper(self, benchmark, port):
             core = next(cores)              # steppers are made in core order
 
-            def recording(address, now, is_write=False, pc=0,
-                          is_prefetch=False):
-                requests.append((core, address, now, is_write, pc,
-                                 is_prefetch))
-                return port(address, now, is_write, pc, is_prefetch)
+            def access(address, now, is_write, pc, is_prefetch):
+                calls.append((core, now, pc, None, address))
+                return port.access(address, now, is_write, pc, is_prefetch)
 
-            return super()._stepper(benchmark, recording)
+            def post(batch, now, pc):
+                calls.append((core, now, pc, batch, None))
+                port.post(batch, now, pc)
+
+            return super()._stepper(benchmark, Port(access, post))
 
     Recording(len(SIM_REQUEST_ROW), "LRU", seed=seed,
               trace_length=scale_parameters(Scale.FULL).trace_length).run(
         Workload(SIM_REQUEST_ROW))
-    return requests
+    return calls
 
 
-def _replay_seconds(requests: List[tuple], policy: str, seed: int) -> float:
-    """Best-of-:data:`SIM_REQUEST_REPEATS` time to serve ``requests``
-    through the ports of a fresh uncore under ``policy``."""
+def _replay_seconds(calls: List[tuple], policy: str, seed: int) -> float:
+    """Best-of-:data:`SIM_REQUEST_REPEATS` time to make ``calls``
+    through the ports of a fresh uncore under ``policy``, as a BADCO
+    machine does: one ``post`` per batch, one ``access`` per read."""
     from repro.mem.uncore import Uncore, uncore_config_for_cores
 
     config = uncore_config_for_cores(len(SIM_REQUEST_ROW), policy)
@@ -492,8 +509,11 @@ def _replay_seconds(requests: List[tuple], policy: str, seed: int) -> float:
         uncore = Uncore(config, seed=seed)
         ports = [uncore.port(core) for core in range(config.cores)]
         start = time.perf_counter()
-        for core, address, now, is_write, pc, is_prefetch in requests:
-            ports[core](address, now, is_write, pc, is_prefetch)
+        for core, now, pc, batch, address in calls:
+            if batch is None:
+                ports[core].access(address, now, False, pc, False)
+            else:
+                ports[core].post(batch, now, pc)
         best = min(best, time.perf_counter() - start)
     return best
 

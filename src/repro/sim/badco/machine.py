@@ -12,9 +12,11 @@ bandwidth.  The machine exposes the same stepper interface as
 :class:`repro.cpu.core.DetailedCore`, so the shared scheduler
 (:func:`repro.sim.detailed.interleave`) steps either kind of core: an
 ``advance`` past the last node rewinds the sequence itself (the paper's
-multiprogram restart).  Its uncore callback is the core's
-:meth:`repro.mem.uncore.Uncore.port`, and :meth:`BadcoMachine.copy`
-continues it behind another uncore's port when a run forks per policy.
+multiprogram restart).  It reaches the uncore through the core's
+:meth:`repro.mem.uncore.Uncore.port`: a node's non-blocking pairs go out
+in one ``post`` call, its demand read through ``access``.
+:meth:`BadcoMachine.copy` continues the machine behind another uncore's
+port when a run forks per policy.
 """
 
 from __future__ import annotations
@@ -28,16 +30,16 @@ class BadcoMachine:
 
     Args:
         model: the benchmark's behavioural model.
-        uncore_access: callback serving uncore requests (normally the
-            shared uncore's port for this machine's core).
+        port: the uncore port serving this machine's requests (normally
+            the shared uncore's port for this machine's core).
         start_time: global cycle at which this machine begins.
     """
 
-    def __init__(self, model: BadcoModel, uncore_access: UncorePort,
+    def __init__(self, model: BadcoModel, port: UncorePort,
                  start_time: float = 0) -> None:
         self.model = model
         self._nodes = model.nodes
-        self._uncore_access = uncore_access
+        self._access, self._post = port
         self._time = float(start_time)
         self.position = 0          # next node index
         self.executed = 0          # uops executed (across restarts)
@@ -46,9 +48,9 @@ class BadcoMachine:
     def local_time(self) -> float:
         return self._time
 
-    def copy(self, uncore_access: UncorePort) -> "BadcoMachine":
+    def copy(self, port: UncorePort) -> "BadcoMachine":
         """This machine where it stands, behind another uncore port."""
-        twin = BadcoMachine(self.model, uncore_access, self._time)
+        twin = BadcoMachine(self.model, port, self._time)
         twin.position = self.position
         twin.executed = self.executed
         return twin
@@ -69,15 +71,14 @@ class BadcoMachine:
         (uop_count, intrinsic, sensitivity, read_address, read_pc,
          extra_requests) = node
         now = int(self._time)
-        access = self._uncore_access
         # Non-blocking traffic first (it was produced by uops before the
         # anchor); it consumes uncore resources but never stalls us.
-        for address, is_write in extra_requests:
-            access(address, now, is_write, read_pc, True)
+        if extra_requests:
+            self._post(extra_requests, now, read_pc)
         stall = 0.0
         if read_address is not None:
-            beyond_hit = access(read_address, now, False, read_pc,
-                                False) - now - TRAIN_HIT_LATENCY
+            beyond_hit = self._access(read_address, now, False, read_pc,
+                                      False) - now - TRAIN_HIT_LATENCY
             stall = sensitivity * (beyond_hit if beyond_hit > 0.0 else 0.0)
         self._time += intrinsic + stall
         self.executed += uop_count

@@ -41,6 +41,7 @@ from repro.bench.generator import DEFAULT_TRACE_LENGTH
 from repro.bench.trace import Trace
 from repro.cpu.core import RequestEvent
 from repro.cpu.resources import CoreConfig
+from repro.mem.cache import Port
 from repro.mem.uncore import Uncore, UncoreConfig
 from repro.sim.detailed import TrainedModelBuilder, _MeasuredThread, interleave
 
@@ -224,25 +225,30 @@ class BadcoModelBuilder(TrainedModelBuilder):
     def _simulate_anchor(self, benchmark: str, uncore_config: UncoreConfig,
                          warmup_fraction: float) -> Tuple[Calibration, int]:
         """One standalone run, counting LLC misses and demand latencies;
-        returns the anchor and the LLC's eviction count."""
+        returns the anchor and the LLC's eviction count.
+
+        The machine runs behind the port's own ``post`` and an
+        ``access`` that times each demand read on its way through.
+        """
         from repro.sim.badco.machine import BadcoMachine
 
         model = self.build(benchmark)
         uncore = Uncore(uncore_config, seed=self.seed)
         port = uncore.port(0)
+        serve = port.access
         latency_total = 0.0
         demand_reads = 0
 
         def access(address: int, now: int, is_write: bool, pc: int,
                    is_prefetch: bool) -> int:
+            # The machine's demand reads; its other traffic is posted.
             nonlocal latency_total, demand_reads
-            done = port(address, now, is_write, pc, is_prefetch)
-            if not is_write and not is_prefetch:
-                latency_total += done - now
-                demand_reads += 1
+            done = serve(address, now, is_write, pc, is_prefetch)
+            latency_total += done - now
+            demand_reads += 1
             return done
 
-        machine = BadcoMachine(model, access)
+        machine = BadcoMachine(model, Port(access, port.post))
         meter = _MeasuredThread(int(self.trace_length * warmup_fraction),
                                 self.trace_length)
         interleave([machine], [meter])

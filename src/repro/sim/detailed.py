@@ -49,8 +49,7 @@ import copy
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -150,40 +149,38 @@ class GridRun:
 
 
 class _MeasuredThread:
-    """Measurement bookkeeping for one core's first pass.
+    """Measurement bookkeeping for one core's first pass: the uop
+    counts that bound it (``warmup`` <= ``quota``) and the local times
+    at which the thread crossed them, once it has.
 
-    Boundary crossings are interpolated linearly inside the advance
-    that crossed them: the detailed core advances one uop at a time so
-    this is exact, while BADCO advances whole nodes and would otherwise
-    quantise the measured window to node boundaries.
+    :func:`interleave` reads a thread's meter only on a step that
+    reaches its next boundary (:meth:`measure`).  Boundary crossings
+    are interpolated linearly inside the advance that crossed them: the
+    detailed core advances one uop at a time so this is exact, while
+    BADCO advances whole nodes and would otherwise quantise the
+    measured window to node boundaries.
     """
 
-    __slots__ = ("warmup", "quota", "start_time", "end_time",
-                 "_prev_executed", "_prev_time")
+    __slots__ = ("warmup", "quota", "start_time", "end_time")
 
     def __init__(self, warmup: int, quota: int) -> None:
         self.warmup = warmup
         self.quota = quota
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
-        self._prev_executed = 0
-        self._prev_time = 0.0
 
-    def _crossing(self, boundary: int, executed: int,
-                  local_time: float) -> float:
-        span = executed - self._prev_executed
-        if span <= 0 or boundary <= self._prev_executed:
-            return local_time
-        fraction = (boundary - self._prev_executed) / span
-        return self._prev_time + fraction * (local_time - self._prev_time)
-
-    def observe(self, executed: int, local_time: float) -> None:
+    def measure(self, before: int, then: float, executed: int,
+                now: float) -> bool:
+        """Record the boundaries that a step from ``before`` uops at
+        ``then`` to ``executed`` uops at ``now`` crossed; True once the
+        whole pass is measured."""
         if self.start_time is None and executed >= self.warmup:
-            self.start_time = self._crossing(self.warmup, executed, local_time)
+            self.start_time = _crossing(self.warmup, before, then,
+                                        executed, now)
         if self.end_time is None and executed >= self.quota:
-            self.end_time = self._crossing(self.quota, executed, local_time)
-        self._prev_executed = executed
-        self._prev_time = local_time
+            self.end_time = _crossing(self.quota, before, then,
+                                      executed, now)
+        return self.end_time is not None
 
     def ipc(self) -> float:
         if self.start_time is None or self.end_time is None:
@@ -192,8 +189,23 @@ class _MeasuredThread:
         return (self.quota - self.warmup) / max(cycles, 1.0)
 
 
+def _crossing(boundary: int, before: int, then: float, executed: int,
+              now: float) -> float:
+    """When a step from ``before`` uops at ``then`` to ``executed`` at
+    ``now`` passed ``boundary`` uops (its end, if it began there)."""
+    span = executed - before
+    if span <= 0 or boundary <= before:
+        return now
+    fraction = (boundary - before) / span
+    return then + fraction * (now - then)
+
+
+#: :func:`interleave`'s ``stop`` when nothing stops it early.
+_NEVER = (0,)
+
+
 def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread],
-               until: Optional[Callable[[], bool]] = None) -> bool:
+               stop: Sequence[int] = _NEVER) -> bool:
     """Advance steppers in global time order until every meter has measured.
 
     A stepper (detailed core, BADCO or interval machine) has
@@ -208,17 +220,28 @@ def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread],
     finished threads' local times and the bound ``advance`` methods live
     in local lists, so a step reads no attribute of an idle thread.
 
+    Metering is inline: a local list holds each thread's uop count at
+    its last step and another the count at which its meter next reads
+    (its warmup, then its quota), so a step that crosses no boundary
+    makes no call besides ``advance``; one that does calls
+    :meth:`_MeasuredThread.measure` with the thread's last step (its
+    count there and its local time, the heap entry it just left).
+
     Between steps those lists hold nothing the steppers and meters do
-    not: the heap is the unmeasured threads at their local times, and
-    the finished list the measured ones.  So the loop resumes exactly:
-    with ``until``, it returns False at the first step boundary where
-    ``until()`` is true and some thread is still unmeasured, and a
-    later call on the same steppers and meters -- or on copies of them
-    -- carries on from there.  It returns True once every meter has
-    measured.
+    not: the heap is the unmeasured threads at their local times, the
+    finished list the measured ones, and the counts the steppers'
+    ``executed``.  So the loop resumes exactly: with ``stop``, a
+    one-item list (the LLC's :attr:`~repro.mem.cache.Cache.full_count`),
+    it returns False at the first step boundary where ``stop[0]`` is
+    nonzero and some thread is still unmeasured, and a later call on
+    the same steppers and meters -- or on copies of them -- carries on
+    from there.  It returns True once every meter has measured.
     """
     times = [stepper.local_time for stepper in steppers]
     advances = [stepper.advance for stepper in steppers]
+    counts = [stepper.executed for stepper in steppers]
+    marks = [meter.warmup if meter.start_time is None else meter.quota
+             for meter in meters]
     running = [(times[index], index) for index, meter in enumerate(meters)
                if meter.end_time is None]
     heapify(running)
@@ -230,16 +253,20 @@ def interleave(steppers: Sequence, meters: Sequence[_MeasuredThread],
             if times[i] < best_time:
                 times[i] = advances[i]()
         now = advances[best]()
-        meter = meters[best]
-        meter.observe(steppers[best].executed, now)
-        if meter.end_time is None:
+        executed = steppers[best].executed
+        if executed < marks[best]:
             heapreplace(running, (now, best))
-        else:
+            counts[best] = executed
+        elif meters[best].measure(counts[best], best_time, executed, now):
             heappop(running)
             times[best] = now
             finished.append(best)
             finished.sort()
-        if until is not None and running and until():
+        else:
+            heapreplace(running, (now, best))
+            counts[best] = executed
+            marks[best] = meters[best].quota
+        if stop[0] and running:
             return False
     return True
 
@@ -411,7 +438,7 @@ class EventDrivenSimulator:
             return [_outcome(steppers, meters)]
         llc = uncore.llc
         try:
-            if interleave(steppers, meters, lambda: llc.full_sets > 0):
+            if interleave(steppers, meters, llc.full_count):
                 return [_outcome(steppers, meters)] * len(made)
         except _NoVictim:
             return [self._score(workload, (policy,))[0]
@@ -496,7 +523,7 @@ class DetailedSimulator(EventDrivenSimulator):
 
     def _stepper(self, benchmark: str, port: UncorePort) -> DetailedCore:
         trace = cached_trace(benchmark, self.trace_length, self.seed)
-        return DetailedCore(self.core_config, trace, port)
+        return DetailedCore(self.core_config, trace, port.access)
 
 
 class TrainedModelBuilder:

@@ -1,6 +1,7 @@
 """Executing an interval profile against a real uncore (through the
-core's :meth:`repro.mem.uncore.Uncore.port`, as for the BADCO
-machine)."""
+core's :meth:`repro.mem.uncore.Uncore.port`, as for the BADCO machine:
+an interval's non-blocking pairs in one ``post`` call, its reads
+through ``access``)."""
 
 from __future__ import annotations
 
@@ -22,11 +23,11 @@ class IntervalMachine:
     another uncore's port.
     """
 
-    def __init__(self, profile: IntervalProfile, uncore_access: UncorePort,
+    def __init__(self, profile: IntervalProfile, port: UncorePort,
                  start_time: float = 0) -> None:
         self.profile = profile
         self._intervals = profile.intervals
-        self._uncore_access = uncore_access
+        self._access, self._post = port
         self._time = float(start_time)
         self.position = 0
         self.executed = 0
@@ -35,9 +36,9 @@ class IntervalMachine:
     def local_time(self) -> float:
         return self._time
 
-    def copy(self, uncore_access: UncorePort) -> "IntervalMachine":
+    def copy(self, port: UncorePort) -> "IntervalMachine":
         """This machine where it stands, behind another uncore port."""
-        twin = IntervalMachine(self.profile, uncore_access, self._time)
+        twin = IntervalMachine(self.profile, port, self._time)
         twin.position = self.position
         twin.executed = self.executed
         return twin
@@ -51,10 +52,10 @@ class IntervalMachine:
             interval = self._intervals[0]
         self.position = position + 1
         now = int(self._time)
-        access = self._uncore_access
+        access = self._access
         pc = interval.pc
-        for address, is_write in interval.extras:
-            access(address, now, is_write, pc, True)
+        if interval.extras:
+            self._post(interval.extras, now, pc)
         stall = 0.0
         for address in interval.reads:
             done = access(address, now, False, pc, False)

@@ -48,7 +48,7 @@ def test_same_line_same_entry():
 
 
 def test_miss_latency_includes_next_level():
-    def slow_memory(address, now, is_write, is_prefetch=False):
+    def slow_memory(address, now, is_write, pc, is_prefetch):
         return now + 100
 
     cache = _cache(next_level=slow_memory)
@@ -78,7 +78,7 @@ def test_lru_victim_order():
 def test_writeback_on_dirty_eviction():
     writes = []
 
-    def memory(address, now, is_write, is_prefetch=False):
+    def memory(address, now, is_write, pc, is_prefetch):
         if is_write:
             writes.append(address)
         return now + 10
@@ -93,7 +93,7 @@ def test_writeback_on_dirty_eviction():
 def test_clean_eviction_no_writeback():
     writes = []
 
-    def memory(address, now, is_write, is_prefetch=False):
+    def memory(address, now, is_write, pc, is_prefetch):
         if is_write:
             writes.append(address)
         return now + 10
@@ -102,6 +102,26 @@ def test_clean_eviction_no_writeback():
     cache.access(0x000, 0)
     cache.access(0x080, 10)
     assert writes == []
+
+
+def test_pc_travels_to_the_next_level():
+    """A request's ``pc`` reaches the next level with its miss's fill,
+    with a prefetch fill's, and with the writeback a fill evicts."""
+    calls = []
+
+    def memory(address, now, is_write, pc, is_prefetch):
+        calls.append((address, is_write, pc, is_prefetch))
+        return now + 10
+
+    cache = _cache(size=128, ways=1, next_level=memory)   # 2 sets x 1 way
+    access = cache.port().access
+    access(0x000, 0, True, 0x400)       # a dirty line in set 0
+    cache.prefetch(0x040, 5, 0x404)     # set 1
+    access(0x080, 10, False, 0x408)     # evicts line 0 from set 0
+    assert calls == [(0x000, False, 0x400, False),
+                     (0x040, False, 0x404, True),
+                     (0x080, False, 0x408, False),
+                     (0x000, True, 0x408, False)]
 
 
 def test_prefetch_fills_without_demand_stats():
@@ -114,7 +134,7 @@ def test_prefetch_fills_without_demand_stats():
 
 
 def test_late_prefetch_counts_as_demand_miss():
-    def slow(address, now, is_write, is_prefetch=False):
+    def slow(address, now, is_write, pc, is_prefetch):
         return now + 500
 
     cache = _cache(next_level=slow)
@@ -128,7 +148,7 @@ def test_late_prefetch_counts_as_demand_miss():
 
 
 def test_demand_merge_is_not_a_new_miss():
-    def slow(address, now, is_write, is_prefetch=False):
+    def slow(address, now, is_write, pc, is_prefetch):
         return now + 500
 
     cache = _cache(next_level=slow)
@@ -147,7 +167,7 @@ def test_uncounted_access_keeps_timing_but_not_stats():
 
 
 def test_mshr_pressure_delays_fills():
-    def slow(address, now, is_write, is_prefetch=False):
+    def slow(address, now, is_write, pc, is_prefetch):
         return now + 1000
 
     cache = _cache(size=4096, ways=4, next_level=slow, mshr=2)

@@ -8,7 +8,8 @@ drives both through the same random mix of demand, prefetch-initiated
 and write accesses and explicit prefetches -- at non-monotonic times,
 with 1-4 MSHR entries, on tiny geometries that evict all the time,
 under every registered policy -- and every observable must agree:
-return values, statistics, residency and the next level's call log.
+return values, statistics, residency and the next level's call log,
+each call's ``pc`` included.
 """
 
 from typing import List, Optional
@@ -56,7 +57,7 @@ class ListScanCache:
             return 0
         return min(live) - now
 
-    def access(self, address, now, is_write=False, count_demand=True):
+    def access(self, address, now, is_write=False, count_demand=True, pc=0):
         tag, set_index = divmod(address >> self._line_shift, self.num_sets)
         tags = self._tags[set_index]
         stats = self.stats
@@ -87,25 +88,25 @@ class ListScanCache:
         else:
             stats.prefetch_issued += 1
         return self._fill(address, set_index, tag, now, is_write,
-                          not count_demand)
+                          not count_demand, pc)
 
-    def prefetch(self, address, now):
+    def prefetch(self, address, now, pc=0):
         tag, set_index = divmod(address >> self._line_shift, self.num_sets)
         if tag in self._tags[set_index]:
             self.stats.prefetch_useless += 1
             return None
         self.stats.prefetch_issued += 1
         return self._fill(address, set_index, tag, now, is_write=False,
-                          is_prefetch=True)
+                          is_prefetch=True, pc=pc)
 
     def _fill(self, address, set_index, tag, now, is_write,
-              is_prefetch=False):
+              is_prefetch=False, pc=0):
         start = now + self.latency
         if len(self._outstanding) >= self.mshr_entries:
             start += self._mshr_delay(now)
         next_level = self.next_level
         if next_level is not None:
-            done = next_level(address & self._line_mask, start, False,
+            done = next_level(address & self._line_mask, start, False, pc,
                               is_prefetch)
         else:
             done = start
@@ -121,7 +122,7 @@ class ListScanCache:
                 stats.writebacks += 1
                 if next_level is not None:
                     next_level((tags[way] * self.num_sets + set_index)
-                               << self._line_shift, now, True, False)
+                               << self._line_shift, now, True, pc, False)
         tags[way] = tag
         dirty[way] = is_write
         self._ready[set_index][way] = done
@@ -148,16 +149,17 @@ class RecordingLevel:
         self.busy_until = 0
         self.calls: List[tuple] = []
 
-    def __call__(self, address, now, is_write, is_prefetch=False):
-        self.calls.append((address, now, is_write, is_prefetch))
+    def __call__(self, address, now, is_write, pc, is_prefetch):
+        self.calls.append((address, now, is_write, pc, is_prefetch))
         start = max(now, self.busy_until)
         self.busy_until = start + self.transfer
         return now if is_write else start + self.latency
 
 
 #: One operation: (kind, line, time step, is_write), where kind 0 is a
-#: demand access, 1 an access a prefetcher initiated
-#: (``count_demand=False``) and 2 an explicit ``prefetch``.  Steps may
+#: demand access, 1 an access a prefetcher initiated (the port's
+#: ``is_prefetch``, the oracle's ``count_demand=False``) and 2 an
+#: explicit ``prefetch``.  Steps may
 #: be negative: cores issue at their own, interleaved local times.
 #: Short steps and latencies make a fill often start exactly when an
 #: outstanding one completes (the MSHR boundary case).
@@ -197,6 +199,7 @@ def test_hashed_cache_matches_list_scan_oracle(policy, data):
     operations = data.draw(st.lists(OPERATION, max_size=120))
     (cache, oracle), (level_new, level_old) = _pair(
         policy, sets, ways, mshr, latency, writeback, level, seed)
+    access = cache.port().access
     touched = set()
     now = 0
     for kind, line, step, is_write in operations:
@@ -204,11 +207,12 @@ def test_hashed_cache_matches_list_scan_oracle(policy, data):
         # Byte offsets inside the line must not matter.
         address = line * 64 + (now % 64)
         touched.add(address)
+        pc = 0x400 + 4 * line
         if kind == 2:
-            results = [c.prefetch(address, now) for c in (cache, oracle)]
+            results = [c.prefetch(address, now, pc) for c in (cache, oracle)]
         else:
-            results = [c.access(address, now, is_write, kind == 0)
-                       for c in (cache, oracle)]
+            results = [access(address, now, is_write, pc, kind != 0),
+                       oracle.access(address, now, is_write, kind == 0, pc)]
         assert results[0] == results[1]
         assert cache.stats == oracle.stats
     for address in touched:

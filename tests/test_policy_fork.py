@@ -172,7 +172,7 @@ def _uncore_state(uncore):
         "outstanding": sorted(llc._outstanding),
         "full_sets": llc.full_sets, "stats": dict(vars(llc.stats)),
         "memory": (uncore.memory.reads, uncore.memory.writes,
-                   uncore.memory.busy_cycles, uncore.memory._bus_free),
+                   uncore.memory.busy_cycles, uncore.memory.bus_free),
         "frames": uncore._frames._next_frame,
         "pages": [dict(table.mapping) for table in uncore._page_tables],
         "streams": dict(prefetcher._table),
@@ -192,38 +192,41 @@ def test_a_fork_shares_no_mutable_state(builders):
     uncore = Uncore(config, policy=policy("LRU"))
     port = uncore.port(0)
     for index in range(3000):
-        port(0x10_0000 + 64 * index, 3 * index, index % 5 == 0, 0,
-             index % 7 == 0)
+        port.access(0x10_0000 + 64 * index, 3 * index, index % 5 == 0, 0,
+                    index % 7 == 0)
     assert uncore.llc.full_sets > 0
     model = builders["badco"].build("mcf")
     machine = BadcoMachine(model, port)
     for _ in range(50):
         machine.advance()
-    meter = detailed._MeasuredThread(10, 10 ** 9)
-    meter.observe(machine.executed, machine.local_time)
+    # Past the warmup, one uop short of the quota.
+    meter = detailed._MeasuredThread(10, machine.executed + 1)
+    meter.measure(0, 0.0, machine.executed, machine.local_time)
     before = _uncore_state(uncore)
     where = (machine.position, machine.local_time, machine.executed)
-    metered = (meter.start_time, meter.end_time, meter._prev_executed,
-               meter._prev_time)
+    metered = (meter.start_time, meter.end_time)
 
     twin = uncore.fork(policy("DIP"))
     assert twin.llc.policy.name == "DIP"
     assert uncore.llc.policy.name == "LRU"
     assert _uncore_state(twin) == before
-    twin_port, other = twin.port(0), twin.port(1)
+    twin_port, other = twin.port(0), twin.port(1).access
     twin_machine = machine.copy(twin_port)
     twin_meter = copy.copy(meter)
     for index in range(4000):
-        twin_port(0x90_0000 + 64 * index, 10 ** 6 + index, True, 0, False)
+        twin_port.access(0x90_0000 + 64 * index, 10 ** 6 + index, True, 0,
+                         False)
         other(0x10_0000 + 64 * index, 10 ** 6 + index, False, 0, False)
     for _ in range(50):
+        step = (twin_machine.executed, twin_machine.local_time)
         twin_machine.advance()
-        twin_meter.observe(twin_machine.executed, twin_machine.local_time)
+        twin_meter.measure(*step, twin_machine.executed,
+                           twin_machine.local_time)
+    assert twin_meter.end_time is not None
     assert _uncore_state(twin) != before
     assert _uncore_state(uncore) == before
     assert (machine.position, machine.local_time, machine.executed) == where
-    assert (meter.start_time, meter.end_time, meter._prev_executed,
-            meter._prev_time) == metered
+    assert (meter.start_time, meter.end_time) == metered
 
 
 def test_a_badco_grid_is_jobs_invariant():

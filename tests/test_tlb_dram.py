@@ -1,8 +1,11 @@
-"""TLBs, page tables and the FSB/DRAM model."""
+"""TLBs, page tables and the FSB/DRAM model (driven through the LLC
+fill that does its arithmetic)."""
 
 import pytest
 
+from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import MemoryConfig, MemoryInterface
+from repro.mem.replacement import make_policy
 from repro.mem.tlb import FrameAllocator, PageTable, Tlb, TlbConfig
 
 
@@ -56,31 +59,51 @@ def test_bus_transfer_cycles():
     assert config.transfer_cycles == 30
 
 
+def _llc(memory, sets=4):
+    """The access of a one-way, zero-latency LLC over ``memory``: a
+    line's first touch is one bus read, evicting a dirty line one bus
+    write."""
+    config = CacheConfig(name="LLC", size_bytes=sets * 64, ways=1,
+                         latency=0, mshr_entries=64)
+    return Cache(config, make_policy("LRU", sets, 1),
+                 memory=memory).port().access
+
+
 def test_read_latency():
     memory = MemoryInterface()
-    done = memory.access(0x1000, 0, is_write=False)
+    done = _llc(memory)(0x1000, 0)
     assert done == 0 + memory.config.dram_latency
 
 
 def test_bus_serialises_requests():
     memory = MemoryInterface()
-    first = memory.access(0x0, 0, False)
-    second = memory.access(0x40, 0, False)
+    read = _llc(memory)
+    first = read(0x0, 0)
+    second = read(0x40, 0)
     assert second == first + memory.config.transfer_cycles
 
 
 def test_writes_are_posted():
+    """A writeback never delays the fill that evicts it, but it
+    occupies the bus: the next read waits for it."""
     memory = MemoryInterface()
-    assert memory.access(0x0, 5, True) == 5
+    transfer = memory.config.transfer_cycles
+    access = _llc(memory, sets=1)
+    first = access(0x0, 0, True)        # a dirty line
+    second = access(0x40, 0)            # its read, then line 0's write
     assert memory.writes == 1
-    # ...but they still occupy the bus.
-    read = memory.access(0x40, 5, False)
-    assert read > 5 + memory.config.dram_latency
+    assert second == first + transfer
+    assert access(0x80, 0) == second + 2 * transfer
 
 
 def test_transfer_accounting():
     memory = MemoryInterface()
-    memory.access(0x0, 0, False)
-    memory.access(0x40, 0, True)
-    assert memory.total_transfers == 2
-    assert memory.busy_cycles == 2 * memory.config.transfer_cycles
+    access = _llc(memory, sets=1)
+    access(0x0, 0, True)
+    access(0x40, 0)                     # two reads and a write
+    assert (memory.reads, memory.writes) == (2, 1)
+    assert memory.total_transfers == 3
+    assert memory.busy_cycles == 3 * memory.config.transfer_cycles
+    memory.reset_statistics()
+    assert memory.total_transfers == memory.busy_cycles == 0
+    assert memory.bus_free == 3 * memory.config.transfer_cycles

@@ -2,19 +2,22 @@
 replace.
 
 ``ReferenceUncore`` below serves each core's requests the way the
-uncore did before every cache had one access closure: a port that
-translates through the core's page table, counts the request and calls
-the LLC's ``access`` (here the list-scan oracle of
-``test_cache_differential``), whose misses fill through ``_fill`` into
-the bus, and a stream prefetcher whose ``observe`` runs after every
-demand access that raised the LLC's demand-miss count and prefetches
-through the LLC's ``prefetch``.  Hypothesis drives both with random
-multi-core request streams -- demand, write and prefetch-flagged
-requests at non-monotonic times, on tiny geometries, under every
-registered policy -- and applies ``Uncore.fork`` and ``Cache.use_policy``
-mid-stream.  Return values, LLC statistics, bus counters, per-core
-request counts, full sets, residency and the prefetcher's table must
-all agree.
+uncore did before every cache had one access closure and the LLC's fill
+did the bus arithmetic: a port that translates through the core's page
+table, counts the request and calls the LLC's ``access`` (here the
+list-scan oracle of ``test_cache_differential``), whose misses fill
+through ``_fill`` into a bus object (``ReferenceBus``, the busy-until
+bus as a method call), and a stream prefetcher whose ``observe`` runs
+after every demand access that raised the LLC's demand-miss count and
+prefetches through the LLC's ``prefetch``.  A port's ``post`` -- a
+machine's non-blocking traffic in one call -- is checked against one
+prefetch-flagged reference call per pair.  Hypothesis drives both
+sides with random multi-core streams -- demand, write and
+prefetch-flagged requests and posted batches at non-monotonic times, on
+tiny geometries, under every registered policy -- and applies
+``Uncore.fork`` and ``Cache.use_policy`` mid-stream.  Return values,
+LLC statistics, bus counters and bus-free time, per-core request
+counts, full sets, residency and the prefetcher's table must all agree.
 """
 
 import copy
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.dram import MemoryConfig, MemoryInterface
+from repro.mem.dram import MemoryConfig
 from repro.mem.replacement import _REGISTRY, make_policy
 from repro.mem.tlb import PAGE_BYTES, FrameAllocator, PageTable
 from repro.mem.uncore import Uncore, UncoreConfig
@@ -66,12 +69,36 @@ class ReferenceStreamPrefetcher:
         self.table[region] = (line, direction, confirmed)
 
 
+class ReferenceBus:
+    """The FSB + DRAM as a call per transfer: a busy-until pointer, a
+    line read returning ``dram_latency`` after its transfer starts, a
+    posted write returning at once."""
+
+    def __init__(self, config: MemoryConfig):
+        self.transfer_cycles = config.transfer_cycles
+        self.dram_latency = config.dram_latency
+        self.reads = 0
+        self.writes = 0
+        self.busy_cycles = 0
+        self.bus_free = 0
+
+    def access(self, address, now, is_write, pc, is_prefetch):
+        start = self.bus_free if self.bus_free > now else now
+        self.bus_free = start + self.transfer_cycles
+        self.busy_cycles += self.transfer_cycles
+        if is_write:
+            self.writes += 1
+            return now
+        self.reads += 1
+        return start + self.dram_latency
+
+
 class ReferenceUncore:
     """LLC (list-scan oracle) + bus + stream prefetcher + page tables,
     wired as a chain of method calls."""
 
     def __init__(self, config: UncoreConfig, policy):
-        self.memory = MemoryInterface(config.memory)
+        self.memory = ReferenceBus(config.memory)
         self.llc = ListScanCache(config.llc, policy,
                                  next_level=self.memory.access)
         frames = FrameAllocator()
@@ -119,15 +146,19 @@ class ReferenceUncore:
 
 #: One operation: (kind, core, address slot, time step, is_write).
 #: Kinds 0-2 are requests (0 demand, 1 demand write-or-read, 2
-#: prefetch-flagged); 3 forks the uncore under another policy and 4
-#: gives the LLC another policy on its existing ports.  An address slot
-#: picks one of eight lines in one of three pages, or ("-"/"+") the
-#: line below or above the last one, so streams run both ways and
-#: confirm often.
-OPERATION = st.tuples(st.sampled_from((0, 0, 0, 1, 1, 2, 2, 3, 4)),
-                      st.integers(0, 2),
-                      st.one_of(st.integers(0, 23), st.sampled_from("-+")),
-                      st.integers(-12, 16), st.booleans())
+#: prefetch-flagged) and 5 a posted batch of the pairs :data:`BATCH`
+#: draws; 3 forks the uncore under another policy and 4 gives the LLC
+#: another policy on its existing ports.  An address slot picks one of
+#: eight lines in one of three pages, or ("-"/"+") the line below or
+#: above the last one, so streams run both ways and confirm often.
+SLOT = st.one_of(st.integers(0, 23), st.sampled_from("-+"))
+OPERATION = st.tuples(st.sampled_from((0, 0, 0, 1, 1, 2, 2, 3, 4, 5, 5)),
+                      st.integers(0, 2), SLOT, st.integers(-12, 16),
+                      st.booleans())
+
+#: A posted batch: up to five (address slot, is_write) pairs, empty
+#: included.
+BATCH = st.lists(st.tuples(SLOT, st.booleans()), max_size=5)
 
 
 def _config(policy, data):
@@ -147,8 +178,10 @@ def _assert_same(uncore, reference, touched):
     llc = uncore.llc
     assert vars(llc.stats) == vars(reference.llc.stats)
     memory, oracle_memory = uncore.memory, reference.memory
-    assert (memory.reads, memory.writes, memory.busy_cycles) == (
-        oracle_memory.reads, oracle_memory.writes, oracle_memory.busy_cycles)
+    assert (memory.reads, memory.writes, memory.busy_cycles,
+            memory.bus_free) == (
+        oracle_memory.reads, oracle_memory.writes, oracle_memory.busy_cycles,
+        oracle_memory.bus_free)
     assert uncore.requests_per_core == reference.requests_per_core
     assert llc.full_sets == reference.full_sets()
     assert llc.resident_lines() == reference.llc.resident_lines()
@@ -189,9 +222,19 @@ def test_ports_match_the_reference_request_chain(policy, data):
     touched = set()
     now = 0
     slot = 0
+
+    def address_of(where):
+        nonlocal slot
+        slot = where if isinstance(where, int) else max(
+            0, slot + (1 if where == "+" else -1))
+        # Byte offsets inside a line must not matter.
+        address = (slot // 8) * PAGE_BYTES + (slot % 8) * 64 + now % 64
+        touched.add(address)
+        return address
+
     for kind, core, where, step, is_write in data.draw(
             st.lists(OPERATION, min_size=10, max_size=200)):
-        if kind >= 3:
+        if kind in (3, 4):
             name = data.draw(st.sampled_from(names))
             if kind == 3 and len(pairs) < 3:
                 source, _, source_reference, _ = pairs[-1]
@@ -208,13 +251,20 @@ def test_ports_match_the_reference_request_chain(policy, data):
             continue
         core %= cores
         now = max(0, now + step)
-        slot = where if isinstance(where, int) else max(
-            0, slot + (1 if where == "+" else -1))
-        # Byte offsets inside a line must not matter.
-        address = (slot // 8) * PAGE_BYTES + (slot % 8) * 64 + now % 64
-        touched.add(address)
+        if kind == 5:
+            batch = tuple((address_of(at), write)
+                          for at, write in data.draw(BATCH))
+            pc = 0x800 + len(batch)
+            for live, ports, live_reference, reference_ports in pairs:
+                assert ports[core].post(batch, now, pc) is None
+                for address, write in batch:
+                    reference_ports[core](address, now, write, pc, True)
+                _assert_same(live, live_reference, touched)
+            continue
+        address = address_of(where)
         request = (address, now, is_write and kind != 0, 0x400 + slot,
                    kind == 2)
         for live, ports, live_reference, reference_ports in pairs:
-            assert ports[core](*request) == reference_ports[core](*request)
+            assert ports[core].access(*request) == \
+                reference_ports[core](*request)
             _assert_same(live, live_reference, touched)
