@@ -31,7 +31,6 @@ from repro.api.backends import (
     SimulatorBackend,
     UnknownBackendError,
     backend_names,
-    backend_supports_policy_axis,
     get_backend,
     register_backend,
 )
@@ -51,7 +50,6 @@ __all__ = [
     # backends
     "BACKENDS", "SimulatorBackend", "UnknownBackendError",
     "register_backend", "get_backend", "backend_names",
-    "backend_supports_policy_axis",
     # campaigns
     "CampaignConfig", "Campaign", "CampaignTiming", "RESULTS_VERSION",
     # scales

@@ -13,19 +13,15 @@ simulator and builder classes:
 - ``analytic`` -- the array-evaluated BADCO variant: whole workload
   panels in a handful of NumPy calls (see :mod:`repro.sim.analytic`).
 
-Every simulator scores a grid through ``run_batch(workloads) ->
-BatchRun``, the workloads a sequence or a code matrix; the campaign
-engine calls it once per policy (or per row chunk on its process pool).
-Backends that can also batch the policy dimension declare
-``supports_policy_axis = True`` and expose ``run_batch_grid(workloads,
-policies) -> GridRun`` (one N x P x K call); the engine then collapses
-its per-policy loop into a single dispatch whenever every policy shares
-the same pending workloads.  The builtin ones take the flag from their
-simulator class: ``analytic`` scores the policy axis in its array
-expression, and ``badco`` and ``interval`` run each row once until its
-LLC first fills a set, then fork it per policy (see
-:mod:`repro.sim.detailed`).  ``detailed`` runs a row per policy: its
-cores' pipelines cannot be copied.
+Every simulator scores a grid through one call, ``run_batch_grid(
+workloads, policies) -> GridRun``: the N x P x K panel of a workload
+sequence or code matrix under each policy, and the only call the
+campaign engine makes (once per group of rows the pending policies
+share, or per row chunk on its process pool).  ``analytic`` scores the
+policy axis in its array expression, and ``badco`` and ``interval`` run
+each row once until its LLC first fills a set, then fork it per policy
+(see :mod:`repro.sim.detailed`).  ``detailed`` runs a row per policy:
+its cores' pipelines cannot be copied.
 
 Third-party simulators plug in without touching this package::
 
@@ -34,8 +30,8 @@ Third-party simulators plug in without touching this package::
     class SniperBackend:
         name = "sniper"
         def make_builder(self, trace_length, seed): ...
-        def make_simulator(self, cores, policy, trace_length,
-                           warmup_fraction, seed, builder=None): ...
+        def make_simulator(self, cores, policy, trace_length, seed,
+                           builder=None): ...
 
     register_backend(SniperBackend())
 """
@@ -55,10 +51,11 @@ class SimulatorBackend(Protocol):
     """Factory interface one simulator family must implement.
 
     The simulator object returned by :meth:`make_simulator` must offer
-    ``run_batch(workloads) -> BatchRun`` (the N x K panel of a workload
-    sequence, in row order; a code matrix on a backend that declares
-    ``supports_policy_axis``) and ``reference_ipc(benchmark) -> float``.
-    An event-driven simulator gets both, and ``run``, by subclassing
+    ``run_batch_grid(workloads, policies) -> GridRun`` (the N x P x K
+    panel of a workload sequence or code matrix, in row and policy
+    order, each policy's slice its own runs bit for bit) and
+    ``reference_ipc(benchmark) -> float``.  An event-driven simulator
+    gets both, and ``run`` and ``run_batch``, by subclassing
     :class:`~repro.sim.detailed.EventDrivenSimulator` and giving
     ``_stepper(benchmark, port)``, as
     :class:`~repro.sim.detailed.DetailedSimulator`,
@@ -76,8 +73,7 @@ class SimulatorBackend(Protocol):
         """
 
     def make_simulator(self, cores: int, policy: str, trace_length: int,
-                       warmup_fraction: float = 0.25, seed: int = 0,
-                       builder: Optional[Any] = None) -> Any:
+                       seed: int = 0, builder: Optional[Any] = None) -> Any:
         """Construct a ready-to-run simulator instance."""
 
 
@@ -85,10 +81,7 @@ class BuiltinBackend:
     """One shipped simulator family: its simulator and builder classes.
 
     Args:
-        simulator: the simulator class; its ``name`` names the backend
-            and its ``supports_policy_axis`` says whether it scores a
-            grid in one ``run_batch_grid`` call (see
-            :func:`backend_supports_policy_axis`).
+        simulator: the simulator class; its ``name`` names the backend.
         builder: the shared model builder class, built from
             ``(trace_length, seed)``, or None if the family needs none.
     """
@@ -98,32 +91,20 @@ class BuiltinBackend:
         self.name = simulator.name
         self.simulator = simulator
         self.builder = builder
-        self.supports_policy_axis = simulator.supports_policy_axis
 
     def make_builder(self, trace_length: int, seed: int) -> Optional[Any]:
         return (None if self.builder is None
                 else self.builder(trace_length, seed))
 
     def make_simulator(self, cores: int, policy: str, trace_length: int,
-                       warmup_fraction: float = 0.25, seed: int = 0,
-                       builder: Optional[Any] = None) -> Any:
+                       seed: int = 0, builder: Optional[Any] = None) -> Any:
         options = {}
         if self.builder is not None:
             options["builder"] = (builder
                                   or self.make_builder(trace_length, seed))
-        return self.simulator(
-            cores=cores, policy=policy, trace_length=trace_length,
-            warmup_fraction=warmup_fraction, seed=seed, **options)
-
-
-def backend_supports_policy_axis(backend: SimulatorBackend) -> bool:
-    """Whether a backend's simulators offer ``run_batch_grid``.
-
-    Policy-axis backends score a whole (workloads x policies) grid in
-    one N x P x K call; the engine then replaces its per-policy batch
-    loop with a single dispatch.
-    """
-    return bool(getattr(backend, "supports_policy_axis", False))
+        return self.simulator(cores=cores, policy=policy,
+                              trace_length=trace_length, seed=seed,
+                              **options)
 
 
 class UnknownBackendError(ValueError):

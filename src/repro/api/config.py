@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import ClassVar, FrozenSet, Optional, Union
 
 from repro.bench.generator import DEFAULT_TRACE_LENGTH
+from repro.sim.detailed import WARMUP_FRACTION
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -64,7 +65,6 @@ class CampaignConfig:
         cores: number of cores K.
         trace_length: uops per thread.
         seed: campaign seed (traces, policies, page layout).
-        warmup_fraction: per-thread unmeasured fraction.
         jobs: worker processes for grid simulation; 1 = in-process
             serial (the default), larger values use a process pool,
             0 = auto (one worker per CPU via :func:`resolve_jobs`,
@@ -85,7 +85,6 @@ class CampaignConfig:
     cores: int = 2
     trace_length: int = DEFAULT_TRACE_LENGTH
     seed: int = 0
-    warmup_fraction: float = 0.25
     jobs: int = 1
     cache_dir: Optional[Union[str, Path]] = None
     model_store_dir: Optional[Union[str, Path]] = None
@@ -107,8 +106,6 @@ class CampaignConfig:
             raise ValueError("cores must be >= 1")
         if self.trace_length < 1:
             raise ValueError("trace_length must be >= 1")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
         object.__setattr__(self, "jobs", resolve_jobs(self.jobs))
         if self.cache_dir is not None and not isinstance(self.cache_dir, Path):
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))
@@ -123,12 +120,13 @@ class CampaignConfig:
 
         Covers exactly the fields that determine IPC values plus
         :data:`RESULTS_VERSION`; ``jobs`` and ``cache_dir`` are
-        excluded by design.  Caches written before the versioned
-        layout (no ``-v`` suffix) are deliberately not read: they
-        predate the deterministic policy seeding.
+        excluded by design.  The ``-w`` part names every simulator's
+        :data:`~repro.sim.detailed.WARMUP_FRACTION`.  Caches written
+        before the versioned layout (no ``-v`` suffix) are deliberately
+        not read: they predate the deterministic policy seeding.
         """
         return (f"{self.backend}-k{self.cores}-l{self.trace_length}"
-                f"-s{self.seed}-w{int(self.warmup_fraction * 100)}"
+                f"-s{self.seed}-w{int(WARMUP_FRACTION * 100)}"
                 f"-v{RESULTS_VERSION}")
 
     @property

@@ -13,20 +13,19 @@ a :class:`~repro.core.codematrix.CodeMatrix` or a workload sequence
 array set operations.  Workload objects are built only for the pending
 rows of event-driven simulators.
 
-There is one grid path.  Every simulator scores a policy's pending rows
-with one ``run_batch`` call (or ``jobs`` contiguous row chunks) and the
-panel streams into the results via
-:meth:`~repro.sim.results.PopulationResults.record_batch`.  Backends
-declaring ``supports_policy_axis`` take code rows directly and score
-the rows several policies share with one ``run_batch_grid`` N x P x K
-dispatch; each policy's slice is bit-identical to its single-policy
-panel.  The analytic backend evaluates the policy axis in one array
-expression; BADCO and interval run each row once until its LLC first
-fills a set and then fork it per policy (:mod:`repro.sim.detailed`),
-so a two-policy refine is one call.  The detailed backend scores a
-policy per call.
+There is one grid path.  Every simulator scores pending cells through
+one call, ``run_batch_grid(rows, policies)``, whose N x P x K panel
+streams into the results per policy via
+:meth:`~repro.sim.results.PopulationResults.record_batch`; each
+policy's slice is bit-identical to its single-policy panel.  The rows
+every pending policy needs go as one grid (a fresh or uniformly cached
+grid, a two-policy refine included, is one call), and a policy left
+alone goes by itself.  The analytic backend evaluates the policy axis
+in one array expression; BADCO and interval run each row once until
+its LLC first fills a set and then fork it per policy, and the detailed
+backend runs a row per policy (:mod:`repro.sim.detailed`).
 
-With ``jobs>1`` the chunks fan out over a
+With ``jobs>1`` contiguous row chunks of every grid fan out over a
 :class:`concurrent.futures.ProcessPoolExecutor` -- the only process
 pool in the package -- with one simulator per task and one
 lazily-built model builder per worker process.  The parent records the
@@ -55,11 +54,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.backends import (
-    SimulatorBackend,
-    backend_supports_policy_axis,
-    get_backend,
-)
+from repro.api.backends import SimulatorBackend, get_backend
 from repro.api.config import CampaignConfig
 from repro.core.codematrix import CodeMatrix
 from repro.sim.results import SUITE, PopulationResults
@@ -102,37 +97,26 @@ def _worker_init(backend: SimulatorBackend, config: CampaignConfig,
     _WORKER_STATE["builder"] = builder
 
 
-def _worker_simulator(policy: str):
+def _simulate_grid(backend: SimulatorBackend, config: CampaignConfig,
+                   builder: Optional[Any],
+                   task: Tuple[Tuple[str, ...], CodeMatrix]) -> tuple:
+    """One ``run_batch_grid`` call over a task's (policies, rows);
+    returns the grid's IPCs, uops and wall seconds."""
+    policies, rows = task
+    run = backend.make_simulator(
+        config.cores, policies[0], config.trace_length, config.seed,
+        builder=builder).run_batch_grid(rows, policies)
+    return run.ipcs, run.instructions, run.wall_seconds
+
+
+def _worker_simulate_grid(task: Tuple[Tuple[str, ...], CodeMatrix]):
     backend: SimulatorBackend = _WORKER_STATE["backend"]
     config: CampaignConfig = _WORKER_STATE["config"]
     builder = _WORKER_STATE["builder"]
     if builder is None:
         builder = backend.make_builder(config.trace_length, config.seed)
         _WORKER_STATE["builder"] = builder
-    return backend.make_simulator(
-        config.cores, policy, config.trace_length,
-        config.warmup_fraction, config.seed, builder=builder)
-
-
-def _batch_input(backend: SimulatorBackend, rows: CodeMatrix):
-    """What a backend's ``run_batch`` takes: policy-axis backends score
-    code rows directly, the others get workload objects."""
-    if backend_supports_policy_axis(backend):
-        return rows
-    return rows.workloads()
-
-
-def _worker_simulate_batch(task: Tuple[str, CodeMatrix]):
-    policy, rows = task
-    run = _worker_simulator(policy).run_batch(
-        _batch_input(_WORKER_STATE["backend"], rows))
-    return run.ipcs, run.instructions, run.wall_seconds
-
-
-def _worker_simulate_grid(task: Tuple[Tuple[str, ...], CodeMatrix]):
-    policies, rows = task
-    run = _worker_simulator(policies[0]).run_batch_grid(rows, policies)
-    return run.ipcs, run.instructions, run.wall_seconds
+    return _simulate_grid(backend, config, builder, task)
 
 
 def _pool_context():
@@ -271,8 +255,7 @@ class Campaign:
     def _make_simulator(self, policy: str):
         return self.backend.make_simulator(
             self.config.cores, policy, self.config.trace_length,
-            self.config.warmup_fraction, self.config.seed,
-            builder=self.builder)
+            self.config.seed, builder=self.builder)
 
     def _account(self, simulations: int, instructions: int,
                  wall: float) -> None:
@@ -285,13 +268,13 @@ class Campaign:
         self.results.record_batch(policy, rows, ipcs)
         self._dirty = True
 
-    def _pool_map(self, function, tasks: List[Any], workers: int) -> list:
-        """``function`` over ``tasks`` on a fresh pool, in task order."""
+    def _pool_map(self, tasks: List[Any], workers: int) -> list:
+        """Every grid task on a fresh pool, outputs in task order."""
         with ProcessPoolExecutor(
                 max_workers=workers, mp_context=_pool_context(),
                 initializer=_worker_init,
                 initargs=(self.backend, self.config, self.builder)) as pool:
-            return list(pool.map(function, tasks))
+            return list(pool.map(_worker_simulate_grid, tasks))
 
     def run_grid(self, workloads, policies: Sequence[str]
                  ) -> PopulationResults:
@@ -328,53 +311,51 @@ class Campaign:
 
     def _run_pending(self, rows: CodeMatrix,
                      pending: List[Tuple[str, np.ndarray]]) -> None:
-        """One ``run_batch`` call (or ``jobs`` chunks) per policy.
+        """Score the pending cells in ``run_batch_grid`` calls.
 
-        Policy-axis backends first grid-dispatch the rows all pending
-        policies share -- a fresh or uniformly-cached grid is then a
-        single call -- and repeat on what remains while two or more
-        policies still share rows; the rest takes the per-policy path.
-        Batch rows are independent, so per-policy panels concatenated
-        from pool chunks are bit-identical to a serial run, and each
-        policy's rows are recorded in grid row order.
+        The rows every pending policy still needs go as one grid over
+        all of them -- a fresh or uniformly cached grid is then a single
+        call -- and this repeats while two or more policies still share
+        rows; a policy left alone goes by itself.  ``jobs=1`` makes one
+        call per group; otherwise every group's row chunks fan out in
+        one pool map.  Rows are independent, so any chunking is
+        bit-identical to a serial run, and each policy's rows are
+        recorded in grid row order.
         """
-        while backend_supports_policy_axis(self.backend) and len(pending) > 1:
+        groups: List[Tuple[Tuple[str, ...], CodeMatrix]] = []
+        while len(pending) > 1:
             shared = pending[0][1]
             for _, todo in pending[1:]:
                 shared = np.intersect1d(shared, todo, assume_unique=True)
             if not shared.size:
                 break
-            self._run_grid_policy_axis(rows.take(shared),
-                                       [p for p, _ in pending],
-                                       self.config.jobs)
+            groups.append((tuple(policy for policy, _ in pending),
+                           rows.take(shared)))
             pending = [(policy, np.setdiff1d(todo, shared,
                                              assume_unique=True))
                        for policy, todo in pending]
             pending = [(policy, todo) for policy, todo in pending
                        if todo.size]
-        if not pending:
-            return
-        workers = min(self.config.jobs, sum(len(t) for _, t in pending))
+        groups += [((policy,), rows.take(todo)) for policy, todo in pending]
+        workers = min(self.config.jobs, sum(len(g) for _, g in groups))
         if workers <= 1:
-            for policy, todo in pending:
-                chunk = rows.take(todo)
-                run = self._make_simulator(policy).run_batch(
-                    _batch_input(self.backend, chunk))
-                self._record(policy, chunk, run.ipcs)
-                self._account(len(chunk), run.instructions,
-                              run.wall_seconds)
-            return
-        self._prepare_builder(
-            rows.take(np.unique(np.concatenate([t for _, t in pending]))),
-            [policy for policy, _ in pending])
-        tasks = [(policy, chunk) for policy, todo in pending
-                 for chunk in _chunks(rows.take(todo), workers)]
-        outputs = self._pool_map(_worker_simulate_batch, tasks, workers)
-        # Record chunks in task order, i.e. exactly the serial order.
-        for (policy, chunk), (ipcs, instructions, wall) in zip(tasks,
-                                                               outputs):
-            self._record(policy, chunk, ipcs)
-            self._account(len(chunk), instructions, wall)
+            tasks = groups
+            outputs = [_simulate_grid(self.backend, self.config,
+                                      self.builder, task) for task in tasks]
+        else:
+            for policies, group in groups:
+                self._prepare_builder(group, policies)
+            tasks = [(policies, chunk) for policies, group in groups
+                     for chunk in _chunks(group, workers)]
+            outputs = self._pool_map(tasks, workers)
+        # Tasks are in row order within each group, so every policy's
+        # rows are recorded exactly as a serial run records them.
+        for (policies, chunk), (ipcs, instructions, wall) in zip(tasks,
+                                                                 outputs):
+            ranks = chunk.ranks(SUITE)
+            for number, policy in enumerate(policies):
+                self._record(policy, ranks, ipcs[:, number, :])
+            self._account(len(chunk) * len(policies), instructions, wall)
 
     def _prepare_builder(self, rows: CodeMatrix,
                          policies: Sequence[str]) -> None:
@@ -390,55 +371,18 @@ class Campaign:
         used = np.flatnonzero(rows.benchmark_occurrences())
         benchmarks = [rows.benchmarks[code] for code in used.tolist()]
         if hasattr(self.builder, "prepare"):
-            self.builder.prepare(benchmarks, policies, self.config.cores,
-                                 self.config.warmup_fraction)
+            self.builder.prepare(benchmarks, policies, self.config.cores)
         elif hasattr(self.builder, "build"):
             for benchmark in benchmarks:
                 self.builder.build(benchmark)
 
-    def _run_grid_policy_axis(self, todo: CodeMatrix,
-                              policies: Sequence[str], workers: int) -> None:
-        """One ``run_batch_grid`` dispatch for the whole pending grid.
-
-        Every policy shares the same pending rows, so the engine's
-        per-policy loop becomes a single N x P x K call (``jobs=1``) or
-        ``jobs`` row chunks, each scoring all policies (``jobs>1``).
-        Rows are independent and each policy's slice equals its
-        single-policy batch panel, so results stay bit-identical to the
-        per-policy path for any ``jobs``.
-        """
-        policies = list(policies)
-        workers = min(workers, len(todo))
-        if workers <= 1:
-            grid = self._make_simulator(policies[0]).run_batch_grid(
-                todo, policies)
-            self._account(len(todo) * len(policies), grid.instructions,
-                          grid.wall_seconds)
-            ranks = todo.ranks(SUITE)
-            for number, policy in enumerate(policies):
-                self._record(policy, ranks, grid.ipcs[:, number, :])
-            return
-        self._prepare_builder(todo, policies)
-        chunks = _chunks(todo, workers)
-        outputs = self._pool_map(
-            _worker_simulate_grid,
-            [(tuple(policies), chunk) for chunk in chunks], workers)
-        # Record policy-major with chunks in row order -- exactly the
-        # block layout the serial per-policy path would produce.
-        chunk_ranks = [chunk.ranks(SUITE) for chunk in chunks]
-        for number, policy in enumerate(policies):
-            for ranks, (ipcs, _, _) in zip(chunk_ranks, outputs):
-                self._record(policy, ranks, ipcs[:, number, :])
-        for chunk, (_, instructions, wall) in zip(chunks, outputs):
-            self._account(len(chunk) * len(policies), instructions, wall)
-
-    def reference_ipcs(self, benchmarks: Iterable[str],
-                       policy: str = "LRU") -> Dict[str, float]:
-        """Single-thread reference IPCs (memoised in the results)."""
+    def reference_ipcs(self, benchmarks: Iterable[str]) -> Dict[str, float]:
+        """Single-thread reference IPCs on the LRU machine, the paper's
+        IPCref (memoised in the results)."""
         for benchmark in benchmarks:
             if benchmark not in self.results.reference:
                 started = time.perf_counter()
-                ipc = self._make_simulator(policy).reference_ipc(benchmark)
+                ipc = self._make_simulator("LRU").reference_ipc(benchmark)
                 self._account(1, self.config.trace_length,
                               time.perf_counter() - started)
                 self.results.record_reference(benchmark, ipc)

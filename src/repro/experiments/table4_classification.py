@@ -21,16 +21,16 @@ from repro.core.classification import classify_benchmarks
 from repro.cpu.core import DetailedCore
 from repro.cpu.resources import default_core_config
 from repro.mem.uncore import Uncore, uncore_config_for_cores
+from repro.sim.detailed import WARMUP_FRACTION
 
 
-def measure_mpki(benchmark: str, trace_length: int, seed: int = 0,
-                 warmup_fraction: float = 0.25) -> float:
+def measure_mpki(benchmark: str, trace_length: int, seed: int = 0) -> float:
     """Single-thread LLC MPKI on the reference (2-core LRU) uncore."""
     uncore = Uncore(uncore_config_for_cores(1, "LRU"), seed=seed)
     trace = cached_trace(benchmark, trace_length, seed)
     core = DetailedCore(default_core_config(), trace,
                         uncore.port(0).access)
-    warmup = int(trace_length * warmup_fraction)
+    warmup = int(trace_length * WARMUP_FRACTION)
     while core.position < warmup:
         core.advance()
     misses_before = uncore.llc_demand_misses

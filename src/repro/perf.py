@@ -29,15 +29,16 @@ Five suites, written to the same ``BENCH_analytics.json`` trajectory:
   and 0 (``sim-batch-parallel-jobs1`` / ``-jobs2`` / ``-auto``,
   bit-identical panels; ``-auto`` is one worker per CPU -- the ratio
   is what process fan-out buys on the host), and one five-policy BADCO
-  grid twice: per policy through ``run_batch``
-  (``sim-policy-axis-loop``) and as one grid call whose rows run once
-  until their LLC first fills a set (``sim-policy-axis-grid``; the
-  ratio is what that shared prefix saves, on any host).  Its
-  ``sim-uncore-requests`` times the request path alone: one recording
-  of a FULL-length 4-core BADCO row's uncore calls -- each node's
-  posted batch and its demand read -- replayed through fresh uncores'
-  ports (``requests_per_s`` counts the requests in them), and its
-  ``sim-panel-analytic`` is the best of a few fresh campaigns;
+  grid twice, each the best of :data:`SIM_AXIS_REPEATS` runs: per
+  policy through ``run_batch`` (``sim-policy-axis-loop``) and as one
+  grid call whose rows run once until their LLC first fills a set
+  (``sim-policy-axis-grid``; the ratio is what that shared prefix
+  saves, on any host).  Its ``sim-uncore-requests`` times the request
+  path alone: one recording of a FULL-length 4-core BADCO row's uncore
+  calls -- each node's posted batch and its demand read -- replayed
+  through fresh uncores' ports (``requests_per_s`` counts the requests
+  in them), and its ``sim-panel-analytic`` is the best of a few fresh
+  campaigns;
 - *serve* (:func:`run_serve_bench`) -- the resident-state daemon
   (:mod:`repro.serve`): the same e2e frame answered by ``repro serve``
   over a Unix socket.  ``serve-query-cold`` is the daemon's first
@@ -123,8 +124,10 @@ SIM_PROFILES: Dict[str, Dict[str, int]] = {
 #: Policies exercised by the sim suite (one scan-resistant pair).
 SIM_POLICIES = ("LRU", "DIP")
 
-#: Rows of the sim suite's five-policy BADCO grid, at either profile.
+#: Rows of the sim suite's five-policy BADCO grid, at either profile,
+#: and how many times each of its two timings runs (best of).
 SIM_AXIS_ROWS = 12
+SIM_AXIS_REPEATS = 3
 
 #: The row whose uncore requests ``sim-uncore-requests`` replays at
 #: ``Scale.FULL``'s trace length (one of the benchmark's refine rows),
@@ -185,6 +188,19 @@ def _time(fn: Callable[[], object], repeat: int = 3) -> float:
     return best
 
 
+def _record(records: List[Dict[str, object]], name: str, seconds: float,
+            population: int, draws: int = 0,
+            **extras: object) -> Dict[str, object]:
+    """Append one bench record (see the module docstring); ``extras``
+    (``backend``, ``mips``, ...) follow the four common keys in the
+    order given.  Returns the record."""
+    entry: Dict[str, object] = {"name": name, "seconds": seconds,
+                                "draws": draws,
+                                "population_size": population, **extras}
+    records.append(entry)
+    return entry
+
+
 def run_bench(draws: int = DEFAULT_DRAWS,
               sample_size: int = DEFAULT_SAMPLE_SIZE,
               cores: int = DEFAULT_CORES,
@@ -214,27 +230,20 @@ def run_bench(draws: int = DEFAULT_DRAWS,
     index = population.index
 
     records: List[Dict[str, object]] = []
-
-    def record(name: str, seconds: float, mc_draws: int) -> None:
-        records.append({
-            "name": name,
-            "seconds": seconds,
-            "draws": mc_draws,
-            "population_size": len(population),
-        })
+    size = len(population)
 
     # --- d(w) construction: per-workload loop vs one array expression
     # over IPC matrices built from the same tables outside the timer.
     workloads = list(population)
     matrix_x = IpcMatrix(index, [ipcs_x[w] for w in index.workloads])
     matrix_y = IpcMatrix(index, [ipcs_y[w] for w in index.workloads])
-    record("delta-wsu-scalar",
-           _time(lambda: variable.table(workloads, ipcs_x, ipcs_y), repeat),
-           0)
-    record("delta-wsu-columnar",
-           _time(lambda: delta_column_from_matrices(variable, matrix_x,
-                                                    matrix_y), repeat),
-           0)
+    _record(records, "delta-wsu-scalar",
+            _time(lambda: variable.table(workloads, ipcs_x, ipcs_y),
+                  repeat), size)
+    _record(records, "delta-wsu-columnar",
+            _time(lambda: delta_column_from_matrices(variable, matrix_x,
+                                                     matrix_y), repeat),
+            size)
 
     # --- Monte-Carlo confidence: the dominant wall-clock cost.
     delta = delta_column_from_matrices(variable, matrix_x, matrix_y)
@@ -254,14 +263,12 @@ def run_bench(draws: int = DEFAULT_DRAWS,
         ("bench-strata", BenchmarkStratification(classes), 1),
     ]
     for label, method, tries in methods:
-        record(f"estimator-{label}-scalar",
-               _time(lambda m=method: estimator.confidence_scalar(
-                   m, sample_size, seed=seed), tries),
-               draws)
-        record(f"estimator-{label}-columnar",
-               _time(lambda m=method: estimator.confidence(
-                   m, sample_size, seed=seed), tries),
-               draws)
+        _record(records, f"estimator-{label}-scalar",
+                _time(lambda m=method: estimator.confidence_scalar(
+                    m, sample_size, seed=seed), tries), size, draws)
+        _record(records, f"estimator-{label}-columnar",
+                _time(lambda m=method: estimator.confidence(
+                    m, sample_size, seed=seed), tries), size, draws)
 
     # --- fig6-style pair batching: four policy pairs, one shared row
     # gather (pair_curves) against the per-pair estimator loop.
@@ -283,12 +290,12 @@ def run_bench(draws: int = DEFAULT_DRAWS,
             ConfidenceEstimator(population, column, draws=draws).curve(
                 stratifiers[key], (sample_size,), seed=seed)
 
-    record("estimator-workload-strata-pairs-loop", _time(pair_loop, repeat),
-           draws)
-    record("estimator-workload-strata-pairs",
-           _time(lambda: paired.pair_curves(
-               stratifiers, (sample_size,), seed=seed), repeat),
-           draws)
+    _record(records, "estimator-workload-strata-pairs-loop",
+            _time(pair_loop, repeat), size, draws)
+    _record(records, "estimator-workload-strata-pairs",
+            _time(lambda: paired.pair_curves(
+                stratifiers, (sample_size,), seed=seed), repeat),
+            size, draws)
     return records
 
 
@@ -334,24 +341,10 @@ def run_sim_bench(profile: str = "smoke",
         names, cores, max_size=parameters["max_population"] or None,
         seed=seed)
     workloads = list(population)
+    size = len(population)
     policies = list(SIM_POLICIES)
 
     records: List[Dict[str, object]] = []
-
-    def record(name: str, backend: str, seconds: float,
-               mips: Optional[float] = None,
-               rows: Optional[int] = None) -> Dict[str, object]:
-        entry: Dict[str, object] = {
-            "name": name,
-            "seconds": seconds,
-            "draws": 0,
-            "population_size": len(population) if rows is None else rows,
-            "backend": backend,
-        }
-        if mips is not None:
-            entry["mips"] = mips
-        records.append(entry)
-        return entry
 
     # --- shared model training (both backends replay these models).
     from repro.sim.badco.model import BadcoModelBuilder
@@ -360,7 +353,8 @@ def run_sim_bench(profile: str = "smoke",
     start = time.perf_counter()
     for name in names:
         badco_builder.build(name)
-    record("sim-train-models", "badco", time.perf_counter() - start)
+    _record(records, "sim-train-models", time.perf_counter() - start, size,
+            backend="badco")
 
     # --- the event-driven badco grid: one Python loop per workload.
     config = CampaignConfig(backend="badco", cores=cores,
@@ -368,8 +362,8 @@ def run_sim_bench(profile: str = "smoke",
     campaign = Campaign(config, builder=badco_builder)
     start = time.perf_counter()
     campaign.run_grid(population, policies)
-    record("sim-panel-badco", "badco", time.perf_counter() - start,
-           campaign.timing.mips)
+    _record(records, "sim-panel-badco", time.perf_counter() - start, size,
+            backend="badco", mips=campaign.timing.mips)
 
     # --- the engine's process pool on the warm builder: one BADCO grid
     # at jobs=1, 2 and 0 (auto, one worker per CPU), no cache
@@ -385,8 +379,9 @@ def run_sim_bench(profile: str = "smoke",
         start = time.perf_counter()
         campaign.run_grid(population, grid_policies)
         seconds = time.perf_counter() - start
-        record(f"sim-batch-parallel-{label}", "badco", seconds,
-               campaign.timing.instructions / seconds / 1e6)
+        _record(records, f"sim-batch-parallel-{label}", seconds, size,
+                backend="badco",
+                mips=campaign.timing.instructions / seconds / 1e6)
         _, matrices = campaign.results.columnar_panel(grid_policies,
                                                       population)
         panels[label] = matrices[grid_policies[0]].values
@@ -398,7 +393,7 @@ def run_sim_bench(profile: str = "smoke",
     # --- the policy axis: the paper's five policies over a slice of the
     # population, per policy through run_batch and as one grid call
     # (bit-equal panels; each row runs once until its LLC first fills
-    # a set, then forks per policy).
+    # a set, then forks per policy), each timed as the best of a few.
     from repro.mem.replacement import POLICY_NAMES
     from repro.sim.badco import BadcoSimulator
 
@@ -406,27 +401,32 @@ def run_sim_bench(profile: str = "smoke",
     simulators = [BadcoSimulator(cores, policy, builder=badco_builder,
                                  trace_length=trace_length, seed=seed)
                   for policy in POLICY_NAMES]
-    start = time.perf_counter()
-    loop = [simulator.run_batch(rows) for simulator in simulators]
-    seconds = time.perf_counter() - start
-    record("sim-policy-axis-loop", "badco", seconds,
-           sum(run.instructions for run in loop) / seconds / 1e6, len(rows))
-    start = time.perf_counter()
-    grid = simulators[0].run_batch(rows, POLICY_NAMES)
-    seconds = time.perf_counter() - start
-    record("sim-policy-axis-grid", "badco", seconds,
-           grid.instructions / seconds / 1e6, len(rows))
+
+    def per_policy():
+        return [simulator.run_batch(rows) for simulator in simulators]
+
+    def one_grid():
+        return simulators[0].run_batch(rows, POLICY_NAMES)
+
+    loop, grid = per_policy(), one_grid()
     assert all(np.array_equal(grid.ipcs[:, column, :], run.ipcs)
                for column, run in enumerate(loop)), \
         "the five-policy grid diverged from its per-policy batches"
+    for name, call, instructions in (
+            ("sim-policy-axis-loop", per_policy,
+             sum(run.instructions for run in loop)),
+            ("sim-policy-axis-grid", one_grid, grid.instructions)):
+        seconds = _time(call, SIM_AXIS_REPEATS)
+        _record(records, name, seconds, len(rows), backend="badco",
+                mips=instructions / seconds / 1e6)
 
     # --- the analytic batch path: calibration, then one array call.
     analytic_builder = AnalyticModelBuilder(trace_length, seed,
                                             badco_builder=badco_builder)
     start = time.perf_counter()
     analytic_builder.prepare(names, policies, cores)
-    record("sim-calibrate-analytic", "analytic",
-           time.perf_counter() - start)
+    _record(records, "sim-calibrate-analytic", time.perf_counter() - start,
+            size, backend="analytic")
     config = CampaignConfig(backend="analytic", cores=cores,
                             trace_length=trace_length, seed=seed)
     # Best of fresh campaigns: one panel takes about a millisecond, so
@@ -437,7 +437,8 @@ def run_sim_bench(profile: str = "smoke",
         start = time.perf_counter()
         campaign.run_grid(population, policies)
         best = min(best, (time.perf_counter() - start, campaign.timing.mips))
-    record("sim-panel-analytic", "analytic", *best)
+    _record(records, "sim-panel-analytic", best[0], size,
+            backend="analytic", mips=best[1])
 
     # --- MIPS of the slow event-driven backends on a small slice.
     sample = workloads[:parameters["sample"]]
@@ -447,9 +448,9 @@ def run_sim_bench(profile: str = "smoke",
         campaign = Campaign(config)
         start = time.perf_counter()
         campaign.run_grid(sample, policies[:1])
-        record(f"sim-workloads-{backend}", backend,
-               time.perf_counter() - start, campaign.timing.mips,
-               len(sample))
+        _record(records, f"sim-workloads-{backend}",
+                time.perf_counter() - start, len(sample), backend=backend,
+                mips=campaign.timing.mips)
 
     # --- the request path alone: one row's uncore calls, replayed.
     calls = _uncore_calls(seed)
@@ -458,8 +459,8 @@ def run_sim_bench(profile: str = "smoke",
     requests = sum(1 if batch is None else len(batch)
                    for _, _, _, batch, _ in calls)
     replayed = requests * len(SIM_REQUEST_POLICIES)
-    record("sim-uncore-requests", "badco", seconds,
-           rows=1)["requests_per_s"] = replayed / seconds
+    _record(records, "sim-uncore-requests", seconds, 1, backend="badco",
+            requests_per_s=replayed / seconds)
     return records
 
 
@@ -543,29 +544,18 @@ def run_pop_bench(profile: str = "smoke",
     total = population_size(len(names), cores)
     records: List[Dict[str, object]] = []
 
-    def record(name: str, seconds: float, population: int,
-               backend: Optional[str] = None) -> None:
-        entry: Dict[str, object] = {
-            "name": name,
-            "seconds": seconds,
-            "draws": 0,
-            "population_size": population,
-        }
-        if backend is not None:
-            entry["backend"] = backend
-        records.append(entry)
-
     start = time.perf_counter()
     matrix = CodeMatrix.full(names, cores)
-    record(f"pop-enumerate-{cores}core", time.perf_counter() - start, total)
+    _record(records, f"pop-enumerate-{cores}core",
+            time.perf_counter() - start, total)
     assert len(matrix) == total
     del matrix
 
     start = time.perf_counter()
     sampled = WorkloadPopulation(names, cores,
                                  max_size=parameters["sample"], seed=seed)
-    record(f"pop-sample-{cores}core", time.perf_counter() - start,
-           len(sampled))
+    _record(records, f"pop-sample-{cores}core", time.perf_counter() - start,
+            len(sampled))
 
     grid_names = _pick_sim_benchmarks(parameters["store_benchmarks"])
     grid_population = WorkloadPopulation(grid_names,
@@ -581,8 +571,9 @@ def run_pop_bench(profile: str = "smoke",
             start = time.perf_counter()
             campaign.run_grid(grid_population, list(SIM_POLICIES))
             campaign.reference_ipcs(grid_names)
-            record(f"pop-store-{label}", time.perf_counter() - start,
-                   len(grid_population), backend="analytic")
+            _record(records, f"pop-store-{label}",
+                    time.perf_counter() - start, len(grid_population),
+                    backend="analytic")
     return records
 
 
@@ -609,13 +600,6 @@ def run_e2e_bench(profile: str = "smoke",
     cores = int(parameters["cores"])  # type: ignore[arg-type]
     records: List[Dict[str, object]] = []
 
-    def record(name: str, seconds: float, population: int,
-               draws: int = 0, backend: str = "analytic") -> None:
-        records.append({
-            "name": name, "seconds": seconds, "draws": draws,
-            "population_size": population, "backend": backend,
-        })
-
     with tempfile.TemporaryDirectory() as tmp:
         store = Path(tmp) / "models"
         for label in ("cold", "warm"):
@@ -629,17 +613,18 @@ def run_e2e_bench(profile: str = "smoke",
                 sample=int(parameters["sample"]),  # type: ignore[arg-type]
                 draws=int(parameters["draws"]),  # type: ignore[arg-type]
                 sample_sizes=tuple(parameters["sizes"]))  # type: ignore
-            record(f"e2e-{cores}core-{label}",
-                   time.perf_counter() - start,
-                   estimate.population_size, estimate.draws)
+            _record(records, f"e2e-{cores}core-{label}",
+                    time.perf_counter() - start, estimate.population_size,
+                    estimate.draws, backend="analytic")
             if label == "warm":
                 assert estimate.training_runs == 0, \
                     "warm driver run retrained models"
                 for phase in ("panels", "confidence"):
-                    record(f"e2e-{cores}core-{phase}",
-                           estimate.timings[phase],
-                           estimate.population_size,
-                           estimate.draws if phase == "confidence" else 0)
+                    _record(records, f"e2e-{cores}core-{phase}",
+                            estimate.timings[phase],
+                            estimate.population_size,
+                            estimate.draws if phase == "confidence" else 0,
+                            backend="analytic")
 
         # --- the two-stage driver against the warm store: analytic
         # screen over the whole frame plus a budgeted badco refine
@@ -655,10 +640,11 @@ def run_e2e_bench(profile: str = "smoke",
             draws=int(parameters["draws"]),  # type: ignore[arg-type]
             sample_sizes=tuple(parameters["sizes"]),  # type: ignore
             refine_backend="badco", refine_budget=budget)
-        record("e2e-two-stage", time.perf_counter() - start,
-               two_stage.population_size, two_stage.draws)
-        record("e2e-two-stage-refine", two_stage.timings["refine"],
-               two_stage.refined, backend="badco")
+        _record(records, "e2e-two-stage", time.perf_counter() - start,
+                two_stage.population_size, two_stage.draws,
+                backend="analytic")
+        _record(records, "e2e-two-stage-refine", two_stage.timings["refine"],
+                two_stage.refined, backend="badco")
     return records
 
 
@@ -696,16 +682,6 @@ def run_serve_bench(profile: str = "smoke",
     draws = int(parameters["draws"])  # type: ignore[arg-type]
     sizes = tuple(parameters["sizes"])  # type: ignore[arg-type]
     records: List[Dict[str, object]] = []
-
-    def record(name: str, seconds: float, population: int,
-               mc_draws: int = 0, **extras: object) -> None:
-        entry: Dict[str, object] = {
-            "name": name, "seconds": seconds, "draws": mc_draws,
-            "population_size": population, "backend": "analytic",
-        }
-        entry.update(extras)
-        records.append(entry)
-
     query = dict(baseline="LRU", candidate="DIP", scale="small",
                  seed=seed, benchmarks=list(names), cores=cores,
                  sample=sample, draws=draws, sample_sizes=list(sizes))
@@ -729,8 +705,8 @@ def run_serve_bench(profile: str = "smoke",
             model_store_dir=store).estimate_full_scale(
             "LRU", "DIP", cores=cores, sample=sample, draws=draws,
             sample_sizes=sizes)
-        record("serve-oneshot-warm", time.perf_counter() - start,
-               oneshot.population_size, oneshot.draws)
+        _record(records, "serve-oneshot-warm", time.perf_counter() - start,
+                oneshot.population_size, oneshot.draws, backend="analytic")
         assert oneshot.training_runs == 0, \
             "one-shot warm baseline retrained models"
 
@@ -740,8 +716,9 @@ def run_serve_bench(profile: str = "smoke",
                 as server, ReproClient(server.address) as client:
             start = time.perf_counter()
             served = client.estimate(**query)
-            record("serve-query-cold", time.perf_counter() - start,
-                   served.population_size, served.draws)
+            _record(records, "serve-query-cold", time.perf_counter() - start,
+                    served.population_size, served.draws,
+                    backend="analytic")
 
             warm_seconds = _time(lambda: client.estimate(**query),
                                  repeat=5)
@@ -782,13 +759,13 @@ def run_serve_bench(profile: str = "smoke",
 
             panel = client.stats()["panel_cache"]
             lookups = panel["hits"] + panel["misses"]
-            record("serve-query-warm", warm_seconds,
-                   warm.population_size, warm.draws,
-                   hit_rate=(panel["hits"] / lookups if lookups else 0.0))
-            record("serve-concurrent", burst_seconds,
-                   served.population_size, served.draws,
-                   requests=len(SERVE_BURST_PAIRS),
-                   dispatch_groups=groups, coalesced=coalesced)
+            _record(records, "serve-query-warm", warm_seconds,
+                    warm.population_size, warm.draws, backend="analytic",
+                    hit_rate=(panel["hits"] / lookups if lookups else 0.0))
+            _record(records, "serve-concurrent", burst_seconds,
+                    served.population_size, served.draws,
+                    backend="analytic", requests=len(SERVE_BURST_PAIRS),
+                    dispatch_groups=groups, coalesced=coalesced)
     return records
 
 

@@ -14,8 +14,9 @@ member policy pairs, and warms the shared campaign with a single
 ``run_batch_grid`` N x P x K dispatch; every member's
 ``estimate_full_scale`` then finds its panels cached and runs the
 read-only math.  Per-policy slices of one grid dispatch are
-bit-identical to single-policy panels (the engine's policy-axis
-contract), so coalescing is invisible in the results: M overlapping
+bit-identical to single-policy panels (the contract of every
+simulator's ``run_batch_grid``, the engine's one call), so coalescing
+is invisible in the results: M overlapping
 requests cost one dispatch instead of M, and return exactly what M
 one-shot sessions would have.
 

@@ -1,11 +1,12 @@
 """Simulators and campaign infrastructure.
 
 Four simulator families behind one interface
-(``run_batch(workloads) -> BatchRun`` / ``reference_ipc(benchmark)``),
-mirroring and extending the paper's Zesto / BADCO pair.  The three
-event-driven ones inherit one ``run``, ``run_batch`` (the serial loop
-over the workloads, which also scores several policies per row as an
-N x P x K :class:`~repro.sim.detailed.GridRun`) and standalone
+(``run_batch_grid(workloads, policies) -> GridRun`` /
+``reference_ipc(benchmark)``), mirroring and extending the paper's
+Zesto / BADCO pair.  The three event-driven ones inherit one ``run``,
+``run_batch`` and ``run_batch_grid`` (the serial loop over the
+workloads, which scores several policies per row as an N x P x K
+:class:`~repro.sim.detailed.GridRun`) and standalone
 ``reference_ipc`` from :class:`~repro.sim.detailed.EventDrivenSimulator`
 and differ only in the machine each core runs; BADCO and interval run a
 row's policies together until the LLC first fills a set.  The two
@@ -21,8 +22,8 @@ trained ones build their models through one
   one-training-run interval model;
 - :class:`~repro.sim.analytic.AnalyticSimulator` -- the array-evaluated
   BADCO variant: flattened node models scored for whole workload
-  panels per NumPy call (``run_batch``), calibrated against standalone
-  BADCO runs.
+  panels per NumPy call (``run_batch_grid``), calibrated against
+  standalone BADCO runs.
 
 Campaigns -- (workload x policy) grids with on-disk memoisation,
 process-pool parallelism (the engine's pool is the only one) and

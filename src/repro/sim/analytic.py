@@ -208,15 +208,14 @@ class AnalyticModelBuilder:
         self._vectors[benchmark] = vector
         return vector
 
-    def calibrate(self, benchmark: str, uncore_config: UncoreConfig,
-                  warmup_fraction: float = 0.25) -> Calibration:
+    def calibrate(self, benchmark: str,
+                  uncore_config: UncoreConfig) -> Calibration:
         """Standalone anchor of one benchmark: the wrapped BADCO
         builder's :meth:`~repro.sim.badco.model.BadcoModelBuilder.anchor`,
         the run the ``badco`` backend's ``reference_ipc`` reads too."""
-        return self.badco.anchor(benchmark, uncore_config, warmup_fraction)
+        return self.badco.anchor(benchmark, uncore_config)
 
-    def protection(self, uncore_config: UncoreConfig,
-                   warmup_fraction: float = 0.25) -> float:
+    def protection(self, uncore_config: UncoreConfig) -> float:
         """Always 0.0: a policy reaches the closure only through its
         standalone anchors, and nothing in the package calls this.
 
@@ -227,7 +226,7 @@ class AnalyticModelBuilder:
         return 0.0
 
     def prepare(self, benchmarks: Sequence[str], policies: Sequence[str],
-                cores: int, warmup_fraction: float = 0.25) -> None:
+                cores: int) -> None:
         """Train and calibrate everything a grid will need.
 
         The campaign engine calls this before forking workers, so the
@@ -238,7 +237,7 @@ class AnalyticModelBuilder:
             config = uncore_config_for_cores(cores, policy)
             for benchmark in benchmarks:
                 self.vectors(benchmark)
-                self.calibrate(benchmark, config, warmup_fraction)
+                self.calibrate(benchmark, config)
 
     def __repr__(self) -> str:
         return (f"AnalyticModelBuilder(length={self.trace_length}, "
@@ -248,32 +247,28 @@ class AnalyticModelBuilder:
 class AnalyticSimulator:
     """Scores whole workload panels with the flattened BADCO model.
 
-    Offers the same ``run`` / ``reference_ipc`` contract as the
-    event-driven simulators plus the batch entry point ``run_batch``;
-    ``run`` is a one-row batch, so the loop and batch paths are
-    bit-identical by construction.
+    Offers the same ``run`` / ``run_batch`` / ``run_batch_grid`` /
+    ``reference_ipc`` contract as the event-driven simulators; ``run``
+    is a one-row batch and ``run_batch`` a one-policy grid, so the
+    loop, batch and grid paths are bit-identical by construction.
 
     Args:
         cores: number of cores K.
         policy: LLC replacement policy name.
         builder: the shared :class:`AnalyticModelBuilder`.
-        trace_length / warmup_fraction / seed: as in
+        trace_length / seed: as in
             :class:`repro.sim.detailed.DetailedSimulator`.
     """
 
     name = "analytic"
-    #: The engine hands this family a whole grid (:meth:`run_batch_grid`).
-    supports_policy_axis = True
 
     def __init__(self, cores: int, policy: str = "LRU",
                  builder: Optional[AnalyticModelBuilder] = None,
-                 trace_length: int = DEFAULT_TRACE_LENGTH,
-                 warmup_fraction: float = 0.25, seed: int = 0,
+                 trace_length: int = DEFAULT_TRACE_LENGTH, seed: int = 0,
                  uncore_config: Optional[UncoreConfig] = None) -> None:
         self.cores = cores
         self.policy = policy
         self.trace_length = trace_length
-        self.warmup_fraction = warmup_fraction
         self.seed = seed
         self.builder = builder or AnalyticModelBuilder(trace_length, seed)
         if self.builder.trace_length != trace_length:
@@ -302,8 +297,7 @@ class AnalyticSimulator:
         """
         vectors = [self.builder.vectors(b) for b in benchmarks]
         calibrations = [
-            [self.builder.calibrate(b, self._config_for(policy),
-                                    self.warmup_fraction)
+            [self.builder.calibrate(b, self._config_for(policy))
              for b in benchmarks]
             for policy in policies]
 
@@ -488,8 +482,7 @@ class AnalyticSimulator:
         (:meth:`~repro.sim.badco.model.BadcoModelBuilder.anchor`), which
         a shared BADCO builder runs once for both.
         """
-        return self.builder.calibrate(
-            benchmark, self.uncore_config, self.warmup_fraction).ipc
+        return self.builder.calibrate(benchmark, self.uncore_config).ipc
 
     def __repr__(self) -> str:
         return (f"AnalyticSimulator(cores={self.cores}, "

@@ -43,7 +43,12 @@ from repro.cpu.core import RequestEvent
 from repro.cpu.resources import CoreConfig
 from repro.mem.cache import Port
 from repro.mem.uncore import Uncore, UncoreConfig
-from repro.sim.detailed import TrainedModelBuilder, _MeasuredThread, interleave
+from repro.sim.detailed import (
+    WARMUP_FRACTION,
+    TrainedModelBuilder,
+    _MeasuredThread,
+    interleave,
+)
 
 #: Training uncore latencies (core cycles): always-hit and always-miss.
 TRAIN_HIT_LATENCY = 6
@@ -163,8 +168,7 @@ class BadcoModelBuilder(TrainedModelBuilder):
                              self.trace_length)
         return BadcoModel(benchmark, self.trace_length, nodes)
 
-    def _calibration_signature(self, uncore_config: UncoreConfig,
-                               warmup_fraction: float) -> str:
+    def _calibration_signature(self, uncore_config: UncoreConfig) -> str:
         """Everything an anchor run depends on, digested: the uncore,
         the warmup metering and the node model's own signature (a change
         that retrains the models also re-anchors)."""
@@ -172,17 +176,17 @@ class BadcoModelBuilder(TrainedModelBuilder):
 
         return config_signature(
             "analytic-calibration", self.trace_length, self.seed,
-            warmup_fraction, uncore_config, self._store_signature())
+            WARMUP_FRACTION, uncore_config, self._store_signature())
 
-    def anchor(self, benchmark: str, uncore_config: UncoreConfig,
-               warmup_fraction: float = 0.25) -> Calibration:
+    def anchor(self, benchmark: str,
+               uncore_config: UncoreConfig) -> Calibration:
         """The benchmark's machine alone on one uncore (memoised).
 
         The one standalone run of the code base: the ``badco`` backend's
         ``reference_ipc`` is its ``ipc``, and the ``analytic`` backend
         calibrates on the whole anchor.  Memoised per (benchmark, the
-        whole uncore configuration, ``warmup_fraction``) and persisted
-        as a ``calib`` record named ``"{benchmark}-{policy}"``.
+        whole uncore configuration) and persisted as a ``calib`` record
+        named ``"{benchmark}-{policy}"``.
 
         An anchor whose LLC evicted nothing also serves the same
         benchmark and uncore under every other policy.  The cache asks
@@ -195,16 +199,15 @@ class BadcoModelBuilder(TrainedModelBuilder):
         meter readings, bit for bit -- and evicts nothing either.  Each
         policy's record is still saved.
         """
-        key = (benchmark, uncore_config, warmup_fraction)
+        key = (benchmark, uncore_config)
         anchor = self._anchors.get(key)
         if anchor is not None:
             return anchor
-        shared = (benchmark, uncore_config.with_policy(""), warmup_fraction)
+        shared = (benchmark, uncore_config.with_policy(""))
         anchor = self._anchors.get(shared)
         name = f"{benchmark}-{uncore_config.policy}"
         if self.store is not None:
-            signature = self._calibration_signature(uncore_config,
-                                                    warmup_fraction)
+            signature = self._calibration_signature(uncore_config)
             payload = (self.store.load_record("calib", name, signature,
                                               _CALIBRATION_FIELDS)
                        if anchor is None else None)
@@ -212,8 +215,8 @@ class BadcoModelBuilder(TrainedModelBuilder):
                 anchor = self._anchors[key] = Calibration(**payload)
                 return anchor
         if anchor is None:
-            anchor, evictions = self._simulate_anchor(
-                benchmark, uncore_config, warmup_fraction)
+            anchor, evictions = self._simulate_anchor(benchmark,
+                                                      uncore_config)
             self.anchor_runs += 1
             if evictions == 0:
                 self._anchors[shared] = anchor
@@ -222,8 +225,8 @@ class BadcoModelBuilder(TrainedModelBuilder):
         self._anchors[key] = anchor
         return anchor
 
-    def _simulate_anchor(self, benchmark: str, uncore_config: UncoreConfig,
-                         warmup_fraction: float) -> Tuple[Calibration, int]:
+    def _simulate_anchor(self, benchmark: str, uncore_config: UncoreConfig
+                         ) -> Tuple[Calibration, int]:
         """One standalone run, counting LLC misses and demand latencies;
         returns the anchor and the LLC's eviction count.
 
@@ -249,7 +252,7 @@ class BadcoModelBuilder(TrainedModelBuilder):
             return done
 
         machine = BadcoMachine(model, Port(access, port.post))
-        meter = _MeasuredThread(int(self.trace_length * warmup_fraction),
+        meter = _MeasuredThread(int(self.trace_length * WARMUP_FRACTION),
                                 self.trace_length)
         interleave([machine], [meter])
         stats = uncore.llc.stats

@@ -36,7 +36,7 @@ class BadcoSimulator(EventDrivenSimulator):
         policy: LLC replacement policy name.
         builder: the model builder (shared across simulators so each
             model is trained once); defaults to a fresh builder.
-        trace_length / warmup_fraction / seed / uncore_config: as in
+        trace_length / seed / uncore_config: as in
             :class:`repro.sim.detailed.EventDrivenSimulator`.
     """
 
@@ -45,11 +45,9 @@ class BadcoSimulator(EventDrivenSimulator):
 
     def __init__(self, cores: int, policy: str = "LRU",
                  builder: Optional[BadcoModelBuilder] = None,
-                 trace_length: int = DEFAULT_TRACE_LENGTH,
-                 warmup_fraction: float = 0.25, seed: int = 0,
+                 trace_length: int = DEFAULT_TRACE_LENGTH, seed: int = 0,
                  uncore_config: Optional[UncoreConfig] = None) -> None:
-        super().__init__(cores, policy, trace_length, warmup_fraction, seed,
-                         uncore_config)
+        super().__init__(cores, policy, trace_length, seed, uncore_config)
         self.builder = builder or BadcoModelBuilder(trace_length, seed)
         if self.builder.trace_length != trace_length:
             raise ValueError("builder trace length does not match simulator")
@@ -66,5 +64,4 @@ class BadcoSimulator(EventDrivenSimulator):
         calibration, equal to the inherited one-core run of the
         benchmark on this uncore.
         """
-        return self.builder.anchor(benchmark, self.uncore_config,
-                                   self.warmup_fraction).ipc
+        return self.builder.anchor(benchmark, self.uncore_config).ipc

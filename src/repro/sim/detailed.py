@@ -14,9 +14,11 @@ executed its quota; IPC is measured only over each thread's first pass
 
 Warmup is one deliberate deviation from the paper: with 100 M
 instructions the paper can skip cache warming, but at our trace lengths
-cold misses would dominate, so each thread's first ``warmup_fraction``
-of uops runs unmeasured (caches and predictors stay warm across the
-boundary).
+cold misses would dominate, so each thread's first
+:data:`WARMUP_FRACTION` of uops runs unmeasured (caches and predictors
+stay warm across the boundary).  Every run meters this way: the
+simulators, the BADCO builder's standalone anchor and Table IV's MPKI
+measurement.
 
 :class:`EventDrivenSimulator` writes these rules out once: its ``run``
 builds the uncore, one port and one stepper per core, the meters and
@@ -28,19 +30,19 @@ families build their models through one :class:`TrainedModelBuilder`
 (memo, then model store, then fixed-latency training runs of the
 detailed core).
 
-Every simulator has the same batch entry point, ``run_batch(workloads)
--> BatchRun``: the analytic one scores a panel in one array call, and
-the event-driven ones inherit :meth:`EventDrivenSimulator.run_batch`,
-the serial loop over the workloads.  Given several policies, it scores
-each row under all of them (an N x P x K :class:`GridRun`).  On the
-BADCO and interval simulators, which declare ``supports_policy_axis``,
-a row's policies share one run until the LLC first fills a set -- until
-then no policy has been asked for a victim, so all of them have seen
-the same accesses -- and each policy then finishes on its own copy of
-the run (:meth:`EventDrivenSimulator._score`).  Every answer equals the
-policy's own run bit for bit.  The campaign engine hands those two
-backends a grid in one call, and the detailed one a call per policy,
-inside its own process pool when ``jobs > 1``.
+Every simulator has the same grid entry point, ``run_batch_grid(
+workloads, policies) -> GridRun``, the one call the campaign engine
+makes (inside its own process pool when ``jobs > 1``): the analytic
+one scores the N x P x K panel in one array expression, and the
+event-driven ones inherit :meth:`EventDrivenSimulator.run_batch`, the
+serial loop over the workloads, which scores each row under every
+policy.  On the BADCO and interval simulators, whose steppers can fork
+(``supports_policy_axis``), a row's policies share one run until the
+LLC first fills a set -- until then no policy has been asked for a
+victim, so all of them have seen the same accesses -- and each policy
+then finishes on its own copy of the run
+(:meth:`EventDrivenSimulator._score`); the detailed one runs a row per
+policy.  Every answer equals the policy's own run bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +69,12 @@ from repro.mem.uncore import (
     UncorePort,
     uncore_config_for_cores,
 )
+
+#: The unmeasured fraction at the start of each thread's first pass
+#: (see the module docstring).  Campaign cache keys (``-w25``) and the
+#: anchors' store signatures name it, so a new value renames every
+#: campaign cache file and ``calib`` record.
+WARMUP_FRACTION = 0.25
 
 
 @dataclass
@@ -122,9 +130,9 @@ class BatchRun:
 class GridRun:
     """Outcome of one (workloads x policies) grid scored in one call.
 
-    The policy-axis counterpart of :class:`BatchRun`: one dispatch
-    scores every workload under every policy, so the campaign engine's
-    per-policy loop collapses into a single dispatch.
+    The policy-axis counterpart of :class:`BatchRun`, and what every
+    call the campaign engine makes returns: each workload scored under
+    each policy.
 
     Attributes:
         workloads: the simulated rows, in row order (as given: a
@@ -359,27 +367,22 @@ class EventDrivenSimulator:
         policy: LLC replacement policy name.
         trace_length: uops per thread (the paper's "100 M instructions",
             scaled).
-        warmup_fraction: unmeasured fraction at the start of each
-            thread (see module docstring).
         seed: trace and policy seed; fixed seeds make runs reproducible.
         uncore_config: overrides the Table II defaults for K cores.
     """
 
-    #: Whether a row's policies share one run up to the LLC's first
-    #: full set (see :meth:`_score`); the engine then hands this family
-    #: a whole grid in one ``run_batch_grid`` call.
+    #: Whether this family's steppers can fork, so that a row's
+    #: policies share one run up to the LLC's first full set; read only
+    #: by :meth:`_score`.  The detailed core's pipelines cannot be
+    #: copied, so its rows run once per policy.
     supports_policy_axis = False
 
     def __init__(self, cores: int, policy: str = "LRU",
-                 trace_length: int = DEFAULT_TRACE_LENGTH,
-                 warmup_fraction: float = 0.25, seed: int = 0,
+                 trace_length: int = DEFAULT_TRACE_LENGTH, seed: int = 0,
                  uncore_config: Optional[UncoreConfig] = None) -> None:
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
         self.cores = cores
         self.policy = policy
         self.trace_length = trace_length
-        self.warmup_fraction = warmup_fraction
         self.seed = seed
         self.uncore_config = (uncore_config
                               or uncore_config_for_cores(cores, policy))
@@ -430,7 +433,7 @@ class EventDrivenSimulator:
             made[0] if len(made) == 1 else _PolicyTee(made)))
         steppers = [self._stepper(benchmark, uncore.port(core_id))
                     for core_id, benchmark in enumerate(workload)]
-        warmup = int(self.trace_length * self.warmup_fraction)
+        warmup = int(self.trace_length * WARMUP_FRACTION)
         meters = [_MeasuredThread(warmup, self.trace_length)
                   for _ in steppers]
         if len(made) == 1:
@@ -487,7 +490,7 @@ class EventDrivenSimulator:
 
     def run_batch_grid(self, workloads, policies: Sequence[str]) -> GridRun:
         """The N x P x K grid of ``workloads`` under ``policies``: the
-        policy-axis entry point the engine calls (:meth:`run_batch`)."""
+        entry point the engine calls (:meth:`run_batch`)."""
         return self.run_batch(workloads, policies)
 
     def reference_ipc(self, benchmark: str) -> float:
@@ -505,20 +508,18 @@ class DetailedSimulator(EventDrivenSimulator):
     """Simulate workloads on K detailed cores sharing an uncore.
 
     Args:
-        cores / policy / trace_length / warmup_fraction / seed /
-            uncore_config: as in :class:`EventDrivenSimulator`.
+        cores / policy / trace_length / seed / uncore_config: as in
+            :class:`EventDrivenSimulator`.
         core_config: overrides the Table I core defaults.
     """
 
     name = "detailed"
 
     def __init__(self, cores: int, policy: str = "LRU",
-                 trace_length: int = DEFAULT_TRACE_LENGTH,
-                 warmup_fraction: float = 0.25, seed: int = 0,
+                 trace_length: int = DEFAULT_TRACE_LENGTH, seed: int = 0,
                  core_config: Optional[CoreConfig] = None,
                  uncore_config: Optional[UncoreConfig] = None) -> None:
-        super().__init__(cores, policy, trace_length, warmup_fraction, seed,
-                         uncore_config)
+        super().__init__(cores, policy, trace_length, seed, uncore_config)
         self.core_config = core_config or default_core_config()
 
     def _stepper(self, benchmark: str, port: UncorePort) -> DetailedCore:

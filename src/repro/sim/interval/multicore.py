@@ -27,11 +27,9 @@ class IntervalSimulator(EventDrivenSimulator):
 
     def __init__(self, cores: int, policy: str = "LRU",
                  builder: Optional[IntervalProfileBuilder] = None,
-                 trace_length: int = DEFAULT_TRACE_LENGTH,
-                 warmup_fraction: float = 0.25, seed: int = 0,
+                 trace_length: int = DEFAULT_TRACE_LENGTH, seed: int = 0,
                  uncore_config: Optional[UncoreConfig] = None) -> None:
-        super().__init__(cores, policy, trace_length, warmup_fraction, seed,
-                         uncore_config)
+        super().__init__(cores, policy, trace_length, seed, uncore_config)
         self.builder = builder or IntervalProfileBuilder(trace_length, seed)
         if self.builder.trace_length != trace_length:
             raise ValueError("builder trace length does not match simulator")

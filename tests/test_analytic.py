@@ -248,7 +248,6 @@ def test_protection_probe_bounds():
         for policy in POLICY_NAMES:
             config = uncore_config_for_cores(cores, policy)
             assert builder.protection(config) == 0.0
-            assert builder.protection(config, 0.5) == 0.0
     assert builder.training_runs == 0
 
 
@@ -483,34 +482,6 @@ def test_run_batch_grid_validates_inputs(parity_population):
     assert empty.ipcs.shape == (0, 2, 2)
 
 
-def test_engine_single_dispatch_equals_per_policy_path(parity_population):
-    """The engine's grid dispatch must reproduce per-policy batches."""
-    from repro.api.backends import backend_supports_policy_axis
-
-    workloads = list(parity_population)
-    grid_campaign = _campaign("analytic")
-    assert backend_supports_policy_axis(grid_campaign.backend)
-    grid_campaign.run_grid(workloads, PARITY_POLICIES)
-
-    # Force the per-policy fallback by hiding the capability.
-    loop_campaign = _campaign("analytic")
-
-    class NoAxis:
-        name = "analytic"
-        supports_policy_axis = False
-
-        def __getattr__(self, attribute):
-            from repro.api.backends import get_backend
-
-            return getattr(get_backend("analytic"), attribute)
-
-    loop_campaign.backend = NoAxis()
-    loop_campaign.run_grid(workloads, PARITY_POLICIES)
-    assert grid_campaign.results.to_json() == loop_campaign.results.to_json()
-    assert (grid_campaign.timing.simulations
-            == loop_campaign.timing.simulations)
-
-
 def test_engine_grid_dispatch_falls_back_on_ragged_caches(parity_population):
     """Partially cached policies stay correct (intersection + remainder)."""
     workloads = list(parity_population)
@@ -525,46 +496,43 @@ def test_engine_grid_dispatch_falls_back_on_ragged_caches(parity_population):
         assert np.array_equal(panels[policy], expected[policy])
 
 
+def _grid_calls(monkeypatch):
+    """Every ``AnalyticSimulator.run_batch_grid`` call from now on, as
+    (workloads, policies)."""
+    calls = []
+    original = AnalyticSimulator.run_batch_grid
+
+    def spy(self, rows, policies):
+        calls.append((rows.workloads(), list(policies)))
+        return original(self, rows, policies)
+
+    monkeypatch.setattr(AnalyticSimulator, "run_batch_grid", spy)
+    return calls
+
+
 def test_engine_ragged_caches_grid_dispatch_intersection(parity_population,
                                                          monkeypatch):
     """Ragged pending sets grid-dispatch their shared rows once."""
-    from repro.api.engine import Campaign
-
     workloads = list(parity_population)
     campaign = _campaign("analytic")
     campaign.run_grid(workloads[:4], ["LRU"])       # LRU partially done
-    calls = []
-    original = Campaign._run_grid_policy_axis
-
-    def spy(self, todo, policies, workers):
-        calls.append((todo.workloads(), list(policies)))
-        return original(self, todo, policies, workers)
-
-    monkeypatch.setattr(Campaign, "_run_grid_policy_axis", spy)
+    calls = _grid_calls(monkeypatch)
     campaign.run_grid(workloads, PARITY_POLICIES)
-    # The rows every policy still needs went through one policy-axis
-    # dispatch covering all policies; LRU's cached head leaves a
-    # single-policy remainder, which takes the plain batch path.
-    assert calls == [(workloads[4:], list(PARITY_POLICIES))]
+    # The rows every policy still needs went as one grid covering all
+    # policies; LRU's cached head leaves DIP a remainder of its own,
+    # which goes as a one-policy grid.
+    assert calls == [(workloads[4:], list(PARITY_POLICIES)),
+                     (workloads[:4], ["DIP"])]
 
 
 def test_engine_ragged_three_policies_second_grid(parity_population,
                                                   monkeypatch):
     """A uniform multi-policy remainder dispatches as a second grid."""
-    from repro.api.engine import Campaign
-
     workloads = list(parity_population)
     policies = ["LRU", "DIP", "DRRIP"]
     campaign = _campaign("analytic")
     campaign.run_grid(workloads[:4], ["LRU"])       # LRU partially done
-    calls = []
-    original = Campaign._run_grid_policy_axis
-
-    def spy(self, todo, policies, workers):
-        calls.append((todo.workloads(), list(policies)))
-        return original(self, todo, policies, workers)
-
-    monkeypatch.setattr(Campaign, "_run_grid_policy_axis", spy)
+    calls = _grid_calls(monkeypatch)
     campaign.run_grid(workloads, policies)
     assert calls == [(workloads[4:], policies),
                      (workloads[:4], ["DIP", "DRRIP"])]

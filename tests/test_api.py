@@ -38,22 +38,14 @@ def test_builtin_backends_registered():
 
 
 def test_batch_capability_flags():
-    from repro.api import backend_supports_policy_axis
-
-    # One grid path: the engine calls run_batch on every backend, and
-    # the policy axis is its only capability flag.  Every family but
-    # the detailed one (whose cores cannot be copied) scores a grid in
-    # one run_batch_grid call.
+    # One grid path: the engine calls run_batch_grid on every backend.
     for name in backend_names():
         backend = get_backend(name)
         simulator = backend.make_simulator(
             2, "LRU", TEST_TRACE_LENGTH,
             builder=backend.make_builder(TEST_TRACE_LENGTH, 0))
-        assert callable(getattr(simulator, "run_batch", None)), name
+        assert callable(getattr(simulator, "run_batch_grid", None)), name
         assert callable(getattr(simulator, "reference_ipc", None)), name
-        assert backend_supports_policy_axis(backend) == (name != "detailed")
-        if backend_supports_policy_axis(backend):
-            assert callable(getattr(simulator, "run_batch_grid", None))
 
 
 def test_backends_construct_their_simulator_family():
@@ -63,7 +55,7 @@ def test_backends_construct_their_simulator_family():
                "interval": IntervalSimulator, "analytic": AnalyticSimulator}
     for name, cls in classes.items():
         simulator = get_backend(name).make_simulator(
-            2, "LRU", TEST_TRACE_LENGTH, 0.25, 0)
+            2, "LRU", TEST_TRACE_LENGTH, 0)
         assert isinstance(simulator, cls)
         assert simulator.cores == 2
         assert simulator.policy == "LRU"
@@ -85,8 +77,8 @@ def test_register_backend_roundtrip():
         def make_builder(self, trace_length, seed):
             return None
 
-        def make_simulator(self, cores, policy, trace_length,
-                           warmup_fraction, seed, builder=None):
+        def make_simulator(self, cores, policy, trace_length, seed,
+                           builder=None):
             raise NotImplementedError
 
     backend = FakeBackend()
@@ -119,7 +111,7 @@ def test_register_backend_requires_name():
 
 def test_cache_key_is_stable_and_excludes_execution_knobs(tmp_path):
     config = CampaignConfig(backend="badco", cores=2, trace_length=6000,
-                            seed=0, warmup_fraction=0.25)
+                            seed=0)
     assert config.cache_key == "badco-k2-l6000-s0-w25-v4"
     # jobs and cache_dir are execution knobs, not result identity.
     assert config.replace(jobs=8).cache_key == config.cache_key
@@ -129,7 +121,6 @@ def test_cache_key_is_stable_and_excludes_execution_knobs(tmp_path):
     assert config.replace(cores=4).cache_key != config.cache_key
     assert config.replace(trace_length=3000).cache_key != config.cache_key
     assert config.replace(seed=1).cache_key != config.cache_key
-    assert config.replace(warmup_fraction=0.5).cache_key != config.cache_key
 
 
 def test_signature_exclude_partitions_the_fields(tmp_path):
@@ -147,7 +138,7 @@ def test_signature_exclude_partitions_the_fields(tmp_path):
     assert exclude <= names, "stale names in _SIGNATURE_EXCLUDE"
     changed = {
         "backend": "interval", "cores": 5, "trace_length": 4321,
-        "seed": 99, "warmup_fraction": 0.5, "jobs": 6,
+        "seed": 99, "jobs": 6,
         "cache_dir": tmp_path, "model_store_dir": tmp_path,
     }
     assert set(changed) == names, (
@@ -164,7 +155,7 @@ def test_signature_exclude_partitions_the_fields(tmp_path):
 
 def test_config_cache_path_is_versioned(tmp_path):
     config = CampaignConfig(backend="detailed", cores=4, trace_length=3000,
-                            seed=7, warmup_fraction=0.25, cache_dir=tmp_path)
+                            seed=7, cache_dir=tmp_path)
     assert config.cache_path == tmp_path / "detailed-k4-l3000-s7-w25-v4.npz"
     assert CampaignConfig(backend="detailed", cores=4).cache_path is None
 
@@ -182,8 +173,6 @@ def test_config_validation():
         CampaignConfig(cores=0)
     with pytest.raises(ValueError):
         CampaignConfig(jobs=-1)
-    with pytest.raises(ValueError):
-        CampaignConfig(warmup_fraction=1.0)
     with pytest.raises(ValueError):
         CampaignConfig(trace_length=0)
 
@@ -213,6 +202,59 @@ def test_jobs_zero_means_one_worker_per_cpu():
 def test_campaign_rejects_unknown_backend():
     with pytest.raises(ValueError):
         Campaign(CampaignConfig(backend="zesto"))
+
+
+#: A short trace for the dispatch and reference tests below (the
+#: dispatch test runs every backend, the detailed one included).
+DISPATCH_TRACE_LENGTH = 1000
+
+
+@pytest.mark.parametrize("backend", ["analytic", "badco", "detailed",
+                                     "interval"])
+def test_a_two_policy_grid_is_one_call_on_every_backend(backend,
+                                                        monkeypatch):
+    """One dispatch path: a two-policy ``run_grid`` is one
+    ``run_batch_grid`` call on any backend, and equals the two policies
+    run one at a time -- results and accounting alike."""
+    workloads = [Workload(["povray", "hmmer"]), Workload(["bwaves", "mcf"]),
+                 Workload(["gcc", "mcf"])]
+    policies = ["LRU", "DIP"]
+    config = CampaignConfig(backend=backend, cores=2,
+                            trace_length=DISPATCH_TRACE_LENGTH)
+    builder = get_backend(backend).make_builder(DISPATCH_TRACE_LENGTH, 0)
+    one_at_a_time = Campaign(config, builder=builder)
+    for policy in policies:
+        one_at_a_time.run_grid(workloads, [policy])
+    simulator = get_backend(backend).simulator
+    original = simulator.run_batch_grid
+    calls = []
+
+    def spy(self, rows, grid_policies):
+        calls.append((len(rows), list(grid_policies)))
+        return original(self, rows, grid_policies)
+
+    monkeypatch.setattr(simulator, "run_batch_grid", spy)
+    together = Campaign(config, builder=builder)
+    together.run_grid(workloads, policies)
+    assert calls == [(len(workloads), policies)]
+    assert together.results.to_json() == one_at_a_time.results.to_json()
+    assert (together.timing.simulations
+            == one_at_a_time.timing.simulations == 6)
+
+
+def test_reference_ipcs_are_the_lru_machines():
+    """The paper's IPCref is the benchmark alone on the LRU machine.
+    The memo is keyed by benchmark only, so a ``policy`` argument is
+    refused rather than answered with LRU's IPCs."""
+    config = CampaignConfig(backend="badco", cores=2,
+                            trace_length=DISPATCH_TRACE_LENGTH)
+    names = ["omnetpp", "povray"]
+    references = Campaign(config).reference_ipcs(names)
+    fresh = get_backend("badco").make_simulator(2, "LRU",
+                                                DISPATCH_TRACE_LENGTH)
+    assert references == {name: fresh.reference_ipc(name) for name in names}
+    with pytest.raises(TypeError):
+        Campaign(config).reference_ipcs(names, policy="RND")
 
 
 # ----------------------------------------------------------------------

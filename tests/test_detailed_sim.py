@@ -3,9 +3,7 @@
 import pytest
 
 from repro.core.workload import Workload
-from repro.sim.badco import BadcoSimulator
 from repro.sim.detailed import DetailedSimulator
-from repro.sim.interval import IntervalSimulator
 
 from tests.conftest import TEST_TRACE_LENGTH
 
@@ -74,10 +72,3 @@ def test_mips_accounting():
     run = _sim().run(Workload(["povray", "hmmer"]))
     assert run.wall_seconds > 0
     assert run.mips > 0
-
-
-def test_invalid_warmup_fraction():
-    # The event-driven base class validates it for all three families.
-    for simulator in (DetailedSimulator, BadcoSimulator, IntervalSimulator):
-        with pytest.raises(ValueError, match="warmup_fraction"):
-            simulator(cores=2, warmup_fraction=1.0)

@@ -210,8 +210,7 @@ def _calls(run, builders):
 
 def _anchor_run(builders):
     # The anchor's own run, not its memo.
-    builders[0]._simulate_anchor("mcf", uncore_config_for_cores(2, "DIP"),
-                                 0.25)
+    builders[0]._simulate_anchor("mcf", uncore_config_for_cores(2, "DIP"))
 
 
 @pytest.mark.parametrize("run, kind", [
