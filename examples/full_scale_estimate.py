@@ -14,9 +14,9 @@ matrix-native layer into one driver:
    store performs **zero** training runs);
 3. *build d(w)* as one columnar vector and report 1/cv;
 4. *measure confidence* by Monte-Carlo resampling with simple random
-   and workload-stratified sampling -- the stratified draws replay
-   ``random.sample`` in vectorized NumPy (see the README's "Sampling
-   internals" section).
+   and workload-stratified sampling -- every draw batch comes from one
+   seeded NumPy generator per sample size (see the README's "Draws"
+   section).
 
 This walkthrough runs the same pipeline at smoke scale (a 6-benchmark
 suite, a 500-workload frame) so it finishes in seconds; switch

@@ -17,7 +17,7 @@ The Section VII recipe, driven through one :class:`repro.Session`:
    verdict (weighted throughput difference).
 """
 
-import random
+import numpy as np
 
 from repro import BalancedRandomSampling, Session, WorkloadStratification
 from repro.core.columnar import delta_column_from_matrices
@@ -47,7 +47,7 @@ def main() -> None:
 
     print(f"\nStep 2: select {decision.sample_size} workloads "
           f"({decision.recommendation.value})...")
-    rng = random.Random(1)
+    rng = np.random.default_rng(1)
     if decision.recommendation is Recommendation.BALANCED_RANDOM:
         sampler = BalancedRandomSampling()
         size = min(decision.sample_size, 12)

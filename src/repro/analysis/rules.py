@@ -263,11 +263,10 @@ class CacheKeyDriftRule(Rule):
 class ParityPairRule(Rule):
     id = "REP004"
     name = "parity-pair"
-    motivation = ("vectorized/scalar pairs (rows_matrix vs "
-                  "rows_matrix_scalar et al.) keep a golden fallback "
-                  "only if a test actually exercises the scalar side; "
-                  "an unreferenced sibling is dead weight that will "
-                  "silently drift")
+    motivation = ("vectorized/scalar pairs (rank_codes vs rank_scalar "
+                  "et al.) keep a golden reference only if a test "
+                  "actually exercises the scalar side; an unreferenced "
+                  "sibling is dead weight that will silently drift")
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         if not project.tests:

@@ -10,18 +10,14 @@ The estimator is columnar: d(w) lives in one float64 vector (a
 :class:`~repro.core.columnar.DeltaColumn`), every sampling method
 contributes a row-index :class:`~repro.core.sampling.base.SamplingPlan`,
 and all ``draws`` weighted means of a (method, size) point are computed
-as one batched array operation.  Results are bit-identical to the
-historical pure-Python loop, which is kept as
-:meth:`ConfidenceEstimator.confidence_scalar` -- both the reference
-implementation for the golden parity tests and the fallback for
-third-party sampling methods without a plan.
+as one batched array operation.  Each point draws from its own
+generator, seeded by (seed, sample size) in :func:`_draw_rows`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -34,7 +30,6 @@ from repro.core.columnar import (
 from repro.core.metrics import _row_dot
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling.base import SamplingMethod, SamplingPlan
-from repro.core.workload import Workload
 
 
 def checked_draws(draws: int) -> int:
@@ -56,13 +51,36 @@ def _population_index(population: WorkloadPopulation) -> WorkloadIndex:
 
 
 def _draw_rows(plan: SamplingPlan, size: int, draws: int, seed: int):
-    """One (size, seed) row batch.
+    """One (size, seed) row batch, from that point's own generator.
 
-    The MT stream (``random.Random((seed << 16) ^ size)``) is derived
-    fresh per point, so batched curves equal per-point calls.
+    The only place a draw generator is made:
+    ``np.random.default_rng([seed % 2**64, size])``.  Seeding with the
+    pair gives every (seed, size) point its own stream, so batched
+    curves equal per-point calls; ``% 2**64`` keeps negative seeds
+    legal.
     """
-    rng = random.Random((seed << 16) ^ size)
+    rng = np.random.default_rng([seed % 2**64, size])
     return plan.rows_matrix(size, draws, rng)
+
+
+def _win_counts(gathered: np.ndarray, batches) -> List[np.ndarray]:
+    """Per size in ``batches``: how many draws have D > 0.
+
+    ``gathered`` holds every size's gathered d(w) side by side along
+    axis 1, ``(draws, sum sizes)`` or ``(draws, sum sizes, P)``.
+    :func:`_row_dot` is bit-identical to
+    :meth:`~repro.core.sampling.base.WeightedSample.weighted_mean`
+    applied per row (left-to-right product accumulation) and broadcasts
+    over a trailing pair axis, so each (draw, pair) accumulates in the
+    same order as the 2-D path.
+    """
+    wins = []
+    column = 0
+    for rows, weights in batches:
+        span = gathered[:, column:column + rows.shape[1]]
+        column += rows.shape[1]
+        wins.append(np.count_nonzero(_row_dot(span, weights) > 0.0, axis=0))
+    return wins
 
 
 @dataclass(frozen=True)
@@ -108,19 +126,11 @@ class ConfidenceEstimator:
         # Mapping input is validated with one set difference, reporting
         # every missing workload (not an O(N) membership scan).
         self.column = as_delta_column(self.index, delta)
-        self._delta_mapping: Optional[Dict[Workload, float]] = None
         # Keyed by identity but pinning the method object: an id() can
         # be reused once its owner is garbage collected.
         self._plans: Dict[int, tuple] = {}
 
-    @property
-    def delta(self) -> Dict[Workload, float]:
-        """The d(w) table as a dict (legacy view, built on demand)."""
-        if self._delta_mapping is None:
-            self._delta_mapping = self.column.as_mapping()
-        return self._delta_mapping
-
-    def _plan_for(self, method: SamplingMethod) -> Optional[SamplingPlan]:
+    def _plan_for(self, method: SamplingMethod) -> SamplingPlan:
         key = id(method)
         if key not in self._plans:
             self._plans[key] = (method,
@@ -130,63 +140,28 @@ class ConfidenceEstimator:
     def confidence(self, method: SamplingMethod, sample_size: int,
                    seed: int = 0) -> float:
         """Fraction of samples on which Y outperforms X (D > 0)."""
-        plan = self._plan_for(method)
-        if plan is None:            # method without a columnar path
-            return self.confidence_scalar(method, sample_size, seed=seed)
-        rows, weights = _draw_rows(plan, sample_size, self.draws, seed)
-        # _row_dot is bit-identical to WeightedSample.weighted_mean
-        # applied per row (left-to-right product accumulation).
-        means = _row_dot(self.column.values[rows], weights)
-        wins = int(np.count_nonzero(means > 0.0))
-        return wins / self.draws
-
-    def confidence_scalar(self, method: SamplingMethod, sample_size: int,
-                          seed: int = 0) -> float:
-        """The historical per-draw loop (reference implementation).
-
-        Kept for sampling methods that only implement ``sample`` and as
-        the golden baseline the vectorized path is tested against.
-        """
-        rng = random.Random((seed << 16) ^ sample_size)
-        delta = self.delta
-        wins = 0
-        for _ in range(self.draws):
-            sample = method.sample(self.population, sample_size, rng)
-            values = [delta[w] for w in sample.workloads]
-            if sample.weighted_mean(values) > 0.0:
-                wins += 1
-        return wins / self.draws
+        return self.curve(method, (sample_size,), seed=seed).confidence[0]
 
     def curve(self, method: SamplingMethod, sample_sizes: Sequence[int],
               seed: int = 0) -> ConfidenceCurve:
         """Empirical confidence at each sample size (a Fig. 6 series).
 
         The whole curve shares one plan and one gather: the per-size
-        row matrices (drawn with exactly the per-point RNG streams, so
-        results stay bit-identical to calling :meth:`confidence` per
-        size) are concatenated column-wise, d(w) is gathered from the
-        delta column once, and each point reduces its own column span.
-        Methods without a columnar plan fall back to the per-point
-        scalar loop.
+        row matrices (each from its own (seed, size) generator, so a
+        point equals :meth:`confidence` at that size) are concatenated
+        column-wise, d(w) is gathered from the delta column once, and
+        each point reduces its own column span.
         """
+        if not sample_sizes:
+            return ConfidenceCurve(method.name, (), ())
         plan = self._plan_for(method)
-        if plan is None or not sample_sizes:
-            values = [self.confidence(method, size, seed=seed)
-                      for size in sample_sizes]
-            return ConfidenceCurve(method.name, tuple(sample_sizes),
-                                   tuple(values))
         batches = [_draw_rows(plan, size, self.draws, seed)
                    for size in sample_sizes]
         gathered = self.column.values[
             np.concatenate([rows for rows, _ in batches], axis=1)]
-        values = []
-        column = 0
-        for rows, weights in batches:
-            span = gathered[:, column:column + rows.shape[1]]
-            column += rows.shape[1]
-            means = _row_dot(span, weights)
-            values.append(int(np.count_nonzero(means > 0.0)) / self.draws)
-        return ConfidenceCurve(method.name, tuple(sample_sizes), tuple(values))
+        values = tuple(int(wins) / self.draws
+                       for wins in _win_counts(gathered, batches))
+        return ConfidenceCurve(method.name, tuple(sample_sizes), values)
 
 
 class PairedConfidenceEstimator:
@@ -230,23 +205,22 @@ class PairedConfidenceEstimator:
             [column.values for column in self.columns.values()])
         self._plans: Dict[int, tuple] = {}
 
-    def _plan_for(self, method: SamplingMethod) -> Optional[SamplingPlan]:
+    def _plan_for(self, method: SamplingMethod) -> SamplingPlan:
         key = id(method)
         if key not in self._plans:
             self._plans[key] = (method,
                                 method.plan(self.index, self.population))
         return self._plans[key][1]
 
-    def _scalar_curves(self, method: SamplingMethod,
-                       sample_sizes: Sequence[int],
-                       seed: int) -> Dict[object, ConfidenceCurve]:
-        """Per-pair fallback for methods without a columnar plan."""
-        out = {}
-        for key, column in self.columns.items():
-            estimator = ConfidenceEstimator(self.population, column,
-                                            draws=self.draws)
-            out[key] = estimator.curve(method, sample_sizes, seed=seed)
-        return out
+    def _curves(self, names: Dict[object, str], sample_sizes: Sequence[int],
+                wins_per_size: List[np.ndarray]
+                ) -> Dict[object, ConfidenceCurve]:
+        """One curve per pair from each size's per-pair win counts."""
+        return {key: ConfidenceCurve(
+                    names[key], tuple(sample_sizes),
+                    tuple(int(wins[p]) / self.draws
+                          for wins in wins_per_size))
+                for p, key in enumerate(self.columns)}
 
     def confidence(self, method: SamplingMethod, sample_size: int,
                    seed: int = 0) -> Dict[object, float]:
@@ -258,46 +232,22 @@ class PairedConfidenceEstimator:
               seed: int = 0) -> Dict[object, ConfidenceCurve]:
         """A whole Fig. 6 curve per pair from one row batch per size.
 
-        The per-size row matrices use exactly the per-pair RNG streams
-        (``(seed << 16) ^ size``), so every returned curve equals the
+        The per-size row matrices come from the single-pair path's
+        (seed, size) generators, so every returned curve equals the
         one :meth:`ConfidenceEstimator.curve` would produce for that
         pair alone.
         """
+        names = {key: method.name for key in self.columns}
+        if not sample_sizes:
+            return self._curves(names, (), [])
         plan = self._plan_for(method)
-        if plan is None or not sample_sizes:
-            return self._scalar_curves(method, sample_sizes, seed)
         batches = [_draw_rows(plan, size, self.draws, seed)
                    for size in sample_sizes]
         # One gather for all sizes and all pairs: (draws, sum sizes, P).
         gathered = self.stacked[
             np.concatenate([rows for rows, _ in batches], axis=1)]
-        wins_per_pair: List[np.ndarray] = []
-        column = 0
-        for rows, weights in batches:
-            span = gathered[:, column:column + rows.shape[1], :]
-            column += rows.shape[1]
-            # _row_dot broadcasts over the trailing pair axis: the
-            # accumulation order per (draw, pair) matches the 2-D path.
-            means = _row_dot(span, weights)
-            wins_per_pair.append(np.count_nonzero(means > 0.0, axis=0))
-        out = {}
-        for p, key in enumerate(self.columns):
-            values = tuple(int(wins[p]) / self.draws
-                           for wins in wins_per_pair)
-            out[key] = ConfidenceCurve(method.name, tuple(sample_sizes),
-                                       values)
-        return out
-
-    def _fallback_pair_curves(self, methods: "Dict[object, SamplingMethod]",
-                              sample_sizes: Sequence[int],
-                              seed: int) -> Dict[object, ConfidenceCurve]:
-        """Per-pair loop: the reference `pair_curves` batches against."""
-        out = {}
-        for key, column in self.columns.items():
-            estimator = ConfidenceEstimator(self.population, column,
-                                            draws=self.draws)
-            out[key] = estimator.curve(methods[key], sample_sizes, seed=seed)
-        return out
+        return self._curves(names, sample_sizes,
+                            _win_counts(gathered, batches))
 
     def pair_curves(self, methods: "Dict[object, SamplingMethod]",
                     sample_sizes: Sequence[int],
@@ -314,13 +264,10 @@ class PairedConfidenceEstimator:
 
         Per-pair results are bit-identical to running that pair's
         method through a separate :class:`ConfidenceEstimator`: each
-        (pair, size) point draws from its own fresh RNG stream exactly
-        as the single-pair path does, and the reduction's element-wise
-        accumulation order is unchanged (the trailing pair axis only
-        broadcasts).  Pairs whose plans emit ragged widths for a size
-        -- impossible for the built-in methods, which always emit
-        exactly ``size`` slots -- fall back to the per-pair loop, as do
-        methods without a columnar plan.
+        (pair, size) point draws from its own (seed, size) generator
+        exactly as the single-pair path does, and the reduction's
+        element-wise accumulation order is unchanged (the trailing pair
+        axis only broadcasts).
 
         Args:
             methods: one sampling method per pair, keyed exactly like
@@ -330,36 +277,21 @@ class PairedConfidenceEstimator:
         """
         if set(methods) != set(self.columns):
             raise ValueError("need exactly one sampling method per pair")
-        plans = {key: methods[key].plan(self.index, self.population)
-                 for key in self.columns}
-        if not sample_sizes or any(p is None for p in plans.values()):
-            return self._fallback_pair_curves(methods, sample_sizes, seed)
+        names = {key: method.name for key, method in methods.items()}
+        if not sample_sizes:
+            return self._curves(names, (), [])
         keys = list(self.columns)
+        plans = [methods[key].plan(self.index, self.population)
+                 for key in keys]
         batches = []        # per size: (draws, W, P) rows, (W, P) weights
         for size in sample_sizes:
-            drawn = [_draw_rows(plans[key], size, self.draws, seed)
-                     for key in keys]
-            if len({rows.shape[1] for rows, _ in drawn}) != 1:
-                return self._fallback_pair_curves(methods, sample_sizes,
-                                                  seed)
+            drawn = [_draw_rows(plan, size, self.draws, seed)
+                     for plan in plans]
             batches.append((np.stack([rows for rows, _ in drawn], axis=2),
                             np.stack([w for _, w in drawn], axis=1)))
         # One gather for all sizes: stacked[rows[d, s, p], p].
-        pair_axis = np.arange(len(keys))
         gathered = self.stacked[
             np.concatenate([rows for rows, _ in batches], axis=1),
-            pair_axis]
-        wins_per_pair = []
-        column = 0
-        for rows, weights in batches:
-            span = gathered[:, column:column + rows.shape[1], :]
-            column += rows.shape[1]
-            means = _row_dot(span, weights)
-            wins_per_pair.append(np.count_nonzero(means > 0.0, axis=0))
-        out = {}
-        for p, key in enumerate(keys):
-            values = tuple(int(wins[p]) / self.draws
-                           for wins in wins_per_pair)
-            out[key] = ConfidenceCurve(methods[key].name,
-                                       tuple(sample_sizes), values)
-        return out
+            np.arange(len(keys))]
+        return self._curves(names, sample_sizes,
+                            _win_counts(gathered, batches))

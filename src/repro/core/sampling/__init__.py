@@ -12,33 +12,21 @@ Four methods are compared in the paper, all available here behind the
 - :class:`WorkloadStratification` -- strata cut from the sorted d(w)
   values measured with a fast approximate simulator (Section VI-B-2).
 
-Every method returns a :class:`WeightedSample`; stratified estimates of
-throughput use the weighted means of eq. (9) via the sample's weights.
-For the columnar estimator, each method also offers a
-:class:`SamplingPlan` (``method.plan(index, population)``) that draws
-whole batches of *row numbers* -- bit-identical to ``sample`` for the
-same seeded generator.
+Every method supplies a :class:`SamplingPlan`
+(``method.plan(index, population)``) that draws whole batches of *row
+numbers* with their weights; stratified estimates of throughput use
+the weighted means of eq. (9) via those weights.
+``method.sample(population, size, rng)`` is one draw of the plan, as a
+:class:`WeightedSample` of workloads.
 
-Draw paths, per plan (see the README's "Sampling internals" section):
-
-- :class:`SimpleRandomSampling` -- fully vectorized: uniform draws are
-  consecutive ``_randbelow`` outputs, read in bulk off the generator's
-  word stream (:class:`~repro.core.sampling.mtstream.MTStream`), which
-  then advances the generator past exactly the words they consumed.
-- :class:`BenchmarkStratification` / :class:`WorkloadStratification`
-  -- fully vectorized via the shared :class:`StratifiedRowPlan`: the
-  per-stratum ``random.sample``/``randrange`` calls are replayed by
-  :func:`~repro.core.sampling.mtstream.replay_schedule` (both CPython
-  sample algorithms, the ``setsize`` crossover included); the scalar
-  per-draw loop survives as ``rows_matrix_scalar``, the golden-parity
-  reference and automatic fallback.
-- :class:`BalancedRandomSampling` -- vectorized for small samples
-  (every Fisher-Yates shuffle position is its own replay step, so the
-  replay scales with slots^2 and samples beyond ``VECTOR_SLOT_LIMIT``
-  slots take the scalar pool loop); row mapping is always vectorized.
-
-Third-party :class:`SamplingMethod` subclasses that only implement
-``sample`` transparently fall back to the estimator's scalar loop.
+Draws: every plan turns uniform blocks of one seeded
+``numpy.random.Generator`` into rows -- ``floor(U * N)`` with
+replacement (:func:`~repro.core.sampling.base.uniform_indices`),
+Floyd's algorithm without replacement
+(:func:`~repro.core.sampling.base.floyd_distinct`), and for balanced
+sampling a stable argsort of uniform keys as each draw's shuffle (see
+the README's "Draws" section).  The estimators seed one generator per
+(seed, sample size) point.
 """
 
 from repro.core.sampling.base import (

@@ -1,38 +1,72 @@
 """Sampling method interface, weighted samples and row-index plans.
 
-Two ways to draw a sample:
+Every method draws through its :class:`SamplingPlan`:
+``method.plan(index, population)`` binds the method to a
+:class:`~repro.core.columnar.WorkloadIndex`, and
+``plan.rows_matrix(size, draws, rng)`` returns ``draws`` samples as one
+matrix of *row numbers* plus their weights.  :meth:`SamplingMethod.sample`
+is the object view of a single such draw, as a :class:`WeightedSample`
+of :class:`Workload` instances.
 
-- :meth:`SamplingMethod.sample` -- the historical object path: a
-  :class:`WeightedSample` of :class:`Workload` instances.
-- :meth:`SamplingMethod.plan` -- the columnar path: a
-  :class:`SamplingPlan` bound to a
-  :class:`~repro.core.columnar.WorkloadIndex` that draws *row numbers*
-  for many samples at once.  Plans consume the ``random.Random`` stream
-  exactly like ``sample`` does, so for the same seeded generator both
-  paths select the same workloads, in the same order, with the same
-  weights -- the estimator's vectorized results are bit-identical to
-  the scalar loop.
+Plans draw only from uniform blocks of one seeded
+``numpy.random.Generator`` (``rng.random``), through two primitives:
 
-Stratified methods represent their strata as row-index partitions: one
-list of row numbers per stratum, fixed at plan-build time.  The shared
-:class:`StratifiedRowPlan` replays the per-stratum ``rng.sample`` /
-``rng.randrange`` consumption of *all* draws in batched NumPy ops (see
-:mod:`repro.core.sampling.mtstream`); every plan keeps its historical
-per-draw Python loop as ``rows_matrix_scalar`` -- the reference the
-golden parity tests compare against and the fallback for frames the
-replay cannot address.
+- :func:`uniform_indices` -- ``floor(U * n)`` per slot, with
+  replacement (simple random sampling, oversampled strata);
+- :func:`floyd_distinct` -- Floyd's distinct-subset algorithm,
+  vectorized over the draw axis (every stratum drawn without
+  replacement, balanced sampling's extra slots).
+
+Stratified methods represent their strata as row-index partitions,
+fixed at plan-build time; the shared :class:`StratifiedRowPlan` fills
+every draw's per-stratum slots from one uniform block.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.population import WorkloadPopulation
 from repro.core.workload import Workload
+
+
+def uniform_indices(uniforms: np.ndarray, n: int) -> np.ndarray:
+    """Draws with replacement from ``range(n)``: ``floor(U * n)`` per slot."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    picks = (uniforms * n).astype(np.int64)
+    # U < 1, but (1 - 2**-53) * n can round up to n at large n; clamp
+    # rather than bias the top index away.
+    return np.minimum(picks, n - 1)
+
+
+def floyd_distinct(uniforms: np.ndarray, n: int) -> np.ndarray:
+    """Distinct draws from ``range(n)``, one row of picks per draw.
+
+    Floyd's algorithm over ``k = uniforms.shape[1]`` picks: for
+    ``i = n-k .. n-1`` pick ``j = floor(U * (i+1))`` and, if ``j`` was
+    already picked in this row, take ``i`` instead.  Every row's ``k``
+    picks form a uniformly distributed ``k``-subset of ``range(n)``.
+    The *order* of the picks is not uniform (index ``i`` can only enter
+    in its own round), which no estimator observes: within a stratum
+    every slot carries the same weight.
+
+    Cost: ``k`` vectorized rounds, round ``t`` an O(draws x t)
+    duplicate test -- no per-draw Python work, and memory of the order
+    of the ``(draws, k)`` output.
+    """
+    k = uniforms.shape[1]
+    if k > n:
+        raise ValueError("cannot draw more distinct picks than the range")
+    picks = np.empty(uniforms.shape, dtype=np.int64)
+    for t, i in enumerate(range(n - k, n)):
+        j = np.minimum((uniforms[:, t] * (i + 1)).astype(np.int64), i)
+        duplicate = (picks[:, :t] == j[:, None]).any(axis=1)
+        picks[:, t] = np.where(duplicate, i, j)
+    return picks
 
 
 @dataclass(frozen=True)
@@ -93,11 +127,14 @@ class SamplingPlan:
     """
 
     def rows_matrix(self, size: int, draws: int,
-                    rng: random.Random) -> Tuple[np.ndarray, np.ndarray]:
+                    rng: np.random.Generator
+                    ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw ``draws`` samples of ``size`` row numbers each.
 
-        Consumes ``rng`` exactly like ``draws`` sequential calls of the
-        method's :meth:`SamplingMethod.sample` would.
+        Args:
+            size: W, the sample size.
+            draws: number of independent samples.
+            rng: the generator whose ``random`` blocks pick the rows.
 
         Returns:
             ``(rows, weights)``: an int64 ``(draws, size)`` matrix and
@@ -112,144 +149,101 @@ class SamplingPlan:
 class StratifiedRowPlan(SamplingPlan):
     """Shared plan for stratified methods: strata as row partitions.
 
-    Draw path: **vectorized**.  The per-draw ``rng.sample`` (without
-    replacement inside a stratum) and ``rng.randrange`` (with
-    replacement when a stratum is oversampled) consumption is replayed
-    through :func:`repro.core.sampling.mtstream.replay_schedule`, so
-    all ``draws x strata x size`` row indices come out of batched
-    NumPy gathers over one read-ahead word buffer -- bit-identical to
-    the scalar loop, including the final ``rng`` state.  The
-    historical per-draw loop remains as :meth:`rows_matrix_scalar`: it
-    is the reference the golden parity tests compare against, and the
-    automatic fallback for frames too large for the 32-bit word-stream
-    replay (strata beyond 2**32 rows).
+    One ``(draws, size)`` uniform block fills every stratum's slots:
+    :func:`floyd_distinct` inside a stratum that holds at least as many
+    rows as it has slots (without replacement), :func:`uniform_indices`
+    in an oversampled one (with replacement).
 
     Args:
         layout: callable mapping a sample size to the per-stratum
             ``(rows, w_h)`` assignment, where ``rows`` is the stratum's
-            row-number list (population order or d(w) order -- whatever
-            the method's ``sample`` uses) and ``w_h`` its slot count.
-            Strata with ``w_h == 0`` must be omitted.
+            row numbers and ``w_h`` its slot count.  Strata with
+            ``w_h == 0`` must be omitted.
         total: N, the frame size the stratum weights N_h / N refer to.
     """
 
     def __init__(self,
-                 layout: Callable[[int], List[Tuple[List[int], int]]],
+                 layout: Callable[[int], List[Tuple[Sequence[int], int]]],
                  total: int) -> None:
         self._layout = layout
         self._total = total
         self._cache: Dict[int, tuple] = {}
 
     def _layout_for(self, size: int):
+        """``(strata, weights)`` for ``size``: each stratum's int64 row
+        array with its slot count, and the per-slot weight vector."""
         cached = self._cache.get(size)
         if cached is None:
-            chosen = self._layout(size)
-            # Exactly the legacy weight arithmetic: per-pick weights
-            # (N_h / N) / W_h, renormalised left to right.
+            strata = [(np.asarray(rows, dtype=np.int64), w_h)
+                      for rows, w_h in self._layout(size)]
+            # Per-pick weights (N_h / N) / W_h, renormalised left to
+            # right: strata without slots drop out of the estimate.
             weights: List[float] = []
-            for rows, w_h in chosen:
-                weight = (len(rows) / self._total) / w_h
-                weights.extend([weight] * w_h)
+            for rows, w_h in strata:
+                weights.extend([(len(rows) / self._total) / w_h] * w_h)
             scale = sum(weights)
-            weights = [w / scale for w in weights]
-            # The replay schedule and row arrays mirror the scalar
-            # loop: one sample() per stratum when drawing without
-            # replacement, one randrange() run when oversampled.
-            ops = []
-            arrays = []
-            for rows, w_h in chosen:
-                n_h = len(rows)
-                ops.append(("sample" if w_h <= n_h else "randbelow",
-                            n_h, w_h))
-                arrays.append(np.asarray(rows, dtype=np.int64))
-            replayable = all(n.bit_length() <= 32 for _, n, _ in ops)
-            cached = (chosen, np.array(weights, dtype=np.float64),
-                      ops, arrays, replayable)
+            cached = (strata, np.array([w / scale for w in weights],
+                                       dtype=np.float64))
             self._cache[size] = cached
         return cached
 
     def rows_matrix(self, size: int, draws: int,
-                    rng: random.Random) -> Tuple[np.ndarray, np.ndarray]:
-        from repro.core.sampling.mtstream import (
-            pool_pick,
-            replay_schedule,
-            sample_uses_pool,
-        )
-
-        chosen, weights, ops, arrays, replayable = self._layout_for(size)
-        if not replayable:
-            return self.rows_matrix_scalar(size, draws, rng)
-        matrices = replay_schedule(rng, ops, draws)
+                    rng: np.random.Generator
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        strata, weights = self._layout_for(size)
+        uniforms = rng.random((draws, len(weights)))
         out = np.empty((draws, len(weights)), dtype=np.int64)
         column = 0
-        for (kind, n_h, w_h), rows, drawn in zip(ops, arrays, matrices):
-            if kind == "sample" and sample_uses_pool(n_h, w_h):
-                # Pool-path indices mutate the pool as they go; replay
-                # the Fisher-Yates value shuffle across all draws.
-                out[:, column:column + w_h] = pool_pick(rows, drawn)
-            else:
-                # Selection-set / randrange indices address the stratum
-                # directly.
-                out[:, column:column + w_h] = rows[drawn]
+        for rows, w_h in strata:
+            span = uniforms[:, column:column + w_h]
+            n_h = len(rows)
+            picks = (floyd_distinct(span, n_h) if w_h <= n_h
+                     else uniform_indices(span, n_h))
+            out[:, column:column + w_h] = rows[picks]
             column += w_h
-        return out, weights
-
-    def rows_matrix_scalar(self, size: int, draws: int,
-                           rng: random.Random
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-        """The historical per-draw loop (reference and fallback)."""
-        chosen, weights = self._layout_for(size)[:2]
-        slots = len(weights)
-        out = np.empty((draws, slots), dtype=np.int64)
-        for d in range(draws):
-            column = 0
-            for rows, w_h in chosen:
-                n_h = len(rows)
-                # Without replacement inside a stratum when possible
-                # (the same branch the object path takes).
-                if w_h <= n_h:
-                    picks = rng.sample(rows, w_h)
-                else:
-                    picks = [rows[rng.randrange(n_h)] for _ in range(w_h)]
-                out[d, column:column + w_h] = picks
-                column += w_h
         return out, weights
 
 
 class SamplingMethod:
-    """Interface: draw a weighted workload sample from a population."""
+    """Interface: draw weighted workload samples from a population.
+
+    A method supplies :meth:`plan`; :meth:`sample` is one draw of it.
+    """
 
     #: Display name, matching the labels of the paper's Fig. 6.
     name = "?"
 
     def sample(self, population: WorkloadPopulation, size: int,
-               rng: random.Random) -> WeightedSample:
-        """Draw a sample of ``size`` workloads.
+               rng: np.random.Generator) -> WeightedSample:
+        """Draw one sample of ``size`` workloads.
+
+        Row 0 of a one-draw :meth:`SamplingPlan.rows_matrix` batch over
+        ``population.index``: the same workloads and weights the
+        estimators reduce.
 
         Args:
             population: the workload population (or the large
                 approximate-simulation sample standing in for it).
             size: W, the number of workloads to select.
-            rng: source of randomness; passing the same seeded RNG
-                reproduces the same sample.
+            rng: source of randomness; passing the same seeded
+                generator reproduces the same sample.
         """
-        raise NotImplementedError
+        plan = self.plan(population.index, population)
+        rows, weights = plan.rows_matrix(size, 1, rng)
+        return WeightedSample(
+            tuple(population[row] for row in rows[0].tolist()),
+            tuple(weights.tolist()))
 
-    def plan(self, index, population: WorkloadPopulation
-             ) -> Optional[SamplingPlan]:
+    def plan(self, index, population: WorkloadPopulation) -> SamplingPlan:
         """A row-index plan for this method over ``index``.
-
-        Returns ``None`` when the method has no columnar path (the
-        estimator then falls back to the scalar loop, which works for
-        any :meth:`sample` implementation).
 
         Args:
             index: the :class:`~repro.core.columnar.WorkloadIndex`
                 whose rows the plan must emit (its order must match the
                 population's).
-            population: the population ``sample`` would receive.
+            population: the population being sampled.
         """
-        return None
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

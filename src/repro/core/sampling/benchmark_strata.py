@@ -12,24 +12,18 @@ where b_i is the number of benchmarks in class C_i.  Sampling draws
 W_h workloads uniformly from each stratum (proportional allocation
 here) and estimates throughput with the weighted mean of eq. (9).
 
-Draws go through the shared :class:`StratifiedRowPlan`'s
-bit-compatible MT replay.
+Draws go through the shared :class:`StratifiedRowPlan`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling.allocation import largest_remainder_allocation
-from repro.core.sampling.base import (
-    SamplingMethod,
-    StratifiedRowPlan,
-    WeightedSample,
-)
+from repro.core.sampling.base import SamplingMethod, StratifiedRowPlan
 from repro.core.workload import Workload
 
 #: A stratum signature: per-class occurrence counts, in class order.
@@ -102,59 +96,18 @@ class BenchmarkStratification(SamplingMethod):
             counts[self.classes[benchmark]] += 1
         return tuple(counts[label] for label in labels)
 
-    def sample(self, population: WorkloadPopulation, size: int,
-               rng: random.Random) -> WeightedSample:
-        """Draw W workloads, stratified by class composition.
+    def plan(self, index, population: WorkloadPopulation):
+        """Row-partition plan: class-composition strata built once.
 
         The strata partition the *population members*, so the method
         also works on non-exhaustive frames (e.g. the 250 detailed-
         simulated workloads of the paper's Fig. 7); on an exhaustive
         population the stratum sizes coincide with the analytical
-        N_h = prod C(b_i + c_i - 1, c_i).
+        N_h = prod C(b_i + c_i - 1, c_i).  Building them is an O(N)
+        scan, paid once per plan; the returned
+        :class:`StratifiedRowPlan` then draws every sample's picks in
+        batched NumPy ops.
         """
-        if size < 1:
-            raise ValueError("sample size must be >= 1")
-        members = self._class_members(population)
-        labels = sorted(members)
-        strata: Dict[StratumKey, List[Workload]] = {}
-        for workload in population:
-            strata.setdefault(
-                self.stratum_key(workload, labels), []).append(workload)
-        keys = sorted(strata)
-        sizes = [len(strata[k]) for k in keys]
-        total = sum(sizes)
-        allocation = largest_remainder_allocation(
-            [float(s) for s in sizes], size)
-        workloads: List[Workload] = []
-        weights: List[float] = []
-        for key, n_h, w_h in zip(keys, sizes, allocation):
-            if w_h == 0:
-                continue
-            weight = (n_h / total) / w_h
-            if w_h <= n_h:
-                picks = rng.sample(strata[key], w_h)
-            else:
-                picks = [strata[key][rng.randrange(n_h)] for _ in range(w_h)]
-            for workload in picks:
-                workloads.append(workload)
-                weights.append(weight)
-        # Renormalise: strata that received zero slots (only possible
-        # when W < L) drop out of the estimate.
-        scale = sum(weights)
-        weights = [w / scale for w in weights]
-        return WeightedSample(tuple(workloads), tuple(weights))
-
-    def plan(self, index, population: WorkloadPopulation):
-        """Row-partition plan: class-composition strata built once.
-
-        The object path re-derives the strata on *every* draw (an O(N)
-        scan); the plan pays that once, and the returned
-        :class:`StratifiedRowPlan` replays the per-stratum random
-        picks of all draws in batched NumPy ops (see its docstring for
-        the vectorized-vs-scalar path contract).
-        """
-        if type(self).sample is not BenchmarkStratification.sample:
-            return None     # subclass changed the sampling behaviour
         members = self._class_members(population)
         labels = sorted(members)
         strata: Dict[StratumKey, List[int]] = {}

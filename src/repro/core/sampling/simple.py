@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from typing import Tuple
 
 import numpy as np
@@ -11,36 +10,24 @@ from repro.core.population import WorkloadPopulation
 from repro.core.sampling.base import (
     SamplingMethod,
     SamplingPlan,
-    WeightedSample,
+    uniform_indices,
 )
-from repro.core.sampling.mtstream import MTStream
 
 
 class SimpleRandomPlan(SamplingPlan):
-    """Fully vectorized uniform draws with replacement.
-
-    Draw path: **vectorized, always**.  ``sample`` consumes one
-    ``_randbelow(N)`` per pick, so a whole batch is ``draws * size``
-    consecutive outputs of the generator's word stream -- which
-    :class:`MTStream` reads in bulk with exact-position rejection
-    sampling, then commits: ``rng`` ends where the ``sample`` loop
-    would leave it.  This is the simplest of the replay paths (one
-    bound, no schedule), so it needs no scalar fallback of its own; the
-    estimator's object path remains the golden-parity reference.
-    """
+    """Uniform draws with replacement: one uniform block per batch,
+    ``floor(U * N)`` per slot."""
 
     def __init__(self, population_size: int) -> None:
         self._n = population_size
 
     def rows_matrix(self, size: int, draws: int,
-                    rng: random.Random) -> Tuple[np.ndarray, np.ndarray]:
+                    rng: np.random.Generator
+                    ) -> Tuple[np.ndarray, np.ndarray]:
         if size < 1:
             raise ValueError("sample size must be >= 1")
-        stream = MTStream(rng)
-        rows = stream.randbelow(self._n, draws * size)
-        stream.commit()
-        weights = np.full(size, 1.0 / size)
-        return rows.reshape(draws, size), weights
+        rows = uniform_indices(rng.random((draws, size)), self._n)
+        return rows, np.full(size, 1.0 / size)
 
 
 class SimpleRandomSampling(SamplingMethod):
@@ -54,15 +41,5 @@ class SimpleRandomSampling(SamplingMethod):
 
     name = "random"
 
-    def sample(self, population: WorkloadPopulation, size: int,
-               rng: random.Random) -> WeightedSample:
-        if size < 1:
-            raise ValueError("sample size must be >= 1")
-        picks = [population[rng.randrange(len(population))]
-                 for _ in range(size)]
-        return WeightedSample.uniform(picks)
-
     def plan(self, index, population: WorkloadPopulation):
-        if type(self).sample is not SimpleRandomSampling.sample:
-            return None     # subclass changed the sampling behaviour
         return SimpleRandomPlan(len(population))

@@ -16,25 +16,19 @@ paper stresses the resulting sample is valid only for the specific
 (X, Y, metric) pair whose d(w) built the strata -- which this class
 enforces by construction, being built *from* a d(w) table.
 
-Draws go through the shared :class:`StratifiedRowPlan`'s
-bit-compatible MT replay.
+Draws go through the shared :class:`StratifiedRowPlan`.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling.allocation import largest_remainder_allocation
-from repro.core.sampling.base import (
-    SamplingMethod,
-    StratifiedRowPlan,
-    WeightedSample,
-)
+from repro.core.sampling.base import SamplingMethod, StratifiedRowPlan
 from repro.core.workload import Workload
 
 #: Paper defaults for the stratification parameters (Section VI-B-2).
@@ -184,7 +178,7 @@ class WorkloadStratification(SamplingMethod):
                  sd_threshold: Optional[float] = None) -> None:
         self._strata: Optional[List[List[Workload]]] = \
             build_workload_strata(delta, min_stratum, sd_threshold)
-        #: Columnar instances: each stratum's row numbers in ``_index``.
+        #: Each stratum's row numbers in ``_index``, once known.
         self._rows: Optional[List[np.ndarray]] = None
         self._index = None
         self._total = sum(len(s) for s in self._strata)
@@ -197,8 +191,8 @@ class WorkloadStratification(SamplingMethod):
 
         Identical strata to the mapping constructor (same stable sort,
         same Welford scan), kept as the row numbers of the column's
-        index: no workload is built unless the scalar :meth:`sample`
-        path or :attr:`strata` asks for one.  The natural companion of
+        index: no workload is built unless :meth:`sample` or
+        :attr:`strata` asks for one.  The natural companion of
         :class:`repro.core.columnar.DeltaColumn`.
 
         Args:
@@ -236,84 +230,37 @@ class WorkloadStratification(SamplingMethod):
     def num_strata(self) -> int:
         return len(self._rows if self._rows is not None else self._strata)
 
-    def _strata_for_size(self, size: int) -> List[List[Workload]]:
-        """The strata, merged down to at most ``size`` groups (see
-        :func:`_merged_groups`)."""
-        strata = self.strata
-        groups = _merged_groups([len(s) for s in strata], self._total, size)
-        if len(groups) == len(strata):
-            return strata
-        return [[workload for number in group for workload in strata[number]]
-                for group in groups]
-
-    def sample(self, population: WorkloadPopulation, size: int,
-               rng: random.Random) -> WeightedSample:
-        """Draw W workloads across the strata (proportional allocation).
-
-        ``population`` is accepted for interface compatibility; the
-        strata themselves define the sampling frame (they were built
-        from the population's d(w) table).
-        """
-        if size < 1:
-            raise ValueError("sample size must be >= 1")
-        strata = self._strata_for_size(size)
-        sizes = [len(s) for s in strata]
-        # Every stratum gets one guaranteed slot (omitting a stratum
-        # biases the estimate -- the d(w) tails live in small strata);
-        # the remaining slots are distributed proportionally to size.
-        extra = largest_remainder_allocation(
-            [float(s) for s in sizes], size - len(strata))
-        allocation = [1 + e for e in extra]
-        workloads: List[Workload] = []
-        weights: List[float] = []
-        for stratum, n_h, w_h in zip(strata, sizes, allocation):
-            if w_h == 0:
-                continue
-            weight = (n_h / self._total) / w_h
-            # Without replacement inside a stratum when possible.
-            if w_h <= n_h:
-                picks = rng.sample(stratum, w_h)
-            else:
-                picks = [stratum[rng.randrange(n_h)] for _ in range(w_h)]
-            for workload in picks:
-                workloads.append(workload)
-                weights.append(weight)
-        scale = sum(weights)
-        weights = [w / scale for w in weights]
-        return WeightedSample(tuple(workloads), tuple(weights))
-
     def _row_strata(self, index) -> List[np.ndarray]:
-        """Each stratum's row numbers in ``index``."""
-        if self._rows is not None and index.same_rows(self._index):
-            return self._rows
-        return [index.rows(stratum) for stratum in self.strata]
+        """Each stratum's row numbers in ``index`` (kept for the next
+        plan over the same rows)."""
+        if self._rows is None or not index.same_rows(self._index):
+            self._rows = [index.rows(stratum) for stratum in self.strata]
+            self._index = index
+        return self._rows
 
     def plan(self, index, population: WorkloadPopulation):
         """Row-partition plan over the d(w)-derived strata.
 
-        Merging for small sample sizes and slot allocation follow
-        :meth:`sample` exactly; the strata become row-number lists and
-        the returned :class:`StratifiedRowPlan` replays every draw's
-        per-stratum ``rng.sample`` picks in batched NumPy ops (scalar
-        reference kept as ``rows_matrix_scalar``; see its docstring).
-        Strata built :meth:`from_column` over ``index`` are row numbers
-        already and need no workload lookup.
+        When the requested sample is smaller than the number of strata,
+        adjacent strata merge into at most ``size`` groups (see
+        :func:`_merged_groups`).  Every group then gets one guaranteed
+        slot -- omitting a stratum biases the estimate, since the d(w)
+        tails live in small strata -- and the remaining slots are
+        distributed proportionally to size.  ``population`` is accepted
+        for interface compatibility: the strata themselves define the
+        sampling frame.
         """
-        if type(self).sample is not WorkloadStratification.sample:
-            return None     # subclass changed the sampling behaviour
         rows = self._row_strata(index)
         sizes = [len(stratum) for stratum in rows]
 
-        def layout(size: int) -> List[Tuple[List[int], int]]:
+        def layout(size: int) -> List[Tuple[np.ndarray, int]]:
             if size < 1:
                 raise ValueError("sample size must be >= 1")
             groups = _merged_groups(sizes, self._total, size)
             extra = largest_remainder_allocation(
                 [float(sum(sizes[n] for n in group)) for group in groups],
                 size - len(groups))
-            # Every stratum keeps its one guaranteed slot, so no
-            # stratum ever has zero picks here.
-            return [(np.concatenate([rows[n] for n in group]).tolist(),
-                     1 + e) for group, e in zip(groups, extra)]
+            return [(np.concatenate([rows[n] for n in group]), 1 + e)
+                    for group, e in zip(groups, extra)]
 
         return StratifiedRowPlan(layout, self._total)

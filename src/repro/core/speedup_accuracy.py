@@ -15,22 +15,20 @@ speedup down.
 
 Like the confidence estimator, the evaluator is columnar: per-workload
 throughputs are two float64 vectors, sampling methods draw row-index
-batches, and the ``draws`` speedup estimates of one evaluation point
-are a single batched array expression (bit-identical to the historical
-per-draw loop, which remains as the fallback for methods without a
-row plan).
+batches from the estimator's (seed, size) generators, and the
+``draws`` speedup estimates of one evaluation point are a single
+batched array expression.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.columnar import IpcMatrix, WorkloadIndex, throughputs
-from repro.core.estimator import checked_draws
+from repro.core.estimator import _draw_rows, checked_draws
 from repro.core.metrics import ReferenceIpcs, ThroughputMetric
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling.base import SamplingMethod, SamplingPlan
@@ -88,7 +86,7 @@ class SpeedupAccuracyEvaluator:
         # be reused once its owner is garbage collected.
         self._plans: Dict[int, tuple] = {}
 
-    def _plan_for(self, method: SamplingMethod) -> Optional[SamplingPlan]:
+    def _plan_for(self, method: SamplingMethod) -> SamplingPlan:
         key = id(method)
         if key not in self._plans:
             self._plans[key] = (method,
@@ -98,11 +96,8 @@ class SpeedupAccuracyEvaluator:
     def evaluate(self, method: SamplingMethod, sample_size: int,
                  epsilon: float = 0.01, seed: int = 0) -> SpeedupAccuracy:
         """P(relative speedup error <= epsilon) at one sample size."""
-        plan = self._plan_for(method)
-        if plan is None:
-            return self._evaluate_scalar(method, sample_size, epsilon, seed)
-        rng = random.Random((seed << 16) ^ sample_size)
-        rows, weights = plan.rows_matrix(sample_size, self.draws, rng)
+        rows, weights = _draw_rows(self._plan_for(method), sample_size,
+                                   self.draws, seed)
         sample_x = self.metric.sample_throughputs(self._tx[rows], weights)
         sample_y = self.metric.sample_throughputs(self._ty[rows], weights)
         errors = np.abs(sample_y / sample_x - self.true_speedup) \
@@ -112,31 +107,6 @@ class SpeedupAccuracyEvaluator:
             method=method.name, sample_size=sample_size,
             true_speedup=self.true_speedup, hit_rate=hits / self.draws,
             mean_abs_error=float(errors.mean()))
-
-    def _evaluate_scalar(self, method: SamplingMethod, sample_size: int,
-                         epsilon: float, seed: int) -> SpeedupAccuracy:
-        """The historical per-draw loop (plan-less methods)."""
-        rng = random.Random((seed << 16) ^ sample_size)
-        tx, ty = self._tx, self._ty
-        row_of = self.index.row
-        hits = 0
-        errors: List[float] = []
-        for _ in range(self.draws):
-            sample = method.sample(self.population, sample_size, rng)
-            rows = [row_of(w) for w in sample.workloads]
-            sample_x = self.metric.sample_throughput(
-                [tx[r] for r in rows], sample.weights)
-            sample_y = self.metric.sample_throughput(
-                [ty[r] for r in rows], sample.weights)
-            error = abs(sample_y / sample_x - self.true_speedup) \
-                / self.true_speedup
-            errors.append(error)
-            if error <= epsilon:
-                hits += 1
-        return SpeedupAccuracy(
-            method=method.name, sample_size=sample_size,
-            true_speedup=self.true_speedup, hit_rate=hits / self.draws,
-            mean_abs_error=sum(errors) / len(errors))
 
     def curve(self, method: SamplingMethod, sample_sizes: Sequence[int],
               epsilon: float = 0.01, seed: int = 0) -> List[SpeedupAccuracy]:

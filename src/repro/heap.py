@@ -1,11 +1,12 @@
 """Process-wide heap policy: freed NumPy temporaries stay in the heap.
 
 An estimate's large NumPy temporaries (the analytic grid's closure,
-the confidence replay's tables, ≈ 0.4–28 MB each) are allocated and
-freed on every call.  Under glibc's dynamic thresholds each one either
-gets a fresh ``mmap`` or lands at the heap top, which is trimmed back
-to the kernel as soon as it is freed -- so the next estimate faults
-the same pages in again (≈ 8 500 minor faults per ``oneshot`` step).
+the confidence draws' row and d(w) blocks, ≈ 0.4–11 MB each) are
+allocated and freed on every call.  Under glibc's dynamic thresholds
+each one either gets a fresh ``mmap`` or lands at the heap top, which
+is trimmed back to the kernel as soon as it is freed -- so the next
+estimate faults the same pages in again (≈ 8 500 minor faults per
+``oneshot`` step).
 
 :func:`retain_freed_heap` fixes both thresholds once per process:
 
@@ -13,8 +14,10 @@ the same pages in again (≈ 8 500 minor faults per ``oneshot`` step).
   threshold climbs to on 64-bit (``DEFAULT_MMAP_THRESHOLD_MAX``), so
   every temporary below it comes from the heap;
 - ``M_TRIM_THRESHOLD`` = 64 MiB, twice the largest per-estimate
-  transient measured (a 1 000-draw W = 100 replay, ≈ 28 MB of fresh
-  pages), so freed temporaries stay mapped for the next estimate.
+  transient measured (a warm FULL 4-core estimate at 10 000 draws over
+  W = 10, 30 and 100: ≈ 32 MiB traced at its peak, three 10.7 MiB
+  blocks of drawn rows and gathered d(w) live at once), so freed
+  temporaries stay mapped for the next estimate.
 
 Both must be set: setting either one switches off glibc's dynamic
 adjustment of the other.  The cost is resident memory -- RSS stays

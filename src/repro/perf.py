@@ -3,8 +3,10 @@
 Five suites, written to the same ``BENCH_analytics.json`` trajectory:
 
 - *analytics* (:func:`run_bench`) -- the statistics stack: Monte-Carlo
-  confidence estimation and d(w) construction, legacy scalar vs
-  columnar (NumPy) implementations, on a synthetic population;
+  confidence estimation and d(w) construction, per-item Python paths
+  (``-scalar``: a per-workload d(w) loop, and confidence as ``draws``
+  one-draw ``SamplingMethod.sample`` calls) vs the columnar (NumPy)
+  batches, on a synthetic population;
 - *sim* (:func:`run_sim_bench`) -- the simulation layer: per-backend
   panel-build time and MIPS for a (workloads x policies) grid, the
   event-driven ``badco`` loop against the ``analytic`` batch path,
@@ -258,14 +260,24 @@ def run_bench(draws: int = DEFAULT_DRAWS,
          WorkloadStratification(mapping,
                                 min_stratum=max(10, len(population) // 40)),
          repeat),
-        # The scalar path re-derives the class strata from the whole
-        # population on every draw, so this one is timed once.
+        # Each object-path draw re-derives the class strata from the
+        # whole population, so this one is timed once.
         ("bench-strata", BenchmarkStratification(classes), 1),
     ]
+
+    def object_path(method) -> float:
+        """The confidence as ``draws`` one-draw ``sample()`` calls."""
+        rng = np.random.default_rng(seed)
+        wins = 0
+        for _ in range(draws):
+            sample = method.sample(population, sample_size, rng)
+            values = [mapping[w] for w in sample.workloads]
+            wins += sample.weighted_mean(values) > 0.0
+        return wins / draws
+
     for label, method, tries in methods:
         _record(records, f"estimator-{label}-scalar",
-                _time(lambda m=method: estimator.confidence_scalar(
-                    m, sample_size, seed=seed), tries), size, draws)
+                _time(lambda m=method: object_path(m), tries), size, draws)
         _record(records, f"estimator-{label}-columnar",
                 _time(lambda m=method: estimator.confidence(
                     m, sample_size, seed=seed), tries), size, draws)

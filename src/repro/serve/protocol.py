@@ -52,33 +52,38 @@ MAX_REQUEST_BYTES = 1 << 20
 
 # Bounds on one estimate's size, checked before it is scheduled (see
 # :func:`check_estimate_bounds`).  The yardstick, measured on a warm
-# FULL 4-core session: a 1 000-draw W = 100 stratified replay (10^5
-# drawn rows) takes ≈ 28 MB of fresh pages, ≈ 280 B per drawn row.
+# FULL 4-core session (LRU/DRRIP, 7 strata; 2-CPU host, uncalibrated):
+# confidence draws take ≈ 25-30 B of traced memory per drawn row, and
+# 10^5 drawn rows at W = 100 take ≈ 25 ms and ≈ 3 MiB.
 
 #: Drawn rows, ``draws`` x sum(``sample_sizes``), with ``draws=None``
-#: counted as the scale's default.  No confidence point replays more,
-#: so its transient stays under ≈ 560 MB (20 of the 28 MB replays);
-#: FULL's default, 10 000 draws x (10, 30, 100) = 1.4 M rows, fits.
+#: counted as the scale's default.  At this bound a request's draws
+#: peak at ≈ 56 MiB traced (2 000 draws at W = 1 000, simple random and
+#: workload-stratified), ≈ 61 MiB when one stratum takes every slot;
+#: FULL's default, 10 000 draws x (10, 30, 100) = 1.4 M rows (≈ 0.23 s,
+#: ≈ 32 MiB), fits.
 MAX_DRAWN_ROWS = 2_000_000
 
-#: Entries of ``sample_sizes``.  Each is two more replays with their
-#: own tables and a fixed cost (32 one-draw sizes take ≈ 50 ms), which
-#: the drawn-row count does not see; 32 is ten times the default's
-#: three sizes and over three times Fig. 6's nine.
+#: Entries of ``sample_sizes``.  Each is two more row batches with their
+#: own generator and layout, a fixed cost (32 one-draw sizes take
+#: ≈ 16 ms) that the drawn-row count does not see; 32 is ten times the
+#: default's three sizes and over three times Fig. 6's nine.
 MAX_SAMPLE_SIZES = 32
 
-#: Largest W.  A drawn row gets dearer as a stratum's share of the
-#: sample grows: 10^5 drawn rows take ≈ 0.07 s and ≈ 28 MB at W = 100
-#: but ≈ 1.2 s at W = 1 000 of the 12 650-row frame, and one draw at
-#: W = 12 650 takes 3 s.  At this bound MAX_DRAWN_ROWS keeps a request
-#: under ≈ 25 s; every W the experiments use (at most 640) fits.
+#: Largest W.  A drawn row gets dearer as a stratum's slot count grows
+#: (each distinct pick is tested against the stratum's earlier picks):
+#: 10^5 drawn rows take ≈ 25 ms at W = 100, but 2 x 10^6 take ≈ 1.5 s
+#: at W = 1 000 of the 12 650-row frame, and ≈ 1.6 s when all 1 000
+#: slots fall in one stratum.  One draw at W = 12 650 takes ≈ 0.2 s.
+#: Every W the experiments use (at most 640) fits.
 MAX_SAMPLE_SIZE = 1_000
 
 #: Frame rows (``sample``).  A fresh 8-core estimate peaks at ≈ 410 B
 #: of RSS per frame row (42 MB at 10 000 rows, 79 MB at 100 000), and
 #: the resident session keeps the frame and its panels, so this bound
-#: holds one frame to ≈ 40 MB, the order of one 28 MB replay; the
-#: paper's 8-core frame (FULL's cap) is 10 000 rows.
+#: holds one frame to ≈ 40 MB, the order of a request's draws at
+#: MAX_DRAWN_ROWS; the paper's 8-core frame (FULL's cap) is 10 000
+#: rows.
 MAX_FRAME_ROWS = 100_000
 
 #: Rows one estimate scores on an event-driven simulator, in BADCO rows
@@ -90,9 +95,9 @@ MAX_FRAME_ROWS = 100_000
 #: to the LLC's first full set: on a warm FULL 8-core store a refine
 #: takes ≈ 0.27-0.35 s per row (10.7-14.0 s for 40 rows, against
 #: 16.4-17.6 s when each policy ran alone; 2-CPU host, uncalibrated),
-#: so this bound keeps a request well under the ≈ 25 s of
-#: MAX_SAMPLE_SIZE; the largest budget the repo uses (the ``e2e``
-#: bench suite's) is 40.
+#: so this bound keeps the dearest request the daemon admits near
+#: 11-14 s; the largest budget the repo uses (the ``e2e`` bench
+#: suite's) is 40.
 MAX_REFINE_ROWS = 40
 
 #: What one row costs on each event-driven backend, in BADCO rows (a

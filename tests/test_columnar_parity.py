@@ -1,10 +1,11 @@
 """Golden scalar <-> columnar parity: bit-for-bit, same seeds.
 
 The columnar layer promises that vectorizing never changes a result:
-same d(w) values, same throughputs, same Monte-Carlo confidence for
-the same seed, for every metric family (A/H/G means) and every
-sampling method.  These tests compare the array paths against the
-legacy pure-Python implementations with ``==`` -- no tolerances.
+same d(w) values, same throughputs, and -- over the rows a plan draws
+-- the same Monte-Carlo confidence and speedup accuracy as reducing
+each draw on its own, for every metric family (A/H/G means) and every
+sampling method.  These tests compare the array paths against
+pure-Python per-item loops with ``==`` -- no tolerances.
 """
 
 import random
@@ -21,13 +22,14 @@ from repro.core.columnar import (
     throughputs,
 )
 from repro.core.delta import DeltaVariable, delta_statistics
-from repro.core.estimator import ConfidenceEstimator
+from repro.core.estimator import ConfidenceEstimator, _draw_rows
 from repro.core.metrics import GMS, HSU, IPCT, WSU
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling import (
     BalancedRandomSampling,
     BenchmarkStratification,
     SimpleRandomSampling,
+    WeightedSample,
     WorkloadStratification,
 )
 from repro.core.speedup_accuracy import SpeedupAccuracyEvaluator
@@ -75,6 +77,27 @@ def _methods(population, delta_mapping):
         BenchmarkStratification(_classes(population)),
         WorkloadStratification(delta_mapping, min_stratum=8),
     ]
+
+
+def _samples(method, index, population, size, draws, seed):
+    """The estimators' draws for one point, one WeightedSample each."""
+    rows, weights = _draw_rows(method.plan(index, population), size,
+                               draws, seed)
+    workloads = index.workloads
+    return [WeightedSample(tuple(workloads[row] for row in draw),
+                           tuple(weights.tolist()))
+            for draw in rows.tolist()]
+
+
+def _per_draw_confidence(estimator, method, size, seed):
+    """The confidence as a per-draw loop over the same samples."""
+    delta = estimator.column.as_mapping()
+    wins = 0
+    for sample in _samples(method, estimator.index, estimator.population,
+                           size, estimator.draws, seed):
+        if sample.weighted_mean([delta[w] for w in sample.workloads]) > 0.0:
+            wins += 1
+    return wins / estimator.draws
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +166,7 @@ def test_confidence_bit_identical_per_metric(metric, population, tables,
     for method in _methods(population, mapping):
         for size in (5, 17, 40):
             fast = estimator.confidence(method, size, seed=3)
-            slow = estimator.confidence_scalar(method, size, seed=3)
+            slow = _per_draw_confidence(estimator, method, size, seed=3)
             assert fast == slow, (metric.name, method.name, size)
 
 
@@ -155,7 +178,7 @@ def test_confidence_bit_identical_across_seeds(seed, population, index):
     for method in _methods(population, delta):
         for size in (3, 30, 75):
             assert estimator.confidence(method, size, seed=seed) == \
-                estimator.confidence_scalar(method, size, seed=seed)
+                _per_draw_confidence(estimator, method, size, seed=seed)
 
 
 def test_curve_bit_identical(population, index):
@@ -165,7 +188,7 @@ def test_curve_bit_identical(population, index):
     method = WorkloadStratification(delta, min_stratum=6)
     sizes = (4, 12, 36)
     fast = estimator.curve(method, sizes, seed=2)
-    slow = tuple(estimator.confidence_scalar(method, s, seed=2)
+    slow = tuple(_per_draw_confidence(estimator, method, s, seed=2)
                  for s in sizes)
     assert fast.confidence == slow
 
@@ -183,7 +206,8 @@ def test_plan_cache_not_confused_by_id_reuse(population, index):
     expected = []
     for classes in (classes_a, classes_b):
         method = BenchmarkStratification(classes)
-        expected.append(estimator.confidence_scalar(method, 12, seed=5))
+        fresh = ConfidenceEstimator(population, delta, draws=100)
+        expected.append(fresh.confidence(method, 12, seed=5))
         del method                 # frees the id for reuse
     got = []
     for classes in (classes_a, classes_b):
@@ -201,7 +225,7 @@ def test_sample_sizes_exceeding_strata_counts(population, index):
     method = WorkloadStratification(delta, min_stratum=60)  # few strata
     size = len(population) + 30      # forces replacement in some strata
     assert estimator.confidence(method, size, seed=1) == \
-        estimator.confidence_scalar(method, size, seed=1)
+        _per_draw_confidence(estimator, method, size, seed=1)
 
 
 # ----------------------------------------------------------------------
@@ -229,13 +253,27 @@ def test_speedup_accuracy_bit_identical(metric, population, tables, index):
         reference, draws=120)
     rng = random.Random(2)
     delta = {w: rng.gauss(0.0, 1.0) for w in population}
+    tx = {w: metric.workload_throughput(x[w], w.benchmarks, reference)
+          for w in population}
+    ty = {w: metric.workload_throughput(y[w], w.benchmarks, reference)
+          for w in population}
+    true_speedup = (metric.sample_throughput([ty[w] for w in population])
+                    / metric.sample_throughput([tx[w] for w in population]))
     for method in _methods(population, delta):
         fast = evaluator.evaluate(method, 14, epsilon=0.02, seed=4)
-        slow = evaluator._evaluate_scalar(method, 14, epsilon=0.02, seed=4)
-        assert fast.hit_rate == slow.hit_rate, method.name
-        assert fast.true_speedup == slow.true_speedup
-        assert fast.mean_abs_error == pytest.approx(slow.mean_abs_error,
-                                                    rel=1e-12)
+        errors = []
+        for sample in _samples(method, index, population, 14, 120, 4):
+            sample_x = metric.sample_throughput(
+                [tx[w] for w in sample.workloads], sample.weights)
+            sample_y = metric.sample_throughput(
+                [ty[w] for w in sample.workloads], sample.weights)
+            errors.append(abs(sample_y / sample_x - true_speedup)
+                          / true_speedup)
+        assert fast.true_speedup == true_speedup
+        assert fast.hit_rate == sum(e <= 0.02 for e in errors) / 120, \
+            method.name
+        assert fast.mean_abs_error == pytest.approx(
+            sum(errors) / len(errors), rel=1e-12)
 
 
 # ----------------------------------------------------------------------

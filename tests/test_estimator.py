@@ -85,22 +85,6 @@ def test_curve_bit_identical_to_per_point(small_population):
         assert list(curve.confidence) == per_point
 
 
-def test_curve_falls_back_without_plan(small_population):
-    """Methods with only a sample() still get a correct curve."""
-
-    class SampleOnly(SimpleRandomSampling):
-        def plan(self, index, population):
-            return None
-
-    delta = _delta(small_population, offset=0.2)
-    estimator = ConfidenceEstimator(small_population, delta, draws=200)
-    method = SampleOnly()
-    curve = estimator.curve(method, (3, 6), seed=1)
-    expected = [estimator.confidence(method, size, seed=1)
-                for size in (3, 6)]
-    assert list(curve.confidence) == expected
-
-
 def test_curve_empty_sizes(small_population):
     delta = _delta(small_population, offset=0.2)
     estimator = ConfidenceEstimator(small_population, delta, draws=50)
@@ -158,23 +142,6 @@ def test_paired_estimator_single_point(small_population):
         assert point[key] == single.confidence(method, 6, seed=3)
 
 
-def test_paired_estimator_scalar_fallback(small_population):
-    from repro.core.estimator import PairedConfidenceEstimator
-
-    class PlanlessRandom(SimpleRandomSampling):
-        def sample(self, population, size, rng):
-            return super().sample(population, size, rng)
-
-    deltas = _pair_deltas(small_population, pairs=2)
-    paired = PairedConfidenceEstimator(small_population, deltas, draws=50)
-    method = PlanlessRandom()
-    grouped = paired.curve(method, [5], seed=1)
-    for key, delta in deltas.items():
-        single = ConfidenceEstimator(small_population, delta, draws=50)
-        assert (grouped[key].confidence
-                == single.curve(method, [5], seed=1).confidence)
-
-
 def test_pair_curves_bit_identical_per_pair(small_population):
     """fig6's pair-batched workload-strata equals the per-pair loop."""
     from repro.core.estimator import PairedConfidenceEstimator
@@ -200,23 +167,6 @@ def test_pair_curves_requires_method_per_pair(small_population):
     paired = PairedConfidenceEstimator(small_population, deltas, draws=50)
     with pytest.raises(ValueError):
         paired.pair_curves({"pair0": SimpleRandomSampling()}, [5])
-
-
-def test_pair_curves_planless_fallback(small_population):
-    from repro.core.estimator import PairedConfidenceEstimator
-
-    class SampleOnly(SimpleRandomSampling):
-        def plan(self, index, population):
-            return None
-
-    deltas = _pair_deltas(small_population, pairs=2)
-    paired = PairedConfidenceEstimator(small_population, deltas, draws=50)
-    methods = {key: SampleOnly() for key in deltas}
-    grouped = paired.pair_curves(methods, [5], seed=1)
-    for key, delta in deltas.items():
-        single = ConfidenceEstimator(small_population, delta, draws=50)
-        assert (grouped[key].confidence
-                == single.curve(methods[key], [5], seed=1).confidence)
 
 
 def test_paired_estimator_rejects_empty():

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.confidence import confidence_from_cv, required_sample_size
@@ -121,7 +122,7 @@ def test_allocation_conserves_total(shares, total):
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=9999))
 def test_sampling_methods_weight_invariant(size, seed):
     population = WorkloadPopulation(["a", "b", "c", "d"], 2)
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     for method in (SimpleRandomSampling(), BalancedRandomSampling()):
         sample = method.sample(population, size, rng)
         assert len(sample) == size
@@ -134,7 +135,7 @@ def test_sampling_methods_weight_invariant(size, seed):
 @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=9999))
 def test_workload_stratification_unbiased_on_constants(size, seed):
     population = WorkloadPopulation(["a", "b", "c", "d", "e"], 2)
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     delta = {w: (i % 7) - 3.0 for i, w in enumerate(population)}
     method = WorkloadStratification(delta, min_stratum=3)
     sample = method.sample(population, size, rng)

@@ -1,7 +1,6 @@
 """Sampling methods: interface invariants shared by all four."""
 
-import random
-
+import numpy as np
 import pytest
 
 from repro.core.sampling import (
@@ -27,14 +26,14 @@ def _all_methods(population):
 
 
 def test_weights_sum_to_one(small_population):
-    rng = random.Random(0)
+    rng = np.random.default_rng(0)
     for method in _all_methods(small_population):
         sample = method.sample(small_population, 12, rng)
         assert sum(sample.weights) == pytest.approx(1.0), method.name
 
 
 def test_sample_size_respected(small_population):
-    rng = random.Random(1)
+    rng = np.random.default_rng(1)
     for method in _all_methods(small_population):
         for size in (1, 5, 12, 30):
             sample = method.sample(small_population, size, rng)
@@ -42,7 +41,7 @@ def test_sample_size_respected(small_population):
 
 
 def test_workloads_have_population_arity(small_population):
-    rng = random.Random(2)
+    rng = np.random.default_rng(2)
     for method in _all_methods(small_population):
         sample = method.sample(small_population, 8, rng)
         for workload in sample.workloads:
@@ -51,7 +50,7 @@ def test_workloads_have_population_arity(small_population):
 
 
 def test_rejects_empty_sample(small_population):
-    rng = random.Random(3)
+    rng = np.random.default_rng(3)
     for method in _all_methods(small_population):
         with pytest.raises(ValueError):
             method.sample(small_population, 0, rng)
@@ -59,8 +58,8 @@ def test_rejects_empty_sample(small_population):
 
 def test_seeded_sampling_is_reproducible(small_population):
     for method in _all_methods(small_population):
-        a = method.sample(small_population, 10, random.Random(42))
-        b = method.sample(small_population, 10, random.Random(42))
+        a = method.sample(small_population, 10, np.random.default_rng(42))
+        b = method.sample(small_population, 10, np.random.default_rng(42))
         assert list(a.workloads) == list(b.workloads), method.name
 
 

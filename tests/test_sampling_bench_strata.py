@@ -1,8 +1,8 @@
 """Benchmark stratification: strata structure of Section VI-B-1."""
 
 import math
-import random
 
+import numpy as np
 import pytest
 
 from repro.core.population import population_size
@@ -42,7 +42,7 @@ def test_sampled_workloads_match_their_stratum(small_population):
     classes = {name: ("high" if name in ("mcf", "libquantum") else "low")
                for name in small_population.benchmarks}
     sampler = BenchmarkStratification(classes)
-    sample = sampler.sample(small_population, 21, random.Random(0))
+    sample = sampler.sample(small_population, 21, np.random.default_rng(0))
     high = {"mcf", "libquantum"}
     # Reconstruct observed strata and check all three compositions occur.
     compositions = {tuple(sorted(b in high for b in w))
@@ -53,7 +53,7 @@ def test_sampled_workloads_match_their_stratum(small_population):
 def test_missing_class_label_raises(small_population):
     sampler = BenchmarkStratification({"mcf": "high"})
     with pytest.raises(ValueError):
-        sampler.sample(small_population, 5, random.Random(0))
+        sampler.sample(small_population, 5, np.random.default_rng(0))
 
 
 def test_unbiased_weighted_mean_of_constant(small_population):
@@ -61,5 +61,5 @@ def test_unbiased_weighted_mean_of_constant(small_population):
     classes = {name: ("high" if name in ("mcf", "libquantum") else "low")
                for name in small_population.benchmarks}
     sampler = BenchmarkStratification(classes)
-    sample = sampler.sample(small_population, 15, random.Random(5))
+    sample = sampler.sample(small_population, 15, np.random.default_rng(5))
     assert sample.weighted_mean([3.0] * len(sample)) == pytest.approx(3.0)

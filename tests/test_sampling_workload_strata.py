@@ -1,8 +1,8 @@
 """Workload stratification: the Section VI-B-2 algorithm."""
 
 import math
-import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -73,7 +73,7 @@ def test_sampling_covers_all_strata_when_possible(small_population):
     delta = _delta_for(small_population)
     sampler = WorkloadStratification(delta, min_stratum=4)
     size = max(sampler.num_strata, 6)
-    sample = sampler.sample(small_population, size, random.Random(0))
+    sample = sampler.sample(small_population, size, np.random.default_rng(0))
     sampled = set(sample.workloads)
     for stratum in sampler.strata:
         assert sampled & set(stratum), "a stratum was left unsampled"
@@ -85,7 +85,7 @@ def test_small_samples_merge_strata_without_bias(small_population):
     sampler = WorkloadStratification(delta, min_stratum=2,
                                      sd_threshold=1e-9)
     assert sampler.num_strata > 3
-    sample = sampler.sample(small_population, 3, random.Random(1))
+    sample = sampler.sample(small_population, 3, np.random.default_rng(1))
     assert len(sample) == 3
     assert sum(sample.weights) == pytest.approx(1.0)
     # The weighted mean of a constant stays unbiased under merging.
@@ -107,7 +107,7 @@ def test_stratified_estimate_beats_random_on_structured_delta():
              for i, w in enumerate(population)}
     strat = WorkloadStratification(delta, min_stratum=3)
     simple = SimpleRandomSampling()
-    rng = random.Random(2)
+    rng = np.random.default_rng(2)
 
     def estimates(method, draws=300, size=8):
         values = []

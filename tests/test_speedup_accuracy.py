@@ -2,10 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.metrics import IPCT
-from repro.core.sampling import SimpleRandomSampling, WorkloadStratification
+from repro.core.sampling import (
+    SamplingMethod,
+    SamplingPlan,
+    SimpleRandomSampling,
+    WorkloadStratification,
+)
 from repro.core.speedup_accuracy import SpeedupAccuracyEvaluator
 
 from tests.conftest import ipc_matrix
@@ -45,12 +51,16 @@ def test_full_population_sample_is_exact(small_population):
     evaluator = SpeedupAccuracyEvaluator(small_population, x, y, IPCT,
                                          draws=100)
 
-    class Everything(SimpleRandomSampling):
+    class EveryRow(SamplingPlan):
+        def rows_matrix(self, size, draws, rng):
+            rows = np.tile(np.arange(size), (draws, 1))
+            return rows, np.full(size, 1.0 / size)
+
+    class Everything(SamplingMethod):
         name = "all"
 
-        def sample(self, population, size, rng):
-            from repro.core.sampling.base import WeightedSample
-            return WeightedSample.uniform(list(population))
+        def plan(self, index, population):
+            return EveryRow()
 
     result = evaluator.evaluate(Everything(), len(small_population),
                                 epsilon=1e-9)
