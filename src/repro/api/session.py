@@ -17,7 +17,8 @@ grids on a process pool (bit-identical results, see
 :mod:`repro.api.engine`).
 
 The two estimators share one staged pipeline: a panels-and-d(w) stage
-(memoised per full frame) and a confidence stage.
+(memoised per full frame, together with the strata cut from the
+column) and a confidence stage.
 :meth:`Session.estimate_two_stage`'s screen *is* that pipeline, so it
 replays the d(w) of an earlier :meth:`Session.estimate_full_scale` on
 the same frame.
@@ -26,7 +27,9 @@ the same frame.
 from __future__ import annotations
 
 import random
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -60,9 +63,29 @@ DEFAULT_SAMPLE_SIZES = (10, 30, 100)
 #: Core count K of both estimators by default (the paper's full scale).
 DEFAULT_CORES = 8
 
+#: Whole-frame d(w) columns a session keeps, least recently used out
+#: first.  An entry is the float64 column plus its strata's row numbers
+#: (an int64 permutation of the frame): ≈ 16 B per frame row, so
+#: ≈ 200 KB at the FULL 4-core frame (12 650 rows) and ≈ 1.6 MB at
+#: :data:`~repro.serve.protocol.MAX_FRAME_ROWS` (100 000).  A served
+#: universe's working set is a few pairs per frame (perfbench serves 4
+#: columns per session), far below this.
+DELTA_MEMO_ENTRIES = 64
+
 
 def _metric(metric: MetricLike) -> ThroughputMetric:
     return metric_by_name(metric) if isinstance(metric, str) else metric
+
+
+@dataclass
+class _MemoEntry:
+    """One memoised whole-frame d(w) column and what it fixes."""
+
+    delta: Any                  # DeltaColumn over the frame
+    statistics: Any             # its DeltaStatistics
+    #: ``(W_T, WorkloadStratification)`` of the last confidence stage
+    #: over this column; another W_T replaces it.
+    strata: Optional[Tuple[int, Any]] = None
 
 
 @dataclass(frozen=True)
@@ -74,6 +97,7 @@ class _DeltaStage:
     statistics: Any             # its DeltaStatistics
     training_runs: int          # builder runs the panels cost
     seconds: Tuple[float, float, float]   # population, panels, delta
+    memo: Optional[_MemoEntry] = None     # None unless a whole frame
 
 
 @dataclass(frozen=True)
@@ -305,12 +329,15 @@ class Session:
                                 WorkloadPopulation] = {}
         self._builders: Dict[Tuple[str, int], Any] = {}
         self._campaigns: Dict[Tuple[str, int], Campaign] = {}
-        # Whole-frame d(w) memo of both estimators: (backend, cores,
-        # sample, baseline, candidate, metric) -> (DeltaColumn, stats).
-        # Panels are append-only and reference IPCs cached, so the
-        # column is a pure function of the key; one entry costs one
-        # float64 column (~80 KB at the paper's 10 000-row frame).
-        self._delta_memo: Dict[Tuple[Any, ...], Tuple[Any, Any]] = {}
+        # Whole-frame d(w) memo of both estimators, an LRU of at most
+        # DELTA_MEMO_ENTRIES: (backend, cores, sample, baseline,
+        # candidate, metric) -> _MemoEntry.  Panels are append-only and
+        # reference IPCs cached, so the column is a pure function of
+        # the key.  Served warm estimates run concurrently without the
+        # universe lock, so the recency update takes its own lock.
+        self._delta_memo: "OrderedDict[Tuple[Any, ...], _MemoEntry]" = \
+            OrderedDict()
+        self._delta_memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Building blocks
@@ -488,8 +515,10 @@ class Session:
         so neither the coalescing window nor the shared grid dispatch
         buys it anything.  Extra keywords (``draws``, ``sample_sizes``,
         ``min_stratum``) only shape the confidence phase and are
-        ignored.  Unknown policies, metrics or backends simply report
-        cold -- :meth:`estimate_full_scale` owns the error.
+        ignored.  A membership probe: it leaves the column's place in
+        the memo's LRU order alone.  Unknown policies, metrics or
+        backends simply report cold -- :meth:`estimate_full_scale`
+        owns the error.
         """
         try:
             key = (get_backend(backend or "analytic").name, cores, sample,
@@ -528,7 +557,9 @@ class Session:
         d(w) column instead of re-extracting the panel: bit-identical
         by construction (panels are append-only, the reference IPCs
         cached), so a warm call pays only the seeded Monte-Carlo
-        confidence draws.  :meth:`estimate_is_warm` probes the memo.
+        confidence draws; the workload strata cut from the column are
+        kept with it, for the last ``min_stratum`` asked.
+        :meth:`estimate_is_warm` probes the memo.
 
         Args:
             baseline / candidate: the LLC policies to compare (X, Y).
@@ -557,7 +588,8 @@ class Session:
                            stage.seconds))
         started = time.perf_counter()
         fields = self._confidence_stage(stage.population, stage.delta,
-                                        draws, sample_sizes, min_stratum)
+                                        draws, sample_sizes, min_stratum,
+                                        memo=stage.memo)
         timings["confidence"] = time.perf_counter() - started
         return FullScaleEstimate(
             baseline=baseline, candidate=candidate, metric=metric_obj.name,
@@ -643,7 +675,7 @@ class Session:
                            screen.seconds))
         started = time.perf_counter()
         screen_fields = self._confidence_stage(population, screen.delta,
-                                               *knobs)
+                                               *knobs, memo=screen.memo)
         timings["screen-confidence"] = time.perf_counter() - started
 
         # ---- rank: screening signal + no-signal floor allocation -----
@@ -698,7 +730,9 @@ class Session:
         results are memoised per ``(backend, cores, sample, baseline,
         candidate, metric)``: panels are append-only and the reference
         IPCs cached, so the column is a pure function of the key and a
-        replay (the serve daemon's warm hot path) is a dict read.
+        replay (the serve daemon's warm hot path) is a dict read.  The
+        memo is an LRU of :data:`DELTA_MEMO_ENTRIES` columns; a replay
+        refreshes its entry, and an evicted column is built again.
         """
         from repro.core.columnar import delta_column_from_matrices
         from repro.core.delta import DeltaVariable, delta_statistics
@@ -708,10 +742,14 @@ class Session:
         population_seconds = time.perf_counter() - started
         memo_key = (backend, cores, sample, baseline, candidate,
                     metric.name)
-        if rows is None and memo_key in self._delta_memo:
-            delta, statistics = self._delta_memo[memo_key]
-            return _DeltaStage(population, delta, statistics, 0,
-                               (population_seconds, 0.0, 0.0))
+        if rows is None:
+            with self._delta_memo_lock:
+                memo = self._delta_memo.get(memo_key)
+                if memo is not None:
+                    self._delta_memo.move_to_end(memo_key)
+            if memo is not None:
+                return _DeltaStage(population, memo.delta, memo.statistics,
+                                   0, (population_seconds, 0.0, 0.0), memo)
 
         workloads = (population if rows is None
                      else population.code_matrix.take(rows))
@@ -732,20 +770,33 @@ class Session:
             matrices[baseline], matrices[candidate])
         statistics = delta_statistics(delta.values)
         delta_seconds = time.perf_counter() - started
+        memo = None
         if rows is None:
-            self._delta_memo[memo_key] = (delta, statistics)
+            memo = _MemoEntry(delta, statistics)
+            with self._delta_memo_lock:
+                self._delta_memo[memo_key] = memo
+                if len(self._delta_memo) > DELTA_MEMO_ENTRIES:
+                    self._delta_memo.popitem(last=False)
         return _DeltaStage(population, delta, statistics, training_runs,
                            (population_seconds, panels_seconds,
-                            delta_seconds))
+                            delta_seconds), memo)
 
     def _confidence_stage(self, population, delta,
                           draws: Optional[int], sample_sizes: Sequence[int],
-                          min_stratum: Optional[int]) -> Dict[str, Any]:
+                          min_stratum: Optional[int],
+                          memo: Optional[_MemoEntry] = None
+                          ) -> Dict[str, Any]:
         """Both estimators' second stage: confidence curves for a column.
 
         Simple random vs workload-stratified sampling over ``delta``;
         ``None`` knobs take the scale's draws and
-        W_T = max(50, frame/40).
+        W_T = max(50, frame/40).  Given ``delta``'s memo entry, the
+        strata come from its slot when it holds this W_T, and are cut
+        and kept there otherwise; a column without one (a refine's
+        spliced column) cuts them on every call.  The slot needs no
+        lock: each call reads it once, a stratifier over its column's
+        own index is never written by a plan, and racing threads at
+        most cut the same strata twice.
 
         Returns:
             The :class:`FullScaleEstimate` fields this stage settles:
@@ -760,8 +811,14 @@ class Session:
 
         if min_stratum is None:
             min_stratum = max(DEFAULT_MIN_STRATUM, len(population) // 40)
-        stratifier = WorkloadStratification.from_column(
-            delta, min_stratum=min_stratum)
+        kept = memo.strata if memo is not None else None
+        if kept is not None and kept[0] == min_stratum:
+            stratifier = kept[1]
+        else:
+            stratifier = WorkloadStratification.from_column(
+                delta, min_stratum=min_stratum)
+            if memo is not None:
+                memo.strata = (min_stratum, stratifier)
         estimator = ConfidenceEstimator(
             population, delta,
             draws=draws if draws is not None else self.parameters.draws)

@@ -23,10 +23,12 @@ Draws: every plan turns uniform blocks of one seeded
 ``numpy.random.Generator`` into rows -- ``floor(U * N)`` with
 replacement (:func:`~repro.core.sampling.base.uniform_indices`),
 Floyd's algorithm without replacement
-(:func:`~repro.core.sampling.base.floyd_distinct`), and for balanced
-sampling a stable argsort of uniform keys as each draw's shuffle (see
-the README's "Draws" section).  The estimators seed one generator per
-(seed, sample size) point.
+(:func:`~repro.core.sampling.base.floyd_distinct`: one pass for every
+round's candidate, then a duplicate test per round), and for balanced
+sampling a stable argsort of uniform keys as each draw's shuffle,
+drawn in chunks along the draw axis (see the README's "Draws"
+section).  The estimators seed one generator per (seed, sample size)
+point.
 """
 
 from repro.core.sampling.base import (

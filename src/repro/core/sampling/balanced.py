@@ -21,6 +21,14 @@ from repro.core.sampling.base import (
 )
 
 
+#: Uniforms one chunk of draws takes at most (8 MiB).  A draw's uniform
+#: row, its argsort, its pool and the permuted pool live together, so
+#: W = 1 000 over 22 benchmarks at 4 cores (4 018 uniforms a draw) at
+#: 2 000 draws would hold ≈ 300 MiB as one block; in chunks of 2^20
+#: uniforms the same draws peak at ≈ 55 MiB traced.
+DRAW_CHUNK_UNIFORMS = 1 << 20
+
+
 class BalancedRandomPlan(SamplingPlan):
     """Balanced draws as row numbers.
 
@@ -30,7 +38,10 @@ class BalancedRandomPlan(SamplingPlan):
     shuffles every pool at once (a uniform random permutation per
     draw), and the whole batch of constructed workloads is mapped to
     rows in one vectorized sort + binary search over the index's
-    packed keys.
+    packed keys.  Draws go in chunks of at most
+    :data:`DRAW_CHUNK_UNIFORMS` uniforms: ``rng.random`` fills row by
+    row and every later step works per draw, so the chunks give the
+    rows of one block.
 
     Args:
         index: the row universe (see :meth:`SamplingMethod.plan`).
@@ -54,15 +65,21 @@ class BalancedRandomPlan(SamplingPlan):
         b, cores = self._num_benchmarks, self._cores
         slots = size * cores
         base, extra = divmod(slots, b)
-        uniforms = rng.random((draws, extra + slots))
-        pools = np.empty((draws, slots), dtype=np.int64)
-        pools[:, :base * b] = np.repeat(np.arange(b, dtype=np.int64), base)
-        if extra:
-            pools[:, base * b:] = floyd_distinct(uniforms[:, :extra], b)
-        order = np.argsort(uniforms[:, extra:], axis=1, kind="stable")
-        pools = np.take_along_axis(pools, order, axis=1)
-        codes = np.sort(pools.reshape(draws * size, cores), axis=1)
-        rows = self._index.rows_from_codes(codes).reshape(draws, size)
+        chunk = max(1, DRAW_CHUNK_UNIFORMS // (extra + slots))
+        rows = np.empty((draws, size), dtype=np.int64)
+        for start in range(0, draws, chunk):
+            count = min(chunk, draws - start)
+            uniforms = rng.random((count, extra + slots))
+            pools = np.empty((count, slots), dtype=np.int64)
+            pools[:, :base * b] = np.repeat(np.arange(b, dtype=np.int64),
+                                            base)
+            if extra:
+                pools[:, base * b:] = floyd_distinct(uniforms[:, :extra], b)
+            order = np.argsort(uniforms[:, extra:], axis=1, kind="stable")
+            pools = np.take_along_axis(pools, order, axis=1)
+            codes = np.sort(pools.reshape(count * size, cores), axis=1)
+            rows[start:start + count] = self._index.rows_from_codes(
+                codes).reshape(count, size)
         return rows, np.full(size, 1.0 / size)
 
 

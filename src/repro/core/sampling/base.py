@@ -13,9 +13,10 @@ Plans draw only from uniform blocks of one seeded
 
 - :func:`uniform_indices` -- ``floor(U * n)`` per slot, with
   replacement (simple random sampling, oversampled strata);
-- :func:`floyd_distinct` -- Floyd's distinct-subset algorithm,
-  vectorized over the draw axis (every stratum drawn without
-  replacement, balanced sampling's extra slots).
+- :func:`floyd_distinct` -- Floyd's distinct-subset algorithm
+  (every stratum drawn without replacement, balanced sampling's extra
+  slots): one array pass computes every round's candidate for every
+  draw, and only the duplicate tests run round by round.
 
 Stratified methods represent their strata as row-index partitions,
 fixed at plan-build time; the shared :class:`StratifiedRowPlan` fills
@@ -46,7 +47,8 @@ def uniform_indices(uniforms: np.ndarray, n: int) -> np.ndarray:
 def floyd_distinct(uniforms: np.ndarray, n: int) -> np.ndarray:
     """Distinct draws from ``range(n)``, one row of picks per draw.
 
-    Floyd's algorithm over ``k = uniforms.shape[1]`` picks: for
+    Floyd's algorithm over ``k = uniforms.shape[1]`` picks (Bentley &
+    Floyd, "A sample of brilliance", CACM 30(9), 1987): for
     ``i = n-k .. n-1`` pick ``j = floor(U * (i+1))`` and, if ``j`` was
     already picked in this row, take ``i`` instead.  Every row's ``k``
     picks form a uniformly distributed ``k``-subset of ``range(n)``.
@@ -54,19 +56,28 @@ def floyd_distinct(uniforms: np.ndarray, n: int) -> np.ndarray:
     in its own round), which no estimator observes: within a stratum
     every slot carries the same weight.
 
-    Cost: ``k`` vectorized rounds, round ``t`` an O(draws x t)
-    duplicate test -- no per-draw Python work, and memory of the order
-    of the ``(draws, k)`` output.
+    Cost: one O(draws x k) pass computes every round's candidate ``j``
+    at once; the ``k - 1`` duplicate rounds that follow are O(draws x
+    t) each, round ``t`` testing its candidates against the ``t``
+    earlier picks held as contiguous round-major rows.  No per-draw
+    Python work, and at most two ``(draws, k)`` blocks besides the
+    input.
     """
-    k = uniforms.shape[1]
+    draws, k = uniforms.shape
     if k > n:
         raise ValueError("cannot draw more distinct picks than the range")
-    picks = np.empty(uniforms.shape, dtype=np.int64)
-    for t, i in enumerate(range(n - k, n)):
-        j = np.minimum((uniforms[:, t] * (i + 1)).astype(np.int64), i)
-        duplicate = (picks[:, :t] == j[:, None]).any(axis=1)
-        picks[:, t] = np.where(duplicate, i, j)
-    return picks
+    top = np.arange(n - k, n)
+    scaled = np.multiply(uniforms, top + 1)
+    # Round-major: round t's picks are the contiguous row picks[t].
+    picks = np.empty((k, draws), dtype=np.int64)
+    np.copyto(picks, scaled.T, casting="unsafe")
+    del scaled
+    # U < 1, but U * (i + 1) can round up to i + 1; clamp it to i.
+    np.minimum(picks, top[:, None], out=picks)
+    for t in range(1, k):
+        duplicate = (picks[:t] == picks[t]).any(axis=0)
+        np.putmask(picks[t], duplicate, top[t])
+    return picks.T
 
 
 @dataclass(frozen=True)

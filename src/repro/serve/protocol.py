@@ -54,14 +54,15 @@ MAX_REQUEST_BYTES = 1 << 20
 # :func:`check_estimate_bounds`).  The yardstick, measured on a warm
 # FULL 4-core session (LRU/DRRIP, 7 strata; 2-CPU host, uncalibrated):
 # confidence draws take ≈ 25-30 B of traced memory per drawn row, and
-# 10^5 drawn rows at W = 100 take ≈ 25 ms and ≈ 3 MiB.
+# 10^5 workload-stratified drawn rows at W = 100 take ≈ 4-5 ms and
+# ≈ 3 MiB.
 
 #: Drawn rows, ``draws`` x sum(``sample_sizes``), with ``draws=None``
 #: counted as the scale's default.  At this bound a request's draws
 #: peak at ≈ 56 MiB traced (2 000 draws at W = 1 000, simple random and
 #: workload-stratified), ≈ 61 MiB when one stratum takes every slot;
-#: FULL's default, 10 000 draws x (10, 30, 100) = 1.4 M rows (≈ 0.23 s,
-#: ≈ 32 MiB), fits.
+#: FULL's default, 10 000 draws x (10, 30, 100) = 1.4 M rows (≈ 72 ms
+#: for both curves, strata cut included; ≈ 32 MiB), fits.
 MAX_DRAWN_ROWS = 2_000_000
 
 #: Entries of ``sample_sizes``.  Each is two more row batches with their
@@ -72,10 +73,10 @@ MAX_SAMPLE_SIZES = 32
 
 #: Largest W.  A drawn row gets dearer as a stratum's slot count grows
 #: (each distinct pick is tested against the stratum's earlier picks):
-#: 10^5 drawn rows take ≈ 25 ms at W = 100, but 2 x 10^6 take ≈ 1.5 s
-#: at W = 1 000 of the 12 650-row frame, and ≈ 1.6 s when all 1 000
-#: slots fall in one stratum.  One draw at W = 12 650 takes ≈ 0.2 s.
-#: Every W the experiments use (at most 640) fits.
+#: 10^5 drawn rows take ≈ 4-5 ms at W = 100, but 2 x 10^6 take
+#: ≈ 0.6 s at W = 1 000 of the 12 650-row frame, and ≈ 0.8-0.9 s when
+#: all 1 000 slots fall in one stratum.  One draw at W = 12 650 takes
+#: ≈ 0.1 s.  Every W the experiments use (at most 640) fits.
 MAX_SAMPLE_SIZE = 1_000
 
 #: Frame rows (``sample``).  A fresh 8-core estimate peaks at ≈ 410 B

@@ -54,8 +54,8 @@ from repro.serve.state import ResidentState, split_params
 logger = logging.getLogger(__name__)
 
 #: How long a coalescing group stays open for late joiners.  Long
-#: enough to catch a concurrent burst, short next to the ~30 ms+ of
-#: even a fully warm estimate.
+#: enough to catch a concurrent burst, short next to the panel dispatch
+#: a cold group pays (a warm group opens with no window).
 DEFAULT_WINDOW_SECONDS = 0.01
 
 _ESTIMATE_DEFAULTS = {"backend": "analytic", "cores": DEFAULT_CORES,

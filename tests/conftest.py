@@ -6,6 +6,7 @@ import pytest
 from repro.bench.spec import benchmark_names
 from repro.core.columnar import IpcMatrix
 from repro.core.population import WorkloadPopulation
+from repro.core.sampling import WorkloadStratification
 
 #: Trace length used by simulation tests: big enough for pipelines and
 #: caches to reach steady state, small enough to keep the suite fast.
@@ -36,3 +37,18 @@ def four_core_population():
     """A 4-core population over 5 benchmarks: C(8, 4) = 70 workloads."""
     names = ["povray", "gcc", "mcf", "libquantum", "hmmer"]
     return WorkloadPopulation(names, 4)
+
+
+@pytest.fixture
+def strata_cuts(monkeypatch):
+    """Every stratifier ``WorkloadStratification.from_column`` builds,
+    in order."""
+    built = []
+    from_column = WorkloadStratification.from_column
+
+    def counted(delta, *args, **kwargs):
+        built.append(from_column(delta, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(WorkloadStratification, "from_column", counted)
+    return built

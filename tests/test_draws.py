@@ -11,6 +11,10 @@ at the distribution level, never bit for bit against another stream:
 - per-draw weighted means agree with the per-draw oracle (a
   two-sample Kolmogorov-Smirnov test at 1 500 draws).
 
+Two rewrites are checked pick for pick on the same uniforms instead:
+``floyd_distinct`` against its per-round loop (``_floyd_reference``),
+and balanced sampling's draw-axis chunks against one block.
+
 The oracle is the methods' historical per-draw ``sample()`` loops on
 ``random.Random``: ``randrange`` for simple random sampling,
 ``random.sample`` per stratum, and a ``shuffle`` of the balanced pool.
@@ -27,6 +31,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.bench.spec import benchmark_names
 from repro.core.columnar import DeltaColumn
@@ -42,6 +49,7 @@ from repro.core.sampling import (
     WorkloadStratification,
     largest_remainder_allocation,
 )
+from repro.core.sampling import balanced
 from repro.core.sampling.base import floyd_distinct, uniform_indices
 from repro.core.sampling.workload_strata import _merged_groups
 from repro.core.workload import Workload
@@ -177,6 +185,61 @@ def test_floyd_distinct_rejects_oversized_k():
         floyd_distinct(np.zeros((1, 4)), 3)
 
 
+def _floyd_reference(uniforms, n):
+    """Floyd's algorithm one round at a time, each round's candidate
+    computed and tested in its own pass, with the kernel's arithmetic."""
+    k = uniforms.shape[1]
+    picks = np.empty(uniforms.shape, dtype=np.int64)
+    for t, i in enumerate(range(n - k, n)):
+        j = np.minimum((uniforms[:, t] * (i + 1)).astype(np.int64), i)
+        duplicate = (picks[:, :t] == j[:, None]).any(axis=1)
+        picks[:, t] = np.where(duplicate, i, j)
+    return picks
+
+
+def _floyd_cases():
+    """k in {1, 2, n - 1, n} for n from 1 to 10 660 (the FULL 4-core
+    frame's largest stratum), draws in {1, 7, 1 000}; cases whose
+    draws x k^2 duplicate tests exceed 10^9 (1 000 draws of 10 659 or
+    10 660 picks) are left out."""
+    for n in (1, 2, 3, 17, 316, 10660):
+        for k in sorted({1, 2, n - 1, n} & set(range(n + 1))):
+            for draws in (1, 7, 1000):
+                if draws * k * k <= 1e9:
+                    yield n, k, draws
+
+
+@pytest.mark.parametrize("n, k, draws", list(_floyd_cases()))
+def test_floyd_distinct_equals_the_per_round_reference(n, k, draws):
+    uniforms = np.random.default_rng([n, k, draws]).random((draws, k))
+    assert np.array_equal(floyd_distinct(uniforms, n),
+                          _floyd_reference(uniforms, n))
+
+
+def test_floyd_distinct_reads_a_column_slice_like_a_block():
+    """A stratified plan hands each stratum a strided column span."""
+    block = np.random.default_rng(3).random((1000, 120))
+    span = block[:, 37:115]
+    assert not span.flags.c_contiguous
+    picks = floyd_distinct(span, 10506)
+    assert np.array_equal(picks, _floyd_reference(span, 10506))
+    assert np.array_equal(picks,
+                          floyd_distinct(np.ascontiguousarray(span), 10506))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_floyd_distinct_equals_the_reference_on_any_uniforms(data):
+    n = data.draw(st.integers(1, 2 ** 40), label="n")
+    k = data.draw(st.integers(0, min(n, 24)), label="k")
+    draws = data.draw(st.integers(0, 12), label="draws")
+    uniforms = data.draw(hnp.arrays(
+        np.float64, (draws, k),
+        elements=st.floats(0.0, 1.0, exclude_max=True)), label="uniforms")
+    assert np.array_equal(floyd_distinct(uniforms, n),
+                          _floyd_reference(uniforms, n))
+
+
 # ----------------------------------------------------------------------
 # One generator per (seed, size) point
 
@@ -262,6 +325,24 @@ def test_balanced_draws_equalize_benchmark_occurrences(
             assert occurrences.min() >= base
             assert occurrences.max() <= base + 1
             assert int((occurrences == base + 1).sum()) == extra
+
+
+@pytest.mark.parametrize("chunk_uniforms", [1, 3 * 28])
+def test_balanced_chunks_continue_one_stream(four_core_population,
+                                             monkeypatch, chunk_uniforms):
+    """Draw-axis chunks (one draw each, or three with an uneven last
+    chunk) give the rows of one uniform block."""
+    population = four_core_population
+    plan = BalancedRandomSampling().plan(population.index, population)
+    size, draws = 6, 10
+    slots = size * population.cores
+    # 24 slots over 5 benchmarks: 4 extra, so every chunk runs Floyd.
+    assert divmod(slots, len(population.benchmarks))[1] + slots == 28
+    assert draws * 28 <= balanced.DRAW_CHUNK_UNIFORMS
+    expected, _ = plan.rows_matrix(size, draws, np.random.default_rng(8))
+    monkeypatch.setattr(balanced, "DRAW_CHUNK_UNIFORMS", chunk_uniforms)
+    rows, _ = plan.rows_matrix(size, draws, np.random.default_rng(8))
+    assert np.array_equal(rows, expected)
 
 
 def test_one_draw_sample_is_row_zero_of_the_plan(small_population):
@@ -392,3 +473,25 @@ def test_a_request_at_the_served_bounds_stays_under_128_mib():
             assert 0.0 <= curve.confidence[0] <= 1.0
     finally:
         tracemalloc.stop()
+
+
+def test_balanced_sampling_at_the_served_bounds_stays_under_128_mib():
+    """Balanced draws at W = MAX_SAMPLE_SIZE and MAX_DRAWN_ROWS drawn
+    rows on the exhaustive 22-benchmark 4-core frame: 4 018 uniforms a
+    draw, so the draws go in chunks of 260 (held as one block they
+    peaked at ≈ 305 MiB traced)."""
+    population = WorkloadPopulation(benchmark_names(), 4)
+    delta = DeltaColumn(population.index, np.random.default_rng(
+        31).normal(0.0, 1.0, len(population)))
+    draws = MAX_DRAWN_ROWS // MAX_SAMPLE_SIZE
+    estimator = ConfidenceEstimator(population, delta, draws=draws)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        curve = estimator.curve(BalancedRandomSampling(), (MAX_SAMPLE_SIZE,),
+                                seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 20, peak
+    assert 0.0 <= curve.confidence[0] <= 1.0

@@ -7,9 +7,15 @@ nothing and reproduce the cold numbers exactly), the d(w) column and
 the vectorized stratified confidence estimation.
 """
 
+import dataclasses
+import os
+import sys
+import threading
+
 import pytest
 
 from repro.api import Session
+from repro.api import session as session_module
 
 
 BENCHMARKS = ("bzip2", "gcc", "libquantum", "mcf", "namd", "povray")
@@ -131,3 +137,111 @@ def test_two_core_frame_is_exhaustive_with_signal(dirs):
 def test_unknown_policy_rejected(dirs):
     with pytest.raises(ValueError):
         _session(dirs).estimate_full_scale("LRU", "NOPE", cores=2)
+
+
+# ---- the d(w) memo and the strata it keeps ---------------------------
+
+#: A live 2-core frame (21 rows): FIFO/DRRIP's d(w) has 1/cv ≈ 0.59,
+#: and its one default stratum (W_T = 50) splits in three at W_T = 3.
+LIVE = dict(cores=2, draws=100, sample_sizes=(5, 10))
+
+
+def _answer(estimate):
+    fields = dataclasses.asdict(estimate)
+    fields.pop("timings")
+    fields.pop("training_runs")
+    return fields
+
+
+def test_warm_estimates_reuse_their_strata(dirs, strata_cuts):
+    session = _session(dirs)
+    first = session.estimate_full_scale("FIFO", "DRRIP", **LIVE)
+    second = session.estimate_full_scale("FIFO", "DRRIP", **LIVE)
+    assert len(strata_cuts) == 1
+    (entry,) = session._delta_memo.values()
+    assert entry.strata == (50, strata_cuts[0])
+    fresh = _session(dirs).estimate_full_scale("FIFO", "DRRIP", **LIVE)
+    assert _answer(first) == _answer(second) == _answer(fresh)
+    assert 0.0 < first.confidence["workload-strata"][0] < 1.0
+
+
+def test_another_min_stratum_replaces_the_kept_strata(dirs,
+                                                      strata_cuts):
+    session = _session(dirs)
+    coarse = session.estimate_full_scale("FIFO", "DRRIP", **LIVE)
+    fine = session.estimate_full_scale("FIFO", "DRRIP", min_stratum=3,
+                                       **LIVE)
+    (entry,) = session._delta_memo.values()
+    assert entry.strata == (3, strata_cuts[1])
+    again = session.estimate_full_scale("FIFO", "DRRIP", min_stratum=3,
+                                        **LIVE)
+    assert len(strata_cuts) == 2
+    assert fine.num_strata == 3 and coarse.num_strata == 1
+    assert fine.confidence != coarse.confidence
+    fresh = _session(dirs).estimate_full_scale(
+        "FIFO", "DRRIP", min_stratum=3, **LIVE)
+    assert _answer(fine) == _answer(again) == _answer(fresh)
+
+
+def test_the_memo_evicts_its_least_recent_column(dirs, monkeypatch):
+    monkeypatch.setattr(session_module, "DELTA_MEMO_ENTRIES", 2)
+    session = _session(dirs)
+
+    def estimate(metric):
+        return session.estimate_full_scale("FIFO", "DRRIP", metric=metric,
+                                           **LIVE)
+
+    def warm(metric):
+        return session.estimate_is_warm("FIFO", "DRRIP", metric=metric,
+                                        **LIVE)
+
+    ipct, wsu = estimate("IPCT"), estimate("WSU")
+    assert _answer(estimate("IPCT")) == _answer(ipct)    # refreshes IPCT
+    assert warm("WSU")                                    # refreshes nothing
+    estimate("HSU")                     # evicts WSU, the least recent
+    assert (warm("IPCT"), warm("WSU"), warm("HSU")) == (True, False, True)
+    assert _answer(estimate("WSU")) == _answer(wsu)       # evicts IPCT
+    assert (warm("IPCT"), warm("WSU"), warm("HSU")) == (False, True, True)
+    assert len(session._delta_memo) == 2
+
+
+def test_concurrent_warm_estimates_equal_the_single_thread_answers(dirs):
+    """More threads than CPUs on one warm session, switching every
+    microsecond: strata slots replaced under each other's reads (W_T
+    50 and 3 on one column) and recency updates racing."""
+    session = _session(dirs)
+    queries = [(pair, min_stratum)
+               for pair in (("FIFO", "DRRIP"), ("DIP", "LRU"))
+               for min_stratum in (None, 3)]
+
+    def estimate(query):
+        (baseline, candidate), min_stratum = query
+        return _answer(session.estimate_full_scale(
+            baseline, candidate, min_stratum=min_stratum, **LIVE))
+
+    expected = {query: estimate(query) for query in queries}
+    threads = max(4, (os.cpu_count() or 1) + 2)
+    rounds = 25
+    answers = [[] for _ in range(threads)]
+
+    def work(slot):
+        for i in range(rounds):
+            query = queries[(slot + i) % len(queries)]
+            answers[slot].append((query, estimate(query)))
+
+    workers = [threading.Thread(target=work, args=(slot,))
+               for slot in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert [len(done) for done in answers] == [rounds] * threads
+    for done in answers:
+        for query, answer in done:
+            assert answer == expected[query], query

@@ -215,6 +215,20 @@ def test_two_stage_screen_is_the_full_scale_estimate(dirs):
     assert estimate.training_runs == 0
 
 
+def test_two_stage_keeps_no_strata_for_its_spliced_column(dirs,
+                                                          strata_cuts):
+    """The screen's strata are cut once and kept with its memoised
+    column; the spliced column's are cut on every call, kept nowhere."""
+    session = _session(dirs)
+    first, second = _estimate(session), _estimate(session)
+    (entry,) = session._delta_memo.values()
+    assert entry.strata[0] == 50
+    assert [stratifier is entry.strata[1]
+            for stratifier in strata_cuts] == [True, False, False]
+    assert second.confidence == first.confidence
+    assert second.screen_confidence == first.screen_confidence
+
+
 def test_two_stage_refine_frac(dirs):
     session = _session(dirs)
     estimate = session.estimate_two_stage(
