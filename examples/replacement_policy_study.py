@@ -66,10 +66,9 @@ def main() -> None:
 
     index, matrices = results.columnar_panel([BASELINE, NEW_POLICY], rows)
     delta = delta_column_from_matrices(
-        study.delta_variable, matrices[BASELINE],
-        matrices[NEW_POLICY]).values.tolist()
-    verdict = sample.weighted_mean([delta[index.row(workload)]
-                                    for workload in sample.workloads])
+        study.delta_variable, matrices[BASELINE], matrices[NEW_POLICY])
+    verdict = sample.weighted_mean(
+        delta.values[index.rows(sample.workloads)].tolist())
     detailed = session.campaign("detailed", cores)
     print(f"\nDetailed-simulation verdict on D = mean d(w): {verdict:+.5f}")
     print(f"=> {NEW_POLICY} {'outperforms' if verdict > 0 else 'does not outperform'} "

@@ -14,8 +14,8 @@ controlled simulation budget exactly where that matters:
    budget always allocated to evenly-spaced d(w) == 0 cells, so a
    screen that flattens a region to zero cannot hide it from stage 2;
 3. *refine* the selected rows on an event-driven backend (``badco``
-   here; ``interval`` also works) through its chunk-parallel
-   ``run_batch`` -- bit-identical for any ``jobs``;
+   here; ``interval`` also works) through the campaign engine's
+   chunk-parallel grid calls -- bit-identical for any ``jobs``;
 4. *splice* the refined d(w) values back into the column and
    re-estimate, reporting both stages side by side plus the
    refined-vs-screened disagreement (max/mean shift, sign flips).

@@ -169,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for persisted trained models "
                             "(default: <cache>/models, '' disables)")
     serve.add_argument("--budget-mb", type=int, default=512,
-                       help="resident panel LRU budget in MiB "
-                            "(default 512)")
+                       help="byte budget of the resident panel LRU's "
+                            "references in MiB (default 512; not a "
+                            "memory bound: sessions keep their panels)")
 
     query = sub.add_parser(
         "query", help="query a running serve daemon")
@@ -224,12 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "resident daemon (cold vs warm served query, "
                             "concurrent throughput, coalescing ratio, LRU "
                             "hit rate)")
-    bench.add_argument("--draws", type=int, default=None,
-                       help="Monte-Carlo draws (overrides the profile)")
-    bench.add_argument("--sample-size", type=int, default=None,
-                       help="workloads per sample (default 30)")
-    bench.add_argument("--cores", type=int, default=None,
-                       help="population core count (overrides the profile)")
     bench.add_argument("--output", default="BENCH_analytics.json",
                        help="result file ('' to skip writing)")
 
@@ -469,31 +464,15 @@ def _cmd_query(args) -> int:
 def _cmd_bench(args) -> int:
     from pathlib import Path
 
-    from repro.perf import DEFAULT_SAMPLE_SIZE, PROFILES, run_bench, \
-        run_e2e_bench, run_pop_bench, run_serve_bench, run_sim_bench, \
-        speedups, write_bench
+    from repro.perf import PROFILES, run_bench, run_e2e_bench, \
+        run_pop_bench, run_serve_bench, run_sim_bench, speedups, \
+        write_bench
 
-    overrides = [name for name, value in
-                 (("--draws", args.draws), ("--sample-size",
-                                            args.sample_size),
-                  ("--cores", args.cores)) if value is not None]
-    if args.suite in ("sim", "pop", "e2e", "serve") and overrides:
-        # These suites run fixed profile grids; silently ignoring the
-        # knobs would misreport what was benchmarked.
-        print(f"{', '.join(overrides)} only apply to the analytics "
-              f"suite, not --suite {args.suite}", file=sys.stderr)
-        return 2
     records = []
     if args.suite in ("analytics", "all"):
         profile = PROFILES[args.profile]
-        draws = args.draws if args.draws is not None else profile["draws"]
-        cores = args.cores if args.cores is not None else profile["cores"]
-        sample_size = (args.sample_size if args.sample_size is not None
-                       else DEFAULT_SAMPLE_SIZE)
-        max_population = profile["max_population"] or None
-        records.extend(run_bench(draws=draws, sample_size=sample_size,
-                                 cores=cores,
-                                 max_population=max_population))
+        records.extend(run_bench(draws=profile["draws"],
+                                 cores=profile["cores"]))
     if args.suite in ("sim", "all"):
         records.extend(run_sim_bench(profile=args.profile))
     if args.suite in ("pop", "all"):

@@ -145,6 +145,35 @@ def has_duplicates(ranks: np.ndarray) -> bool:
     return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
+class RankSearch:
+    """Where each rank sits in a rank vector: one stable sort, then a
+    binary search per lookup.
+
+    The one rank -> row lookup: a
+    :class:`~repro.core.columnar.WorkloadIndex` finds its rows with it,
+    and :class:`~repro.sim.results.PopulationResults` a policy's panel
+    rows.
+
+    Args:
+        ranks: int64 ranks, in row order.
+    """
+
+    __slots__ = ("ordered", "order")
+
+    def __init__(self, ranks: np.ndarray) -> None:
+        self.order = np.argsort(ranks, kind="stable")
+        #: The ranks, ascending.
+        self.ordered = ranks[self.order]
+
+    def rows(self, ranks: np.ndarray) -> np.ndarray:
+        """Row of each of ``ranks`` in the vector (-1: absent)."""
+        if not len(self.ordered):
+            return np.full(len(ranks), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.ordered, ranks),
+                        len(self.ordered) - 1)
+        return np.where(self.ordered[at] == ranks, self.order[at], -1)
+
+
 def unrank_codes(ranks: Iterable[int], num_benchmarks: int,
                  cores: int) -> np.ndarray:
     """Code rows of combinadic ranks, vectorized (inverse of rank).
@@ -411,6 +440,20 @@ class CodeMatrix:
         lookup = np.array([position[name] for name in self.benchmarks],
                           dtype=np.int64)
         return rank_codes(lookup[self.codes], len(universe), validate=False)
+
+    def compact(self) -> "CodeMatrix":
+        """The same rows over only the benchmarks they use.
+
+        Renumbering keeps every row sorted, so the rows' order and
+        their workloads are unchanged.
+        """
+        used = np.flatnonzero(self.benchmark_occurrences())
+        if len(used) == self.num_benchmarks:
+            return self
+        renumber = np.zeros(self.num_benchmarks, dtype=self.codes.dtype)
+        renumber[used] = np.arange(len(used))
+        return CodeMatrix([self.benchmarks[code] for code in used.tolist()],
+                          renumber[self.codes])
 
     def take(self, rows) -> "CodeMatrix":
         """The given rows (indices or a boolean mask), in that order."""

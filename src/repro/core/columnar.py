@@ -4,8 +4,8 @@ The statistics stack historically worked on ``Mapping[Workload, ...]``
 tables, which makes every metric, delta and Monte-Carlo draw an
 interpreter-level loop.  This module is the array-backed alternative:
 
-- :class:`WorkloadIndex` -- a stable workload <-> row mapping (row i of
-  every array is the same workload everywhere);
+- :class:`WorkloadIndex` -- the unique rows of one code matrix (row i
+  of every array is the same workload everywhere), found by rank;
 - :class:`IpcMatrix` -- the N x K per-core IPCs of one microarchitecture
   as a float64 matrix, validated once at construction;
 - :class:`DeltaColumn` -- d(w) for all N workloads as one vector, the
@@ -26,10 +26,11 @@ statistics.)
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.codematrix import CodeMatrix, RankSearch, has_duplicates
 from repro.core.metrics import ReferenceIpcs, ThroughputMetric
 from repro.core.workload import Workload
 
@@ -41,198 +42,127 @@ def _preview(items: Sequence, limit: int = 5) -> str:
 
 
 class WorkloadIndex:
-    """A stable, ordered workload <-> row mapping.
+    """The rows of one code matrix, each workload once.
 
-    Row numbers are assigned by position in ``workloads`` and never
-    change, so any array whose axis 0 has length ``len(index)`` can be
-    interpreted per-workload.  Built from a population (which preserves
-    its enumeration order), any workload sequence, or -- zero-copy --
-    straight from a :class:`~repro.core.codematrix.CodeMatrix`: the
-    matrix *is* the index's :attr:`codes`, and the workload tuple and
-    row dictionary are materialised only if something asks for them.
+    Row ``i`` is the matrix's row ``i`` everywhere, so any array whose
+    axis 0 has length ``len(index)`` reads per workload.  The index is
+    a view: :attr:`codes` *is* the matrix's code array, and
+    :attr:`workloads` are built from it on first use (a population and
+    its index share them).  Rows are checked unique once, on their
+    combinadic ranks, when the index is made; every lookup then goes
+    through ranks over :attr:`benchmarks` and one sorted search
+    (:class:`~repro.core.codematrix.RankSearch`).
 
     Args:
-        workloads: the workloads, in row order (must be unique and all
-            occupy the same number of cores).
-        benchmarks: the benchmark universe (sorted); defaults to the
-            names appearing in the workloads.  Reference-IPC vectors
-            and the per-slot code matrix are aligned to it.
+        matrix: a :class:`~repro.core.codematrix.CodeMatrix`.
+
+    Raises:
+        ValueError: the matrix is empty or repeats a row.
     """
 
-    __slots__ = ("cores", "benchmarks", "_workloads", "_size", "_rows",
-                 "_codes", "_encoded", "_encoded_order")
+    __slots__ = ("matrix", "_search", "_workloads")
 
-    def __init__(self, workloads: Sequence[Workload],
-                 benchmarks: Optional[Sequence[str]] = None) -> None:
-        self._workloads: Optional[tuple] = tuple(workloads)
-        if not self._workloads:
-            raise ValueError("empty workload index")
-        self._size = len(self._workloads)
-        self.cores = self._workloads[0].k
-        if any(w.k != self.cores for w in self._workloads):
-            raise ValueError("all workloads must have the same core count")
-        self._rows: Optional[Dict[Workload, int]] = {
-            w: i for i, w in enumerate(self._workloads)}
-        if len(self._rows) != self._size:
-            raise ValueError("duplicate workloads in index")
-        if benchmarks is None:
-            benchmarks = sorted({b for w in self._workloads for b in w})
-        self.benchmarks = tuple(sorted(benchmarks))
-        self._codes: Optional[np.ndarray] = None
-        self._encoded: Optional[np.ndarray] = None
-        self._encoded_order: Optional[np.ndarray] = None
-
-    @staticmethod
-    def from_code_matrix(matrix) -> "WorkloadIndex":
-        """Zero-copy index over a code matrix's rows.
-
-        The matrix becomes :attr:`codes` directly -- no ``Workload``
-        tuples are built, so indexing the full 8-core population costs
-        O(N x K) integers.  Row uniqueness is validated once on the
-        combinadic ranks (which, unlike the base-B packed keys, fit an
-        int64 for every population an int64 rank can address).
-
-        Args:
-            matrix: a :class:`~repro.core.codematrix.CodeMatrix` with
-                unique, sorted rows.
-        """
-        from repro.core.codematrix import has_duplicates, rank_codes
-
+    def __init__(self, matrix: CodeMatrix) -> None:
         if len(matrix) == 0:
             raise ValueError("empty workload index")
-        index = WorkloadIndex.__new__(WorkloadIndex)
-        index._workloads = None
-        index._size = len(matrix)
-        index.cores = matrix.cores
-        index.benchmarks = matrix.benchmarks
-        index._rows = None
-        index._codes = matrix.codes
-        index._encoded = None
-        index._encoded_order = None
-        if has_duplicates(rank_codes(matrix.codes, matrix.num_benchmarks)):
+        if has_duplicates(matrix.ranks()):
             raise ValueError("duplicate workloads in index")
-        return index
+        self.matrix = matrix
+        self._search: Optional[RankSearch] = None
+        self._workloads: Optional[Tuple[Workload, ...]] = None
 
-    @staticmethod
-    def from_population(population) -> "WorkloadIndex":
-        """Index a :class:`~repro.core.population.WorkloadPopulation`.
+    @property
+    def benchmarks(self) -> Tuple[str, ...]:
+        """The sorted benchmark universe the codes index."""
+        return self.matrix.benchmarks
 
-        Rows follow the population's own order, so ``rows == arange``
-        for iteration over the population.  Populations backed by a
-        code matrix are indexed zero-copy (see
-        :meth:`from_code_matrix`); prefer ``population.index``, which
-        memoises the result.
-        """
-        matrix = getattr(population, "code_matrix", None)
-        if matrix is not None:
-            return WorkloadIndex.from_code_matrix(matrix)
-        return WorkloadIndex(tuple(population.workloads),
-                             population.benchmarks)
+    @property
+    def cores(self) -> int:
+        return self.matrix.cores
+
+    @property
+    def codes(self) -> np.ndarray:
+        """N x K benchmark codes (position in :attr:`benchmarks`)."""
+        return self.matrix.codes
+
+    @property
+    def workloads(self) -> Tuple[Workload, ...]:
+        """The indexed workloads, in row order (built on first use)."""
+        if self._workloads is None:
+            self._workloads = tuple(self.matrix.workloads())
+        return self._workloads
 
     # ------------------------------------------------------------------
     # Row lookups
 
-    @property
-    def workloads(self) -> tuple:
-        """The indexed workloads, in row order (materialised lazily)."""
-        if self._workloads is None:
-            names = self.benchmarks
-            self._workloads = tuple(
-                Workload.from_sorted(tuple(names[c] for c in row))
-                for row in self._codes.tolist())
-        return self._workloads
+    def rank_rows(self, ranks: np.ndarray) -> np.ndarray:
+        """Row of each combinadic rank over :attr:`benchmarks`, as int64.
 
-    def _row_map(self) -> Dict[Workload, int]:
-        if self._rows is None:
-            self._rows = {w: i for i, w in enumerate(self.workloads)}
-        return self._rows
-
-    def row(self, workload: Workload) -> int:
-        try:
-            return self._row_map()[workload]
-        except KeyError:
-            raise KeyError(f"{workload} is not in this index") from None
+        Raises:
+            KeyError: a rank's workload is not in the index.
+        """
+        if self._search is None:
+            self._search = RankSearch(self.matrix.ranks())
+        rows = self._search.rows(ranks)
+        if np.any(rows < 0):
+            raise KeyError("workload not in this index")
+        return rows
 
     def rows(self, workloads: Sequence[Workload]) -> np.ndarray:
         """Row numbers for a workload sequence, as int64."""
-        lookup = self._row_map()
-        return np.fromiter((lookup[w] for w in workloads),
-                           dtype=np.int64, count=len(workloads))
+        if not len(workloads):
+            return np.empty(0, dtype=np.int64)
+        try:
+            matrix = CodeMatrix.from_workloads(workloads, self.benchmarks)
+        except ValueError:      # a benchmark outside the universe
+            raise KeyError("workload not in this index") from None
+        if matrix.cores != self.cores:
+            raise KeyError("workload not in this index")
+        return self.rank_rows(matrix.ranks())
+
+    def row(self, workload: Workload) -> int:
+        try:
+            return int(self.rows((workload,))[0])
+        except KeyError:
+            raise KeyError(f"{workload} is not in this index") from None
 
     def __len__(self) -> int:
-        return self._size
+        return len(self.matrix)
+
+    def __getitem__(self, row):
+        """The workload at ``row`` (one row decoded while the workloads
+        are unbuilt), or a slice of :attr:`workloads`."""
+        if self._workloads is None and isinstance(row, int):
+            return self.matrix.row_workload(row)
+        return self.workloads[row]
 
     def __iter__(self) -> Iterator[Workload]:
         return iter(self.workloads)
 
     def __contains__(self, workload: Workload) -> bool:
-        return workload in self._row_map()
+        if not isinstance(workload, Workload):
+            return False
+        try:
+            self.rows((workload,))
+        except KeyError:
+            return False
+        return True
 
     def same_rows(self, other: "WorkloadIndex") -> bool:
-        """Whether two indexes map the same workloads to the same rows.
+        """Whether two indexes hold the same workloads in the same order.
 
-        Compares code matrices when both sides have them (no workload
-        materialisation), falling back to tuple equality.
+        Whatever benchmark universe each side was encoded over: equal
+        universes compare codes, others the ranks over their union.
         """
         if other is self:
             return True
-        if self._codes is not None and other._codes is not None \
-                and self.benchmarks == other.benchmarks:
-            return (self._codes.shape == other._codes.shape
-                    and bool(np.array_equal(self._codes, other._codes)))
-        return self.workloads == other.workloads
-
-    # ------------------------------------------------------------------
-    # Benchmark codes
-
-    @property
-    def codes(self) -> np.ndarray:
-        """N x K benchmark codes (position in :attr:`benchmarks`)."""
-        if self._codes is None:
-            code = {name: i for i, name in enumerate(self.benchmarks)}
-            flat = np.fromiter(
-                (code[b] for w in self.workloads for b in w),
-                dtype=np.int64, count=len(self.workloads) * self.cores)
-            self._codes = flat.reshape(len(self.workloads), self.cores)
-        return self._codes
-
-    def encode_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Pack sorted per-slot codes into one int64 key per workload.
-
-        Big-endian base-B packing, so keys sort in the same order as
-        the code tuples (and as the workloads' lexicographic order).
-        """
-        base = max(len(self.benchmarks), 2)
-        if base ** self.cores > 2**62:
-            raise ValueError("workload key does not fit in int64")
-        keys = np.zeros(codes.shape[0], dtype=np.int64)
-        for j in range(codes.shape[1]):
-            keys = keys * base + codes[:, j]
-        return keys
-
-    @property
-    def encoded(self) -> np.ndarray:
-        """Packed key per row (see :meth:`encode_codes`)."""
-        if self._encoded is None:
-            self._encoded = self.encode_codes(self.codes)
-        return self._encoded
-
-    def rows_from_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Rows of workloads given as sorted per-slot code matrices.
-
-        Vectorized membership lookup via binary search over the packed
-        keys; raises if any workload is missing from the index.
-        """
-        if self._encoded_order is None:
-            self._encoded_order = np.argsort(self.encoded, kind="stable")
-        order = self._encoded_order
-        keys = self.encode_codes(codes)
-        pos = np.searchsorted(self.encoded[order], keys)
-        if np.any(pos >= len(order)) or \
-                np.any(self.encoded[order[np.minimum(pos, len(order) - 1)]]
-                       != keys):
-            raise KeyError("constructed workload not in index")
-        return order[pos]
+        if len(self) != len(other) or self.cores != other.cores:
+            return False
+        if self.benchmarks == other.benchmarks:
+            return bool(np.array_equal(self.codes, other.codes))
+        union = sorted(set(self.benchmarks) | set(other.benchmarks))
+        return bool(np.array_equal(self.matrix.ranks(union),
+                                   other.matrix.ranks(union)))
 
     def reference_vector(self, reference: ReferenceIpcs) -> np.ndarray:
         """Reference IPCs aligned with :attr:`benchmarks` codes.
@@ -270,17 +200,6 @@ class IpcMatrix:
                 f"got {values.shape}")
         self.index = index
         self.values = values
-
-    @staticmethod
-    def from_code_matrix(matrix, values: np.ndarray) -> "IpcMatrix":
-        """Zero-copy panel over a code matrix's rows.
-
-        Pairs an N x K IPC panel with a
-        :class:`~repro.core.codematrix.CodeMatrix` without ever
-        materialising workload tuples (see
-        :meth:`WorkloadIndex.from_code_matrix`).
-        """
-        return IpcMatrix(WorkloadIndex.from_code_matrix(matrix), values)
 
     def __repr__(self) -> str:
         return f"IpcMatrix({self.values.shape[0]} x {self.values.shape[1]})"

@@ -21,12 +21,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.columnar import (
-    DeltaColumn,
-    DeltaLike,
-    WorkloadIndex,
-    as_delta_column,
-)
+from repro.core.columnar import DeltaLike, as_delta_column
 from repro.core.metrics import _row_dot
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling.base import SamplingMethod, SamplingPlan
@@ -40,14 +35,6 @@ def checked_draws(draws: int) -> int:
     if draws < 1:
         raise ValueError(f"draws must be >= 1 (got {draws})")
     return draws
-
-
-def _population_index(population: WorkloadPopulation) -> WorkloadIndex:
-    """The population's memoised index (zero-copy over its code matrix)."""
-    index = getattr(population, "index", None)
-    if isinstance(index, WorkloadIndex):
-        return index
-    return WorkloadIndex.from_population(population)
 
 
 def _draw_rows(plan: SamplingPlan, size: int, draws: int, seed: int):
@@ -115,16 +102,10 @@ class ConfidenceEstimator:
                  draws: int = 1000) -> None:
         self.draws = checked_draws(draws)
         self.population = population
-        if isinstance(delta, DeltaColumn):
-            if not delta.index.same_rows(_population_index(population)):
-                raise ValueError(
-                    "delta column indexed by different workloads than "
-                    "the population")
-            self.index = delta.index
-        else:
-            self.index = _population_index(population)
-        # Mapping input is validated with one set difference, reporting
-        # every missing workload (not an O(N) membership scan).
+        self.index = population.index
+        # A column must hold the population's rows; mapping input is
+        # validated with one set difference, reporting every missing
+        # workload (not an O(N) membership scan).
         self.column = as_delta_column(self.index, delta)
         # Keyed by identity but pinning the method object: an id() can
         # be reused once its owner is garbage collected.
@@ -133,8 +114,7 @@ class ConfidenceEstimator:
     def _plan_for(self, method: SamplingMethod) -> SamplingPlan:
         key = id(method)
         if key not in self._plans:
-            self._plans[key] = (method,
-                                method.plan(self.index, self.population))
+            self._plans[key] = (method, method.plan(self.population))
         return self._plans[key][1]
 
     def confidence(self, method: SamplingMethod, sample_size: int,
@@ -197,7 +177,7 @@ class PairedConfidenceEstimator:
             raise ValueError("no delta columns given")
         self.draws = checked_draws(draws)
         self.population = population
-        self.index = _population_index(population)
+        self.index = population.index
         self.columns = {key: as_delta_column(self.index, delta)
                         for key, delta in deltas.items()}
         #: N x P, one pair per column, in ``deltas`` insertion order.
@@ -208,19 +188,8 @@ class PairedConfidenceEstimator:
     def _plan_for(self, method: SamplingMethod) -> SamplingPlan:
         key = id(method)
         if key not in self._plans:
-            self._plans[key] = (method,
-                                method.plan(self.index, self.population))
+            self._plans[key] = (method, method.plan(self.population))
         return self._plans[key][1]
-
-    def _curves(self, names: Dict[object, str], sample_sizes: Sequence[int],
-                wins_per_size: List[np.ndarray]
-                ) -> Dict[object, ConfidenceCurve]:
-        """One curve per pair from each size's per-pair win counts."""
-        return {key: ConfidenceCurve(
-                    names[key], tuple(sample_sizes),
-                    tuple(int(wins[p]) / self.draws
-                          for wins in wins_per_size))
-                for p, key in enumerate(self.columns)}
 
     def confidence(self, method: SamplingMethod, sample_size: int,
                    seed: int = 0) -> Dict[object, float]:
@@ -237,37 +206,31 @@ class PairedConfidenceEstimator:
         one :meth:`ConfidenceEstimator.curve` would produce for that
         pair alone.
         """
-        names = {key: method.name for key in self.columns}
-        if not sample_sizes:
-            return self._curves(names, (), [])
-        plan = self._plan_for(method)
-        batches = [_draw_rows(plan, size, self.draws, seed)
-                   for size in sample_sizes]
-        # One gather for all sizes and all pairs: (draws, sum sizes, P).
-        gathered = self.stacked[
-            np.concatenate([rows for rows, _ in batches], axis=1)]
-        return self._curves(names, sample_sizes,
-                            _win_counts(gathered, batches))
+        wins_per_size: List[np.ndarray] = []
+        if sample_sizes:
+            plan = self._plan_for(method)
+            batches = [_draw_rows(plan, size, self.draws, seed)
+                       for size in sample_sizes]
+            # One gather for all sizes and all pairs: (draws, sum W, P).
+            gathered = self.stacked[
+                np.concatenate([rows for rows, _ in batches], axis=1)]
+            wins_per_size = _win_counts(gathered, batches)
+        return {key: ConfidenceCurve(
+                    method.name, tuple(sample_sizes),
+                    tuple(int(wins[p]) / self.draws
+                          for wins in wins_per_size))
+                for p, key in enumerate(self.columns)}
 
     def pair_curves(self, methods: "Dict[object, SamplingMethod]",
                     sample_sizes: Sequence[int],
                     seed: int = 0) -> Dict[object, ConfidenceCurve]:
-        """Curves for *pair-dependent* methods, batched across pairs.
+        """Curves for *pair-dependent* methods, one pair at a time.
 
-        :meth:`curve` exploits that pair-independent methods share one
-        row matrix across pairs.  Workload stratification does not: its
-        strata derive from each pair's own d(w), so every pair has its
-        own method instance and its own rows.  This path still shares
-        the work that *can* be shared -- the d(w) gather and the
-        weighted-mean reduction run once over a ``(draws, W, P)`` block
-        instead of P separate 2-D passes.
-
-        Per-pair results are bit-identical to running that pair's
-        method through a separate :class:`ConfidenceEstimator`: each
-        (pair, size) point draws from its own (seed, size) generator
-        exactly as the single-pair path does, and the reduction's
-        element-wise accumulation order is unchanged (the trailing pair
-        axis only broadcasts).
+        Workload stratification's strata derive from each pair's own
+        d(w), so every pair has its own method instance and its own
+        rows, and nothing is left to share but the population: each
+        pair's curve is that pair's own :meth:`ConfidenceEstimator.curve`
+        (its (seed, size) generators, its gather).
 
         Args:
             methods: one sampling method per pair, keyed exactly like
@@ -277,21 +240,7 @@ class PairedConfidenceEstimator:
         """
         if set(methods) != set(self.columns):
             raise ValueError("need exactly one sampling method per pair")
-        names = {key: method.name for key, method in methods.items()}
-        if not sample_sizes:
-            return self._curves(names, (), [])
-        keys = list(self.columns)
-        plans = [methods[key].plan(self.index, self.population)
-                 for key in keys]
-        batches = []        # per size: (draws, W, P) rows, (W, P) weights
-        for size in sample_sizes:
-            drawn = [_draw_rows(plan, size, self.draws, seed)
-                     for plan in plans]
-            batches.append((np.stack([rows for rows, _ in drawn], axis=2),
-                            np.stack([w for _, w in drawn], axis=1)))
-        # One gather for all sizes: stacked[rows[d, s, p], p].
-        gathered = self.stacked[
-            np.concatenate([rows for rows, _ in batches], axis=1),
-            np.arange(len(keys))]
-        return self._curves(names, sample_sizes,
-                            _win_counts(gathered, batches))
+        return {key: ConfidenceEstimator(
+                    self.population, column, self.draws).curve(
+                        methods[key], sample_sizes, seed=seed)
+                for key, column in self.columns.items()}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.core.codematrix import CodeMatrix, multiset_count
 from repro.core.workload import Workload
@@ -73,7 +73,8 @@ class WorkloadPopulation:
     unranking -- no rejection loop).  ``len``, membership,
     :meth:`benchmark_occurrences` and the columnar layer all work off
     the matrix; :class:`~repro.core.workload.Workload` objects exist
-    only once something iterates or indexes.
+    only once something iterates or indexes, and then once, in the
+    :attr:`index`.
 
     Args:
         benchmarks: the benchmark suite names.
@@ -90,8 +91,6 @@ class WorkloadPopulation:
         self.cores = cores
         self.true_size = population_size(len(self.benchmarks), cores)
         self.is_exhaustive = max_size is None or self.true_size <= max_size
-        self._membership: Optional[frozenset] = None
-        self._workload_list: Optional[List[Workload]] = None
         self._index = None
         if self.is_exhaustive:
             self.code_matrix = CodeMatrix.full(self.benchmarks, cores)
@@ -113,8 +112,8 @@ class WorkloadPopulation:
         (it is a subsample by construction).
 
         Args:
-            workloads: the frame members, used as given (callers sort
-                if they need a canonical order).
+            workloads: the frame members, in row order as given
+                (callers sort if they need a canonical order).
             benchmarks: the benchmark universe; defaults to the names
                 appearing in the workloads.
         """
@@ -124,34 +123,28 @@ class WorkloadPopulation:
         frame.cores = matrix.cores
         frame.true_size = population_size(len(frame.benchmarks), frame.cores)
         frame.is_exhaustive = False
-        frame._membership = None
         frame._index = None
         frame.code_matrix = matrix
-        # The explicit list is authoritative (it may carry a caller
-        # ordering); keep it instead of re-materialising from codes.
-        frame._workload_list = list(workloads)
         return frame
-
-    @property
-    def workloads(self) -> Sequence[Workload]:
-        """The materialised workload list (built on first use)."""
-        if self._workload_list is None:
-            self._workload_list = self.code_matrix.workloads()
-        return self._workload_list
 
     @property
     def index(self):
         """The population's :class:`~repro.core.columnar.WorkloadIndex`.
 
-        Built zero-copy over the code matrix (workload tuples stay
-        unmaterialised until an index consumer needs them) and memoised,
-        so estimators, sampling plans and panels share one instance.
+        A view over the code matrix, memoised, so estimators, sampling
+        plans and panels share one instance -- and one cache of
+        :class:`Workload` objects (:attr:`workloads`).
         """
         if self._index is None:
             from repro.core.columnar import WorkloadIndex
 
-            self._index = WorkloadIndex.from_population(self)
+            self._index = WorkloadIndex(self.code_matrix)
         return self._index
+
+    @property
+    def workloads(self) -> Sequence[Workload]:
+        """The workloads in row order (the index's, built on first use)."""
+        return self.index.workloads
 
     def __len__(self) -> int:
         return len(self.code_matrix)
@@ -160,25 +153,15 @@ class WorkloadPopulation:
         return iter(self.workloads)
 
     def __getitem__(self, index):
-        if self._workload_list is None and isinstance(index, int):
-            n = len(self.code_matrix)
-            if not -n <= index < n:
-                raise IndexError("population index out of range")
-            return self.code_matrix.row_workload(index % n)
-        return self.workloads[index]
+        return self.index[index]
 
     def __contains__(self, workload: Workload) -> bool:
-        if not isinstance(workload, Workload) or workload.k != self.cores:
-            return False
         if self.is_exhaustive:
-            # Every valid multiset over the suite is a member; no
-            # materialisation needed.
-            if self._membership is None:
-                self._membership = frozenset(self.benchmarks)
-            return all(name in self._membership for name in workload)
-        if self._membership is None:
-            self._membership = frozenset(self.workloads)
-        return workload in self._membership
+            # Every multiset over the suite is a member.
+            return (isinstance(workload, Workload)
+                    and workload.k == self.cores
+                    and all(name in self.benchmarks for name in workload))
+        return workload in self.index
 
     def benchmark_occurrences(self) -> dict:
         """Total occurrences of each benchmark across the population.

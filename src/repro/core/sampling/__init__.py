@@ -13,9 +13,10 @@ Four methods are compared in the paper, all available here behind the
   values measured with a fast approximate simulator (Section VI-B-2).
 
 Every method supplies a :class:`SamplingPlan`
-(``method.plan(index, population)``) that draws whole batches of *row
-numbers* with their weights; stratified estimates of throughput use
-the weighted means of eq. (9) via those weights.
+(``method.plan(population)``) that draws whole batches of *row
+numbers* of ``population.index`` with their weights; stratified
+estimates of throughput use the weighted means of eq. (9) via those
+weights.
 ``method.sample(population, size, rng)`` is one draw of the plan, as a
 :class:`WeightedSample` of workloads.
 

@@ -13,6 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.codematrix import rank_codes
 from repro.core.population import WorkloadPopulation
 from repro.core.sampling.base import (
     SamplingMethod,
@@ -37,23 +38,22 @@ class BalancedRandomPlan(SamplingPlan):
     :func:`floyd_distinct`; a stable argsort of a uniform key block
     shuffles every pool at once (a uniform random permutation per
     draw), and the whole batch of constructed workloads is mapped to
-    rows in one vectorized sort + binary search over the index's
-    packed keys.  Draws go in chunks of at most
+    rows by their combinadic ranks, in one binary search over the
+    index's sorted ranks.  Draws go in chunks of at most
     :data:`DRAW_CHUNK_UNIFORMS` uniforms: ``rng.random`` fills row by
     row and every later step works per draw, so the chunks give the
     rows of one block.
 
     Args:
-        index: the row universe (see :meth:`SamplingMethod.plan`).
         population: the exhaustive population being sampled.
     """
 
-    def __init__(self, index, population: WorkloadPopulation) -> None:
+    def __init__(self, population: WorkloadPopulation) -> None:
         if not population.is_exhaustive:
             raise ValueError(
                 "balanced random sampling needs the exhaustive workload "
                 "population; this frame is a subsample (paper footnote 6)")
-        self._index = index
+        self._index = population.index
         self._num_benchmarks = len(population.benchmarks)
         self._cores = population.cores
 
@@ -78,8 +78,8 @@ class BalancedRandomPlan(SamplingPlan):
             order = np.argsort(uniforms[:, extra:], axis=1, kind="stable")
             pools = np.take_along_axis(pools, order, axis=1)
             codes = np.sort(pools.reshape(count * size, cores), axis=1)
-            rows[start:start + count] = self._index.rows_from_codes(
-                codes).reshape(count, size)
+            rows[start:start + count] = self._index.rank_rows(
+                rank_codes(codes, b, validate=False)).reshape(count, size)
         return rows, np.full(size, 1.0 / size)
 
 
@@ -96,8 +96,8 @@ class BalancedRandomSampling(SamplingMethod):
 
     name = "bal-random"
 
-    def plan(self, index, population: WorkloadPopulation):
-        """A :class:`BalancedRandomPlan` over ``index``.
+    def plan(self, population: WorkloadPopulation):
+        """A :class:`BalancedRandomPlan` over ``population``.
 
         Requires an exhaustive population: the constructed workloads
         are arbitrary combinations, which a sub-sampled frame may not
@@ -105,4 +105,4 @@ class BalancedRandomSampling(SamplingMethod):
         balanced-sample construction "works with the full workload
         population").
         """
-        return BalancedRandomPlan(index, population)
+        return BalancedRandomPlan(population)

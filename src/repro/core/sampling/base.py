@@ -1,10 +1,11 @@
 """Sampling method interface, weighted samples and row-index plans.
 
 Every method draws through its :class:`SamplingPlan`:
-``method.plan(index, population)`` binds the method to a
-:class:`~repro.core.columnar.WorkloadIndex`, and
+``method.plan(population)`` binds the method to a population, and
 ``plan.rows_matrix(size, draws, rng)`` returns ``draws`` samples as one
-matrix of *row numbers* plus their weights.  :meth:`SamplingMethod.sample`
+matrix of *row numbers* -- rows of ``population.index``, the
+population's one :class:`~repro.core.columnar.WorkloadIndex` -- plus
+their weights.  :meth:`SamplingMethod.sample`
 is the object view of a single such draw, as a :class:`WeightedSample`
 of :class:`Workload` instances.
 
@@ -128,9 +129,9 @@ class WeightedSample:
 
 
 class SamplingPlan:
-    """Row-index sampling bound to one workload index.
+    """Row-index sampling bound to one population.
 
-    A plan is built once per (method, index) pair and then asked for
+    A plan is built once per (method, population) pair and then asked for
     whole batches of samples.  Weights of every built-in method depend
     only on the sample size (never on the draw), so a batch is one
     ``(draws, size)`` row matrix plus one length-``size`` weight
@@ -239,20 +240,17 @@ class SamplingMethod:
             rng: source of randomness; passing the same seeded
                 generator reproduces the same sample.
         """
-        plan = self.plan(population.index, population)
-        rows, weights = plan.rows_matrix(size, 1, rng)
+        rows, weights = self.plan(population).rows_matrix(size, 1, rng)
         return WeightedSample(
             tuple(population[row] for row in rows[0].tolist()),
             tuple(weights.tolist()))
 
-    def plan(self, index, population: WorkloadPopulation) -> SamplingPlan:
-        """A row-index plan for this method over ``index``.
+    def plan(self, population: WorkloadPopulation) -> SamplingPlan:
+        """A row-index plan for this method over ``population``.
 
         Args:
-            index: the :class:`~repro.core.columnar.WorkloadIndex`
-                whose rows the plan must emit (its order must match the
-                population's).
-            population: the population being sampled.
+            population: the population being sampled; the plan emits
+                rows of its :attr:`~WorkloadPopulation.index`.
         """
         raise NotImplementedError
 

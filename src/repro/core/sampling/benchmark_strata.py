@@ -96,7 +96,7 @@ class BenchmarkStratification(SamplingMethod):
             counts[self.classes[benchmark]] += 1
         return tuple(counts[label] for label in labels)
 
-    def plan(self, index, population: WorkloadPopulation):
+    def plan(self, population: WorkloadPopulation):
         """Row-partition plan: class-composition strata built once.
 
         The strata partition the *population members*, so the method
@@ -111,7 +111,7 @@ class BenchmarkStratification(SamplingMethod):
         members = self._class_members(population)
         labels = sorted(members)
         strata: Dict[StratumKey, List[int]] = {}
-        for row, workload in enumerate(index.workloads):
+        for row, workload in enumerate(population.workloads):
             strata.setdefault(
                 self.stratum_key(workload, labels), []).append(row)
         keys = sorted(strata)

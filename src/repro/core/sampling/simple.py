@@ -41,5 +41,5 @@ class SimpleRandomSampling(SamplingMethod):
 
     name = "random"
 
-    def plan(self, index, population: WorkloadPopulation):
+    def plan(self, population: WorkloadPopulation):
         return SimpleRandomPlan(len(population))

@@ -238,7 +238,7 @@ class WorkloadStratification(SamplingMethod):
             self._index = index
         return self._rows
 
-    def plan(self, index, population: WorkloadPopulation):
+    def plan(self, population: WorkloadPopulation):
         """Row-partition plan over the d(w)-derived strata.
 
         When the requested sample is smaller than the number of strata,
@@ -246,11 +246,11 @@ class WorkloadStratification(SamplingMethod):
         :func:`_merged_groups`).  Every group then gets one guaranteed
         slot -- omitting a stratum biases the estimate, since the d(w)
         tails live in small strata -- and the remaining slots are
-        distributed proportionally to size.  ``population`` is accepted
-        for interface compatibility: the strata themselves define the
-        sampling frame.
+        distributed proportionally to size.  The strata themselves
+        define the sampling frame; ``population`` supplies the index
+        their rows are numbered in.
         """
-        rows = self._row_strata(index)
+        rows = self._row_strata(population.index)
         sizes = [len(stratum) for stratum in rows]
 
         def layout(size: int) -> List[Tuple[np.ndarray, int]]:

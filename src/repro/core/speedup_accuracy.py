@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.columnar import IpcMatrix, WorkloadIndex, throughputs
+from repro.core.columnar import IpcMatrix, throughputs
 from repro.core.estimator import _draw_rows, checked_draws
 from repro.core.metrics import ReferenceIpcs, ThroughputMetric
 from repro.core.population import WorkloadPopulation
@@ -73,7 +73,7 @@ class SpeedupAccuracyEvaluator:
         self.draws = checked_draws(draws)
         self.population = population
         self.metric = metric
-        self.index = WorkloadIndex.from_population(population)
+        self.index = population.index
         if not (ipcs_x.index.same_rows(self.index)
                 and ipcs_y.index.same_rows(self.index)):
             raise ValueError("IPC matrices must cover the population's rows")
@@ -89,8 +89,7 @@ class SpeedupAccuracyEvaluator:
     def _plan_for(self, method: SamplingMethod) -> SamplingPlan:
         key = id(method)
         if key not in self._plans:
-            self._plans[key] = (method,
-                                method.plan(self.index, self.population))
+            self._plans[key] = (method, method.plan(self.population))
         return self._plans[key][1]
 
     def evaluate(self, method: SamplingMethod, sample_size: int,

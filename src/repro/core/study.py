@@ -17,7 +17,6 @@ from typing import Optional
 from repro.core.columnar import (
     DeltaColumn,
     IpcMatrix,
-    WorkloadIndex,
     delta_column_from_matrices,
 )
 from repro.core.confidence import confidence_from_cv, required_sample_size
@@ -51,7 +50,7 @@ class PolicyComparisonStudy:
         self.population = population
         self.metric = metric
         self.delta_variable = DeltaVariable(metric, reference)
-        self.index = WorkloadIndex.from_population(population)
+        self.index = population.index
         if not ipcs_x.index.same_rows(self.index):
             raise ValueError("IPC matrices must cover the population's rows")
         self.delta_column: DeltaColumn = delta_column_from_matrices(

@@ -126,7 +126,7 @@ def run(scale: Scale = Scale.MEDIUM,
                                       builder=interval_builder,
                                       trace_length=length, seed=session.seed)
         interval[policy] = IpcMatrix(
-            index, simulator.run_batch(index.workloads).ipcs)
+            index, simulator.run_batch(index.workloads).panel(policy))
     interval_delta = delta_column_from_matrices(variable, interval[x],
                                                 interval[y])
     estimator = ConfidenceEstimator(population, delta_truth,

@@ -83,8 +83,8 @@ def run(scale: Scale = Scale.MEDIUM,
     # The pair-independent methods (their draws never look at d(w))
     # share one row batch and one gather across all pairs; workload
     # stratification derives its strata from each pair's own delta
-    # column, so it keeps per-pair rows but still batches the gather
-    # and the weighted-mean reduction across pairs (`pair_curves`).
+    # column, so each pair draws and reduces on its own
+    # (`pair_curves`).
     shared_methods = [SimpleRandomSampling()]
     if population.is_exhaustive:
         # Balanced sampling needs the full population (footnote 6).

@@ -72,8 +72,10 @@ cross-suite, ``e2e-8core-warm``) vs ``serve-query-warm``.
 
 The analytics suite additionally records
 ``estimator-workload-strata-pairs-loop``/``-pairs`` (per-pair
-estimator loop vs the fig6 pair-batched
-:meth:`~repro.core.estimator.PairedConfidenceEstimator.pair_curves`).
+estimator loop vs fig6's
+:meth:`~repro.core.estimator.PairedConfidenceEstimator.pair_curves`,
+which runs one estimator curve per pair as well; the pair keeps the
+fig6 entry point timed).
 """
 
 from __future__ import annotations
@@ -104,13 +106,12 @@ DEFAULT_DRAWS = 1000
 DEFAULT_SAMPLE_SIZE = 30
 DEFAULT_CORES = 4
 
-#: Profiles: (cores, draws, population cap).  "full" is the reference
-#: configuration recorded in BENCH_analytics.json; "smoke" is sized for
-#: CI (a couple of seconds end to end).
+#: Profiles: (cores, draws) over the exhaustive population.  "full" is
+#: the reference configuration recorded in BENCH_analytics.json;
+#: "smoke" is sized for CI (a couple of seconds end to end).
 PROFILES: Dict[str, Dict[str, int]] = {
-    "full": {"cores": DEFAULT_CORES, "draws": DEFAULT_DRAWS,
-             "max_population": 0},
-    "smoke": {"cores": 2, "draws": 200, "max_population": 0},
+    "full": {"cores": DEFAULT_CORES, "draws": DEFAULT_DRAWS},
+    "smoke": {"cores": 2, "draws": 200},
 }
 
 #: Sim-suite profiles: grid sizes for the panel-build comparison.
@@ -118,9 +119,9 @@ PROFILES: Dict[str, Dict[str, int]] = {
 #: classes), ``sample`` caps the slow event-driven backends' slice.
 SIM_PROFILES: Dict[str, Dict[str, int]] = {
     "full": {"cores": 2, "trace_length": 16000, "benchmarks": 10,
-             "max_population": 0, "sample": 4},
+             "sample": 4},
     "smoke": {"cores": 2, "trace_length": 3000, "benchmarks": 6,
-              "max_population": 0, "sample": 2},
+              "sample": 2},
 }
 
 #: Policies exercised by the sim suite (one scan-resistant pair).
@@ -282,8 +283,8 @@ def run_bench(draws: int = DEFAULT_DRAWS,
                 _time(lambda m=method: estimator.confidence(
                     m, sample_size, seed=seed), tries), size, draws)
 
-    # --- fig6-style pair batching: four policy pairs, one shared row
-    # gather (pair_curves) against the per-pair estimator loop.
+    # --- fig6-style workload strata: four policy pairs through
+    # pair_curves against a hand-written per-pair estimator loop.
     from repro.core.columnar import DeltaColumn
 
     gen = np.random.default_rng(seed)
@@ -349,9 +350,7 @@ def run_sim_bench(profile: str = "smoke",
     cores = parameters["cores"]
     trace_length = parameters["trace_length"]
     names = _pick_sim_benchmarks(parameters["benchmarks"])
-    population = WorkloadPopulation(
-        names, cores, max_size=parameters["max_population"] or None,
-        seed=seed)
+    population = WorkloadPopulation(names, cores)
     workloads = list(population)
     size = len(population)
     policies = list(SIM_POLICIES)
@@ -421,8 +420,8 @@ def run_sim_bench(profile: str = "smoke",
         return simulators[0].run_batch(rows, POLICY_NAMES)
 
     loop, grid = per_policy(), one_grid()
-    assert all(np.array_equal(grid.ipcs[:, column, :], run.ipcs)
-               for column, run in enumerate(loop)), \
+    assert all(np.array_equal(grid.panel(policy), run.panel(policy))
+               for policy, run in zip(POLICY_NAMES, loop)), \
         "the five-policy grid diverged from its per-policy batches"
     for name, call, instructions in (
             ("sim-policy-axis-loop", per_policy,

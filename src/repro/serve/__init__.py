@@ -11,7 +11,8 @@ Layers (each its own module):
 
 - :mod:`~repro.serve.protocol` -- newline-framed JSON, lossless
   estimate payloads;
-- :mod:`~repro.serve.cache` -- the byte-budgeted resident panel LRU;
+- :mod:`~repro.serve.cache` -- the resident panel LRU (its byte budget
+  bounds the cache's own references, not the daemon's memory);
 - :mod:`~repro.serve.state` -- memoised sessions over the shared LRU;
 - :mod:`~repro.serve.scheduler` -- dedup + coalesced grid dispatch;
 - :mod:`~repro.serve.server` / :mod:`~repro.serve.client` -- the

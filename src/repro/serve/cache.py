@@ -1,4 +1,4 @@
-"""The resident panel LRU: byte-budgeted, counted.
+"""The resident panel LRU: byte-budgeted references, counted.
 
 :class:`ResidentPanelCache` is the serve daemon's memory for campaign
 npz panels.  Campaigns constructed with ``panel_cache=...`` route their
@@ -11,14 +11,18 @@ mtime_ns, size)``.  After a campaign saves, it publishes the live
 results object back via :meth:`store` under the fresh file identity,
 so the next open is a hit without touching disk.
 
-Memory behaviour: entries are charged their panel size
+Budget: entries are charged their panel size
 (:attr:`PopulationResults.nbytes <repro.sim.results.PopulationResults.
-nbytes>`: IPC panels plus their rank vectors), so the byte budget
-bounds the resident panels.  Eviction pops least-recently-used entries
-until the budget holds, always keeping the newest entry even when it
-alone exceeds the budget (a cache that refused the working set would
-just thrash).  Evicted panels stay valid for campaigns still holding
-them -- eviction only drops the cache's reference.
+nbytes>`: IPC panels plus their rank vectors), and the byte budget
+bounds the panels *this cache* references -- not the daemon's memory.
+Eviction pops least-recently-used entries until the budget holds,
+always keeping the newest entry even when it alone exceeds the budget
+(a cache that refused the working set would just thrash), and it only
+drops the cache's reference: the daemon keeps every resident session
+(:class:`~repro.serve.state.ResidentState`), each session's campaigns
+hold the live results object :meth:`store` published, so an evicted
+panel stays resident as long as its session does.  Bounding sessions
+and their panels is ROADMAP item 6.
 
 Counters (``hits`` / ``misses`` / ``evictions``) feed the ``stats``
 query and the ``serve`` bench suite.

@@ -4,7 +4,9 @@
 between queries:
 
 - one :class:`~repro.serve.cache.ResidentPanelCache` shared by every
-  session's campaigns (loaded npz panels, byte-budgeted LRU);
+  session's campaigns (loaded npz panels in an LRU whose byte budget
+  bounds the cache's references only: the sessions below are kept
+  for the daemon's life, and their campaigns hold their panels);
 - memoised :class:`~repro.api.session.Session` objects keyed by the
   parameters that define one (scale, seed, benchmarks) universe --
   sessions in turn memoise builders, campaigns and ``(cores, sample)``
@@ -67,7 +69,8 @@ class ResidentState:
             (None = the scale-default directory, exactly as the CLI).
         model_store_dir: trained-model store for every session
             (None = the cache's ``models/`` subdirectory, '' disables).
-        budget_bytes: resident panel LRU budget.
+        budget_bytes: byte budget of the panel LRU's own references
+            (not a memory bound; see :mod:`repro.serve.cache`).
     """
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None,

@@ -33,7 +33,6 @@ backend in the :data:`repro.api.BACKENDS` registry.
 """
 
 from repro.sim.detailed import (
-    BatchRun,
     DetailedSimulator,
     GridRun,
     WorkloadRun,
@@ -53,7 +52,6 @@ __all__ = [
     "IntervalSimulator",
     "AnalyticModelBuilder",
     "AnalyticSimulator",
-    "BatchRun",
     "GridRun",
     "PopulationResults",
 ]

@@ -56,7 +56,7 @@ from repro.core.codematrix import CodeMatrix
 from repro.core.workload import Workload
 from repro.mem.uncore import UncoreConfig, uncore_config_for_cores
 from repro.sim.badco.model import BadcoModelBuilder, Calibration
-from repro.sim.detailed import BatchRun, GridRun, WorkloadRun
+from repro.sim.detailed import GridRun, WorkloadRun
 
 #: Bus utilisation is clipped below saturation so the queueing term
 #: stays finite; beyond this the linear-rate estimate is meaningless
@@ -247,10 +247,10 @@ class AnalyticModelBuilder:
 class AnalyticSimulator:
     """Scores whole workload panels with the flattened BADCO model.
 
-    Offers the same ``run`` / ``run_batch`` / ``run_batch_grid`` /
-    ``reference_ipc`` contract as the event-driven simulators; ``run``
-    is a one-row batch and ``run_batch`` a one-policy grid, so the
-    loop, batch and grid paths are bit-identical by construction.
+    Offers the same ``run`` / ``run_batch_grid`` / ``reference_ipc``
+    contract as the event-driven simulators; ``run`` is a one-row,
+    one-policy grid, so the loop and grid paths are bit-identical by
+    construction.
 
     Args:
         cores: number of cores K.
@@ -321,20 +321,6 @@ class AnalyticSimulator:
             "extra": per_policy(lambda c: c.extra_per_miss),
         }
 
-    def run_batch(self, workloads) -> BatchRun:
-        """Score every workload in one set of array operations.
-
-        Rows are independent: the IPCs of a workload do not depend on
-        which other workloads share the batch, so any chunking of a
-        grid (serial, per-policy, or across worker processes) produces
-        bit-identical panels.  A one-policy slice of
-        :meth:`run_batch_grid`, so the loop, batch and grid paths are
-        bit-identical by construction.
-        """
-        grid = self.run_batch_grid(workloads, (self.policy,))
-        return BatchRun(grid.workloads, grid.ipcs[:, 0, :],
-                        grid.instructions, grid.wall_seconds)
-
     def run_batch_grid(self, workloads, policies: Sequence[str]) -> GridRun:
         """Score a whole (workloads x policies) grid in one dispatch.
 
@@ -342,15 +328,17 @@ class AnalyticSimulator:
         every array operation of the contention closure broadcasts over
         it, so the N x P x K panel costs one pass over the expression
         instead of P per-policy evaluations -- and each policy's slice
-        is bit-identical to its single-policy :meth:`run_batch` panel
-        (the reductions run along the core axis only).
+        is bit-identical to its single-policy grid's panel (the
+        reductions run along the core axis only).
 
         The closure runs in row blocks of ``GRID_BLOCK_CELLS // (P*K)``
         rows (1 024 at P = 2, K = 4), each written straight into the
         N x P x K result, so every float64 temporary stays within
         64 KiB and cache-resident instead of growing with the frame.
-        Rows are independent (see :meth:`run_batch`), so the blocking
-        changes no bit.
+        Rows are independent: the IPCs of a workload do not depend on
+        which other workloads share the grid, so the blocking -- like
+        any chunking of a grid (serial, per-policy, or across worker
+        processes) -- changes no bit.
 
         Args:
             workloads: the rows -- a
@@ -372,18 +360,15 @@ class AnalyticSimulator:
         if rows.cores != self.cores:
             raise ValueError(f"workload has {rows.cores} threads, machine "
                              f"has {self.cores} cores")
-        used = np.flatnonzero(rows.benchmark_occurrences())
-        benchmarks = [rows.benchmarks[code] for code in used.tolist()]
+        # The rows over the benchmarks they use: the gathered vectors'
+        # column order.
+        rows = rows.compact()
         # Train/calibrate before the clock starts: those one-off costs
         # are the builder's, so GridRun.wall_seconds measures only the
         # array evaluation.
-        vectors = self._gather(benchmarks, policies)
+        vectors = self._gather(list(rows.benchmarks), policies)
         started = time.perf_counter()
-        # Re-code the rows over the benchmarks they use (the gathered
-        # vectors' column order).
-        lookup = np.zeros(rows.num_benchmarks, dtype=np.int64)
-        lookup[used] = np.arange(len(used))
-        codes = lookup[rows.codes]
+        codes = rows.codes.astype(np.int64)
         ipcs = np.empty((len(rows), len(policies), self.cores))
         block = max(1, GRID_BLOCK_CELLS // (len(policies) * self.cores))
         for start in range(0, len(rows), block):
@@ -469,10 +454,10 @@ class AnalyticSimulator:
     # ------------------------------------------------------------------
 
     def run(self, workload: Workload) -> WorkloadRun:
-        """Score one workload (a one-row batch)."""
-        batch = self.run_batch([workload])
-        return WorkloadRun(workload, batch.ipcs[0].tolist(),
-                           batch.instructions, batch.wall_seconds)
+        """Score one workload (a one-row, one-policy grid)."""
+        grid = self.run_batch_grid([workload], (self.policy,))
+        return WorkloadRun(workload, grid.ipcs[0, 0].tolist(),
+                           grid.instructions, grid.wall_seconds)
 
     def reference_ipc(self, benchmark: str) -> float:
         """Standalone IPC from the calibration anchor.

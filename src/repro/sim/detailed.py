@@ -103,36 +103,11 @@ class WorkloadRun:
 
 
 @dataclass
-class BatchRun:
-    """Outcome of simulating many workloads in one call.
-
-    The batch counterpart of :class:`WorkloadRun`: row ``i`` of
-    :attr:`ipcs` is the per-core IPC vector of ``workloads[i]``
-    (workload-sorted benchmark order, as everywhere).
-
-    Attributes:
-        workloads: the simulated rows, in row order (a workload tuple,
-            or the :class:`~repro.core.codematrix.CodeMatrix` the
-            analytic backend was given).
-        ipcs: the N x K float64 IPC panel.
-        instructions: simulated (or, for the analytic model, modelled)
-            uops, the basis of MIPS accounting.
-        wall_seconds: host wall-clock time of the simulations.
-    """
-
-    workloads: Union[Tuple[Workload, ...], CodeMatrix]
-    ipcs: np.ndarray
-    instructions: int
-    wall_seconds: float
-
-
-@dataclass
 class GridRun:
     """Outcome of one (workloads x policies) grid scored in one call.
 
-    The policy-axis counterpart of :class:`BatchRun`, and what every
-    call the campaign engine makes returns: each workload scored under
-    each policy.
+    What every batch call of every simulator returns (the campaign
+    engine's included): each workload scored under each policy.
 
     Attributes:
         workloads: the simulated rows, in row order (as given: a
@@ -152,7 +127,7 @@ class GridRun:
 
     def panel(self, policy: str) -> np.ndarray:
         """The N x K slice of one policy (bit-identical to its
-        single-policy ``run_batch`` panel)."""
+        single-policy grid's panel)."""
         return self.ipcs[:, self.policies.index(policy), :]
 
 
@@ -453,19 +428,17 @@ class EventDrivenSimulator:
         return outcomes + [_outcome(steppers, meters)]
 
     def run_batch(self, workloads,
-                  policies: Optional[Sequence[str]] = None
-                  ) -> Union[BatchRun, GridRun]:
-        """Simulate every workload in order; returns the N x K panel.
+                  policies: Optional[Sequence[str]] = None) -> GridRun:
+        """Simulate every workload in order: the N x P x K grid.
 
-        Every run builds its own uncore from fixed seeds, so the panel
-        equals the stacked per-workload ``run`` results bit for bit.
-        ``workloads`` is a workload sequence or a code matrix, and
-        ``wall_seconds`` the time the simulations took.
-
-        With ``policies``, every workload is scored under each of them
-        (see :meth:`_score`) and the result is the N x P x K
-        :class:`GridRun`; each policy's slice, and the uops counted for
-        it, equal its own ``run_batch`` bit for bit.
+        Every workload is scored under each of ``policies`` (default:
+        this simulator's own policy) -- see :meth:`_score` -- and each
+        policy's slice, and the uops counted for it, equal its own
+        one-policy grid bit for bit.  Every run builds its own uncore
+        from fixed seeds, so a slice equals the stacked per-workload
+        ``run`` results bit for bit.  ``workloads`` is a workload
+        sequence or a code matrix, and ``wall_seconds`` the time the
+        simulations took.
         """
         if isinstance(workloads, CodeMatrix):
             workloads = workloads.workloads()
@@ -483,10 +456,8 @@ class EventDrivenSimulator:
                     self._score(workload, names)):
                 ipcs[row, column] = row_ipcs
                 instructions += executed
-        wall = time.perf_counter() - started
-        if policies is None:
-            return BatchRun(workloads, ipcs[:, 0, :], instructions, wall)
-        return GridRun(workloads, names, ipcs, instructions, wall)
+        return GridRun(workloads, names, ipcs, instructions,
+                       time.perf_counter() - started)
 
     def run_batch_grid(self, workloads, policies: Sequence[str]) -> GridRun:
         """The N x P x K grid of ``workloads`` under ``policies``: the

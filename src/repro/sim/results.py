@@ -35,7 +35,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bench.spec import benchmark_names
-from repro.core.codematrix import CodeMatrix, has_duplicates, multiset_count
+from repro.core.codematrix import (
+    CodeMatrix,
+    RankSearch,
+    has_duplicates,
+    multiset_count,
+)
 from repro.core.workload import Workload
 from repro.ioutil import atomic_open, atomic_write_text
 
@@ -93,8 +98,8 @@ class PopulationResults:
         self.cores = cores
         self.simulator = simulator
         self._blocks: Dict[str, List[_Block]] = {}
-        #: Per policy: (blocks seen, stacked ranks, sorted ranks, their
-        #: rows in the stacked panel, stacked panel), rebuilt on change.
+        #: Per policy: (blocks seen, stacked ranks, their RankSearch,
+        #: stacked panel), rebuilt on change.
         self._lookups: Dict[str, tuple] = {}
         self.reference: Dict[str, float] = {}
 
@@ -105,7 +110,7 @@ class PopulationResults:
         return CodeMatrix.from_ranks(SUITE, self.cores, ranks).workloads()
 
     def _lookup(self, policy: str) -> tuple:
-        """(stacked ranks, sorted ranks, sort order, stacked panel)."""
+        """(stacked ranks, their :class:`RankSearch`, stacked panel)."""
         blocks = self._blocks[policy]
         cached = self._lookups.get(policy)
         if cached is None or cached[0] != len(blocks):
@@ -114,8 +119,7 @@ class PopulationResults:
             else:
                 ranks = np.concatenate([r for r, _ in blocks])
                 panel = np.concatenate([m for _, m in blocks], axis=0)
-            order = np.argsort(ranks, kind="stable")
-            cached = (len(blocks), ranks, ranks[order], order, panel)
+            cached = (len(blocks), ranks, RankSearch(ranks), panel)
             self._lookups[policy] = cached
         return cached[1:]
 
@@ -123,11 +127,7 @@ class PopulationResults:
         """Row of each rank in the policy's stacked panel (-1: absent)."""
         if policy not in self._blocks:
             return np.full(len(ranks), -1, dtype=np.int64)
-        _, ordered, order, _ = self._lookup(policy)
-        if not len(ordered):
-            return np.full(len(ranks), -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(ordered, ranks), len(ordered) - 1)
-        return np.where(ordered[at] == ranks, order[at], -1)
+        return self._lookup(policy)[1].rows(ranks)
 
     def contains(self, policy: str, rows) -> np.ndarray:
         """Boolean mask: which of ``rows`` (anything :func:`suite_ranks`
@@ -174,17 +174,17 @@ class PopulationResults:
         """Sorted suite ranks recorded under every one of ``policies``."""
         common = np.empty(0, dtype=np.int64)
         for number, policy in enumerate(policies):
-            ranks = self._lookup(policy)[1]
+            ranks = self._lookup(policy)[1].ordered
             common = ranks if number == 0 else np.intersect1d(
                 common, ranks, assume_unique=True)
         return common
 
     def _policy_matrix(self, policy: str, ranks: np.ndarray) -> np.ndarray:
         """The policy's panel aligned to ``ranks`` rows."""
-        stacked, _, _, panel = self._lookup(policy)
+        stacked, search, panel = self._lookup(policy)
         if stacked.shape == ranks.shape and np.array_equal(stacked, ranks):
             return panel                 # rows already in order: no copy
-        rows = self._positions(policy, ranks)
+        rows = search.rows(ranks)
         missing = int(np.count_nonzero(rows < 0))
         if missing:
             raise ValueError(f"{policy}: {missing} workloads lack IPCs")
@@ -201,10 +201,12 @@ class PopulationResults:
         Args:
             policies: policies to include (default: all recorded).
             workloads: row order (default: the workloads common to the
-                selected policies, sorted).  A
-                :class:`~repro.core.population.WorkloadPopulation` or a
+                selected policies, in rank order, indexed straight from
+                their ranks).  A
+                :class:`~repro.core.population.WorkloadPopulation`
+                brings its own index; a
                 :class:`~repro.core.codematrix.CodeMatrix` is indexed
-                zero-copy over its codes (no workload round trip).
+                over its codes.
 
         Returns:
             ``(index, matrices)``: the
@@ -215,14 +217,18 @@ class PopulationResults:
 
         chosen = list(policies) if policies is not None else self.policies
         if workloads is None:
-            workloads = self._decode(self._common_ranks(chosen))
-        if hasattr(workloads, "code_matrix"):    # a WorkloadPopulation
-            index = workloads.index
-        elif isinstance(workloads, CodeMatrix):
-            index = WorkloadIndex.from_code_matrix(workloads)
+            ranks = self._common_ranks(chosen)
+            index = WorkloadIndex(CodeMatrix.from_ranks(
+                SUITE, self.cores, ranks).compact())
         else:
-            index = WorkloadIndex(tuple(workloads))
-        ranks = CodeMatrix(index.benchmarks, index.codes).ranks(SUITE)
+            if hasattr(workloads, "code_matrix"):    # a WorkloadPopulation
+                index = workloads.index
+            elif isinstance(workloads, CodeMatrix):
+                index = WorkloadIndex(workloads)
+            else:
+                index = WorkloadIndex(CodeMatrix.from_workloads(
+                    list(workloads)))
+            ranks = index.matrix.ranks(SUITE)
         return index, {policy: IpcMatrix(index,
                                          self._policy_matrix(policy, ranks))
                        for policy in chosen}
@@ -247,7 +253,7 @@ class PopulationResults:
         recording order."""
         ipcs = {}
         for policy in self.policies:
-            ranks, _, _, panel = self._lookup(policy)
+            ranks, _, panel = self._lookup(policy)
             ipcs[policy] = {workload.key(): row for workload, row in
                             zip(self._decode(ranks), panel.tolist())}
         return json.dumps({"cores": self.cores, "simulator": self.simulator,
@@ -277,7 +283,7 @@ class PopulationResults:
             "policy_names": np.array(self.policies, dtype=str),
         }
         for number, policy in enumerate(self.policies):
-            ranks, _, _, panel = self._lookup(policy)
+            ranks, _, panel = self._lookup(policy)
             arrays[f"ranks_{number}"] = ranks
             arrays[f"ipcs_{number}"] = panel
         with atomic_open(path, "wb") as handle:

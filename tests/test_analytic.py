@@ -10,8 +10,8 @@ scale:
 - the population verdict (the sign of mean d(w)) and the cv's order of
   magnitude -- the two quantities the paper's confidence methodology
   consumes -- agree with badco;
-- ``run`` vs ``run_batch``, any chunking of a batch, and ``jobs=4`` vs
-  ``jobs=1`` are all bit-identical (rows are independent).
+- ``run`` vs a one-policy grid, any chunking of a grid, and ``jobs=4``
+  vs ``jobs=1`` are all bit-identical (rows are independent).
 """
 
 import numpy as np
@@ -131,9 +131,9 @@ def test_run_matches_run_batch_bitwise(parity_population):
     simulator = AnalyticSimulator(2, "LRU", builder=builder,
                                   trace_length=TEST_TRACE_LENGTH)
     workloads = list(parity_population)[:8]
-    batch = simulator.run_batch(workloads)
+    panel = simulator.run_batch_grid(workloads, ("LRU",)).panel("LRU")
     for row, workload in enumerate(workloads):
-        assert simulator.run(workload).ipcs == batch.ipcs[row].tolist()
+        assert simulator.run(workload).ipcs == panel[row].tolist()
 
 
 def test_batch_rows_independent_of_chunking(parity_population):
@@ -141,8 +141,9 @@ def test_batch_rows_independent_of_chunking(parity_population):
     simulator = AnalyticSimulator(2, "DIP", builder=builder,
                                   trace_length=TEST_TRACE_LENGTH)
     workloads = list(parity_population)[:9]
-    full = simulator.run_batch(workloads).ipcs
-    pieces = [simulator.run_batch(workloads[start:start + 3]).ipcs
+    full = simulator.run_batch_grid(workloads, ("DIP",)).ipcs
+    pieces = [simulator.run_batch_grid(workloads[start:start + 3],
+                                       ("DIP",)).ipcs
               for start in range(0, 9, 3)]
     assert np.array_equal(np.concatenate(pieces, axis=0), full)
 
@@ -212,7 +213,8 @@ def test_core_count_validated():
     with pytest.raises(ValueError):
         simulator.run(Workload(["povray"]))
     with pytest.raises(ValueError):
-        simulator.run_batch([Workload(["povray", "povray", "povray"])])
+        simulator.run_batch_grid([Workload(["povray", "povray", "povray"])],
+                                 ("LRU",))
 
 
 def test_builder_shares_badco_models():
@@ -335,7 +337,7 @@ def test_npz_of_another_core_count_is_a_cache_miss(
 
 
 def test_run_batch_grid_slices_match_per_policy_batches(parity_population):
-    """Each policy slice of the grid == its single-policy batch panel."""
+    """Each policy slice of the grid == its single-policy grid's panel."""
     builder = AnalyticModelBuilder(TEST_TRACE_LENGTH, 0)
     simulator = AnalyticSimulator(2, "LRU", builder=builder,
                                   trace_length=TEST_TRACE_LENGTH)
@@ -346,7 +348,7 @@ def test_run_batch_grid_slices_match_per_policy_batches(parity_population):
     for number, policy in enumerate(policies):
         single = AnalyticSimulator(2, policy, builder=builder,
                                    trace_length=TEST_TRACE_LENGTH)
-        panel = single.run_batch(workloads).ipcs
+        panel = single.run_batch_grid(workloads, (policy,)).panel(policy)
         assert np.array_equal(grid.ipcs[:, number, :], panel)
         assert np.array_equal(grid.panel(policy), panel)
 
@@ -371,8 +373,6 @@ def test_singleton_grid_matches_multi_policy_slice_at_scale():
     trio = simulator.run_batch_grid(workloads, ("LRU", "DIP", "NRU"))
     duo = simulator.run_batch_grid(workloads, ("LRU", "DIP"))
     solo = simulator.run_batch_grid(workloads, ("LRU",))
-    batch = simulator.run_batch(workloads)
-    assert np.array_equal(solo.ipcs[:, 0, :], batch.ipcs)
     assert np.array_equal(duo.ipcs[:, 0, :], solo.ipcs[:, 0, :])
     assert np.array_equal(trio.ipcs[:, 0, :], solo.ipcs[:, 0, :])
     assert np.array_equal(trio.ipcs[:, 1, :], duo.ipcs[:, 1, :])

@@ -19,7 +19,10 @@ from repro.core.codematrix import (
     unrank_scalar,
 )
 from repro.core.columnar import IpcMatrix, WorkloadIndex
+from repro.core.population import WorkloadPopulation
 from repro.core.workload import Workload
+
+SUITE_NAMES = benchmark_names()
 
 # ----------------------------------------------------------------------
 # Golden enumeration-order parity (the paper's exact populations)
@@ -157,7 +160,8 @@ def test_benchmark_occurrences_by_column_counts():
 
 def test_workload_index_from_code_matrix_is_zero_copy():
     matrix = CodeMatrix.full([f"b{i}" for i in range(6)], 3)
-    index = WorkloadIndex.from_code_matrix(matrix)
+    index = WorkloadIndex(matrix)
+    assert index.matrix is matrix
     assert index.codes is matrix.codes
     assert index._workloads is None          # nothing materialised yet
     assert len(index) == len(matrix)
@@ -169,21 +173,75 @@ def test_workload_index_from_code_matrix_is_zero_copy():
 def test_workload_index_from_code_matrix_rejects_duplicates():
     workload = Workload(["a", "b"])
     matrix = CodeMatrix.from_workloads([workload, workload])
-    with pytest.raises(ValueError):
-        WorkloadIndex.from_code_matrix(matrix)
+    with pytest.raises(ValueError, match="duplicate workloads"):
+        WorkloadIndex(matrix)
+
+
+def test_a_population_frame_with_a_duplicate_row_has_no_index():
+    workload = Workload(["a", "b"])
+    frame = WorkloadPopulation.from_workloads(
+        [workload, Workload(["a", "a"]), workload])
+    with pytest.raises(ValueError, match="duplicate workloads"):
+        frame.index
 
 
 def test_ipc_matrix_from_code_matrix():
     matrix = CodeMatrix.full(["a", "b", "c"], 2)
     values = np.arange(len(matrix) * 2, dtype=np.float64).reshape(-1, 2)
-    panel = IpcMatrix.from_code_matrix(matrix, values)
+    panel = IpcMatrix(WorkloadIndex(matrix), values)
     assert panel.index.codes is matrix.codes
     assert np.array_equal(panel.values, values)
 
 
 def test_index_from_code_matrix_survives_huge_universes():
-    """Uniqueness validation must not hit the base-B packed-key limit."""
+    """Uniqueness and lookups run on combinadic ranks, which fit an
+    int64 where a base-B packed key (100**10 > 2**62) would not."""
     names = [f"bench{i:03d}" for i in range(100)]
     matrix = CodeMatrix.sample(names, 10, 50, random.Random(0))
-    index = WorkloadIndex.from_code_matrix(matrix)      # 100**10 > 2**62
+    index = WorkloadIndex(matrix)
     assert len(index) == 50
+    assert index.rows(matrix.workloads()[::-1]).tolist() == \
+        list(range(49, -1, -1))
+
+
+def test_index_lookups_go_by_rank():
+    frame = [Workload(["c", "c"]), Workload(["a", "b"]), Workload(["b", "c"])]
+    index = WorkloadIndex(CodeMatrix.from_workloads(frame, ["a", "b", "c"]))
+    assert index.rows([frame[2], frame[0]]).tolist() == [2, 0]
+    assert index.row(frame[1]) == 1
+    assert index.rows([]).tolist() == []
+    assert frame[0] in index
+    assert Workload(["a", "a"]) not in index     # same universe, absent
+    assert Workload(["a", "z"]) not in index     # outside the universe
+    assert Workload(["a", "b", "c"]) not in index          # another K
+    assert "a" not in index
+    with pytest.raises(KeyError, match="not in this index"):
+        index.row(Workload(["a", "a"]))
+    with pytest.raises(KeyError):
+        index.rows([frame[0], Workload(["a", "z"])])
+    ranks = CodeMatrix.from_workloads(frame, ["a", "b", "c"]).ranks()
+    assert index.rank_rows(ranks[::-1]).tolist() == [2, 1, 0]
+
+
+def test_same_rows_holds_across_benchmark_universes():
+    frame = [Workload(["gcc", "mcf"]), Workload(["astar", "gcc"])]
+    own = WorkloadIndex(CodeMatrix.from_workloads(frame))
+    wide = WorkloadIndex(CodeMatrix.from_workloads(frame, SUITE_NAMES))
+    assert own.benchmarks != wide.benchmarks
+    assert own.same_rows(wide) and wide.same_rows(own)
+    swapped = WorkloadIndex(CodeMatrix.from_workloads(frame[::-1],
+                                                      SUITE_NAMES))
+    assert not own.same_rows(swapped)
+    shorter = WorkloadIndex(CodeMatrix.from_workloads(frame[:1],
+                                                      SUITE_NAMES))
+    assert not own.same_rows(shorter)
+
+
+def test_compact_keeps_rows_over_the_benchmarks_they_use():
+    matrix = CodeMatrix.from_workloads(
+        [Workload(["c", "e"]), Workload(["a", "c"])], ["a", "b", "c", "d", "e"])
+    compact = matrix.compact()
+    assert compact.benchmarks == ("a", "c", "e")
+    assert compact.workloads() == matrix.workloads()
+    assert compact.codes.dtype == matrix.codes.dtype
+    assert compact.compact() is compact

@@ -17,7 +17,6 @@ from repro.bench.spec import benchmark_names
 from repro.core.columnar import (
     DeltaColumn,
     IpcMatrix,
-    WorkloadIndex,
     delta_column_from_matrices,
     throughputs,
 )
@@ -56,7 +55,7 @@ def tables(population):
 
 @pytest.fixture(scope="module")
 def index(population):
-    return WorkloadIndex.from_population(population)
+    return population.index
 
 
 def _column(variable, index, x, y):
@@ -79,11 +78,10 @@ def _methods(population, delta_mapping):
     ]
 
 
-def _samples(method, index, population, size, draws, seed):
+def _samples(method, population, size, draws, seed):
     """The estimators' draws for one point, one WeightedSample each."""
-    rows, weights = _draw_rows(method.plan(index, population), size,
-                               draws, seed)
-    workloads = index.workloads
+    rows, weights = _draw_rows(method.plan(population), size, draws, seed)
+    workloads = population.workloads
     return [WeightedSample(tuple(workloads[row] for row in draw),
                            tuple(weights.tolist()))
             for draw in rows.tolist()]
@@ -93,7 +91,7 @@ def _per_draw_confidence(estimator, method, size, seed):
     """The confidence as a per-draw loop over the same samples."""
     delta = estimator.column.as_mapping()
     wins = 0
-    for sample in _samples(method, estimator.index, estimator.population,
+    for sample in _samples(method, estimator.population,
                            size, estimator.draws, seed):
         if sample.weighted_mean([delta[w] for w in sample.workloads]) > 0.0:
             wins += 1
@@ -262,7 +260,7 @@ def test_speedup_accuracy_bit_identical(metric, population, tables, index):
     for method in _methods(population, delta):
         fast = evaluator.evaluate(method, 14, epsilon=0.02, seed=4)
         errors = []
-        for sample in _samples(method, index, population, 14, 120, 4):
+        for sample in _samples(method, population, 14, 120, 4):
             sample_x = metric.sample_throughput(
                 [tx[w] for w in sample.workloads], sample.weights)
             sample_y = metric.sample_throughput(
@@ -287,7 +285,7 @@ def test_missing_workloads_all_reported(population, index):
 
 def test_mismatched_column_rejected(population, index):
     other = WorkloadPopulation(population.benchmarks[:5], 3)
-    column = DeltaColumn(WorkloadIndex.from_population(other),
+    column = DeltaColumn(other.index,
                          np.zeros(len(other)))
     with pytest.raises(ValueError, match="different workloads"):
         ConfidenceEstimator(population, column)

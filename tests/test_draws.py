@@ -283,7 +283,7 @@ def test_points_never_share_a_stream():
 def test_stratified_slots_and_weights_equal_the_layout(small_population):
     delta = _delta(small_population)
     for method in _methods(small_population, delta)[2:]:
-        plan = method.plan(small_population.index, small_population)
+        plan = method.plan(small_population)
         for size in (2, 6, 15, 40):
             strata, layout_weights = plan._layout_for(size)
             rows, weights = plan.rows_matrix(size, 300,
@@ -310,7 +310,7 @@ def test_balanced_draws_equalize_benchmark_occurrences(
     """Per draw, every benchmark fills base or base + 1 slots, up to
     64 slots a draw."""
     population = four_core_population
-    plan = BalancedRandomSampling().plan(population.index, population)
+    plan = BalancedRandomSampling().plan(population)
     b = len(population.benchmarks)
     for size in (3, 10, 16):
         slots = size * population.cores
@@ -327,13 +327,47 @@ def test_balanced_draws_equalize_benchmark_occurrences(
             assert int((occurrences == base + 1).sum()) == extra
 
 
+#: Rows of the first two balanced draws at seed 0, per (population, W):
+#: the 5-benchmark 4-core fixture (a whole number of pools, no extra
+#: slots) and the 22-benchmark one (Floyd's extra slots in every draw).
+BALANCED_ROWS = {
+    ("five", 5): [[41, 2, 26, 42, 68], [23, 52, 47, 29, 6]],
+    ("five", 30): [
+        [26, 63, 39, 49, 28, 50, 41, 43, 47, 59, 34, 29, 7, 47, 48, 43, 17,
+         7, 15, 13, 33, 33, 6, 21, 4, 29, 25, 51, 32, 20],
+        [11, 29, 63, 41, 21, 32, 42, 50, 12, 29, 6, 47, 29, 41, 37, 12, 26,
+         23, 20, 39, 63, 63, 49, 3, 7, 49, 49, 24, 6, 49]],
+    ("suite", 5): [[1043, 10721, 10004, 3491, 4390],
+                   [11028, 7220, 8064, 2280, 11601]],
+    ("suite", 30): [
+        [5026, 10966, 4889, 6902, 3535, 10708, 6883, 5568, 7510, 9238,
+         12500, 11481, 9109, 8312, 11743, 7005, 1922, 4084, 2314, 1079,
+         1999, 3697, 2581, 6151, 347, 10427, 3285, 6518, 1836, 4594],
+        [1248, 12426, 10504, 5377, 3216, 12367, 11364, 2746, 5308, 12055,
+         1622, 2883, 4609, 9202, 2484, 7454, 8175, 4490, 1257, 6137, 3164,
+         10194, 10823, 6406, 283, 10089, 8055, 5143, 545, 7213]],
+}
+
+
+@pytest.mark.parametrize("frame,size", sorted(BALANCED_ROWS))
+def test_balanced_draw_rows_are_pinned(four_core_population, frame, size):
+    """A constructed workload's row is found by its rank: the same rows
+    the draws have always had."""
+    population = (four_core_population if frame == "five"
+                  else WorkloadPopulation(benchmark_names(), 4))
+    rows, weights = _draw_rows(BalancedRandomSampling().plan(population),
+                               size, 2, 0)
+    assert rows.tolist() == BALANCED_ROWS[frame, size]
+    assert np.array_equal(weights, np.full(size, 1.0 / size))
+
+
 @pytest.mark.parametrize("chunk_uniforms", [1, 3 * 28])
 def test_balanced_chunks_continue_one_stream(four_core_population,
                                              monkeypatch, chunk_uniforms):
     """Draw-axis chunks (one draw each, or three with an uneven last
     chunk) give the rows of one uniform block."""
     population = four_core_population
-    plan = BalancedRandomSampling().plan(population.index, population)
+    plan = BalancedRandomSampling().plan(population)
     size, draws = 6, 10
     slots = size * population.cores
     # 24 slots over 5 benchmarks: 4 extra, so every chunk runs Floyd.
@@ -351,7 +385,7 @@ def test_one_draw_sample_is_row_zero_of_the_plan(small_population):
     for method in _methods(small_population, delta):
         sample = method.sample(small_population, 7,
                                np.random.default_rng(11))
-        rows, weights = method.plan(index, small_population).rows_matrix(
+        rows, weights = method.plan(small_population).rows_matrix(
             7, 1, np.random.default_rng(11))
         assert list(sample.workloads) == [index.workloads[r]
                                           for r in rows[0]]
@@ -399,7 +433,7 @@ def test_inclusion_frequencies_within_six_sigma(small_population, size):
     delta = _delta(small_population)
     n = len(small_population)
     for method in _methods(small_population, delta):
-        plan = method.plan(small_population.index, small_population)
+        plan = method.plan(small_population)
         rows, _ = plan.rows_matrix(size, INCLUSION_DRAWS,
                                    np.random.default_rng(size + 1))
         per_draw = np.zeros((INCLUSION_DRAWS, n))
@@ -433,7 +467,7 @@ def test_weighted_means_agree_with_the_per_draw_oracle(small_population,
     values = np.array([delta[w] for w in small_population.index.workloads])
     critical = 1.95 * math.sqrt(2.0 / DRAWS)
     for method in _methods(small_population, delta):
-        plan = method.plan(small_population.index, small_population)
+        plan = method.plan(small_population)
         rows, weights = _draw_rows(plan, size, DRAWS, 3)
         planned = _row_dot(values[rows], weights)
         rng = random.Random(3)

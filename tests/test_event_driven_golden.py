@@ -65,7 +65,7 @@ STANDALONE_LATENCY = 100
 
 def _batch(simulator, rows):
     run = simulator.run_batch([Workload(list(row)) for row in rows])
-    return {"ipcs": _hexed(run.ipcs.tolist()),
+    return {"ipcs": _hexed(run.panel(simulator.policy).tolist()),
             "instructions": run.instructions}
 
 

@@ -59,8 +59,9 @@ def _per_policy(builders, family, rows, policies, **options):
 
 
 def _assert_grid_is_per_policy(grid, singles):
-    for column, single in enumerate(singles):
-        assert np.array_equal(grid.ipcs[:, column, :], single.ipcs), column
+    for column, (policy, single) in enumerate(zip(grid.policies, singles)):
+        assert np.array_equal(grid.ipcs[:, column, :],
+                              single.panel(policy)), column
     assert grid.instructions == sum(single.instructions
                                     for single in singles)
 
@@ -140,7 +141,8 @@ def test_a_row_that_never_fills_a_set_runs_once(builders, family, spy,
     assert steps[0] == alone
     assert spy["forks"] == spy["refusals"] == 0
     for column in range(len(policies)):
-        assert np.array_equal(grid.ipcs[:, column, :], singles[0].ipcs)
+        assert np.array_equal(grid.ipcs[:, column, :],
+                              singles[0].panel("LRU"))
     assert grid.instructions == len(policies) * singles[0].instructions
 
 

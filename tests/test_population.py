@@ -89,23 +89,29 @@ def test_sample_workload_members_come_from_suite():
 # The code-matrix backing (lazy view, unrank-based sampling)
 
 
+def _materialised(pop) -> bool:
+    """Whether the population's (index's) workload cache is built."""
+    return pop._index is not None and pop._index._workloads is not None
+
+
 def test_population_is_lazy_until_iterated():
     pop = WorkloadPopulation([f"b{i}" for i in range(10)], 4)
     # Size, occurrences and membership work straight off the matrix.
     assert len(pop) == population_size(10, 4)
-    assert pop._workload_list is None
+    assert not _materialised(pop)
     assert sum(pop.benchmark_occurrences().values()) == 4 * len(pop)
-    assert pop._workload_list is None
+    assert not _materialised(pop)
     assert Workload(["b0"] * 4) in pop
     assert Workload(["zz"] * 4) not in pop
-    assert pop._workload_list is None
+    assert not _materialised(pop)
     # Single-row indexing materialises one workload, not the list.
     assert pop[0] == Workload(["b0"] * 4)
     assert pop[-1] == Workload(["b9"] * 4)
-    assert pop._workload_list is None
-    # Iteration materialises (once).
+    assert not _materialised(pop)
+    # Iteration materialises (once), into the index's cache.
     assert list(pop)[0] == pop[0]
-    assert pop._workload_list is not None
+    assert _materialised(pop)
+    assert pop.workloads is pop.index.workloads
 
 
 def test_population_matches_enumeration_order():
@@ -134,6 +140,7 @@ def test_sampled_population_membership():
     pop = WorkloadPopulation(names, 8, max_size=50, seed=2)
     inside = pop[10]
     assert inside in pop
+    assert not _materialised(pop)        # found by rank, not by a set
     # A workload over the suite that was (almost surely) not drawn.
     outside = Workload([names[0]] * 8)
     assert (outside in pop) == (outside in set(pop.workloads))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import Campaign, CampaignConfig
+from repro.core.codematrix import CodeMatrix
 from repro.core.workload import Workload
 from repro.sim.results import SUITE, PopulationResults
 
@@ -42,6 +43,29 @@ def test_default_panel_rows_are_common_to_every_policy():
     results.record_batch("DIP", [w1], np.ones((1, 2)))
     index, _ = results.columnar_panel()
     assert index.workloads == (w1,)
+
+
+def test_default_panel_rows_build_no_workload(monkeypatch):
+    """The common rows are indexed from their ranks: codes, no
+    Workload objects, over the benchmarks the rows use."""
+    results = PopulationResults(2, "x")
+    ranks = np.array([7, 3, 11])
+    results.record_batch("LRU", ranks, np.arange(6.0).reshape(3, 2))
+    results.record_batch("DIP", ranks[:2], np.ones((2, 2)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("columnar_panel built a Workload")
+
+    monkeypatch.setattr(Workload, "__init__", refuse)
+    monkeypatch.setattr(Workload, "from_sorted", classmethod(refuse))
+    index, matrices = results.columnar_panel()
+    assert index.matrix.ranks(SUITE).tolist() == [3, 7]
+    assert matrices["LRU"].values.tolist() == [[2.0, 3.0], [0.0, 1.0]]
+    assert matrices["DIP"].values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    monkeypatch.undo()
+    rows = CodeMatrix.from_ranks(SUITE, 2, [3, 7]).workloads()
+    assert index.workloads == tuple(rows)
+    assert index.benchmarks == tuple(sorted({b for w in rows for b in w}))
 
 
 def test_json_roundtrip(tmp_path):

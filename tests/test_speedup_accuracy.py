@@ -59,7 +59,7 @@ def test_full_population_sample_is_exact(small_population):
     class Everything(SamplingMethod):
         name = "all"
 
-        def plan(self, index, population):
+        def plan(self, population):
             return EveryRow()
 
     result = evaluator.evaluate(Everything(), len(small_population),

@@ -16,7 +16,7 @@ import pytest
 from repro.api import Campaign, CampaignConfig, Session, TwoStageEstimate
 from repro.core.workload import Workload
 from repro.sim.badco.multicore import BadcoSimulator
-from repro.sim.detailed import BatchRun, DetailedSimulator
+from repro.sim.detailed import DetailedSimulator
 from repro.sim.interval.multicore import IntervalSimulator
 
 #: Small trace keeps the event-driven loops at smoke cost.
@@ -34,13 +34,11 @@ BATCH_ROWS = [Workload(pair) for pair in
                ("gcc", "mcf"), ("libquantum", "libquantum")]]
 
 
-def batch_from_runs(workloads, runs) -> BatchRun:
-    """Stack per-workload ``WorkloadRun`` results into a panel: the
-    reference construction ``run_batch`` must equal bit for bit."""
-    return BatchRun(tuple(workloads),
-                    np.array([run.ipcs for run in runs], dtype=np.float64),
-                    sum(run.instructions for run in runs),
-                    sum(run.wall_seconds for run in runs))
+def panel_from_runs(runs) -> np.ndarray:
+    """Stack per-workload ``WorkloadRun`` IPCs into an N x K panel: the
+    reference construction ``run_batch``'s panel must equal bit for
+    bit."""
+    return np.array([run.ipcs for run in runs], dtype=np.float64)
 
 
 # ---- run_batch: one entry point on every event-driven simulator ------
@@ -49,14 +47,15 @@ def batch_from_runs(workloads, runs) -> BatchRun:
 def test_run_batch_matches_run_loop_and_is_jobs_invariant(backend):
     simulator = EVENT_DRIVEN[backend](cores=2, policy="DIP",
                                       trace_length=TRACE)
-    reference = batch_from_runs(BATCH_ROWS,
-                                [simulator.run(w) for w in BATCH_ROWS])
+    runs = [simulator.run(w) for w in BATCH_ROWS]
     batch = simulator.run_batch(BATCH_ROWS)
     assert batch.workloads == tuple(BATCH_ROWS)
+    # Without policies, the grid of the simulator's own policy.
+    assert batch.policies == ("DIP",)
     # Bit-identical, not merely close: every run builds its own uncore
     # from fixed seeds.
-    assert np.array_equal(batch.ipcs, reference.ipcs)
-    assert batch.instructions == reference.instructions
+    assert np.array_equal(batch.panel("DIP"), panel_from_runs(runs))
+    assert batch.instructions == sum(run.instructions for run in runs)
 
     # The engine's pool: jobs=3 over ten cells forces it even on a
     # one-CPU host, and its chunks must merge back to the serial grid.
@@ -74,7 +73,7 @@ def test_run_batch_matches_run_loop_and_is_jobs_invariant(backend):
     for policy in ("LRU", "DIP"):
         assert np.array_equal(serial_panels[policy].values,
                               pooled_panels[policy].values)
-    assert np.array_equal(serial_panels["DIP"].values, batch.ipcs)
+    assert np.array_equal(serial_panels["DIP"].values, batch.panel("DIP"))
     assert serial.results.to_json() == pooled.results.to_json()
     assert serial.timing.simulations == pooled.timing.simulations == 10
     assert serial.timing.instructions == pooled.timing.instructions
@@ -84,7 +83,8 @@ def test_run_batch_empty_is_well_formed():
     for simulator_class in EVENT_DRIVEN.values():
         batch = simulator_class(cores=2, trace_length=TRACE).run_batch([])
         assert batch.workloads == ()
-        assert batch.ipcs.shape == (0, 2)
+        assert batch.policies == ("LRU",)
+        assert batch.ipcs.shape == (0, 1, 2)
         assert batch.instructions == 0
 
 
